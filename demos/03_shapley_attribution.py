@@ -13,6 +13,7 @@ from effectlab import (
     ValueOracle,
     build_space,
     enumerate_grid,
+    exact_shapley,
     exact_shapley_second_order,
     fit_effects_sf,
     gen_teacher,
@@ -50,7 +51,7 @@ print(f"sample-size rule: B={B:.2f}, eps=0.05, delta=0.05 -> M={M}")
 # Attributions over the whole grid pin down the effect tables by least
 # squares; with exact attributions the source table comes back exactly.
 grid = enumerate_grid(space)
-estimates = [mc_shapley(oracle, pt, method="exact") for pt in grid]
+estimates = exact_shapley(oracle, grid)  # all points in one batched call
 fitted = fit_effects_sf(estimates, space, ref, ShrinkageSpec(1e-12, 1e-12),
                         mu=oracle.v_empty)
 err = max(

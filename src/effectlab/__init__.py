@@ -47,6 +47,7 @@ from .shapley import (
     ValueOracle,
     build_design_matrix,
     coalition_value,
+    exact_shapley,
     exact_shapley_second_order,
     fit_effects_sf,
     mc_sample_size,

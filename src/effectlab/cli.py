@@ -28,8 +28,9 @@ from .objective import CostModel, ObjectiveSpec, objective_grid
 from .optimize import SearchSpec, diag_dominance_check, multistart
 from .pci import write_pci_csv
 from .planning import bernstein_halfwidth, hoeffding_cell_n, uniform_cells_n
-from .shapley import ValueOracle, mc_sample_size, mc_shapley, write_shapley_csv
-from .sim import SuiteConfig, ablation_suite, comparison_suite, _sf_eval_set
+from .shapley import ValueOracle, exact_shapley, mc_sample_size, mc_shapley, write_shapley_csv
+from .sim import (EVAL_GRID_CAP, EXACT_SHAPLEY_MAX_FACTORS, SuiteConfig, ablation_suite,
+                  comparison_suite, _sf_eval_set)
 from .space import (
     ReferenceDistribution,
     enumerate_grid,
@@ -165,11 +166,12 @@ def _estimate_table(args, space, log, reference, collect_estimates=False):
         raise CommandError(f"unknown estimation path {args.path!r}")
     ref = reference.product_marginals()
     oracle = ValueOracle.from_log(log, ref, warn=False)
-    eval_set = _sf_eval_set(log, 4096)
-    method = "exact" if space.num_factors <= 10 else "permutation"
-    estimates = [mc_shapley(oracle, x, M=args.mc_samples, seed=args.seed + i,
-                            method=method)
-                 for i, x in enumerate(eval_set)]
+    eval_set = _sf_eval_set(log, EVAL_GRID_CAP)
+    if space.num_factors <= EXACT_SHAPLEY_MAX_FACTORS:
+        estimates = exact_shapley(oracle, eval_set)
+    else:
+        estimates = [mc_shapley(oracle, x, M=args.mc_samples, seed=args.seed + i)
+                     for i, x in enumerate(eval_set)]
     from .shapley import fit_effects_sf
 
     table = fit_effects_sf(estimates, space, ref, shrinkage,

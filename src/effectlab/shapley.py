@@ -29,6 +29,9 @@ from .space import (
 
 EXACT_CELL_CAP = 1_000_000
 RANK_TOLERANCE = 1e-8
+# Points per coalition-value gather in exact attribution; caps the
+# (chunk, 2^d) buffer at 16 MB for d = 10.
+EXACT_CHUNK = 2048
 
 
 class RankDeficiencyError(ValueError):
@@ -143,11 +146,15 @@ class ValueOracle:
 
     def v_all(self, x: Sequence[int]) -> np.ndarray:
         """Coalition values for every factor subset, indexed by bitmask."""
-        d = self.space.num_factors
-        out = np.empty(1 << d)
-        for mask in range(1 << d):
-            idx = tuple(int(x[j]) for j in self._axes[mask])
-            out[mask] = self._tables[mask][idx]
+        return self.v_rows(np.asarray([x], dtype=np.intp))[0]
+
+    def v_rows(self, points: np.ndarray) -> np.ndarray:
+        """Coalition values at each row of an (n, d) level-index array:
+        column ``mask`` holds the value of that factor subset."""
+        cols = points.T
+        out = np.empty((len(points), 1 << self.space.num_factors))
+        for mask, axes in self._axes.items():
+            out[:, mask] = self._tables[mask][tuple(cols[j] for j in axes)]
         return out
 
 
@@ -186,26 +193,10 @@ def mc_shapley(oracle: ValueOracle, x: Sequence[int], M: int = 1000, seed: int =
     """
     x = oracle.space.validate_config(x)
     d = oracle.space.num_factors
-    vx = oracle.v_all(x)
-
     if method == "exact":
-        masks = np.arange(1 << d)
-        sizes = np.array([bin(m).count("1") for m in masks])
-        fact = [math.factorial(i) for i in range(d + 1)]
-        phi = np.empty(d)
-        variance = np.empty(d)
-        for j in range(d):
-            bit = 1 << j
-            pre = masks[(masks & bit) == 0]
-            s = sizes[pre]
-            weights = np.array([fact[si] * fact[d - 1 - si] / fact[d] for si in s])
-            delta = vx[pre | bit] - vx[pre]
-            phi[j] = float(np.dot(weights, delta))
-            variance[j] = float(np.dot(weights, (delta - phi[j]) ** 2))
-        est = ShapleyEstimate(x, phi, variance, M=1 << (d - 1) if d else 0, method="exact")
-        if return_contributions:
-            return est, None
-        return est
+        (est,) = exact_shapley(oracle, [x])
+        return (est, None) if return_contributions else est
+    vx = oracle.v_all(x)
 
     if M < 1:
         raise ValueError("M must be at least 1")
@@ -244,6 +235,37 @@ def mc_shapley(oracle: ValueOracle, x: Sequence[int], M: int = 1000, seed: int =
     if return_contributions:
         return est, delta
     return est
+
+
+def exact_shapley(oracle: ValueOracle, points: Sequence[Sequence[int]]) -> list[ShapleyEstimate]:
+    """Exact attribution at every point: all subsets with their ordering
+    weights, no sampling error. Coalition values are gathered for
+    ``EXACT_CHUNK`` points at a time, then each factor's weighted marginal
+    contributions are reduced for the whole chunk at once."""
+    space = oracle.space
+    d = space.num_factors
+    X = np.asarray(points, dtype=np.intp).reshape(-1, d)
+    if ((X < 0) | (X >= np.asarray(space.level_counts))).any():
+        raise ValueError("level index out of range in an evaluation point")
+    masks = np.arange(1 << d)
+    sizes = sum((masks >> j) & 1 for j in range(d))
+    fact = [math.factorial(i) for i in range(d + 1)]
+    weight_of_size = np.array([fact[s] * fact[d - 1 - s] / fact[d] for s in range(d)])
+    pres = [masks[(masks & (1 << j)) == 0] for j in range(d)]
+    weights = [weight_of_size[sizes[pre]] for pre in pres]
+
+    phi = np.empty(X.shape, dtype=float)
+    variance = np.empty(X.shape, dtype=float)
+    for start in range(0, len(X), EXACT_CHUNK):
+        rows = slice(start, start + EXACT_CHUNK)
+        vx = oracle.v_rows(X[rows])
+        for j, (pre, w) in enumerate(zip(pres, weights)):
+            delta = vx[:, pre | (1 << j)] - vx[:, pre]
+            phi[rows, j] = delta @ w
+            variance[rows, j] = (delta - phi[rows, j, None]) ** 2 @ w
+    M = 1 << (d - 1)
+    return [ShapleyEstimate(tuple(x), phi[i], variance[i], M=M, method="exact")
+            for i, x in enumerate(X.tolist())]
 
 
 def exact_shapley_second_order(table: EffectTable, x: Sequence[int]) -> np.ndarray:
@@ -328,7 +350,10 @@ class EffectDesignMatrix:
 
     def deficient_blocks(self, tol: float = RANK_TOLERANCE) -> list[str]:
         """Names of parameter blocks with weight in the near-null space."""
-        _, s, vt = np.linalg.svd(self.matrix, full_matrices=True)
+        # A tall design only needs the thin factors; a wide one needs the full
+        # vt, whose extra rows span the structural null space.
+        rows, params = self.matrix.shape
+        _, s, vt = np.linalg.svd(self.matrix, full_matrices=rows < params)
         rank = int((s >= tol).sum())
         null_rows = vt[rank:]
         if null_rows.size == 0:
@@ -346,12 +371,6 @@ class EffectDesignMatrix:
             "rows": int(self.matrix.shape[0]),
             "params": int(self.matrix.shape[1]),
         }
-
-
-def raw_design_row_support(space: FactorSpace) -> int:
-    """Nonzero count of one pre-reparametrization row: the main entry plus
-    one pair entry per other factor."""
-    return 1 + (space.num_factors - 1)
 
 
 def build_design_matrix(eval_set: Sequence[Sequence[int]], space: FactorSpace,
@@ -375,21 +394,23 @@ def build_design_matrix(eval_set: Sequence[Sequence[int]], space: FactorSpace,
         width = (space.level_counts[j] - 1) * (space.level_counts[k] - 1)
         blocks.append(("pair", (j, k), slice(col, col + width)))
         col += width
-    p = col
-    block_of: dict[tuple, slice] = {(kind, idx): sl for kind, idx, sl in blocks}
 
-    A = np.zeros((len(configs) * d, p))
-    for i, x in enumerate(configs):
-        row_u = [bases[j][x[j]] for j in range(d)]
-        for j in range(d):
-            r = i * d + j
-            A[r, block_of[("main", (j,))]] = row_u[j]
-            for k in range(d):
-                if k == j:
-                    continue
-                a, b = (j, k) if j < k else (k, j)
-                coeff = 0.5 * np.outer(row_u[a], row_u[b]).ravel()
-                A[r, block_of[("pair", (a, b))]] = coeff
+    # Row i*d + j is factor j's attribution at point i: its own main block,
+    # and half of every pair block it belongs to.
+    X = np.array(configs, dtype=np.intp)
+    n = len(configs)
+    U = [bases[j][X[:, j]] for j in range(d)]
+    A3 = np.zeros((n, d, col))
+    for kind, idx, sl in blocks:
+        if kind == "main":
+            (j,) = idx
+            A3[:, j, sl] = U[j]
+        else:
+            j, k = idx
+            coeff = 0.5 * (U[j][:, :, None] * U[k][:, None, :]).reshape(n, -1)
+            A3[:, j, sl] = coeff
+            A3[:, k, sl] = coeff
+    A = A3.reshape(n * d, col)
     if A.shape[0] < A.shape[1]:
         sigma_min = 0.0  # underdetermined: the null space is structural
     else:

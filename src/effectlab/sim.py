@@ -20,12 +20,7 @@ import numpy as np
 from .effects import EffectTable, ShrinkageSpec, estimate_effects_cm
 from .objective import CostModel, ObjectiveSpec, predict_grid
 from .optimize import SearchSpec, multistart
-from .shapley import (
-    ValueOracle,
-    build_design_matrix,
-    fit_effects_sf,
-    mc_shapley,
-)
+from .shapley import ValueOracle, exact_shapley, fit_effects_sf, mc_shapley
 from .space import (
     Config,
     DesignPlan,
@@ -35,6 +30,7 @@ from .space import (
     build_space,
     enumerate_grid,
     log_from_arrays,
+    sample_design,
     support_counts,
 )
 
@@ -221,7 +217,7 @@ def error_decomposition(estimate: EffectTable, truth: EffectTable,
     baseline deviation; prediction - truth = baseline_dev + eps - residual."""
     pred = predict_grid(estimate)
     lhs = pred - teacher.values
-    eps = predict_grid(estimate) - predict_grid(truth) - (estimate.mu - truth.mu)
+    eps = pred - predict_grid(truth) - (estimate.mu - truth.mu)
     baseline = np.full(teacher.values.shape, estimate.mu - truth.mu)
     return lhs, eps, baseline
 
@@ -229,31 +225,6 @@ def error_decomposition(estimate: EffectTable, truth: EffectTable,
 # ---------------------------------------------------------------------------
 # Trials
 # ---------------------------------------------------------------------------
-
-_DESIGN_CACHE: dict = {}
-
-
-def _space_key(space: FactorSpace):
-    return tuple((f.name, f.levels) for f in space.factors)
-
-
-def _reference_key(reference: ReferenceDistribution):
-    if reference.is_product:
-        return (reference.kind, tuple(tuple(m.tolist()) for m in reference.marginals))
-    return ("empirical", tuple(sorted(reference.joint.items())))
-
-
-def _cached_design(eval_set: tuple[Config, ...], space: FactorSpace,
-                   reference: ReferenceDistribution):
-    key = (_space_key(space), _reference_key(reference), eval_set)
-    design = _DESIGN_CACHE.get(key)
-    if design is None:
-        design = build_design_matrix(eval_set, space, reference)
-        if len(_DESIGN_CACHE) > 32:
-            _DESIGN_CACHE.clear()
-        _DESIGN_CACHE[key] = design
-    return design
-
 
 def make_log(teacher: Teacher, design: Sequence[Config], seeds_per_point: int,
              seed: int = 0) -> RunLog:
@@ -286,17 +257,17 @@ def fit_from_oracle(oracle: ValueOracle, eval_set: Sequence[Config],
     method = shap_method
     if method == "auto":
         method = "exact" if space.num_factors <= EXACT_SHAPLEY_MAX_FACTORS else "permutation"
-    eval_set = tuple(tuple(int(v) for v in x) for x in eval_set)
-    children = np.random.SeedSequence(shap_seed).spawn(len(eval_set)) \
-        if method != "exact" else [None] * len(eval_set)
-    estimates = []
-    for i, x in enumerate(eval_set):
-        s = 0 if children[i] is None else int(children[i].generate_state(1)[0])
-        estimates.append(mc_shapley(oracle, x, M=mc_permutations, seed=s, method=method))
-    design = _cached_design(eval_set, space, reference)
+    if method == "exact":
+        estimates = exact_shapley(oracle, eval_set)
+    else:
+        children = np.random.SeedSequence(shap_seed).spawn(len(eval_set))
+        estimates = [
+            mc_shapley(oracle, x, M=mc_permutations,
+                       seed=int(child.generate_state(1)[0]), method=method)
+            for x, child in zip(eval_set, children)
+        ]
     return fit_effects_sf(
-        estimates, space, reference, shrinkage,
-        support=support, mu=oracle.v_empty, design=design,
+        estimates, space, reference, shrinkage, support=support, mu=oracle.v_empty,
     )
 
 
@@ -356,7 +327,7 @@ def run_trial(teacher: Teacher, plan: DesignPlan, seeds_per_point: int,
     design_seed, noise_seed, shap_seed, search_seed, oracle_seed = (
         int(c.generate_state(1)[0]) for c in root.spawn(5)
     )
-    design = sample_design_cached(space, plan, design_seed)
+    design = sample_design(space, plan, design_seed)
     log = make_log(teacher, design, seeds_per_point, seed=noise_seed)
     estimator = estimator.upper()
     if estimator == "SF" and oracle_source == "teacher":
@@ -401,12 +372,6 @@ def run_trial(teacher: Teacher, plan: DesignPlan, seeds_per_point: int,
         chosen=tuple(int(v) for v in chosen),
         diagnostics=table.diagnostics,
     )
-
-
-def sample_design_cached(space: FactorSpace, plan: DesignPlan, seed: int):
-    from .space import sample_design
-
-    return sample_design(space, plan, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +520,7 @@ def ablation_suite(axis: str, config: SuiteConfig | None = None) -> list[dict]:
                     # same design the trial will draw.
                     root = np.random.SeedSequence(seed)
                     design_seed = int(root.spawn(4)[0].generate_state(1)[0])
-                    design = sample_design_cached(teacher.space, plan, design_seed)
+                    design = sample_design(teacher.space, plan, design_seed)
                     probe = log_from_arrays(teacher.space, design, [0.0] * len(design))
                     reference = ReferenceDistribution.empirical(probe).product_marginals()
                 r = run_trial(teacher, plan, config.robustness_seeds, "SF",

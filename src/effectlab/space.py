@@ -258,8 +258,12 @@ class RunLog:
         if not self.records:
             raise ValueError("run log is empty")
         positive = False
-        for rec in self.records:
+        for i, rec in enumerate(self.records):
             self.space.validate_config(rec.config)
+            if not math.isfinite(rec.response):
+                raise ValueError(f"record {i}: non-finite response {rec.response!r}")
+            if not math.isfinite(rec.weight):
+                raise ValueError(f"record {i}: non-finite weight {rec.weight!r}")
             if rec.weight < 0:
                 raise ValueError("weights must be nonnegative")
             positive = positive or rec.weight > 0
@@ -353,12 +357,16 @@ def ingest_log(path: str | Path, space: FactorSpace) -> RunLog:
                 raise LogSchemaError(
                     f"{path}: row {rownum}: non-numeric response {raw!r}"
                 ) from None
+            if not math.isfinite(response):
+                raise LogSchemaError(f"{path}: row {rownum}: non-finite response {raw!r}")
             weight = 1.0
             if has_weight and row[col_idx["weight"]].strip():
                 try:
                     weight = float(row[col_idx["weight"]])
                 except ValueError:
                     raise LogSchemaError(f"{path}: row {rownum}: non-numeric weight") from None
+                if not math.isfinite(weight):
+                    raise LogSchemaError(f"{path}: row {rownum}: non-finite weight")
             seed = 0
             if has_seed and row[col_idx["seed"]].strip():
                 try:

@@ -115,3 +115,77 @@ def shapley_by_definition(value_fn, d):
                 w = math.factorial(len(S)) * math.factorial(d - len(S) - 1) / math.factorial(d)
                 phi[j] += w * (value_fn(frozenset(S) | {j}) - value_fn(frozenset(S)))
     return phi
+
+
+def coalition_values_by_contraction(values: np.ndarray, marginals, x) -> np.ndarray:
+    """v(T) for every subset bitmask T at point x: pin T's coordinates to x
+    and average the others under the product of ``marginals``, one full
+    contraction per subset."""
+    d = values.ndim
+    out = np.empty(1 << d)
+    for mask in range(1 << d):
+        t = values
+        for ax in reversed(range(d)):
+            if mask >> ax & 1:
+                t = np.take(t, x[ax], axis=ax)
+            else:
+                t = np.tensordot(t, np.asarray(marginals[ax]), axes=([ax], [0]))
+        out[mask] = t
+    return out
+
+
+def exact_shapley_loop(vx: np.ndarray, d: int):
+    """Exact attribution of one point from its subset values ``vx``
+    (indexed by bitmask): per factor, the ordering-weighted mean and variance
+    of its marginal contributions. Returns (phi, variance)."""
+    masks = np.arange(1 << d)
+    sizes = np.array([bin(m).count("1") for m in masks])
+    fact = [math.factorial(i) for i in range(d + 1)]
+    phi = np.empty(d)
+    variance = np.empty(d)
+    for j in range(d):
+        bit = 1 << j
+        pre = masks[(masks & bit) == 0]
+        weights = np.array([fact[s] * fact[d - 1 - s] / fact[d] for s in sizes[pre]])
+        delta = vx[pre | bit] - vx[pre]
+        phi[j] = float(np.dot(weights, delta))
+        variance[j] = float(np.dot(weights, (delta - phi[j]) ** 2))
+    return phi, variance
+
+
+def design_matrix_loop(configs, level_counts, marginals) -> np.ndarray:
+    """Attribution design matrix filled row by row. Columns are the main
+    blocks in factor order, then the pair blocks (j < k) in lexicographic
+    order, each in the basis where level l >= 1 is free and level 0 takes
+    -pi_l / pi_0; row i*d + j is factor j at point i, holding its main entry
+    and half of every pair entry it takes part in."""
+    d = len(level_counts)
+    bases = []
+    for pi in marginals:
+        L = len(pi)
+        U = np.zeros((L, L - 1))
+        for l in range(1, L):
+            U[l, l - 1] = 1.0
+            U[0, l - 1] = -pi[l] / pi[0]
+        bases.append(U)
+    offsets = {}
+    col = 0
+    for j in range(d):
+        offsets[(j,)] = col
+        col += level_counts[j] - 1
+    for j, k in itertools.combinations(range(d), 2):
+        offsets[(j, k)] = col
+        col += (level_counts[j] - 1) * (level_counts[k] - 1)
+    A = np.zeros((len(configs) * d, col))
+    for i, x in enumerate(configs):
+        row_u = [bases[j][x[j]] for j in range(d)]
+        for j in range(d):
+            r = i * d + j
+            A[r, offsets[(j,)]:offsets[(j,)] + len(row_u[j])] = row_u[j]
+            for k in range(d):
+                if k == j:
+                    continue
+                a, b = (j, k) if j < k else (k, j)
+                coeff = 0.5 * np.outer(row_u[a], row_u[b]).ravel()
+                A[r, offsets[(a, b)]:offsets[(a, b)] + len(coeff)] = coeff
+    return A

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effectlab import (
     RankDeficiencyError,
@@ -13,6 +15,7 @@ from effectlab import (
     coalition_value,
     enumerate_grid,
     estimate_effects_cm,
+    exact_shapley,
     exact_shapley_second_order,
     fit_effects_sf,
     gen_teacher,
@@ -22,9 +25,14 @@ from effectlab import (
     stability_bound,
     TeacherSpec,
 )
-from effectlab.shapley import ShapleyEstimate, mc_sample_bound, raw_design_row_support
+from effectlab.shapley import EXACT_CHUNK, RANK_TOLERANCE, ShapleyEstimate, mc_sample_bound
 from conftest import full_grid_log, random_space
-from oracles import shapley_by_definition
+from oracles import (
+    coalition_values_by_contraction,
+    design_matrix_loop,
+    exact_shapley_loop,
+    shapley_by_definition,
+)
 
 TINY_TAU = ShrinkageSpec(tau_main=1e-12, tau_pair=1e-12)
 
@@ -217,6 +225,82 @@ def test_mc_sample_size_union_mode():
 
 
 # ---------------------------------------------------------------------------
+# Batched exact attribution and design build against per-point loops
+# ---------------------------------------------------------------------------
+
+def product_problem(levels, seed, n):
+    """A space with the given level counts, a random strictly positive
+    product background, a random response tensor and n random points."""
+    rng = np.random.default_rng(seed)
+    space = build_space([(f"f{i}", [str(t) for t in range(L)]) for i, L in enumerate(levels)])
+    marginals = []
+    for L in levels:
+        p = rng.random(L) + 0.05
+        marginals.append(p / p.sum())
+    ref = ReferenceDistribution.from_marginals(space, marginals)
+    values = rng.normal(size=tuple(levels))
+    points = [tuple(int(rng.integers(L)) for L in levels) for _ in range(n)]
+    return space, ref, values, points
+
+
+def assert_matches_loop(oracle, values, points, estimates):
+    d = values.ndim
+    marginals = [oracle.reference.marginal(j) for j in range(d)]
+    assert [est.x for est in estimates] == points
+    for x, est in zip(points, estimates):
+        phi, variance = exact_shapley_loop(coalition_values_by_contraction(values, marginals, x), d)
+        assert np.max(np.abs(est.phi - phi)) < 1e-12
+        assert np.max(np.abs(est.variance - variance)) < 1e-12
+        assert est.phi.sum() == pytest.approx(values[x] - oracle.v_empty, abs=1e-12)
+        assert est.M == 1 << (d - 1) and est.method == "exact"
+
+
+small_problems = st.tuples(
+    st.lists(st.sampled_from([2, 3, 4]), min_size=2, max_size=4),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 12),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_problems)
+def test_batched_exact_matches_per_point_loop(problem):
+    space, ref, values, points = product_problem(*problem)
+    oracle = ValueOracle(space, ref, values)
+    estimates = exact_shapley(oracle, points)
+    assert_matches_loop(oracle, values, points, estimates)
+    single = mc_shapley(oracle, points[0], method="exact")
+    assert np.max(np.abs(single.phi - estimates[0].phi)) < 1e-12
+    marginals = [ref.marginal(j) for j in range(space.num_factors)]
+    expected = [coalition_values_by_contraction(values, marginals, x) for x in points]
+    assert np.max(np.abs(oracle.v_rows(np.array(points)) - np.stack(expected))) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_problems)
+def test_vectorized_design_matches_row_loop(problem):
+    space, ref, _, points = product_problem(*problem)
+    dm = build_design_matrix(points, space, ref)
+    looped = design_matrix_loop(points, space.level_counts,
+                                [ref.marginal(j) for j in range(space.num_factors)])
+    assert np.array_equal(dm.matrix, looped)
+
+
+def test_batched_exact_across_chunk_boundary():
+    space, ref, values, points = product_problem([2, 3, 4], 21, EXACT_CHUNK + 1)
+    oracle = ValueOracle(space, ref, values)
+    estimates = exact_shapley(oracle, points)
+    assert len(estimates) == EXACT_CHUNK + 1
+    assert_matches_loop(oracle, values, points, estimates)
+
+
+def test_batched_exact_rejects_out_of_range_points(space_2x2):
+    oracle = xor_oracle(space_2x2)
+    with pytest.raises(ValueError, match="out of range"):
+        exact_shapley(oracle, [(0, 0), (0, 2)])
+
+
+# ---------------------------------------------------------------------------
 # Design matrix and least squares
 # ---------------------------------------------------------------------------
 
@@ -236,9 +320,27 @@ def test_design_matrix_single_config_deficient(space_2x2):
         fit_effects_sf([est], space_2x2, design=dm)
 
 
-def test_raw_design_row_structure():
-    space = build_space([(f"f{i}", ["0", "1"]) for i in range(4)])
-    assert raw_design_row_support(space) == 1 + 3
+def test_deficient_blocks_tall_design_uses_thin_svd(monkeypatch):
+    space = build_space([("a", ["0", "1"]), ("b", ["0", "1", "2"]), ("c", ["0", "1"])])
+    dm = build_design_matrix([(1, 2, 0)] * 10, space)
+    assert dm.shape[0] >= dm.shape[1] and dm.sigma_min < RANK_TOLERANCE
+    # What the full SVD names: blocks with weight in the numerical null space.
+    _, s, vt = np.linalg.svd(dm.matrix, full_matrices=True)
+    null = vt[int((s >= RANK_TOLERANCE).sum()):]
+    expected = [name for (_, _, sl), name in zip(dm.blocks, dm.block_names())
+                if np.abs(null[:, sl]).max() > 1e-6]
+    assert expected == ["a", "b", "c", "a|b", "a|c", "b|c"]
+
+    calls = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, full_matrices=True, **kwargs):
+        calls.append(full_matrices)
+        return svd(a, full_matrices=full_matrices, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    assert dm.deficient_blocks() == expected
+    assert calls == [False]
 
 
 def test_fit_roundtrip_from_exact_attributions():

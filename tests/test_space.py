@@ -177,6 +177,31 @@ def test_ingest_schema_errors(tmp_path, space_2x2):
         ingest_log(stray, space_2x2)
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_ingest_rejects_non_finite_response(tmp_path, space_2x2, text):
+    path = tmp_path / "runs.csv"
+    path.write_text(f"a,b,response\na0,b0,1.0\na1,b0,{text}\n")
+    with pytest.raises(LogSchemaError, match=r"row 3: non-finite response"):
+        ingest_log(path, space_2x2)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf"])
+def test_ingest_rejects_non_finite_weight(tmp_path, space_2x2, text):
+    path = tmp_path / "runs.csv"
+    path.write_text(f"a,b,response,weight\na0,b0,1.0,1\na1,b0,2.0,1\na1,b1,3.0,{text}\n")
+    with pytest.raises(LogSchemaError, match=r"row 4: non-finite weight"):
+        ingest_log(path, space_2x2)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_log_rejects_non_finite_values(space_2x2, bad):
+    configs = [(0, 0), (1, 0), (1, 1)]
+    with pytest.raises(ValueError, match=r"record 2: non-finite response"):
+        log_from_arrays(space_2x2, configs, [0.0, 1.0, bad])
+    with pytest.raises(ValueError, match=r"record 1: non-finite weight"):
+        log_from_arrays(space_2x2, configs, [0.0, 1.0, 2.0], weights=[1.0, bad, 1.0])
+
+
 def test_log_roundtrip(tmp_path, space_2x2):
     rng = np.random.default_rng(3)
     configs = [(int(rng.integers(2)), int(rng.integers(2))) for _ in range(20)]
