@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .effects import ShrinkageSpec, bootstrap_cis, estimate_effects_cm
-from .objective import CostModel, ObjectiveSpec, objective_grid
+from .objective import CostModel, ObjectiveSpec, objective_grid, risk_penalty
 from .optimize import SearchSpec, diag_dominance_check, multistart
 from .pci import write_pci_csv
 from .planning import bernstein_halfwidth, hoeffding_cell_n, uniform_cells_n
@@ -278,9 +278,9 @@ def cmd_optimize(args) -> list[str]:
         flat.sort(key=lambda item: (-item[0], item[1]))
         top = flat[: args.topk]
         ci_by_config = {}
-        if args.bootstrap and args.path == "cm":
+        if table.replicates is not None:
             ci_by_config = _topk_bootstrap_cis(
-                args, log, reference, spec, cost, [x for _, x in top]
+                table.replicates, support, spec, cost, [x for _, x in top], args.ci_level
             )
         rows = []
         for rank, (value, x) in enumerate(top, start=1):
@@ -292,40 +292,20 @@ def cmd_optimize(args) -> list[str]:
     return outputs
 
 
-def _topk_bootstrap_cis(args, log, reference, spec, cost, configs):
-    from .effects import _estimate_arrays
-
-    shrinkage = _shrinkage_for(args)
-    space = log.space
-    support = support_counts(log)
-    n = len(log)
-    values = {x: [] for x in configs}
-    children = np.random.SeedSequence(args.seed).spawn(args.bootstrap)
-    risk = {}
-    for x in configs:
-        risk[x] = sum(
-            spec.gamma_for(space, j, k)
-            / (support.pair_counts[(j, k)][x[j], x[k]] + spec.gamma_for(space, j, k))
-            for j, k in space.pairs()
-        )
-    for b in range(args.bootstrap):
-        rng = np.random.default_rng(children[b])
-        idx = rng.integers(0, n, size=n)
-        mu, mains, pairs, *_ = _estimate_arrays(
-            log.configs_array[idx], log.responses[idx], log.weights[idx],
-            space, reference, shrinkage,
-        )
-        for x in configs:
-            val = mu + sum(mains[j][x[j]] for j in range(space.num_factors))
-            val += sum(pairs[jk][x[jk[0]], x[jk[1]]] for jk in pairs)
-            val -= spec.lambda_risk * risk[x]
-            val -= spec.lambda_cost * cost.total(x)
-            values[x].append(val)
-    lo_q = 100.0 * (1.0 - args.ci_level) / 2.0
-    return {
-        x: (float(np.percentile(v, lo_q)), float(np.percentile(v, 100.0 - lo_q)))
-        for x, v in values.items()
-    }
+def _topk_bootstrap_cis(reps, support, spec, cost, configs, level):
+    """Percentile interval of the objective at each configuration, evaluated
+    on the bootstrap replicates of the effect table."""
+    space = support.space
+    X = np.array(configs, dtype=np.intp).reshape(-1, space.num_factors)
+    risk = np.array([risk_penalty(support, x, spec) for x in configs])
+    costs = np.array([cost.total(x) for x in configs])
+    values = reps.mu[:, None] + sum(reps.mains[j][:, X[:, j]] for j in range(space.num_factors))
+    values += sum(mat[:, X[:, j], X[:, k]] for (j, k), mat in reps.pairs.items())
+    values -= spec.lambda_risk * risk
+    values -= spec.lambda_cost * costs
+    lo_q = 100.0 * (1.0 - level) / 2.0
+    lo, hi = np.percentile(values, [lo_q, 100.0 - lo_q], axis=0)
+    return {x: (float(a), float(b)) for x, a, b in zip(configs, lo, hi)}
 
 
 # ---------------------------------------------------------------------------

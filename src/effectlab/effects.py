@@ -10,6 +10,7 @@ records with replacement.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, replace
 from typing import Mapping
@@ -68,7 +69,8 @@ class EffectTable:
     ``mains[j]`` holds the centered, shrunk effect per level of factor ``j``;
     ``pairs[(j, k)]`` (j < k) holds the doubly centered interaction matrix.
     ``level_means[j]`` keeps the raw weighted conditional means that the
-    effects were derived from (NaN where unsupported).
+    effects were derived from (NaN where unsupported). ``replicates`` holds
+    the bootstrap estimates behind the intervals, when there are any.
     """
 
     space: FactorSpace
@@ -88,6 +90,7 @@ class EffectTable:
     pairs_ci: dict[tuple[int, int], np.ndarray] | None = None
     level_means_ci: tuple[np.ndarray, ...] | None = None
     diagnostics: dict | None = None
+    replicates: BootstrapReplicates | None = None
 
     def main(self, j: int) -> np.ndarray:
         return self.mains[j]
@@ -208,33 +211,43 @@ def conditional_pair_mean(log: RunLog, j: int, lj: int, k: int, lk: int) -> floa
 # ---------------------------------------------------------------------------
 
 def center_main(g: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Shift so the pi-weighted mean is exactly zero."""
-    return g - float(np.dot(pi, g))
+    """Shift so the pi-weighted mean is exactly zero (along the last axis)."""
+    return g - np.expand_dims(np.dot(g, pi), -1)
 
 
 def double_center(mat: np.ndarray, joint: np.ndarray,
                   tol: float = 1e-13, max_rounds: int = 500) -> np.ndarray:
     """Remove row and column conditional means under the joint weights.
 
-    For product-form weights one row pass followed by one column pass is
-    exact; non-product joints need alternating passes, which converge
+    ``mat`` is one matrix or a stack of them along leading axes; each matrix
+    stops iterating once its own row and column means are within tol. For
+    product-form weights one row pass followed by one column pass is exact;
+    non-product joints need alternating passes, which converge
     geometrically. Rows or columns with zero mass are left untouched.
     """
-    out = mat.astype(float).copy()
+    out = np.array(mat, dtype=float)
+    stack = out.reshape(-1, *out.shape[-2:])
     row_mass = joint.sum(axis=1)
     col_mass = joint.sum(axis=0)
     rows = row_mass > 0
     cols = col_mass > 0
+
+    def row_means(m):
+        return (joint * m).sum(axis=-1)[:, rows] / row_mass[rows]
+
+    def col_means(m):
+        return (joint * m).sum(axis=-2)[:, cols] / col_mass[cols]
+
+    active = np.arange(len(stack))
     for _ in range(max_rounds):
-        row_means = np.zeros(out.shape[0])
-        row_means[rows] = (joint * out).sum(axis=1)[rows] / row_mass[rows]
-        out[rows, :] -= row_means[rows, None]
-        col_means = np.zeros(out.shape[1])
-        col_means[cols] = (joint * out).sum(axis=0)[cols] / col_mass[cols]
-        out[:, cols] -= col_means[None, cols]
-        row_dev = np.abs((joint * out).sum(axis=1)[rows] / row_mass[rows]).max(initial=0.0)
-        col_dev = np.abs((joint * out).sum(axis=0)[cols] / col_mass[cols]).max(initial=0.0)
-        if max(row_dev, col_dev) <= tol:
+        m = stack[active]
+        m[:, rows, :] -= row_means(m)[:, :, None]
+        m[:, :, cols] -= col_means(m)[:, None, :]
+        stack[active] = m
+        dev = np.maximum(np.abs(row_means(m)).max(axis=-1, initial=0.0),
+                         np.abs(col_means(m)).max(axis=-1, initial=0.0))
+        active = active[dev > tol]
+        if not active.size:
             break
     return out
 
@@ -243,84 +256,110 @@ def double_center(mat: np.ndarray, joint: np.ndarray,
 # Estimation
 # ---------------------------------------------------------------------------
 
-def _cell_means(configs: np.ndarray, resp: np.ndarray, w: np.ndarray,
-                space: FactorSpace):
-    """Weighted level and pair-cell means; NaN marks empty cells."""
-    level_means = []
-    for j, L in enumerate(space.level_counts):
-        sw = np.bincount(configs[:, j], weights=w, minlength=L)
-        swf = np.bincount(configs[:, j], weights=w * resp, minlength=L)
-        means = np.full(L, np.nan)
-        mask = sw > 0
-        means[mask] = swf[mask] / sw[mask]
-        level_means.append(means)
-    pair_means = {}
-    for j, k in space.pairs():
-        Lj, Lk = space.level_counts[j], space.level_counts[k]
-        cell = configs[:, j] * Lk + configs[:, k]
-        sw = np.bincount(cell, weights=w, minlength=Lj * Lk)
-        swf = np.bincount(cell, weights=w * resp, minlength=Lj * Lk)
-        means = np.full(Lj * Lk, np.nan)
-        mask = sw > 0
-        means[mask] = swf[mask] / sw[mask]
-        pair_means[(j, k)] = means.reshape(Lj, Lk)
-    return level_means, pair_means
+BOOTSTRAP_CHUNK = 8  # replicates per batch; bounds the per-configuration sums held at once
+
+
+def _cell_sums(units: np.ndarray, stats: np.ndarray, space: FactorSpace) -> list[np.ndarray]:
+    """Sum additive unit statistics into every main and pair cell.
+
+    ``units`` (U, d) holds each unit's configuration, where a unit is one
+    record or one distinct configuration, and ``stats`` (S, C, U) holds S
+    statistics of C samples per unit. Returns one (S, C, cells) array per
+    factor, then one per pair in ``space.pairs()`` order.
+    """
+    S, C, U = stats.shape
+    flat = stats.reshape(S, C * U)
+    counts = space.level_counts
+    mains = ((units[:, j], L) for j, L in enumerate(counts))
+    pairs = ((units[:, j] * counts[k] + units[:, k], counts[j] * counts[k])
+             for j, k in space.pairs())
+    sample = np.arange(C)[:, None]
+    out = []
+    for cell, size in itertools.chain(mains, pairs):
+        key = (sample * size + cell).ravel()
+        sums = [np.bincount(key, weights=s, minlength=C * size) for s in flat]
+        out.append(np.stack(sums).reshape(S, C, size))
+    return out
+
+
+def _estimate_batch(units: np.ndarray, stats: np.ndarray, space: FactorSpace,
+                    marginals: list[np.ndarray], joints: dict[tuple[int, int], np.ndarray],
+                    shrinkage: ShrinkageSpec):
+    """The CM estimator on C samples at once.
+
+    ``stats`` (3, C, U) holds the weight, weight x response and record count
+    of every unit in each sample (see ``_cell_sums``); every sample needs
+    positive total weight. ``marginals`` and ``joints`` are the reference's
+    centering weights. Returns mu (C,), mains (C, L_j), pairs
+    (C, L_j, L_k), level means (C, L_j) with NaN where a level has no weight,
+    and the empty-cell masks of the mains and the pairs.
+    """
+    counts = space.level_counts
+    d = space.num_factors
+    sums = _cell_sums(units, stats, space)
+    totals = stats[:2].sum(axis=-1)
+    mu = totals[1] / totals[0]
+
+    def means_of(s):
+        return np.divide(s[1], s[0], out=np.full(s[0].shape, np.nan), where=s[0] > 0)
+
+    level_means = tuple(means_of(s) for s in sums[:d])
+    pair_keys = space.pairs()
+    pair_means = {(j, k): means_of(s).reshape(-1, counts[j], counts[k])
+                  for (j, k), s in zip(pair_keys, sums[d:])}
+    mains_missing = tuple(np.isnan(m) for m in level_means)
+    pairs_missing = {jk: np.isnan(m) for jk, m in pair_means.items()}
+
+    # Raw differenced effects; empty cells contribute zero and stay flagged.
+    mains = [np.where(miss, 0.0, m - mu[:, None]) for m, miss in zip(level_means, mains_missing)]
+    filled = [np.where(miss, mu[:, None], m) for m, miss in zip(level_means, mains_missing)]
+    pairs = {}
+    for (j, k), means in pair_means.items():
+        g = means - filled[j][:, :, None] - filled[k][:, None, :] + mu[:, None, None]
+        pairs[(j, k)] = np.where(pairs_missing[(j, k)], 0.0, g)
+
+    def recenter():
+        for j in range(d):
+            mains[j] = center_main(mains[j], marginals[j])
+        for jk in pairs:
+            pairs[jk] = double_center(pairs[jk], joints[jk])
+
+    recenter()
+    # Record counts, zero-weight records included, set the shrinkage.
+    for j in range(d):
+        n = sums[j][2]
+        mains[j] = n / (n + shrinkage.main(space, j)) * mains[j]
+        mains[j][mains_missing[j]] = 0.0
+    for (j, k), s in zip(pair_keys, sums[d:]):
+        n = s[2].reshape(-1, counts[j], counts[k])
+        pairs[(j, k)] = n / (n + shrinkage.pair(space, j, k)) * pairs[(j, k)]
+        pairs[(j, k)][pairs_missing[(j, k)]] = 0.0
+    recenter()
+    return mu, tuple(mains), pairs, level_means, mains_missing, pairs_missing
+
+
+def _centering_weights(space: FactorSpace, reference: ReferenceDistribution):
+    marginals = [reference.marginal(j) for j in range(space.num_factors)]
+    joints = {jk: reference.pair(*jk) for jk in space.pairs()}
+    return marginals, joints
 
 
 def _estimate_arrays(configs: np.ndarray, resp: np.ndarray, w: np.ndarray,
                      space: FactorSpace, reference: ReferenceDistribution,
                      shrinkage: ShrinkageSpec):
-    """Core CM pipeline on raw arrays; returns everything the table needs."""
-    total = w.sum()
-    if total <= 0:
+    """The CM estimator on one sample of records, as a batch of one."""
+    if w.sum() <= 0:
         raise ValueError("total weight is zero")
-    mu = float(np.dot(w, resp) / total)
-    level_means, pair_means = _cell_means(configs, resp, w, space)
-
-    mains_missing = tuple(np.isnan(m) for m in level_means)
-    pairs_missing = {jk: np.isnan(m) for jk, m in pair_means.items()}
-
-    # Raw differenced effects; empty cells contribute zero and stay flagged.
-    mains = []
-    for j, means in enumerate(level_means):
-        g = np.where(np.isnan(means), 0.0, means - mu)
-        mains.append(g)
-    pairs = {}
-    for (j, k), means in pair_means.items():
-        mj = np.where(np.isnan(level_means[j]), mu, level_means[j])
-        mk = np.where(np.isnan(level_means[k]), mu, level_means[k])
-        g = means - mj[:, None] - mk[None, :] + mu
-        pairs[(j, k)] = np.where(np.isnan(means), 0.0, g)
-
-    # Support drives both shrinkage and diagnostics.
-    level_counts = tuple(
-        np.bincount(configs[:, j], minlength=L).astype(np.intp)
-        for j, L in enumerate(space.level_counts)
+    stats = np.empty((3, 1, len(w)))
+    stats[0, 0] = w
+    np.multiply(w, resp, out=stats[1, 0])
+    stats[2, 0] = 1.0
+    mu, mains, pairs, level_means, m_miss, p_miss = _estimate_batch(
+        configs, stats, space, *_centering_weights(space, reference), shrinkage
     )
-
-    def recenter():
-        for j in range(space.num_factors):
-            mains[j] = center_main(mains[j], reference.marginal(j))
-        for jk in list(pairs):
-            pairs[jk] = double_center(pairs[jk], reference.pair(*jk))
-
-    recenter()
-    for j in range(space.num_factors):
-        tau = shrinkage.main(space, j)
-        eta = level_counts[j] / (level_counts[j] + tau)
-        mains[j] = eta * mains[j]
-        mains[j][mains_missing[j]] = 0.0
-    for (j, k) in list(pairs):
-        tau = shrinkage.pair(space, j, k)
-        Lj, Lk = space.level_counts[j], space.level_counts[k]
-        cell = configs[:, j] * Lk + configs[:, k]
-        n_jk = np.bincount(cell, minlength=Lj * Lk).reshape(Lj, Lk)
-        eta = n_jk / (n_jk + tau)
-        pairs[(j, k)] = eta * pairs[(j, k)]
-        pairs[(j, k)][pairs_missing[(j, k)]] = 0.0
-    recenter()
-
-    return mu, tuple(mains), pairs, tuple(level_means), mains_missing, pairs_missing
+    return (float(mu[0]), tuple(g[0] for g in mains), {jk: g[0] for jk, g in pairs.items()},
+            tuple(m[0] for m in level_means), tuple(m[0] for m in m_miss),
+            {jk: m[0] for jk, m in p_miss.items()})
 
 
 def estimate_effects_cm(log: RunLog, reference: ReferenceDistribution | None = None,
@@ -347,13 +386,92 @@ def estimate_effects_cm(log: RunLog, reference: ReferenceDistribution | None = N
     )
 
 
+@dataclass(frozen=True, eq=False)
+class BootstrapReplicates:
+    """CM estimates of B resamples; every array has a leading replicate axis.
+
+    ``fallback_draws`` counts the draws that picked no weighted record and so
+    were replaced by the original sample.
+    """
+
+    mu: np.ndarray
+    mains: tuple[np.ndarray, ...]
+    pairs: dict[tuple[int, int], np.ndarray]
+    level_means: tuple[np.ndarray, ...]
+    fallback_draws: int
+
+
+def _distinct_configs(configs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``configs`` and, per row, the index of its own."""
+    code = np.zeros(len(configs), dtype=np.intp)
+    for col in configs.T:  # codes stay below the row count, so never overflow
+        _, first, code = np.unique(code * (int(col.max()) + 1) + col,
+                                   return_index=True, return_inverse=True)
+    return configs[first], code
+
+
+def bootstrap_replicates(log: RunLog, reference: ReferenceDistribution | None = None,
+                         shrinkage: ShrinkageSpec | None = None, B: int = 200,
+                         seed: int = 0) -> BootstrapReplicates:
+    """CM estimates of B resamples of whole records, drawn with replacement.
+
+    Replicate b draws n record indices with the generator of child b of the
+    seed sequence, so results do not depend on evaluation order; a draw with
+    no positive weight falls back to the original sample. Each draw is
+    reduced to weight, weight x response and count per distinct
+    configuration, and ``BOOTSTRAP_CHUNK`` draws at a time are estimated in
+    one batch.
+    """
+    space = log.space
+    reference = reference or ReferenceDistribution.uniform(space)
+    shrinkage = shrinkage or ShrinkageSpec()
+    centering = _centering_weights(space, reference)
+    w = log.weights
+    wy = w * log.responses
+    n = len(log)
+    units, unit_of = _distinct_configs(log.configs_array)
+    U = len(units)
+
+    mu = np.empty(B)
+    mains = tuple(np.empty((B, L)) for L in space.level_counts)
+    pairs = {(j, k): np.empty((B, space.level_counts[j], space.level_counts[k]))
+             for j, k in space.pairs()}
+    level_means = tuple(np.empty((B, L)) for L in space.level_counts)
+    fallback = 0
+    children = np.random.SeedSequence(seed).spawn(B)
+    for start in range(0, B, BOOTSTRAP_CHUNK):
+        chunk = children[start:start + BOOTSTRAP_CHUNK]
+        stats = np.empty((3, len(chunk), U))
+        for c, child in enumerate(chunk):
+            idx = np.random.default_rng(child).integers(0, n, size=n)
+            wb = w[idx]
+            if not wb.any():  # pathological draw under zero-heavy weights
+                idx, wb = np.arange(n), w
+                fallback += 1
+            key = unit_of[idx]
+            stats[0, c] = np.bincount(key, weights=wb, minlength=U)
+            stats[1, c] = np.bincount(key, weights=wy[idx], minlength=U)
+            stats[2, c] = np.bincount(key, minlength=U)
+        mu_c, mains_c, pairs_c, means_c, _, _ = _estimate_batch(
+            units, stats, space, *centering, shrinkage
+        )
+        rows = slice(start, start + len(chunk))
+        mu[rows] = mu_c
+        for j in range(space.num_factors):
+            mains[j][rows] = mains_c[j]
+            level_means[j][rows] = means_c[j]
+        for jk in pairs:
+            pairs[jk][rows] = pairs_c[jk]
+    return BootstrapReplicates(mu, mains, pairs, level_means, fallback)
+
+
 def bootstrap_cis(log: RunLog, reference: ReferenceDistribution | None = None,
                   shrinkage: ShrinkageSpec | None = None, B: int = 200,
                   level: float = 0.95, seed: int = 0) -> EffectTable:
-    """Percentile intervals from resampling whole records with replacement.
+    """Percentile intervals and standard errors from ``bootstrap_replicates``.
 
-    Replicate b draws its RNG from child b of the seed sequence, so results
-    are reproducible regardless of evaluation order.
+    The returned table keeps the replicates, so intervals of other functions
+    of the estimates (the objective at a configuration, say) can reuse them.
     """
     if B < 100:
         raise ValueError("bootstrap needs at least 100 replicates")
@@ -363,56 +481,33 @@ def bootstrap_cis(log: RunLog, reference: ReferenceDistribution | None = None,
     reference = reference or ReferenceDistribution.uniform(space)
     shrinkage = shrinkage or ShrinkageSpec()
     base = estimate_effects_cm(log, reference, shrinkage)
-
-    configs, resp, w = log.configs_array, log.responses, log.weights
-    n = len(log)
-    mu_reps = np.empty(B)
-    main_reps = [np.empty((B, L)) for L in space.level_counts]
-    pair_reps = {jk: np.empty((B,) + base.pairs[jk].shape) for jk in base.pairs}
-    mean_reps = [np.empty((B, L)) for L in space.level_counts]
-
-    children = np.random.SeedSequence(seed).spawn(B)
-    for b in range(B):
-        rng = np.random.default_rng(children[b])
-        idx = rng.integers(0, n, size=n)
-        wb = w[idx]
-        if wb.sum() <= 0:  # pathological draw under zero-heavy weights
-            idx = np.arange(n)
-            wb = w
-        mu_b, mains_b, pairs_b, means_b, _, _ = _estimate_arrays(
-            configs[idx], resp[idx], wb, space, reference, shrinkage
-        )
-        mu_reps[b] = mu_b
-        for j in range(space.num_factors):
-            main_reps[j][b] = mains_b[j]
-            mean_reps[j][b] = means_b[j]
-        for jk in pair_reps:
-            pair_reps[jk][b] = pairs_b[jk]
+    reps = bootstrap_replicates(log, reference, shrinkage, B, seed)
 
     lo_q = 100.0 * (1.0 - level) / 2.0
-    hi_q = 100.0 - lo_q
+    q = [lo_q, 100.0 - lo_q]
 
     def pct(arr):
-        return np.stack(
-            [np.nanpercentile(arr, lo_q, axis=0), np.nanpercentile(arr, hi_q, axis=0)],
-            axis=-1,
-        )
+        return np.moveaxis(np.percentile(arr, q, axis=0), 0, -1)
 
-    mains_ci = tuple(pct(main_reps[j]) for j in range(space.num_factors))
-    mains_se = tuple(np.nanstd(main_reps[j], axis=0, ddof=1) for j in range(space.num_factors))
-    pairs_ci = {jk: pct(pair_reps[jk]) for jk in pair_reps}
-    pairs_se = {jk: np.nanstd(pair_reps[jk], axis=0, ddof=1) for jk in pair_reps}
-    level_means_ci = tuple(pct(mean_reps[j]) for j in range(space.num_factors))
-    mu_ci = np.array([np.percentile(mu_reps, lo_q), np.percentile(mu_reps, hi_q)])
+    def nan_pct(arr):
+        # A level no replicate observes keeps a NaN interval.
+        out = np.full(arr.shape[1:] + (2,), np.nan)
+        seen = ~np.isnan(arr).all(axis=0)
+        out[seen] = np.moveaxis(np.nanpercentile(arr[:, seen], q, axis=0), 0, -1)
+        return out
+
+    def se(arr):
+        return np.std(arr, axis=0, ddof=1)
 
     return replace(
         base,
-        mu_ci=mu_ci,
-        mains_se=mains_se,
-        mains_ci=mains_ci,
-        pairs_se=pairs_se,
-        pairs_ci=pairs_ci,
-        level_means_ci=level_means_ci,
+        mu_ci=np.percentile(reps.mu, q),
+        mains_se=tuple(se(g) for g in reps.mains),
+        mains_ci=tuple(pct(g) for g in reps.mains),
+        pairs_se={jk: se(g) for jk, g in reps.pairs.items()},
+        pairs_ci={jk: pct(g) for jk, g in reps.pairs.items()},
+        level_means_ci=tuple(nan_pct(m) for m in reps.level_means),
+        replicates=reps,
     )
 
 

@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -58,11 +59,12 @@ class FactorSpace:
     def num_factors(self) -> int:
         return len(self.factors)
 
-    @property
+    # Built once per space; cached values live outside the compared fields.
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.factors)
 
-    @property
+    @cached_property
     def level_counts(self) -> tuple[int, ...]:
         return tuple(f.num_levels for f in self.factors)
 

@@ -189,3 +189,116 @@ def design_matrix_loop(configs, level_counts, marginals) -> np.ndarray:
                 coeff = 0.5 * np.outer(row_u[a], row_u[b]).ravel()
                 A[r, offsets[(a, b)]:offsets[(a, b)] + len(coeff)] = coeff
     return A
+
+
+def double_center_loop(mat: np.ndarray, joint: np.ndarray,
+                       tol: float = 1e-13, max_rounds: int = 500) -> np.ndarray:
+    """One matrix at a time: alternate row and column passes under the joint
+    weights until both conditional means are within tol."""
+    out = mat.astype(float).copy()
+    row_mass = joint.sum(axis=1)
+    col_mass = joint.sum(axis=0)
+    rows = row_mass > 0
+    cols = col_mass > 0
+    for _ in range(max_rounds):
+        row_means = np.zeros(out.shape[0])
+        row_means[rows] = (joint * out).sum(axis=1)[rows] / row_mass[rows]
+        out[rows, :] -= row_means[rows, None]
+        col_means = np.zeros(out.shape[1])
+        col_means[cols] = (joint * out).sum(axis=0)[cols] / col_mass[cols]
+        out[:, cols] -= col_means[None, cols]
+        row_dev = np.abs((joint * out).sum(axis=1)[rows] / row_mass[rows]).max(initial=0.0)
+        col_dev = np.abs((joint * out).sum(axis=0)[cols] / col_mass[cols]).max(initial=0.0)
+        if max(row_dev, col_dev) <= tol:
+            break
+    return out
+
+
+def estimate_arrays_loop(configs, resp, w, space, reference, shrinkage):
+    """Cell-mean estimate of one sample, record by record: per-cell bincounts,
+    differenced effects, re-centering, pseudo-count shrinkage, re-centering.
+    Returns (mu, mains, pairs, level_means)."""
+    total = w.sum()
+    if total <= 0:
+        raise ValueError("total weight is zero")
+    mu = float(np.dot(w, resp) / total)
+
+    def means_of(cell, size):
+        sw = np.bincount(cell, weights=w, minlength=size)
+        swf = np.bincount(cell, weights=w * resp, minlength=size)
+        means = np.full(size, np.nan)
+        mask = sw > 0
+        means[mask] = swf[mask] / sw[mask]
+        return means
+
+    counts = space.level_counts
+    level_means = [means_of(configs[:, j], L) for j, L in enumerate(counts)]
+    pair_cells = {(j, k): configs[:, j] * counts[k] + configs[:, k] for j, k in space.pairs()}
+    pair_means = {(j, k): means_of(cell, counts[j] * counts[k]).reshape(counts[j], counts[k])
+                  for (j, k), cell in pair_cells.items()}
+
+    mains = [np.where(np.isnan(m), 0.0, m - mu) for m in level_means]
+    pairs = {}
+    for (j, k), means in pair_means.items():
+        mj = np.where(np.isnan(level_means[j]), mu, level_means[j])
+        mk = np.where(np.isnan(level_means[k]), mu, level_means[k])
+        g = means - mj[:, None] - mk[None, :] + mu
+        pairs[(j, k)] = np.where(np.isnan(means), 0.0, g)
+
+    def recenter():
+        for j in range(space.num_factors):
+            mains[j] = mains[j] - float(np.dot(reference.marginal(j), mains[j]))
+        for jk in pairs:
+            pairs[jk] = double_center_loop(pairs[jk], reference.pair(*jk))
+
+    recenter()
+    for j, L in enumerate(counts):
+        n = np.bincount(configs[:, j], minlength=L)
+        mains[j] = n / (n + shrinkage.main(space, j)) * mains[j]
+        mains[j][np.isnan(level_means[j])] = 0.0
+    for (j, k), cell in pair_cells.items():
+        n = np.bincount(cell, minlength=counts[j] * counts[k]).reshape(counts[j], counts[k])
+        pairs[(j, k)] = n / (n + shrinkage.pair(space, j, k)) * pairs[(j, k)]
+        pairs[(j, k)][np.isnan(pair_means[(j, k)])] = 0.0
+    recenter()
+    return mu, mains, pairs, level_means
+
+
+def bootstrap_replicates_loop(configs, resp, w, space, reference, shrinkage, B, seed):
+    """One estimate per replicate. Replicate b resamples all n records with
+    the generator of child b of the seed; a draw with no weight falls back to
+    the original sample. Returns (mu, mains, pairs, level_means, fallbacks)
+    with a leading replicate axis."""
+    n = len(resp)
+    reps = []
+    fallbacks = 0
+    for child in np.random.SeedSequence(seed).spawn(B):
+        idx = np.random.default_rng(child).integers(0, n, size=n)
+        if w[idx].sum() <= 0:
+            idx = np.arange(n)
+            fallbacks += 1
+        reps.append(estimate_arrays_loop(configs[idx], resp[idx], w[idx],
+                                         space, reference, shrinkage))
+    d = space.num_factors
+    mu = np.array([r[0] for r in reps])
+    mains = [np.stack([r[1][j] for r in reps]) for j in range(d)]
+    pairs = {jk: np.stack([r[2][jk] for r in reps]) for jk in reps[0][2]}
+    level_means = [np.stack([r[3][j] for r in reps]) for j in range(d)]
+    return mu, mains, pairs, level_means, fallbacks
+
+
+def topk_intervals_loop(mu, mains, pairs, risk, cost, configs, lo_q):
+    """Percentile interval of the objective at each configuration, one
+    configuration and one replicate at a time. ``risk`` and ``cost`` map a
+    configuration to its (already scaled) penalties."""
+    out = {}
+    for x in configs:
+        values = []
+        for b in range(len(mu)):
+            val = mu[b] + sum(mains[j][b, x[j]] for j in range(len(mains)))
+            val += sum(mat[b, x[j], x[k]] for (j, k), mat in pairs.items())
+            val -= risk[x]
+            val -= cost[x]
+            values.append(val)
+        out[x] = (float(np.percentile(values, lo_q)), float(np.percentile(values, 100.0 - lo_q)))
+    return out

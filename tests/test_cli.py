@@ -150,6 +150,40 @@ def test_optimize_topk_with_bootstrap(workspace):
         assert float(row["objective"]) <= float(row["ci_hi"]) + 1e-9
 
 
+@pytest.fixture
+def sparse_weight_workspace(tmp_path):
+    """A 2x2 space and 40 records of which only two carry weight, both at
+    a=a0; about one bootstrap draw in eight picks no weighted record."""
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({
+        "factors": [
+            {"name": "a", "levels": ["a0", "a1"]},
+            {"name": "b", "levels": ["b0", "b1"]},
+        ]
+    }))
+    log = tmp_path / "runs.csv"
+    rows = ["a,b,response,weight"]
+    for i in range(40):
+        xa, xb = (i // 2) % 2, i % 2
+        weight = 1.0 if i < 2 else 0.0
+        rows.append(f"a{xa},b{xb},{float(i % 3)},{weight}")
+    log.write_text("\n".join(rows) + "\n")
+    return tmp_path, space, log
+
+
+@pytest.mark.parametrize("command", ["estimate", "optimize"])
+def test_bootstrap_survives_zero_weight_draws(sparse_weight_workspace, command):
+    tmp, space, log = sparse_weight_workspace
+    out = tmp / command
+    rc = main([command, "--space", str(space), "--log", str(log), "--out", str(out),
+               "--bootstrap", "100", "--seed", "0"])
+    assert rc == 0
+    assert not (out / "error.json").exists()
+    if command == "optimize":
+        for row in read_csv(out / "topk.csv"):
+            assert float(row["ci_lo"]) <= float(row["ci_hi"])
+
+
 def test_pci_command(workspace):
     tmp, space, log = workspace
     out = tmp / "pci"

@@ -1,9 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effectlab import (
+    CostModel,
     DesignPlan,
     EmptyCellError,
+    ObjectiveSpec,
     ReferenceDistribution,
     ShrinkageSpec,
     bootstrap_cis,
@@ -15,11 +21,16 @@ from effectlab import (
     log_from_arrays,
     sample_design,
     shrinkage_risk,
+    support_counts,
     table_from_dict,
     weighted_baseline,
 )
+from effectlab.cli import _topk_bootstrap_cis
+from effectlab.effects import (BOOTSTRAP_CHUNK, _estimate_arrays, bootstrap_replicates,
+                               double_center)
 from conftest import full_grid_log, random_space
-from oracles import projection_decomposition
+from oracles import (bootstrap_replicates_loop, double_center_loop, estimate_arrays_loop,
+                     projection_decomposition, topk_intervals_loop)
 
 TINY_TAU = ShrinkageSpec(tau_main=1e-12, tau_pair=1e-12)
 
@@ -296,6 +307,157 @@ def test_bootstrap_width_scaling(space_2x2):
         w_large = float(np.mean(large.mains_ci[0][:, 1] - large.mains_ci[0][:, 0]))
         ratios.append(w_large / w_small)
     assert 0.4 <= float(np.mean(ratios)) <= 0.6
+
+
+# ---------------------------------------------------------------------------
+# Batched replicates against the record-by-record loop
+# ---------------------------------------------------------------------------
+
+def assert_close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    assert np.all(np.abs(got[ok] - want[ok]) <= 1e-12 * (1.0 + np.abs(want[ok])))
+
+
+def random_log(levels, seed, n, zero_share):
+    """Random configurations, responses and weights, with about
+    ``zero_share`` of the weights zero (at least one stays positive)."""
+    rng = np.random.default_rng(seed)
+    space = build_space([(f"f{j}", [f"l{t}" for t in range(L)]) for j, L in enumerate(levels)])
+    configs = np.stack([rng.integers(0, L, size=n) for L in levels], axis=1)
+    weights = rng.uniform(0.1, 3.0, size=n) * (rng.random(n) >= zero_share)
+    weights[rng.integers(0, n)] = 1.5
+    return log_from_arrays(space, configs, rng.normal(2.0, 3.0, size=n), weights=weights), rng
+
+
+def reference_for(kind, log, rng):
+    space = log.space
+    if kind == "empirical":
+        return ReferenceDistribution.empirical(log)
+    return ReferenceDistribution.from_marginals(
+        space, [rng.dirichlet(np.ones(L)) for L in space.level_counts])
+
+
+replicate_problems = st.tuples(
+    st.lists(st.integers(2, 4), min_size=2, max_size=4),
+    st.integers(0, 2**32 - 1),
+    st.integers(3, 40),
+    st.sampled_from([0.0, 0.3, 0.8]),
+    st.sampled_from(["product", "empirical"]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(replicate_problems)
+def test_batched_replicates_match_record_loop(problem):
+    levels, seed, n, zero_share, kind = problem
+    log, rng = random_log(levels, seed, n, zero_share)
+    ref = reference_for(kind, log, rng)
+    shrink = ShrinkageSpec(tau_main=0.7, tau_pair=1.3)
+    B = BOOTSTRAP_CHUNK + 1
+    reps = bootstrap_replicates(log, ref, shrink, B=B, seed=seed % 1000)
+    mu, mains, pairs, means, fallbacks = bootstrap_replicates_loop(
+        log.configs_array, log.responses, log.weights, log.space, ref, shrink, B, seed % 1000)
+    assert reps.fallback_draws == fallbacks
+    assert_close(reps.mu, mu)
+    for j in range(log.space.num_factors):
+        assert_close(reps.mains[j], mains[j])
+        assert_close(reps.level_means[j], means[j])
+    assert reps.pairs.keys() == pairs.keys()
+    for jk in pairs:
+        assert_close(reps.pairs[jk], pairs[jk])
+
+
+@settings(max_examples=25, deadline=None)
+@given(replicate_problems)
+def test_single_estimate_matches_record_loop(problem):
+    levels, seed, n, zero_share, kind = problem
+    log, rng = random_log(levels, seed, n, zero_share)
+    ref = reference_for(kind, log, rng)
+    args = (log.configs_array, log.responses, log.weights, log.space, ref, ShrinkageSpec())
+    mu, mains, pairs, means, m_miss, p_miss = _estimate_arrays(*args)
+    mu_l, mains_l, pairs_l, means_l = estimate_arrays_loop(*args)
+    assert_close(mu, mu_l)
+    for j in range(log.space.num_factors):
+        assert_close(mains[j], mains_l[j])
+        assert_close(means[j], means_l[j])
+        assert np.array_equal(m_miss[j], np.isnan(means_l[j]))
+    for jk in pairs_l:
+        assert_close(pairs[jk], pairs_l[jk])
+        assert p_miss[jk].shape == pairs_l[jk].shape
+
+
+@pytest.mark.parametrize("product", [True, False])
+def test_batched_double_center_matches_per_matrix(product):
+    rng = np.random.default_rng(4 + product)
+    if product:
+        joint = np.outer(rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(4)))
+    else:
+        joint = rng.random((3, 4)) * (rng.random((3, 4)) > 0.4)
+        joint[1] = 0.0  # a row without mass
+        joint /= joint.sum()
+    stack = rng.normal(size=(5, 2, 3, 4)) * 10.0 ** rng.integers(-3, 4, size=(5, 2, 1, 1))
+    batched = double_center(stack, joint)
+    assert batched.shape == stack.shape
+    for idx in np.ndindex(5, 2):
+        assert np.array_equal(batched[idx], double_center(stack[idx], joint))
+        assert_close(batched[idx], double_center_loop(stack[idx], joint))
+
+
+@settings(max_examples=15, deadline=None)
+@given(replicate_problems)
+def test_topk_intervals_match_per_config_loop(problem):
+    levels, seed, n, zero_share, kind = problem
+    log, rng = random_log(levels, seed, n, zero_share)
+    space = log.space
+    ref = reference_for(kind, log, rng)
+    spec = ObjectiveSpec(lambda_risk=0.8, lambda_cost=0.5, gamma=1.7)
+    cost = CostModel(space, tuple(rng.uniform(0, 1, size=L) for L in space.level_counts),
+                     offset=0.25)
+    support = support_counts(log)
+    configs = sorted({tuple(int(v) for v in rng.integers(0, levels)) for _ in range(6)})
+    B = 100
+    table = bootstrap_cis(log, ref, B=B, level=0.9, seed=seed % 1000)
+    got = _topk_bootstrap_cis(table.replicates, support, spec, cost, configs, 0.9)
+    mu, mains, pairs, _, _ = bootstrap_replicates_loop(
+        log.configs_array, log.responses, log.weights, space, ref, ShrinkageSpec(), B,
+        seed % 1000)
+    risk = {x: spec.lambda_risk * sum(spec.gamma / (support.pair_counts[jk][x[jk[0]], x[jk[1]]]
+                                                   + spec.gamma) for jk in space.pairs())
+            for x in configs}
+    costs = {x: spec.lambda_cost * cost.total(x) for x in configs}
+    want = topk_intervals_loop(mu, mains, pairs, risk, costs, configs, 5.0)
+    assert got.keys() == want.keys()
+    for x in configs:
+        assert_close(got[x], want[x])
+
+
+def replicate_arrays(reps):
+    return [reps.mu, *reps.mains, *reps.pairs.values(), *reps.level_means]
+
+
+def test_replicates_reproducible_byte_identical():
+    log, _ = random_log([3, 2, 4], 12, 60, 0.3)
+    first = bootstrap_replicates(log, B=BOOTSTRAP_CHUNK * 2 + 3, seed=5)
+    second = bootstrap_replicates(log, B=BOOTSTRAP_CHUNK * 2 + 3, seed=5)
+    for a, b in zip(replicate_arrays(first), replicate_arrays(second)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_bootstrap_unobserved_level_interval_is_nan_without_warning(space_2x2):
+    configs = [((i // 2) % 2, i % 2) for i in range(40)]
+    weights = [1.0, 1.0] + [0.0] * 38  # both weighted records sit at a=0
+    log = log_from_arrays(space_2x2, configs, [float(i % 3) for i in range(40)],
+                          weights=weights)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = bootstrap_cis(log, B=100, seed=0)
+    assert table.replicates.fallback_draws > 0
+    assert np.all(np.isnan(table.level_means_ci[0][1]))
+    assert np.all(np.isfinite(table.level_means_ci[0][0]))
+    assert np.all(np.isfinite(table.mu_ci))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,17 @@ def test_build_space_smallest():
     assert space.num_factors == 2
 
 
+def test_space_shape_tuples_built_once():
+    space = build_space([("a", ["0", "1"]), ("b", ["0", "1", "2"])])
+    assert space.level_counts is space.level_counts
+    assert space.names is space.names
+    assert space.level_counts == (2, 3) and space.names == ("a", "b")
+    twin = build_space(space.to_dict())
+    assert twin == space and hash(twin) == hash(space)
+    assert twin.to_dict() == space.to_dict()
+    assert {space: 1}[twin] == 1
+
+
 def test_build_space_benchmark_grid():
     space = build_space([
         ("optimizer", ["adam", "sgd"]),
