@@ -23,21 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .effects import ShrinkageSpec, bootstrap_cis, estimate_effects_cm
+from .effects import ShrinkageSpec, bootstrap_cis
 from .objective import CostModel, ObjectiveSpec, objective_grid, risk_penalty
 from .optimize import SearchSpec, diag_dominance_check, multistart
 from .pci import write_pci_csv
 from .planning import bernstein_halfwidth, hoeffding_cell_n, uniform_cells_n
-from .shapley import ValueOracle, exact_shapley, mc_sample_size, mc_shapley, write_shapley_csv
-from .sim import (EVAL_GRID_CAP, EXACT_SHAPLEY_MAX_FACTORS, SuiteConfig, ablation_suite,
-                  comparison_suite, _sf_eval_set)
-from .space import (
-    ReferenceDistribution,
-    enumerate_grid,
-    ingest_log,
-    load_space,
-    support_counts,
-)
+from .shapley import mc_sample_size, write_shapley_csv
+from .sim import SuiteConfig, ablation_suite, comparison_suite, estimate_from_log
+from .space import ReferenceDistribution, enumerate_grid, ingest_log, load_space
 
 
 class CommandError(RuntimeError):
@@ -153,38 +146,22 @@ def _objective_for(args, space) -> tuple[ObjectiveSpec, CostModel]:
 # estimate
 # ---------------------------------------------------------------------------
 
-def _estimate_table(args, space, log, reference, collect_estimates=False):
+def _estimate_table(args, log, reference):
     shrinkage = _shrinkage_for(args)
-    if args.path == "cm":
-        if args.bootstrap:
-            table = bootstrap_cis(log, reference, shrinkage, B=args.bootstrap,
-                                  level=args.ci_level, seed=args.seed)
-        else:
-            table = estimate_effects_cm(log, reference, shrinkage)
-        return (table, None) if collect_estimates else table
-    if args.path != "sf":
-        raise CommandError(f"unknown estimation path {args.path!r}")
-    ref = reference.product_marginals()
-    oracle = ValueOracle.from_log(log, ref, warn=False)
-    eval_set = _sf_eval_set(log, EVAL_GRID_CAP)
-    if space.num_factors <= EXACT_SHAPLEY_MAX_FACTORS:
-        estimates = exact_shapley(oracle, eval_set)
-    else:
-        estimates = [mc_shapley(oracle, x, M=args.mc_samples, seed=args.seed + i)
-                     for i, x in enumerate(eval_set)]
-    from .shapley import fit_effects_sf
-
-    table = fit_effects_sf(estimates, space, ref, shrinkage,
-                           support=support_counts(log), mu=oracle.v_empty)
-    return (table, estimates) if collect_estimates else table
+    if args.bootstrap and args.path != "cm":
+        raise CommandError(f"--bootstrap needs --path cm; got --path {args.path}")
+    if args.bootstrap:
+        return bootstrap_cis(log, reference, shrinkage, B=args.bootstrap,
+                             level=args.ci_level, seed=args.seed)
+    return estimate_from_log(log, args.path, reference, shrinkage,
+                             mc_permutations=args.mc_samples, shap_seed=args.seed)
 
 
 def cmd_estimate(args) -> list[str]:
     out = _prepare_out(args)
     space, log = _load_inputs(args)
     reference = _reference_for(args, space, log)
-    table, estimates = _estimate_table(args, space, log, reference,
-                                       collect_estimates=True)
+    table = _estimate_table(args, log, reference)
 
     outputs = []
     _write_json(out / "effects.json", table.to_dict())
@@ -228,7 +205,7 @@ def cmd_estimate(args) -> list[str]:
         if table.diagnostics:
             _write_json(out / "diagnostics.json", table.diagnostics)
             outputs.append("diagnostics.json")
-        write_shapley_csv(estimates, space, out / "shapley.csv", header_note=note)
+        write_shapley_csv(table.attributions, space, out / "shapley.csv", header_note=note)
         outputs.append("shapley.csv")
     return outputs
 
@@ -241,9 +218,9 @@ def cmd_optimize(args) -> list[str]:
     out = _prepare_out(args)
     space, log = _load_inputs(args)
     reference = _reference_for(args, space, log)
-    table = _estimate_table(args, space, log, reference)
+    table = _estimate_table(args, log, reference)
     spec, cost = _objective_for(args, space)
-    support = support_counts(log)
+    support = table.support
     search = SearchSpec(restarts=args.restarts, beam=args.beam,
                         max_sweeps=args.max_sweeps, seed=args.seed)
 
@@ -316,7 +293,7 @@ def cmd_pci(args) -> list[str]:
     out = _prepare_out(args)
     space, log = _load_inputs(args)
     reference = _reference_for(args, space, log)
-    table = _estimate_table(args, space, log, reference)
+    table = _estimate_table(args, log, reference)
     note = f"dimensionless; estimator: {args.path}; mode: {args.mode}"
     write_pci_csv(table, out / "pci.csv", mode=args.mode, header_note=note)
     return ["pci.csv"]

@@ -70,7 +70,8 @@ class EffectTable:
     ``pairs[(j, k)]`` (j < k) holds the doubly centered interaction matrix.
     ``level_means[j]`` keeps the raw weighted conditional means that the
     effects were derived from (NaN where unsupported). ``replicates`` holds
-    the bootstrap estimates behind the intervals, when there are any.
+    the bootstrap estimates behind the intervals, when there are any;
+    ``attributions`` holds the Shapley estimates an SF table was fit to.
     """
 
     space: FactorSpace
@@ -91,6 +92,7 @@ class EffectTable:
     level_means_ci: tuple[np.ndarray, ...] | None = None
     diagnostics: dict | None = None
     replicates: BootstrapReplicates | None = None
+    attributions: tuple | None = None
 
     def main(self, j: int) -> np.ndarray:
         return self.mains[j]
@@ -318,24 +320,42 @@ def _estimate_batch(units: np.ndarray, stats: np.ndarray, space: FactorSpace,
         g = means - filled[j][:, :, None] - filled[k][:, None, :] + mu[:, None, None]
         pairs[(j, k)] = np.where(pairs_missing[(j, k)], 0.0, g)
 
+    # Record counts, zero-weight records included, set the shrinkage.
+    mains, pairs = _finalize(
+        space, mains, pairs, marginals, joints, shrinkage,
+        [s[2] for s in sums[:d]],
+        {(j, k): s[2].reshape(-1, counts[j], counts[k]) for (j, k), s in zip(pair_keys, sums[d:])},
+        mains_missing, pairs_missing,
+    )
+    return mu, mains, pairs, level_means, mains_missing, pairs_missing
+
+
+def _finalize(space: FactorSpace, mains, pairs, marginals, joints, shrinkage: ShrinkageSpec,
+              main_counts, pair_counts, mains_missing, pairs_missing):
+    """Re-center, shrink every entry by eta = n / (n + tau), re-center.
+
+    ``mains`` and ``pairs`` are raw effect tables with or without a leading
+    batch axis; the counts and the masks broadcast against them. Entries
+    flagged in the missing masks are zeroed after shrinking. Returns the
+    mains as a tuple and the pairs as a new dict.
+    """
+    mains, pairs = list(mains), dict(pairs)
+
     def recenter():
-        for j in range(d):
+        for j in range(space.num_factors):
             mains[j] = center_main(mains[j], marginals[j])
         for jk in pairs:
             pairs[jk] = double_center(pairs[jk], joints[jk])
 
     recenter()
-    # Record counts, zero-weight records included, set the shrinkage.
-    for j in range(d):
-        n = sums[j][2]
+    for j, n in enumerate(main_counts):
         mains[j] = n / (n + shrinkage.main(space, j)) * mains[j]
         mains[j][mains_missing[j]] = 0.0
-    for (j, k), s in zip(pair_keys, sums[d:]):
-        n = s[2].reshape(-1, counts[j], counts[k])
+    for (j, k), n in pair_counts.items():
         pairs[(j, k)] = n / (n + shrinkage.pair(space, j, k)) * pairs[(j, k)]
         pairs[(j, k)][pairs_missing[(j, k)]] = 0.0
     recenter()
-    return mu, tuple(mains), pairs, level_means, mains_missing, pairs_missing
+    return tuple(mains), pairs
 
 
 def _centering_weights(space: FactorSpace, reference: ReferenceDistribution):

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .effects import EffectTable, ShrinkageSpec, center_main, double_center
+from .effects import EffectTable, ShrinkageSpec, _centering_weights, _finalize
 from .space import (
     Config,
     FactorSpace,
@@ -479,23 +479,11 @@ def fit_effects_sf(estimates: Sequence[ShapleyEstimate], space: FactorSpace,
 
     if support is None:
         support = _support_from_points(eval_set, space)
-
-    def recenter():
-        for j in range(d):
-            mains[j] = center_main(mains[j], reference.marginal(j))
-        for jk in list(pairs):
-            pairs[jk] = double_center(pairs[jk], reference.pair(*jk))
-
-    recenter()
-    for j in range(d):
-        tau = shrinkage.main(space, j)
-        n = support.level_counts[j]
-        mains[j] = (n / (n + tau)) * mains[j]
-    for (j, k) in list(pairs):
-        tau = shrinkage.pair(space, j, k)
-        n = support.pair(j, k)
-        pairs[(j, k)] = (n / (n + tau)) * pairs[(j, k)]
-    recenter()
+    # An unsupported entry is already shrunk to zero; its mask changes nothing.
+    counts, pair_counts = support.level_counts, support.pair_counts
+    mains, pairs = _finalize(space, mains, pairs, *_centering_weights(space, reference),
+                             shrinkage, counts, pair_counts, [n == 0 for n in counts],
+                             {jk: n == 0 for jk, n in pair_counts.items()})
 
     diag = design.diagnostics()
     diag["residual_norm"] = residual
@@ -508,6 +496,7 @@ def fit_effects_sf(estimates: Sequence[ShapleyEstimate], space: FactorSpace,
         support=support,
         provenance="SF",
         diagnostics=diag,
+        attributions=tuple(estimates),
     )
 
 

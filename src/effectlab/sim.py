@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -245,73 +245,67 @@ def make_log(teacher: Teacher, design: Sequence[Config], seeds_per_point: int,
     return log_from_arrays(teacher.space, configs, responses, seeds=seeds)
 
 
-def fit_from_oracle(oracle: ValueOracle, eval_set: Sequence[Config],
+def fit_from_oracle(oracle: ValueOracle, log: RunLog,
                     reference: ReferenceDistribution | None = None,
                     shrinkage: ShrinkageSpec | None = None, *,
-                    support=None, shap_method: str = "auto",
                     mc_permutations: int = 2000, shap_seed: int = 0) -> EffectTable:
-    """Attribution path: Shapley estimates at each evaluation point, then
-    least-squares table recovery."""
+    """Attribution path: Shapley values of the oracle at each evaluation
+    point, then least-squares table recovery shrunk by the log's support.
+
+    The evaluation points are the full grid when it has at most
+    ``EVAL_GRID_CAP`` cells (always identifiable), otherwise the log's
+    distinct configurations. Up to ``EXACT_SHAPLEY_MAX_FACTORS`` factors the
+    values are exact; beyond that, point i averages ``mc_permutations``
+    permutations drawn from child i of ``SeedSequence(shap_seed)``.
+    """
     space = oracle.space
-    reference = reference or oracle.reference
-    method = shap_method
-    if method == "auto":
-        method = "exact" if space.num_factors <= EXACT_SHAPLEY_MAX_FACTORS else "permutation"
-    if method == "exact":
+    if space.grid_size <= EVAL_GRID_CAP:
+        eval_set = enumerate_grid(space)
+    else:
+        eval_set = list(dict.fromkeys(tuple(c) for c in log.configs_array.tolist()))
+    if space.num_factors <= EXACT_SHAPLEY_MAX_FACTORS:
         estimates = exact_shapley(oracle, eval_set)
     else:
         children = np.random.SeedSequence(shap_seed).spawn(len(eval_set))
-        estimates = [
-            mc_shapley(oracle, x, M=mc_permutations,
-                       seed=int(child.generate_state(1)[0]), method=method)
-            for x, child in zip(eval_set, children)
-        ]
-    return fit_effects_sf(
-        estimates, space, reference, shrinkage, support=support, mu=oracle.v_empty,
-    )
-
-
-def _sf_eval_set(log: RunLog, eval_grid_cap: int) -> tuple[Config, ...]:
-    space = log.space
-    if space.grid_size <= eval_grid_cap:
-        return tuple(enumerate_grid(space))
-    return tuple(dict.fromkeys(tuple(c) for c in log.configs_array.tolist()))
+        estimates = [mc_shapley(oracle, x, M=mc_permutations, seed=int(child.generate_state(1)[0]))
+                     for x, child in zip(eval_set, children)]
+    return fit_effects_sf(estimates, space, reference or oracle.reference, shrinkage,
+                          support=support_counts(log), mu=oracle.v_empty)
 
 
 def estimate_from_log(log: RunLog, estimator: str,
                       reference: ReferenceDistribution | None = None,
-                      shrinkage: ShrinkageSpec | None = None,
-                      shap_method: str = "auto", mc_permutations: int = 2000,
-                      shap_seed: int = 0,
-                      eval_grid_cap: int = EVAL_GRID_CAP) -> EffectTable:
+                      shrinkage: ShrinkageSpec | None = None, *,
+                      mc_permutations: int = 2000, shap_seed: int = 0) -> EffectTable:
     """Run one estimation path end to end on a log.
 
-    The attribution path evaluates Shapley values of the log-backed value
-    oracle over the full grid when it is small enough (always identifiable),
-    otherwise over the observed configurations.
+    CM takes the cell means under ``reference``. SF attributes the log-backed
+    value oracle (see ``fit_from_oracle``) under the product of the
+    reference's marginals, so an empirical reference is accepted on both.
     """
-    space = log.space
-    reference = reference or ReferenceDistribution.uniform(space)
-    shrinkage = shrinkage or ShrinkageSpec()
+    reference = reference or ReferenceDistribution.uniform(log.space)
     estimator = estimator.upper()
     if estimator == "CM":
         return estimate_effects_cm(log, reference, shrinkage)
     if estimator != "SF":
         raise ValueError(f"unknown estimator {estimator!r}; expected CM or SF")
+    reference = reference.product_marginals()
     oracle = ValueOracle.from_log(log, reference, warn=False)
-    return fit_from_oracle(
-        oracle, _sf_eval_set(log, eval_grid_cap), reference, shrinkage,
-        support=support_counts(log), shap_method=shap_method,
-        mc_permutations=mc_permutations, shap_seed=shap_seed,
-    )
+    return fit_from_oracle(oracle, log, reference, shrinkage,
+                           mc_permutations=mc_permutations, shap_seed=shap_seed)
+
+
+def _trial_seeds(trial_seed: int) -> tuple[int, int, int, int, int]:
+    """Design, noise, attribution, search and oracle seeds of one trial."""
+    children = np.random.SeedSequence(trial_seed).spawn(5)
+    return tuple(int(child.generate_state(1)[0]) for child in children)
 
 
 def run_trial(teacher: Teacher, plan: DesignPlan, seeds_per_point: int,
               estimator: str, objective_spec: ObjectiveSpec | None = None,
               search: SearchSpec | None = None, *, trial_seed: int = 0,
               reference: ReferenceDistribution | None = None,
-              shrinkage: ShrinkageSpec | None = None,
-              shap_method: str = "auto", mc_permutations: int = 2000,
+              shrinkage: ShrinkageSpec | None = None, mc_permutations: int = 2000,
               mains_only: bool = False, cost: CostModel | None = None,
               oracle_source: str = "teacher") -> TrialResult:
     """Design -> log -> estimate -> search -> score against ground truth.
@@ -323,10 +317,7 @@ def run_trial(teacher: Teacher, plan: DesignPlan, seeds_per_point: int,
     used for ingested logs).
     """
     space = teacher.space
-    root = np.random.SeedSequence(trial_seed)
-    design_seed, noise_seed, shap_seed, search_seed, oracle_seed = (
-        int(c.generate_state(1)[0]) for c in root.spawn(5)
-    )
+    design_seed, noise_seed, shap_seed, search_seed, oracle_seed = _trial_seeds(trial_seed)
     design = sample_design(space, plan, design_seed)
     log = make_log(teacher, design, seeds_per_point, seed=noise_seed)
     estimator = estimator.upper()
@@ -338,26 +329,19 @@ def run_trial(teacher: Teacher, plan: DesignPlan, seeds_per_point: int,
             values = values + rng.normal(
                 0.0, teacher.spec.noise / math.sqrt(seeds_per_point), size=values.shape
             )
-        oracle = ValueOracle(space, ref, values)
-        table = fit_from_oracle(
-            oracle, _sf_eval_set(log, EVAL_GRID_CAP), ref, shrinkage,
-            support=support_counts(log), shap_method=shap_method,
-            mc_permutations=mc_permutations, shap_seed=shap_seed,
-        )
+        table = fit_from_oracle(ValueOracle(space, ref, values), log, ref, shrinkage,
+                                mc_permutations=mc_permutations, shap_seed=shap_seed)
     elif estimator == "SF" and oracle_source != "log":
         raise ValueError(f"unknown oracle source {oracle_source!r}")
     else:
-        table = estimate_from_log(
-            log, estimator, reference, shrinkage,
-            shap_method=shap_method, mc_permutations=mc_permutations, shap_seed=shap_seed,
-        )
+        table = estimate_from_log(log, estimator, reference, shrinkage,
+                                  mc_permutations=mc_permutations, shap_seed=shap_seed)
     if mains_only:
         table = table.with_zero_pairs()
 
     objective_spec = objective_spec or ObjectiveSpec()
     search = search or SearchSpec(seed=search_seed)
-    support = support_counts(log)
-    chosen, _ = multistart(table, support, objective_spec, cost, search)
+    chosen, _ = multistart(table, table.support, objective_spec, cost, search)
 
     truth_values = teacher.values
     best = np.unravel_index(int(np.argmax(truth_values)), truth_values.shape)
@@ -422,143 +406,88 @@ def _trial_seed(config: SuiteConfig, trial: int, salt: int = 0) -> int:
     return int(np.random.SeedSequence((config.seed, trial, salt)).generate_state(1)[0])
 
 
-def _summarize(rows: list[dict], axis: str, cell: str, estimator: str,
-               metrics: Mapping[str, np.ndarray], n_trials: int, digest: str) -> None:
-    for metric, values in metrics.items():
-        values = np.asarray(values, dtype=float)
-        rows.append({
-            "axis": axis,
-            "cell": cell,
-            "estimator": estimator,
-            "metric": metric,
-            "mean": float(values.mean()),
-            "ci_lo": float(np.percentile(values, 2.5)),
-            "ci_hi": float(np.percentile(values, 97.5)),
-            "n_trials": n_trials,
-            "config_hash": digest,
-        })
+# Metric name in the suite rows -> TrialResult field.
+_TRIAL_METRICS = {"recon": "recon_error", "gap": "gap", "rho": "rho"}
+
+
+def _suite_rows(axis: str, cells: list[tuple], config: SuiteConfig,
+                metrics: Sequence[str]) -> list[dict]:
+    """Run ``config.trials`` trials per estimator of every (cell, estimators,
+    plan, seeds per point, background, mains only) cell, one teacher per
+    trial index; each named metric gets its mean and 95% percentile interval."""
+    digest = config.digest()
+    teachers = [_teacher_for_trial(config, t) for t in range(config.trials)]
+    rows: list[dict] = []
+    for cell, estimators, plan, seeds_per_point, background, mains_only in cells:
+        for est in estimators:
+            results = []
+            for t, teacher in enumerate(teachers):
+                seed = _trial_seed(config, t)
+                reference = None
+                if background == "empirical":
+                    # Product of the log's per-factor marginals; built from
+                    # the same design the trial will draw.
+                    design = sample_design(teacher.space, plan, _trial_seeds(seed)[0])
+                    probe = log_from_arrays(teacher.space, design, [0.0] * len(design))
+                    reference = ReferenceDistribution.empirical(probe).product_marginals()
+                results.append(run_trial(teacher, plan, seeds_per_point, est, trial_seed=seed,
+                                         reference=reference,
+                                         mc_permutations=config.mc_permutations,
+                                         mains_only=mains_only))
+            for metric in metrics:
+                values = np.array([getattr(r, _TRIAL_METRICS[metric]) for r in results])
+                rows.append({
+                    "axis": axis,
+                    "cell": cell,
+                    "estimator": est,
+                    "metric": metric,
+                    "mean": float(values.mean()),
+                    "ci_lo": float(np.percentile(values, 2.5)),
+                    "ci_hi": float(np.percentile(values, 97.5)),
+                    "n_trials": config.trials,
+                    "config_hash": digest,
+                })
+    return rows
 
 
 def comparison_suite(config: SuiteConfig | None = None) -> list[dict]:
     """Head-to-head CM vs SF on balanced designs: reconstruction error,
     optimality gap, and rank correlation, paired across trials."""
     config = config or SuiteConfig()
-    digest = config.digest()
-    results: dict[str, dict[str, list[float]]] = {
-        est: {"recon": [], "gap": [], "rho": []} for est in ("CM", "SF")
-    }
-    plan = DesignPlan.balanced(config.design_n)
-    for t in range(config.trials):
-        teacher = _teacher_for_trial(config, t)
-        seed = _trial_seed(config, t)
-        for est in ("CM", "SF"):
-            r = run_trial(teacher, plan, config.seeds_per_point, est,
-                          trial_seed=seed, mc_permutations=config.mc_permutations)
-            results[est]["recon"].append(r.recon_error)
-            results[est]["gap"].append(r.gap)
-            results[est]["rho"].append(r.rho)
-    rows: list[dict] = []
-    for est in ("CM", "SF"):
-        _summarize(rows, "comparison", "balanced", est,
-                   results[est], config.trials, digest)
-    return rows
+    cell = ("balanced", ("CM", "SF"), DesignPlan.balanced(config.design_n),
+            config.seeds_per_point, "uniform", False)
+    return _suite_rows("comparison", [cell], config, ("recon", "gap", "rho"))
 
 
 def ablation_suite(axis: str, config: SuiteConfig | None = None) -> list[dict]:
     """One ablation axis: effects order, design robustness, attribution
     background, or seed budget. Emits per-cell means with percentile CIs."""
     config = config or SuiteConfig()
-    digest = config.digest()
-    rows: list[dict] = []
-
-    if axis == "effects-order":
-        cells = {"pairwise": False, "mains-only": True}
-        plan = DesignPlan.balanced(config.design_n)
-        for cell, mains_only in cells.items():
-            for est in ("CM", "SF"):
-                gaps, rhos = [], []
-                for t in range(config.trials):
-                    teacher = _teacher_for_trial(config, t)
-                    r = run_trial(teacher, plan, config.seeds_per_point, est,
-                                  trial_seed=_trial_seed(config, t),
-                                  mc_permutations=config.mc_permutations,
-                                  mains_only=mains_only)
-                    gaps.append(r.gap)
-                    rhos.append(r.rho)
-                _summarize(rows, axis, cell, est,
-                           {"gap": gaps, "rho": rhos}, config.trials, digest)
-
-    elif axis == "design-robustness":
-        plans = {
-            "balanced": DesignPlan.balanced(config.robustness_n),
-            "skewed": DesignPlan.skewed(config.robustness_n, config.skew_bias),
-        }
-        for cell, plan in plans.items():
-            for est in ("CM", "SF"):
-                gaps, rhos = [], []
-                for t in range(config.trials):
-                    teacher = _teacher_for_trial(config, t)
-                    r = run_trial(teacher, plan, config.robustness_seeds, est,
-                                  trial_seed=_trial_seed(config, t),
-                                  mc_permutations=config.mc_permutations)
-                    gaps.append(r.gap)
-                    rhos.append(r.rho)
-                _summarize(rows, axis, cell, est,
-                           {"gap": gaps, "rho": rhos}, config.trials, digest)
-
-    elif axis == "shap-background":
-        plan = DesignPlan.balanced(config.robustness_n)
-        for cell in ("uniform", "empirical"):
-            gaps, rhos = [], []
-            for t in range(config.trials):
-                teacher = _teacher_for_trial(config, t)
-                seed = _trial_seed(config, t)
-                if cell == "uniform":
-                    reference = None
-                else:
-                    # Product of the log's per-factor marginals; built from the
-                    # same design the trial will draw.
-                    root = np.random.SeedSequence(seed)
-                    design_seed = int(root.spawn(4)[0].generate_state(1)[0])
-                    design = sample_design(teacher.space, plan, design_seed)
-                    probe = log_from_arrays(teacher.space, design, [0.0] * len(design))
-                    reference = ReferenceDistribution.empirical(probe).product_marginals()
-                r = run_trial(teacher, plan, config.robustness_seeds, "SF",
-                              trial_seed=seed, reference=reference,
-                              mc_permutations=config.mc_permutations)
-                gaps.append(r.gap)
-                rhos.append(r.rho)
-            _summarize(rows, axis, cell, "SF",
-                       {"gap": gaps, "rho": rhos}, config.trials, digest)
-        gaps, rhos = [], []
-        for t in range(config.trials):
-            teacher = _teacher_for_trial(config, t)
-            r = run_trial(teacher, plan, config.robustness_seeds, "CM",
-                          trial_seed=_trial_seed(config, t))
-            gaps.append(r.gap)
-            rhos.append(r.rho)
-        _summarize(rows, axis, "cm-ref", "CM",
-                   {"gap": gaps, "rho": rhos}, config.trials, digest)
-
-    elif axis == "seed-budget":
+    both = ("CM", "SF")
+    wide = DesignPlan.balanced(config.design_n)
+    small = DesignPlan.balanced(config.robustness_n)
+    few = config.robustness_seeds
+    # (cell, estimators, plan, seeds per point, background, mains only)
+    axes = {
+        "effects-order": [
+            ("pairwise", both, wide, config.seeds_per_point, "uniform", False),
+            ("mains-only", both, wide, config.seeds_per_point, "uniform", True),
+        ],
+        "design-robustness": [
+            ("balanced", both, small, few, "uniform", False),
+            ("skewed", both, DesignPlan.skewed(config.robustness_n, config.skew_bias),
+             few, "uniform", False),
+        ],
+        "shap-background": [
+            ("uniform", ("SF",), small, few, "uniform", False),
+            ("empirical", ("SF",), small, few, "empirical", False),
+            ("cm-ref", ("CM",), small, few, "uniform", False),
+        ],
         # The complete grid isolates the seed effect: both paths coincide on
         # full designs, so the curve reflects noise averaging alone.
-        plan = DesignPlan.full()
-        for budget in config.seed_budgets:
-            for est in ("CM", "SF"):
-                gaps, rhos = [], []
-                for t in range(config.trials):
-                    teacher = _teacher_for_trial(config, t)
-                    r = run_trial(teacher, plan, budget, est,
-                                  trial_seed=_trial_seed(config, t),
-                                  mc_permutations=config.mc_permutations)
-                    gaps.append(r.gap)
-                    rhos.append(r.rho)
-                _summarize(rows, axis, str(budget), est,
-                           {"gap": gaps, "rho": rhos}, config.trials, digest)
-    else:
-        raise ValueError(
-            f"unknown ablation axis {axis!r}; expected effects-order, "
-            "design-robustness, shap-background, or seed-budget"
-        )
-    return rows
+        "seed-budget": [(str(budget), both, DesignPlan.full(), budget, "uniform", False)
+                        for budget in config.seed_budgets],
+    }
+    if axis not in axes:
+        raise ValueError(f"unknown ablation axis {axis!r}; expected {', '.join(axes)}")
+    return _suite_rows(axis, axes[axis], config, ("gap", "rho"))

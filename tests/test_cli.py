@@ -3,9 +3,12 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from effectlab.cli import main
+from effectlab.sim import estimate_from_log
+from effectlab.space import ReferenceDistribution, ingest_log, load_space
 
 
 @pytest.fixture
@@ -78,6 +81,87 @@ def test_estimate_paths_agree_on_full_grid(workspace):
     diag = json.loads((out_sf / "diagnostics.json").read_text())
     assert diag["sigma_min"] > 1e-8
     assert (out_sf / "shapley.csv").exists()
+
+
+def write_inputs(tmp, levels, configs, responses, weights):
+    """space.json and runs.csv for factors f0, f1, ... with ``levels[j]``
+    levels each; returns their paths."""
+    space = tmp / "space.json"
+    space.write_text(json.dumps({"factors": [
+        {"name": f"f{j}", "levels": [f"l{t}" for t in range(L)]}
+        for j, L in enumerate(levels)
+    ]}))
+    log = tmp / "runs.csv"
+    rows = [",".join([f"f{j}" for j in range(len(levels))] + ["response", "weight"])]
+    for x, y, w in zip(configs, responses, weights):
+        rows.append(",".join([f"l{v}" for v in x] + [repr(float(y)), repr(float(w))]))
+    log.write_text("\n".join(rows) + "\n")
+    return space, log
+
+
+def library_table(space_path, log_path, background, **kw):
+    log = ingest_log(log_path, load_space(space_path))
+    ref = (ReferenceDistribution.uniform(log.space) if background == "uniform"
+           else ReferenceDistribution.empirical(log))
+    return estimate_from_log(log, "SF", ref, **kw)
+
+
+def as_json(payload):
+    return json.loads(json.dumps(payload))
+
+
+@pytest.mark.parametrize("background", ["uniform", "empirical"])
+def test_estimate_sf_matches_library_entry_point(tmp_path, background):
+    rng = np.random.default_rng(5)
+    levels = (2, 3, 3)
+    X = rng.integers(0, levels, size=(40, 3))
+    y = X @ np.array([1.0, -0.5, 0.25]) + 0.3 * (X[:, 0] == X[:, 1]) + rng.normal(0, 0.1, 40)
+    w = rng.choice([0.5, 1.0, 2.0], size=40)
+    space, log = write_inputs(tmp_path, levels, X.tolist(), y, w)
+    out = tmp_path / "sf"
+    assert main(["estimate", "--path", "sf", "--background", background, "--seed", "4",
+                 "--space", str(space), "--log", str(log), "--out", str(out)]) == 0
+    table = library_table(space, log, background, shap_seed=4)
+    assert json.loads((out / "effects.json").read_text()) == as_json(table.to_dict())
+    assert json.loads((out / "diagnostics.json").read_text()) == as_json(table.diagnostics)
+
+
+def test_estimate_sf_wide_space_seeds_points_from_one_sequence(tmp_path):
+    # Thirteen binary factors take the sampled attribution path, and the
+    # 8,192-cell grid exceeds EVAL_GRID_CAP, so the evaluation points are the
+    # logged configurations in log order. They come in pairs that differ only
+    # in the last factor, which the response ignores, so points 2i and 2i + 1
+    # share every coalition value: seeding point i with --seed + i would make
+    # point 2i + 1 at seed 0 replay point 2i at seed 1.
+    rng = np.random.default_rng(2)
+    base = np.unique(rng.integers(0, 2, size=(16, 12)), axis=0)
+    X = np.array([list(x) + [t] for x in base.tolist() for t in (0, 1)])
+    y = np.repeat(rng.normal(size=len(base)), 2)
+    space, log = write_inputs(tmp_path, (2,) * 13, X.tolist(), y, np.ones(len(X)))
+    phi = {}
+    for seed in (0, 1):
+        out = tmp_path / f"seed{seed}"
+        assert main(["estimate", "--path", "sf", "--mc-samples", "50", "--seed", str(seed),
+                     "--space", str(space), "--log", str(log), "--out", str(out)]) == 0
+        rows = read_csv(out / "shapley.csv")
+        assert len(rows) == len(X) * 13
+        phi[seed] = [[r["phi_hat"] for r in rows[i * 13:(i + 1) * 13]]
+                     for i in range(len(X))]
+    table = library_table(space, log, "uniform", mc_permutations=50, shap_seed=1)
+    assert json.loads((out / "effects.json").read_text()) == as_json(table.to_dict())
+    replayed = [phi[0][i + 1] == phi[1][i] for i in range(0, len(X), 2)]
+    assert sum(replayed) < len(replayed) / 2
+
+
+def test_bootstrap_rejected_on_sf_path(workspace):
+    tmp, space, log = workspace
+    out = tmp / "sfboot"
+    rc = main(["estimate", "--path", "sf", "--bootstrap", "100", "--space", str(space),
+               "--log", str(log), "--out", str(out)])
+    assert rc == 1
+    err = json.loads((out / "error.json").read_text())
+    assert "--bootstrap" in err["message"] and "--path sf" in err["message"]
+    assert not (out / "effects.json").exists()
 
 
 def test_estimate_reproducible_byte_identical(workspace):

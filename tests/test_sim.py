@@ -3,6 +3,7 @@ import pytest
 
 from effectlab import (
     DesignPlan,
+    ReferenceDistribution,
     ShrinkageSpec,
     TeacherSpec,
     build_space,
@@ -12,6 +13,7 @@ from effectlab import (
     predict_grid,
     reconstruction_error,
     run_trial,
+    sample_design,
     spearman,
 )
 from effectlab.sim import error_decomposition, estimate_from_log, make_log
@@ -148,6 +150,19 @@ def test_estimate_from_log_rejects_unknown():
     log = make_log(teacher, enumerate_grid(teacher.space), 1, seed=0)
     with pytest.raises(ValueError):
         estimate_from_log(log, "XX")
+
+
+def test_estimate_from_log_sf_accepts_empirical_reference():
+    # Coalition values need a product background, so the attribution path
+    # takes the product of the empirical marginals, as the CLI does.
+    teacher = small_teacher(seed=14)
+    design = sample_design(teacher.space, DesignPlan.skewed(30, 3.0), seed=2)
+    log = make_log(teacher, design, 2, seed=1)
+    ref = ReferenceDistribution.empirical(log)
+    got = estimate_from_log(log, "SF", ref)
+    want = estimate_from_log(log, "SF", ref.product_marginals())
+    assert got.reference.kind == "product"
+    assert got.to_dict() == want.to_dict()
 
 
 # ---------------------------------------------------------------------------
