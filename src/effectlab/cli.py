@@ -3,7 +3,9 @@
 Subcommands: estimate, optimize, pci, plan, simulate, ablate. Every run
 writes its artifacts plus one manifest recording the resolved configuration,
 input digests, seed, and tool version; re-running with an identical manifest
-reproduces byte-identical data files. All randomness flows from --seed.
+reproduces byte-identical data files. All randomness flows from --seed,
+except the sampled dominance certificate of large spaces, which draws its
+contexts from a fixed SeedSequence(0).
 """
 
 from __future__ import annotations
@@ -24,13 +26,17 @@ import numpy as np
 
 from . import __version__
 from .effects import ShrinkageSpec, bootstrap_cis
-from .objective import CostModel, ObjectiveSpec, objective_grid, risk_penalty
+from .objective import CostModel, ObjectiveSpec, objective, objective_grid, risk_penalty
 from .optimize import SearchSpec, diag_dominance_check, multistart
 from .pci import write_pci_csv
 from .planning import bernstein_halfwidth, hoeffding_cell_n, uniform_cells_n
 from .shapley import mc_sample_size, write_shapley_csv
 from .sim import SuiteConfig, ablation_suite, comparison_suite, estimate_from_log
-from .space import ReferenceDistribution, enumerate_grid, ingest_log, load_space
+from .space import ReferenceDistribution, ingest_log, load_space
+
+
+# optimize scores the whole grid for topk.csv only up to this many cells.
+TOPK_GRID_CAP = 100_000
 
 
 class CommandError(RuntimeError):
@@ -82,7 +88,7 @@ def _fmt(value: float) -> str:
 
 
 def _manifest(out: Path, subcommand: str, args: argparse.Namespace,
-              inputs: list[str], outputs: list[str]) -> None:
+              inputs: list[str], outputs: list[str], diagnostics: dict) -> None:
     config = {
         k: v for k, v in sorted(vars(args).items())
         if k not in ("func",) and not k.startswith("_")
@@ -96,6 +102,8 @@ def _manifest(out: Path, subcommand: str, args: argparse.Namespace,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "outputs": sorted(outputs),
     }
+    if diagnostics:
+        payload["diagnostics"] = diagnostics
     _write_json(out / "manifest.json", payload)
 
 
@@ -157,7 +165,7 @@ def _estimate_table(args, log, reference):
                              mc_permutations=args.mc_samples, shap_seed=args.seed)
 
 
-def cmd_estimate(args) -> list[str]:
+def cmd_estimate(args) -> tuple[list[str], dict]:
     out = _prepare_out(args)
     space, log = _load_inputs(args)
     reference = _reference_for(args, space, log)
@@ -207,14 +215,14 @@ def cmd_estimate(args) -> list[str]:
             outputs.append("diagnostics.json")
         write_shapley_csv(table.attributions, space, out / "shapley.csv", header_note=note)
         outputs.append("shapley.csv")
-    return outputs
+    return outputs, {}
 
 
 # ---------------------------------------------------------------------------
 # optimize
 # ---------------------------------------------------------------------------
 
-def cmd_optimize(args) -> list[str]:
+def cmd_optimize(args) -> tuple[list[str], dict]:
     out = _prepare_out(args)
     space, log = _load_inputs(args)
     reference = _reference_for(args, space, log)
@@ -225,13 +233,12 @@ def cmd_optimize(args) -> list[str]:
                         max_sweeps=args.max_sweeps, seed=args.seed)
 
     best, traces = multistart(table, support, spec, cost, search)
-    J, feasible = objective_grid(table, support, spec, cost)
     report = diag_dominance_check(table, support, spec, cost)
 
     outputs = []
     chosen = {
         "config": dict(zip(space.names, space.labels_for(best))),
-        "objective": float(J[best]),
+        "objective": float(objective(table, best, support, spec, cost)),
         "one_swap_optimal": all(t.verified_1swap for t in traces if t.verified_1swap is not None),
         "restarts": len(traces),
     }
@@ -250,10 +257,14 @@ def cmd_optimize(args) -> list[str]:
     _write_json(out / "dominance.json", report.to_dict(space))
     outputs.append("dominance.json")
 
-    if space.grid_size <= 100_000:
-        flat = [(float(J[x]), x) for x in enumerate_grid(space) if feasible[x]]
-        flat.sort(key=lambda item: (-item[0], item[1]))
-        top = flat[: args.topk]
+    diagnostics = {
+        "restarts": [{"termination": t.termination, "sweeps": t.steps[-1][0]} for t in traces],
+        "objective_grid_cells": 0,
+    }
+    if space.grid_size <= TOPK_GRID_CAP:
+        J, feasible = objective_grid(table, support, spec, cost)
+        diagnostics["objective_grid_cells"] = int(J.size)
+        top = _top_configs(J, feasible, args.topk)
         ci_by_config = {}
         if table.replicates is not None:
             ci_by_config = _topk_bootstrap_cis(
@@ -266,7 +277,18 @@ def cmd_optimize(args) -> list[str]:
         _write_csv(out / "topk.csv", note,
                    ["rank", *space.names, "objective", "ci_lo", "ci_hi"], rows)
         outputs.append("topk.csv")
-    return outputs
+    return outputs, diagnostics
+
+
+def _top_configs(J, feasible, k):
+    """The k best feasible (value, config) pairs, ties broken by the
+    lexicographically smaller configuration. C order is lexicographic, so
+    a stable sort of the feasible flat indices by -value does that."""
+    idx = np.flatnonzero(feasible.ravel())
+    values = J.ravel()[idx]
+    top = idx[np.argsort(-values, kind="stable")[:k]]
+    configs = np.stack(np.unravel_index(top, J.shape), axis=1)
+    return [(float(J.flat[i]), tuple(int(c) for c in x)) for i, x in zip(top, configs)]
 
 
 def _topk_bootstrap_cis(reps, support, spec, cost, configs, level):
@@ -289,17 +311,17 @@ def _topk_bootstrap_cis(reps, support, spec, cost, configs, level):
 # pci / plan / simulate / ablate
 # ---------------------------------------------------------------------------
 
-def cmd_pci(args) -> list[str]:
+def cmd_pci(args) -> tuple[list[str], dict]:
     out = _prepare_out(args)
     space, log = _load_inputs(args)
     reference = _reference_for(args, space, log)
     table = _estimate_table(args, log, reference)
     note = f"dimensionless; estimator: {args.path}; mode: {args.mode}"
     write_pci_csv(table, out / "pci.csv", mode=args.mode, header_note=note)
-    return ["pci.csv"]
+    return ["pci.csv"], {}
 
 
-def cmd_plan(args) -> list[str]:
+def cmd_plan(args) -> tuple[list[str], dict]:
     if args.mc:
         union = None
         if args.union:
@@ -337,11 +359,11 @@ def cmd_plan(args) -> list[str]:
     if args.out:
         out = _prepare_out(args)
         _write_json(out / "plan.json", payload)
-        return ["plan.json"]
-    return []
+        return ["plan.json"], {}
+    return [], {}
 
 
-def cmd_simulate(args) -> list[str]:
+def cmd_simulate(args) -> tuple[list[str], dict]:
     out = _prepare_out(args)
     if args.suite not in ("cm-vs-sf", "table2"):
         raise CommandError(f"unknown suite {args.suite!r}")
@@ -350,16 +372,16 @@ def cmd_simulate(args) -> list[str]:
     rows = comparison_suite(cfg)
     _write_result_rows(out / "results.csv", rows)
     _write_json(out / "suite_config.json", cfg.describe())
-    return ["results.csv", "suite_config.json"]
+    return ["results.csv", "suite_config.json"], {}
 
 
-def cmd_ablate(args) -> list[str]:
+def cmd_ablate(args) -> tuple[list[str], dict]:
     out = _prepare_out(args)
     cfg = SuiteConfig(trials=args.trials, seed=args.seed)
     rows = ablation_suite(args.axis, cfg)
     _write_result_rows(out / "ablation.csv", rows)
     _write_json(out / "suite_config.json", cfg.describe())
-    return ["ablation.csv", "suite_config.json"]
+    return ["ablation.csv", "suite_config.json"], {}
 
 
 def _write_result_rows(path: Path, rows: list[dict]) -> None:
@@ -460,11 +482,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     out_dir = Path(args.out) if getattr(args, "out", None) else None
     try:
-        outputs = args.func(args)
+        outputs, diagnostics = args.func(args)
         if out_dir is not None and outputs:
             inputs = [p for p in (getattr(args, "space", None), getattr(args, "log", None),
                                   getattr(args, "objective", None)) if p]
-            _manifest(out_dir, args.command, args, inputs, outputs)
+            _manifest(out_dir, args.command, args, inputs, outputs, diagnostics)
         return 0
     except Exception as exc:  # surfaced as machine-readable error JSON
         error = {"error": type(exc).__name__, "message": str(exc)}

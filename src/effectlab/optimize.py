@@ -294,14 +294,15 @@ def diag_dominance_check(table: EffectTable, support: SupportCounts,
         if not allowed[j]:
             raise InfeasibleConfigError(f"factor {space.names[j]!r} has no allowed levels")
 
+    # Interaction-plus-risk score of factor k on factor j's allowed levels,
+    # shared by the influence bounds and the margins.
+    pair_scores = {
+        (j, k): _pair_score(table, support, spec, j, k)[np.ix_(allowed[j], allowed[k])]
+        for j in range(d) for k in range(d) if j != k
+    }
     influence = np.zeros((d, d))
-    for j in range(d):
-        for k in range(d):
-            if j == k:
-                continue
-            h = _pair_score(table, support, spec, j, k)
-            h = h[np.ix_(allowed[j], allowed[k])]
-            influence[j, k] = float((h.max(axis=1) - h.min(axis=1)).max())
+    for (j, k), h in pair_scores.items():
+        influence[j, k] = float((h.max(axis=1) - h.min(axis=1)).max())
 
     margins = np.full(d, math.inf)
     contexts_checked = []
@@ -311,37 +312,32 @@ def diag_dominance_check(table: EffectTable, support: SupportCounts,
             contexts_checked.append(0)
             continue
         others = [k for k in range(d) if k != j]
-        n_contexts = math.prod(len(allowed[k]) for k in others)
+        sizes = [len(allowed[k]) for k in others]
+        n_contexts = math.prod(sizes)
         base = table.mains[j][allowed[j]] - spec.lambda_cost * cost.level_costs[j][allowed[j]]
-        pair_scores = {
-            k: _pair_score(table, support, spec, j, k)[np.ix_(allowed[j], allowed[k])]
-            for k in others
-        }
         if n_contexts <= context_cap:
             # Tensor of local objectives: level axis first, one axis per context factor.
-            shape = [len(allowed[j])] + [len(allowed[k]) for k in others]
+            shape = [len(allowed[j])] + sizes
             scores = np.zeros(shape)
             scores += base.reshape([-1] + [1] * len(others))
             for pos, k in enumerate(others):
                 s = [len(allowed[j])] + [1] * len(others)
                 s[1 + pos] = len(allowed[k])
-                scores = scores + pair_scores[k].reshape(s)
+                scores = scores + pair_scores[j, k].reshape(s)
             flat = scores.reshape(len(allowed[j]), -1)
-            top2 = np.sort(flat, axis=0)[-2:, :]
-            margins[j] = float((top2[1] - top2[0]).min())
             contexts_checked.append(int(flat.shape[1]))
         else:
+            # All contexts in one call, context-major: the same stream as one
+            # scalar draw per context factor per context.
             exact = False
-            gaps = np.full(sample_contexts, math.inf)
-            for s in range(sample_contexts):
-                ctx = [allowed[k][rng.integers(0, len(allowed[k]))] for k in others]
-                col = base.copy()
-                for pos, k in enumerate(others):
-                    col = col + pair_scores[k][:, allowed[k].index(ctx[pos])]
-                srt = np.sort(col)
-                gaps[s] = srt[-1] - srt[-2]
-            margins[j] = float(gaps.min())
+            idx = rng.integers(0, np.tile(sizes, sample_contexts))
+            idx = idx.reshape(sample_contexts, len(others))
+            flat = base[:, None]
+            for pos, k in enumerate(others):
+                flat = flat + pair_scores[j, k][:, idx[:, pos]]
             contexts_checked.append(sample_contexts)
+        top2 = np.sort(flat, axis=0)[-2:, :]
+        margins[j] = float((top2[1] - top2[0]).min())
 
     holds = bool(np.all(influence.sum(axis=1) < margins)) and not spec.banned_configs
     return DominanceReport(margins, influence, holds, exact, tuple(contexts_checked))

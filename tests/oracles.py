@@ -302,3 +302,54 @@ def topk_intervals_loop(mu, mains, pairs, risk, cost, configs, lo_q):
             values.append(val)
         out[x] = (float(np.percentile(values, lo_q)), float(np.percentile(values, 100.0 - lo_q)))
     return out
+
+
+def dominance_loop(table, support, spec, cost, context_cap, sample_contexts, seed):
+    """Dominance certificate one context at a time: every context when a
+    factor has at most ``context_cap`` of them, else ``sample_contexts``
+    contexts drawn with one scalar draw per context factor. Returns
+    (margins, influence, holds, exact, contexts_checked)."""
+    space = table.space
+    d = space.num_factors
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    allowed = [spec.allowed_levels(space, j) for j in range(d)]
+
+    def score(j, k):
+        g = spec.gamma_for(space, j, k)
+        h = table.pair(j, k) - spec.lambda_risk * g / (support.pair(j, k) + g)
+        return h[np.ix_(allowed[j], allowed[k])]
+
+    influence = np.zeros((d, d))
+    for j in range(d):
+        for k in range(d):
+            if j != k:
+                h = score(j, k)
+                influence[j, k] = float((h.max(axis=1) - h.min(axis=1)).max())
+
+    margins = np.full(d, math.inf)
+    checked = []
+    exact = not spec.banned_configs
+    for j in range(d):
+        if len(allowed[j]) < 2:
+            checked.append(0)
+            continue
+        others = [k for k in range(d) if k != j]
+        base = table.mains[j][allowed[j]] - spec.lambda_cost * cost.level_costs[j][allowed[j]]
+        scores = {k: score(j, k) for k in others}
+        if math.prod(len(allowed[k]) for k in others) <= context_cap:
+            contexts = list(itertools.product(*(range(len(allowed[k])) for k in others)))
+        else:
+            exact = False
+            contexts = [[rng.integers(0, len(allowed[k])) for k in others]
+                        for _ in range(sample_contexts)]
+        gaps = []
+        for ctx in contexts:
+            col = base.copy()
+            for pos, k in enumerate(others):
+                col = col + scores[k][:, ctx[pos]]
+            srt = np.sort(col)
+            gaps.append(srt[-1] - srt[-2])
+        margins[j] = float(min(gaps))
+        checked.append(len(contexts))
+    holds = bool(np.all(influence.sum(axis=1) < margins)) and not spec.banned_configs
+    return margins, influence, holds, exact, tuple(checked)

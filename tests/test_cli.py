@@ -6,7 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from effectlab import cli
 from effectlab.cli import main
+from effectlab.effects import ShrinkageSpec
+from effectlab.objective import ObjectiveSpec, objective
 from effectlab.sim import estimate_from_log
 from effectlab.space import ReferenceDistribution, ingest_log, load_space
 
@@ -232,6 +235,70 @@ def test_optimize_topk_with_bootstrap(workspace):
     for row in top:
         assert float(row["ci_lo"]) <= float(row["objective"]) + 1e-9
         assert float(row["objective"]) <= float(row["ci_hi"]) + 1e-9
+
+
+def test_optimize_above_topk_cap_builds_no_grid(tmp_path, monkeypatch):
+    # 17 binary factors: 131,072 cells, above the top-k cap. The search and
+    # the certificate need no grid, so a grid build is an error here.
+    def no_grid(*args, **kwargs):
+        raise AssertionError("objective_grid called above the top-k cap")
+
+    monkeypatch.setattr(cli, "objective_grid", no_grid)
+    rng = np.random.default_rng(8)
+    X = rng.integers(0, 2, size=(30, 17))
+    y = X @ rng.normal(size=17)
+    space, log = write_inputs(tmp_path, (2,) * 17, X.tolist(), y, np.ones(len(X)))
+    out = tmp_path / "opt"
+    assert main(["optimize", "--space", str(space), "--log", str(log), "--out", str(out)]) == 0
+    assert not (out / "topk.csv").exists()
+    chosen = json.loads((out / "chosen.json").read_text())
+    loaded = load_space(space)
+    table = estimate_from_log(ingest_log(log, loaded), "cm", ReferenceDistribution.uniform(loaded),
+                              ShrinkageSpec(tau_main=1.0, tau_pair=1.0))
+    best = tuple(loaded.level_index(j, chosen["config"][name])
+                 for j, name in enumerate(loaded.names))
+    assert chosen["objective"] == objective(table, best, table.support, ObjectiveSpec())
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["diagnostics"]["objective_grid_cells"] == 0
+
+
+def test_top_configs_break_ties_lexicographically():
+    rng = np.random.default_rng(1)
+    J = rng.integers(0, 3, size=(3, 2, 4)).astype(float)
+    J[0, 0, 0] = -0.0
+    J[2, 1, 3] = 0.0
+    feasible = rng.random(J.shape) > 0.2
+    grid = [tuple(int(v) for v in x) for x in np.ndindex(J.shape)]
+    ranked = sorted(((float(J[x]), x) for x in grid if feasible[x]),
+                    key=lambda item: (-item[0], item[1]))
+    for k in (1, 5, len(grid)):
+        assert cli._top_configs(J, feasible, k) == ranked[:k]
+
+
+def test_optimize_manifest_reports_search_termination(workspace):
+    tmp, space, log = workspace
+    runs = {}
+    for sweeps in ("1", "100"):
+        out = tmp / f"opt{sweeps}"
+        assert main(["optimize", "--space", str(space), "--log", str(log), "--out", str(out),
+                     "--lambda-risk", "0", "--max-sweeps", sweeps]) == 0
+        runs[sweeps] = out
+        diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+        assert diag["objective_grid_cells"] == 4
+        trace = read_csv(out / "trace.csv")
+        assert len(diag["restarts"]) == json.loads((out / "chosen.json").read_text())["restarts"]
+        for r, restart in enumerate(diag["restarts"]):
+            steps = [row for row in trace if int(row["restart"]) == r]
+            assert restart["sweeps"] == int(steps[-1]["sweep"])
+            moved = [steps[-1][f] for f in "ab"] != [steps[-2][f] for f in "ab"]
+            assert restart["termination"] == ("max_sweeps" if moved else "converged")
+    # The greedy start of the XOR table is not optimal: one sweep cannot converge.
+    first = json.loads((runs["1"] / "manifest.json").read_text())["diagnostics"]["restarts"][0]
+    assert first == {"termination": "max_sweeps", "sweeps": 1}
+    converged = json.loads((runs["100"] / "manifest.json").read_text())["diagnostics"]
+    assert all(r["termination"] == "converged" for r in converged["restarts"])
+    for name in ("chosen.json", "dominance.json", "trace.csv", "topk.csv"):
+        assert "termination" not in (runs["1"] / name).read_text()
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effectlab import (
     CostModel,
@@ -8,6 +10,7 @@ from effectlab import (
     SearchSpec,
     ShrinkageSpec,
     TeacherSpec,
+    build_space,
     coordinate_ascent,
     diag_dominance_check,
     enumerate_grid,
@@ -24,6 +27,7 @@ from effectlab import (
     verify_1swap,
 )
 from conftest import full_grid_log, random_space
+from oracles import dominance_loop
 
 TINY_TAU = ShrinkageSpec(tau_main=1e-12, tau_pair=1e-12)
 
@@ -339,6 +343,48 @@ def test_dominance_implies_global_optimum(seed):
     best, _ = multistart(table, sc, spec, None, SearchSpec(restarts=4, beam=3, seed=seed))
     _, x_star = exhaustive_argmax(table, sc, spec)
     assert best == x_star
+
+
+dominance_problems = st.tuples(
+    st.lists(st.tuples(st.integers(2, 4), st.integers(0, 3)), min_size=2, max_size=5),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 30),
+    st.integers(1, 40),
+    st.integers(0, 5),
+    st.booleans(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dominance_problems)
+def test_dominance_matches_context_loop(problem):
+    """Sampled and enumerated branches against the per-context loop. Each
+    factor keeps at least one allowed level; a factor left with one is
+    skipped as a target and costs no draw as a context factor."""
+    factors, seed, context_cap, sample_contexts, cert_seed, ban_config = problem
+    rng = np.random.default_rng(seed)
+    levels = [L for L, _ in factors]
+    space = build_space([(f"f{j}", [f"l{t}" for t in range(L)]) for j, L in enumerate(levels)])
+    n = int(rng.integers(3, 40))
+    configs = np.stack([rng.integers(0, L, size=n) for L in levels], axis=1)
+    log = log_from_arrays(space, configs, rng.normal(0.0, 2.0, size=n))
+    table = estimate_effects_cm(log, shrinkage=ShrinkageSpec(tau_main=0.5, tau_pair=0.5))
+    banned = {j: frozenset(rng.permutation(L)[: min(b, L - 1)].tolist())
+              for j, (L, b) in enumerate(factors) if b}
+    banned_configs = frozenset({tuple(int(c) for c in configs[0])}) if ban_config else frozenset()
+    spec = ObjectiveSpec(lambda_risk=float(rng.uniform(0, 1)), lambda_cost=0.3,
+                         gamma=float(rng.uniform(0.5, 2)), banned_levels=banned,
+                         banned_configs=banned_configs)
+    cost = CostModel(space, tuple(np.round(rng.uniform(0, 1, size=L), 2) for L in levels))
+    report = diag_dominance_check(table, table.support, spec, cost, context_cap=context_cap,
+                                  sample_contexts=sample_contexts, seed=cert_seed)
+    margins, influence, holds, exact, checked = dominance_loop(
+        table, table.support, spec, cost, context_cap, sample_contexts, cert_seed)
+    assert np.array_equal(report.margins, margins)
+    assert np.array_equal(report.influence, influence)
+    assert report.holds == holds
+    assert report.exact == exact
+    assert report.contexts_checked == checked
 
 
 # ---------------------------------------------------------------------------
