@@ -32,7 +32,7 @@ print(f"space: {space.num_factors} factors, grid size {space.grid_size}")
 # Balanced designs equalize per-level counts of every factor within +-1.
 design = sample_design(space, DesignPlan.balanced(36), seed=0)
 for j, factor in enumerate(space.factors):
-    counts = collections.Counter(x[j] for x in design)
+    counts = collections.Counter(design[:, j].tolist())
     spread = max(counts.values()) - min(counts.values())
     print(f"  {factor.name:13s} level counts {dict(sorted(counts.items()))} (spread {spread})")
 
@@ -48,7 +48,7 @@ with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "runs.csv"
     write_log(log, path)
     back = ingest_log(path, space)
-    assert [r.response for r in back.records] == responses
+    assert back.responses.tolist() == responses
 print(f"log round-trip: {len(log)} records identical through CSV")
 
 # Support statistics drive shrinkage and the risk penalty downstream.

@@ -15,7 +15,6 @@ from .space import (
     LogSchemaError,
     ReferenceDistribution,
     RunLog,
-    RunRecord,
     SupportCounts,
     build_space,
     effective_sample_size,

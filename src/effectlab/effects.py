@@ -11,7 +11,6 @@ records with replacement.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -22,6 +21,7 @@ from .space import (
     ReferenceDistribution,
     RunLog,
     SupportCounts,
+    distinct_configs,
     support_counts,
 )
 
@@ -150,9 +150,6 @@ class EffectTable:
         if self.diagnostics is not None:
             out["diagnostics"] = self.diagnostics
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def table_from_dict(data: Mapping, space: FactorSpace,
@@ -421,15 +418,6 @@ class BootstrapReplicates:
     fallback_draws: int
 
 
-def _distinct_configs(configs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of ``configs`` and, per row, the index of its own."""
-    code = np.zeros(len(configs), dtype=np.intp)
-    for col in configs.T:  # codes stay below the row count, so never overflow
-        _, first, code = np.unique(code * (int(col.max()) + 1) + col,
-                                   return_index=True, return_inverse=True)
-    return configs[first], code
-
-
 def bootstrap_replicates(log: RunLog, reference: ReferenceDistribution | None = None,
                          shrinkage: ShrinkageSpec | None = None, B: int = 200,
                          seed: int = 0) -> BootstrapReplicates:
@@ -449,7 +437,7 @@ def bootstrap_replicates(log: RunLog, reference: ReferenceDistribution | None = 
     w = log.weights
     wy = w * log.responses
     n = len(log)
-    units, unit_of = _distinct_configs(log.configs_array)
+    units, unit_of = distinct_configs(log.configs_array)
     U = len(units)
 
     mu = np.empty(B)

@@ -93,7 +93,16 @@ class ObjectiveSpec:
 
     @classmethod
     def from_dict(cls, space: FactorSpace, data: Mapping) -> "ObjectiveSpec":
+        """Load a spec; a per-pair ``gamma`` mapping needs exactly one
+        ``"a|b"`` key per factor pair, ``a`` declared before ``b``."""
         gamma = data.get("gamma", 1.0)
+        if isinstance(gamma, Mapping):
+            keys = [f"{space.names[j]}|{space.names[k]}" for j, k in space.pairs()]
+            bad = [("unknown", key) for key in gamma if key not in keys]
+            bad += [("missing", key) for key in keys if key not in gamma]
+            if bad:
+                raise ValueError(f"gamma: {bad[0][0]} factor pair {bad[0][1]!r}; pairs are "
+                                 "keyed 'a|b' with factor a declared before b")
         banned_levels: dict[int, frozenset[int]] = {}
         for name, labels in data.get("banned_levels", {}).items():
             j = space.index_of(name)

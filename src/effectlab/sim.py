@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .effects import EffectTable, ShrinkageSpec, estimate_effects_cm
 from .objective import CostModel, ObjectiveSpec, predict_grid
@@ -226,23 +227,19 @@ def error_decomposition(estimate: EffectTable, truth: EffectTable,
 # Trials
 # ---------------------------------------------------------------------------
 
-def make_log(teacher: Teacher, design: Sequence[Config], seeds_per_point: int,
+def make_log(teacher: Teacher, design: ArrayLike, seeds_per_point: int,
              seed: int = 0) -> RunLog:
     """Evaluate the teacher at each design point under ``seeds_per_point``
-    noise draws."""
+    noise draws; point i's records come in seed order before point i + 1's."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    configs = []
-    responses = []
-    seeds = []
-    noise = rng.normal(0.0, teacher.spec.noise, size=(len(design), seeds_per_point)) \
-        if teacher.spec.noise > 0 else np.zeros((len(design), seeds_per_point))
-    for i, x in enumerate(design):
-        base = teacher.response(x)
-        for s in range(seeds_per_point):
-            configs.append(x)
-            responses.append(base + noise[i, s])
-            seeds.append(s)
-    return log_from_arrays(teacher.space, configs, responses, seeds=seeds)
+    points = np.asarray(design, dtype=np.intp).reshape(len(design), teacher.space.num_factors)
+    shape = (len(points), seeds_per_point)
+    noise = rng.normal(0.0, teacher.spec.noise, size=shape) \
+        if teacher.spec.noise > 0 else np.zeros(shape)
+    base = teacher.values[tuple(points.T)]
+    return log_from_arrays(teacher.space, np.repeat(points, seeds_per_point, axis=0),
+                           (base[:, None] + noise).ravel(),
+                           seeds=np.tile(np.arange(seeds_per_point), len(points)))
 
 
 def fit_from_oracle(oracle: ValueOracle, log: RunLog,
@@ -428,7 +425,7 @@ def _suite_rows(axis: str, cells: list[tuple], config: SuiteConfig,
                     # Product of the log's per-factor marginals; built from
                     # the same design the trial will draw.
                     design = sample_design(teacher.space, plan, _trial_seeds(seed)[0])
-                    probe = log_from_arrays(teacher.space, design, [0.0] * len(design))
+                    probe = log_from_arrays(teacher.space, design, np.zeros(len(design)))
                     reference = ReferenceDistribution.empirical(probe).product_marginals()
                 results.append(run_trial(teacher, plan, seeds_per_point, est, trial_seed=seed,
                                          reference=reference,
@@ -466,6 +463,7 @@ def ablation_suite(axis: str, config: SuiteConfig | None = None) -> list[dict]:
     both = ("CM", "SF")
     wide = DesignPlan.balanced(config.design_n)
     small = DesignPlan.balanced(config.robustness_n)
+    skewed = DesignPlan.skewed(config.robustness_n, config.skew_bias)
     few = config.robustness_seeds
     # (cell, estimators, plan, seeds per point, background, mains only)
     axes = {
@@ -475,13 +473,13 @@ def ablation_suite(axis: str, config: SuiteConfig | None = None) -> list[dict]:
         ],
         "design-robustness": [
             ("balanced", both, small, few, "uniform", False),
-            ("skewed", both, DesignPlan.skewed(config.robustness_n, config.skew_bias),
-             few, "uniform", False),
+            ("skewed", both, skewed, few, "uniform", False),
         ],
+        # A skewed design, so the empirical background differs from uniform.
         "shap-background": [
-            ("uniform", ("SF",), small, few, "uniform", False),
-            ("empirical", ("SF",), small, few, "empirical", False),
-            ("cm-ref", ("CM",), small, few, "uniform", False),
+            ("uniform", ("SF",), skewed, few, "uniform", False),
+            ("empirical", ("SF",), skewed, few, "empirical", False),
+            ("cm-ref", ("CM",), skewed, few, "uniform", False),
         ],
         # The complete grid isolates the seed effect: both paths coincide on
         # full designs, so the curve reflects noise averaging alone.

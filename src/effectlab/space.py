@@ -13,12 +13,14 @@ import csv
 import itertools
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 Config = tuple[int, ...]
 
@@ -168,12 +170,14 @@ class ReferenceDistribution:
         elif self.kind == "empirical":
             if self.joint is None or not self.joint:
                 raise ValueError("empirical reference needs a nonempty joint histogram")
-            total = 0.0
-            for cfg, p in self.joint.items():
-                self.space.validate_config(cfg)
-                if p < 0:
-                    raise ValueError("joint probabilities must be nonnegative")
-                total += p
+            configs = np.array(list(self.joint), dtype=np.intp)
+            probs = np.array(list(self.joint.values()), dtype=float)
+            if configs.shape[1:] != (self.space.num_factors,) or (configs < 0).any() \
+                    or (configs >= np.array(self.space.level_counts)).any():
+                raise ValueError("joint histogram has a configuration outside the space")
+            if (probs < 0).any():
+                raise ValueError("joint probabilities must be nonnegative")
+            total = probs.sum()
             if abs(total - 1.0) > 1e-12:
                 raise ValueError(f"joint histogram sums to {total}, not 1")
         else:
@@ -194,13 +198,14 @@ class ReferenceDistribution:
 
     @classmethod
     def empirical(cls, log: "RunLog") -> "ReferenceDistribution":
-        """Normalized weight histogram of a run log."""
-        hist: dict[Config, float] = {}
-        total = 0.0
-        for rec in log.records:
-            hist[rec.config] = hist.get(rec.config, 0.0) + rec.weight
-            total += rec.weight
-        joint = {cfg: w / total for cfg, w in hist.items() if w > 0}
+        """Normalized weight histogram of a run log, keyed in order of first
+        appearance."""
+        units, unit_of = distinct_configs(log.configs_array)
+        hist = np.bincount(unit_of, weights=log.weights, minlength=len(units))
+        total = np.add.accumulate(log.weights)[-1]  # record order, like the histogram
+        first_seen = np.argsort(np.unique(unit_of, return_index=True)[1])
+        keep = first_seen[hist[first_seen] > 0]
+        joint = dict(zip(map(tuple, units[keep].tolist()), (hist[keep] / total).tolist()))
         return cls(log.space, "empirical", joint=joint)
 
     def marginal(self, j: int) -> np.ndarray:
@@ -241,156 +246,154 @@ class ReferenceDistribution:
 # Run logs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RunRecord:
-    config: Config
-    response: float
-    weight: float = 1.0
-    seed: int = 0
-
-
 @dataclass(frozen=True, eq=False)
 class RunLog:
-    """Weighted observations bound to a factor space."""
+    """Weighted observations bound to a factor space, stored as columns.
+
+    Record i is row i of the ``(n, d)`` level-index matrix ``configs_array``
+    with ``responses[i]``, ``weights[i]`` and ``seeds[i]``. The columns are
+    copied on construction and read-only afterwards.
+    """
 
     space: FactorSpace
-    records: tuple[RunRecord, ...]
+    configs_array: np.ndarray
+    responses: np.ndarray
+    weights: np.ndarray
+    seeds: np.ndarray
 
     def __post_init__(self):
-        if not self.records:
+        dtypes = {"configs_array": np.intp, "responses": float, "weights": float,
+                  "seeds": np.int64}
+        for name, dtype in dtypes.items():
+            col = np.array(getattr(self, name), dtype=dtype)
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+        configs, y, w = self.configs_array, self.responses, self.weights
+        n, d = len(y), self.space.num_factors
+        if n == 0:
             raise ValueError("run log is empty")
-        positive = False
-        for i, rec in enumerate(self.records):
-            self.space.validate_config(rec.config)
-            if not math.isfinite(rec.response):
-                raise ValueError(f"record {i}: non-finite response {rec.response!r}")
-            if not math.isfinite(rec.weight):
-                raise ValueError(f"record {i}: non-finite weight {rec.weight!r}")
-            if rec.weight < 0:
-                raise ValueError("weights must be nonnegative")
-            positive = positive or rec.weight > 0
-        if not positive:
+        if configs.shape != (n, d) or not y.shape == w.shape == self.seeds.shape == (n,):
+            raise ValueError(f"columns do not line up: configs {configs.shape}, responses "
+                             f"{y.shape}, weights {w.shape}, seeds {self.seeds.shape}")
+        out_of_range = (configs < 0) | (configs >= np.array(self.space.level_counts))
+        bad = out_of_range.any(axis=1) | ~np.isfinite(y) | ~np.isfinite(w) | (w < 0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if out_of_range[i].any():
+                j = int(np.argmax(out_of_range[i]))
+                problem = (f"level index {configs[i, j]} out of range for factor "
+                           f"{self.space.factors[j].name!r}")
+            elif not math.isfinite(y[i]):
+                problem = f"non-finite response {float(y[i])!r}"
+            elif not math.isfinite(w[i]):
+                problem = f"non-finite weight {float(w[i])!r}"
+            else:
+                problem = f"negative weight {float(w[i])!r}"
+            raise ValueError(f"record {i}: {problem}")
+        if not (w > 0).any():
             raise ValueError("run log needs at least one record with positive weight")
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    @property
-    def configs_array(self) -> np.ndarray:
-        arr = self.__dict__.get("_configs_array")
-        if arr is None:
-            arr = np.array([rec.config for rec in self.records], dtype=np.intp)
-            self.__dict__["_configs_array"] = arr
-        return arr
-
-    @property
-    def responses(self) -> np.ndarray:
-        arr = self.__dict__.get("_responses")
-        if arr is None:
-            arr = np.array([rec.response for rec in self.records], dtype=float)
-            self.__dict__["_responses"] = arr
-        return arr
-
-    @property
-    def weights(self) -> np.ndarray:
-        arr = self.__dict__.get("_weights")
-        if arr is None:
-            arr = np.array([rec.weight for rec in self.records], dtype=float)
-            self.__dict__["_weights"] = arr
-        return arr
+        return len(self.responses)
 
 
-def log_from_arrays(space: FactorSpace, configs: Iterable[Sequence[int]],
-                    responses: Iterable[float],
-                    weights: Iterable[float] | None = None,
-                    seeds: Iterable[int] | None = None) -> RunLog:
-    configs = [tuple(int(v) for v in c) for c in configs]
-    responses = [float(r) for r in responses]
-    weights = [1.0] * len(configs) if weights is None else [float(w) for w in weights]
-    seeds = [0] * len(configs) if seeds is None else [int(s) for s in seeds]
-    recs = tuple(RunRecord(c, r, w, s) for c, r, w, s in zip(configs, responses, weights, seeds))
-    return RunLog(space, recs)
+def log_from_arrays(space: FactorSpace, configs: ArrayLike, responses: ArrayLike,
+                    weights: ArrayLike | None = None,
+                    seeds: ArrayLike | None = None) -> RunLog:
+    """A run log from columns; weights default to 1 and seeds to 0."""
+    responses = np.asarray(responses, dtype=float)
+    n = len(responses)
+    return RunLog(space, np.asarray(configs, dtype=np.intp), responses,
+                  np.ones(n) if weights is None else np.asarray(weights, dtype=float),
+                  np.zeros(n, dtype=np.int64) if seeds is None else np.asarray(seeds))
 
 
 def ingest_log(path: str | Path, space: FactorSpace) -> RunLog:
-    """Read a run-log CSV.
+    """Read a run-log CSV row by row into columns.
 
     The header must contain one column per factor name plus ``response``;
-    ``weight`` and ``seed`` columns are optional. Rows with unknown level
-    labels are rejected with their row number.
+    ``weight`` (default 1) and ``seed`` (default 0) columns are optional and
+    may be left blank. Blank lines are skipped. A bad row is rejected with a
+    ``LogSchemaError`` naming its CSV row (the header is row 1).
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise LogSchemaError(f"{path}: empty file") from None
+        header = next(reader, None)
+        if header is None:
+            raise LogSchemaError(f"{path}: empty file")
         header = [h.strip() for h in header]
         known = set(space.names) | {"response", "weight", "seed"}
         for col in header:
             if col not in known:
                 raise LogSchemaError(f"{path}: unknown column {col!r}")
+            if header.count(col) > 1:
+                raise LogSchemaError(f"{path}: duplicate column {col!r}")
         for name in space.names:
             if name not in header:
                 raise LogSchemaError(f"{path}: missing factor column {name!r}")
         if "response" not in header:
             raise LogSchemaError(f"{path}: missing 'response' column")
-        col_idx = {name: header.index(name) for name in header}
-        has_weight = "weight" in col_idx
-        has_seed = "seed" in col_idx
+        col_idx = {name: i for i, name in enumerate(header)}
+        factor_cols = [(col_idx[f.name], {label: lvl for lvl, label in enumerate(f.levels)})
+                       for f in space.factors]
+        r_col, w_col, s_col = col_idx["response"], col_idx.get("weight"), col_idx.get("seed")
 
-        records = []
+        def bad(problem: str) -> LogSchemaError:
+            return LogSchemaError(f"{path}: row {rownum}: {problem}")
+
+        levels, responses, weights, seeds = array("q"), array("d"), array("d"), array("q")
         for rownum, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not "".join(row).strip():
                 continue
-            levels = []
-            for j, name in enumerate(space.names):
-                label = row[col_idx[name]].strip()
-                try:
-                    levels.append(space.level_index(j, label))
-                except KeyError:
-                    raise LogSchemaError(
-                        f"{path}: row {rownum}: unknown level {label!r} in column {name!r}"
-                    ) from None
-            raw = row[col_idx["response"]].strip()
+            if len(row) < len(header):
+                raise bad(f"missing value in column {header[len(row)]!r}")
+            try:
+                levels.extend([lookup[row[c].strip()] for c, lookup in factor_cols])
+            except KeyError:
+                name, label = next((header[c], row[c].strip()) for c, lookup in factor_cols
+                                   if row[c].strip() not in lookup)
+                raise bad(f"unknown level {label!r} in column {name!r}") from None
+            raw = row[r_col].strip()
             try:
                 response = float(raw)
             except ValueError:
-                raise LogSchemaError(
-                    f"{path}: row {rownum}: non-numeric response {raw!r}"
-                ) from None
+                raise bad(f"non-numeric response {raw!r}") from None
             if not math.isfinite(response):
-                raise LogSchemaError(f"{path}: row {rownum}: non-finite response {raw!r}")
-            weight = 1.0
-            if has_weight and row[col_idx["weight"]].strip():
-                try:
-                    weight = float(row[col_idx["weight"]])
-                except ValueError:
-                    raise LogSchemaError(f"{path}: row {rownum}: non-numeric weight") from None
-                if not math.isfinite(weight):
-                    raise LogSchemaError(f"{path}: row {rownum}: non-finite weight")
-            seed = 0
-            if has_seed and row[col_idx["seed"]].strip():
-                try:
-                    seed = int(row[col_idx["seed"]])
-                except ValueError:
-                    raise LogSchemaError(f"{path}: row {rownum}: non-integer seed") from None
-            records.append(RunRecord(tuple(levels), response, weight, seed))
-    if not records:
+                raise bad(f"non-finite response {raw!r}")
+            raw = row[w_col].strip() if w_col is not None else ""
+            try:
+                weight = float(raw) if raw else 1.0
+            except ValueError:
+                raise bad("non-numeric weight") from None
+            if not math.isfinite(weight):
+                raise bad("non-finite weight")
+            if weight < 0:
+                raise bad(f"negative weight {raw!r}")
+            raw = row[s_col].strip() if s_col is not None else ""
+            try:
+                seeds.append(int(raw) if raw else 0)
+            except ValueError:
+                raise bad("non-integer seed") from None
+            except OverflowError:
+                raise bad(f"seed {raw} outside the 64-bit range") from None
+            responses.append(response)
+            weights.append(weight)
+    if not responses:
         raise LogSchemaError(f"{path}: no data rows")
-    return RunLog(space, tuple(records))
+    configs = np.frombuffer(levels, dtype=np.int64).reshape(len(responses), space.num_factors)
+    return RunLog(space, configs, np.frombuffer(responses), np.frombuffer(weights),
+                  np.frombuffer(seeds, dtype=np.int64))
 
 
 def write_log(log: RunLog, path: str | Path) -> None:
     """Write a run log as CSV; floats round-trip exactly through repr."""
+    labels = [np.array(f.levels, dtype=object)[log.configs_array[:, j]]
+              for j, f in enumerate(log.space.factors)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(log.space.names) + ["response", "weight", "seed"])
-        for rec in log.records:
-            writer.writerow(
-                list(log.space.labels_for(rec.config))
-                + [repr(rec.response), repr(rec.weight), str(rec.seed)]
-            )
+        writer.writerows(zip(*labels, map(repr, log.responses.tolist()),
+                             map(repr, log.weights.tolist()), map(str, log.seeds.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +427,9 @@ class DesignPlan:
         return out
 
 
-def sample_design(space: FactorSpace, plan: DesignPlan, seed: int = 0) -> list[Config]:
-    """Draw a design per the plan, deterministically for a given seed.
+def sample_design(space: FactorSpace, plan: DesignPlan, seed: int = 0) -> np.ndarray:
+    """Draw a design per the plan as an ``(n, d)`` level-index matrix,
+    deterministically for a given seed.
 
     ``balanced(n)`` equalizes per-level counts of every factor within +-1 by
     shuffling a balanced column per factor independently; duplicate configs
@@ -433,7 +437,7 @@ def sample_design(space: FactorSpace, plan: DesignPlan, seed: int = 0) -> list[C
     with the first level weighted by ``bias``.
     """
     if plan.kind == "full":
-        return enumerate_grid(space)
+        return np.array(enumerate_grid(space), dtype=np.intp)
     n = int(plan.n)
     if n < 1:
         raise ValueError("design size must be at least 1")
@@ -457,7 +461,7 @@ def sample_design(space: FactorSpace, plan: DesignPlan, seed: int = 0) -> list[C
             columns.append(rng.choice(count, size=n, p=probs))
     else:
         raise ValueError(f"unknown design plan {plan.kind!r}")
-    return [tuple(int(col[i]) for col in columns) for i in range(n)]
+    return np.stack(columns, axis=1).astype(np.intp, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -473,21 +477,10 @@ class SupportCounts:
     pair_counts: dict[tuple[int, int], np.ndarray]
     pair_eff: dict[tuple[int, int], np.ndarray]
 
-    def n_level(self, j: int, level: int) -> int:
-        return int(self.level_counts[j][level])
-
     def pair(self, j: int, k: int) -> np.ndarray:
         if j < k:
             return self.pair_counts[(j, k)]
         return self.pair_counts[(k, j)].T
-
-    def n_pair(self, j: int, k: int, lj: int, lk: int) -> int:
-        return int(self.pair(j, k)[lj, lk])
-
-    def eff_pair(self, j: int, k: int) -> np.ndarray:
-        if j < k:
-            return self.pair_eff[(j, k)]
-        return self.pair_eff[(k, j)].T
 
     def to_dict(self) -> dict:
         space = self.space
@@ -512,6 +505,16 @@ class SupportCounts:
                 for b in range(fk.num_levels)
             }
         return {"levels": levels, "pairs": pairs, "eff": eff}
+
+
+def distinct_configs(configs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``configs`` in lexicographic order and, per row,
+    the index of its own."""
+    code = np.zeros(len(configs), dtype=np.intp)
+    for col in configs.T:  # codes stay below the row count, so never overflow
+        _, first, code = np.unique(code * (int(col.max()) + 1) + col,
+                                   return_index=True, return_inverse=True)
+    return configs[first], code
 
 
 def effective_sample_size(weights: Sequence[float]) -> float:

@@ -353,3 +353,126 @@ def dominance_loop(table, support, spec, cost, context_cap, sample_contexts, see
         checked.append(len(contexts))
     holds = bool(np.all(influence.sum(axis=1) < margins)) and not spec.banned_configs
     return margins, influence, holds, exact, tuple(checked)
+
+
+def log_columns_loop(level_counts, configs, responses, weights=None, seeds=None):
+    """Run-log columns record by record: each config checked and converted
+    to a tuple of ints, then stacked. Returns (configs, responses, weights,
+    seeds) arrays."""
+    recs = []
+    weights = [1.0] * len(configs) if weights is None else weights
+    seeds = [0] * len(configs) if seeds is None else seeds
+    for c, r, w, s in zip(configs, responses, weights, seeds):
+        cfg = tuple(int(v) for v in c)
+        if len(cfg) != len(level_counts) or not all(0 <= v < L for v, L in zip(cfg, level_counts)):
+            raise ValueError(f"config {cfg} out of range")
+        recs.append((cfg, float(r), float(w), int(s)))
+    return (np.array([rec[0] for rec in recs], dtype=np.intp),
+            np.array([rec[1] for rec in recs], dtype=float),
+            np.array([rec[2] for rec in recs], dtype=float),
+            np.array([rec[3] for rec in recs], dtype=np.int64))
+
+
+def ingest_log_loop(path, names, levels):
+    """Run-log CSV read row by row, each label found with ``tuple.index``.
+    ``names`` and ``levels`` declare the factors. Returns the four columns,
+    or raises ValueError with the message the reader gives for the first bad
+    cell."""
+    import csv
+
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        col_idx = {name: header.index(name) for name in header}
+        has_weight = "weight" in col_idx
+        has_seed = "seed" in col_idx
+        records = []
+        for rownum, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            cfg = []
+            for j, name in enumerate(names):
+                label = row[col_idx[name]].strip()
+                try:
+                    cfg.append(levels[j].index(label))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: row {rownum}: unknown level {label!r} in column {name!r}"
+                    ) from None
+            raw = row[col_idx["response"]].strip()
+            try:
+                response = float(raw)
+            except ValueError:
+                raise ValueError(f"{path}: row {rownum}: non-numeric response {raw!r}") from None
+            if not math.isfinite(response):
+                raise ValueError(f"{path}: row {rownum}: non-finite response {raw!r}")
+            weight = 1.0
+            if has_weight and row[col_idx["weight"]].strip():
+                try:
+                    weight = float(row[col_idx["weight"]])
+                except ValueError:
+                    raise ValueError(f"{path}: row {rownum}: non-numeric weight") from None
+                if not math.isfinite(weight):
+                    raise ValueError(f"{path}: row {rownum}: non-finite weight")
+            seed = 0
+            if has_seed and row[col_idx["seed"]].strip():
+                try:
+                    seed = int(row[col_idx["seed"]])
+                except ValueError:
+                    raise ValueError(f"{path}: row {rownum}: non-integer seed") from None
+            records.append((tuple(cfg), response, weight, seed))
+    return log_columns_loop([len(l) for l in levels], *map(list, zip(*records)))
+
+
+def sample_design_loop(level_counts, kind, n=0, bias=1.0, seed=0):
+    """Design as a list of config tuples: the full grid in lexicographic
+    order, or one column per factor drawn in factor order (a shuffled
+    balanced column, or independent draws with the first level weighted by
+    ``bias``) and zipped into rows."""
+    if kind == "full":
+        return list(itertools.product(*[range(L) for L in level_counts]))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    columns = []
+    for count in level_counts:
+        if kind == "balanced":
+            base, extra = divmod(n, count)
+            col = np.repeat(np.arange(count), base)
+            if extra:
+                col = np.concatenate([col, rng.choice(count, size=extra, replace=False)])
+            rng.shuffle(col)
+        else:
+            probs = np.ones(count)
+            probs[0] = bias
+            probs /= probs.sum()
+            col = rng.choice(count, size=n, p=probs)
+        columns.append(col)
+    return [tuple(int(col[i]) for col in columns) for i in range(n)]
+
+
+def make_log_loop(values, noise_sd, design, seeds_per_point, seed=0):
+    """Teacher log point by point: the noiseless grid value of each design
+    point plus one noise draw per seed. Returns (configs, responses, seeds)
+    lists, point-major."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    shape = (len(design), seeds_per_point)
+    noise = rng.normal(0.0, noise_sd, size=shape) if noise_sd > 0 else np.zeros(shape)
+    configs, responses, seeds = [], [], []
+    for i, x in enumerate(design):
+        base = float(values[tuple(int(v) for v in x)])
+        for s in range(seeds_per_point):
+            configs.append(tuple(int(v) for v in x))
+            responses.append(base + noise[i, s])
+            seeds.append(s)
+    return configs, responses, seeds
+
+
+def empirical_joint_loop(configs, weights):
+    """Normalized weight histogram record by record, keyed in order of first
+    appearance, zero-weight configurations dropped."""
+    hist = {}
+    total = 0.0
+    for cfg, w in zip(configs, weights):
+        cfg = tuple(int(v) for v in cfg)
+        hist[cfg] = hist.get(cfg, 0.0) + float(w)
+        total += float(w)
+    return {cfg: w / total for cfg, w in hist.items() if w > 0}

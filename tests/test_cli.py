@@ -225,6 +225,19 @@ def test_optimize_xor_lexicographic(workspace):
     assert all("objective" in row for row in trace)
 
 
+def test_optimize_rejects_bad_gamma_key_at_load(workspace):
+    tmp, space, log = workspace
+    objective_file = tmp / "objective.json"
+    objective_file.write_text(json.dumps({"gamma": {"typo|zz": 2}}))
+    out = tmp / "optg"
+    rc = main(["optimize", "--space", str(space), "--log", str(log),
+               "--out", str(out), "--objective", str(objective_file)])
+    assert rc == 1
+    err = json.loads((out / "error.json").read_text())
+    assert "'typo|zz'" in err["message"]
+    assert not (out / "chosen.json").exists()
+
+
 def test_optimize_topk_with_bootstrap(workspace):
     tmp, space, log = workspace
     out = tmp / "optb"

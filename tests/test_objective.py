@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -193,3 +195,20 @@ def test_spec_from_dict(space_2x2):
     assert not spec.feasible((0, 1))
     assert spec.feasible((0, 0))
     assert cost.total((1, 1)) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("gamma, key", [
+    ({"typo|zz": 2.0, "a|b": 1.0}, "typo|zz"),
+    ({"b|a": 2.0}, "b|a"),
+    ({}, "a|b"),
+])
+def test_spec_from_dict_rejects_bad_gamma_keys(space_2x2, gamma, key):
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        ObjectiveSpec.from_dict(space_2x2, {"gamma": gamma})
+
+
+def test_spec_from_dict_gamma_per_pair():
+    space = build_space([("a", ["0", "1"]), ("b", ["0", "1"]), ("c", ["0", "1"])])
+    spec = ObjectiveSpec.from_dict(space, {"gamma": {"a|b": 1.0, "a|c": 2.0, "b|c": 3.0}})
+    assert [spec.gamma_for(space, j, k) for j, k in space.pairs()] == [1.0, 2.0, 3.0]
+    assert spec.gamma_for(space, 2, 1) == 3.0

@@ -17,7 +17,9 @@ from effectlab import (
     spearman,
 )
 from effectlab.sim import error_decomposition, estimate_from_log, make_log
-from oracles import rank_formula_spearman
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import make_log_loop, rank_formula_spearman
 
 
 def small_teacher(seed=0, **kw):
@@ -213,6 +215,10 @@ def test_background_axis_runs():
     rows = ablation_suite("shap-background", cfg)
     cells = {r["cell"] for r in rows}
     assert cells == {"uniform", "empirical", "cm-ref"}
+    # The axis runs on a skewed design, so the empirical background is not
+    # uniform and its rows measure something else.
+    rho = {r["cell"]: r["mean"] for r in rows if r["metric"] == "rho"}
+    assert rho["uniform"] != rho["empirical"]
 
 
 def test_seed_budget_axis_runs():
@@ -230,3 +236,19 @@ def test_comparison_suite_rows():
     rows = comparison_suite(cfg)
     assert {r["estimator"] for r in rows} == {"CM", "SF"}
     assert {r["metric"] for r in rows} == {"recon", "gap", "rho"}
+
+
+@given(st.integers(0, 50), st.sampled_from([0.0, 0.1, 2.5]),
+       st.sampled_from(["full", "balanced", "skewed"]), st.integers(1, 30),
+       st.integers(1, 4), st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_make_log_matches_point_loop(teacher_seed, noise, kind, n, seeds_per_point, seed):
+    teacher = small_teacher(seed=teacher_seed, noise=noise)
+    design = sample_design(teacher.space, DesignPlan(kind, n=n, bias=3.0), seed=seed)
+    log = make_log(teacher, design, seeds_per_point, seed=seed)
+    configs, responses, seeds = make_log_loop(teacher.values, noise, design.tolist(),
+                                              seeds_per_point, seed=seed)
+    assert log.configs_array.tolist() == [list(x) for x in configs]
+    assert log.responses.tobytes() == np.array(responses).tobytes()
+    assert log.seeds.tolist() == seeds
+    assert log.weights.tolist() == [1.0] * len(configs)

@@ -2,7 +2,7 @@ import collections
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from effectlab import (
@@ -18,6 +18,14 @@ from effectlab import (
     support_counts,
     write_log,
 )
+from oracles import (
+    empirical_joint_loop,
+    ingest_log_loop,
+    log_columns_loop,
+    sample_design_loop,
+)
+
+COLUMNS = ("configs_array", "responses", "weights", "seeds")
 
 
 def test_build_space_smallest():
@@ -106,7 +114,9 @@ def test_balanced_design_marginal_balance(n, seed):
 
 
 def test_full_design_is_grid(space_2x2):
-    assert sample_design(space_2x2, DesignPlan.full(), seed=0) == enumerate_grid(space_2x2)
+    design = sample_design(space_2x2, DesignPlan.full(), seed=0)
+    assert design.dtype == np.intp
+    assert design.tolist() == [list(x) for x in enumerate_grid(space_2x2)]
 
 
 def test_skewed_design_frequency(space_2x2):
@@ -124,10 +134,24 @@ def test_skewed_design_frequency(space_2x2):
 def test_design_determinism(space_2x2):
     a = sample_design(space_2x2, DesignPlan.skewed(50, bias=2.0), seed=7)
     b = sample_design(space_2x2, DesignPlan.skewed(50, bias=2.0), seed=7)
-    assert a == b
+    assert a.shape == (50, 2) and np.array_equal(a, b)
     c = sample_design(space_2x2, DesignPlan.balanced(9), seed=7)
     d = sample_design(space_2x2, DesignPlan.balanced(9), seed=7)
-    assert c == d
+    assert c.shape == (9, 2) and np.array_equal(c, d)
+
+
+@given(st.lists(st.integers(2, 4), min_size=1, max_size=4),
+       st.sampled_from(["full", "balanced", "skewed"]), st.integers(1, 40),
+       st.floats(0.25, 5.0), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_design_matches_row_loop(level_counts, kind, n, bias, seed):
+    space = build_space([(f"f{j}", [f"l{t}" for t in range(L)])
+                         for j, L in enumerate(level_counts)])
+    design = sample_design(space, DesignPlan(kind, n=n, bias=bias), seed=seed)
+    want = sample_design_loop(level_counts, kind, n, bias, seed)
+    assert design.dtype == np.intp
+    assert design.shape == (len(want), len(level_counts))
+    assert design.tolist() == [list(x) for x in want]
 
 
 def test_sample_design_validation(space_2x2):
@@ -152,16 +176,16 @@ def test_ingest_basic(tmp_path, space_2x2):
     )
     log = ingest_log(path, space_2x2)
     assert len(log) == 4
-    assert all(rec.weight == 1.0 for rec in log.records)
-    assert log.records[1].config == (0, 1)
+    assert log.weights.tolist() == [1.0] * 4
+    assert tuple(log.configs_array[1]) == (0, 1)
 
 
 def test_ingest_weight_column(tmp_path, space_2x2):
     path = tmp_path / "runs.csv"
     path.write_text("a,b,response,weight\na0,b0,1.0,0.5\na1,b1,2.0,0.5\n")
     log = ingest_log(path, space_2x2)
-    total = sum(r.weight for r in log.records)
-    assert [r.weight / total for r in log.records] == [0.5, 0.5]
+    total = log.weights.sum()
+    assert (log.weights / total).tolist() == [0.5, 0.5]
 
 
 def test_ingest_unknown_level_names_row_and_column(tmp_path, space_2x2):
@@ -204,6 +228,21 @@ def test_ingest_rejects_non_finite_weight(tmp_path, space_2x2, text):
         ingest_log(path, space_2x2)
 
 
+@pytest.mark.parametrize("short, column", [("a1,b0", "response"), ("a1,b0,2.0", "weight")])
+def test_ingest_short_row_names_row_and_column(tmp_path, space_2x2, short, column):
+    path = tmp_path / "runs.csv"
+    path.write_text(f"a,b,response,weight\na0,b0,1.0,1\n{short}\n")
+    with pytest.raises(LogSchemaError, match=rf"row 3: missing value in column '{column}'"):
+        ingest_log(path, space_2x2)
+
+
+def test_ingest_negative_weight_names_row(tmp_path, space_2x2):
+    path = tmp_path / "runs.csv"
+    path.write_text("a,b,response,weight\na0,b0,1.0,1\n\na1,b0,2.0,-0.5\n")
+    with pytest.raises(LogSchemaError, match=r"runs\.csv: row 4: negative weight '-0\.5'"):
+        ingest_log(path, space_2x2)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_log_rejects_non_finite_values(space_2x2, bad):
     configs = [(0, 0), (1, 0), (1, 1)]
@@ -224,17 +263,133 @@ def test_log_roundtrip(tmp_path, space_2x2):
     write_log(log, path)
     back = ingest_log(path, space_2x2)
     assert len(back) == len(log)
-    for r1, r2 in zip(log.records, back.records):
-        assert r1 == r2  # exact float round-trip through repr
+    for name in COLUMNS:
+        a, b = getattr(log, name), getattr(back, name)
+        # exact float round-trip through repr
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_log_validation(space_2x2):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive weight"):
         log_from_arrays(space_2x2, [(0, 0)], [1.0], weights=[0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"record 0: negative weight -1\.0"):
         log_from_arrays(space_2x2, [(0, 0)], [1.0], weights=[-1.0])
-    with pytest.raises(ValueError):
-        log_from_arrays(space_2x2, [(0, 5)], [1.0])
+    with pytest.raises(ValueError, match=r"record 1: level index 5 out of range for factor 'b'"):
+        log_from_arrays(space_2x2, [(0, 0), (0, 5)], [1.0, 1.0])
+    # The first bad record is named, whatever is wrong with later ones.
+    with pytest.raises(ValueError, match=r"record 1: non-finite response nan"):
+        log_from_arrays(space_2x2, [(0, 0), (0, 1), (2, 0)], [1.0, float("nan"), 1.0],
+                        weights=[1.0, 1.0, -1.0])
+    with pytest.raises(ValueError, match="run log is empty"):
+        log_from_arrays(space_2x2, [], [])
+    with pytest.raises(ValueError, match="columns do not line up"):
+        log_from_arrays(space_2x2, [(0, 0, 0)], [1.0])
+    with pytest.raises(ValueError, match="columns do not line up"):
+        log_from_arrays(space_2x2, [(0, 0), (1, 1)], [1.0, 2.0], weights=[1.0])
+
+
+def test_log_columns_are_copied_and_read_only(space_2x2):
+    weights = np.array([1.0, 2.0])
+    log = log_from_arrays(space_2x2, [(0, 0), (1, 1)], [1.0, 2.0], weights)
+    weights[0] = -5.0
+    assert log.weights.tolist() == [1.0, 2.0]
+    for name in COLUMNS:
+        with pytest.raises(ValueError):
+            getattr(log, name)[0] = 0
+
+
+def assert_columns(log, want):
+    for name, expected in zip(COLUMNS, want):
+        got = getattr(log, name)
+        assert got.dtype == expected.dtype, name
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), name
+
+
+@st.composite
+def records(draw):
+    """A random space and records on it: (space, configs, responses, weights,
+    seeds), with at least one positive weight."""
+    level_counts = draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))
+    space = build_space([(f"f{j}", [f"l{t}" for t in range(L)])
+                         for j, L in enumerate(level_counts)])
+    n = draw(st.integers(1, 20))
+    configs = draw(st.lists(st.tuples(*[st.integers(0, L - 1) for L in level_counts]),
+                            min_size=n, max_size=n))
+    responses = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                              min_size=n, max_size=n))
+    weights = draw(st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n))
+    assume(any(w > 0 for w in weights))
+    seeds = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n))
+    return space, configs, responses, weights, seeds
+
+
+@given(records())
+@settings(max_examples=60, deadline=None)
+def test_log_columns_match_record_loop(recs):
+    space, configs, responses, weights, seeds = recs
+    log = log_from_arrays(space, configs, responses, weights, seeds)
+    assert_columns(log, log_columns_loop(space.level_counts, configs, responses, weights, seeds))
+    plain = log_from_arrays(space, np.array(configs), responses)
+    assert_columns(plain, log_columns_loop(space.level_counts, configs, responses))
+
+
+BLANK_LINES = ["", "  ", ",,", " , "]
+BAD_CELLS = {"factor": ["zz", ""], "response": ["oops", "nan", "-inf", ""],
+             "weight": ["heavy", "inf", "nan"], "seed": ["1.5", "x"]}
+
+
+def log_csv(data, recs):
+    """CSV text of the records with shuffled columns, padded cells, optional
+    weight and seed columns (some cells left blank) and blank lines; returns
+    (lines, column kinds, index of each record's line)."""
+    space, configs, responses, weights, seeds = recs
+    columns = list(space.names) + ["response"]
+    columns += [c for c in ("weight", "seed") if data.draw(st.booleans())]
+    columns = data.draw(st.permutations(columns))
+    pad = data.draw(st.sampled_from(["", " "]))
+    lines = [",".join(f"{pad}{c}" for c in columns)]
+    at = []
+    for x, y, w, sd in zip(configs, responses, weights, seeds):
+        lines += data.draw(st.lists(st.sampled_from(BLANK_LINES), max_size=2))
+        cells = {name: space.factors[j].levels[x[j]] for j, name in enumerate(space.names)}
+        cells["response"] = repr(y)
+        cells["weight"] = "" if w == 1.0 else repr(w)
+        cells["seed"] = "" if sd == 0 else str(sd)
+        at.append(len(lines))
+        lines.append(",".join(f"{pad}{cells[c]}{pad}" for c in columns))
+    kinds = ["factor" if c in space.names else c for c in columns]
+    return lines, kinds, at
+
+
+@given(records(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_ingest_matches_row_loop(tmp_path_factory, recs, data):
+    space = recs[0]
+    lines, _, _ = log_csv(data, recs)
+    path = tmp_path_factory.mktemp("ingest") / "runs.csv"
+    path.write_text("\n".join(lines) + "\n")
+    levels = [f.levels for f in space.factors]
+    assert_columns(ingest_log(path, space), ingest_log_loop(path, space.names, levels))
+
+
+@given(records(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_ingest_bad_cell_matches_row_loop(tmp_path_factory, recs, data):
+    space = recs[0]
+    lines, kinds, at = log_csv(data, recs)
+    row = data.draw(st.sampled_from(at))
+    col = data.draw(st.integers(0, len(kinds) - 1))
+    cells = lines[row].split(",")
+    cells[col] = data.draw(st.sampled_from(BAD_CELLS[kinds[col]]))
+    lines[row] = ",".join(cells)
+    assume("".join(cells).strip())  # a blanked row would be skipped, not rejected
+    path = tmp_path_factory.mktemp("ingest") / "runs.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as want:
+        ingest_log_loop(path, space.names, [f.levels for f in space.factors])
+    with pytest.raises(LogSchemaError) as got:
+        ingest_log(path, space)
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------
@@ -315,3 +470,14 @@ def test_empirical_reference(space_2x2):
     prod = ref.product_marginals()
     assert prod.is_product
     assert prod.marginal(0)[0] == pytest.approx(2 / 3)
+
+
+@given(records())
+@settings(max_examples=60, deadline=None)
+def test_empirical_joint_matches_record_loop(recs):
+    space, configs, responses, weights, seeds = recs
+    ref = ReferenceDistribution.empirical(log_from_arrays(space, configs, responses, weights))
+    want = empirical_joint_loop(configs, weights)
+    # Same keys in the same order and the same floats: the marginals sum
+    # the joint in key order.
+    assert list(ref.joint.items()) == list(want.items())
