@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .effects import ShrinkageSpec, bootstrap_cis
-from .objective import CostModel, ObjectiveSpec, objective, objective_grid, risk_penalty
+from .objective import CostModel, ObjectiveSpec, objective, objective_grid, pair_risk
 from .optimize import SearchSpec, diag_dominance_check, multistart
 from .pci import write_pci_csv
 from .planning import bernstein_halfwidth, hoeffding_cell_n, uniform_cells_n
@@ -296,7 +296,7 @@ def _topk_bootstrap_cis(reps, support, spec, cost, configs, level):
     on the bootstrap replicates of the effect table."""
     space = support.space
     X = np.array(configs, dtype=np.intp).reshape(-1, space.num_factors)
-    risk = np.array([risk_penalty(support, x, spec) for x in configs])
+    risk = sum(r[X[:, j], X[:, k]] for (j, k), r in pair_risk(support, spec).items())
     costs = np.array([cost.total(x) for x in configs])
     values = reps.mu[:, None] + sum(reps.mains[j][:, X[:, j]] for j in range(space.num_factors))
     values += sum(mat[:, X[:, j], X[:, k]] for (j, k), mat in reps.pairs.items())

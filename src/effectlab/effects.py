@@ -11,6 +11,7 @@ records with replacement.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -42,11 +43,12 @@ class ShrinkageSpec:
     tau_pair: float | Mapping[str, float] = 1.0
 
     def __post_init__(self):
-        for tau in (self.tau_main, self.tau_pair):
+        for name in ("tau_main", "tau_pair"):
+            tau = getattr(self, name)
             values = tau.values() if isinstance(tau, Mapping) else [tau]
             for v in values:
-                if v <= 0:
-                    raise ValueError("shrinkage strengths must be strictly positive")
+                if not (math.isfinite(v) and v > 0):
+                    raise ValueError(f"{name} must be finite and strictly positive, got {v!r}")
 
     def main(self, space: FactorSpace, j: int) -> float:
         if isinstance(self.tau_main, Mapping):

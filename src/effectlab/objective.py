@@ -8,6 +8,7 @@ than scored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -37,6 +38,8 @@ class CostModel:
                 raise ValueError(f"cost vector {j} has wrong length")
             if not np.all(np.isfinite(c)):
                 raise ValueError("costs must be finite")
+        if not math.isfinite(self.offset):
+            raise ValueError(f"cost offset must be finite, got {self.offset!r}")
 
     @classmethod
     def zero(cls, space: FactorSpace) -> "CostModel":
@@ -84,12 +87,14 @@ class ObjectiveSpec:
     banned_configs: frozenset[Config] = frozenset()
 
     def __post_init__(self):
-        if self.lambda_risk < 0 or self.lambda_cost < 0:
-            raise ValueError("penalty weights must be nonnegative")
+        for name in ("lambda_risk", "lambda_cost"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
         gammas = self.gamma.values() if isinstance(self.gamma, Mapping) else [self.gamma]
         for g in gammas:
-            if g <= 0:
-                raise ValueError("gamma must be strictly positive")
+            if not (math.isfinite(g) and g > 0):
+                raise ValueError(f"gamma must be finite and strictly positive, got {g!r}")
 
     @classmethod
     def from_dict(cls, space: FactorSpace, data: Mapping) -> "ObjectiveSpec":
@@ -150,61 +155,59 @@ def two_factor_predict(table: EffectTable, x: Sequence[int]) -> float:
     return total
 
 
+def broadcast_sum(out: np.ndarray, terms) -> np.ndarray:
+    """``out`` plus each ``(axes, term)`` in order, the term spanning those
+    axes of ``out`` and broadcast along the rest."""
+    for axes, term in terms:
+        shape = [1] * out.ndim
+        for ax, n in zip(axes, term.shape):
+            shape[ax] = n
+        out = out + term.reshape(shape)
+    return out
+
+
 def predict_grid(table: EffectTable) -> np.ndarray:
     """Two-factor prediction over the whole grid as a tensor."""
-    space = table.space
-    d = space.num_factors
-    out = np.full(space.level_counts, table.mu, dtype=float)
-    for j, g in enumerate(table.mains):
-        shape = [1] * d
-        shape[j] = len(g)
-        out = out + g.reshape(shape)
-    for (j, k), mat in table.pairs.items():
-        shape = [1] * d
-        shape[j], shape[k] = mat.shape
-        out = out + mat.reshape(shape)
-    return out
+    out = np.full(table.space.level_counts, table.mu, dtype=float)
+    out = broadcast_sum(out, (((j,), g) for j, g in enumerate(table.mains)))
+    return broadcast_sum(out, table.pairs.items())
+
+
+def pair_risk(support: SupportCounts, spec: ObjectiveSpec,
+              scale: float = 1.0) -> dict[tuple[int, int], np.ndarray]:
+    """The support risk of every factor pair j < k as an (L_j, L_k) matrix,
+    ``scale * g / (n + g)`` evaluated left to right, with g the pair's gamma
+    and n its record counts.
+
+    This is the one place the risk term is written. The objective side reads
+    it at ``scale`` 1 and multiplies the sum by ``lambda_risk``; the search
+    side passes ``lambda_risk`` as ``scale``, which rounds differently.
+    """
+    space = support.space
+    risk = {}
+    for j, k in space.pairs():
+        g = spec.gamma_for(space, j, k)
+        risk[(j, k)] = scale * g / (support.pair_counts[(j, k)] + g)
+    return risk
 
 
 def risk_penalty(support: SupportCounts, x: Sequence[int],
                  gamma: float | ObjectiveSpec = 1.0) -> float:
     """Sum over factor pairs of gamma / (n_jk + gamma); each term in (0, 1]."""
-    space = support.space
+    spec = gamma if isinstance(gamma, ObjectiveSpec) else ObjectiveSpec(gamma=gamma)
     total = 0.0
-    for j, k in space.pairs():
-        if isinstance(gamma, ObjectiveSpec):
-            g = gamma.gamma_for(space, j, k)
-        else:
-            g = float(gamma)
-            if g <= 0:
-                raise ValueError("gamma must be strictly positive")
-        n = support.pair_counts[(j, k)][x[j], x[k]]
-        total += g / (n + g)
+    for (j, k), r in pair_risk(support, spec).items():
+        total += r[x[j], x[k]]
     return total
 
 
 def risk_grid(support: SupportCounts, spec: ObjectiveSpec) -> np.ndarray:
-    space = support.space
-    d = space.num_factors
-    out = np.zeros(space.level_counts)
-    for j, k in space.pairs():
-        g = spec.gamma_for(space, j, k)
-        term = g / (support.pair_counts[(j, k)] + g)
-        shape = [1] * d
-        shape[j], shape[k] = term.shape
-        out = out + term.reshape(shape)
-    return out
+    return broadcast_sum(np.zeros(support.space.level_counts), pair_risk(support, spec).items())
 
 
 def cost_grid(cost: CostModel) -> np.ndarray:
-    space = cost.space
-    d = space.num_factors
-    out = np.full(space.level_counts, cost.offset, dtype=float)
-    for j, c in enumerate(cost.level_costs):
-        shape = [1] * d
-        shape[j] = len(c)
-        out = out + c.reshape(shape)
-    return out
+    out = np.full(cost.space.level_counts, cost.offset, dtype=float)
+    return broadcast_sum(out, (((j,), c) for j, c in enumerate(cost.level_costs)))
 
 
 def feasible_mask(space: FactorSpace, spec: ObjectiveSpec) -> np.ndarray:

@@ -19,7 +19,9 @@ from .objective import (
     CostModel,
     InfeasibleConfigError,
     ObjectiveSpec,
+    broadcast_sum,
     objective,
+    pair_risk,
 )
 from .space import Config, FactorSpace, SupportCounts
 
@@ -30,7 +32,6 @@ DOMINANCE_CONTEXT_CAP = 100_000
 class SearchSpec:
     restarts: int = 4
     beam: int = 2
-    eps_stop: float = 0.0
     max_sweeps: int = 100
     seed: int = 0
 
@@ -39,8 +40,6 @@ class SearchSpec:
             raise ValueError("restart count must be at least 1")
         if self.beam < 1:
             raise ValueError("beam width must be at least 1")
-        if self.eps_stop < 0:
-            raise ValueError("eps_stop must be nonnegative")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
 
@@ -84,6 +83,38 @@ class DominanceReport:
 # Local objective
 # ---------------------------------------------------------------------------
 
+def _search_tables(table: EffectTable, support: SupportCounts, spec: ObjectiveSpec
+                   ) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
+    """Per ordered factor pair j != k, factor k's interaction and scaled risk
+    in factor j's local objective, each an (L_j, L_k) matrix."""
+    tables = {}
+    for (j, k), risk in pair_risk(support, spec, spec.lambda_risk).items():
+        tables[(j, k)] = (table.pair(j, k), risk)
+        tables[(k, j)] = (table.pair(k, j), risk.T)
+    return tables
+
+
+def _local_scores(tables, table: EffectTable, spec: ObjectiveSpec, cost: CostModel,
+                  j: int, x: Config) -> np.ndarray:
+    """Vector of local objectives over all levels of factor j (NaN = banned)."""
+    scores = table.mains[j].astype(float)
+    for k in range(table.space.num_factors):
+        if k == j:
+            continue
+        pair, risk = tables[(j, k)]
+        scores += pair[:, x[k]]
+        scores -= risk[:, x[k]]
+    scores -= spec.lambda_cost * (cost.level_costs[j] - float(cost.level_costs[j][x[j]]))
+    banned = spec.banned_levels.get(j, frozenset())
+    for lvl in banned:
+        scores[lvl] = np.nan
+    if spec.banned_configs:
+        for lvl in range(len(scores)):
+            if lvl not in banned and x[:j] + (lvl,) + x[j + 1:] in spec.banned_configs:
+                scores[lvl] = np.nan
+    return scores
+
+
 def local_gain(table: EffectTable, support: SupportCounts, spec: ObjectiveSpec,
                cost: CostModel | None, j: int, level: int, x: Sequence[int]) -> float:
     """Local objective of setting factor j to ``level`` in context x.
@@ -98,40 +129,8 @@ def local_gain(table: EffectTable, support: SupportCounts, spec: ObjectiveSpec,
     if swapped in spec.banned_configs:
         raise InfeasibleConfigError(f"configuration {swapped} is banned")
     cost = cost or CostModel.zero(table.space)
-    total = float(table.mains[j][level])
-    for k in range(table.space.num_factors):
-        if k == j:
-            continue
-        total += float(table.pair(j, k)[level, x[k]])
-        g = spec.gamma_for(table.space, j, k)
-        n = support.pair(j, k)[level, x[k]]
-        total -= spec.lambda_risk * g / (n + g)
-    total -= spec.lambda_cost * (float(cost.level_costs[j][level]) - float(cost.level_costs[j][x[j]]))
-    return total
-
-
-def _local_scores(table: EffectTable, support: SupportCounts, spec: ObjectiveSpec,
-                  cost: CostModel, j: int, x: Sequence[int]) -> np.ndarray:
-    """Vector of local objectives over all levels of factor j (NaN = banned)."""
-    space = table.space
-    L = space.level_counts[j]
-    scores = table.mains[j].astype(float).copy()
-    for k in range(space.num_factors):
-        if k == j:
-            continue
-        scores += table.pair(j, k)[:, x[k]]
-        g = spec.gamma_for(space, j, k)
-        n = support.pair(j, k)[:, x[k]]
-        scores -= spec.lambda_risk * g / (n + g)
-    scores -= spec.lambda_cost * (cost.level_costs[j] - float(cost.level_costs[j][x[j]]))
-    banned = spec.banned_levels.get(j, frozenset())
-    for lvl in banned:
-        scores[lvl] = np.nan
-    if spec.banned_configs:
-        for lvl in range(L):
-            if lvl not in banned and x[:j] + (lvl,) + x[j + 1:] in spec.banned_configs:
-                scores[lvl] = np.nan
-    return scores
+    tables = _search_tables(table, support, spec)
+    return float(_local_scores(tables, table, spec, cost, j, x)[level])
 
 
 def coordinate_ascent(table: EffectTable, support: SupportCounts, spec: ObjectiveSpec,
@@ -140,8 +139,9 @@ def coordinate_ascent(table: EffectTable, support: SupportCounts, spec: Objectiv
     """Sweep factors in declaration order until no strict improvement.
 
     Ties between equally good levels go to the lowest index, and a move is
-    accepted only when its gain exceeds ``eps_stop`` (default: any strictly
-    positive gain), which rules out equal-value cycles.
+    accepted only when its gain is strictly positive, which rules out
+    equal-value cycles. A converged endpoint is checked for 1-swap
+    optimality.
     """
     search = search or SearchSpec()
     space = table.space
@@ -150,19 +150,20 @@ def coordinate_ascent(table: EffectTable, support: SupportCounts, spec: Objectiv
     if not spec.feasible(x):
         raise InfeasibleConfigError(f"start configuration {x} is infeasible")
 
+    tables = _search_tables(table, support, spec)
     steps = [(0, x, objective(table, x, support, spec, cost))]
     termination = "max_sweeps"
     for sweep in range(1, search.max_sweeps + 1):
         improved = False
         for j in range(space.num_factors):
-            scores = _local_scores(table, support, spec, cost, j, x)
+            scores = _local_scores(tables, table, spec, cost, j, x)
             if np.all(np.isnan(scores)):
                 raise InfeasibleConfigError(
                     f"no feasible level for factor {space.names[j]!r} in context {x}"
                 )
             best = int(np.nanargmax(scores))
             gain = scores[best] - scores[x[j]]
-            if best != x[j] and gain > search.eps_stop:
+            if best != x[j] and gain > 0:
                 x = x[:j] + (best,) + x[j + 1:]
                 improved = True
         steps.append((sweep, x, objective(table, x, support, spec, cost)))
@@ -170,9 +171,8 @@ def coordinate_ascent(table: EffectTable, support: SupportCounts, spec: Objectiv
             termination = "converged"
             break
     trace = SearchTrace(steps, x, termination)
-    if termination == "converged" and search.eps_stop == 0.0:
-        ok, _ = verify_1swap(table, support, spec, cost, x)
-        trace.verified_1swap = ok
+    if termination == "converged":
+        trace.verified_1swap = _best_swap(tables, table, spec, cost, x) is None
     return x, trace
 
 
@@ -232,6 +232,23 @@ def multistart(table: EffectTable, support: SupportCounts, spec: ObjectiveSpec,
     return best[1], traces
 
 
+def _best_swap(tables, table: EffectTable, spec: ObjectiveSpec, cost: CostModel,
+               x: Config) -> tuple[int, int, float] | None:
+    """The single-factor substitution with the largest strictly positive
+    gain, as (factor, level, gain), or None."""
+    best: tuple[int, int, float] | None = None
+    for j in range(table.space.num_factors):
+        scores = _local_scores(tables, table, spec, cost, j, x)
+        base = scores[x[j]]
+        for lvl in range(len(scores)):
+            if lvl == x[j] or np.isnan(scores[lvl]):
+                continue
+            gain = float(scores[lvl] - base)
+            if gain > 0 and (best is None or gain > best[2]):
+                best = (j, lvl, gain)
+    return best
+
+
 def verify_1swap(table: EffectTable, support: SupportCounts, spec: ObjectiveSpec,
                  cost: CostModel | None, x: Sequence[int]
                  ) -> tuple[bool, tuple[int, int, float] | None]:
@@ -245,30 +262,13 @@ def verify_1swap(table: EffectTable, support: SupportCounts, spec: ObjectiveSpec
     x = space.validate_config(x)
     if not spec.feasible(x):
         raise InfeasibleConfigError(f"configuration {x} is infeasible")
-    worst: tuple[int, int, float] | None = None
-    for j in range(space.num_factors):
-        scores = _local_scores(table, support, spec, cost, j, x)
-        base = scores[x[j]]
-        for lvl in range(space.level_counts[j]):
-            if lvl == x[j] or np.isnan(scores[lvl]):
-                continue
-            gain = float(scores[lvl] - base)
-            if gain > 0 and (worst is None or gain > worst[2]):
-                worst = (j, lvl, gain)
-    return worst is None, worst
+    best = _best_swap(_search_tables(table, support, spec), table, spec, cost, x)
+    return best is None, best
 
 
 # ---------------------------------------------------------------------------
 # Dominance certificate
 # ---------------------------------------------------------------------------
-
-def _pair_score(table: EffectTable, support: SupportCounts, spec: ObjectiveSpec,
-                j: int, k: int) -> np.ndarray:
-    """Interaction-plus-risk contribution of factor k to factor j's local
-    objective, as an (L_j, L_k) matrix."""
-    g = spec.gamma_for(table.space, j, k)
-    return table.pair(j, k) - spec.lambda_risk * g / (support.pair(j, k) + g)
-
 
 def diag_dominance_check(table: EffectTable, support: SupportCounts,
                          spec: ObjectiveSpec, cost: CostModel | None = None,
@@ -297,8 +297,8 @@ def diag_dominance_check(table: EffectTable, support: SupportCounts,
     # Interaction-plus-risk score of factor k on factor j's allowed levels,
     # shared by the influence bounds and the margins.
     pair_scores = {
-        (j, k): _pair_score(table, support, spec, j, k)[np.ix_(allowed[j], allowed[k])]
-        for j in range(d) for k in range(d) if j != k
+        (j, k): (pair - risk)[np.ix_(allowed[j], allowed[k])]
+        for (j, k), (pair, risk) in _search_tables(table, support, spec).items()
     }
     influence = np.zeros((d, d))
     for (j, k), h in pair_scores.items():
@@ -317,13 +317,9 @@ def diag_dominance_check(table: EffectTable, support: SupportCounts,
         base = table.mains[j][allowed[j]] - spec.lambda_cost * cost.level_costs[j][allowed[j]]
         if n_contexts <= context_cap:
             # Tensor of local objectives: level axis first, one axis per context factor.
-            shape = [len(allowed[j])] + sizes
-            scores = np.zeros(shape)
-            scores += base.reshape([-1] + [1] * len(others))
-            for pos, k in enumerate(others):
-                s = [len(allowed[j])] + [1] * len(others)
-                s[1 + pos] = len(allowed[k])
-                scores = scores + pair_scores[j, k].reshape(s)
+            terms = [((0,), base)] + [((0, 1 + pos), pair_scores[j, k])
+                                      for pos, k in enumerate(others)]
+            scores = broadcast_sum(np.zeros([len(allowed[j])] + sizes), terms)
             flat = scores.reshape(len(allowed[j]), -1)
             contexts_checked.append(int(flat.shape[1]))
         else:
@@ -376,13 +372,10 @@ def two_swap_bound(table: EffectTable, support: SupportCounts, spec: ObjectiveSp
             total += spec.lambda_cost * max(
                 max(float(c[x[j]] - c[l]) for l in allowed), 0.0
             )
-    for j, k in space.pairs():
+    for (j, k), r in pair_risk(support, spec).items():
+        cells = np.ix_(spec.allowed_levels(space, j), spec.allowed_levels(space, k))
         mat = table.pairs[(j, k)]
-        sub = mat[np.ix_(spec.allowed_levels(space, j), spec.allowed_levels(space, k))]
-        total += max(float(sub.max() - mat[x[j], x[k]]), 0.0)
+        total += max(float(mat[cells].max() - mat[x[j], x[k]]), 0.0)
         if spec.lambda_risk:
-            gam = spec.gamma_for(space, j, k)
-            r = gam / (support.pair_counts[(j, k)] + gam)
-            rsub = r[np.ix_(spec.allowed_levels(space, j), spec.allowed_levels(space, k))]
-            total += spec.lambda_risk * max(float(r[x[j], x[k]] - rsub.min()), 0.0)
+            total += spec.lambda_risk * max(float(r[x[j], x[k]] - r[cells].min()), 0.0)
     return total

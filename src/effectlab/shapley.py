@@ -244,9 +244,7 @@ def exact_shapley(oracle: ValueOracle, points: Sequence[Sequence[int]]) -> list[
     contributions are reduced for the whole chunk at once."""
     space = oracle.space
     d = space.num_factors
-    X = np.asarray(points, dtype=np.intp).reshape(-1, d)
-    if ((X < 0) | (X >= np.asarray(space.level_counts))).any():
-        raise ValueError("level index out of range in an evaluation point")
+    X = space.validate_configs(points)
     masks = np.arange(1 << d)
     sizes = sum((masks >> j) & 1 for j in range(d))
     fact = [math.factorial(i) for i in range(d + 1)]
@@ -380,7 +378,8 @@ def build_design_matrix(eval_set: Sequence[Sequence[int]], space: FactorSpace,
     reference = reference or ReferenceDistribution.uniform(space)
     if not reference.is_product:
         raise ValueError("design matrix needs a product-form reference")
-    configs = tuple(space.validate_config(x) for x in eval_set)
+    X = space.validate_configs(eval_set)
+    configs = tuple(map(tuple, X.tolist()))
     d = space.num_factors
 
     bases = [_centered_basis(reference.marginal(j)) for j in range(d)]
@@ -397,7 +396,6 @@ def build_design_matrix(eval_set: Sequence[Sequence[int]], space: FactorSpace,
 
     # Row i*d + j is factor j's attribution at point i: its own main block,
     # and half of every pair block it belongs to.
-    X = np.array(configs, dtype=np.intp)
     n = len(configs)
     U = [bases[j][X[:, j]] for j in range(d)]
     A3 = np.zeros((n, d, col))

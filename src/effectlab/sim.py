@@ -19,7 +19,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .effects import EffectTable, ShrinkageSpec, estimate_effects_cm
-from .objective import CostModel, ObjectiveSpec, predict_grid
+from .objective import CostModel, ObjectiveSpec, broadcast_sum, predict_grid
 from .optimize import SearchSpec, multistart
 from .shapley import ValueOracle, exact_shapley, fit_effects_sf, mc_shapley
 from .space import (
@@ -120,28 +120,6 @@ def gen_teacher(spec: TeacherSpec) -> Teacher:
             m = np.zeros((Lj, Lk))
         pairs[(j, k)] = m
 
-    values = np.zeros(space.level_counts)
-    for j, g in enumerate(mains):
-        shape = [1] * d
-        shape[j] = len(g)
-        values = values + g.reshape(shape)
-    for (j, k), m in pairs.items():
-        shape = [1] * d
-        shape[j], shape[k] = m.shape
-        values = values + m.reshape(shape)
-
-    residual = np.zeros(space.level_counts)
-    if spec.residual_scale > 0 and d >= 3:
-        triple = sorted(rng.choice(d, size=3, replace=False).tolist())
-        t = rng.normal(0.0, spec.residual_scale,
-                       size=tuple(space.level_counts[j] for j in triple))
-        t = _triple_center(t)
-        shape = [1] * d
-        for pos, j in enumerate(triple):
-            shape[j] = t.shape[pos]
-        residual = residual + t.reshape(shape)
-    values = values + residual
-
     truth = EffectTable(
         space=space,
         reference=ReferenceDistribution.uniform(space),
@@ -150,6 +128,13 @@ def gen_teacher(spec: TeacherSpec) -> Teacher:
         pairs=pairs,
         provenance="truth",
     )
+    residual = np.zeros(space.level_counts)
+    if spec.residual_scale > 0 and d >= 3:
+        triple = sorted(rng.choice(d, size=3, replace=False).tolist())
+        t = rng.normal(0.0, spec.residual_scale,
+                       size=tuple(space.level_counts[j] for j in triple))
+        residual = broadcast_sum(residual, [(triple, _triple_center(t))])
+    values = predict_grid(truth) + residual
     return Teacher(spec, truth, values, residual, bound=float(np.abs(values).max()))
 
 

@@ -98,6 +98,19 @@ class FactorSpace:
                 raise ValueError(f"level index {lvl} out of range for factor {self.factors[j].name!r}")
         return tuple(int(v) for v in config)
 
+    def validate_configs(self, configs: ArrayLike) -> np.ndarray:
+        """``validate_config`` for many configurations in one pass: an
+        ``(n, d)`` level-index matrix."""
+        X = np.asarray(configs, dtype=np.intp)
+        if X.ndim != 2 or X.shape[1] != self.num_factors:
+            raise ValueError(f"configs have shape {X.shape}, expected (n, {self.num_factors})")
+        bad = (X < 0) | (X >= np.array(self.level_counts))
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ValueError(f"level index {X[i, j]} out of range for factor "
+                             f"{self.factors[j].name!r}")
+        return X
+
     def labels_for(self, config: Sequence[int]) -> tuple[str, ...]:
         return tuple(self.factors[j].levels[lvl] for j, lvl in enumerate(config))
 
@@ -180,6 +193,9 @@ class ReferenceDistribution:
             total = probs.sum()
             if abs(total - 1.0) > 1e-12:
                 raise ValueError(f"joint histogram sums to {total}, not 1")
+            # Kept for marginal and pair: key matrix and probabilities in dict order.
+            object.__setattr__(self, "_configs", configs)
+            object.__setattr__(self, "_probs", probs)
         else:
             raise ValueError(f"unknown reference kind {self.kind!r}")
 
@@ -211,19 +227,16 @@ class ReferenceDistribution:
     def marginal(self, j: int) -> np.ndarray:
         if self.is_product:
             return self.marginals[j]
-        out = np.zeros(self.space.level_counts[j])
-        for cfg, p in self.joint.items():
-            out[cfg[j]] += p
-        return out
+        return np.bincount(self._configs[:, j], weights=self._probs,
+                           minlength=self.space.level_counts[j])
 
     def pair(self, j: int, k: int) -> np.ndarray:
         """Joint pi_jk(l, m) as an (L_j, L_k) matrix."""
         if self.is_product:
             return np.outer(self.marginals[j], self.marginals[k])
-        out = np.zeros((self.space.level_counts[j], self.space.level_counts[k]))
-        for cfg, p in self.joint.items():
-            out[cfg[j], cfg[k]] += p
-        return out
+        Lj, Lk = self.space.level_counts[j], self.space.level_counts[k]
+        cell = self._configs[:, j] * Lk + self._configs[:, k]
+        return np.bincount(cell, weights=self._probs, minlength=Lj * Lk).reshape(Lj, Lk)
 
     def product_marginals(self) -> "ReferenceDistribution":
         """Product-form reference built from this distribution's marginals."""

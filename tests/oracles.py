@@ -476,3 +476,155 @@ def empirical_joint_loop(configs, weights):
         hist[cfg] = hist.get(cfg, 0.0) + float(w)
         total += float(w)
     return {cfg: w / total for cfg, w in hist.items() if w > 0}
+
+
+def reference_marginal_loop(joint, level_count, j):
+    """Marginal of factor j of a joint histogram, summed in dict order."""
+    out = np.zeros(level_count)
+    for cfg, p in joint.items():
+        out[cfg[j]] += p
+    return out
+
+
+def reference_pair_loop(joint, level_counts, j, k):
+    """Joint of factors j and k of a joint histogram, summed in dict order."""
+    out = np.zeros((level_counts[j], level_counts[k]))
+    for cfg, p in joint.items():
+        out[cfg[j], cfg[k]] += p
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Objective and search, one pair and one gamma lookup at a time
+# ---------------------------------------------------------------------------
+
+def risk_penalty_loop(support, x, spec):
+    """Sum over factor pairs of gamma / (n_jk + gamma) at x."""
+    space = support.space
+    total = 0.0
+    for j, k in space.pairs():
+        g = spec.gamma_for(space, j, k)
+        n = support.pair_counts[(j, k)][x[j], x[k]]
+        total += g / (n + g)
+    return total
+
+
+def _grid_add(out, term, axes):
+    shape = [1] * out.ndim
+    for ax, n in zip(axes, term.shape):
+        shape[ax] = n
+    return out + term.reshape(shape)
+
+
+def risk_grid_loop(support, spec):
+    space = support.space
+    out = np.zeros(space.level_counts)
+    for j, k in space.pairs():
+        g = spec.gamma_for(space, j, k)
+        out = _grid_add(out, g / (support.pair_counts[(j, k)] + g), (j, k))
+    return out
+
+
+def predict_grid_loop(table):
+    out = np.full(table.space.level_counts, table.mu, dtype=float)
+    for j, g in enumerate(table.mains):
+        out = _grid_add(out, g, (j,))
+    for (j, k), mat in table.pairs.items():
+        out = _grid_add(out, mat, (j, k))
+    return out
+
+
+def objective_loop(table, support, spec, cost, x):
+    """J(x) in the library's summation order: prediction, then the scaled
+    risk sum, then the scaled cost."""
+    value = table.mu
+    for j, g in enumerate(table.mains):
+        value += float(g[x[j]])
+    for (j, k), mat in table.pairs.items():
+        value += float(mat[x[j], x[k]])
+    value -= spec.lambda_risk * risk_penalty_loop(support, x, spec)
+    value -= spec.lambda_cost * (cost.offset + sum(float(cost.level_costs[j][x[j]])
+                                                   for j in range(len(x))))
+    return value
+
+
+def local_scores_loop(table, support, spec, cost, j, x):
+    """Local objectives over the levels of factor j in context x (NaN for a
+    banned level or a banned swapped configuration), each other factor's
+    gamma and risk vector looked up afresh."""
+    space = table.space
+    scores = table.mains[j].astype(float).copy()
+    for k in range(space.num_factors):
+        if k == j:
+            continue
+        scores += table.pair(j, k)[:, x[k]]
+        g = spec.gamma_for(space, j, k)
+        n = support.pair(j, k)[:, x[k]]
+        scores -= spec.lambda_risk * g / (n + g)
+    scores -= spec.lambda_cost * (cost.level_costs[j] - float(cost.level_costs[j][x[j]]))
+    banned = spec.banned_levels.get(j, frozenset())
+    for lvl in banned:
+        scores[lvl] = np.nan
+    for lvl in range(len(scores)):
+        if lvl not in banned and x[:j] + (lvl,) + x[j + 1:] in spec.banned_configs:
+            scores[lvl] = np.nan
+    return scores
+
+
+def local_gain_loop(table, support, spec, cost, j, level, x):
+    """One entry of ``local_scores_loop`` as a scalar sum."""
+    space = table.space
+    total = float(table.mains[j][level])
+    for k in range(space.num_factors):
+        if k == j:
+            continue
+        total += float(table.pair(j, k)[level, x[k]])
+        g = spec.gamma_for(space, j, k)
+        n = support.pair(j, k)[level, x[k]]
+        total -= spec.lambda_risk * g / (n + g)
+    total -= spec.lambda_cost * (float(cost.level_costs[j][level])
+                                 - float(cost.level_costs[j][x[j]]))
+    return total
+
+
+def ascent_loop(table, support, spec, cost, start, max_sweeps):
+    """Coordinate ascent from ``start``: per sweep, each factor in order moves
+    to its best level (lowest index on ties) when the gain is strictly
+    positive. Returns (steps, final, termination)."""
+    x = tuple(start)
+    steps = [(0, x, objective_loop(table, support, spec, cost, x))]
+    for sweep in range(1, max_sweeps + 1):
+        improved = False
+        for j in range(len(x)):
+            scores = local_scores_loop(table, support, spec, cost, j, x)
+            best = int(np.nanargmax(scores))
+            if best != x[j] and scores[best] - scores[x[j]] > 0:
+                x = x[:j] + (best,) + x[j + 1:]
+                improved = True
+        steps.append((sweep, x, objective_loop(table, support, spec, cost, x)))
+        if not improved:
+            return steps, x, "converged"
+    return steps, x, "max_sweeps"
+
+
+def two_swap_bound_loop(table, support, spec, cost, x):
+    """Positive-part maxima of main, interaction, risk-saving and
+    cost-saving terms over the allowed levels, for a 1-swap optimal x."""
+    space = table.space
+    total = 0.0
+    for j in range(space.num_factors):
+        allowed = spec.allowed_levels(space, j)
+        g = table.mains[j]
+        total += max(max(float(g[l] - g[x[j]]) for l in allowed), 0.0)
+        if spec.lambda_cost:
+            c = cost.level_costs[j]
+            total += spec.lambda_cost * max(max(float(c[x[j]] - c[l]) for l in allowed), 0.0)
+    for j, k in space.pairs():
+        cells = np.ix_(spec.allowed_levels(space, j), spec.allowed_levels(space, k))
+        mat = table.pairs[(j, k)]
+        total += max(float(mat[cells].max() - mat[x[j], x[k]]), 0.0)
+        if spec.lambda_risk:
+            gam = spec.gamma_for(space, j, k)
+            r = gam / (support.pair_counts[(j, k)] + gam)
+            total += spec.lambda_risk * max(float(r[x[j], x[k]] - r[cells].min()), 0.0)
+    return total

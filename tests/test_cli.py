@@ -405,3 +405,25 @@ def test_ablate_smoke(tmp_path):
     assert rc == 0
     rows = read_csv(out / "ablation.csv")
     assert {r["cell"] for r in rows} == {"2", "4", "8", "16"}
+
+
+@pytest.mark.parametrize("command, extra, field", [
+    ("optimize", ["--gamma", "nan"], "gamma"),
+    ("optimize", ["--gamma", "inf"], "gamma"),
+    ("optimize", ["--lambda-risk", "nan"], "lambda_risk"),
+    ("optimize", ["--lambda-cost", "inf"], "lambda_cost"),
+    ("optimize", ["--objective", "{objective}"], "offset"),
+    ("estimate", ["--tau", "nan"], "tau_main"),
+])
+def test_non_finite_parameters_rejected(workspace, command, extra, field):
+    tmp, space, log = workspace
+    objective_file = tmp / "nan_offset.json"
+    objective_file.write_text(json.dumps({"cost_offset": float("nan")}))
+    out = tmp / "nonfinite"
+    extra = [a.format(objective=objective_file) for a in extra]
+    rc = main([command, "--space", str(space), "--log", str(log), "--out", str(out), *extra])
+    assert rc == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ValueError"
+    assert field in err["message"] and "finite" in err["message"]
+    assert not (out / "chosen.json").exists() and not (out / "effects.json").exists()

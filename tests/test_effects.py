@@ -490,3 +490,14 @@ def test_tau_must_be_positive():
         ShrinkageSpec(tau_main=0.0)
     with pytest.raises(ValueError):
         ShrinkageSpec(tau_pair=-1.0)
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"tau_main": float("nan")}, "tau_main"),
+    ({"tau_pair": float("inf")}, "tau_pair"),
+    ({"tau_main": {"a": float("nan")}}, "tau_main"),
+    ({"tau_pair": {"a|b": float("inf")}}, "tau_pair"),
+])
+def test_tau_must_be_finite(kwargs, field):
+    with pytest.raises(ValueError, match=f"{field}.*finite"):
+        ShrinkageSpec(**kwargs)

@@ -212,3 +212,24 @@ def test_spec_from_dict_gamma_per_pair():
     spec = ObjectiveSpec.from_dict(space, {"gamma": {"a|b": 1.0, "a|c": 2.0, "b|c": 3.0}})
     assert [spec.gamma_for(space, j, k) for j, k in space.pairs()] == [1.0, 2.0, 3.0]
     assert spec.gamma_for(space, 2, 1) == 3.0
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"lambda_risk": float("nan")}, "lambda_risk"),
+    ({"lambda_cost": float("inf")}, "lambda_cost"),
+    ({"lambda_risk": float("-inf")}, "lambda_risk"),
+    ({"gamma": float("nan")}, "gamma"),
+    ({"gamma": float("inf")}, "gamma"),
+    ({"gamma": {"a|b": float("nan")}}, "gamma"),
+])
+def test_spec_rejects_non_finite_parameters(kwargs, field):
+    with pytest.raises(ValueError, match=f"{field}.*finite"):
+        ObjectiveSpec(**kwargs)
+
+
+@pytest.mark.parametrize("offset", [float("nan"), float("inf"), float("-inf")])
+def test_cost_model_rejects_non_finite_offset(space_2x2, offset):
+    with pytest.raises(ValueError, match="offset.*finite"):
+        CostModel(space_2x2, (np.zeros(2), np.zeros(2)), offset=offset)
+    with pytest.raises(ValueError, match="offset.*finite"):
+        CostModel.from_dict(space_2x2, {"cost_offset": offset})

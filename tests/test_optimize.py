@@ -22,12 +22,25 @@ from effectlab import (
     near_opt_bound,
     objective,
     objective_grid,
+    predict_grid,
+    risk_penalty,
     support_counts,
     two_swap_bound,
     verify_1swap,
 )
+from effectlab.objective import risk_grid
+from effectlab.optimize import _local_scores, _search_tables
 from conftest import full_grid_log, random_space
-from oracles import dominance_loop
+from oracles import (
+    ascent_loop,
+    dominance_loop,
+    local_gain_loop,
+    local_scores_loop,
+    predict_grid_loop,
+    risk_grid_loop,
+    risk_penalty_loop,
+    two_swap_bound_loop,
+)
 
 TINY_TAU = ShrinkageSpec(tau_main=1e-12, tau_pair=1e-12)
 
@@ -385,6 +398,62 @@ def test_dominance_matches_context_loop(problem):
     assert report.holds == holds
     assert report.exact == exact
     assert report.contexts_checked == checked
+
+
+@settings(max_examples=60, deadline=None)
+@given(dominance_problems)
+def test_shared_tables_match_pair_loops(problem):
+    """Every reader of the pair-risk table against the per-pair gamma loops,
+    with a per-pair gamma mapping, banned levels and a banned config. Floats
+    must be equal, and every multistart trace must replay step for step."""
+    factors, seed, _, restarts, search_seed, ban_config = problem
+    rng = np.random.default_rng(seed)
+    levels = [L for L, _ in factors]
+    space = build_space([(f"f{j}", [f"l{t}" for t in range(L)]) for j, L in enumerate(levels)])
+    n = int(rng.integers(3, 40))
+    configs = np.stack([rng.integers(0, L, size=n) for L in levels], axis=1)
+    log = log_from_arrays(space, configs, rng.normal(0.0, 2.0, size=n))
+    table = estimate_effects_cm(log, shrinkage=ShrinkageSpec(tau_main=0.5, tau_pair=0.5))
+    support = table.support
+    banned = {j: frozenset(rng.permutation(L)[: min(b, L - 1)].tolist())
+              for j, (L, b) in enumerate(factors) if b}
+    banned_configs = frozenset({tuple(int(c) for c in configs[0])}) if ban_config else frozenset()
+    gamma = {f"f{j}|f{k}": float(rng.uniform(0.5, 3.0)) for j, k in space.pairs()}
+    spec = ObjectiveSpec(lambda_risk=float(rng.uniform(0, 2)),
+                         lambda_cost=float(rng.uniform(0, 1)), gamma=gamma,
+                         banned_levels=banned, banned_configs=banned_configs)
+    cost = CostModel(space, tuple(rng.uniform(0, 1, size=L) for L in levels),
+                     offset=float(rng.uniform(-1, 1)))
+
+    assert np.array_equal(predict_grid(table), predict_grid_loop(table))
+    assert np.array_equal(risk_grid(support, spec), risk_grid_loop(support, spec))
+    tables = _search_tables(table, support, spec)
+    for x in map(tuple, configs.tolist()):
+        assert risk_penalty(support, x, spec) == risk_penalty_loop(support, x, spec)
+        for j in range(space.num_factors):
+            scores = _local_scores(tables, table, spec, cost, j, x)
+            assert np.array_equal(scores, local_scores_loop(table, support, spec, cost, j, x),
+                                  equal_nan=True)
+            for lvl in np.flatnonzero(~np.isnan(scores)).tolist():
+                assert (local_gain(table, support, spec, cost, j, lvl, x)
+                        == local_gain_loop(table, support, spec, cost, j, lvl, x))
+
+    search = SearchSpec(restarts=restarts % 6 + 1, beam=2, seed=search_seed)
+    try:
+        best, traces = multistart(table, support, spec, cost, search)
+    except InfeasibleConfigError:
+        return  # every start hit the banned config
+    for trace in traces:
+        steps, final, termination = ascent_loop(table, support, spec, cost,
+                                                trace.steps[0][1], search.max_sweeps)
+        assert (trace.steps, trace.final, trace.termination) == (steps, final, termination)
+        if termination == "converged":
+            assert trace.verified_1swap
+            assert (two_swap_bound(table, support, spec, cost, final)
+                    == two_swap_bound_loop(table, support, spec, cost, final))
+    assert best == max((t.final for t in traces),
+                       key=lambda x: (objective(table, x, support, spec, cost),
+                                      tuple(-c for c in x)))
 
 
 # ---------------------------------------------------------------------------

@@ -300,9 +300,27 @@ def test_batched_exact_rejects_out_of_range_points(space_2x2):
         exact_shapley(oracle, [(0, 0), (0, 2)])
 
 
+def test_batched_exact_rejects_points_of_wrong_width(space_2x2):
+    """Two 3-coordinate points must not be read as three 2-factor points."""
+    oracle = xor_oracle(space_2x2)
+    with pytest.raises(ValueError, match=r"expected \(n, 2\)"):
+        exact_shapley(oracle, [(0, 1, 0), (1, 0, 1)])
+
+
 # ---------------------------------------------------------------------------
 # Design matrix and least squares
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("points, match", [
+    ([(0, 0), (0, 2)], "out of range"),
+    ([(0, 0), (-1, 0)], "out of range"),
+    ([(0, 0, 0)], r"expected \(n, 2\)"),
+    ([0, 1], r"expected \(n, 2\)"),
+])
+def test_design_matrix_rejects_bad_points(space_2x2, points, match):
+    with pytest.raises(ValueError, match=match):
+        build_design_matrix(points, space_2x2)
+
 
 def test_design_matrix_full_grid_identifiable(space_2x2):
     dm = build_design_matrix(enumerate_grid(space_2x2), space_2x2)

@@ -22,6 +22,8 @@ from oracles import (
     empirical_joint_loop,
     ingest_log_loop,
     log_columns_loop,
+    reference_marginal_loop,
+    reference_pair_loop,
     sample_design_loop,
 )
 
@@ -481,3 +483,17 @@ def test_empirical_joint_matches_record_loop(recs):
     # Same keys in the same order and the same floats: the marginals sum
     # the joint in key order.
     assert list(ref.joint.items()) == list(want.items())
+
+
+@given(records())
+@settings(max_examples=60, deadline=None)
+def test_empirical_marginal_and_pair_match_dict_loop(recs):
+    space, configs, responses, weights, seeds = recs
+    ref = ReferenceDistribution.empirical(log_from_arrays(space, configs, responses, weights))
+    d, counts = space.num_factors, space.level_counts
+    for j in range(d):
+        assert np.array_equal(ref.marginal(j), reference_marginal_loop(ref.joint, counts[j], j))
+        for k in range(d):
+            if k != j:
+                assert np.array_equal(ref.pair(j, k),
+                                      reference_pair_loop(ref.joint, counts, j, k))
