@@ -10,7 +10,6 @@ records with replacement.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Mapping
@@ -22,7 +21,9 @@ from .space import (
     ReferenceDistribution,
     RunLog,
     SupportCounts,
+    cell_sums,
     distinct_configs,
+    pair_cell_labels,
     support_counts,
 )
 
@@ -71,7 +72,8 @@ class EffectTable:
     ``mains[j]`` holds the centered, shrunk effect per level of factor ``j``;
     ``pairs[(j, k)]`` (j < k) holds the doubly centered interaction matrix.
     ``level_means[j]`` keeps the raw weighted conditional means that the
-    effects were derived from (NaN where unsupported). ``replicates`` holds
+    effects were derived from (NaN where unsupported). A cell is unsupported
+    where its summed weight in ``support`` is zero. ``replicates`` holds
     the bootstrap estimates behind the intervals, when there are any;
     ``attributions`` holds the Shapley estimates an SF table was fit to.
     """
@@ -84,8 +86,6 @@ class EffectTable:
     support: SupportCounts | None = None
     provenance: str = "CM"
     level_means: tuple[np.ndarray, ...] | None = None
-    mains_unsupported: tuple[np.ndarray, ...] | None = None
-    pairs_unsupported: dict[tuple[int, int], np.ndarray] | None = None
     mu_ci: np.ndarray | None = None
     mains_se: tuple[np.ndarray, ...] | None = None
     mains_ci: tuple[np.ndarray, ...] | None = None
@@ -114,14 +114,11 @@ class EffectTable:
             f.name: {lbl: float(v) for lbl, v in zip(f.levels, g)}
             for f, g in zip(space.factors, self.mains)
         }
-        pairs = {}
-        for (j, k), mat in self.pairs.items():
-            fj, fk = space.factors[j], space.factors[k]
-            pairs[f"{fj.name}|{fk.name}"] = {
-                f"{fj.levels[a]}|{fk.levels[b]}": float(mat[a, b])
-                for a in range(fj.num_levels)
-                for b in range(fk.num_levels)
-            }
+        pairs = {
+            f"{space.names[j]}|{space.names[k]}":
+                dict(zip(pair_cell_labels(space, j, k), mat.ravel().tolist()))
+            for (j, k), mat in self.pairs.items()
+        }
         out = {
             "mu": self.mu,
             "mains": mains,
@@ -140,12 +137,8 @@ class EffectTable:
             }
         if self.pairs_ci is not None:
             ci["pairs"] = {
-                f"{space.names[j]}|{space.names[k]}": {
-                    f"{space.factors[j].levels[a]}|{space.factors[k].levels[b]}":
-                        [float(mat[a, b, 0]), float(mat[a, b, 1])]
-                    for a in range(space.level_counts[j])
-                    for b in range(space.level_counts[k])
-                }
+                f"{space.names[j]}|{space.names[k]}":
+                    dict(zip(pair_cell_labels(space, j, k), mat.reshape(-1, 2).tolist()))
                 for (j, k), mat in self.pairs_ci.items()
             }
         out["ci"] = ci or None
@@ -163,10 +156,9 @@ def table_from_dict(data: Mapping, space: FactorSpace,
         mains.append(np.array([float(row[lbl]) for lbl in f.levels]))
     pairs = {}
     for j, k in space.pairs():
-        fj, fk = space.factors[j], space.factors[k]
-        cell = data["pairs"][f"{fj.name}|{fk.name}"]
-        mat = np.array([[float(cell[f"{a}|{b}"]) for b in fk.levels] for a in fj.levels])
-        pairs[(j, k)] = mat
+        cell = data["pairs"][f"{space.names[j]}|{space.names[k]}"]
+        values = [float(cell[key]) for key in pair_cell_labels(space, j, k)]
+        pairs[(j, k)] = np.array(values).reshape(space.level_counts[j], space.level_counts[k])
     return EffectTable(
         space=space,
         reference=reference,
@@ -260,58 +252,28 @@ def double_center(mat: np.ndarray, joint: np.ndarray,
 BOOTSTRAP_CHUNK = 8  # replicates per batch; bounds the per-configuration sums held at once
 
 
-def _cell_sums(units: np.ndarray, stats: np.ndarray, space: FactorSpace) -> list[np.ndarray]:
-    """Sum additive unit statistics into every main and pair cell.
-
-    ``units`` (U, d) holds each unit's configuration, where a unit is one
-    record or one distinct configuration, and ``stats`` (S, C, U) holds S
-    statistics of C samples per unit. Returns one (S, C, cells) array per
-    factor, then one per pair in ``space.pairs()`` order.
-    """
-    S, C, U = stats.shape
-    flat = stats.reshape(S, C * U)
-    counts = space.level_counts
-    mains = ((units[:, j], L) for j, L in enumerate(counts))
-    pairs = ((units[:, j] * counts[k] + units[:, k], counts[j] * counts[k])
-             for j, k in space.pairs())
-    sample = np.arange(C)[:, None]
-    out = []
-    for cell, size in itertools.chain(mains, pairs):
-        key = (sample * size + cell).ravel()
-        sums = [np.bincount(key, weights=s, minlength=C * size) for s in flat]
-        out.append(np.stack(sums).reshape(S, C, size))
-    return out
-
-
-def _estimate_batch(units: np.ndarray, stats: np.ndarray, space: FactorSpace,
+def _estimate_batch(level_sums, pair_sums, mu: np.ndarray, space: FactorSpace,
                     marginals: list[np.ndarray], joints: dict[tuple[int, int], np.ndarray],
                     shrinkage: ShrinkageSpec):
     """The CM estimator on C samples at once.
 
-    ``stats`` (3, C, U) holds the weight, weight x response and record count
-    of every unit in each sample (see ``_cell_sums``); every sample needs
-    positive total weight. ``marginals`` and ``joints`` are the reference's
-    centering weights. Returns mu (C,), mains (C, L_j), pairs
-    (C, L_j, L_k), level means (C, L_j) with NaN where a level has no weight,
-    and the empty-cell masks of the mains and the pairs.
+    ``level_sums`` (one (S, C, L_j) array per factor) and ``pair_sums`` (one
+    (S, C, L_j, L_k) array per pair) start with each cell's summed weight,
+    weight x response and record count, as ``cell_sums`` lays them out;
+    ``mu`` (C,) is each sample's weighted mean response. ``marginals`` and
+    ``joints`` are the reference's centering weights. Returns mains
+    (C, L_j), pairs (C, L_j, L_k) and level means (C, L_j) with NaN where a
+    level has no weight.
     """
-    counts = space.level_counts
-    d = space.num_factors
-    sums = _cell_sums(units, stats, space)
-    totals = stats[:2].sum(axis=-1)
-    mu = totals[1] / totals[0]
-
     def means_of(s):
         return np.divide(s[1], s[0], out=np.full(s[0].shape, np.nan), where=s[0] > 0)
 
-    level_means = tuple(means_of(s) for s in sums[:d])
-    pair_keys = space.pairs()
-    pair_means = {(j, k): means_of(s).reshape(-1, counts[j], counts[k])
-                  for (j, k), s in zip(pair_keys, sums[d:])}
+    level_means = tuple(means_of(s) for s in level_sums)
+    pair_means = {jk: means_of(s) for jk, s in pair_sums.items()}
     mains_missing = tuple(np.isnan(m) for m in level_means)
     pairs_missing = {jk: np.isnan(m) for jk, m in pair_means.items()}
 
-    # Raw differenced effects; empty cells contribute zero and stay flagged.
+    # Raw differenced effects; empty cells contribute zero.
     mains = [np.where(miss, 0.0, m - mu[:, None]) for m, miss in zip(level_means, mains_missing)]
     filled = [np.where(miss, mu[:, None], m) for m, miss in zip(level_means, mains_missing)]
     pairs = {}
@@ -322,11 +284,10 @@ def _estimate_batch(units: np.ndarray, stats: np.ndarray, space: FactorSpace,
     # Record counts, zero-weight records included, set the shrinkage.
     mains, pairs = _finalize(
         space, mains, pairs, marginals, joints, shrinkage,
-        [s[2] for s in sums[:d]],
-        {(j, k): s[2].reshape(-1, counts[j], counts[k]) for (j, k), s in zip(pair_keys, sums[d:])},
+        [s[2] for s in level_sums], {jk: s[2] for jk, s in pair_sums.items()},
         mains_missing, pairs_missing,
     )
-    return mu, mains, pairs, level_means, mains_missing, pairs_missing
+    return mains, pairs, level_means
 
 
 def _finalize(space: FactorSpace, mains, pairs, marginals, joints, shrinkage: ShrinkageSpec,
@@ -363,45 +324,31 @@ def _centering_weights(space: FactorSpace, reference: ReferenceDistribution):
     return marginals, joints
 
 
-def _estimate_arrays(configs: np.ndarray, resp: np.ndarray, w: np.ndarray,
-                     space: FactorSpace, reference: ReferenceDistribution,
-                     shrinkage: ShrinkageSpec):
-    """The CM estimator on one sample of records, as a batch of one."""
-    if w.sum() <= 0:
-        raise ValueError("total weight is zero")
-    stats = np.empty((3, 1, len(w)))
-    stats[0, 0] = w
-    np.multiply(w, resp, out=stats[1, 0])
-    stats[2, 0] = 1.0
-    mu, mains, pairs, level_means, m_miss, p_miss = _estimate_batch(
-        configs, stats, space, *_centering_weights(space, reference), shrinkage
-    )
-    return (float(mu[0]), tuple(g[0] for g in mains), {jk: g[0] for jk, g in pairs.items()},
-            tuple(m[0] for m in level_means), tuple(m[0] for m in m_miss),
-            {jk: m[0] for jk, m in p_miss.items()})
-
-
 def estimate_effects_cm(log: RunLog, reference: ReferenceDistribution | None = None,
                         shrinkage: ShrinkageSpec | None = None) -> EffectTable:
     """Conditional-mean effect table: raw estimates, exact re-centering,
-    pseudo-count shrinkage, and a final re-centering."""
+    pseudo-count shrinkage, and a final re-centering, all from the log's
+    per-cell sums."""
     space = log.space
     reference = reference or ReferenceDistribution.uniform(space)
     shrinkage = shrinkage or ShrinkageSpec()
-    mu, mains, pairs, level_means, m_miss, p_miss = _estimate_arrays(
-        log.configs_array, log.responses, log.weights, space, reference, shrinkage
+    support = support_counts(log)
+    w = log.weights
+    mu = (w * log.responses).sum() / w.sum()
+    mains, pairs, level_means = _estimate_batch(
+        tuple(s[:, None] for s in support.level_sums),
+        {jk: s[:, None] for jk, s in support.pair_sums.items()},
+        np.array([mu]), space, *_centering_weights(space, reference), shrinkage,
     )
     return EffectTable(
         space=space,
         reference=reference,
-        mu=mu,
-        mains=mains,
-        pairs=pairs,
-        support=support_counts(log),
+        mu=float(mu),
+        mains=tuple(g[0] for g in mains),
+        pairs={jk: g[0] for jk, g in pairs.items()},
+        support=support,
         provenance="CM",
-        level_means=level_means,
-        mains_unsupported=m_miss,
-        pairs_unsupported=p_miss,
+        level_means=tuple(m[0] for m in level_means),
     )
 
 
@@ -429,8 +376,8 @@ def bootstrap_replicates(log: RunLog, reference: ReferenceDistribution | None = 
     seed sequence, so results do not depend on evaluation order; a draw with
     no positive weight falls back to the original sample. Each draw is
     reduced to weight, weight x response and count per distinct
-    configuration, and ``BOOTSTRAP_CHUNK`` draws at a time are estimated in
-    one batch.
+    configuration, and ``BOOTSTRAP_CHUNK`` draws at a time are summed into
+    cells and estimated in one batch.
     """
     space = log.space
     reference = reference or ReferenceDistribution.uniform(space)
@@ -462,11 +409,12 @@ def bootstrap_replicates(log: RunLog, reference: ReferenceDistribution | None = 
             stats[0, c] = np.bincount(key, weights=wb, minlength=U)
             stats[1, c] = np.bincount(key, weights=wy[idx], minlength=U)
             stats[2, c] = np.bincount(key, minlength=U)
-        mu_c, mains_c, pairs_c, means_c, _, _ = _estimate_batch(
-            units, stats, space, *centering, shrinkage
-        )
+        totals = stats[:2].sum(axis=-1)
         rows = slice(start, start + len(chunk))
-        mu[rows] = mu_c
+        mu[rows] = totals[1] / totals[0]
+        mains_c, pairs_c, means_c = _estimate_batch(
+            *cell_sums(units, stats, space), mu[rows], space, *centering, shrinkage
+        )
         for j in range(space.num_factors):
             mains[j][rows] = mains_c[j]
             level_means[j][rows] = means_c[j]

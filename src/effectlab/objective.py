@@ -22,6 +22,27 @@ class InfeasibleConfigError(ValueError):
     """The configuration is outside the feasible set."""
 
 
+# Top-level keys of an objective document, read by ObjectiveSpec and CostModel.
+OBJECTIVE_KEYS = ("lambda_risk", "lambda_cost", "gamma", "banned_levels", "banned_configs",
+                  "costs", "cost_offset")
+
+
+def _check_document(space: FactorSpace, data: Mapping) -> None:
+    """Reject an unknown top-level key, or an unknown factor or level label
+    under ``costs``, naming the first one."""
+    unknown = [f"key {key!r}" for key in data if key not in OBJECTIVE_KEYS]
+    for name, row in data.get("costs", {}).items():
+        if name not in space.names:
+            unknown.append(f"factor {name!r} under costs")
+            continue
+        levels = space.factors[space.index_of(name)].levels
+        unknown += [f"level {lbl!r} of factor {name!r} under costs"
+                    for lbl in row if lbl not in levels]
+    if unknown:
+        raise ValueError(f"objective document: unknown {unknown[0]}; the top-level keys "
+                         f"are {', '.join(OBJECTIVE_KEYS)}")
+
+
 @dataclass(frozen=True, eq=False)
 class CostModel:
     """Additive cost: a fixed offset plus one term per factor level."""
@@ -47,6 +68,7 @@ class CostModel:
 
     @classmethod
     def from_dict(cls, space: FactorSpace, data: Mapping) -> "CostModel":
+        _check_document(space, data)
         costs = []
         table = data.get("costs", {})
         for f in space.factors:
@@ -98,8 +120,10 @@ class ObjectiveSpec:
 
     @classmethod
     def from_dict(cls, space: FactorSpace, data: Mapping) -> "ObjectiveSpec":
-        """Load a spec; a per-pair ``gamma`` mapping needs exactly one
-        ``"a|b"`` key per factor pair, ``a`` declared before ``b``."""
+        """Load a spec from an objective document; a per-pair ``gamma``
+        mapping needs exactly one ``"a|b"`` key per factor pair, ``a``
+        declared before ``b``."""
+        _check_document(space, data)
         gamma = data.get("gamma", 1.0)
         if isinstance(gamma, Mapping):
             keys = [f"{space.names[j]}|{space.names[k]}" for j, k in space.pairs()]

@@ -25,6 +25,8 @@ from .space import (
     ReferenceDistribution,
     RunLog,
     SupportCounts,
+    log_from_arrays,
+    support_counts,
 )
 
 EXACT_CELL_CAP = 1_000_000
@@ -417,13 +419,6 @@ def build_design_matrix(eval_set: Sequence[Sequence[int]], space: FactorSpace,
     return EffectDesignMatrix(space, reference, configs, A, blocks, sigma_min)
 
 
-def _support_from_points(points: Sequence[Config], space: FactorSpace) -> SupportCounts:
-    from .space import log_from_arrays, support_counts
-
-    log = log_from_arrays(space, points, [0.0] * len(points))
-    return support_counts(log)
-
-
 def fit_effects_sf(estimates: Sequence[ShapleyEstimate], space: FactorSpace,
                    reference: ReferenceDistribution | None = None,
                    shrinkage: ShrinkageSpec | None = None, *,
@@ -476,7 +471,7 @@ def fit_effects_sf(estimates: Sequence[ShapleyEstimate], space: FactorSpace,
             pairs[(j, k)] = bases[j] @ theta_mat @ bases[k].T
 
     if support is None:
-        support = _support_from_points(eval_set, space)
+        support = support_counts(log_from_arrays(space, eval_set, np.zeros(len(eval_set))))
     # An unsupported entry is already shrunk to zero; its mask changes nothing.
     counts, pair_counts = support.level_counts, support.pair_counts
     mains, pairs = _finalize(space, mains, pairs, *_centering_weights(space, reference),

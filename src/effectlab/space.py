@@ -193,9 +193,13 @@ class ReferenceDistribution:
             total = probs.sum()
             if abs(total - 1.0) > 1e-12:
                 raise ValueError(f"joint histogram sums to {total}, not 1")
-            # Kept for marginal and pair: key matrix and probabilities in dict order.
-            object.__setattr__(self, "_configs", configs)
-            object.__setattr__(self, "_probs", probs)
+            # marginal and pair read the probability mass of every level and
+            # pair cell, summed in dict order; read-only, as they are shared.
+            levels, pairs = cell_sums(configs, probs[None, None], self.space)
+            for mass in (*levels, *pairs.values()):
+                mass.flags.writeable = False
+            object.__setattr__(self, "_level_mass", tuple(m[0, 0] for m in levels))
+            object.__setattr__(self, "_pair_mass", {jk: m[0, 0] for jk, m in pairs.items()})
         else:
             raise ValueError(f"unknown reference kind {self.kind!r}")
 
@@ -227,16 +231,13 @@ class ReferenceDistribution:
     def marginal(self, j: int) -> np.ndarray:
         if self.is_product:
             return self.marginals[j]
-        return np.bincount(self._configs[:, j], weights=self._probs,
-                           minlength=self.space.level_counts[j])
+        return self._level_mass[j]
 
     def pair(self, j: int, k: int) -> np.ndarray:
         """Joint pi_jk(l, m) as an (L_j, L_k) matrix."""
         if self.is_product:
             return np.outer(self.marginals[j], self.marginals[k])
-        Lj, Lk = self.space.level_counts[j], self.space.level_counts[k]
-        cell = self._configs[:, j] * Lk + self._configs[:, k]
-        return np.bincount(cell, weights=self._probs, minlength=Lj * Lk).reshape(Lj, Lk)
+        return self._pair_mass[(j, k)] if j < k else self._pair_mass[(k, j)].T
 
     def product_marginals(self) -> "ReferenceDistribution":
         """Product-form reference built from this distribution's marginals."""
@@ -481,14 +482,66 @@ def sample_design(space: FactorSpace, plan: DesignPlan, seed: int = 0) -> np.nda
 # Support statistics
 # ---------------------------------------------------------------------------
 
+def cell_sums(configs: np.ndarray, stats: np.ndarray, space: FactorSpace
+              ) -> tuple[tuple[np.ndarray, ...], dict[tuple[int, int], np.ndarray]]:
+    """Sum additive row statistics into every level and pair cell.
+
+    ``configs`` (U, d) holds each row's configuration, where a row is one
+    record or one distinct configuration, and ``stats`` (S, C, U) holds S
+    statistics of C samples per row. Returns one (S, C, L_j) array per
+    factor and a dict of one (S, C, L_j, L_k) array per pair, keyed in
+    ``space.pairs()`` order.
+    """
+    S, C, U = stats.shape
+    flat = stats.reshape(S, C * U)
+    sample = np.arange(C)[:, None]
+
+    def reduce(cell, shape):
+        size = math.prod(shape)
+        key = (sample * size + cell).ravel()
+        sums = [np.bincount(key, weights=s, minlength=C * size) for s in flat]
+        return np.stack(sums).reshape(S, C, *shape)
+
+    L = space.level_counts
+    levels = tuple(reduce(configs[:, j], (L[j],)) for j in range(len(L)))
+    pairs = {(j, k): reduce(configs[:, j] * L[k] + configs[:, k], (L[j], L[k]))
+             for j, k in space.pairs()}
+    return levels, pairs
+
+
+def pair_cell_labels(space: FactorSpace, j: int, k: int) -> list[str]:
+    """The ``"level_j|level_k"`` label of every cell of pair (j, k), in the
+    row-major order of its (L_j, L_k) tables."""
+    return [f"{a}|{b}" for a in space.factors[j].levels for b in space.factors[k].levels]
+
+
 @dataclass(frozen=True, eq=False)
 class SupportCounts:
-    """Per-level and per-pair-cell record counts plus effective sizes."""
+    """A log's sufficient statistics per level and per pair cell.
+
+    ``level_sums[j]`` (4, L_j) and ``pair_sums[(j, k)]`` (4, L_j, L_k), j < k,
+    hold each cell's summed weight w, weight x response, record count n
+    (zero-weight records included) and squared weight. The CM estimate, its
+    shrinkage, the risk term and the effective sizes all read them.
+    """
 
     space: FactorSpace
-    level_counts: tuple[np.ndarray, ...]
-    pair_counts: dict[tuple[int, int], np.ndarray]
-    pair_eff: dict[tuple[int, int], np.ndarray]
+    level_sums: tuple[np.ndarray, ...]
+    pair_sums: dict[tuple[int, int], np.ndarray]
+
+    @cached_property
+    def level_counts(self) -> tuple[np.ndarray, ...]:
+        return tuple(s[2].astype(np.intp) for s in self.level_sums)
+
+    @cached_property
+    def pair_counts(self) -> dict[tuple[int, int], np.ndarray]:
+        return {jk: s[2].astype(np.intp) for jk, s in self.pair_sums.items()}
+
+    @cached_property
+    def pair_eff(self) -> dict[tuple[int, int], np.ndarray]:
+        """Kish effective size (sum w)^2 / sum w^2 per pair cell; 0 where empty."""
+        return {jk: np.divide(w * w, w2, out=np.zeros(w.shape), where=w2 > 0)
+                for jk, (w, _, _, w2) in self.pair_sums.items()}
 
     def pair(self, j: int, k: int) -> np.ndarray:
         if j < k:
@@ -505,18 +558,9 @@ class SupportCounts:
         eff = {}
         for (j, k), mat in self.pair_counts.items():
             key = f"{space.names[j]}|{space.names[k]}"
-            fj, fk = space.factors[j], space.factors[k]
-            pairs[key] = {
-                f"{fj.levels[a]}|{fk.levels[b]}": int(mat[a, b])
-                for a in range(fj.num_levels)
-                for b in range(fk.num_levels)
-            }
-            emat = self.pair_eff[(j, k)]
-            eff[key] = {
-                f"{fj.levels[a]}|{fk.levels[b]}": float(emat[a, b])
-                for a in range(fj.num_levels)
-                for b in range(fk.num_levels)
-            }
+            cells = pair_cell_labels(space, j, k)
+            pairs[key] = dict(zip(cells, mat.ravel().tolist()))
+            eff[key] = dict(zip(cells, self.pair_eff[(j, k)].ravel().tolist()))
         return {"levels": levels, "pairs": pairs, "eff": eff}
 
 
@@ -542,27 +586,10 @@ def effective_sample_size(weights: Sequence[float]) -> float:
     return float(1.0 / np.sum(alpha * alpha))
 
 
-def support_counts(log: RunLog, space: FactorSpace | None = None) -> SupportCounts:
-    space = space or log.space
-    if space is not log.space and space.level_counts != log.space.level_counts:
-        raise ValueError("log is not bound to this space")
-    configs = log.configs_array
+def support_counts(log: RunLog) -> SupportCounts:
+    """One pass over the log's records into its per-level and per-pair-cell sums."""
     w = log.weights
-    counts = tuple(
-        np.bincount(configs[:, j], minlength=L).astype(np.intp)
-        for j, L in enumerate(space.level_counts)
-    )
-    pair_counts: dict[tuple[int, int], np.ndarray] = {}
-    pair_eff: dict[tuple[int, int], np.ndarray] = {}
-    for j, k in space.pairs():
-        Lj, Lk = space.level_counts[j], space.level_counts[k]
-        cell = configs[:, j] * Lk + configs[:, k]
-        raw = np.bincount(cell, minlength=Lj * Lk).astype(np.intp)
-        s1 = np.bincount(cell, weights=w, minlength=Lj * Lk)
-        s2 = np.bincount(cell, weights=w * w, minlength=Lj * Lk)
-        eff = np.zeros(Lj * Lk)
-        mask = s2 > 0
-        eff[mask] = (s1[mask] ** 2) / s2[mask]
-        pair_counts[(j, k)] = raw.reshape(Lj, Lk)
-        pair_eff[(j, k)] = eff.reshape(Lj, Lk)
-    return SupportCounts(space, counts, pair_counts, pair_eff)
+    stats = np.stack([w, w * log.responses, np.ones_like(w), w * w])[:, None]
+    levels, pairs = cell_sums(log.configs_array, stats, log.space)
+    return SupportCounts(log.space, tuple(s[:, 0] for s in levels),
+                         {jk: s[:, 0] for jk, s in pairs.items()})

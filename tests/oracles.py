@@ -494,6 +494,29 @@ def reference_pair_loop(joint, level_counts, j, k):
     return out
 
 
+def support_counts_loop(configs, weights, level_counts):
+    """Record counts per level and per pair cell plus the pair cells' Kish
+    sizes, one bincount per statistic and cell key.
+    Returns (level_counts, pair_counts, pair_eff)."""
+    configs, w = np.asarray(configs), np.asarray(weights, dtype=float)
+    d = len(level_counts)
+    counts = tuple(np.bincount(configs[:, j], minlength=L).astype(np.intp)
+                   for j, L in enumerate(level_counts))
+    pair_counts, pair_eff = {}, {}
+    for j, k in itertools.combinations(range(d), 2):
+        Lj, Lk = level_counts[j], level_counts[k]
+        cell = configs[:, j] * Lk + configs[:, k]
+        raw = np.bincount(cell, minlength=Lj * Lk).astype(np.intp)
+        s1 = np.bincount(cell, weights=w, minlength=Lj * Lk)
+        s2 = np.bincount(cell, weights=w * w, minlength=Lj * Lk)
+        eff = np.zeros(Lj * Lk)
+        mask = s2 > 0
+        eff[mask] = (s1[mask] ** 2) / s2[mask]
+        pair_counts[(j, k)] = raw.reshape(Lj, Lk)
+        pair_eff[(j, k)] = eff.reshape(Lj, Lk)
+    return counts, pair_counts, pair_eff
+
+
 # ---------------------------------------------------------------------------
 # Objective and search, one pair and one gamma lookup at a time
 # ---------------------------------------------------------------------------

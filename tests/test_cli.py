@@ -238,6 +238,25 @@ def test_optimize_rejects_bad_gamma_key_at_load(workspace):
     assert not (out / "chosen.json").exists()
 
 
+@pytest.mark.parametrize("document, key", [
+    ({"lambda-risk": 0.0}, "lambda-risk"),
+    ({"costs": {"typo": {"a0": 5.0}}}, "typo"),
+    ({"costs": {"a": {"A1": 3.0}}}, "A1"),
+])
+def test_optimize_rejects_unknown_objective_keys(workspace, document, key):
+    tmp, space, log = workspace
+    objective_file = tmp / "objective.json"
+    objective_file.write_text(json.dumps(document))
+    out = tmp / "optk"
+    rc = main(["optimize", "--space", str(space), "--log", str(log),
+               "--out", str(out), "--objective", str(objective_file)])
+    assert rc == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ValueError"
+    assert repr(key) in err["message"]
+    assert not (out / "chosen.json").exists()
+
+
 def test_optimize_topk_with_bootstrap(workspace):
     tmp, space, log = workspace
     out = tmp / "optb"

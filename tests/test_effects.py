@@ -26,8 +26,7 @@ from effectlab import (
     weighted_baseline,
 )
 from effectlab.cli import _topk_bootstrap_cis
-from effectlab.effects import (BOOTSTRAP_CHUNK, _estimate_arrays, bootstrap_replicates,
-                               double_center)
+from effectlab.effects import BOOTSTRAP_CHUNK, bootstrap_replicates, double_center
 from conftest import full_grid_log, random_space
 from oracles import (bootstrap_replicates_loop, double_center_loop, estimate_arrays_loop,
                      projection_decomposition, topk_intervals_loop)
@@ -205,8 +204,9 @@ def test_centering_under_empirical_reference():
 def test_empty_cells_flagged(space_2x2):
     log = log_from_arrays(space_2x2, [(0, 0), (1, 1), (0, 1)], [1.0, 2.0, 0.5])
     table = estimate_effects_cm(log)
-    assert table.pairs_unsupported[(0, 1)][1, 0]
-    assert not table.pairs_unsupported[(0, 1)][0, 0]
+    weight = table.support.pair_sums[(0, 1)][0]
+    assert weight[1, 0] == 0.0
+    assert weight[0, 0] > 0.0
 
 
 def test_shrinkage_monotone_on_balanced_support(space_2x2):
@@ -376,17 +376,16 @@ def test_single_estimate_matches_record_loop(problem):
     levels, seed, n, zero_share, kind = problem
     log, rng = random_log(levels, seed, n, zero_share)
     ref = reference_for(kind, log, rng)
-    args = (log.configs_array, log.responses, log.weights, log.space, ref, ShrinkageSpec())
-    mu, mains, pairs, means, m_miss, p_miss = _estimate_arrays(*args)
-    mu_l, mains_l, pairs_l, means_l = estimate_arrays_loop(*args)
-    assert_close(mu, mu_l)
+    table = estimate_effects_cm(log, ref, ShrinkageSpec())
+    mu_l, mains_l, pairs_l, means_l = estimate_arrays_loop(
+        log.configs_array, log.responses, log.weights, log.space, ref, ShrinkageSpec())
+    assert_close(table.mu, mu_l)
     for j in range(log.space.num_factors):
-        assert_close(mains[j], mains_l[j])
-        assert_close(means[j], means_l[j])
-        assert np.array_equal(m_miss[j], np.isnan(means_l[j]))
+        assert_close(table.mains[j], mains_l[j])
+        assert_close(table.level_means[j], means_l[j])
+    assert table.pairs.keys() == pairs_l.keys()
     for jk in pairs_l:
-        assert_close(pairs[jk], pairs_l[jk])
-        assert p_miss[jk].shape == pairs_l[jk].shape
+        assert_close(table.pairs[jk], pairs_l[jk])
 
 
 @pytest.mark.parametrize("product", [True, False])
@@ -483,6 +482,24 @@ def test_table_json_roundtrip(xor_log):
     for j in range(2):
         assert np.array_equal(back.mains[j], table.mains[j])
     assert np.array_equal(back.pairs[(0, 1)], table.pairs[(0, 1)])
+
+
+def test_pair_cell_labels_name_their_cells():
+    # A 2 x 3 pair with distinct cells and uneven support, so a transposed or
+    # reordered label would name the wrong value.
+    space = build_space([("a", ["a0", "a1"]), ("b", ["b0", "b1", "b2"])])
+    configs = [(a, b) for a in range(2) for b in range(3) for _ in range(1 + a + 2 * b)]
+    log = log_from_arrays(space, configs, [10.0 * a + b for a, b in configs])
+    table = bootstrap_cis(log, B=100, seed=1)
+    data = table.to_dict()
+    mat, ci, counts = table.pairs[(0, 1)], table.pairs_ci[(0, 1)], table.support.pair_counts[(0, 1)]
+    for a, b in np.ndindex(2, 3):
+        label = f"a{a}|b{b}"
+        assert data["pairs"]["a|b"][label] == mat[a, b]
+        assert data["ci"]["pairs"]["a|b"][label] == list(ci[a, b])
+        assert data["support"]["pairs"]["a|b"][label] == counts[a, b] == 1 + a + 2 * b
+        assert data["support"]["eff"]["a|b"][label] == table.support.pair_eff[(0, 1)][a, b]
+    assert np.array_equal(table_from_dict(data, space).pairs[(0, 1)], mat)
 
 
 def test_tau_must_be_positive():

@@ -233,3 +233,23 @@ def test_cost_model_rejects_non_finite_offset(space_2x2, offset):
         CostModel(space_2x2, (np.zeros(2), np.zeros(2)), offset=offset)
     with pytest.raises(ValueError, match="offset.*finite"):
         CostModel.from_dict(space_2x2, {"cost_offset": offset})
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"lambda-risk": 0.0}, "lambda-risk"),
+    ({"costs": {"typo": {"a0": 5.0}, "a": {"a1": 3.0}}}, "typo"),
+    ({"costs": {"a": {"A1": 3.0}}}, "A1"),
+])
+@pytest.mark.parametrize("loader", [ObjectiveSpec.from_dict, CostModel.from_dict])
+def test_objective_document_rejects_unknown_keys(space_2x2, loader, data, key):
+    # Both loaders read the same document, so each rejects every unknown key.
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        loader(space_2x2, data)
+
+
+def test_objective_document_accepts_every_known_key(space_2x2):
+    data = {"lambda_risk": 0.5, "lambda_cost": 1.0, "gamma": {"a|b": 2.0},
+            "banned_levels": {}, "banned_configs": [], "costs": {"b": {"b1": 1.0}},
+            "cost_offset": 0.5}
+    assert ObjectiveSpec.from_dict(space_2x2, data).lambda_risk == 0.5
+    assert CostModel.from_dict(space_2x2, data).total((0, 1)) == 1.5

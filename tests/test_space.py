@@ -25,6 +25,7 @@ from oracles import (
     reference_marginal_loop,
     reference_pair_loop,
     sample_design_loop,
+    support_counts_loop,
 )
 
 COLUMNS = ("configs_array", "responses", "weights", "seeds")
@@ -421,6 +422,56 @@ def test_support_counts_recount_oracle(space_2x2):
         assert sum(sc.level_counts[j]) == 200
         for l in range(2):
             assert sc.level_counts[j][l] == recount.get(l, 0)
+
+
+@st.composite
+def weighted_logs(draw):
+    """A log on 2-4 factors of 2-4 levels whose weights include zeros."""
+    level_counts = draw(st.lists(st.integers(2, 4), min_size=2, max_size=4))
+    space = build_space([(f"f{j}", [f"l{t}" for t in range(L)])
+                         for j, L in enumerate(level_counts)])
+    n = draw(st.integers(1, 40))
+    configs = draw(st.lists(st.tuples(*[st.integers(0, L - 1) for L in level_counts]),
+                            min_size=n, max_size=n))
+    responses = draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+                            min_size=n, max_size=n))
+    assume(any(w > 0 for w in weights))
+    return log_from_arrays(space, configs, responses, weights)
+
+
+def record_order_sum(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+@given(weighted_logs())
+@settings(max_examples=60, deadline=None)
+def test_support_sums_match_per_cell_loops(log):
+    space, configs, w = log.space, log.configs_array, log.weights
+    wy = w * log.responses
+    sc = support_counts(log)
+    counts, pair_counts, pair_eff = support_counts_loop(configs, w, space.level_counts)
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype
+               for a, b in zip(sc.level_counts, counts))
+    assert sc.pair_counts.keys() == pair_counts.keys() == pair_eff.keys()
+    for jk in pair_counts:
+        assert np.array_equal(sc.pair_counts[jk], pair_counts[jk])
+        assert sc.pair_counts[jk].dtype == pair_counts[jk].dtype
+        assert np.array_equal(sc.pair_eff[jk], pair_eff[jk])
+    # Summed weight and weight x response of each cell, record by record.
+    for j, L in enumerate(space.level_counts):
+        for a in range(L):
+            mask = configs[:, j] == a
+            assert sc.level_sums[j][0, a] == record_order_sum(w[mask])
+            assert sc.level_sums[j][1, a] == record_order_sum(wy[mask])
+    for (j, k), sums in sc.pair_sums.items():
+        for a, b in np.ndindex(sums.shape[1:]):
+            mask = (configs[:, j] == a) & (configs[:, k] == b)
+            assert sums[0, a, b] == record_order_sum(w[mask])
+            assert sums[1, a, b] == record_order_sum(wy[mask])
 
 
 def test_effective_sample_size_values():
