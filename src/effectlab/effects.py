@@ -62,9 +62,6 @@ class ShrinkageSpec:
         return float(self.tau_pair)
 
 
-NEGLIGIBLE_TAU = 1e-12  # effectively unshrunk; spec requires tau > 0
-
-
 @dataclass(eq=False)
 class EffectTable:
     """Baseline plus centered main-effect and pair-interaction tables.
@@ -208,40 +205,39 @@ def center_main(g: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return g - np.expand_dims(np.dot(g, pi), -1)
 
 
-def double_center(mat: np.ndarray, joint: np.ndarray,
-                  tol: float = 1e-13, max_rounds: int = 500) -> np.ndarray:
-    """Remove row and column conditional means under the joint weights.
+def double_center(mat: np.ndarray, joint: np.ndarray) -> np.ndarray:
+    """Remove row and column effects under the joint weights, exactly.
 
-    ``mat`` is one matrix or a stack of them along leading axes; each matrix
-    stops iterating once its own row and column means are within tol. For
-    product-form weights one row pass followed by one column pass is exact;
-    non-product joints need alternating passes, which converge
-    geometrically. Rows or columns with zero mass are left untouched.
+    ``mat`` is one matrix or a stack along leading axes; each becomes its
+    joint-weighted least-squares residual on row plus column effects. A row
+    pass, one solve with the normalized column Laplacian (spectrum in [0, 1],
+    a null vector per connected block of the support) and a row pass give the
+    limit of alternating passes: zero-mass rows and columns get no effect of
+    their own, and per block the column effects have zero mass-weighted mean.
     """
     out = np.array(mat, dtype=float)
-    stack = out.reshape(-1, *out.shape[-2:])
     row_mass = joint.sum(axis=1)
     col_mass = joint.sum(axis=0)
-    rows = row_mass > 0
     cols = col_mass > 0
+    # A zero-mass row sums to zero, so any nonzero divisor leaves it as it is.
+    row_div = np.where(row_mass > 0, row_mass, 1.0)
 
-    def row_means(m):
-        return (joint * m).sum(axis=-1)[:, rows] / row_mass[rows]
+    def row_pass():
+        out[...] -= ((joint * out).sum(axis=-1) / row_div)[..., None]
 
-    def col_means(m):
-        return (joint * m).sum(axis=-2)[:, cols] / col_mass[cols]
+    c = col_mass[cols]
+    root = np.sqrt(c)
+    p = joint[:, cols] / root
+    w = (p.T / row_div) @ p
+    block = np.linalg.matrix_power((w > 0) | np.eye(len(c), dtype=bool), len(c))
+    null = block * (root[:, None] * root) / (block @ c)[:, None]
+    solve = (np.linalg.inv(np.eye(len(c)) - w + null) - null) / (root[:, None] * root)
 
-    active = np.arange(len(stack))
-    for _ in range(max_rounds):
-        m = stack[active]
-        m[:, rows, :] -= row_means(m)[:, :, None]
-        m[:, :, cols] -= col_means(m)[:, None, :]
-        stack[active] = m
-        dev = np.maximum(np.abs(row_means(m)).max(axis=-1, initial=0.0),
-                         np.abs(col_means(m)).max(axis=-1, initial=0.0))
-        active = active[dev > tol]
-        if not active.size:
-            break
+    row_pass()
+    col_sums = (joint * out).sum(axis=-2)[..., cols]
+    # An elementwise product keeps each matrix's result independent of the batch.
+    out[..., cols] -= (solve * col_sums[..., None, :]).sum(axis=-1)[..., None, :]
+    row_pass()
     return out
 
 
@@ -259,9 +255,9 @@ def _estimate_batch(level_sums, pair_sums, mu: np.ndarray, space: FactorSpace,
 
     ``level_sums`` (one (S, C, L_j) array per factor) and ``pair_sums`` (one
     (S, C, L_j, L_k) array per pair) start with each cell's summed weight,
-    weight x response and record count, as ``cell_sums`` lays them out;
-    ``mu`` (C,) is each sample's weighted mean response. ``marginals`` and
-    ``joints`` are the reference's centering weights. Returns mains
+    weight x response and positive-weight record count, which sets the
+    shrinkage. ``mu`` (C,) is each sample's weighted mean response; the
+    reference's ``marginals`` and ``joints`` center exactly. Returns mains
     (C, L_j), pairs (C, L_j, L_k) and level means (C, L_j) with NaN where a
     level has no weight.
     """
@@ -281,7 +277,6 @@ def _estimate_batch(level_sums, pair_sums, mu: np.ndarray, space: FactorSpace,
         g = means - filled[j][:, :, None] - filled[k][:, None, :] + mu[:, None, None]
         pairs[(j, k)] = np.where(pairs_missing[(j, k)], 0.0, g)
 
-    # Record counts, zero-weight records included, set the shrinkage.
     mains, pairs = _finalize(
         space, mains, pairs, marginals, joints, shrinkage,
         [s[2] for s in level_sums], {jk: s[2] for jk, s in pair_sums.items()},
@@ -375,9 +370,9 @@ def bootstrap_replicates(log: RunLog, reference: ReferenceDistribution | None = 
     Replicate b draws n record indices with the generator of child b of the
     seed sequence, so results do not depend on evaluation order; a draw with
     no positive weight falls back to the original sample. Each draw is
-    reduced to weight, weight x response and count per distinct
-    configuration, and ``BOOTSTRAP_CHUNK`` draws at a time are summed into
-    cells and estimated in one batch.
+    reduced to weight, weight x response and positive-weight record count
+    per distinct configuration, and ``BOOTSTRAP_CHUNK`` draws at a time are
+    summed into cells and estimated in one batch.
     """
     space = log.space
     reference = reference or ReferenceDistribution.uniform(space)
@@ -408,7 +403,7 @@ def bootstrap_replicates(log: RunLog, reference: ReferenceDistribution | None = 
             key = unit_of[idx]
             stats[0, c] = np.bincount(key, weights=wb, minlength=U)
             stats[1, c] = np.bincount(key, weights=wy[idx], minlength=U)
-            stats[2, c] = np.bincount(key, minlength=U)
+            stats[2, c] = np.bincount(key[wb > 0], minlength=U)
         totals = stats[:2].sum(axis=-1)
         rows = slice(start, start + len(chunk))
         mu[rows] = totals[1] / totals[0]

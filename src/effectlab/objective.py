@@ -28,19 +28,34 @@ OBJECTIVE_KEYS = ("lambda_risk", "lambda_cost", "gamma", "banned_levels", "banne
 
 
 def _check_document(space: FactorSpace, data: Mapping) -> None:
-    """Reject an unknown top-level key, or an unknown factor or level label
-    under ``costs``, naming the first one."""
-    unknown = [f"key {key!r}" for key in data if key not in OBJECTIVE_KEYS]
-    for name, row in data.get("costs", {}).items():
-        if name not in space.names:
-            unknown.append(f"factor {name!r} under costs")
+    """Reject an unknown top-level key, an unknown factor or level label
+    under ``costs`` or ``banned_levels``, a banned config that does not give
+    one known label per factor, and a per-pair ``gamma`` mapping without
+    exactly one ``"a|b"`` key per factor pair (``a`` declared before ``b``),
+    naming the first one."""
+    bad = [f"unknown key {key!r}; the top-level keys are {', '.join(OBJECTIVE_KEYS)}"
+           for key in data if key not in OBJECTIVE_KEYS]
+    for section in ("costs", "banned_levels"):
+        for name, labels in data.get(section, {}).items():
+            if name not in space.names:
+                bad.append(f"unknown factor {name!r} under {section}")
+                continue
+            levels = space.factors[space.index_of(name)].levels
+            bad += [f"unknown level {lbl!r} of factor {name!r} under {section}"
+                    for lbl in labels if lbl not in levels]
+    for cfg in data.get("banned_configs", []):
+        if len(cfg) != space.num_factors:
+            bad.append(f"banned config {cfg!r} has {len(cfg)} labels, not {space.num_factors}")
             continue
-        levels = space.factors[space.index_of(name)].levels
-        unknown += [f"level {lbl!r} of factor {name!r} under costs"
-                    for lbl in row if lbl not in levels]
-    if unknown:
-        raise ValueError(f"objective document: unknown {unknown[0]}; the top-level keys "
-                         f"are {', '.join(OBJECTIVE_KEYS)}")
+        bad += [f"unknown level {lbl!r} of factor {f.name!r} in banned config {cfg!r}"
+                for f, lbl in zip(space.factors, cfg) if lbl not in f.levels]
+    if isinstance(gamma := data.get("gamma"), Mapping):
+        keys = [f"{space.names[j]}|{space.names[k]}" for j, k in space.pairs()]
+        hint = "; pairs are keyed 'a|b' with factor a declared before b"
+        bad += [f"unknown factor pair {k!r} under gamma{hint}" for k in gamma if k not in keys]
+        bad += [f"missing factor pair {k!r} under gamma{hint}" for k in keys if k not in gamma]
+    if bad:
+        raise ValueError(f"objective document: {bad[0]}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,18 +135,8 @@ class ObjectiveSpec:
 
     @classmethod
     def from_dict(cls, space: FactorSpace, data: Mapping) -> "ObjectiveSpec":
-        """Load a spec from an objective document; a per-pair ``gamma``
-        mapping needs exactly one ``"a|b"`` key per factor pair, ``a``
-        declared before ``b``."""
+        """Load a spec from an objective document ``_check_document`` accepts."""
         _check_document(space, data)
-        gamma = data.get("gamma", 1.0)
-        if isinstance(gamma, Mapping):
-            keys = [f"{space.names[j]}|{space.names[k]}" for j, k in space.pairs()]
-            bad = [("unknown", key) for key in gamma if key not in keys]
-            bad += [("missing", key) for key in keys if key not in gamma]
-            if bad:
-                raise ValueError(f"gamma: {bad[0][0]} factor pair {bad[0][1]!r}; pairs are "
-                                 "keyed 'a|b' with factor a declared before b")
         banned_levels: dict[int, frozenset[int]] = {}
         for name, labels in data.get("banned_levels", {}).items():
             j = space.index_of(name)
@@ -143,7 +148,7 @@ class ObjectiveSpec:
         return cls(
             lambda_risk=float(data.get("lambda_risk", 1.0)),
             lambda_cost=float(data.get("lambda_cost", 0.0)),
-            gamma=gamma,
+            gamma=data.get("gamma", 1.0),
             banned_levels=banned_levels,
             banned_configs=banned_configs,
         )

@@ -520,9 +520,9 @@ class SupportCounts:
     """A log's sufficient statistics per level and per pair cell.
 
     ``level_sums[j]`` (4, L_j) and ``pair_sums[(j, k)]`` (4, L_j, L_k), j < k,
-    hold each cell's summed weight w, weight x response, record count n
-    (zero-weight records included) and squared weight. The CM estimate, its
-    shrinkage, the risk term and the effective sizes all read them.
+    hold each cell's summed weight w, weight x response, positive-weight
+    record count n and squared weight. The CM estimate, its shrinkage, the
+    risk term and the effective sizes all read them.
     """
 
     space: FactorSpace
@@ -589,7 +589,7 @@ def effective_sample_size(weights: Sequence[float]) -> float:
 def support_counts(log: RunLog) -> SupportCounts:
     """One pass over the log's records into its per-level and per-pair-cell sums."""
     w = log.weights
-    stats = np.stack([w, w * log.responses, np.ones_like(w), w * w])[:, None]
+    stats = np.stack([w, w * log.responses, (w > 0).astype(float), w * w])[:, None]
     levels, pairs = cell_sums(log.configs_array, stats, log.space)
     return SupportCounts(log.space, tuple(s[:, 0] for s in levels),
                          {jk: s[:, 0] for jk, s in pairs.items()})

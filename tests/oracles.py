@@ -216,8 +216,9 @@ def double_center_loop(mat: np.ndarray, joint: np.ndarray,
 
 def estimate_arrays_loop(configs, resp, w, space, reference, shrinkage):
     """Cell-mean estimate of one sample, record by record: per-cell bincounts,
-    differenced effects, re-centering, pseudo-count shrinkage, re-centering.
-    Returns (mu, mains, pairs, level_means)."""
+    differenced effects, re-centering, pseudo-count shrinkage by the count of
+    positive-weight records, re-centering. Returns (mu, mains, pairs,
+    level_means)."""
     total = w.sum()
     if total <= 0:
         raise ValueError("total weight is zero")
@@ -249,15 +250,20 @@ def estimate_arrays_loop(configs, resp, w, space, reference, shrinkage):
         for j in range(space.num_factors):
             mains[j] = mains[j] - float(np.dot(reference.marginal(j), mains[j]))
         for jk in pairs:
-            pairs[jk] = double_center_loop(pairs[jk], reference.pair(*jk))
+            # Stopping near rounding leaves the loop about tol over the spectral
+            # gap from its limit, the exact projection.
+            tol = 1e-15 * (1.0 + np.abs(pairs[jk]).max())
+            pairs[jk] = double_center_loop(pairs[jk], reference.pair(*jk), tol, 100_000)
 
     recenter()
+    weighted = configs[w > 0]
     for j, L in enumerate(counts):
-        n = np.bincount(configs[:, j], minlength=L)
+        n = np.bincount(weighted[:, j], minlength=L)
         mains[j] = n / (n + shrinkage.main(space, j)) * mains[j]
         mains[j][np.isnan(level_means[j])] = 0.0
     for (j, k), cell in pair_cells.items():
-        n = np.bincount(cell, minlength=counts[j] * counts[k]).reshape(counts[j], counts[k])
+        n = np.bincount(cell[w > 0], minlength=counts[j] * counts[k])
+        n = n.reshape(counts[j], counts[k])
         pairs[(j, k)] = n / (n + shrinkage.pair(space, j, k)) * pairs[(j, k)]
         pairs[(j, k)][np.isnan(pair_means[(j, k)])] = 0.0
     recenter()
@@ -495,18 +501,18 @@ def reference_pair_loop(joint, level_counts, j, k):
 
 
 def support_counts_loop(configs, weights, level_counts):
-    """Record counts per level and per pair cell plus the pair cells' Kish
-    sizes, one bincount per statistic and cell key.
+    """Positive-weight record counts per level and per pair cell plus the
+    pair cells' Kish sizes, one bincount per statistic and cell key.
     Returns (level_counts, pair_counts, pair_eff)."""
     configs, w = np.asarray(configs), np.asarray(weights, dtype=float)
     d = len(level_counts)
-    counts = tuple(np.bincount(configs[:, j], minlength=L).astype(np.intp)
+    counts = tuple(np.bincount(configs[w > 0, j], minlength=L).astype(np.intp)
                    for j, L in enumerate(level_counts))
     pair_counts, pair_eff = {}, {}
     for j, k in itertools.combinations(range(d), 2):
         Lj, Lk = level_counts[j], level_counts[k]
         cell = configs[:, j] * Lk + configs[:, k]
-        raw = np.bincount(cell, minlength=Lj * Lk).astype(np.intp)
+        raw = np.bincount(cell[w > 0], minlength=Lj * Lk).astype(np.intp)
         s1 = np.bincount(cell, weights=w, minlength=Lj * Lk)
         s2 = np.bincount(cell, weights=w * w, minlength=Lj * Lk)
         eff = np.zeros(Lj * Lk)

@@ -242,6 +242,9 @@ def test_optimize_rejects_bad_gamma_key_at_load(workspace):
     ({"lambda-risk": 0.0}, "lambda-risk"),
     ({"costs": {"typo": {"a0": 5.0}}}, "typo"),
     ({"costs": {"a": {"A1": 3.0}}}, "A1"),
+    ({"banned_levels": {"typo": ["a0"]}}, "typo"),
+    ({"banned_configs": [["a0"]]}, ["a0"]),
+    ({"banned_configs": [["a0", "b0", "b1"]]}, ["a0", "b0", "b1"]),
 ])
 def test_optimize_rejects_unknown_objective_keys(workspace, document, key):
     tmp, space, log = workspace

@@ -336,6 +336,8 @@ def reference_for(kind, log, rng):
     space = log.space
     if kind == "empirical":
         return ReferenceDistribution.empirical(log)
+    if kind == "uniform":
+        return ReferenceDistribution.uniform(space)
     return ReferenceDistribution.from_marginals(
         space, [rng.dirichlet(np.ones(L)) for L in space.level_counts])
 
@@ -403,6 +405,91 @@ def test_batched_double_center_matches_per_matrix(product):
     for idx in np.ndindex(5, 2):
         assert np.array_equal(batched[idx], double_center(stack[idx], joint))
         assert_close(batched[idx], double_center_loop(stack[idx], joint))
+
+
+def centering_residual(mat, joint):
+    """Largest weighted row or column mean of ``mat`` (or a stack of them)
+    over the rows and columns of ``joint`` that have mass."""
+    row_mass, col_mass = joint.sum(axis=1), joint.sum(axis=0)
+    rows = (joint * mat).sum(axis=-1)[..., row_mass > 0] / row_mass[row_mass > 0]
+    cols = (joint * mat).sum(axis=-2)[..., col_mass > 0] / col_mass[col_mass > 0]
+    return max(np.abs(rows).max(initial=0.0), np.abs(cols).max(initial=0.0))
+
+
+def assert_exactly_centered(mat, joint):
+    assert centering_residual(mat, joint) <= 1e-12 * (1.0 + np.abs(mat).max(initial=0.0))
+
+
+def test_staircase_joint_centered_exactly():
+    # Diagonal cells weigh 1 and each (i, i + 1) link 0.01: one connected
+    # block whose normalized column Laplacian has a spectral gap of about
+    # 3e-3, too small for 500 rounds of alternating passes to converge.
+    space = build_space([("a", [f"a{i}" for i in range(6)]), ("b", [f"b{i}" for i in range(6)])])
+    configs = [(i, i) for i in range(6)] + [(i, i + 1) for i in range(5)]
+    rng = np.random.default_rng(17)
+    log = log_from_arrays(space, configs, rng.normal(size=11), weights=[1.0] * 6 + [0.01] * 5)
+    ref = ReferenceDistribution.empirical(log)
+    joint = ref.pair(0, 1)
+    assert_exactly_centered(double_center(rng.normal(size=(6, 6)), joint), joint)
+    table = estimate_effects_cm(log, ref)
+    assert_exactly_centered(table.pairs[(0, 1)], joint)
+
+
+@st.composite
+def centering_problems(draw):
+    """A joint on an L_j x L_k grid and a stack of matrices to center: uniform,
+    product with a zero-mass level, sparse (zero rows and columns), or split
+    into two disconnected blocks."""
+    kind = draw(st.sampled_from(["uniform", "product", "sparse", "blocks"]))
+    Lj, Lk = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "uniform":
+        joint = np.ones((Lj, Lk))
+    elif kind == "product":
+        joint = np.outer(rng.dirichlet(np.ones(Lj)), rng.dirichlet(np.ones(Lk)))
+        joint[rng.integers(Lj)] = 0.0
+    else:
+        joint = rng.random((Lj, Lk)) * (rng.random((Lj, Lk)) < 0.5)
+        if kind == "blocks":
+            r, c = rng.integers(1, Lj), rng.integers(1, Lk)
+            joint[:r, c:] = joint[r:, :c] = 0.0
+        joint[rng.integers(Lj), rng.integers(Lk)] += 1.0
+    joint /= joint.sum()
+    mat = rng.normal(size=(3, Lj, Lk)) * 10.0 ** rng.integers(-3, 4, size=(3, 1, 1))
+    return joint, mat
+
+
+@settings(max_examples=200, deadline=None)
+@given(centering_problems())
+def test_double_center_is_the_converged_projection(problem):
+    # Tolerances scale with the matrix's largest entry: an entry that cancels
+    # to about zero keeps the rounding of the entries it was computed from.
+    joint, mat = problem
+    out = double_center(mat, joint)
+    for centered, m in zip(out, mat):
+        scale = 1.0 + np.abs(m).max()
+        assert_exactly_centered(centered, joint)
+        # The loop stops at a residual of tol, about tol over the spectral
+        # gap from its limit, so tol sits near rounding.
+        loop = double_center_loop(m, joint, tol=1e-15 * scale, max_rounds=100_000)
+        assert np.abs(centered - loop).max() <= 1e-12 * scale
+        assert np.abs(double_center(centered, joint) - centered).max() <= 1e-12 * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(replicate_problems.map(lambda p: p[:4]),
+       st.sampled_from(["uniform", "product", "empirical"]))
+def test_tables_centered_exactly(problem, kind):
+    log, rng = random_log(*problem)
+    ref = reference_for(kind, log, rng)
+    table = estimate_effects_cm(log, ref)
+    reps = bootstrap_replicates(log, ref, B=BOOTSTRAP_CHUNK + 1, seed=3)
+    for j in range(log.space.num_factors):
+        for g in (table.mains[j], reps.mains[j]):
+            assert np.abs(g @ ref.marginal(j)).max() <= 1e-12 * (1.0 + np.abs(g).max())
+    for jk in table.pairs:
+        assert_exactly_centered(table.pairs[jk], ref.pair(*jk))
+        assert_exactly_centered(reps.pairs[jk], ref.pair(*jk))
 
 
 @settings(max_examples=15, deadline=None)

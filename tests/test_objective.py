@@ -239,12 +239,33 @@ def test_cost_model_rejects_non_finite_offset(space_2x2, offset):
     ({"lambda-risk": 0.0}, "lambda-risk"),
     ({"costs": {"typo": {"a0": 5.0}, "a": {"a1": 3.0}}}, "typo"),
     ({"costs": {"a": {"A1": 3.0}}}, "A1"),
+    ({"banned_levels": {"typo": ["a0"]}}, "typo"),
+    ({"banned_levels": {"a": ["A1"]}}, "A1"),
+    ({"banned_configs": [["a0"]]}, ["a0"]),
+    ({"banned_configs": [["a0", "b0", "b1"]]}, ["a0", "b0", "b1"]),
+    ({"banned_configs": [["a0", "B1"]]}, "B1"),
 ])
 @pytest.mark.parametrize("loader", [ObjectiveSpec.from_dict, CostModel.from_dict])
 def test_objective_document_rejects_unknown_keys(space_2x2, loader, data, key):
     # Both loaders read the same document, so each rejects every unknown key.
     with pytest.raises(ValueError, match=re.escape(repr(key))):
         loader(space_2x2, data)
+
+
+def test_zero_weight_record_adds_no_support(space_2x2):
+    # Pair cell (a1, b1) holds only a zero-weight record, so the log
+    # estimates as if the record were not there.
+    grid = enumerate_grid(space_2x2)
+    log = log_from_arrays(space_2x2, grid, [1.0, 2.0, 4.0, 8.0], weights=[1.0, 1.0, 1.0, 0.0])
+    dropped = log_from_arrays(space_2x2, grid[:3], [1.0, 2.0, 4.0])
+    support, kept = support_counts(log), support_counts(dropped)
+    assert support.pair_counts[(0, 1)][1, 1] == 0
+    assert risk_penalty(support, (1, 1), gamma=2.0) == 1.0
+    assert all(np.array_equal(a, b) for a, b in zip(support.level_sums, kept.level_sums))
+    assert np.array_equal(support.pair_sums[(0, 1)], kept.pair_sums[(0, 1)])
+    table, want = estimate_effects_cm(log), estimate_effects_cm(dropped)
+    assert all(np.array_equal(a, b) for a, b in zip(table.mains, want.mains))
+    assert np.array_equal(table.pairs[(0, 1)], want.pairs[(0, 1)])
 
 
 def test_objective_document_accepts_every_known_key(space_2x2):
