@@ -205,26 +205,23 @@ def center_main(g: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return g - np.expand_dims(np.dot(g, pi), -1)
 
 
-def double_center(mat: np.ndarray, joint: np.ndarray) -> np.ndarray:
-    """Remove row and column effects under the joint weights, exactly.
+def double_centerer(joint: np.ndarray):
+    """Removal of row and column effects under the joint weights, exactly.
 
-    ``mat`` is one matrix or a stack along leading axes; each becomes its
-    joint-weighted least-squares residual on row plus column effects. A row
-    pass, one solve with the normalized column Laplacian (spectrum in [0, 1],
-    a null vector per connected block of the support) and a row pass give the
-    limit of alternating passes: zero-mass rows and columns get no effect of
-    their own, and per block the column effects have zero mass-weighted mean.
+    Returns a function of ``mat``, one matrix or a stack along leading axes,
+    that gives each matrix's joint-weighted least-squares residual on row
+    plus column effects. A row pass, one solve with the normalized column
+    Laplacian (spectrum in [0, 1], a null vector per connected block of the
+    support) and a row pass give the limit of alternating passes: zero-mass
+    rows and columns get no effect of their own, and per block the column
+    effects have zero mass-weighted mean. The solve depends only on the
+    joint, so it is built once here.
     """
-    out = np.array(mat, dtype=float)
     row_mass = joint.sum(axis=1)
     col_mass = joint.sum(axis=0)
     cols = col_mass > 0
     # A zero-mass row sums to zero, so any nonzero divisor leaves it as it is.
     row_div = np.where(row_mass > 0, row_mass, 1.0)
-
-    def row_pass():
-        out[...] -= ((joint * out).sum(axis=-1) / row_div)[..., None]
-
     c = col_mass[cols]
     root = np.sqrt(c)
     p = joint[:, cols] / root
@@ -233,12 +230,16 @@ def double_center(mat: np.ndarray, joint: np.ndarray) -> np.ndarray:
     null = block * (root[:, None] * root) / (block @ c)[:, None]
     solve = (np.linalg.inv(np.eye(len(c)) - w + null) - null) / (root[:, None] * root)
 
-    row_pass()
-    col_sums = (joint * out).sum(axis=-2)[..., cols]
-    # An elementwise product keeps each matrix's result independent of the batch.
-    out[..., cols] -= (solve * col_sums[..., None, :]).sum(axis=-1)[..., None, :]
-    row_pass()
-    return out
+    def center(mat: np.ndarray) -> np.ndarray:
+        out = np.array(mat, dtype=float)
+        out -= ((joint * out).sum(axis=-1) / row_div)[..., None]
+        col_sums = (joint * out).sum(axis=-2)[..., cols]
+        # An elementwise product keeps each matrix's result independent of the batch.
+        out[..., cols] -= (solve * col_sums[..., None, :]).sum(axis=-1)[..., None, :]
+        out -= ((joint * out).sum(axis=-1) / row_div)[..., None]
+        return out
+
+    return center
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +250,7 @@ BOOTSTRAP_CHUNK = 8  # replicates per batch; bounds the per-configuration sums h
 
 
 def _estimate_batch(level_sums, pair_sums, mu: np.ndarray, space: FactorSpace,
-                    marginals: list[np.ndarray], joints: dict[tuple[int, int], np.ndarray],
+                    marginals: list[np.ndarray], centerers: dict,
                     shrinkage: ShrinkageSpec):
     """The CM estimator on C samples at once.
 
@@ -257,7 +258,8 @@ def _estimate_batch(level_sums, pair_sums, mu: np.ndarray, space: FactorSpace,
     (S, C, L_j, L_k) array per pair) start with each cell's summed weight,
     weight x response and positive-weight record count, which sets the
     shrinkage. ``mu`` (C,) is each sample's weighted mean response; the
-    reference's ``marginals`` and ``joints`` center exactly. Returns mains
+    reference's ``marginals`` and pair ``centerers`` (see ``_centering``)
+    center exactly. Returns mains
     (C, L_j), pairs (C, L_j, L_k) and level means (C, L_j) with NaN where a
     level has no weight.
     """
@@ -278,14 +280,14 @@ def _estimate_batch(level_sums, pair_sums, mu: np.ndarray, space: FactorSpace,
         pairs[(j, k)] = np.where(pairs_missing[(j, k)], 0.0, g)
 
     mains, pairs = _finalize(
-        space, mains, pairs, marginals, joints, shrinkage,
+        space, mains, pairs, marginals, centerers, shrinkage,
         [s[2] for s in level_sums], {jk: s[2] for jk, s in pair_sums.items()},
         mains_missing, pairs_missing,
     )
     return mains, pairs, level_means
 
 
-def _finalize(space: FactorSpace, mains, pairs, marginals, joints, shrinkage: ShrinkageSpec,
+def _finalize(space: FactorSpace, mains, pairs, marginals, centerers, shrinkage: ShrinkageSpec,
               main_counts, pair_counts, mains_missing, pairs_missing):
     """Re-center, shrink every entry by eta = n / (n + tau), re-center.
 
@@ -300,7 +302,7 @@ def _finalize(space: FactorSpace, mains, pairs, marginals, joints, shrinkage: Sh
         for j in range(space.num_factors):
             mains[j] = center_main(mains[j], marginals[j])
         for jk in pairs:
-            pairs[jk] = double_center(pairs[jk], joints[jk])
+            pairs[jk] = centerers[jk](pairs[jk])
 
     recenter()
     for j, n in enumerate(main_counts):
@@ -313,10 +315,11 @@ def _finalize(space: FactorSpace, mains, pairs, marginals, joints, shrinkage: Sh
     return tuple(mains), pairs
 
 
-def _centering_weights(space: FactorSpace, reference: ReferenceDistribution):
+def _centering(space: FactorSpace, reference: ReferenceDistribution):
+    """The reference's marginals and one ``double_centerer`` per pair."""
     marginals = [reference.marginal(j) for j in range(space.num_factors)]
-    joints = {jk: reference.pair(*jk) for jk in space.pairs()}
-    return marginals, joints
+    centerers = {jk: double_centerer(reference.pair(*jk)) for jk in space.pairs()}
+    return marginals, centerers
 
 
 def estimate_effects_cm(log: RunLog, reference: ReferenceDistribution | None = None,
@@ -333,7 +336,7 @@ def estimate_effects_cm(log: RunLog, reference: ReferenceDistribution | None = N
     mains, pairs, level_means = _estimate_batch(
         tuple(s[:, None] for s in support.level_sums),
         {jk: s[:, None] for jk, s in support.pair_sums.items()},
-        np.array([mu]), space, *_centering_weights(space, reference), shrinkage,
+        np.array([mu]), space, *_centering(space, reference), shrinkage,
     )
     return EffectTable(
         space=space,
@@ -377,7 +380,7 @@ def bootstrap_replicates(log: RunLog, reference: ReferenceDistribution | None = 
     space = log.space
     reference = reference or ReferenceDistribution.uniform(space)
     shrinkage = shrinkage or ShrinkageSpec()
-    centering = _centering_weights(space, reference)
+    centering = _centering(space, reference)
     w = log.weights
     wy = w * log.responses
     n = len(log)

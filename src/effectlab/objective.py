@@ -224,8 +224,12 @@ def risk_penalty(support: SupportCounts, x: Sequence[int],
                  gamma: float | ObjectiveSpec = 1.0) -> float:
     """Sum over factor pairs of gamma / (n_jk + gamma); each term in (0, 1]."""
     spec = gamma if isinstance(gamma, ObjectiveSpec) else ObjectiveSpec(gamma=gamma)
+    return _risk_at(pair_risk(support, spec), x)
+
+
+def _risk_at(risk: dict[tuple[int, int], np.ndarray], x: Sequence[int]) -> float:
     total = 0.0
-    for (j, k), r in pair_risk(support, spec).items():
+    for (j, k), r in risk.items():
         total += r[x[j], x[k]]
     return total
 
@@ -258,9 +262,16 @@ def objective(table: EffectTable, x: Sequence[int], support: SupportCounts,
     x = table.space.validate_config(x)
     if not spec.feasible(x):
         raise InfeasibleConfigError(f"configuration {x} is outside the feasible set")
-    cost = cost or CostModel.zero(table.space)
+    return _objective_at(table, x, pair_risk(support, spec), spec,
+                         cost or CostModel.zero(table.space))
+
+
+def _objective_at(table: EffectTable, x: Config, risk: dict[tuple[int, int], np.ndarray],
+                  spec: ObjectiveSpec, cost: CostModel) -> float:
+    """``objective`` at a feasible x, reading the pair risks from ``risk``
+    (``pair_risk`` at scale 1) so a search builds them once."""
     value = two_factor_predict(table, x)
-    value -= spec.lambda_risk * risk_penalty(support, x, spec)
+    value -= spec.lambda_risk * _risk_at(risk, x)
     value -= spec.lambda_cost * cost.total(x)
     return value
 

@@ -19,8 +19,8 @@ from .objective import (
     CostModel,
     InfeasibleConfigError,
     ObjectiveSpec,
+    _objective_at,
     broadcast_sum,
-    objective,
     pair_risk,
 )
 from .space import Config, FactorSpace, SupportCounts
@@ -151,7 +151,8 @@ def coordinate_ascent(table: EffectTable, support: SupportCounts, spec: Objectiv
         raise InfeasibleConfigError(f"start configuration {x} is infeasible")
 
     tables = _search_tables(table, support, spec)
-    steps = [(0, x, objective(table, x, support, spec, cost))]
+    risk = pair_risk(support, spec)
+    steps = [(0, x, _objective_at(table, x, risk, spec, cost))]
     termination = "max_sweeps"
     for sweep in range(1, search.max_sweeps + 1):
         improved = False
@@ -166,7 +167,7 @@ def coordinate_ascent(table: EffectTable, support: SupportCounts, spec: Objectiv
             if best != x[j] and gain > 0:
                 x = x[:j] + (best,) + x[j + 1:]
                 improved = True
-        steps.append((sweep, x, objective(table, x, support, spec, cost)))
+        steps.append((sweep, x, _objective_at(table, x, risk, spec, cost)))
         if not improved:
             termination = "converged"
             break

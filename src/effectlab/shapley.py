@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .effects import EffectTable, ShrinkageSpec, _centering_weights, _finalize
+from .effects import EffectTable, ShrinkageSpec, _centering, _finalize
 from .space import (
     Config,
     FactorSpace,
@@ -88,18 +88,9 @@ class ValueOracle:
     @classmethod
     def from_log(cls, log: RunLog, reference: ReferenceDistribution,
                  warn: bool = True) -> "ValueOracle":
-        if not reference.is_product:
-            raise ValueError(
-                "coalition values need a product-form background; "
-                "use reference.product_marginals() to convert an empirical one"
-            )
         space = log.space
-        counts = space.level_counts
         size = space.grid_size
-        strides = np.array(
-            [math.prod(counts[j + 1:]) for j in range(space.num_factors)], dtype=np.intp
-        )
-        flat = log.configs_array @ strides
+        flat = np.ravel_multi_index(log.configs_array.T, space.level_counts)
         w = log.weights
         sw = np.bincount(flat, weights=w, minlength=size)
         swf = np.bincount(flat, weights=w * log.responses, minlength=size)
@@ -109,13 +100,14 @@ class ValueOracle:
         mask = sw > 0
         values[mask] = swf[mask] / sw[mask]
         padded = int(size - mask.sum())
+        oracle = cls(space, reference, values, padded_cells=padded)  # rejects a bad reference
         if padded and warn:
             warnings.warn(
                 f"{padded} of {size} grid cells unobserved; coalition values "
                 "fall back to the weighted baseline there",
                 stacklevel=2,
             )
-        return cls(space, reference, values, padded_cells=padded)
+        return oracle
 
     def _build_tables(self):
         d = self.space.num_factors
@@ -145,10 +137,6 @@ class ValueOracle:
         mask = subset if isinstance(subset, int) else _mask_of(subset)
         idx = tuple(int(x[j]) for j in self._axes[mask])
         return float(self._tables[mask][idx])
-
-    def v_all(self, x: Sequence[int]) -> np.ndarray:
-        """Coalition values for every factor subset, indexed by bitmask."""
-        return self.v_rows(np.asarray([x], dtype=np.intp))[0]
 
     def v_rows(self, points: np.ndarray) -> np.ndarray:
         """Coalition values at each row of an (n, d) level-index array:
@@ -194,16 +182,37 @@ def mc_shapley(oracle: ValueOracle, x: Sequence[int], M: int = 1000, seed: int =
     has no sampling error. Deterministic for a given seed.
     """
     x = oracle.space.validate_config(x)
-    d = oracle.space.num_factors
     if method == "exact":
         (est,) = exact_shapley(oracle, [x])
         return (est, None) if return_contributions else est
-    vx = oracle.v_all(x)
+    est, delta = _sampled_shapley(oracle.v_rows(np.asarray([x]))[0], x, M, seed, method)
+    return (est, delta) if return_contributions else est
 
+
+def sampled_shapley(oracle: ValueOracle, points: Sequence[Sequence[int]], M: int,
+                    seeds: Sequence[int]) -> list[ShapleyEstimate]:
+    """Permutation attribution at every point, point i seeded by ``seeds[i]``:
+    the estimates of ``mc_shapley(oracle, x_i, M, seeds[i])``, with coalition
+    values gathered for a chunk of points per ``v_rows`` call (at most
+    ``EXACT_CHUNK`` x 2^10 values)."""
+    X = oracle.space.validate_configs(points)
+    chunk = max(1, (EXACT_CHUNK << 10) >> oracle.space.num_factors)
+    out = []
+    for start in range(0, len(X), chunk):
+        rows = X[start:start + chunk]
+        out += [_sampled_shapley(vx, tuple(x), M, seed, "permutation")[0]
+                for vx, x, seed in zip(oracle.v_rows(rows), rows.tolist(),
+                                         seeds[start:start + chunk])]
+    return out
+
+
+def _sampled_shapley(vx: np.ndarray, x: Config, M: int, seed: int, method: str):
+    """Sampled estimate at x from its coalition values ``vx`` (indexed by
+    subset bitmask), with the per-sample marginal contributions."""
+    d = len(x)
     if M < 1:
         raise ValueError("M must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-
     if method == "permutation":
         perms = np.argsort(rng.random((M, d)), axis=1)
         delta = np.empty((M, d))
@@ -233,10 +242,7 @@ def mc_shapley(oracle: ValueOracle, x: Sequence[int], M: int = 1000, seed: int =
 
     phi = delta.mean(axis=0)
     variance = delta.var(axis=0, ddof=1) if M > 1 else np.zeros(d)
-    est = ShapleyEstimate(x, phi, variance, M=M, method=method)
-    if return_contributions:
-        return est, delta
-    return est
+    return ShapleyEstimate(x, phi, variance, M=M, method=method), delta
 
 
 def exact_shapley(oracle: ValueOracle, points: Sequence[Sequence[int]]) -> list[ShapleyEstimate]:
@@ -325,6 +331,14 @@ class EffectDesignMatrix:
     reparametrized main and pair parameters. Pre-reparametrization each row
     touches one main entry with coefficient 1 and d-1 pair entries with
     coefficient 1/2.
+
+    The system is factored block by block. Factor j's rows touch only its
+    own w_j columns (main block j and every pair block holding j); that
+    n x w_j block has the thin QR ``q_blocks[j] @ R_j``, and the R_j,
+    stacked in the full columns, have the QR ``q_stack @ r``. So up to a row
+    permutation the matrix is diag(q_blocks) @ q_stack @ r, and the p x p
+    factor ``r`` carries its singular values. ``sigma_min`` is structurally
+    0 when the stack has fewer than p rows.
     """
 
     space: FactorSpace
@@ -333,20 +347,16 @@ class EffectDesignMatrix:
     matrix: np.ndarray
     blocks: list[tuple[str, tuple[int, ...], slice]]
     sigma_min: float
+    q_blocks: list[np.ndarray]
+    q_stack: np.ndarray
+    r: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
 
     def block_names(self) -> list[str]:
-        names = self.space.names
-        out = []
-        for kind, idx, _ in self.blocks:
-            if kind == "main":
-                out.append(names[idx[0]])
-            else:
-                out.append(f"{names[idx[0]]}|{names[idx[1]]}")
-        return out
+        return ["|".join(self.space.names[j] for j in idx) for _, idx, _ in self.blocks]
 
     def deficient_blocks(self, tol: float = RANK_TOLERANCE) -> list[str]:
         """Names of parameter blocks with weight in the near-null space."""
@@ -358,23 +368,20 @@ class EffectDesignMatrix:
         null_rows = vt[rank:]
         if null_rows.size == 0:
             return []
-        names = self.block_names()
-        hit = []
-        for (kind, idx, sl), name in zip(self.blocks, names):
-            if np.abs(null_rows[:, sl]).max() > 1e-6:
-                hit.append(name)
-        return hit
+        return [name for (_, _, sl), name in zip(self.blocks, self.block_names())
+                if np.abs(null_rows[:, sl]).max() > 1e-6]
 
     def diagnostics(self) -> dict:
-        return {
-            "sigma_min": self.sigma_min,
-            "rows": int(self.matrix.shape[0]),
-            "params": int(self.matrix.shape[1]),
-        }
+        rows, params = self.matrix.shape
+        return {"sigma_min": self.sigma_min, "rows": int(rows), "params": int(params)}
 
 
 def build_design_matrix(eval_set: Sequence[Sequence[int]], space: FactorSpace,
                         reference: ReferenceDistribution | None = None) -> EffectDesignMatrix:
+    """The design of ``eval_set`` under a product reference, factored once:
+    one thin QR per factor's n x w_j row block, one QR of the stacked
+    triangular factors, and ``sigma_min`` from the SVD of the p x p result.
+    The (n d) x p matrix itself is only filled in, never factored."""
     if not eval_set:
         raise ValueError("evaluation set is empty")
     reference = reference or ReferenceDistribution.uniform(space)
@@ -384,39 +391,37 @@ def build_design_matrix(eval_set: Sequence[Sequence[int]], space: FactorSpace,
     configs = tuple(map(tuple, X.tolist()))
     d = space.num_factors
 
-    bases = [_centered_basis(reference.marginal(j)) for j in range(d)]
-    blocks: list[tuple[str, tuple[int, ...], slice]] = []
-    col = 0
-    for j in range(d):
-        width = space.level_counts[j] - 1
-        blocks.append(("main", (j,), slice(col, col + width)))
-        col += width
-    for j, k in space.pairs():
-        width = (space.level_counts[j] - 1) * (space.level_counts[k] - 1)
-        blocks.append(("pair", (j, k), slice(col, col + width)))
-        col += width
-
     # Row i*d + j is factor j's attribution at point i: its own main block,
     # and half of every pair block it belongs to.
     n = len(configs)
-    U = [bases[j][X[:, j]] for j in range(d)]
-    A3 = np.zeros((n, d, col))
-    for kind, idx, sl in blocks:
-        if kind == "main":
-            (j,) = idx
-            A3[:, j, sl] = U[j]
-        else:
-            j, k = idx
-            coeff = 0.5 * (U[j][:, :, None] * U[k][:, None, :]).reshape(n, -1)
+    U = [_centered_basis(reference.marginal(j))[X[:, j]] for j in range(d)]
+    terms = [((j,), U[j]) for j in range(d)] + [
+        ((j, k), 0.5 * (U[j][:, :, None] * U[k][:, None, :]).reshape(n, -1))
+        for j, k in space.pairs()]
+    p = sum(coeff.shape[1] for _, coeff in terms)
+    A3 = np.zeros((n, d, p))
+    blocks: list[tuple[str, tuple[int, ...], slice]] = []
+    own: list[list[slice]] = [[] for _ in range(d)]  # the column blocks factor j touches
+    col = 0
+    for idx, coeff in terms:
+        sl = slice(col, col + coeff.shape[1])
+        blocks.append(("main" if len(idx) == 1 else "pair", idx, sl))
+        for j in idx:
             A3[:, j, sl] = coeff
-            A3[:, k, sl] = coeff
-    A = A3.reshape(n * d, col)
-    if A.shape[0] < A.shape[1]:
-        sigma_min = 0.0  # underdetermined: the null space is structural
-    else:
-        s = np.linalg.svd(A, compute_uv=False)
-        sigma_min = float(s[-1]) if s.size else 0.0
-    return EffectDesignMatrix(space, reference, configs, A, blocks, sigma_min)
+            own[j].append(sl)
+        col = sl.stop
+    q_blocks, stack = [], []
+    for j in range(d):
+        cols = np.r_[tuple(own[j])]
+        q_j, r_j = np.linalg.qr(A3[:, j, cols])
+        q_blocks.append(q_j)
+        stack.append(np.zeros((len(r_j), p)))
+        stack[-1][:, cols] = r_j
+    q_stack, r = np.linalg.qr(np.vstack(stack))
+    # Fewer stacked rows than parameters: the null space is structural.
+    sigma_min = float(np.linalg.svd(r, compute_uv=False)[-1]) if len(r) == p else 0.0
+    return EffectDesignMatrix(space, reference, configs, A3.reshape(n * d, p), blocks,
+                              sigma_min, q_blocks, q_stack, r)
 
 
 def fit_effects_sf(estimates: Sequence[ShapleyEstimate], space: FactorSpace,
@@ -425,7 +430,9 @@ def fit_effects_sf(estimates: Sequence[ShapleyEstimate], space: FactorSpace,
                    support: SupportCounts | None = None, mu: float = 0.0,
                    design: EffectDesignMatrix | None = None) -> EffectTable:
     """Least squares in the sum-to-zero basis, mapped back to full tables,
-    re-centered, then shrunk the same way as the cell-mean path.
+    re-centered, then shrunk the same way as the cell-mean path. The solve
+    reuses the design's factors, theta = r^-1 q_stack^T [q_blocks[j]^T phi_j],
+    and factors nothing sized by the evaluation set.
 
     ``support`` supplies the shrinkage counts (defaults to counting the
     evaluation points); ``mu`` is the baseline to attach, typically the
@@ -454,7 +461,8 @@ def fit_effects_sf(estimates: Sequence[ShapleyEstimate], space: FactorSpace,
         )
 
     phi = np.concatenate([est.phi for est in estimates])
-    theta, *_ = np.linalg.lstsq(design.matrix, phi, rcond=None)
+    z = np.concatenate([q.T @ phi[j::d] for j, q in enumerate(design.q_blocks)])
+    theta = np.linalg.solve(design.r, design.q_stack.T @ z)
     residual = float(np.linalg.norm(design.matrix @ theta - phi))
 
     bases = [_centered_basis(reference.marginal(j)) for j in range(d)]
@@ -474,7 +482,7 @@ def fit_effects_sf(estimates: Sequence[ShapleyEstimate], space: FactorSpace,
         support = support_counts(log_from_arrays(space, eval_set, np.zeros(len(eval_set))))
     # An unsupported entry is already shrunk to zero; its mask changes nothing.
     counts, pair_counts = support.level_counts, support.pair_counts
-    mains, pairs = _finalize(space, mains, pairs, *_centering_weights(space, reference),
+    mains, pairs = _finalize(space, mains, pairs, *_centering(space, reference),
                              shrinkage, counts, pair_counts, [n == 0 for n in counts],
                              {jk: n == 0 for jk, n in pair_counts.items()})
 

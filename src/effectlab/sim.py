@@ -21,7 +21,7 @@ from numpy.typing import ArrayLike
 from .effects import EffectTable, ShrinkageSpec, estimate_effects_cm
 from .objective import CostModel, ObjectiveSpec, broadcast_sum, predict_grid
 from .optimize import SearchSpec, multistart
-from .shapley import ValueOracle, exact_shapley, fit_effects_sf, mc_shapley
+from .shapley import ValueOracle, exact_shapley, fit_effects_sf, sampled_shapley
 from .space import (
     Config,
     DesignPlan,
@@ -249,8 +249,8 @@ def fit_from_oracle(oracle: ValueOracle, log: RunLog,
         estimates = exact_shapley(oracle, eval_set)
     else:
         children = np.random.SeedSequence(shap_seed).spawn(len(eval_set))
-        estimates = [mc_shapley(oracle, x, M=mc_permutations, seed=int(child.generate_state(1)[0]))
-                     for x, child in zip(eval_set, children)]
+        estimates = sampled_shapley(oracle, eval_set, mc_permutations,
+                                    [int(child.generate_state(1)[0]) for child in children])
     return fit_effects_sf(estimates, space, reference or oracle.reference, shrinkage,
                           support=support_counts(log), mu=oracle.v_empty)
 

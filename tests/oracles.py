@@ -153,6 +153,16 @@ def exact_shapley_loop(vx: np.ndarray, d: int):
     return phi, variance
 
 
+def basis_loop(pi) -> np.ndarray:
+    """L x (L-1) sum-to-zero basis: level l >= 1 free, level 0 takes -pi_l / pi_0."""
+    L = len(pi)
+    U = np.zeros((L, L - 1))
+    for l in range(1, L):
+        U[l, l - 1] = 1.0
+        U[0, l - 1] = -pi[l] / pi[0]
+    return U
+
+
 def design_matrix_loop(configs, level_counts, marginals) -> np.ndarray:
     """Attribution design matrix filled row by row. Columns are the main
     blocks in factor order, then the pair blocks (j < k) in lexicographic
@@ -160,14 +170,7 @@ def design_matrix_loop(configs, level_counts, marginals) -> np.ndarray:
     -pi_l / pi_0; row i*d + j is factor j at point i, holding its main entry
     and half of every pair entry it takes part in."""
     d = len(level_counts)
-    bases = []
-    for pi in marginals:
-        L = len(pi)
-        U = np.zeros((L, L - 1))
-        for l in range(1, L):
-            U[l, l - 1] = 1.0
-            U[0, l - 1] = -pi[l] / pi[0]
-        bases.append(U)
+    bases = [basis_loop(pi) for pi in marginals]
     offsets = {}
     col = 0
     for j in range(d):
@@ -189,6 +192,31 @@ def design_matrix_loop(configs, level_counts, marginals) -> np.ndarray:
                 coeff = 0.5 * np.outer(row_u[a], row_u[b]).ravel()
                 A[r, offsets[(a, b)]:offsets[(a, b)] + len(coeff)] = coeff
     return A
+
+
+def sf_fit_lstsq(configs, phi, level_counts, marginals, tol=1e-8):
+    """The dense route to the SF least-squares fit, as it stood before the
+    blockwise factorization: the full SVD of the row-by-row design gives
+    sigma_min (0 with fewer rows than columns); at or below ``tol`` the
+    deficient blocks are those (mains in factor order, then pairs j < k)
+    with weight above 1e-6 in the numerical null space, otherwise lstsq
+    gives theta. Returns (sigma_min, sigma_max, theta or None, deficient
+    block indices, residual norm or None)."""
+    A = design_matrix_loop(configs, level_counts, marginals)
+    _, s, vt = np.linalg.svd(A, full_matrices=True)
+    sigma_min = 0.0 if A.shape[0] < A.shape[1] else float(s[-1])
+    if sigma_min > tol:
+        theta = np.linalg.lstsq(A, phi, rcond=None)[0]
+        return sigma_min, float(s[0]), theta, [], float(np.linalg.norm(A @ theta - phi))
+    d = len(level_counts)
+    widths = [L - 1 for L in level_counts] + [
+        (level_counts[j] - 1) * (level_counts[k] - 1)
+        for j, k in itertools.combinations(range(d), 2)]
+    ends = np.cumsum(widths)
+    null = vt[int((s >= tol).sum()):]
+    blocks = [b for b, (end, w) in enumerate(zip(ends, widths))
+              if null.size and np.abs(null[:, end - w:end]).max() > 1e-6]
+    return sigma_min, float(s[0]) if s.size else 0.0, None, blocks, None
 
 
 def double_center_loop(mat: np.ndarray, joint: np.ndarray,

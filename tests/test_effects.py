@@ -26,7 +26,7 @@ from effectlab import (
     weighted_baseline,
 )
 from effectlab.cli import _topk_bootstrap_cis
-from effectlab.effects import BOOTSTRAP_CHUNK, bootstrap_replicates, double_center
+from effectlab.effects import BOOTSTRAP_CHUNK, bootstrap_replicates, double_centerer
 from conftest import full_grid_log, random_space
 from oracles import (bootstrap_replicates_loop, double_center_loop, estimate_arrays_loop,
                      projection_decomposition, topk_intervals_loop)
@@ -400,10 +400,10 @@ def test_batched_double_center_matches_per_matrix(product):
         joint[1] = 0.0  # a row without mass
         joint /= joint.sum()
     stack = rng.normal(size=(5, 2, 3, 4)) * 10.0 ** rng.integers(-3, 4, size=(5, 2, 1, 1))
-    batched = double_center(stack, joint)
+    batched = double_centerer(joint)(stack)
     assert batched.shape == stack.shape
     for idx in np.ndindex(5, 2):
-        assert np.array_equal(batched[idx], double_center(stack[idx], joint))
+        assert np.array_equal(batched[idx], double_centerer(joint)(stack[idx]))
         assert_close(batched[idx], double_center_loop(stack[idx], joint))
 
 
@@ -430,7 +430,7 @@ def test_staircase_joint_centered_exactly():
     log = log_from_arrays(space, configs, rng.normal(size=11), weights=[1.0] * 6 + [0.01] * 5)
     ref = ReferenceDistribution.empirical(log)
     joint = ref.pair(0, 1)
-    assert_exactly_centered(double_center(rng.normal(size=(6, 6)), joint), joint)
+    assert_exactly_centered(double_centerer(joint)(rng.normal(size=(6, 6))), joint)
     table = estimate_effects_cm(log, ref)
     assert_exactly_centered(table.pairs[(0, 1)], joint)
 
@@ -465,7 +465,7 @@ def test_double_center_is_the_converged_projection(problem):
     # Tolerances scale with the matrix's largest entry: an entry that cancels
     # to about zero keeps the rounding of the entries it was computed from.
     joint, mat = problem
-    out = double_center(mat, joint)
+    out = double_centerer(joint)(mat)
     for centered, m in zip(out, mat):
         scale = 1.0 + np.abs(m).max()
         assert_exactly_centered(centered, joint)
@@ -473,7 +473,7 @@ def test_double_center_is_the_converged_projection(problem):
         # gap from its limit, so tol sits near rounding.
         loop = double_center_loop(m, joint, tol=1e-15 * scale, max_rounds=100_000)
         assert np.abs(centered - loop).max() <= 1e-12 * scale
-        assert np.abs(double_center(centered, joint) - centered).max() <= 1e-12 * scale
+        assert np.abs(double_centerer(joint)(centered) - centered).max() <= 1e-12 * scale
 
 
 @settings(max_examples=25, deadline=None)

@@ -27,10 +27,12 @@ from effectlab import (
 )
 from effectlab.shapley import EXACT_CHUNK, RANK_TOLERANCE, ShapleyEstimate, mc_sample_bound
 from conftest import full_grid_log, random_space
+from effectlab.sim import estimate_from_log
 from oracles import (
     coalition_values_by_contraction,
     design_matrix_loop,
     exact_shapley_loop,
+    sf_fit_lstsq,
     shapley_by_definition,
 )
 
@@ -286,6 +288,69 @@ def test_vectorized_design_matches_row_loop(problem):
     assert np.array_equal(dm.matrix, looped)
 
 
+sf_problems = st.tuples(
+    st.lists(st.sampled_from([2, 3, 4]), min_size=2, max_size=5),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 30),  # distinct points
+    st.integers(1, 60),  # evaluation points, drawn from the distinct ones
+)
+
+
+def recording(name, calls):
+    """np.linalg.<name> that logs (name, input shape, output) per call."""
+    fn = getattr(np.linalg, name)
+
+    def wrapper(a, *args, **kwargs):
+        out = fn(a, *args, **kwargs)
+        calls.append((name, np.shape(a), out))
+        return out
+
+    return wrapper
+
+
+@settings(max_examples=120, deadline=None)
+@given(sf_problems)
+def test_blockwise_sf_fit_matches_dense_lstsq_route(problem):
+    # Non-uniform product references, repeated points, n < w_j and designs
+    # with fewer rows than parameters. Tolerances are norm-wise: 1e-12 times
+    # one plus the largest magnitude of the compared quantity.
+    levels, seed, distinct, n = problem
+    space, ref, values, pool = product_problem(levels, seed, distinct)
+    points = [pool[i] for i in np.random.default_rng(seed).integers(0, distinct, size=n)]
+    marginals = [ref.marginal(j) for j in range(space.num_factors)]
+    estimates = exact_shapley(ValueOracle(space, ref, values), points)
+    phi = np.concatenate([est.phi for est in estimates])
+    sigma_min, sigma_max, theta, blocks, residual = sf_fit_lstsq(
+        points, phi, space.level_counts, marginals, RANK_TOLERANCE)
+
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("svd", "lstsq", "solve"):
+            mp.setattr(np.linalg, name, recording(name, calls))
+        dm = build_design_matrix(points, space, ref)
+        assert abs(dm.sigma_min - sigma_min) <= 1e-12 * (1.0 + sigma_max)
+        if theta is None:
+            with pytest.raises(RankDeficiencyError) as err:
+                fit_effects_sf(estimates, space, ref, design=dm)
+            assert err.value.blocks == [dm.block_names()[b] for b in blocks]
+            return
+        fit = fit_effects_sf(estimates, space, ref, design=dm)
+    # Only p x p matrices are factored on the success path.
+    p = dm.shape[1]
+    assert [(name, shape) for name, shape, _ in calls] == [("svd", (p, p)), ("solve", (p, p))]
+    got = calls[-1][2]
+    assert np.abs(got - theta).max() <= 1e-12 * (1.0 + np.abs(theta).max())
+    assert abs(fit.diagnostics["residual_norm"] - residual) <= 1e-12 * (1.0 + np.abs(phi).max())
+
+    # The dense route's tables: its theta through the same mapping and finalize.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "solve", lambda *args, **kwargs: theta)
+        dense = fit_effects_sf(estimates, space, ref, design=dm)
+    for new, old in zip(fit.mains + tuple(fit.pairs.values()),
+                        dense.mains + tuple(dense.pairs.values())):
+        assert np.abs(new - old).max() <= 1e-12 * (1.0 + np.abs(old).max())
+
+
 def test_batched_exact_across_chunk_boundary():
     space, ref, values, points = product_problem([2, 3, 4], 21, EXACT_CHUNK + 1)
     oracle = ValueOracle(space, ref, values)
@@ -455,6 +520,42 @@ def test_cm_sf_agree_on_full_grid():
         assert np.max(np.abs(sf.mains[j] - cm.mains[j])) < 1e-6
     for jk in cm.pairs:
         assert np.max(np.abs(sf.pairs[jk] - cm.pairs[jk])) < 1e-6
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from([2, 3, 4]), min_size=2, max_size=4),
+       st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_cm_equals_sf_on_balanced_full_grids(levels, replicates, seed):
+    # Every cell replicated equally under a uniform reference: the cell means
+    # and the least-squares fit to exact attributions recover the same
+    # functional ANOVA tables, whatever the higher-order terms of the response,
+    # and both shrink by the same counts.
+    rng = np.random.default_rng(seed)
+    space = build_space([(f"f{i}", [str(t) for t in range(L)]) for i, L in enumerate(levels)])
+    configs = np.repeat(np.array(list(np.ndindex(*levels))), replicates, axis=0)
+    responses = rng.normal(size=len(configs)) * 10.0 ** rng.integers(-2, 3)
+    log = log_from_arrays(space, configs, responses)
+    cm, sf = estimate_from_log(log, "CM"), estimate_from_log(log, "SF")
+    cm_values = [np.array([cm.mu])] + list(cm.mains) + list(cm.pairs.values())
+    sf_values = [np.array([sf.mu])] + list(sf.mains) + list(sf.pairs.values())
+    scale = 1.0 + max(np.abs(v).max() for v in cm_values)
+    assert max(np.abs(a - b).max() for a, b in zip(cm_values, sf_values)) <= 1e-12 * scale
+
+
+def test_sampled_attribution_matches_per_point_loop():
+    # 11 binary factors: past the exact-attribution limit, with 1024 points
+    # per coalition-value chunk. Point i draws from child i of the seed.
+    space = build_space([(f"f{j}", ["0", "1"]) for j in range(11)])
+    grid = enumerate_grid(space)
+    log = log_from_arrays(space, grid, np.random.default_rng(23).normal(size=len(grid)))
+    table = estimate_from_log(log, "SF", mc_permutations=5, shap_seed=9)
+    oracle = ValueOracle.from_log(log, ReferenceDistribution.uniform(space))
+    children = np.random.SeedSequence(9).spawn(len(grid))
+    for i in (0, 1, 1023, 1024, len(grid) - 1):
+        est = mc_shapley(oracle, grid[i], M=5, seed=int(children[i].generate_state(1)[0]))
+        got = table.attributions[i]
+        assert got.x == est.x and got.M == 5 and got.method == "permutation"
+        assert np.array_equal(got.phi, est.phi) and np.array_equal(got.variance, est.variance)
 
 
 def test_objective_deviation_bounded_by_table_errors():
