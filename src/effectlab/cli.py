@@ -165,6 +165,15 @@ def _estimate_table(args, log, reference):
                              mc_permutations=args.mc_samples, shap_seed=args.seed)
 
 
+def _bootstrap_diagnostics(table) -> dict:
+    """The replicate count and the draws that fell back to the original
+    sample, when the table carries bootstrap replicates."""
+    reps = table.replicates
+    if reps is None:
+        return {}
+    return {"bootstrap": {"replicates": len(reps.mu), "fallback_draws": reps.fallback_draws}}
+
+
 def cmd_estimate(args) -> tuple[list[str], dict]:
     out = _prepare_out(args)
     space, log = _load_inputs(args)
@@ -215,7 +224,7 @@ def cmd_estimate(args) -> tuple[list[str], dict]:
             outputs.append("diagnostics.json")
         write_shapley_csv(table.attributions, space, out / "shapley.csv", header_note=note)
         outputs.append("shapley.csv")
-    return outputs, {}
+    return outputs, _bootstrap_diagnostics(table)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +269,7 @@ def cmd_optimize(args) -> tuple[list[str], dict]:
     diagnostics = {
         "restarts": [{"termination": t.termination, "sweeps": t.steps[-1][0]} for t in traces],
         "objective_grid_cells": 0,
+        **_bootstrap_diagnostics(table),
     }
     if space.grid_size <= TOPK_GRID_CAP:
         J, feasible = objective_grid(table, support, spec, cost)

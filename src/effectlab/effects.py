@@ -84,9 +84,7 @@ class EffectTable:
     provenance: str = "CM"
     level_means: tuple[np.ndarray, ...] | None = None
     mu_ci: np.ndarray | None = None
-    mains_se: tuple[np.ndarray, ...] | None = None
     mains_ci: tuple[np.ndarray, ...] | None = None
-    pairs_se: dict[tuple[int, int], np.ndarray] | None = None
     pairs_ci: dict[tuple[int, int], np.ndarray] | None = None
     level_means_ci: tuple[np.ndarray, ...] | None = None
     diagnostics: dict | None = None
@@ -246,7 +244,7 @@ def double_centerer(joint: np.ndarray):
 # Estimation
 # ---------------------------------------------------------------------------
 
-BOOTSTRAP_CHUNK = 8  # replicates per batch; bounds the per-configuration sums held at once
+BOOTSTRAP_CHUNK = 16  # replicates per batch; bounds the per-configuration sums held at once
 
 
 def _estimate_batch(level_sums, pair_sums, mu: np.ndarray, space: FactorSpace,
@@ -424,7 +422,7 @@ def bootstrap_replicates(log: RunLog, reference: ReferenceDistribution | None = 
 def bootstrap_cis(log: RunLog, reference: ReferenceDistribution | None = None,
                   shrinkage: ShrinkageSpec | None = None, B: int = 200,
                   level: float = 0.95, seed: int = 0) -> EffectTable:
-    """Percentile intervals and standard errors from ``bootstrap_replicates``.
+    """Percentile intervals from ``bootstrap_replicates``.
 
     The returned table keeps the replicates, so intervals of other functions
     of the estimates (the objective at a configuration, say) can reuse them.
@@ -452,15 +450,10 @@ def bootstrap_cis(log: RunLog, reference: ReferenceDistribution | None = None,
         out[seen] = np.moveaxis(np.nanpercentile(arr[:, seen], q, axis=0), 0, -1)
         return out
 
-    def se(arr):
-        return np.std(arr, axis=0, ddof=1)
-
     return replace(
         base,
         mu_ci=np.percentile(reps.mu, q),
-        mains_se=tuple(se(g) for g in reps.mains),
         mains_ci=tuple(pct(g) for g in reps.mains),
-        pairs_se={jk: se(g) for jk, g in reps.pairs.items()},
         pairs_ci={jk: pct(g) for jk, g in reps.pairs.items()},
         level_means_ci=tuple(nan_pct(m) for m in reps.level_means),
         replicates=reps,

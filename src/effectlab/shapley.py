@@ -58,6 +58,18 @@ class ValueOracle:
     def __init__(self, space: FactorSpace, reference: ReferenceDistribution,
                  values: np.ndarray, bound: float | None = None,
                  padded_cells: int = 0):
+        self._check(space, reference)
+        self.space = space
+        self.reference = reference
+        self.values = np.asarray(values, dtype=float).reshape(space.level_counts)
+        self.bound = float(np.abs(self.values).max()) if bound is None else float(bound)
+        self.padded_cells = padded_cells
+        self._tables: dict[int, np.ndarray] = {}
+        self._axes: dict[int, tuple[int, ...]] = {}
+        self._build_tables()
+
+    @staticmethod
+    def _check(space: FactorSpace, reference: ReferenceDistribution) -> None:
         if not reference.is_product:
             raise ValueError(
                 "coalition values need a product-form background; "
@@ -67,14 +79,6 @@ class ValueOracle:
             raise ValueError(
                 f"grid size {space.grid_size} exceeds the exact-evaluation cap {EXACT_CELL_CAP}"
             )
-        self.space = space
-        self.reference = reference
-        self.values = np.asarray(values, dtype=float).reshape(space.level_counts)
-        self.bound = float(np.abs(self.values).max()) if bound is None else float(bound)
-        self.padded_cells = padded_cells
-        self._tables: dict[int, np.ndarray] = {}
-        self._axes: dict[int, tuple[int, ...]] = {}
-        self._build_tables()
 
     @classmethod
     def from_function(cls, space: FactorSpace, reference: ReferenceDistribution,
@@ -89,6 +93,7 @@ class ValueOracle:
     def from_log(cls, log: RunLog, reference: ReferenceDistribution,
                  warn: bool = True) -> "ValueOracle":
         space = log.space
+        cls._check(space, reference)  # before any grid-sized array
         size = space.grid_size
         flat = np.ravel_multi_index(log.configs_array.T, space.level_counts)
         w = log.weights
@@ -100,7 +105,7 @@ class ValueOracle:
         mask = sw > 0
         values[mask] = swf[mask] / sw[mask]
         padded = int(size - mask.sum())
-        oracle = cls(space, reference, values, padded_cells=padded)  # rejects a bad reference
+        oracle = cls(space, reference, values, padded_cells=padded)
         if padded and warn:
             warnings.warn(
                 f"{padded} of {size} grid cells unobserved; coalition values "

@@ -8,7 +8,7 @@ import pytest
 
 from effectlab import cli
 from effectlab.cli import main
-from effectlab.effects import ShrinkageSpec
+from effectlab.effects import ShrinkageSpec, bootstrap_replicates
 from effectlab.objective import ObjectiveSpec, objective
 from effectlab.sim import estimate_from_log
 from effectlab.space import ReferenceDistribution, ingest_log, load_space
@@ -181,6 +181,8 @@ def test_estimate_reproducible_byte_identical(workspace):
     m1.pop("timestamp"), m2.pop("timestamp")
     m1.pop("config"), m2.pop("config")  # differ in --out by construction
     assert m1["inputs"] == m2["inputs"] and m1["outputs"] == m2["outputs"]
+    assert m1["diagnostics"] == m2["diagnostics"] == {
+        "bootstrap": {"replicates": 120, "fallback_draws": 0}}
 
 
 def test_estimate_error_json_and_exit_code(workspace, tmp_path):
@@ -365,6 +367,12 @@ def test_bootstrap_survives_zero_weight_draws(sparse_weight_workspace, command):
                "--bootstrap", "100", "--seed", "0"])
     assert rc == 0
     assert not (out / "error.json").exists()
+    loaded = load_space(space)
+    reps = bootstrap_replicates(ingest_log(log, loaded), B=100, seed=0)
+    assert reps.fallback_draws > 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["diagnostics"]["bootstrap"] == {"replicates": 100,
+                                                    "fallback_draws": reps.fallback_draws}
     if command == "optimize":
         for row in read_csv(out / "topk.csv"):
             assert float(row["ci_lo"]) <= float(row["ci_hi"])

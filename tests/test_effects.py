@@ -532,6 +532,16 @@ def test_replicates_reproducible_byte_identical():
         assert a.tobytes() == b.tobytes()
 
 
+def test_replicate_same_in_full_chunk_and_in_one_replicate_tail():
+    # Replicate BOOTSTRAP_CHUNK is summed with BOOTSTRAP_CHUNK - 1 others in
+    # the second call and alone, by the one-sample route, in the first.
+    log, _ = random_log([3, 5, 2, 4], 8, 90, 0.3)
+    tail = bootstrap_replicates(log, B=BOOTSTRAP_CHUNK + 1, seed=11)
+    full = bootstrap_replicates(log, B=BOOTSTRAP_CHUNK * 2, seed=11)
+    for a, b in zip(replicate_arrays(tail), replicate_arrays(full)):
+        assert_close(a[BOOTSTRAP_CHUNK], b[BOOTSTRAP_CHUNK])
+
+
 def test_bootstrap_unobserved_level_interval_is_nan_without_warning(space_2x2):
     configs = [((i // 2) % 2, i % 2) for i in range(40)]
     weights = [1.0, 1.0] + [0.0] * 38  # both weighted records sit at a=0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +82,22 @@ def test_log_backed_oracle_pads_unobserved(space_2x2):
         oracle = ValueOracle.from_log(log, ref)
     assert oracle.padded_cells == 2
     assert oracle.values[0, 1] == pytest.approx(2.0)  # weighted baseline
+
+
+def test_log_backed_oracle_checks_cap_before_grid_sized_sums():
+    # 13 three-level factors: 1,594,323 cells, past EXACT_CELL_CAP. One grid-
+    # sized float array would take 12.8 MB.
+    space = build_space([(f"f{j}", ["a", "b", "c"]) for j in range(13)])
+    log = log_from_arrays(space, [(0,) * 13, (1,) * 13], [1.0, 2.0])
+    ref = ReferenceDistribution.uniform(space)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exact-evaluation cap"):
+            ValueOracle.from_log(log, ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # ---------------------------------------------------------------------------

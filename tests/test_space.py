@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from effectlab import space as space_module
 from effectlab import (
     DesignPlan,
     LogSchemaError,
@@ -18,6 +19,7 @@ from effectlab import (
     support_counts,
     write_log,
 )
+from effectlab.space import cell_sums
 from oracles import (
     empirical_joint_loop,
     ingest_log_loop,
@@ -426,8 +428,8 @@ def test_support_counts_recount_oracle(space_2x2):
 
 @st.composite
 def weighted_logs(draw):
-    """A log on 2-4 factors of 2-4 levels whose weights include zeros."""
-    level_counts = draw(st.lists(st.integers(2, 4), min_size=2, max_size=4))
+    """A log on 2-6 factors of 2-10 levels whose weights include zeros."""
+    level_counts = draw(st.lists(st.integers(2, 10), min_size=2, max_size=6))
     space = build_space([(f"f{j}", [f"l{t}" for t in range(L)])
                          for j, L in enumerate(level_counts)])
     n = draw(st.integers(1, 40))
@@ -447,9 +449,10 @@ def record_order_sum(values):
     return total
 
 
-@given(weighted_logs())
+@given(weighted_logs(), st.integers(2, 6), st.integers(0, 2**32 - 1),
+       st.sampled_from([3, 16, space_module.CELL_BLOCK]))
 @settings(max_examples=60, deadline=None)
-def test_support_sums_match_per_cell_loops(log):
+def test_support_sums_match_per_cell_loops(log, C, seed, block):
     space, configs, w = log.space, log.configs_array, log.weights
     wy = w * log.responses
     sc = support_counts(log)
@@ -472,6 +475,24 @@ def test_support_sums_match_per_cell_loops(log):
             mask = (configs[:, j] == a) & (configs[:, k] == b)
             assert sums[0, a, b] == record_order_sum(w[mask])
             assert sums[1, a, b] == record_order_sum(wy[mask])
+    # C samples at once, each record repeated 0-2 times per sample as in a
+    # bootstrap draw, in blocks of ``block`` records: each sample's sums are
+    # its one-sample sums up to rounding, and counts and empty cells exactly.
+    repeats = np.random.default_rng(seed).integers(0, 3, size=(C, len(w)))
+    stats = np.stack([w, wy, (w > 0).astype(float), w * w])[:, None] * repeats
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(space_module, "CELL_BLOCK", block)
+        levels, pairs = cell_sums(configs, stats, space)
+    for c in range(C):
+        one_levels, one_pairs = cell_sums(configs, stats[:, c:c + 1], space)
+        assert list(pairs) == list(one_pairs)
+        for got, want in zip((*levels, *pairs.values()), (*one_levels, *one_pairs.values())):
+            got, want = got[:, c], want[:, 0]
+            assert got.shape == want.shape
+            for g, x in zip(got, want):
+                assert np.abs(g - x).max() <= 1e-12 * (1.0 + np.abs(x).max())
+            assert np.array_equal(got[2], want[2])
+            assert np.all(got[:, want[0] == 0] == 0)
 
 
 def test_effective_sample_size_values():
