@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .effects import ShrinkageSpec, bootstrap_cis
 from .objective import CostModel, ObjectiveSpec, objective, objective_grid, pair_risk
-from .optimize import SearchSpec, diag_dominance_check, multistart
+from .optimize import SearchSpec, diag_dominance_check, multistart, verify_1swap
 from .pci import write_pci_csv
 from .planning import bernstein_halfwidth, hoeffding_cell_n, uniform_cells_n
 from .shapley import mc_sample_size, write_shapley_csv
@@ -248,7 +248,8 @@ def cmd_optimize(args) -> tuple[list[str], dict]:
     chosen = {
         "config": dict(zip(space.names, space.labels_for(best))),
         "objective": float(objective(table, best, support, spec, cost)),
-        "one_swap_optimal": all(t.verified_1swap for t in traces if t.verified_1swap is not None),
+        "one_swap_optimal": (any(t.verified_1swap for t in traces if t.final == best)
+                             or verify_1swap(table, support, spec, cost, best)[0]),
         "restarts": len(traces),
     }
     _write_json(out / "chosen.json", chosen)
@@ -268,6 +269,7 @@ def cmd_optimize(args) -> tuple[list[str], dict]:
 
     diagnostics = {
         "restarts": [{"termination": t.termination, "sweeps": t.steps[-1][0]} for t in traces],
+        "restarts_dropped": search.restarts - len(traces),
         "objective_grid_cells": 0,
         **_bootstrap_diagnostics(table),
     }

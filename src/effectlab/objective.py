@@ -224,14 +224,7 @@ def risk_penalty(support: SupportCounts, x: Sequence[int],
                  gamma: float | ObjectiveSpec = 1.0) -> float:
     """Sum over factor pairs of gamma / (n_jk + gamma); each term in (0, 1]."""
     spec = gamma if isinstance(gamma, ObjectiveSpec) else ObjectiveSpec(gamma=gamma)
-    return _risk_at(pair_risk(support, spec), x)
-
-
-def _risk_at(risk: dict[tuple[int, int], np.ndarray], x: Sequence[int]) -> float:
-    total = 0.0
-    for (j, k), r in risk.items():
-        total += r[x[j], x[k]]
-    return total
+    return sum((r[x[j], x[k]] for (j, k), r in pair_risk(support, spec).items()), 0.0)
 
 
 def risk_grid(support: SupportCounts, spec: ObjectiveSpec) -> np.ndarray:
@@ -262,17 +255,27 @@ def objective(table: EffectTable, x: Sequence[int], support: SupportCounts,
     x = table.space.validate_config(x)
     if not spec.feasible(x):
         raise InfeasibleConfigError(f"configuration {x} is outside the feasible set")
-    return _objective_at(table, x, pair_risk(support, spec), spec,
-                         cost or CostModel.zero(table.space))
+    return _objective_at(table, np.array([x]), pair_risk(support, spec), spec,
+                         cost or CostModel.zero(table.space))[0]
 
 
-def _objective_at(table: EffectTable, x: Config, risk: dict[tuple[int, int], np.ndarray],
-                  spec: ObjectiveSpec, cost: CostModel) -> float:
-    """``objective`` at a feasible x, reading the pair risks from ``risk``
-    (``pair_risk`` at scale 1) so a search builds them once."""
-    value = two_factor_predict(table, x)
-    value -= spec.lambda_risk * _risk_at(risk, x)
-    value -= spec.lambda_cost * cost.total(x)
+def _objective_at(table: EffectTable, X: np.ndarray, risk: dict[tuple[int, int], np.ndarray],
+                  spec: ObjectiveSpec, cost: CostModel) -> np.ndarray:
+    """``objective`` at each feasible row of the (R, d) level array X, adding
+    terms in the order of ``two_factor_predict``, ``risk_penalty`` and
+    ``CostModel.total``. ``risk`` is ``pair_risk`` at scale 1, built once
+    per search."""
+    value = np.full(len(X), table.mu, dtype=float)
+    for j, g in enumerate(table.mains):
+        value += g[X[:, j]]
+    for (j, k), mat in table.pairs.items():
+        value += mat[X[:, j], X[:, k]]
+    total = np.zeros(len(X))
+    for (j, k), r in risk.items():
+        total += r[X[:, j], X[:, k]]
+    value -= spec.lambda_risk * total
+    costs = sum(c[X[:, j]] for j, c in enumerate(cost.level_costs))
+    value -= spec.lambda_cost * (cost.offset + costs)
     return value
 
 

@@ -4,6 +4,10 @@ One sweep updates each factor in declaration order to the level with the
 largest local gain, accepting only strict improvements and breaking ties by
 lowest level index. The endpoint of a converged run is 1-swap optimal; a
 diagonal-dominance certificate upgrades that to global optimality.
+
+A search call builds its tables once and advances every restart together as
+one level array; each score adds its terms in the same order whatever the
+restart count, so a restart's trace equals its one-start ascent.
 """
 
 from __future__ import annotations
@@ -94,25 +98,33 @@ def _search_tables(table: EffectTable, support: SupportCounts, spec: ObjectiveSp
     return tables
 
 
-def _local_scores(tables, table: EffectTable, spec: ObjectiveSpec, cost: CostModel,
-                  j: int, x: Config) -> np.ndarray:
-    """Vector of local objectives over all levels of factor j (NaN = banned)."""
-    scores = table.mains[j].astype(float)
+def _level_scores(tables, table: EffectTable, spec: ObjectiveSpec, cost: CostModel,
+                  j: int, X: np.ndarray) -> np.ndarray:
+    """Local objectives over all levels of factor j (NaN = banned), one row
+    per context in the (R, d) level array X. Every entry adds its terms in
+    the same order whatever R is: main, then pair and risk of each other
+    factor in declaration order, then cost."""
+    scores = np.tile(table.mains[j].astype(float), (len(X), 1))
     for k in range(table.space.num_factors):
         if k == j:
             continue
         pair, risk = tables[(j, k)]
-        scores += pair[:, x[k]]
-        scores -= risk[:, x[k]]
-    scores -= spec.lambda_cost * (cost.level_costs[j] - float(cost.level_costs[j][x[j]]))
-    banned = spec.banned_levels.get(j, frozenset())
-    for lvl in banned:
-        scores[lvl] = np.nan
+        scores += pair[:, X[:, k]].T
+        scores -= risk[:, X[:, k]].T
+    c = cost.level_costs[j]
+    scores -= spec.lambda_cost * (c - c[X[:, j], None])
+    scores[:, sorted(spec.banned_levels.get(j, ()))] = np.nan
     if spec.banned_configs:
-        for lvl in range(len(scores)):
-            if lvl not in banned and x[:j] + (lvl,) + x[j + 1:] in spec.banned_configs:
-                scores[lvl] = np.nan
+        others = np.delete(X, j, axis=1)
+        for cfg in spec.banned_configs:
+            scores[(others == np.delete(cfg, j)).all(axis=1), cfg[j]] = np.nan
     return scores
+
+
+def _local_scores(tables, table: EffectTable, spec: ObjectiveSpec, cost: CostModel,
+                  j: int, x: Config) -> np.ndarray:
+    """Vector of local objectives over all levels of factor j (NaN = banned)."""
+    return _level_scores(tables, table, spec, cost, j, np.array([x]))[0]
 
 
 def local_gain(table: EffectTable, support: SupportCounts, spec: ObjectiveSpec,
@@ -133,6 +145,41 @@ def local_gain(table: EffectTable, support: SupportCounts, spec: ObjectiveSpec,
     return float(_local_scores(tables, table, spec, cost, j, x)[level])
 
 
+def _ascend(table: EffectTable, support: SupportCounts, spec: ObjectiveSpec,
+            cost: CostModel, starts: list[Config], max_sweeps: int) -> list[SearchTrace]:
+    """Coordinate ascent from every feasible start at once, the starts
+    advancing together as the rows of one level array.
+
+    The tables and pair risks are built once. A row leaves the batch after a
+    sweep with no move; that sweep scored every single-factor swap at its
+    endpoint and found no strict gain, so the endpoint is 1-swap optimal.
+    """
+    tables = _search_tables(table, support, spec)
+    risk = pair_risk(support, spec)
+    X = np.array(starts, dtype=np.intp)
+    steps = [[(0, x, v)] for x, v in zip(starts, _objective_at(table, X, risk, spec, cost))]
+    converged = np.zeros(len(X), dtype=bool)
+    live = np.arange(len(X))
+    for sweep in range(1, max_sweeps + 1):
+        rows, moved = X[live], np.zeros(len(live), dtype=bool)
+        for j in range(table.space.num_factors):
+            scores = _level_scores(tables, table, spec, cost, j, rows)
+            best = np.nanargmax(scores, axis=1)
+            at = np.arange(len(rows))
+            move = (best != rows[:, j]) & (scores[at, best] - scores[at, rows[:, j]] > 0)
+            rows[move, j] = best[move]
+            moved |= move
+        X[live] = rows
+        for r, x, v in zip(live, rows.tolist(), _objective_at(table, rows, risk, spec, cost)):
+            steps[r].append((sweep, tuple(x), v))
+        converged[live[~moved]] = True
+        live = live[moved]
+        if not len(live):
+            break
+    return [SearchTrace(s, s[-1][1], "converged" if done else "max_sweeps", True if done else None)
+            for s, done in zip(steps, converged.tolist())]
+
+
 def coordinate_ascent(table: EffectTable, support: SupportCounts, spec: ObjectiveSpec,
                       cost: CostModel | None, start: Sequence[int],
                       search: SearchSpec | None = None) -> tuple[Config, SearchTrace]:
@@ -140,41 +187,16 @@ def coordinate_ascent(table: EffectTable, support: SupportCounts, spec: Objectiv
 
     Ties between equally good levels go to the lowest index, and a move is
     accepted only when its gain is strictly positive, which rules out
-    equal-value cycles. A converged endpoint is checked for 1-swap
-    optimality.
+    equal-value cycles. A converged endpoint is 1-swap optimal.
     """
     search = search or SearchSpec()
     space = table.space
-    cost = cost or CostModel.zero(space)
     x = space.validate_config(start)
     if not spec.feasible(x):
         raise InfeasibleConfigError(f"start configuration {x} is infeasible")
-
-    tables = _search_tables(table, support, spec)
-    risk = pair_risk(support, spec)
-    steps = [(0, x, _objective_at(table, x, risk, spec, cost))]
-    termination = "max_sweeps"
-    for sweep in range(1, search.max_sweeps + 1):
-        improved = False
-        for j in range(space.num_factors):
-            scores = _local_scores(tables, table, spec, cost, j, x)
-            if np.all(np.isnan(scores)):
-                raise InfeasibleConfigError(
-                    f"no feasible level for factor {space.names[j]!r} in context {x}"
-                )
-            best = int(np.nanargmax(scores))
-            gain = scores[best] - scores[x[j]]
-            if best != x[j] and gain > 0:
-                x = x[:j] + (best,) + x[j + 1:]
-                improved = True
-        steps.append((sweep, x, _objective_at(table, x, risk, spec, cost)))
-        if not improved:
-            termination = "converged"
-            break
-    trace = SearchTrace(steps, x, termination)
-    if termination == "converged":
-        trace.verified_1swap = _best_swap(tables, table, spec, cost, x) is None
-    return x, trace
+    (trace,) = _ascend(table, support, spec, cost or CostModel.zero(space), [x],
+                       search.max_sweeps)
+    return trace.final, trace
 
 
 def _greedy_start(table: EffectTable, spec: ObjectiveSpec) -> Config:
@@ -196,58 +218,33 @@ def multistart(table: EffectTable, support: SupportCounts, spec: ObjectiveSpec,
     """Greedy start plus random restarts drawn from per-factor top levels.
 
     Restart r derives its RNG from (seed, r), so results do not depend on
-    scheduling. The winner is the endpoint with the best objective; exact
-    ties go to the lexicographically smallest configuration.
+    scheduling. A restart whose 100 draws find no feasible start, like an
+    infeasible greedy start, is dropped. All restarts then ascend together.
+    The winner is the endpoint with the best objective; exact ties go to the
+    lexicographically smallest configuration.
     """
     search = search or SearchSpec()
     space = table.space
     cost = cost or CostModel.zero(space)
 
     starts = [_greedy_start(table, spec)]
+    tops = [sorted(spec.allowed_levels(space, j), key=lambda l: (-table.mains[j][l], l))
+            [: search.beam] for j in range(space.num_factors)]
     children = np.random.SeedSequence(search.seed).spawn(max(search.restarts - 1, 0))
     for child in children:
         rng = np.random.default_rng(child)
         for _ in range(100):
-            cand = []
-            for j in range(space.num_factors):
-                allowed = spec.allowed_levels(space, j)
-                top = sorted(allowed, key=lambda l: (-table.mains[j][l], l))[: search.beam]
-                cand.append(int(top[rng.integers(0, len(top))]))
-            cand = tuple(cand)
+            cand = tuple(int(top[rng.integers(0, len(top))]) for top in tops)
             if spec.feasible(cand):
                 starts.append(cand)
                 break
 
-    traces = []
-    best: tuple[float, Config] | None = None
-    for start in starts:
-        if not spec.feasible(start):
-            continue
-        x, trace = coordinate_ascent(table, support, spec, cost, start, search)
-        traces.append(trace)
-        value = trace.steps[-1][2]
-        if best is None or (value, tuple(-c for c in x)) > (best[0], tuple(-c for c in best[1])):
-            best = (value, x)
-    if best is None:
+    starts = [x for x in starts if spec.feasible(x)]
+    if not starts:
         raise InfeasibleConfigError("no feasible start configuration found")
-    return best[1], traces
-
-
-def _best_swap(tables, table: EffectTable, spec: ObjectiveSpec, cost: CostModel,
-               x: Config) -> tuple[int, int, float] | None:
-    """The single-factor substitution with the largest strictly positive
-    gain, as (factor, level, gain), or None."""
-    best: tuple[int, int, float] | None = None
-    for j in range(table.space.num_factors):
-        scores = _local_scores(tables, table, spec, cost, j, x)
-        base = scores[x[j]]
-        for lvl in range(len(scores)):
-            if lvl == x[j] or np.isnan(scores[lvl]):
-                continue
-            gain = float(scores[lvl] - base)
-            if gain > 0 and (best is None or gain > best[2]):
-                best = (j, lvl, gain)
-    return best
+    traces = _ascend(table, support, spec, cost, starts, search.max_sweeps)
+    best = max(traces, key=lambda t: (t.steps[-1][2], tuple(-c for c in t.final)))
+    return best.final, traces
 
 
 def verify_1swap(table: EffectTable, support: SupportCounts, spec: ObjectiveSpec,
@@ -256,14 +253,22 @@ def verify_1swap(table: EffectTable, support: SupportCounts, spec: ObjectiveSpec
     """Exhaustive scan of all single-factor substitutions.
 
     Returns (True, None) when no feasible swap strictly increases the
-    objective, else (False, (factor, level, gain)) for the best violation.
+    objective, else (False, (factor, level, gain)) for the best violation,
+    ties going to the first factor and then the lowest level.
     """
     space = table.space
     cost = cost or CostModel.zero(space)
     x = space.validate_config(x)
     if not spec.feasible(x):
         raise InfeasibleConfigError(f"configuration {x} is infeasible")
-    best = _best_swap(_search_tables(table, support, spec), table, spec, cost, x)
+    tables = _search_tables(table, support, spec)
+    best: tuple[int, int, float] | None = None
+    for j in range(space.num_factors):
+        scores = _local_scores(tables, table, spec, cost, j, x)
+        gains = scores - scores[x[j]]
+        lvl = int(np.nanargmax(gains))
+        if gains[lvl] > 0 and (best is None or gains[lvl] > best[2]):
+            best = (j, lvl, float(gains[lvl]))
     return best is None, best
 
 

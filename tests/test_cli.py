@@ -10,6 +10,7 @@ from effectlab import cli
 from effectlab.cli import main
 from effectlab.effects import ShrinkageSpec, bootstrap_replicates
 from effectlab.objective import ObjectiveSpec, objective
+from effectlab.optimize import verify_1swap
 from effectlab.sim import estimate_from_log
 from effectlab.space import ReferenceDistribution, ingest_log, load_space
 
@@ -457,3 +458,46 @@ def test_non_finite_parameters_rejected(workspace, command, extra, field):
     assert err["error"] == "ValueError"
     assert field in err["message"] and "finite" in err["message"]
     assert not (out / "chosen.json").exists() and not (out / "effects.json").exists()
+
+
+def test_optimize_one_swap_flag_describes_the_chosen_config(tmp_path):
+    """With one sweep no restart converges; the flag must still say whether
+    the chosen configuration admits an improving single-factor swap."""
+    rng = np.random.default_rng(2)
+    X = rng.integers(0, 3, size=(200, 6))
+    y = rng.normal(size=200) + X @ rng.normal(size=6) + (X[:, 0] * X[:, 1] % 3)
+    space, log = write_inputs(tmp_path, (3,) * 6, X.tolist(), y, np.ones(len(X)))
+    out = tmp_path / "opt"
+    assert main(["optimize", "--space", str(space), "--log", str(log), "--out", str(out),
+                 "--lambda-risk", "0", "--restarts", "2", "--max-sweeps", "1"]) == 0
+    chosen = json.loads((out / "chosen.json").read_text())
+    restarts = json.loads((out / "manifest.json").read_text())["diagnostics"]["restarts"]
+    assert all(r["termination"] == "max_sweeps" for r in restarts)
+    loaded = load_space(space)
+    table = estimate_from_log(ingest_log(log, loaded), "cm", ReferenceDistribution.uniform(loaded),
+                              ShrinkageSpec(tau_main=1.0, tau_pair=1.0))
+    best = tuple(loaded.level_index(j, chosen["config"][name])
+                 for j, name in enumerate(loaded.names))
+    ok, _ = verify_1swap(table, table.support, ObjectiveSpec(lambda_risk=0.0), None, best)
+    assert chosen["one_swap_optimal"] is ok
+    assert not ok
+
+
+def test_optimize_manifest_counts_dropped_restarts(tmp_path):
+    """Every configuration but one is banned, so the greedy start and some
+    restarts' 100 draws find no feasible start; the manifest counts them."""
+    rng = np.random.default_rng(4)
+    X = rng.integers(0, 2, size=(40, 6))
+    space, log = write_inputs(tmp_path, (2,) * 6, X.tolist(), X @ rng.normal(size=6),
+                              np.ones(len(X)))
+    grid = [[f"l{(i >> (5 - j)) & 1}" for j in range(6)] for i in range(64)]
+    objective_file = tmp_path / "objective.json"
+    objective_file.write_text(json.dumps({"banned_configs": grid[1:]}))
+    out = tmp_path / "opt"
+    assert main(["optimize", "--space", str(space), "--log", str(log), "--out", str(out),
+                 "--objective", str(objective_file), "--restarts", "20"]) == 0
+    chosen = json.loads((out / "chosen.json").read_text())
+    assert chosen["config"] == {f"f{j}": "l0" for j in range(6)}
+    diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert diagnostics["restarts_dropped"] == 20 - chosen["restarts"]
+    assert 0 < diagnostics["restarts_dropped"] < 20

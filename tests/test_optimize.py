@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from effectlab import (
@@ -285,6 +285,87 @@ def test_multistart_dominant_converges_everywhere():
     _, traces = multistart(table, sc, spec, None, SearchSpec(restarts=6, beam=3, seed=2))
     endpoints = {t.final for t in traces}
     assert len(endpoints) == 1
+
+
+lockstep_problems = st.tuples(
+    st.lists(st.tuples(st.integers(2, 4), st.integers(0, 2)), min_size=2, max_size=5),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 20),
+    st.integers(1, 3),
+    st.integers(0, 4),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lockstep_problems)
+@example(([(3, 1), (3, 0), (4, 1), (2, 0)], 2, 12, 2, 3))  # both endpoints, 12 traces
+def test_lockstep_restarts_match_single_ascents(problem):
+    """All restarts of one multistart call advance together, some ending
+    converged and some at max_sweeps, with banned levels and configs. Each
+    trace must replay against the scalar loop and equal coordinate ascent
+    from its own start; a converged trace's 1-swap flag must equal the
+    exhaustive scan at its endpoint, and a cut-off trace has none."""
+    factors, seed, restarts, max_sweeps, n_banned = problem
+    rng = np.random.default_rng(seed)
+    levels = [L for L, _ in factors]
+    space = build_space([(f"f{j}", [f"l{t}" for t in range(L)]) for j, L in enumerate(levels)])
+    n = int(rng.integers(3, 40))
+    configs = np.stack([rng.integers(0, L, size=n) for L in levels], axis=1)
+    log = log_from_arrays(space, configs, rng.normal(0.0, 2.0, size=n))
+    table = estimate_effects_cm(log, shrinkage=ShrinkageSpec(tau_main=0.2, tau_pair=0.2))
+    support = table.support
+    banned = {j: frozenset(rng.permutation(L)[: min(b, L - 1)].tolist())
+              for j, (L, b) in enumerate(factors) if b}
+    banned_configs = frozenset(tuple(int(rng.integers(0, L)) for L in levels)
+                               for _ in range(n_banned))
+    spec = ObjectiveSpec(lambda_risk=float(rng.uniform(0, 2)),
+                         lambda_cost=float(rng.uniform(0, 1)), gamma=float(rng.uniform(0.5, 2)),
+                         banned_levels=banned, banned_configs=banned_configs)
+    cost = CostModel(space, tuple(rng.uniform(0, 1, size=L) for L in levels))
+    search = SearchSpec(restarts=restarts, beam=3, max_sweeps=max_sweeps, seed=seed % 1000)
+    try:
+        best, traces = multistart(table, support, spec, cost, search)
+    except InfeasibleConfigError:
+        return  # no restart found a feasible start
+    for trace in traces:
+        start = trace.steps[0][1]
+        replay = ascent_loop(table, support, spec, cost, start, max_sweeps)
+        assert (trace.steps, trace.final, trace.termination) == replay
+        _, alone = coordinate_ascent(table, support, spec, cost, start, search)
+        assert (alone.steps, alone.final, alone.termination, alone.verified_1swap) == (
+            trace.steps, trace.final, trace.termination, trace.verified_1swap)
+        if trace.termination == "converged":
+            assert trace.verified_1swap is verify_1swap(table, support, spec, cost,
+                                                        trace.final)[0]
+        else:
+            assert trace.verified_1swap is None
+    assert best == max((t.final for t in traces),
+                       key=lambda x: (objective(table, x, support, spec, cost),
+                                      tuple(-c for c in x)))
+
+
+def test_multistart_builds_pair_risk_a_fixed_number_of_times(monkeypatch):
+    """The tables are built once per call, not once per restart."""
+    import effectlab.optimize as optimize_module
+
+    calls = []
+    real = optimize_module.pair_risk
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optimize_module, "pair_risk", counting)
+    rng = np.random.default_rng(55)
+    table, sc = make_instance(rng, d=4)
+    spec = ObjectiveSpec(lambda_risk=0.5)
+    counts = {}
+    for restarts in (1, 4, 20):
+        calls.clear()
+        _, traces = multistart(table, sc, spec, None, SearchSpec(restarts=restarts, seed=5))
+        assert len(traces) == restarts
+        counts[restarts] = len(calls)
+    assert counts == {1: 2, 4: 2, 20: 2}
 
 
 # ---------------------------------------------------------------------------
