@@ -71,6 +71,7 @@ print(f"dominance certificate holds: {report.holds} "
       f"(margins {np.array_str(report.margins, precision=3)})")
 
 gap_bound = two_swap_bound(table, support, spec, cost, best)
-print(f"two-coordinate improvement bound: {gap_bound:.4f}")
+print(f"gap to the feasible optimum is at most {gap_bound:.4f} "
+      f"(each unary and pair term's best allowed improvement, summed)")
 print(f"near-optimality under a uniform objective error of 0.01: "
       f"within {near_opt_bound(0.01):.3f} of the true optimum")

@@ -59,6 +59,7 @@ from .objective import (
     CostModel,
     InfeasibleConfigError,
     ObjectiveSpec,
+    PairwiseObjective,
     delta_cost,
     objective,
     objective_grid,

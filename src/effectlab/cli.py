@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .effects import ShrinkageSpec, bootstrap_cis
-from .objective import CostModel, ObjectiveSpec, objective, objective_grid, pair_risk
+from .objective import CostModel, ObjectiveSpec, PairwiseObjective, objective, objective_grid
 from .optimize import SearchSpec, diag_dominance_check, multistart, verify_1swap
 from .pci import write_pci_csv
 from .planning import bernstein_halfwidth, hoeffding_cell_n, uniform_cells_n
@@ -306,14 +306,8 @@ def _top_configs(J, feasible, k):
 def _topk_bootstrap_cis(reps, support, spec, cost, configs, level):
     """Percentile interval of the objective at each configuration, evaluated
     on the bootstrap replicates of the effect table."""
-    space = support.space
-    X = np.array(configs, dtype=np.intp).reshape(-1, space.num_factors)
-    risk = sum(r[X[:, j], X[:, k]] for (j, k), r in pair_risk(support, spec).items())
-    costs = np.array([cost.total(x) for x in configs])
-    values = reps.mu[:, None] + sum(reps.mains[j][:, X[:, j]] for j in range(space.num_factors))
-    values += sum(mat[:, X[:, j], X[:, k]] for (j, k), mat in reps.pairs.items())
-    values -= spec.lambda_risk * risk
-    values -= spec.lambda_cost * costs
+    X = np.array(configs, dtype=np.intp).reshape(-1, support.space.num_factors)
+    values = PairwiseObjective.build(reps, support, spec, cost).at(X)
     lo_q = 100.0 * (1.0 - level) / 2.0
     lo, hi = np.percentile(values, [lo_q, 100.0 - lo_q], axis=0)
     return {x: (float(a), float(b)) for x, a, b in zip(configs, lo, hi)}

@@ -2,8 +2,8 @@
 
 J(x) = prediction(x) - lambda_risk * R(x) - lambda_cost * C(x), where R sums
 a support-driven penalty over factor pairs and C is additive over factor
-levels. Infeasible configurations are excluded from the search set rather
-than scored.
+levels, so J is one pairwise model (``PairwiseObjective``) that every search,
+certificate, bound and grid reads. Infeasible configurations score -inf.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .effects import EffectTable
+from .effects import BootstrapReplicates, EffectTable
 from .space import Config, FactorSpace, SupportCounts
 
 
@@ -202,21 +202,15 @@ def predict_grid(table: EffectTable) -> np.ndarray:
     return broadcast_sum(out, table.pairs.items())
 
 
-def pair_risk(support: SupportCounts, spec: ObjectiveSpec,
-              scale: float = 1.0) -> dict[tuple[int, int], np.ndarray]:
-    """The support risk of every factor pair j < k as an (L_j, L_k) matrix,
-    ``scale * g / (n + g)`` evaluated left to right, with g the pair's gamma
-    and n its record counts.
-
-    This is the one place the risk term is written. The objective side reads
-    it at ``scale`` 1 and multiplies the sum by ``lambda_risk``; the search
-    side passes ``lambda_risk`` as ``scale``, which rounds differently.
-    """
+def pair_risk(support: SupportCounts, spec: ObjectiveSpec) -> dict[tuple[int, int], np.ndarray]:
+    """The support risk of every factor pair j < k as an (L_j, L_k) matrix
+    ``g / (n + g)``, with g the pair's gamma and n its record counts. This is
+    the one place the risk term is written."""
     space = support.space
     risk = {}
     for j, k in space.pairs():
         g = spec.gamma_for(space, j, k)
-        risk[(j, k)] = scale * g / (support.pair_counts[(j, k)] + g)
+        risk[(j, k)] = g / (support.pair_counts[(j, k)] + g)
     return risk
 
 
@@ -227,65 +221,116 @@ def risk_penalty(support: SupportCounts, x: Sequence[int],
     return sum((r[x[j], x[k]] for (j, k), r in pair_risk(support, spec).items()), 0.0)
 
 
-def risk_grid(support: SupportCounts, spec: ObjectiveSpec) -> np.ndarray:
-    return broadcast_sum(np.zeros(support.space.level_counts), pair_risk(support, spec).items())
-
-
-def cost_grid(cost: CostModel) -> np.ndarray:
-    out = np.full(cost.space.level_counts, cost.offset, dtype=float)
-    return broadcast_sum(out, (((j,), c) for j, c in enumerate(cost.level_costs)))
-
-
-def feasible_mask(space: FactorSpace, spec: ObjectiveSpec) -> np.ndarray:
-    mask = np.ones(space.level_counts, dtype=bool)
+def _check_bans(space: FactorSpace, spec: ObjectiveSpec) -> None:
+    """Reject a banned level or banned config that names no cell of the
+    space, naming the first one."""
     d = space.num_factors
-    for j, banned in spec.banned_levels.items():
-        for lvl in banned:
-            index: list = [slice(None)] * d
-            index[j] = lvl
-            mask[tuple(index)] = False
+    for j, levels in spec.banned_levels.items():
+        if not 0 <= j < d:
+            raise ValueError(f"banned levels of factor {j}: the space has factors 0..{d - 1}")
+        L = space.level_counts[j]
+        for lvl in sorted(levels):
+            if not 0 <= lvl < L:
+                raise ValueError(f"banned level {lvl} of factor {space.names[j]!r} "
+                                 f"is out of range 0..{L - 1}")
     for cfg in spec.banned_configs:
-        mask[cfg] = False
-    return mask
+        if len(cfg) != d:
+            raise ValueError(f"banned config {cfg} has {len(cfg)} levels, not {d}")
+        if not all(0 <= lvl < L for lvl, L in zip(cfg, space.level_counts)):
+            raise ValueError(f"banned config {cfg} has a level out of range")
+
+
+@dataclass(frozen=True, eq=False)
+class PairwiseObjective:
+    """J as one pairwise model: ``const + sum_j unary[j][x_j] + sum_{j<k}
+    pairs[j, k][x_j, x_k]``, with
+
+    - ``unary[j] = main_j - lambda_cost * cost_j``, -inf on banned levels;
+    - ``pairs[j, k] = pair_jk - lambda_risk * pair_risk_jk``;
+    - ``const = mu - lambda_cost * cost offset``.
+
+    Built from an ``EffectTable`` the terms are plain arrays; built from
+    ``BootstrapReplicates`` each carries a leading replicate axis. Every
+    evaluator adds the terms in that order and reads -inf where the
+    configuration is infeasible.
+    """
+
+    space: FactorSpace
+    const: np.ndarray
+    unary: tuple[np.ndarray, ...]
+    pairs: dict[tuple[int, int], np.ndarray]
+    banned_configs: frozenset[Config]
+
+    @classmethod
+    def build(cls, effects: EffectTable | BootstrapReplicates, support: SupportCounts,
+              spec: ObjectiveSpec, cost: CostModel | None = None) -> "PairwiseObjective":
+        space = support.space
+        _check_bans(space, spec)
+        cost = cost or CostModel.zero(space)
+        unary = []
+        for j, (g, c) in enumerate(zip(effects.mains, cost.level_costs)):
+            u = g - spec.lambda_cost * c
+            u[..., sorted(spec.banned_levels.get(j, ()))] = -np.inf
+            unary.append(u)
+        pairs = {jk: effects.pairs[jk] - spec.lambda_risk * r
+                 for jk, r in pair_risk(support, spec).items()}
+        const = np.asarray(effects.mu - spec.lambda_cost * cost.offset)
+        return cls(space, const, tuple(unary), pairs, spec.banned_configs)
+
+    def at(self, X: np.ndarray) -> np.ndarray:
+        """J at each row of the (R, d) level array X, shape (..., R)."""
+        X = self.space.validate_configs(X)
+        value = np.add.outer(self.const, np.zeros(len(X)))
+        for j, u in enumerate(self.unary):
+            value += u[..., X[:, j]]
+        for (j, k), h in self.pairs.items():
+            value += h[..., X[:, j], X[:, k]]
+        for cfg in self.banned_configs:
+            value[..., (X == cfg).all(axis=1)] = -np.inf
+        return value
+
+    def level_scores(self, j: int, X: np.ndarray) -> np.ndarray:
+        """The terms of J that depend on factor j, over all its levels, one
+        row per context in the (R, d) level array X: ``unary[j]`` plus each
+        other factor's pair term in declaration order. Differences across a
+        row equal differences of J."""
+        if not 0 <= j < self.space.num_factors:
+            raise ValueError(f"factor index {j} is out of range 0..{self.space.num_factors - 1}")
+        X = self.space.validate_configs(X)
+        scores = np.tile(self.unary[j], (len(X), 1))
+        for k in range(self.space.num_factors):
+            if k < j:
+                scores += self.pairs[(k, j)][X[:, k], :]
+            elif k > j:
+                scores += self.pairs[(j, k)][:, X[:, k]].T
+        if self.banned_configs:
+            others = np.delete(X, j, axis=1)
+            for cfg in self.banned_configs:
+                scores[(others == np.delete(cfg, j)).all(axis=1), cfg[j]] = -np.inf
+        return scores
+
+    def grid(self) -> np.ndarray:
+        """J over the whole grid as a tensor."""
+        J = np.full(self.space.level_counts, float(self.const))
+        J = broadcast_sum(J, (((j,), u) for j, u in enumerate(self.unary)))
+        J = broadcast_sum(J, self.pairs.items())
+        for cfg in self.banned_configs:
+            J[cfg] = -np.inf
+        return J
 
 
 def objective(table: EffectTable, x: Sequence[int], support: SupportCounts,
               spec: ObjectiveSpec, cost: CostModel | None = None) -> float:
     """Risk- and cost-adjusted score of a feasible configuration."""
     x = table.space.validate_config(x)
-    if not spec.feasible(x):
+    value = float(PairwiseObjective.build(table, support, spec, cost).at([x])[0])
+    if value == -np.inf:
         raise InfeasibleConfigError(f"configuration {x} is outside the feasible set")
-    return _objective_at(table, np.array([x]), pair_risk(support, spec), spec,
-                         cost or CostModel.zero(table.space))[0]
-
-
-def _objective_at(table: EffectTable, X: np.ndarray, risk: dict[tuple[int, int], np.ndarray],
-                  spec: ObjectiveSpec, cost: CostModel) -> np.ndarray:
-    """``objective`` at each feasible row of the (R, d) level array X, adding
-    terms in the order of ``two_factor_predict``, ``risk_penalty`` and
-    ``CostModel.total``. ``risk`` is ``pair_risk`` at scale 1, built once
-    per search."""
-    value = np.full(len(X), table.mu, dtype=float)
-    for j, g in enumerate(table.mains):
-        value += g[X[:, j]]
-    for (j, k), mat in table.pairs.items():
-        value += mat[X[:, j], X[:, k]]
-    total = np.zeros(len(X))
-    for (j, k), r in risk.items():
-        total += r[X[:, j], X[:, k]]
-    value -= spec.lambda_risk * total
-    costs = sum(c[X[:, j]] for j, c in enumerate(cost.level_costs))
-    value -= spec.lambda_cost * (cost.offset + costs)
     return value
 
 
 def objective_grid(table: EffectTable, support: SupportCounts, spec: ObjectiveSpec,
                    cost: CostModel | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """J over the whole grid plus the feasibility mask."""
-    cost = cost or CostModel.zero(table.space)
-    J = predict_grid(table)
-    if spec.lambda_risk:
-        J = J - spec.lambda_risk * risk_grid(support, spec)
-    if spec.lambda_cost:
-        J = J - spec.lambda_cost * cost_grid(cost)
-    return J, feasible_mask(table.space, spec)
+    """J over the whole grid (-inf where infeasible) plus the feasibility mask."""
+    J = PairwiseObjective.build(table, support, spec, cost).grid()
+    return J, J > -np.inf

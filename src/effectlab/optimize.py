@@ -5,9 +5,9 @@ largest local gain, accepting only strict improvements and breaking ties by
 lowest level index. The endpoint of a converged run is 1-swap optimal; a
 diagonal-dominance certificate upgrades that to global optimality.
 
-A search call builds its tables once and advances every restart together as
-one level array; each score adds its terms in the same order whatever the
-restart count, so a restart's trace equals its one-start ascent.
+A search call builds one ``PairwiseObjective`` and advances every restart
+together as one level array; each score adds its terms in the same order
+whatever the restart count, so a restart's trace equals its one-start ascent.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ from .objective import (
     CostModel,
     InfeasibleConfigError,
     ObjectiveSpec,
-    _objective_at,
+    PairwiseObjective,
     broadcast_sum,
-    pair_risk,
 )
 from .space import Config, FactorSpace, SupportCounts
 
@@ -87,90 +86,45 @@ class DominanceReport:
 # Local objective
 # ---------------------------------------------------------------------------
 
-def _search_tables(table: EffectTable, support: SupportCounts, spec: ObjectiveSpec
-                   ) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
-    """Per ordered factor pair j != k, factor k's interaction and scaled risk
-    in factor j's local objective, each an (L_j, L_k) matrix."""
-    tables = {}
-    for (j, k), risk in pair_risk(support, spec, spec.lambda_risk).items():
-        tables[(j, k)] = (table.pair(j, k), risk)
-        tables[(k, j)] = (table.pair(k, j), risk.T)
-    return tables
-
-
-def _level_scores(tables, table: EffectTable, spec: ObjectiveSpec, cost: CostModel,
-                  j: int, X: np.ndarray) -> np.ndarray:
-    """Local objectives over all levels of factor j (NaN = banned), one row
-    per context in the (R, d) level array X. Every entry adds its terms in
-    the same order whatever R is: main, then pair and risk of each other
-    factor in declaration order, then cost."""
-    scores = np.tile(table.mains[j].astype(float), (len(X), 1))
-    for k in range(table.space.num_factors):
-        if k == j:
-            continue
-        pair, risk = tables[(j, k)]
-        scores += pair[:, X[:, k]].T
-        scores -= risk[:, X[:, k]].T
-    c = cost.level_costs[j]
-    scores -= spec.lambda_cost * (c - c[X[:, j], None])
-    scores[:, sorted(spec.banned_levels.get(j, ()))] = np.nan
-    if spec.banned_configs:
-        others = np.delete(X, j, axis=1)
-        for cfg in spec.banned_configs:
-            scores[(others == np.delete(cfg, j)).all(axis=1), cfg[j]] = np.nan
-    return scores
-
-
-def _local_scores(tables, table: EffectTable, spec: ObjectiveSpec, cost: CostModel,
-                  j: int, x: Config) -> np.ndarray:
-    """Vector of local objectives over all levels of factor j (NaN = banned)."""
-    return _level_scores(tables, table, spec, cost, j, np.array([x]))[0]
-
-
 def local_gain(table: EffectTable, support: SupportCounts, spec: ObjectiveSpec,
                cost: CostModel | None, j: int, level: int, x: Sequence[int]) -> float:
-    """Local objective of setting factor j to ``level`` in context x.
-
-    Differences of this function across levels equal the corresponding
-    differences of the full objective.
-    """
+    """Local objective of setting factor j to ``level`` in context x: the
+    terms of J that depend on factor j. Only its differences across levels
+    are promised; they equal the corresponding differences of J."""
     x = table.space.validate_config(x)
-    if not spec.level_allowed(j, level):
-        raise InfeasibleConfigError(f"level {level} of factor {j} is banned")
-    swapped = x[:j] + (level,) + x[j + 1:]
-    if swapped in spec.banned_configs:
-        raise InfeasibleConfigError(f"configuration {swapped} is banned")
-    cost = cost or CostModel.zero(table.space)
-    tables = _search_tables(table, support, spec)
-    return float(_local_scores(tables, table, spec, cost, j, x)[level])
+    scores = PairwiseObjective.build(table, support, spec, cost).level_scores(j, [x])[0]
+    if not 0 <= level < len(scores):
+        raise ValueError(f"level {level} of factor {table.space.names[j]!r} is out of range "
+                         f"0..{len(scores) - 1}")
+    if scores[level] == -np.inf:
+        raise InfeasibleConfigError(f"configuration {x[:j] + (level,) + x[j + 1:]} is infeasible")
+    return float(scores[level])
 
 
-def _ascend(table: EffectTable, support: SupportCounts, spec: ObjectiveSpec,
-            cost: CostModel, starts: list[Config], max_sweeps: int) -> list[SearchTrace]:
+def _ascend(model: PairwiseObjective, starts: list[Config], max_sweeps: int
+            ) -> list[SearchTrace]:
     """Coordinate ascent from every feasible start at once, the starts
     advancing together as the rows of one level array.
 
-    The tables and pair risks are built once. A row leaves the batch after a
-    sweep with no move; that sweep scored every single-factor swap at its
-    endpoint and found no strict gain, so the endpoint is 1-swap optimal.
+    A row leaves the batch after a sweep with no move; that sweep scored
+    every single-factor swap at its endpoint and found no strict gain, so
+    the endpoint is 1-swap optimal.
     """
-    tables = _search_tables(table, support, spec)
-    risk = pair_risk(support, spec)
     X = np.array(starts, dtype=np.intp)
-    steps = [[(0, x, v)] for x, v in zip(starts, _objective_at(table, X, risk, spec, cost))]
+    steps = [[(0, x, v)] for x, v in zip(starts, model.at(X).tolist())]
     converged = np.zeros(len(X), dtype=bool)
     live = np.arange(len(X))
     for sweep in range(1, max_sweeps + 1):
         rows, moved = X[live], np.zeros(len(live), dtype=bool)
-        for j in range(table.space.num_factors):
-            scores = _level_scores(tables, table, spec, cost, j, rows)
-            best = np.nanargmax(scores, axis=1)
+        for j in range(model.space.num_factors):
+            scores = model.level_scores(j, rows)
+            best = np.argmax(scores, axis=1)
             at = np.arange(len(rows))
             move = (best != rows[:, j]) & (scores[at, best] - scores[at, rows[:, j]] > 0)
             rows[move, j] = best[move]
             moved |= move
         X[live] = rows
-        for r, x, v in zip(live, rows.tolist(), _objective_at(table, rows, risk, spec, cost)):
+        for r, x, v in zip(live, rows.tolist(), model.at(rows).tolist()):
             steps[r].append((sweep, tuple(x), v))
         converged[live[~moved]] = True
         live = live[moved]
@@ -190,12 +144,11 @@ def coordinate_ascent(table: EffectTable, support: SupportCounts, spec: Objectiv
     equal-value cycles. A converged endpoint is 1-swap optimal.
     """
     search = search or SearchSpec()
-    space = table.space
-    x = space.validate_config(start)
+    model = PairwiseObjective.build(table, support, spec, cost)
+    x = table.space.validate_config(start)
     if not spec.feasible(x):
         raise InfeasibleConfigError(f"start configuration {x} is infeasible")
-    (trace,) = _ascend(table, support, spec, cost or CostModel.zero(space), [x],
-                       search.max_sweeps)
+    (trace,) = _ascend(model, [x], search.max_sweeps)
     return trace.final, trace
 
 
@@ -225,7 +178,7 @@ def multistart(table: EffectTable, support: SupportCounts, spec: ObjectiveSpec,
     """
     search = search or SearchSpec()
     space = table.space
-    cost = cost or CostModel.zero(space)
+    model = PairwiseObjective.build(table, support, spec, cost)
 
     starts = [_greedy_start(table, spec)]
     tops = [sorted(spec.allowed_levels(space, j), key=lambda l: (-table.mains[j][l], l))
@@ -242,7 +195,7 @@ def multistart(table: EffectTable, support: SupportCounts, spec: ObjectiveSpec,
     starts = [x for x in starts if spec.feasible(x)]
     if not starts:
         raise InfeasibleConfigError("no feasible start configuration found")
-    traces = _ascend(table, support, spec, cost, starts, search.max_sweeps)
+    traces = _ascend(model, starts, search.max_sweeps)
     best = max(traces, key=lambda t: (t.steps[-1][2], tuple(-c for c in t.final)))
     return best.final, traces
 
@@ -256,17 +209,20 @@ def verify_1swap(table: EffectTable, support: SupportCounts, spec: ObjectiveSpec
     objective, else (False, (factor, level, gain)) for the best violation,
     ties going to the first factor and then the lowest level.
     """
-    space = table.space
-    cost = cost or CostModel.zero(space)
-    x = space.validate_config(x)
-    if not spec.feasible(x):
+    model = PairwiseObjective.build(table, support, spec, cost)
+    return _best_swap(model, table.space.validate_config(x))
+
+
+def _best_swap(model: PairwiseObjective, x: Config
+               ) -> tuple[bool, tuple[int, int, float] | None]:
+    """``verify_1swap`` of a validated x on a built model."""
+    if model.at([x])[0] == -np.inf:
         raise InfeasibleConfigError(f"configuration {x} is infeasible")
-    tables = _search_tables(table, support, spec)
     best: tuple[int, int, float] | None = None
-    for j in range(space.num_factors):
-        scores = _local_scores(tables, table, spec, cost, j, x)
+    for j in range(model.space.num_factors):
+        scores = model.level_scores(j, [x])[0]
         gains = scores - scores[x[j]]
-        lvl = int(np.nanargmax(gains))
+        lvl = int(np.argmax(gains))
         if gains[lvl] > 0 and (best is None or gains[lvl] > best[2]):
             best = (j, lvl, float(gains[lvl]))
     return best is None, best
@@ -291,7 +247,7 @@ def diag_dominance_check(table: EffectTable, support: SupportCounts,
     structure of contexts, so their presence voids the certificate.
     """
     space = table.space
-    cost = cost or CostModel.zero(space)
+    model = PairwiseObjective.build(table, support, spec, cost)
     d = space.num_factors
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
@@ -300,12 +256,12 @@ def diag_dominance_check(table: EffectTable, support: SupportCounts,
         if not allowed[j]:
             raise InfeasibleConfigError(f"factor {space.names[j]!r} has no allowed levels")
 
-    # Interaction-plus-risk score of factor k on factor j's allowed levels,
+    # Pair term of factor k on factor j's allowed levels, per ordered pair,
     # shared by the influence bounds and the margins.
-    pair_scores = {
-        (j, k): (pair - risk)[np.ix_(allowed[j], allowed[k])]
-        for (j, k), (pair, risk) in _search_tables(table, support, spec).items()
-    }
+    pair_scores = {}
+    for (j, k), h in model.pairs.items():
+        pair_scores[(j, k)] = h[np.ix_(allowed[j], allowed[k])]
+        pair_scores[(k, j)] = pair_scores[(j, k)].T
     influence = np.zeros((d, d))
     for (j, k), h in pair_scores.items():
         influence[j, k] = float((h.max(axis=1) - h.min(axis=1)).max())
@@ -320,7 +276,7 @@ def diag_dominance_check(table: EffectTable, support: SupportCounts,
         others = [k for k in range(d) if k != j]
         sizes = [len(allowed[k]) for k in others]
         n_contexts = math.prod(sizes)
-        base = table.mains[j][allowed[j]] - spec.lambda_cost * cost.level_costs[j][allowed[j]]
+        base = model.unary[j][allowed[j]]
         if n_contexts <= context_cap:
             # Tensor of local objectives: level axis first, one axis per context factor.
             terms = [((0,), base)] + [((0, 1 + pos), pair_scores[j, k])
@@ -359,29 +315,19 @@ def near_opt_bound(epsilon: float) -> float:
 def two_swap_bound(table: EffectTable, support: SupportCounts, spec: ObjectiveSpec,
                    cost: CostModel | None, x_hat: Sequence[int]) -> float:
     """Upper bound on J(y) - J(x_hat) over the feasible set for a 1-swap
-    optimal x_hat: positive-part maxima of main, interaction, risk-saving,
-    and cost-saving terms."""
+    optimal x_hat: the positive part of each unary and pair term's best
+    allowed improvement over its value at x_hat, summed."""
     space = table.space
-    cost = cost or CostModel.zero(space)
+    model = PairwiseObjective.build(table, support, spec, cost)
     x = space.validate_config(x_hat)
-    ok, violation = verify_1swap(table, support, spec, cost, x)
+    ok, violation = _best_swap(model, x)
     if not ok:
         raise ValueError(f"x_hat is not 1-swap optimal; improving swap {violation}")
 
+    allowed = [spec.allowed_levels(space, j) for j in range(space.num_factors)]
     total = 0.0
-    for j in range(space.num_factors):
-        allowed = spec.allowed_levels(space, j)
-        g = table.mains[j]
-        total += max(max(float(g[l] - g[x[j]]) for l in allowed), 0.0)
-        if spec.lambda_cost:
-            c = cost.level_costs[j]
-            total += spec.lambda_cost * max(
-                max(float(c[x[j]] - c[l]) for l in allowed), 0.0
-            )
-    for (j, k), r in pair_risk(support, spec).items():
-        cells = np.ix_(spec.allowed_levels(space, j), spec.allowed_levels(space, k))
-        mat = table.pairs[(j, k)]
-        total += max(float(mat[cells].max() - mat[x[j], x[k]]), 0.0)
-        if spec.lambda_risk:
-            total += spec.lambda_risk * max(float(r[x[j], x[k]] - r[cells].min()), 0.0)
+    for j, u in enumerate(model.unary):
+        total += max(float(u.max() - u[x[j]]), 0.0)
+    for (j, k), h in model.pairs.items():
+        total += max(float(h[np.ix_(allowed[j], allowed[k])].max() - h[x[j], x[k]]), 0.0)
     return total

@@ -349,9 +349,8 @@ def dominance_loop(table, support, spec, cost, context_cap, sample_contexts, see
     allowed = [spec.allowed_levels(space, j) for j in range(d)]
 
     def score(j, k):
-        g = spec.gamma_for(space, j, k)
-        h = table.pair(j, k) - spec.lambda_risk * g / (support.pair(j, k) + g)
-        return h[np.ix_(allowed[j], allowed[k])]
+        return np.array([[pair_term_loop(table, support, spec, j, k, a, b) for b in allowed[k]]
+                         for a in allowed[j]])
 
     influence = np.zeros((d, d))
     for j in range(d):
@@ -368,7 +367,7 @@ def dominance_loop(table, support, spec, cost, context_cap, sample_contexts, see
             checked.append(0)
             continue
         others = [k for k in range(d) if k != j]
-        base = table.mains[j][allowed[j]] - spec.lambda_cost * cost.level_costs[j][allowed[j]]
+        base = np.array([unary_loop(table, spec, cost, j, a) for a in allowed[j]])
         scores = {k: score(j, k) for k in others}
         if math.prod(len(allowed[k]) for k in others) <= context_cap:
             contexts = list(itertools.product(*(range(len(allowed[k])) for k in others)))
@@ -573,15 +572,6 @@ def _grid_add(out, term, axes):
     return out + term.reshape(shape)
 
 
-def risk_grid_loop(support, spec):
-    space = support.space
-    out = np.zeros(space.level_counts)
-    for j, k in space.pairs():
-        g = spec.gamma_for(space, j, k)
-        out = _grid_add(out, g / (support.pair_counts[(j, k)] + g), (j, k))
-    return out
-
-
 def predict_grid_loop(table):
     out = np.full(table.space.level_counts, table.mu, dtype=float)
     for j, g in enumerate(table.mains):
@@ -591,56 +581,66 @@ def predict_grid_loop(table):
     return out
 
 
+def unary_loop(table, spec, cost, j, level):
+    """Factor j's folded unary term at ``level``: main effect minus the
+    scaled cost, -inf on a banned level."""
+    if level in spec.banned_levels.get(j, frozenset()):
+        return -math.inf
+    return float(table.mains[j][level]) - spec.lambda_cost * float(cost.level_costs[j][level])
+
+
+def pair_term_loop(table, support, spec, j, k, a, b):
+    """The folded pair term of the ordered pair (j, k) at levels (a, b):
+    interaction minus the scaled risk of the cell, gamma looked up afresh."""
+    g = spec.gamma_for(table.space, j, k)
+    n = support.pair(j, k)[a, b]
+    return float(table.pair(j, k)[a, b]) - spec.lambda_risk * (g / (n + g))
+
+
 def objective_loop(table, support, spec, cost, x):
-    """J(x) in the library's summation order: prediction, then the scaled
-    risk sum, then the scaled cost."""
-    value = table.mu
-    for j, g in enumerate(table.mains):
-        value += float(g[x[j]])
-    for (j, k), mat in table.pairs.items():
-        value += float(mat[x[j], x[k]])
-    value -= spec.lambda_risk * risk_penalty_loop(support, x, spec)
-    value -= spec.lambda_cost * (cost.offset + sum(float(cost.level_costs[j][x[j]])
-                                                   for j in range(len(x))))
+    """J(x) as the folded sum: the constant, each factor's unary term in
+    order, then each pair's term in order; -inf when x is infeasible."""
+    x = tuple(x)
+    if x in spec.banned_configs:
+        return -math.inf
+    value = table.mu - spec.lambda_cost * cost.offset
+    for j in range(len(x)):
+        value += unary_loop(table, spec, cost, j, x[j])
+    for j, k in table.space.pairs():
+        value += pair_term_loop(table, support, spec, j, k, x[j], x[k])
     return value
 
 
+def objective_grid_loop(table, support, spec, cost):
+    """``objective_loop`` at every cell of the grid."""
+    out = np.empty(table.space.level_counts)
+    for x in itertools.product(*(range(L) for L in table.space.level_counts)):
+        out[x] = objective_loop(table, support, spec, cost, x)
+    return out
+
+
 def local_scores_loop(table, support, spec, cost, j, x):
-    """Local objectives over the levels of factor j in context x (NaN for a
-    banned level or a banned swapped configuration), each other factor's
-    gamma and risk vector looked up afresh."""
+    """The terms of J that depend on factor j, over its levels in context x:
+    the unary term, then each other factor's pair term in order; -inf for a
+    banned level or a banned swapped configuration."""
     space = table.space
-    scores = table.mains[j].astype(float).copy()
+    L = space.level_counts[j]
+    scores = np.array([unary_loop(table, spec, cost, j, lvl) for lvl in range(L)])
     for k in range(space.num_factors):
-        if k == j:
-            continue
-        scores += table.pair(j, k)[:, x[k]]
-        g = spec.gamma_for(space, j, k)
-        n = support.pair(j, k)[:, x[k]]
-        scores -= spec.lambda_risk * g / (n + g)
-    scores -= spec.lambda_cost * (cost.level_costs[j] - float(cost.level_costs[j][x[j]]))
-    banned = spec.banned_levels.get(j, frozenset())
-    for lvl in banned:
-        scores[lvl] = np.nan
-    for lvl in range(len(scores)):
-        if lvl not in banned and x[:j] + (lvl,) + x[j + 1:] in spec.banned_configs:
-            scores[lvl] = np.nan
+        if k != j:
+            scores += [pair_term_loop(table, support, spec, j, k, lvl, x[k]) for lvl in range(L)]
+    for lvl in range(L):
+        if x[:j] + (lvl,) + x[j + 1:] in spec.banned_configs:
+            scores[lvl] = -math.inf
     return scores
 
 
 def local_gain_loop(table, support, spec, cost, j, level, x):
     """One entry of ``local_scores_loop`` as a scalar sum."""
-    space = table.space
-    total = float(table.mains[j][level])
-    for k in range(space.num_factors):
-        if k == j:
-            continue
-        total += float(table.pair(j, k)[level, x[k]])
-        g = spec.gamma_for(space, j, k)
-        n = support.pair(j, k)[level, x[k]]
-        total -= spec.lambda_risk * g / (n + g)
-    total -= spec.lambda_cost * (float(cost.level_costs[j][level])
-                                 - float(cost.level_costs[j][x[j]]))
+    total = unary_loop(table, spec, cost, j, level)
+    for k in range(table.space.num_factors):
+        if k != j:
+            total += pair_term_loop(table, support, spec, j, k, level, x[k])
     return total
 
 
@@ -654,7 +654,7 @@ def ascent_loop(table, support, spec, cost, start, max_sweeps):
         improved = False
         for j in range(len(x)):
             scores = local_scores_loop(table, support, spec, cost, j, x)
-            best = int(np.nanargmax(scores))
+            best = int(np.argmax(scores))
             if best != x[j] and scores[best] - scores[x[j]] > 0:
                 x = x[:j] + (best,) + x[j + 1:]
                 improved = True
@@ -665,8 +665,25 @@ def ascent_loop(table, support, spec, cost, start, max_sweeps):
 
 
 def two_swap_bound_loop(table, support, spec, cost, x):
-    """Positive-part maxima of main, interaction, risk-saving and
-    cost-saving terms over the allowed levels, for a 1-swap optimal x."""
+    """Positive part of each folded unary and pair term's best allowed
+    improvement over its value at x, summed factors first, then pairs."""
+    space = table.space
+    allowed = [spec.allowed_levels(space, j) for j in range(space.num_factors)]
+    total = 0.0
+    for j in range(space.num_factors):
+        best = max(unary_loop(table, spec, cost, j, a) for a in allowed[j])
+        total += max(best - unary_loop(table, spec, cost, j, x[j]), 0.0)
+    for j, k in space.pairs():
+        best = max(pair_term_loop(table, support, spec, j, k, a, b)
+                   for a in allowed[j] for b in allowed[k])
+        total += max(best - pair_term_loop(table, support, spec, j, k, x[j], x[k]), 0.0)
+    return total
+
+
+def split_two_swap_bound_loop(table, support, spec, cost, x):
+    """The bound with main, interaction, risk-saving and cost-saving terms
+    each given its own positive part, over the allowed levels, for a 1-swap
+    optimal x; never tighter than ``two_swap_bound_loop``."""
     space = table.space
     total = 0.0
     for j in range(space.num_factors):

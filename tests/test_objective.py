@@ -7,6 +7,7 @@ from effectlab import (
     CostModel,
     InfeasibleConfigError,
     ObjectiveSpec,
+    PairwiseObjective,
     ShrinkageSpec,
     build_space,
     delta_cost,
@@ -274,3 +275,42 @@ def test_objective_document_accepts_every_known_key(space_2x2):
             "cost_offset": 0.5}
     assert ObjectiveSpec.from_dict(space_2x2, data).lambda_risk == 0.5
     assert CostModel.from_dict(space_2x2, data).total((0, 1)) == 1.5
+
+
+@pytest.mark.parametrize("spec, entry", [
+    (ObjectiveSpec(banned_levels={0: frozenset({-1})}), "banned level -1 of factor 'a'"),
+    (ObjectiveSpec(banned_levels={1: frozenset({2})}), "banned level 2 of factor 'b'"),
+    (ObjectiveSpec(banned_levels={2: frozenset({0})}), "banned levels of factor 2"),
+    (ObjectiveSpec(banned_configs=frozenset({(0,)})), "banned config (0,)"),
+    (ObjectiveSpec(banned_configs=frozenset({(0, 1, 1)})), "banned config (0, 1, 1)"),
+    (ObjectiveSpec(banned_configs=frozenset({(3, 0)})), "banned config (3, 0)"),
+    (ObjectiveSpec(banned_configs=frozenset({(0, -1)})), "banned config (0, -1)"),
+])
+def test_bans_outside_the_space_are_rejected(spec, entry):
+    # A ban that names no cell of the 3x2 space used to be read modulo the
+    # level count by the grid and ignored by the search, so the two
+    # disagreed on the optimum.
+    from effectlab import multistart
+
+    space = build_space([("a", ["a0", "a1", "a2"]), ("b", ["b0", "b1"])])
+    grid = enumerate_grid(space)
+    log = log_from_arrays(space, grid, [0.0, 1.0, 0.5, 0.2, 2.0, 0.0])
+    table = estimate_effects_cm(log, shrinkage=TINY_TAU)
+    for call in (lambda: objective_grid(table, table.support, spec),
+                 lambda: objective(table, (0, 0), table.support, spec),
+                 lambda: multistart(table, table.support, spec, None)):
+        with pytest.raises(ValueError, match=re.escape(entry)):
+            call()
+
+
+def test_model_evaluators_reject_levels_outside_the_space(xor_setup):
+    table, sc = xor_setup
+    model = PairwiseObjective.build(table, sc, ObjectiveSpec())
+    for X in ([[0, -1]], [[2, 0]], [[0, 0, 0]]):
+        with pytest.raises(ValueError):
+            model.at(X)
+        with pytest.raises(ValueError):
+            model.level_scores(0, X)
+    for j in (-1, 2):
+        with pytest.raises(ValueError, match=f"factor index {j}"):
+            model.level_scores(j, [[0, 0]])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,20 +27,22 @@ from effectlab import (
     predict_grid,
     risk_penalty,
     support_counts,
+    two_factor_predict,
     two_swap_bound,
     verify_1swap,
 )
-from effectlab.objective import risk_grid
-from effectlab.optimize import _local_scores, _search_tables
+from effectlab.objective import PairwiseObjective
 from conftest import full_grid_log, random_space
 from oracles import (
     ascent_loop,
     dominance_loop,
     local_gain_loop,
     local_scores_loop,
+    objective_grid_loop,
+    objective_loop,
     predict_grid_loop,
-    risk_grid_loop,
     risk_penalty_loop,
+    split_two_swap_bound_loop,
     two_swap_bound_loop,
 )
 
@@ -152,6 +156,19 @@ def test_local_gain_same_level_is_reference(space_2x2, xor_log):
     assert g == pytest.approx(local_gain(table, sc, spec, None, 0, x[0], x))
     # replacing a level by itself never changes the objective
     assert objective(table, x, sc, spec) - objective(table, x, sc, spec) == 0.0
+
+
+@pytest.mark.parametrize("j, level, entry", [
+    (0, -1, "level -1 of factor 'a'"),
+    (0, 2, "level 2 of factor 'a'"),
+    (1, -3, "level -3 of factor 'b'"),
+    (2, 0, "factor index 2"),
+    (-1, 0, "factor index -1"),
+])
+def test_local_gain_rejects_indices_outside_the_space(space_2x2, xor_log, j, level, entry):
+    table = estimate_effects_cm(xor_log, shrinkage=TINY_TAU)
+    with pytest.raises(ValueError, match=re.escape(entry)):
+        local_gain(table, table.support, ObjectiveSpec(), None, j, level, (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -345,17 +362,26 @@ def test_lockstep_restarts_match_single_ascents(problem):
 
 
 def test_multistart_builds_pair_risk_a_fixed_number_of_times(monkeypatch):
-    """The tables are built once per call, not once per restart."""
-    import effectlab.optimize as optimize_module
+    """One objective model, and so one pair-risk table, per call, not one
+    per restart."""
+    import importlib
+
+    # The package attribute ``effectlab.objective`` is the function, not the module.
+    objective_module = importlib.import_module("effectlab.objective")
 
     calls = []
-    real = optimize_module.pair_risk
+    real_risk, real_build = objective_module.pair_risk, PairwiseObjective.build.__func__
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting_risk(*args, **kwargs):
+        calls.append("pair_risk")
+        return real_risk(*args, **kwargs)
 
-    monkeypatch.setattr(optimize_module, "pair_risk", counting)
+    def counting_build(cls, *args, **kwargs):
+        calls.append("build")
+        return real_build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(objective_module, "pair_risk", counting_risk)
+    monkeypatch.setattr(PairwiseObjective, "build", classmethod(counting_build))
     rng = np.random.default_rng(55)
     table, sc = make_instance(rng, d=4)
     spec = ObjectiveSpec(lambda_risk=0.5)
@@ -364,8 +390,8 @@ def test_multistart_builds_pair_risk_a_fixed_number_of_times(monkeypatch):
         calls.clear()
         _, traces = multistart(table, sc, spec, None, SearchSpec(restarts=restarts, seed=5))
         assert len(traces) == restarts
-        counts[restarts] = len(calls)
-    assert counts == {1: 2, 4: 2, 20: 2}
+        counts[restarts] = sorted(calls)
+    assert counts == {r: ["build", "pair_risk"] for r in (1, 4, 20)}
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +510,10 @@ def test_dominance_matches_context_loop(problem):
 @settings(max_examples=60, deadline=None)
 @given(dominance_problems)
 def test_shared_tables_match_pair_loops(problem):
-    """Every reader of the pair-risk table against the per-pair gamma loops,
-    with a per-pair gamma mapping, banned levels and a banned config. Floats
-    must be equal, and every multistart trace must replay step for step."""
+    """Every evaluator of the folded objective against the term-by-term
+    loops, with a per-pair gamma mapping, banned levels and a banned config.
+    Floats must be equal, and every multistart trace must replay step for
+    step."""
     factors, seed, _, restarts, search_seed, ban_config = problem
     rng = np.random.default_rng(seed)
     levels = [L for L, _ in factors]
@@ -507,15 +534,19 @@ def test_shared_tables_match_pair_loops(problem):
                      offset=float(rng.uniform(-1, 1)))
 
     assert np.array_equal(predict_grid(table), predict_grid_loop(table))
-    assert np.array_equal(risk_grid(support, spec), risk_grid_loop(support, spec))
-    tables = _search_tables(table, support, spec)
+    J, feasible = objective_grid(table, support, spec, cost)
+    assert np.array_equal(J, objective_grid_loop(table, support, spec, cost))
+    assert all(feasible[x] == spec.feasible(x) for x in np.ndindex(*levels))
+    model = PairwiseObjective.build(table, support, spec, cost)
     for x in map(tuple, configs.tolist()):
         assert risk_penalty(support, x, spec) == risk_penalty_loop(support, x, spec)
+        if spec.feasible(x):
+            assert objective(table, x, support, spec, cost) == objective_loop(
+                table, support, spec, cost, x)
         for j in range(space.num_factors):
-            scores = _local_scores(tables, table, spec, cost, j, x)
-            assert np.array_equal(scores, local_scores_loop(table, support, spec, cost, j, x),
-                                  equal_nan=True)
-            for lvl in np.flatnonzero(~np.isnan(scores)).tolist():
+            scores = model.level_scores(j, [x])[0]
+            assert np.array_equal(scores, local_scores_loop(table, support, spec, cost, j, x))
+            for lvl in np.flatnonzero(scores > -np.inf).tolist():
                 assert (local_gain(table, support, spec, cost, j, lvl, x)
                         == local_gain_loop(table, support, spec, cost, j, lvl, x))
 
@@ -535,6 +566,82 @@ def test_shared_tables_match_pair_loops(problem):
     assert best == max((t.final for t in traces),
                        key=lambda x: (objective(table, x, support, spec, cost),
                                       tuple(-c for c in x)))
+
+
+folded_problems = st.tuples(
+    st.lists(st.tuples(st.integers(2, 4), st.integers(0, 2)), min_size=2, max_size=4),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 3),
+)
+
+
+def folded_instance(problem):
+    """Table, spec and cost of a random log with banned levels (each factor
+    keeping at least one level), up to three banned configs, a per-pair
+    gamma mapping, costs and a cost offset."""
+    factors, seed, n_banned = problem
+    rng = np.random.default_rng(seed)
+    levels = [L for L, _ in factors]
+    space = build_space([(f"f{j}", [f"l{t}" for t in range(L)]) for j, L in enumerate(levels)])
+    n = int(rng.integers(3, 40))
+    configs = np.stack([rng.integers(0, L, size=n) for L in levels], axis=1)
+    log = log_from_arrays(space, configs, rng.normal(0.0, 2.0, size=n))
+    table = estimate_effects_cm(log, shrinkage=ShrinkageSpec(tau_main=0.3, tau_pair=0.3))
+    spec = ObjectiveSpec(
+        lambda_risk=float(rng.uniform(0, 2)), lambda_cost=float(rng.uniform(0, 1)),
+        gamma={f"f{j}|f{k}": float(rng.uniform(0.5, 3.0)) for j, k in space.pairs()},
+        banned_levels={j: frozenset(rng.permutation(L)[: min(b, L - 1)].tolist())
+                       for j, (L, b) in enumerate(factors) if b},
+        banned_configs=frozenset(tuple(int(rng.integers(0, L)) for L in levels)
+                                 for _ in range(n_banned)))
+    cost = CostModel(space, tuple(rng.uniform(-1, 1, size=L) for L in levels),
+                     offset=float(rng.uniform(-1, 1)))
+    return table, spec, cost
+
+
+@settings(max_examples=60, deadline=None)
+@given(folded_problems)
+def test_folded_objective_equals_three_term_objective(problem):
+    """J from the folded unary and pair terms equals prediction minus the
+    scaled risk minus the scaled cost, summed the old way, at every feasible
+    configuration, to rounding."""
+    table, spec, cost = folded_instance(problem)
+    support = table.support
+    J, feasible = objective_grid(table, support, spec, cost)
+    for x in map(tuple, np.argwhere(feasible).tolist()):
+        terms = [table.mu, *(table.mains[j][x[j]] for j in range(len(x))),
+                 *(table.pairs[(j, k)][x[j], x[k]] for j, k in table.space.pairs()),
+                 spec.lambda_risk * risk_penalty(support, x, spec),
+                 spec.lambda_cost * cost.offset,
+                 *(spec.lambda_cost * cost.level_costs[j][x[j]] for j in range(len(x)))]
+        three_term = (two_factor_predict(table, x) - spec.lambda_risk * risk_penalty(support, x, spec)
+                      - spec.lambda_cost * cost.total(x))
+        folded = objective(table, x, support, spec, cost)
+        assert folded == J[x]
+        assert abs(folded - three_term) <= 1e-12 * (1 + sum(abs(t) for t in terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(folded_problems)
+def test_two_swap_bound_between_true_gap_and_split_bound(problem):
+    """At every converged multistart endpoint the folded bound covers the
+    true gap to the feasible optimum, and it is never looser than giving the
+    main, interaction, risk and cost terms their own positive parts. Both
+    hold exactly in real arithmetic; the slack is rounding."""
+    table, spec, cost = folded_instance(problem)
+    support = table.support
+    try:
+        _, traces = multistart(table, support, spec, cost, SearchSpec(restarts=4, seed=1))
+    except InfeasibleConfigError:
+        return  # no restart found a feasible start
+    J, _ = objective_grid(table, support, spec, cost)
+    scale = 1 + abs(table.mu) + sum(np.abs(g).max() for g in table.mains)
+    scale += sum(np.abs(m).max() for m in table.pairs.values()) + spec.lambda_risk * len(table.pairs)
+    scale += spec.lambda_cost * (abs(cost.offset) + sum(np.abs(c).max() for c in cost.level_costs))
+    for x in {t.final for t in traces if t.termination == "converged"}:
+        bound = two_swap_bound(table, support, spec, cost, x)
+        assert J.max() - J[x] <= bound + 1e-12 * scale
+        assert bound <= split_two_swap_bound_loop(table, support, spec, cost, x) + 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
