@@ -222,8 +222,9 @@ def sf_fit_lstsq(configs, phi, level_counts, marginals, tol=1e-8):
 def double_center_loop(mat: np.ndarray, joint: np.ndarray,
                        tol: float = 1e-13, max_rounds: int = 500) -> np.ndarray:
     """One matrix at a time: alternate row and column passes under the joint
-    weights until both conditional means are within tol."""
-    out = mat.astype(float).copy()
+    weights until both conditional means are within tol. Runs in the wider
+    of float and the inputs' dtype."""
+    out = np.array(mat, dtype=np.result_type(mat, joint, float))
     row_mass = joint.sum(axis=1)
     col_mass = joint.sum(axis=0)
     rows = row_mass > 0

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from effectlab import (
@@ -461,6 +461,18 @@ def centering_problems(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(centering_problems())
+# Column 2 reaches the rest of the support only through a cell of mass 9e-5:
+# a spectral gap near 7e-4, so a double-precision loop stopped at 1e-15 is
+# about 1e-12 off its limit.
+@example(problem=(
+    np.array([[0.0, 1.38540697e-01, 8.87890511e-05, 2.12191248e-01, 0.0],
+              [1.30463222e-01, 1.11512033e-01, 0.0, 0.0, 9.47230147e-02],
+              [1.44347067e-01, 0.0, 0.0, 4.72814886e-02, 0.0],
+              [0.0, 0.0, 1.20852441e-01, 0.0, 0.0]]),
+    np.array([[[10.5515754, 18.0750033, -4.90292151, 23.6615104, -19.5816997],
+               [21.2313695, 4.08946045, -6.64665353, -8.81650616, -9.58001426],
+               [6.25601246, -8.96364263, 1.25138115, -13.6629293, -0.972313994],
+               [-8.08616747, -7.36184787, -2.79320001, -11.6140258, 12.6167050]]])))
 def test_double_center_is_the_converged_projection(problem):
     # Tolerances scale with the matrix's largest entry: an entry that cancels
     # to about zero keeps the rounding of the entries it was computed from.
@@ -470,8 +482,11 @@ def test_double_center_is_the_converged_projection(problem):
         scale = 1.0 + np.abs(m).max()
         assert_exactly_centered(centered, joint)
         # The loop stops at a residual of tol, about tol over the spectral
-        # gap from its limit, so tol sits near rounding.
-        loop = double_center_loop(m, joint, tol=1e-15 * scale, max_rounds=100_000)
+        # gap from its limit, and its rounding builds up by the same factor,
+        # so it runs in extended precision with tol near that rounding.
+        wide = np.longdouble
+        loop = double_center_loop(m.astype(wide), joint.astype(wide), tol=1e-17 * scale,
+                                  max_rounds=100_000)
         assert np.abs(centered - loop).max() <= 1e-12 * scale
         assert np.abs(double_centerer(joint)(centered) - centered).max() <= 1e-12 * scale
 
