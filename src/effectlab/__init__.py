@@ -51,7 +51,6 @@ from .shapley import (
     fit_effects_sf,
     mc_sample_size,
     mc_shapley,
-    sampled_shapley,
     stability_bound,
     write_shapley_csv,
 )

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .effects import ShrinkageSpec, bootstrap_cis
-from .objective import CostModel, ObjectiveSpec, PairwiseObjective, objective, objective_grid
+from .objective import CostModel, ObjectiveSpec, PairwiseObjective, objective_grid
 from .optimize import SearchSpec, diag_dominance_check, multistart, verify_1swap
 from .pci import write_pci_csv
 from .planning import bernstein_halfwidth, hoeffding_cell_n, uniform_cells_n
@@ -161,8 +161,7 @@ def _estimate_table(args, log, reference):
     if args.bootstrap:
         return bootstrap_cis(log, reference, shrinkage, B=args.bootstrap,
                              level=args.ci_level, seed=args.seed)
-    return estimate_from_log(log, args.path, reference, shrinkage,
-                             mc_permutations=args.mc_samples, shap_seed=args.seed)
+    return estimate_from_log(log, args.path, reference, shrinkage)
 
 
 def _bootstrap_diagnostics(table) -> dict:
@@ -247,7 +246,9 @@ def cmd_optimize(args) -> tuple[list[str], dict]:
     outputs = []
     chosen = {
         "config": dict(zip(space.names, space.labels_for(best))),
-        "objective": float(objective(table, best, support, spec, cost)),
+        # The winning trace ends at best; its value is J there, scored by
+        # the search's own model.
+        "objective": max(t.steps[-1][2] for t in traces),
         "one_swap_optimal": (any(t.verified_1swap for t in traces if t.final == best)
                              or verify_1swap(table, support, spec, cost, best)[0]),
         "restarts": len(traces),
@@ -423,8 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bootstrap", type=int, default=0,
                        help="bootstrap replicates for intervals (cm path)")
         p.add_argument("--ci-level", type=float, default=0.95)
-        p.add_argument("--mc-samples", type=int, default=2000,
-                       help="attribution samples per evaluation point")
 
     p = sub.add_parser("estimate", help="effect tables and plot data from a log")
     add_io(p)

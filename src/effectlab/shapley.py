@@ -2,9 +2,10 @@
 
 The coalition value of a fixed configuration x and factor subset T is the
 expectation of the response with the T coordinates pinned to x and the rest
-drawn from a product-form background. For enumerable grids every coalition
-value is computed exactly by tensor contraction, which makes permutation
-sampling cheap: one contraction table per oracle, then pure lookups.
+drawn from a product-form background. For enumerable grids all coalition
+values sit in one tensor, filled by one contraction per factor, so
+attribution is exact at every factor count: each point's 2^d values are one
+gather. Permutation sampling (``mc_shapley``) reads the same values.
 """
 
 from __future__ import annotations
@@ -30,10 +31,12 @@ from .space import (
 )
 
 EXACT_CELL_CAP = 1_000_000
+# Cells of the coalition-value tensor, prod(L_j + 1): 1 GiB of float64.
+TENSOR_CELL_CAP = 1 << 27
 RANK_TOLERANCE = 1e-8
-# Points per coalition-value gather in exact attribution; caps the
-# (chunk, 2^d) buffer at 16 MB for d = 10.
-EXACT_CHUNK = 2048
+# Coalition values per v_rows gather in exact attribution: a 16 MB buffer,
+# 2048 points at d = 10.
+GATHER_VALUES = 1 << 21
 
 
 class RankDeficiencyError(ValueError):
@@ -51,8 +54,11 @@ class ValueOracle:
 
     Backed either by a callable response function or by the cell means of a
     run log; unobserved cells of a log-backed oracle fall back to the
-    weighted baseline. Exact evaluation materializes the grid and contracts
-    background marginals axis by axis; every subset's contraction is cached.
+    weighted baseline. Every coalition value sits in one (L_1+1) x ... x
+    (L_d+1) tensor: index L_j on axis j means factor j averaged out under
+    its background marginal, so v(T) at x reads x_j on the axes in T and L_j
+    on the rest. The tensor is filled by one contraction per axis, last axis
+    first, and ``values`` is a view of its first L_j levels.
     """
 
     def __init__(self, space: FactorSpace, reference: ReferenceDistribution,
@@ -61,12 +67,16 @@ class ValueOracle:
         self._check(space, reference)
         self.space = space
         self.reference = reference
-        self.values = np.asarray(values, dtype=float).reshape(space.level_counts)
+        levels = space.level_counts
+        self._tensor = np.empty(tuple(L + 1 for L in levels))
+        self.values = self._tensor[tuple(slice(L) for L in levels)]
+        self.values[...] = np.asarray(values, dtype=float).reshape(levels)
+        for j in reversed(range(space.num_factors)):
+            head = tuple(slice(L) for L in levels[:j])
+            np.einsum("...l,l->...", np.moveaxis(self._tensor[head + (slice(levels[j]),)], j, -1),
+                      reference.marginal(j), out=self._tensor[head + (levels[j], ...)])
         self.bound = float(np.abs(self.values).max()) if bound is None else float(bound)
         self.padded_cells = padded_cells
-        self._tables: dict[int, np.ndarray] = {}
-        self._axes: dict[int, tuple[int, ...]] = {}
-        self._build_tables()
 
     @staticmethod
     def _check(space: FactorSpace, reference: ReferenceDistribution) -> None:
@@ -79,12 +89,19 @@ class ValueOracle:
             raise ValueError(
                 f"grid size {space.grid_size} exceeds the exact-evaluation cap {EXACT_CELL_CAP}"
             )
+        cells = math.prod(L + 1 for L in space.level_counts)
+        if cells > TENSOR_CELL_CAP:
+            raise ValueError(
+                f"coalition-value tensor of {cells} cells ({cells * 8 / 2**30:.2f} GiB) exceeds "
+                f"the exact-evaluation cap of {TENSOR_CELL_CAP} cells"
+            )
 
     @classmethod
     def from_function(cls, space: FactorSpace, reference: ReferenceDistribution,
                       fn: Callable[[Config], float], bound: float | None = None) -> "ValueOracle":
         from .space import enumerate_grid
 
+        cls._check(space, reference)  # before the grid is enumerated and fn called on it
         grid = enumerate_grid(space, cap=EXACT_CELL_CAP)
         values = np.array([fn(x) for x in grid], dtype=float)
         return cls(space, reference, values, bound=bound)
@@ -114,50 +131,34 @@ class ValueOracle:
             )
         return oracle
 
-    def _build_tables(self):
-        d = self.space.num_factors
-        full = (1 << d) - 1
-        self._tables[full] = self.values
-        self._axes[full] = tuple(range(d))
-        order = sorted(range(1 << d), key=lambda m: -bin(m).count("1"))
-        for mask in order:
-            axes = self._axes.get(mask)
-            if axes is None:
-                continue
-            tab = self._tables[mask]
-            for pos, j in enumerate(axes):
-                child = mask & ~(1 << j)
-                if child in self._tables:
-                    continue
-                pi = self.reference.marginal(j)
-                self._tables[child] = np.tensordot(tab, pi, axes=([pos], [0]))
-                self._axes[child] = tuple(a for a in axes if a != j)
-
     @property
     def v_empty(self) -> float:
-        return float(self._tables[0])
+        return float(self._tensor[self.space.level_counts])
 
-    def v(self, x: Sequence[int], subset: Iterable[int] | int) -> float:
+    def v(self, x: Sequence[int], subset: Iterable[int]) -> float:
         """Coalition value with the ``subset`` coordinates fixed to x."""
-        mask = subset if isinstance(subset, int) else _mask_of(subset)
-        idx = tuple(int(x[j]) for j in self._axes[mask])
-        return float(self._tables[mask][idx])
+        x = self.space.validate_config(x)
+        d = self.space.num_factors
+        members = set()
+        for j in subset:
+            if not 0 <= int(j) < d:
+                raise ValueError(f"subset index {j} out of range 0..{d - 1}")
+            members.add(int(j))
+        return float(self._tensor[tuple(x[j] if j in members else L
+                                        for j, L in enumerate(self.space.level_counts))])
 
     def v_rows(self, points: np.ndarray) -> np.ndarray:
         """Coalition values at each row of an (n, d) level-index array:
-        column ``mask`` holds the value of that factor subset."""
-        cols = points.T
-        out = np.empty((len(points), 1 << self.space.num_factors))
-        for mask, axes in self._axes.items():
-            out[:, mask] = self._tables[mask][tuple(cols[j] for j in axes)]
-        return out
-
-
-def _mask_of(subset: Iterable[int]) -> int:
-    mask = 0
-    for j in subset:
-        mask |= 1 << int(j)
-    return mask
+        column ``mask`` holds the value of that factor subset. The flat
+        tensor offsets double once per factor, so one gather reads them all."""
+        X = self.space.validate_configs(points)
+        levels = np.array(self.space.level_counts)
+        strides = np.array(self._tensor.strides) // self._tensor.itemsize
+        flat = np.full((len(X), 1), int(strides @ levels))
+        for j in range(self.space.num_factors):
+            step = strides[j] * (X[:, j] - levels[j])
+            flat = np.concatenate([flat, flat + step[:, None]], axis=1)
+        return self._tensor.take(flat)
 
 
 def coalition_value(oracle: ValueOracle, x: Sequence[int], subset: Iterable[int]) -> float:
@@ -190,33 +191,10 @@ def mc_shapley(oracle: ValueOracle, x: Sequence[int], M: int = 1000, seed: int =
     if method == "exact":
         (est,) = exact_shapley(oracle, [x])
         return (est, None) if return_contributions else est
-    est, delta = _sampled_shapley(oracle.v_rows(np.asarray([x]))[0], x, M, seed, method)
-    return (est, delta) if return_contributions else est
-
-
-def sampled_shapley(oracle: ValueOracle, points: Sequence[Sequence[int]], M: int,
-                    seeds: Sequence[int]) -> list[ShapleyEstimate]:
-    """Permutation attribution at every point, point i seeded by ``seeds[i]``:
-    the estimates of ``mc_shapley(oracle, x_i, M, seeds[i])``, with coalition
-    values gathered for a chunk of points per ``v_rows`` call (at most
-    ``EXACT_CHUNK`` x 2^10 values)."""
-    X = oracle.space.validate_configs(points)
-    chunk = max(1, (EXACT_CHUNK << 10) >> oracle.space.num_factors)
-    out = []
-    for start in range(0, len(X), chunk):
-        rows = X[start:start + chunk]
-        out += [_sampled_shapley(vx, tuple(x), M, seed, "permutation")[0]
-                for vx, x, seed in zip(oracle.v_rows(rows), rows.tolist(),
-                                         seeds[start:start + chunk])]
-    return out
-
-
-def _sampled_shapley(vx: np.ndarray, x: Config, M: int, seed: int, method: str):
-    """Sampled estimate at x from its coalition values ``vx`` (indexed by
-    subset bitmask), with the per-sample marginal contributions."""
     d = len(x)
     if M < 1:
         raise ValueError("M must be at least 1")
+    vx = oracle.v_rows(np.asarray([x]))[0]  # indexed by subset bitmask
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if method == "permutation":
         perms = np.argsort(rng.random((M, d)), axis=1)
@@ -247,31 +225,35 @@ def _sampled_shapley(vx: np.ndarray, x: Config, M: int, seed: int, method: str):
 
     phi = delta.mean(axis=0)
     variance = delta.var(axis=0, ddof=1) if M > 1 else np.zeros(d)
-    return ShapleyEstimate(x, phi, variance, M=M, method=method), delta
+    est = ShapleyEstimate(x, phi, variance, M=M, method=method)
+    return (est, delta) if return_contributions else est
 
 
 def exact_shapley(oracle: ValueOracle, points: Sequence[Sequence[int]]) -> list[ShapleyEstimate]:
     """Exact attribution at every point: all subsets with their ordering
-    weights, no sampling error. Coalition values are gathered for
-    ``EXACT_CHUNK`` points at a time, then each factor's weighted marginal
-    contributions are reduced for the whole chunk at once."""
+    weights, no sampling error. Coalition values are gathered for a chunk of
+    points at a time, at most ``GATHER_VALUES`` values, then each factor's
+    weighted marginal contributions are reduced for the whole chunk at once."""
     space = oracle.space
     d = space.num_factors
     X = space.validate_configs(points)
-    masks = np.arange(1 << d)
-    sizes = sum((masks >> j) & 1 for j in range(d))
+    sizes = sum((np.arange(1 << d) >> j) & 1 for j in range(d))
     fact = [math.factorial(i) for i in range(d + 1)]
     weight_of_size = np.array([fact[s] * fact[d - 1 - s] / fact[d] for s in range(d)])
-    pres = [masks[(masks & (1 << j)) == 0] for j in range(d)]
-    weights = [weight_of_size[sizes[pre]] for pre in pres]
+    # In a (..., -1, 2, 2**j) view of the subset axis, index 0 of the size-2
+    # axis holds the subsets without factor j and index 1 the same subsets
+    # with it.
+    weights = [weight_of_size[sizes.reshape(-1, 2, 1 << j)[:, 0].ravel()] for j in range(d)]
 
+    chunk = max(1, GATHER_VALUES >> d)
     phi = np.empty(X.shape, dtype=float)
     variance = np.empty(X.shape, dtype=float)
-    for start in range(0, len(X), EXACT_CHUNK):
-        rows = slice(start, start + EXACT_CHUNK)
+    for start in range(0, len(X), chunk):
+        rows = slice(start, start + chunk)
         vx = oracle.v_rows(X[rows])
-        for j, (pre, w) in enumerate(zip(pres, weights)):
-            delta = vx[:, pre | (1 << j)] - vx[:, pre]
+        for j, w in enumerate(weights):
+            halves = vx.reshape(len(vx), -1, 2, 1 << j)
+            delta = (halves[:, :, 1] - halves[:, :, 0]).reshape(len(vx), -1)
             phi[rows, j] = delta @ w
             variance[rows, j] = (delta - phi[rows, j, None]) ** 2 @ w
     M = 1 << (d - 1)

@@ -21,7 +21,7 @@ from numpy.typing import ArrayLike
 from .effects import EffectTable, ShrinkageSpec, estimate_effects_cm
 from .objective import CostModel, ObjectiveSpec, broadcast_sum, predict_grid
 from .optimize import SearchSpec, multistart
-from .shapley import ValueOracle, exact_shapley, fit_effects_sf, sampled_shapley
+from .shapley import ValueOracle, exact_shapley, fit_effects_sf
 from .space import (
     Config,
     DesignPlan,
@@ -35,7 +35,6 @@ from .space import (
     support_counts,
 )
 
-EXACT_SHAPLEY_MAX_FACTORS = 10
 EVAL_GRID_CAP = 4096
 
 
@@ -229,36 +228,29 @@ def make_log(teacher: Teacher, design: ArrayLike, seeds_per_point: int,
 
 def fit_from_oracle(oracle: ValueOracle, log: RunLog,
                     reference: ReferenceDistribution | None = None,
-                    shrinkage: ShrinkageSpec | None = None, *,
-                    mc_permutations: int = 2000, shap_seed: int = 0) -> EffectTable:
-    """Attribution path: Shapley values of the oracle at each evaluation
-    point, then least-squares table recovery shrunk by the log's support.
+                    shrinkage: ShrinkageSpec | None = None) -> EffectTable:
+    """Attribution path: exact Shapley values of the oracle at each
+    evaluation point, then least-squares table recovery shrunk by the log's
+    support.
 
     The evaluation points are the full grid when it has at most
     ``EVAL_GRID_CAP`` cells (always identifiable), otherwise the log's
-    distinct configurations. Up to ``EXACT_SHAPLEY_MAX_FACTORS`` factors the
-    values are exact; beyond that, point i averages ``mc_permutations``
-    permutations drawn from child i of ``SeedSequence(shap_seed)``.
+    distinct configurations. Nothing is sampled, so the table does not
+    depend on a seed.
     """
     space = oracle.space
     if space.grid_size <= EVAL_GRID_CAP:
         eval_set = enumerate_grid(space)
     else:
         eval_set = list(dict.fromkeys(tuple(c) for c in log.configs_array.tolist()))
-    if space.num_factors <= EXACT_SHAPLEY_MAX_FACTORS:
-        estimates = exact_shapley(oracle, eval_set)
-    else:
-        children = np.random.SeedSequence(shap_seed).spawn(len(eval_set))
-        estimates = sampled_shapley(oracle, eval_set, mc_permutations,
-                                    [int(child.generate_state(1)[0]) for child in children])
-    return fit_effects_sf(estimates, space, reference or oracle.reference, shrinkage,
+    return fit_effects_sf(exact_shapley(oracle, eval_set), space,
+                          reference or oracle.reference, shrinkage,
                           support=support_counts(log), mu=oracle.v_empty)
 
 
 def estimate_from_log(log: RunLog, estimator: str,
                       reference: ReferenceDistribution | None = None,
-                      shrinkage: ShrinkageSpec | None = None, *,
-                      mc_permutations: int = 2000, shap_seed: int = 0) -> EffectTable:
+                      shrinkage: ShrinkageSpec | None = None) -> EffectTable:
     """Run one estimation path end to end on a log.
 
     CM takes the cell means under ``reference``. SF attributes the log-backed
@@ -273,12 +265,13 @@ def estimate_from_log(log: RunLog, estimator: str,
         raise ValueError(f"unknown estimator {estimator!r}; expected CM or SF")
     reference = reference.product_marginals()
     oracle = ValueOracle.from_log(log, reference, warn=False)
-    return fit_from_oracle(oracle, log, reference, shrinkage,
-                           mc_permutations=mc_permutations, shap_seed=shap_seed)
+    return fit_from_oracle(oracle, log, reference, shrinkage)
 
 
 def _trial_seeds(trial_seed: int) -> tuple[int, int, int, int, int]:
-    """Design, noise, attribution, search and oracle seeds of one trial."""
+    """Design, noise, attribution, search and oracle seeds of one trial.
+    Attribution is exact and leaves its seed unused; it is still spawned so
+    that the other four keep their values."""
     children = np.random.SeedSequence(trial_seed).spawn(5)
     return tuple(int(child.generate_state(1)[0]) for child in children)
 
@@ -287,8 +280,8 @@ def run_trial(teacher: Teacher, plan: DesignPlan, seeds_per_point: int,
               estimator: str, objective_spec: ObjectiveSpec | None = None,
               search: SearchSpec | None = None, *, trial_seed: int = 0,
               reference: ReferenceDistribution | None = None,
-              shrinkage: ShrinkageSpec | None = None, mc_permutations: int = 2000,
-              mains_only: bool = False, cost: CostModel | None = None,
+              shrinkage: ShrinkageSpec | None = None, mains_only: bool = False,
+              cost: CostModel | None = None,
               oracle_source: str = "teacher") -> TrialResult:
     """Design -> log -> estimate -> search -> score against ground truth.
 
@@ -299,7 +292,7 @@ def run_trial(teacher: Teacher, plan: DesignPlan, seeds_per_point: int,
     used for ingested logs).
     """
     space = teacher.space
-    design_seed, noise_seed, shap_seed, search_seed, oracle_seed = _trial_seeds(trial_seed)
+    design_seed, noise_seed, _, search_seed, oracle_seed = _trial_seeds(trial_seed)
     design = sample_design(space, plan, design_seed)
     log = make_log(teacher, design, seeds_per_point, seed=noise_seed)
     estimator = estimator.upper()
@@ -311,13 +304,11 @@ def run_trial(teacher: Teacher, plan: DesignPlan, seeds_per_point: int,
             values = values + rng.normal(
                 0.0, teacher.spec.noise / math.sqrt(seeds_per_point), size=values.shape
             )
-        table = fit_from_oracle(ValueOracle(space, ref, values), log, ref, shrinkage,
-                                mc_permutations=mc_permutations, shap_seed=shap_seed)
+        table = fit_from_oracle(ValueOracle(space, ref, values), log, ref, shrinkage)
     elif estimator == "SF" and oracle_source != "log":
         raise ValueError(f"unknown oracle source {oracle_source!r}")
     else:
-        table = estimate_from_log(log, estimator, reference, shrinkage,
-                                  mc_permutations=mc_permutations, shap_seed=shap_seed)
+        table = estimate_from_log(log, estimator, reference, shrinkage)
     if mains_only:
         table = table.with_zero_pairs()
 
@@ -359,6 +350,8 @@ class SuiteConfig:
     robustness_seeds: int = 4
     skew_bias: float = 3.0
     seed_budgets: tuple[int, ...] = (2, 4, 8, 16)
+    # Recorded only: attribution is exact and samples no permutations. The
+    # field stays because suite_config.json and config_hash include it.
     mc_permutations: int = 2000
 
     def describe(self) -> dict:
@@ -413,9 +406,7 @@ def _suite_rows(axis: str, cells: list[tuple], config: SuiteConfig,
                     probe = log_from_arrays(teacher.space, design, np.zeros(len(design)))
                     reference = ReferenceDistribution.empirical(probe).product_marginals()
                 results.append(run_trial(teacher, plan, seeds_per_point, est, trial_seed=seed,
-                                         reference=reference,
-                                         mc_permutations=config.mc_permutations,
-                                         mains_only=mains_only))
+                                         reference=reference, mains_only=mains_only))
             for metric in metrics:
                 values = np.array([getattr(r, _TRIAL_METRICS[metric]) for r in results])
                 rows.append({

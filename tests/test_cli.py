@@ -9,7 +9,7 @@ import pytest
 from effectlab import cli
 from effectlab.cli import main
 from effectlab.effects import ShrinkageSpec, bootstrap_replicates
-from effectlab.objective import ObjectiveSpec, objective
+from effectlab.objective import ObjectiveSpec, PairwiseObjective, objective
 from effectlab.optimize import verify_1swap
 from effectlab.sim import estimate_from_log
 from effectlab.space import ReferenceDistribution, ingest_log, load_space
@@ -125,36 +125,42 @@ def test_estimate_sf_matches_library_entry_point(tmp_path, background):
     out = tmp_path / "sf"
     assert main(["estimate", "--path", "sf", "--background", background, "--seed", "4",
                  "--space", str(space), "--log", str(log), "--out", str(out)]) == 0
-    table = library_table(space, log, background, shap_seed=4)
+    table = library_table(space, log, background)
     assert json.loads((out / "effects.json").read_text()) == as_json(table.to_dict())
     assert json.loads((out / "diagnostics.json").read_text()) == as_json(table.diagnostics)
 
 
-def test_estimate_sf_wide_space_seeds_points_from_one_sequence(tmp_path):
-    # Thirteen binary factors take the sampled attribution path, and the
-    # 8,192-cell grid exceeds EVAL_GRID_CAP, so the evaluation points are the
-    # logged configurations in log order. They come in pairs that differ only
-    # in the last factor, which the response ignores, so points 2i and 2i + 1
-    # share every coalition value: seeding point i with --seed + i would make
-    # point 2i + 1 at seed 0 replay point 2i at seed 1.
+def test_estimate_sf_wide_space_is_exact_and_seed_free(tmp_path):
+    # Thirteen binary factors, and the 8,192-cell grid exceeds EVAL_GRID_CAP,
+    # so the evaluation points are the logged configurations. Attribution is
+    # exact there too, so --seed does not reach any SF data file.
     rng = np.random.default_rng(2)
     base = np.unique(rng.integers(0, 2, size=(16, 12)), axis=0)
     X = np.array([list(x) + [t] for x in base.tolist() for t in (0, 1)])
     y = np.repeat(rng.normal(size=len(base)), 2)
     space, log = write_inputs(tmp_path, (2,) * 13, X.tolist(), y, np.ones(len(X)))
-    phi = {}
+    names = ["effects.json", "main_effects.csv", "interactions.csv", "diagnostics.json",
+             "shapley.csv"]
+    files = {}
     for seed in (0, 1):
         out = tmp_path / f"seed{seed}"
-        assert main(["estimate", "--path", "sf", "--mc-samples", "50", "--seed", str(seed),
+        assert main(["estimate", "--path", "sf", "--seed", str(seed),
                      "--space", str(space), "--log", str(log), "--out", str(out)]) == 0
-        rows = read_csv(out / "shapley.csv")
-        assert len(rows) == len(X) * 13
-        phi[seed] = [[r["phi_hat"] for r in rows[i * 13:(i + 1) * 13]]
-                     for i in range(len(X))]
-    table = library_table(space, log, "uniform", mc_permutations=50, shap_seed=1)
+        files[seed] = [(out / name).read_bytes() for name in names]
+    assert files[0] == files[1]
+    rows = read_csv(out / "shapley.csv")
+    assert len(rows) == len(X) * 13 and {r["M"] for r in rows} == {str(1 << 12)}
+    table = library_table(space, log, "uniform")
     assert json.loads((out / "effects.json").read_text()) == as_json(table.to_dict())
-    replayed = [phi[0][i + 1] == phi[1][i] for i in range(0, len(X), 2)]
-    assert sum(replayed) < len(replayed) / 2
+    assert json.loads((out / "diagnostics.json").read_text()) == as_json(table.diagnostics)
+
+
+def test_mc_samples_option_is_gone(workspace):
+    tmp, space, log = workspace
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--path", "sf", "--mc-samples", "50", "--space", str(space),
+              "--log", str(log), "--out", str(tmp / "sf")])
+    assert exc.value.code == 2
 
 
 def test_bootstrap_rejected_on_sf_path(workspace):
@@ -298,6 +304,23 @@ def test_optimize_above_topk_cap_builds_no_grid(tmp_path, monkeypatch):
     assert chosen["objective"] == objective(table, best, table.support, ObjectiveSpec())
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["diagnostics"]["objective_grid_cells"] == 0
+
+
+def test_optimize_builds_objective_model_once_per_use(workspace, monkeypatch):
+    # One model each for the search, the dominance certificate and the
+    # top-k grid; chosen.json reads its objective from the winning trace.
+    tmp, space, log = workspace
+    calls = []
+    build = PairwiseObjective.build.__func__
+
+    def counting(klass, *args, **kwargs):
+        calls.append(klass)
+        return build(klass, *args, **kwargs)
+
+    monkeypatch.setattr(PairwiseObjective, "build", classmethod(counting))
+    assert main(["optimize", "--space", str(space), "--log", str(log),
+                 "--out", str(tmp / "opt")]) == 0
+    assert len(calls) == 3
 
 
 def test_top_configs_break_ties_lexicographically():

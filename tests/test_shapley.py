@@ -26,7 +26,7 @@ from effectlab import (
     stability_bound,
     TeacherSpec,
 )
-from effectlab.shapley import EXACT_CHUNK, RANK_TOLERANCE, ShapleyEstimate, mc_sample_bound
+from effectlab.shapley import GATHER_VALUES, RANK_TOLERANCE, ShapleyEstimate, mc_sample_bound
 from conftest import full_grid_log, random_space
 from effectlab.sim import estimate_from_log
 from oracles import (
@@ -98,6 +98,49 @@ def test_log_backed_oracle_checks_cap_before_grid_sized_sums():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("d", [18, 19])
+def test_oracle_checks_tensor_cap_before_grid_sized_work(d):
+    # d binary factors: the grid (262,144 or 524,288 cells) is within
+    # EXACT_CELL_CAP, but the coalition-value tensor has 3^d cells, 2.9 or
+    # 8.7 GiB. Both constructors must refuse before enumerating the grid.
+    space = build_space([(f"f{j}", ["0", "1"]) for j in range(d)])
+    log = log_from_arrays(space, [(0,) * d, (1,) * d], [1.0, 2.0])
+    ref = ReferenceDistribution.uniform(space)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"tensor of {3 ** d} cells"):
+            ValueOracle.from_log(log, ref)
+        with pytest.raises(ValueError, match=f"tensor of {3 ** d} cells"):
+            ValueOracle.from_function(space, ref, lambda x: 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("levels", [[2] * 17, [3] * 12])
+def test_tensor_cap_admits_largest_spaces(levels):
+    # 3^17 and 4^12 cells are within the 2^27-cell cap.
+    space = build_space([(f"f{j}", [str(t) for t in range(L)]) for j, L in enumerate(levels)])
+    ValueOracle._check(space, ReferenceDistribution.uniform(space))
+
+
+def test_oracle_lookups_reject_out_of_range_indices():
+    space = build_space([("a", ["0", "1", "2"]), ("b", ["0", "1"])])
+    oracle = ValueOracle.from_function(space, ReferenceDistribution.uniform(space),
+                                       lambda x: float(3 * x[0] + x[1]))
+    for x in [(-1, 0), (3, 0), (0, -1), (0, 2)]:
+        with pytest.raises(ValueError, match="level index -?[0-9] out of range"):
+            oracle.v(x, [0, 1])
+        with pytest.raises(ValueError, match="level index -?[0-9] out of range"):
+            coalition_value(oracle, x, [0])
+        with pytest.raises(ValueError, match="level index -?[0-9] out of range"):
+            oracle.v_rows(np.array([(0, 0), x]))
+    for subset in ([2], [0, -1]):
+        with pytest.raises(ValueError, match=f"subset index {subset[-1]} out of range 0..1"):
+            oracle.v((0, 0), subset)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +333,15 @@ def test_batched_exact_matches_per_point_loop(problem):
     assert_matches_loop(oracle, values, points, estimates)
     single = mc_shapley(oracle, points[0], method="exact")
     assert np.max(np.abs(single.phi - estimates[0].phi)) < 1e-12
-    marginals = [ref.marginal(j) for j in range(space.num_factors)]
+    d = space.num_factors
+    marginals = [ref.marginal(j) for j in range(d)]
     expected = [coalition_values_by_contraction(values, marginals, x) for x in points]
     assert np.max(np.abs(oracle.v_rows(np.array(points)) - np.stack(expected))) < 1e-12
+    for x, vx in zip(points, expected):
+        for mask in range(1 << d):
+            subset = [j for j in range(d) if mask >> j & 1]
+            assert abs(oracle.v(x, subset) - vx[mask]) < 1e-12
+    assert abs(oracle.v_empty - expected[0][0]) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -368,12 +417,28 @@ def test_blockwise_sf_fit_matches_dense_lstsq_route(problem):
         assert np.abs(new - old).max() <= 1e-12 * (1.0 + np.abs(old).max())
 
 
-def test_batched_exact_across_chunk_boundary():
-    space, ref, values, points = product_problem([2, 3, 4], 21, EXACT_CHUNK + 1)
+def test_batched_exact_across_chunk_boundary(monkeypatch):
+    # A 64-value gather budget on 3 factors: chunks of 8 points.
+    monkeypatch.setattr("effectlab.shapley.GATHER_VALUES", 64)
+    space, ref, values, points = product_problem([2, 3, 4], 21, 17)
     oracle = ValueOracle(space, ref, values)
     estimates = exact_shapley(oracle, points)
-    assert len(estimates) == EXACT_CHUNK + 1
+    assert len(estimates) == 17
     assert_matches_loop(oracle, values, points, estimates)
+
+
+def test_exact_attribution_beyond_ten_factors_matches_per_point_loop():
+    # One gather holds GATHER_VALUES >> d points: 1024 at 11 binary factors,
+    # 256 at 13. Check the first point, both sides of the first chunk
+    # boundary and the last point, which here is the boundary's right side.
+    for d in (11, 13):
+        chunk = GATHER_VALUES >> d
+        space, ref, values, points = product_problem([2] * d, d, chunk + 1)
+        oracle = ValueOracle(space, ref, values)
+        estimates = exact_shapley(oracle, points)
+        picks = [0, chunk - 1, chunk]
+        assert_matches_loop(oracle, values, [points[i] for i in picks],
+                            [estimates[i] for i in picks])
 
 
 def test_batched_exact_rejects_out_of_range_points(space_2x2):
@@ -557,22 +622,6 @@ def test_cm_equals_sf_on_balanced_full_grids(levels, replicates, seed):
     sf_values = [np.array([sf.mu])] + list(sf.mains) + list(sf.pairs.values())
     scale = 1.0 + max(np.abs(v).max() for v in cm_values)
     assert max(np.abs(a - b).max() for a, b in zip(cm_values, sf_values)) <= 1e-12 * scale
-
-
-def test_sampled_attribution_matches_per_point_loop():
-    # 11 binary factors: past the exact-attribution limit, with 1024 points
-    # per coalition-value chunk. Point i draws from child i of the seed.
-    space = build_space([(f"f{j}", ["0", "1"]) for j in range(11)])
-    grid = enumerate_grid(space)
-    log = log_from_arrays(space, grid, np.random.default_rng(23).normal(size=len(grid)))
-    table = estimate_from_log(log, "SF", mc_permutations=5, shap_seed=9)
-    oracle = ValueOracle.from_log(log, ReferenceDistribution.uniform(space))
-    children = np.random.SeedSequence(9).spawn(len(grid))
-    for i in (0, 1, 1023, 1024, len(grid) - 1):
-        est = mc_shapley(oracle, grid[i], M=5, seed=int(children[i].generate_state(1)[0]))
-        got = table.attributions[i]
-        assert got.x == est.x and got.M == 5 and got.method == "permutation"
-        assert np.array_equal(got.phi, est.phi) and np.array_equal(got.variance, est.variance)
 
 
 def test_objective_deviation_bounded_by_table_errors():
