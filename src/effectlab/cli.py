@@ -25,13 +25,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .effects import ShrinkageSpec, bootstrap_cis
+
+# Layers every process loads: space, effects and objective come with the
+# package, which binds the function ``objective``, and attribution stays
+# loaded because the per-layer tracer, perfbench/spans.py, reads
+# effectlab.shapley from sys.modules once it has imported this module. The
+# search, the simulator and the PCI and planning helpers are imported by the
+# commands that run them, so no other command pays for compiling them.
+from .effects import ShrinkageSpec, bootstrap_cis, estimate_from_log
 from .objective import CostModel, ObjectiveSpec, PairwiseObjective, objective_grid
-from .optimize import SearchSpec, diag_dominance_check, multistart, verify_1swap
-from .pci import write_pci_csv
-from .planning import bernstein_halfwidth, hoeffding_cell_n, uniform_cells_n
 from .shapley import mc_sample_size, write_shapley_csv
-from .sim import SuiteConfig, ablation_suite, comparison_suite, estimate_from_log
 from .space import ReferenceDistribution, ingest_log, load_space
 
 
@@ -231,6 +234,8 @@ def cmd_estimate(args) -> tuple[list[str], dict]:
 # ---------------------------------------------------------------------------
 
 def cmd_optimize(args) -> tuple[list[str], dict]:
+    from .optimize import SearchSpec, diag_dominance_check, multistart, verify_1swap
+
     out = _prepare_out(args)
     space, log = _load_inputs(args)
     reference = _reference_for(args, space, log)
@@ -319,6 +324,8 @@ def _topk_bootstrap_cis(reps, support, spec, cost, configs, level):
 # ---------------------------------------------------------------------------
 
 def cmd_pci(args) -> tuple[list[str], dict]:
+    from .pci import write_pci_csv
+
     out = _prepare_out(args)
     space, log = _load_inputs(args)
     reference = _reference_for(args, space, log)
@@ -329,6 +336,8 @@ def cmd_pci(args) -> tuple[list[str], dict]:
 
 
 def cmd_plan(args) -> tuple[list[str], dict]:
+    from .planning import bernstein_halfwidth, hoeffding_cell_n, uniform_cells_n
+
     if args.mc:
         union = None
         if args.union:
@@ -371,6 +380,8 @@ def cmd_plan(args) -> tuple[list[str], dict]:
 
 
 def cmd_simulate(args) -> tuple[list[str], dict]:
+    from .sim import SuiteConfig, comparison_suite
+
     out = _prepare_out(args)
     if args.suite not in ("cm-vs-sf", "table2"):
         raise CommandError(f"unknown suite {args.suite!r}")
@@ -383,6 +394,8 @@ def cmd_simulate(args) -> tuple[list[str], dict]:
 
 
 def cmd_ablate(args) -> tuple[list[str], dict]:
+    from .sim import SuiteConfig, ablation_suite
+
     out = _prepare_out(args)
     cfg = SuiteConfig(trials=args.trials, seed=args.seed)
     rows = ablation_suite(args.axis, cfg)

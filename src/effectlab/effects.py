@@ -348,6 +348,29 @@ def estimate_effects_cm(log: RunLog, reference: ReferenceDistribution | None = N
     )
 
 
+def estimate_from_log(log: RunLog, estimator: str,
+                      reference: ReferenceDistribution | None = None,
+                      shrinkage: ShrinkageSpec | None = None) -> EffectTable:
+    """Run one estimation path end to end on a log.
+
+    CM takes the cell means under ``reference``. SF attributes the log-backed
+    value oracle (see ``shapley.fit_from_oracle``) under the product of the
+    reference's marginals, so an empirical reference is accepted on both. The
+    attribution layer is imported only when SF runs.
+    """
+    reference = reference or ReferenceDistribution.uniform(log.space)
+    estimator = estimator.upper()
+    if estimator == "CM":
+        return estimate_effects_cm(log, reference, shrinkage)
+    if estimator != "SF":
+        raise ValueError(f"unknown estimator {estimator!r}; expected CM or SF")
+    from .shapley import ValueOracle, fit_from_oracle
+
+    reference = reference.product_marginals()
+    oracle = ValueOracle.from_log(log, reference, warn=False)
+    return fit_from_oracle(oracle, log, reference, shrinkage)
+
+
 @dataclass(frozen=True, eq=False)
 class BootstrapReplicates:
     """CM estimates of B resamples; every array has a leading replicate axis.

@@ -26,6 +26,7 @@ from .space import (
     ReferenceDistribution,
     RunLog,
     SupportCounts,
+    enumerate_grid,
     log_from_arrays,
     support_counts,
 )
@@ -34,6 +35,8 @@ EXACT_CELL_CAP = 1_000_000
 # Cells of the coalition-value tensor, prod(L_j + 1): 1 GiB of float64.
 TENSOR_CELL_CAP = 1 << 27
 RANK_TOLERANCE = 1e-8
+# fit_from_oracle evaluates on the full grid up to this many cells.
+EVAL_GRID_CAP = 4096
 # Coalition values per v_rows gather in exact attribution: a 16 MB buffer,
 # 2048 points at d = 10.
 GATHER_VALUES = 1 << 21
@@ -99,8 +102,6 @@ class ValueOracle:
     @classmethod
     def from_function(cls, space: FactorSpace, reference: ReferenceDistribution,
                       fn: Callable[[Config], float], bound: float | None = None) -> "ValueOracle":
-        from .space import enumerate_grid
-
         cls._check(space, reference)  # before the grid is enumerated and fn called on it
         grid = enumerate_grid(space, cap=EXACT_CELL_CAP)
         values = np.array([fn(x) for x in grid], dtype=float)
@@ -486,6 +487,28 @@ def fit_effects_sf(estimates: Sequence[ShapleyEstimate], space: FactorSpace,
         diagnostics=diag,
         attributions=tuple(estimates),
     )
+
+
+def fit_from_oracle(oracle: ValueOracle, log: RunLog,
+                    reference: ReferenceDistribution | None = None,
+                    shrinkage: ShrinkageSpec | None = None) -> EffectTable:
+    """Attribution path: exact Shapley values of the oracle at each
+    evaluation point, then least-squares table recovery shrunk by the log's
+    support.
+
+    The evaluation points are the full grid when it has at most
+    ``EVAL_GRID_CAP`` cells (always identifiable), otherwise the log's
+    distinct configurations. Nothing is sampled, so the table does not
+    depend on a seed.
+    """
+    space = oracle.space
+    if space.grid_size <= EVAL_GRID_CAP:
+        eval_set = enumerate_grid(space)
+    else:
+        eval_set = list(dict.fromkeys(tuple(c) for c in log.configs_array.tolist()))
+    return fit_effects_sf(exact_shapley(oracle, eval_set), space,
+                          reference or oracle.reference, shrinkage,
+                          support=support_counts(log), mu=oracle.v_empty)
 
 
 def stability_bound(design: EffectDesignMatrix, observation_error_norm: float) -> float:

@@ -18,10 +18,10 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .effects import EffectTable, ShrinkageSpec, estimate_effects_cm
+from .effects import EffectTable, ShrinkageSpec, estimate_from_log
 from .objective import CostModel, ObjectiveSpec, broadcast_sum, predict_grid
 from .optimize import SearchSpec, multistart
-from .shapley import ValueOracle, exact_shapley, fit_effects_sf
+from .shapley import ValueOracle, fit_from_oracle
 from .space import (
     Config,
     DesignPlan,
@@ -29,13 +29,9 @@ from .space import (
     ReferenceDistribution,
     RunLog,
     build_space,
-    enumerate_grid,
     log_from_arrays,
     sample_design,
-    support_counts,
 )
-
-EVAL_GRID_CAP = 4096
 
 
 def default_space(d: int = 6) -> FactorSpace:
@@ -224,48 +220,6 @@ def make_log(teacher: Teacher, design: ArrayLike, seeds_per_point: int,
     return log_from_arrays(teacher.space, np.repeat(points, seeds_per_point, axis=0),
                            (base[:, None] + noise).ravel(),
                            seeds=np.tile(np.arange(seeds_per_point), len(points)))
-
-
-def fit_from_oracle(oracle: ValueOracle, log: RunLog,
-                    reference: ReferenceDistribution | None = None,
-                    shrinkage: ShrinkageSpec | None = None) -> EffectTable:
-    """Attribution path: exact Shapley values of the oracle at each
-    evaluation point, then least-squares table recovery shrunk by the log's
-    support.
-
-    The evaluation points are the full grid when it has at most
-    ``EVAL_GRID_CAP`` cells (always identifiable), otherwise the log's
-    distinct configurations. Nothing is sampled, so the table does not
-    depend on a seed.
-    """
-    space = oracle.space
-    if space.grid_size <= EVAL_GRID_CAP:
-        eval_set = enumerate_grid(space)
-    else:
-        eval_set = list(dict.fromkeys(tuple(c) for c in log.configs_array.tolist()))
-    return fit_effects_sf(exact_shapley(oracle, eval_set), space,
-                          reference or oracle.reference, shrinkage,
-                          support=support_counts(log), mu=oracle.v_empty)
-
-
-def estimate_from_log(log: RunLog, estimator: str,
-                      reference: ReferenceDistribution | None = None,
-                      shrinkage: ShrinkageSpec | None = None) -> EffectTable:
-    """Run one estimation path end to end on a log.
-
-    CM takes the cell means under ``reference``. SF attributes the log-backed
-    value oracle (see ``fit_from_oracle``) under the product of the
-    reference's marginals, so an empirical reference is accepted on both.
-    """
-    reference = reference or ReferenceDistribution.uniform(log.space)
-    estimator = estimator.upper()
-    if estimator == "CM":
-        return estimate_effects_cm(log, reference, shrinkage)
-    if estimator != "SF":
-        raise ValueError(f"unknown estimator {estimator!r}; expected CM or SF")
-    reference = reference.product_marginals()
-    oracle = ValueOracle.from_log(log, reference, warn=False)
-    return fit_from_oracle(oracle, log, reference, shrinkage)
 
 
 def _trial_seeds(trial_seed: int) -> tuple[int, int, int, int, int]:

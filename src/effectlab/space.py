@@ -13,7 +13,6 @@ import csv
 import itertools
 import json
 import math
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -322,13 +321,113 @@ def log_from_arrays(space: FactorSpace, configs: ArrayLike, responses: ArrayLike
                   np.zeros(n, dtype=np.int64) if seeds is None else np.asarray(seeds))
 
 
+# CSV rows that ingest_log converts at a time; bounds the cell strings held.
+INGEST_BLOCK = 1024
+
+
+def _parse(cells: list[str], convert, blank: str = "") -> tuple[list, int | None]:
+    """``convert`` applied to the cells of one column, each stripped of
+    surrounding whitespace and, when blank, read as ``blank``. Returns the
+    values up to the first cell that ``convert`` rejects with ``KeyError`` or
+    ``ValueError``, and that cell's index, or None if it rejects none.
+
+    A column of unpadded cells converts in one call: ``float`` and ``int``
+    ignore the whitespace that ``str.strip`` removes, and a label lookup must
+    hold only labels without it. Any other column goes cell by cell.
+    """
+    try:
+        return list(map(convert, cells)), None
+    except (KeyError, ValueError):
+        pass
+    values = []
+    for i, cell in enumerate(cells):
+        try:
+            values.append(convert(cell.strip() or blank))
+        except (KeyError, ValueError):
+            return values, i
+    return values, None
+
+
+def _log_columns(space: FactorSpace, header: list[str], rows: list[list[str]],
+                 first: int) -> tuple[list[tuple[int, str]], tuple[np.ndarray, ...]]:
+    """Convert CSV rows a column at a time. ``first`` is the CSV row number
+    of ``rows[0]``. Returns the faults, as (CSV row, problem) of the first bad
+    cell of each check in check order, and the level, response, weight and
+    seed columns of the rows, blank ones skipped."""
+    nonblank = list(map(str.strip, map("".join, rows)))
+    rownums = list(itertools.compress(range(first, first + len(rows)), nonblank))
+    rows = list(itertools.compress(rows, nonblank))
+    faults = []
+    width, n = len(header), len(rows)
+    lengths = list(map(len, rows))
+    if min(lengths, default=width) < width:
+        n = next(i for i, k in enumerate(lengths) if k < width)
+        faults.append((n, f"missing value in column {header[lengths[n]]!r}"))
+    rows = rows[:n]
+    if max(lengths[:n], default=width) > width:
+        rows = [row[:width] for row in rows]
+    flat = list(itertools.chain.from_iterable(rows))
+    columns = {name: flat[c::width] for c, name in enumerate(header)}
+
+    levels = np.empty((n, space.num_factors), dtype=np.intp)
+    for j, f in enumerate(space.factors):
+        lookup = {label: lvl for lvl, label in enumerate(f.levels) if label == label.strip()}
+        values, bad = _parse(columns[f.name], lookup.__getitem__)
+        if bad is None:
+            levels[:, j] = values
+        else:
+            label = columns[f.name][bad].strip()
+            faults.append((bad, f"unknown level {label!r} in column {f.name!r}"))
+
+    raw = columns["response"]
+    values, bad = _parse(raw, float)
+    responses = np.array(values, dtype=float)
+    wrong = np.flatnonzero(~np.isfinite(responses))
+    if wrong.size:
+        faults.append((wrong[0], f"non-finite response {raw[wrong[0]].strip()!r}"))
+    elif bad is not None:
+        faults.append((bad, f"non-numeric response {raw[bad].strip()!r}"))
+
+    weights = np.ones(n)
+    if "weight" in columns:
+        raw = columns["weight"]
+        values, bad = _parse(raw, float, blank="1")
+        weights = np.array(values, dtype=float)
+        wrong = np.flatnonzero(~np.isfinite(weights) | (weights < 0))
+        if wrong.size:
+            i = wrong[0]
+            faults.append((i, "non-finite weight" if not math.isfinite(weights[i])
+                           else f"negative weight {raw[i].strip()!r}"))
+        elif bad is not None:
+            faults.append((bad, "non-numeric weight"))
+
+    seeds = np.zeros(n, dtype=np.int64)
+    if "seed" in columns:
+        raw = columns["seed"]
+        values, bad = _parse(raw, int, blank="0")
+        try:
+            seeds = np.array(values, dtype=np.int64)
+        except OverflowError:
+            i = next(i for i, v in enumerate(values) if not -2**63 <= v < 2**63)
+            faults.append((i, f"seed {raw[i].strip()} outside the 64-bit range"))
+        else:
+            if bad is not None:
+                faults.append((bad, "non-integer seed"))
+    return [(rownums[i], problem) for i, problem in faults], (levels, responses, weights, seeds)
+
+
 def ingest_log(path: str | Path, space: FactorSpace) -> RunLog:
-    """Read a run-log CSV row by row into columns.
+    """Read a run-log CSV into columns.
 
     The header must contain one column per factor name plus ``response``;
     ``weight`` (default 1) and ``seed`` (default 0) columns are optional and
     may be left blank. Blank lines are skipped. A bad row is rejected with a
     ``LogSchemaError`` naming its CSV row (the header is row 1).
+
+    One ``csv.reader`` pass hands over ``INGEST_BLOCK`` rows at a time, and
+    each block is converted a column at a time. A file with several bad rows
+    is rejected for the earliest; within a row the checks run in the order:
+    row length, factors (in space order), response, weight, seed.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -347,56 +446,27 @@ def ingest_log(path: str | Path, space: FactorSpace) -> RunLog:
                 raise LogSchemaError(f"{path}: missing factor column {name!r}")
         if "response" not in header:
             raise LogSchemaError(f"{path}: missing 'response' column")
-        col_idx = {name: i for i, name in enumerate(header)}
-        factor_cols = [(col_idx[f.name], {label: lvl for lvl, label in enumerate(f.levels)})
-                       for f in space.factors]
-        r_col, w_col, s_col = col_idx["response"], col_idx.get("weight"), col_idx.get("seed")
-
-        def bad(problem: str) -> LogSchemaError:
-            return LogSchemaError(f"{path}: row {rownum}: {problem}")
-
-        levels, responses, weights, seeds = array("q"), array("d"), array("d"), array("q")
-        for rownum, row in enumerate(reader, start=2):
-            if not "".join(row).strip():
-                continue
-            if len(row) < len(header):
-                raise bad(f"missing value in column {header[len(row)]!r}")
+        blocks, first = [], 2
+        while True:
+            rows, unreadable = [], None
             try:
-                levels.extend([lookup[row[c].strip()] for c, lookup in factor_cols])
-            except KeyError:
-                name, label = next((header[c], row[c].strip()) for c, lookup in factor_cols
-                                   if row[c].strip() not in lookup)
-                raise bad(f"unknown level {label!r} in column {name!r}") from None
-            raw = row[r_col].strip()
-            try:
-                response = float(raw)
-            except ValueError:
-                raise bad(f"non-numeric response {raw!r}") from None
-            if not math.isfinite(response):
-                raise bad(f"non-finite response {raw!r}")
-            raw = row[w_col].strip() if w_col is not None else ""
-            try:
-                weight = float(raw) if raw else 1.0
-            except ValueError:
-                raise bad("non-numeric weight") from None
-            if not math.isfinite(weight):
-                raise bad("non-finite weight")
-            if weight < 0:
-                raise bad(f"negative weight {raw!r}")
-            raw = row[s_col].strip() if s_col is not None else ""
-            try:
-                seeds.append(int(raw) if raw else 0)
-            except ValueError:
-                raise bad("non-integer seed") from None
-            except OverflowError:
-                raise bad(f"seed {raw} outside the 64-bit range") from None
-            responses.append(response)
-            weights.append(weight)
-    if not responses:
+                rows.extend(itertools.islice(reader, INGEST_BLOCK))
+            except csv.Error as exc:  # rows keeps the rows before the unreadable one
+                unreadable = exc
+            faults, columns = _log_columns(space, header, rows, first)
+            if faults:
+                rownum, problem = min(faults, key=lambda fault: fault[0])
+                raise LogSchemaError(f"{path}: row {rownum}: {problem}")
+            if unreadable is not None:
+                raise unreadable
+            blocks.append(columns)
+            if len(rows) < INGEST_BLOCK:
+                break
+            first += len(rows)
+    levels, responses, weights, seeds = map(np.concatenate, zip(*blocks))
+    if not len(responses):
         raise LogSchemaError(f"{path}: no data rows")
-    configs = np.frombuffer(levels, dtype=np.int64).reshape(len(responses), space.num_factors)
-    return RunLog(space, configs, np.frombuffer(responses), np.frombuffer(weights),
-                  np.frombuffer(seeds, dtype=np.int64))
+    return RunLog(space, levels, responses, weights, seeds)
 
 
 def write_log(log: RunLog, path: str | Path) -> None:

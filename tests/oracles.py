@@ -6,10 +6,14 @@ explicit enumeration and deliberately shares no code path with the library.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
+from array import array
 
 import numpy as np
+
+from effectlab.space import LogSchemaError, RunLog
 
 
 def projection_decomposition(values: np.ndarray, marginals: list[np.ndarray]):
@@ -407,55 +411,78 @@ def log_columns_loop(level_counts, configs, responses, weights=None, seeds=None)
             np.array([rec[3] for rec in recs], dtype=np.int64))
 
 
-def ingest_log_loop(path, names, levels):
-    """Run-log CSV read row by row, each label found with ``tuple.index``.
-    ``names`` and ``levels`` declare the factors. Returns the four columns,
-    or raises ValueError with the message the reader gives for the first bad
-    cell."""
-    import csv
-
+def ingest_log_loop(path, space):
+    """Run-log CSV read row by row, every check made on each row before the
+    next is read: the reader ``space.ingest_log`` replaced. Returns the
+    library's RunLog of the columns, or raises the ``LogSchemaError`` of the
+    first bad row."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
-        col_idx = {name: header.index(name) for name in header}
-        has_weight = "weight" in col_idx
-        has_seed = "seed" in col_idx
-        records = []
+        header = next(reader, None)
+        if header is None:
+            raise LogSchemaError(f"{path}: empty file")
+        header = [h.strip() for h in header]
+        known = set(space.names) | {"response", "weight", "seed"}
+        for col in header:
+            if col not in known:
+                raise LogSchemaError(f"{path}: unknown column {col!r}")
+            if header.count(col) > 1:
+                raise LogSchemaError(f"{path}: duplicate column {col!r}")
+        for name in space.names:
+            if name not in header:
+                raise LogSchemaError(f"{path}: missing factor column {name!r}")
+        if "response" not in header:
+            raise LogSchemaError(f"{path}: missing 'response' column")
+        col_idx = {name: i for i, name in enumerate(header)}
+        factor_cols = [(col_idx[f.name], {label: lvl for lvl, label in enumerate(f.levels)})
+                       for f in space.factors]
+        r_col, w_col, s_col = col_idx["response"], col_idx.get("weight"), col_idx.get("seed")
+
+        def bad(problem: str) -> LogSchemaError:
+            return LogSchemaError(f"{path}: row {rownum}: {problem}")
+
+        levels, responses, weights, seeds = array("q"), array("d"), array("d"), array("q")
         for rownum, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not "".join(row).strip():
                 continue
-            cfg = []
-            for j, name in enumerate(names):
-                label = row[col_idx[name]].strip()
-                try:
-                    cfg.append(levels[j].index(label))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: row {rownum}: unknown level {label!r} in column {name!r}"
-                    ) from None
-            raw = row[col_idx["response"]].strip()
+            if len(row) < len(header):
+                raise bad(f"missing value in column {header[len(row)]!r}")
+            try:
+                levels.extend([lookup[row[c].strip()] for c, lookup in factor_cols])
+            except KeyError:
+                name, label = next((header[c], row[c].strip()) for c, lookup in factor_cols
+                                   if row[c].strip() not in lookup)
+                raise bad(f"unknown level {label!r} in column {name!r}") from None
+            raw = row[r_col].strip()
             try:
                 response = float(raw)
             except ValueError:
-                raise ValueError(f"{path}: row {rownum}: non-numeric response {raw!r}") from None
+                raise bad(f"non-numeric response {raw!r}") from None
             if not math.isfinite(response):
-                raise ValueError(f"{path}: row {rownum}: non-finite response {raw!r}")
-            weight = 1.0
-            if has_weight and row[col_idx["weight"]].strip():
-                try:
-                    weight = float(row[col_idx["weight"]])
-                except ValueError:
-                    raise ValueError(f"{path}: row {rownum}: non-numeric weight") from None
-                if not math.isfinite(weight):
-                    raise ValueError(f"{path}: row {rownum}: non-finite weight")
-            seed = 0
-            if has_seed and row[col_idx["seed"]].strip():
-                try:
-                    seed = int(row[col_idx["seed"]])
-                except ValueError:
-                    raise ValueError(f"{path}: row {rownum}: non-integer seed") from None
-            records.append((tuple(cfg), response, weight, seed))
-    return log_columns_loop([len(l) for l in levels], *map(list, zip(*records)))
+                raise bad(f"non-finite response {raw!r}")
+            raw = row[w_col].strip() if w_col is not None else ""
+            try:
+                weight = float(raw) if raw else 1.0
+            except ValueError:
+                raise bad("non-numeric weight") from None
+            if not math.isfinite(weight):
+                raise bad("non-finite weight")
+            if weight < 0:
+                raise bad(f"negative weight {raw!r}")
+            raw = row[s_col].strip() if s_col is not None else ""
+            try:
+                seeds.append(int(raw) if raw else 0)
+            except ValueError:
+                raise bad("non-integer seed") from None
+            except OverflowError:
+                raise bad(f"seed {raw} outside the 64-bit range") from None
+            responses.append(response)
+            weights.append(weight)
+    if not responses:
+        raise LogSchemaError(f"{path}: no data rows")
+    configs = np.frombuffer(levels, dtype=np.int64).reshape(len(responses), space.num_factors)
+    return RunLog(space, configs, np.frombuffer(responses), np.frombuffer(weights),
+                  np.frombuffer(seeds, dtype=np.int64))
 
 
 def sample_design_loop(level_counts, kind, n=0, bias=1.0, seed=0):

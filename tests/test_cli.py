@@ -281,18 +281,25 @@ def test_optimize_topk_with_bootstrap(workspace):
         assert float(row["objective"]) <= float(row["ci_hi"]) + 1e-9
 
 
-def test_optimize_above_topk_cap_builds_no_grid(tmp_path, monkeypatch):
+def test_optimize_above_topk_cap_builds_no_grid(workspace, monkeypatch):
     # 17 binary factors: 131,072 cells, above the top-k cap. The search and
     # the certificate need no grid, so a grid build is an error here.
     def no_grid(*args, **kwargs):
         raise AssertionError("objective_grid called above the top-k cap")
 
+    # Below the cap the patched grid build fails the command, which shows
+    # that the patch is on the name cmd_optimize looks up.
     monkeypatch.setattr(cli, "objective_grid", no_grid)
+    tmp, space, log = workspace
+    assert main(["optimize", "--space", str(space), "--log", str(log),
+                 "--out", str(tmp / "small")]) == 1
+    assert "above the top-k cap" in (tmp / "small" / "error.json").read_text()
     rng = np.random.default_rng(8)
     X = rng.integers(0, 2, size=(30, 17))
     y = X @ rng.normal(size=17)
-    space, log = write_inputs(tmp_path, (2,) * 17, X.tolist(), y, np.ones(len(X)))
-    out = tmp_path / "opt"
+    (tmp / "wide").mkdir()
+    space, log = write_inputs(tmp / "wide", (2,) * 17, X.tolist(), y, np.ones(len(X)))
+    out = tmp / "opt"
     assert main(["optimize", "--space", str(space), "--log", str(log), "--out", str(out)]) == 0
     assert not (out / "topk.csv").exists()
     chosen = json.loads((out / "chosen.json").read_text())

@@ -1,4 +1,6 @@
 import collections
+import csv
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -373,8 +375,8 @@ def test_ingest_matches_row_loop(tmp_path_factory, recs, data):
     lines, _, _ = log_csv(data, recs)
     path = tmp_path_factory.mktemp("ingest") / "runs.csv"
     path.write_text("\n".join(lines) + "\n")
-    levels = [f.levels for f in space.factors]
-    assert_columns(ingest_log(path, space), ingest_log_loop(path, space.names, levels))
+    want = ingest_log_loop(path, space)
+    assert_columns(ingest_log(path, space), [getattr(want, name) for name in COLUMNS])
 
 
 @given(records(), st.data())
@@ -391,9 +393,130 @@ def test_ingest_bad_cell_matches_row_loop(tmp_path_factory, recs, data):
     path = tmp_path_factory.mktemp("ingest") / "runs.csv"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError) as want:
-        ingest_log_loop(path, space.names, [f.levels for f in space.factors])
+        ingest_log_loop(path, space)
     with pytest.raises(LogSchemaError) as got:
         ingest_log(path, space)
+    assert str(got.value) == str(want.value)
+
+
+def read_outcome(read, path, space):
+    """The columns a reader returns (dtype, shape and bytes of each), or
+    the type and message of the ValueError it raises."""
+    try:
+        log = read(path, space)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [(col.dtype, col.shape, col.tobytes()) for col in map(log.__getattribute__, COLUMNS)]
+
+
+PADS = ["", " ", "\t", "  "]
+BLANK_OR_SPACE_LINES = ["", " ", "\t", ",", " , ,\t"]
+FAULTS = {
+    "factor": ["zz", "", "L0", "l0 l0"],
+    "response": ["oops", "nan", "inf", "-inf", "", "1,5"],
+    "weight": ["heavy", "inf", "nan", "-0.5", "-1e-300"],
+    "seed": ["1.5", "x", str(2**63), str(-2**63 - 1), "9" * 30],
+}
+
+
+def render(cell, pad, style):
+    """A cell written bare, quoted with the padding inside the quotes (csv
+    keeps it, the reader strips it), or quoted with the padding outside (the
+    quotes then stay part of the cell)."""
+    quoted = cell.replace('"', '""')
+    return {"bare": f"{pad}{cell}{pad}", "inside": f'"{pad}{quoted}{pad}"',
+            "outside": f'{pad}"{quoted}"{pad}'}[style]
+
+
+@st.composite
+def generated_log(draw):
+    """(space, CSV text) of a run log: shuffled columns, padded and quoted
+    cells, blank and whitespace-only lines, rows longer than the header,
+    blank weight and seed cells, and a bad cell or a short row in each of up
+    to two rows, in the same column or in different ones."""
+    space, configs, responses, weights, seeds = draw(records())
+    columns = list(space.names) + ["response"]
+    columns += [c for c in ("weight", "seed") if draw(st.booleans())]
+    columns = draw(st.permutations(columns))
+    kinds = ["factor" if c in space.names else c for c in columns]
+    rows = []
+    for x, y, w, sd in zip(configs, responses, weights, seeds):
+        cells = {name: space.factors[j].levels[x[j]] for j, name in enumerate(space.names)}
+        cells["response"] = repr(y)
+        cells["weight"] = "" if w == 1.0 and draw(st.booleans()) else repr(w)
+        cells["seed"] = "" if sd == 0 and draw(st.booleans()) else str(sd)
+        rows.append([cells[c] for c in columns])
+    for r in draw(st.lists(st.integers(0, len(rows) - 1), unique=True, max_size=2)):
+        c = draw(st.integers(0, len(columns) - 1))
+        if draw(st.integers(0, 2)) == 0:
+            rows[r] = rows[r][:c]  # short row, its first missing cell at c
+        else:
+            rows[r][c] = draw(st.sampled_from(FAULTS[kinds[c]]))
+    styles = ["bare", "inside"] + ["outside"] * (draw(st.integers(0, 3)) == 0)
+    lines = [",".join(render(c, draw(st.sampled_from(PADS)), "bare") for c in columns)]
+    for row in rows:
+        lines += draw(st.lists(st.sampled_from(BLANK_OR_SPACE_LINES), max_size=2))
+        row = row + draw(st.lists(st.sampled_from(["x", "", " 1 "]), max_size=2))
+        lines.append(",".join(render(cell, draw(st.sampled_from(PADS)),
+                                     draw(st.sampled_from(styles))) for cell in row))
+    return space, "\n".join(lines) + draw(st.sampled_from(["\n", "\r\n", ""]))
+
+
+@given(generated_log(), st.sampled_from([1, 2, 5, space_module.INGEST_BLOCK]))
+@settings(max_examples=100, deadline=None)
+def test_ingest_matches_row_loop_on_generated_csv(tmp_path_factory, log, block):
+    # Small blocks put block boundaries between blank lines and bad rows.
+    space, text = log
+    path = tmp_path_factory.mktemp("ingest") / "runs.csv"
+    path.write_text(text, newline="")
+    with mock.patch.object(space_module, "INGEST_BLOCK", block):
+        got = read_outcome(ingest_log, path, space)
+    assert got == read_outcome(ingest_log_loop, path, space)
+
+
+@pytest.mark.parametrize("block", [1, 1024])
+@pytest.mark.parametrize("text", [
+    # A padded cell never matches a padded label.
+    "a,b,response\n a0,b0,1\n",
+    "a,b,response\na0, a0 ,1\n",
+    "a,b,response\nb0,b0,1\n",
+    # Two faults in one column: the earlier row wins, whatever their kinds.
+    "a,b,response\na0,b0,inf\na1,b0,oops\n",
+    "a,b,response\na0,b0,oops\na1,b0,nan\n",
+    "a,b,response,weight\na0,b0,1,-1\na1,b0,1,x\n",
+    "a,b,response,seed\na0,b0,1,99999999999999999999\na1,b0,1,x\n",
+    "a,b,response,seed\na0,b0,1,x\na1,b0,1,-99999999999999999999\n",
+    "a,b,response\na0\n\na1,b0\n",
+    # Faults in one row: the checks run in their order.
+    "a,b,response\nzz,yy,oops\n",
+    "b,a,response,seed,weight\nb0,a0,nan,x,-1\n",
+    "a,b,response,weight,seed\na0,b0,1,inf,x\n",
+])
+def test_ingest_examples_match_row_loop(tmp_path, monkeypatch, text, block):
+    space = build_space([("a", ["a0", " a0", "a1"]), ("b", ["b0", " a0 "])])
+    path = tmp_path / "runs.csv"
+    path.write_text(text)
+    monkeypatch.setattr(space_module, "INGEST_BLOCK", block)
+    assert read_outcome(ingest_log, path, space) == read_outcome(ingest_log_loop, path, space)
+
+
+@pytest.mark.parametrize("block", [1, 2, 1024])
+@pytest.mark.parametrize("before", ["a0,b0,1\n", "a0,b0,oops\n"])
+def test_ingest_unreadable_row_after_earlier_rows(tmp_path, space_2x2, monkeypatch,
+                                                  before, block):
+    # A field over the csv size limit: a bad row before it is still reported
+    # first, and otherwise the csv error itself.
+    path = tmp_path / "runs.csv"
+    path.write_text("a,b,response\n" + before + "a1,b1,1\na1,b1," + "9" * 64 + "\n")
+    monkeypatch.setattr(space_module, "INGEST_BLOCK", block)
+    limit = csv.field_size_limit(32)
+    try:
+        with pytest.raises(ValueError if "oops" in before else csv.Error) as want:
+            ingest_log_loop(path, space_2x2)
+        with pytest.raises(type(want.value)) as got:
+            ingest_log(path, space_2x2)
+    finally:
+        csv.field_size_limit(limit)
     assert str(got.value) == str(want.value)
 
 
