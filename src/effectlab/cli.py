@@ -11,14 +11,11 @@ contexts from a fixed SeedSequence(0).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
 import math
-import os
 import sys
-import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -35,7 +32,7 @@ from . import __version__
 from .effects import ShrinkageSpec, bootstrap_cis, estimate_from_log
 from .objective import CostModel, ObjectiveSpec, PairwiseObjective, objective_grid
 from .shapley import mc_sample_size, write_shapley_csv
-from .space import ReferenceDistribution, ingest_log, load_space
+from .space import ReferenceDistribution, ingest_log, load_space, open_atomic, write_csv
 
 
 # optimize scores the whole grid for topk.csv only up to this many cells.
@@ -50,32 +47,9 @@ class CommandError(RuntimeError):
 # Output helpers
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: Path, data: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _write_csv(path: Path, header_note: str, columns: list[str], rows: list[list]) -> None:
-    import io
-
-    buf = io.StringIO()
-    buf.write(f"# {header_note}\n")
-    writer = csv.writer(buf)
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow(row)
-    _atomic_write(path, buf.getvalue())
-
-
 def _write_json(path: Path, payload) -> None:
-    _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    with open_atomic(path) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _digest(path: str | Path) -> str:
@@ -116,12 +90,6 @@ def _prepare_out(args) -> Path:
     return out
 
 
-def _load_inputs(args):
-    space = load_space(args.space)
-    log = ingest_log(args.log, space)
-    return space, log
-
-
 def _reference_for(args, space, log):
     if args.background == "uniform":
         return ReferenceDistribution.uniform(space)
@@ -157,14 +125,18 @@ def _objective_for(args, space) -> tuple[ObjectiveSpec, CostModel]:
 # estimate
 # ---------------------------------------------------------------------------
 
-def _estimate_table(args, log, reference):
+def _estimate_table(args):
+    """The space and the effect table that --path and --bootstrap ask for."""
+    space = load_space(args.space)
+    log = ingest_log(args.log, space)
+    reference = _reference_for(args, space, log)
     shrinkage = _shrinkage_for(args)
     if args.bootstrap and args.path != "cm":
         raise CommandError(f"--bootstrap needs --path cm; got --path {args.path}")
     if args.bootstrap:
-        return bootstrap_cis(log, reference, shrinkage, B=args.bootstrap,
-                             level=args.ci_level, seed=args.seed)
-    return estimate_from_log(log, args.path, reference, shrinkage)
+        return space, bootstrap_cis(log, reference, shrinkage, B=args.bootstrap,
+                                    level=args.ci_level, seed=args.seed)
+    return space, estimate_from_log(log, args.path, reference, shrinkage)
 
 
 def _bootstrap_diagnostics(table) -> dict:
@@ -178,13 +150,10 @@ def _bootstrap_diagnostics(table) -> dict:
 
 def cmd_estimate(args) -> tuple[list[str], dict]:
     out = _prepare_out(args)
-    space, log = _load_inputs(args)
-    reference = _reference_for(args, space, log)
-    table = _estimate_table(args, log, reference)
+    space, table = _estimate_table(args)
 
-    outputs = []
+    outputs = ["effects.json", "main_effects.csv", "interactions.csv"]
     _write_json(out / "effects.json", table.to_dict())
-    outputs.append("effects.json")
 
     note = f"units: response; estimator: {args.path}"
     rows = []
@@ -202,9 +171,7 @@ def cmd_estimate(args) -> tuple[list[str], dict]:
             else:
                 lo = hi = mean
             rows.append([f.name, label, _fmt(mean), _fmt(lo), _fmt(hi)])
-    _write_csv(out / "main_effects.csv", note,
-               ["factor", "level", "mean", "ci_lo", "ci_hi"], rows)
-    outputs.append("main_effects.csv")
+    write_csv(out / "main_effects.csv", note, ["factor", "level", "mean", "ci_lo", "ci_hi"], rows)
 
     rows = []
     for (j, k), mat in sorted(table.pairs.items()):
@@ -215,10 +182,8 @@ def cmd_estimate(args) -> tuple[list[str], dict]:
                 lo, hi = (ci[a, b] if ci is not None else (mat[a, b], mat[a, b]))
                 rows.append([fj.name, fk.name, la, lb,
                              _fmt(mat[a, b]), _fmt(lo), _fmt(hi)])
-    _write_csv(out / "interactions.csv", note,
-               ["factor_j", "factor_k", "level_j", "level_k", "effect", "ci_lo", "ci_hi"],
-               rows)
-    outputs.append("interactions.csv")
+    write_csv(out / "interactions.csv", note,
+              ["factor_j", "factor_k", "level_j", "level_k", "effect", "ci_lo", "ci_hi"], rows)
 
     if args.path == "sf":
         if table.diagnostics:
@@ -237,9 +202,7 @@ def cmd_optimize(args) -> tuple[list[str], dict]:
     from .optimize import SearchSpec, diag_dominance_check, multistart, verify_1swap
 
     out = _prepare_out(args)
-    space, log = _load_inputs(args)
-    reference = _reference_for(args, space, log)
-    table = _estimate_table(args, log, reference)
+    space, table = _estimate_table(args)
     spec, cost = _objective_for(args, space)
     support = table.support
     search = SearchSpec(restarts=args.restarts, beam=args.beam,
@@ -266,7 +229,7 @@ def cmd_optimize(args) -> tuple[list[str], dict]:
     for t_idx, trace in enumerate(traces):
         for sweep, config, value in trace.steps:
             rows.append([t_idx, sweep, *space.labels_for(config), _fmt(value)])
-    _write_csv(out / "trace.csv", note,
+    write_csv(out / "trace.csv", note,
                ["restart", "sweep", *space.names, "objective"], rows)
     outputs.append("trace.csv")
 
@@ -292,7 +255,7 @@ def cmd_optimize(args) -> tuple[list[str], dict]:
         for rank, (value, x) in enumerate(top, start=1):
             lo, hi = ci_by_config.get(x, (value, value))
             rows.append([rank, *space.labels_for(x), _fmt(value), _fmt(lo), _fmt(hi)])
-        _write_csv(out / "topk.csv", note,
+        write_csv(out / "topk.csv", note,
                    ["rank", *space.names, "objective", "ci_lo", "ci_hi"], rows)
         outputs.append("topk.csv")
     return outputs, diagnostics
@@ -327,9 +290,7 @@ def cmd_pci(args) -> tuple[list[str], dict]:
     from .pci import write_pci_csv
 
     out = _prepare_out(args)
-    space, log = _load_inputs(args)
-    reference = _reference_for(args, space, log)
-    table = _estimate_table(args, log, reference)
+    _, table = _estimate_table(args)
     note = f"dimensionless; estimator: {args.path}; mode: {args.mode}"
     write_pci_csv(table, out / "pci.csv", mode=args.mode, header_note=note)
     return ["pci.csv"], {}
@@ -345,26 +306,18 @@ def cmd_plan(args) -> tuple[list[str], dict]:
                 raise CommandError("--union needs --eval-points for the item count")
             union = args.factors * args.eval_points
         n = mc_sample_size(args.B, args.eps, args.delta, union_items=union)
-        formula = (
-            f"ceil(8 * B^2 / eps^2 * log(2{'*' + str(union) if union else ''}/delta)) "
-            f"with B={args.B}, eps={args.eps}, delta={args.delta}"
-        )
+        formula = f"ceil(8 * B^2 / eps^2 * log(2{'*' + str(union) if union else ''}/delta))"
         label = "attribution samples"
     elif args.levels:
         Lj, Lk = (int(v) for v in args.levels.split(","))
         n = uniform_cells_n(args.B, args.eps, args.delta, Lj, Lk)
-        formula = (
-            f"ceil(2 * B^2 / eps^2 * log(2*{Lj}*{Lk}/delta)) "
-            f"with B={args.B}, eps={args.eps}, delta={args.delta}"
-        )
+        formula = f"ceil(2 * B^2 / eps^2 * log(2*{Lj}*{Lk}/delta))"
         label = "records per cell (uniform over cells)"
     else:
         n = hoeffding_cell_n(args.B, args.eps, args.delta)
-        formula = (
-            f"ceil(2 * B^2 / eps^2 * log(2/delta)) "
-            f"with B={args.B}, eps={args.eps}, delta={args.delta}"
-        )
+        formula = "ceil(2 * B^2 / eps^2 * log(2/delta))"
         label = "records per cell"
+    formula += f" with B={args.B}, eps={args.eps}, delta={args.delta}"
     print(n)
     print(f"{label}: {formula}")
     payload = {"n": n, "kind": label, "formula": formula}
@@ -387,10 +340,7 @@ def cmd_simulate(args) -> tuple[list[str], dict]:
         raise CommandError(f"unknown suite {args.suite!r}")
     cfg = SuiteConfig(trials=args.trials, seed=args.seed,
                       design_n=args.design_n, seeds_per_point=args.seeds_per_point)
-    rows = comparison_suite(cfg)
-    _write_result_rows(out / "results.csv", rows)
-    _write_json(out / "suite_config.json", cfg.describe())
-    return ["results.csv", "suite_config.json"], {}
+    return _write_suite(out, "results.csv", comparison_suite(cfg), cfg)
 
 
 def cmd_ablate(args) -> tuple[list[str], dict]:
@@ -398,17 +348,17 @@ def cmd_ablate(args) -> tuple[list[str], dict]:
 
     out = _prepare_out(args)
     cfg = SuiteConfig(trials=args.trials, seed=args.seed)
-    rows = ablation_suite(args.axis, cfg)
-    _write_result_rows(out / "ablation.csv", rows)
-    _write_json(out / "suite_config.json", cfg.describe())
-    return ["ablation.csv", "suite_config.json"], {}
+    return _write_suite(out, "ablation.csv", ablation_suite(args.axis, cfg), cfg)
 
 
-def _write_result_rows(path: Path, rows: list[dict]) -> None:
+def _write_suite(out: Path, name: str, rows: list[dict], cfg) -> tuple[list[str], dict]:
+    """The suite's result rows as ``name``, and its configuration."""
     cols = ["axis", "cell", "estimator", "metric", "mean", "ci_lo", "ci_hi",
             "n_trials", "config_hash"]
     data = [[_fmt(r[c]) if isinstance(r[c], float) else r[c] for c in cols] for r in rows]
-    _write_csv(path, "units: metric-dependent (response units for gap/recon)", cols, data)
+    write_csv(out / name, "units: metric-dependent (response units for gap/recon)", cols, data)
+    _write_json(out / "suite_config.json", cfg.describe())
+    return [name, "suite_config.json"], {}
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,12 @@ reporting-only: selection decisions keep using the raw interaction values.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 import numpy as np
 
 from .effects import EffectTable
+from .space import write_csv
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,17 +69,13 @@ def write_pci_csv(table: EffectTable, path: str | Path, mode: str = "uniform",
                   header_note: str | None = None) -> None:
     """Long-form heatmap data: one row per pair cell."""
     space = table.space
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if header_note:
-            fh.write(f"# {header_note}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["factor_j", "factor_k", "level_j", "level_k", "pci", "s_jk", "mode"])
-        for (j, k) in sorted(table.pairs):
-            pm = pci_matrix(table, j, k, mode)
-            fj, fk = space.factors[j], space.factors[k]
-            for a, la in enumerate(fj.levels):
-                for b, lb in enumerate(fk.levels):
-                    writer.writerow(
-                        [fj.name, fk.name, la, lb,
-                         repr(float(pm.values[a, b])), repr(pm.s), mode]
-                    )
+    rows = []
+    for (j, k) in sorted(table.pairs):
+        pm = pci_matrix(table, j, k, mode)
+        fj, fk = space.factors[j], space.factors[k]
+        for a, la in enumerate(fj.levels):
+            for b, lb in enumerate(fk.levels):
+                rows.append([fj.name, fk.name, la, lb, repr(float(pm.values[a, b])),
+                             repr(pm.s), mode])
+    write_csv(path, header_note,
+              ["factor_j", "factor_k", "level_j", "level_k", "pci", "s_jk", "mode"], rows)

@@ -11,9 +11,11 @@ gather. Permutation sampling (``mc_shapley``) reads the same values.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -28,6 +30,7 @@ from .space import (
     SupportCounts,
     enumerate_grid,
     log_from_arrays,
+    open_atomic,
     support_counts,
 )
 
@@ -40,6 +43,8 @@ EVAL_GRID_CAP = 4096
 # Coalition values per v_rows gather in exact attribution: a 16 MB buffer,
 # 2048 points at d = 10.
 GATHER_VALUES = 1 << 21
+# Evaluation points per write in write_shapley_csv.
+WRITE_POINTS = 1024
 
 
 class RankDeficiencyError(ValueError):
@@ -311,6 +316,16 @@ def _centered_basis(pi: np.ndarray) -> np.ndarray:
     return U
 
 
+def _design_terms(X: np.ndarray, space: FactorSpace, reference: ReferenceDistribution):
+    """(factor indices, n x w coefficient block) of every parameter block of
+    the design at the (n, d) points X, in column order: U_j for main j, then
+    1/2 U_j (x) U_k for each pair j < k, U_j being the basis rows at X[:, j]."""
+    U = [_centered_basis(reference.marginal(j))[X[:, j]] for j in range(space.num_factors)]
+    return [((j,), u) for j, u in enumerate(U)] + [
+        ((j, k), 0.5 * (U[j][:, :, None] * U[k][:, None, :]).reshape(len(X), -1))
+        for j, k in space.pairs()]
+
+
 @dataclass(eq=False)
 class EffectDesignMatrix:
     """Linear system mapping free effect parameters to attributions.
@@ -320,19 +335,18 @@ class EffectDesignMatrix:
     touches one main entry with coefficient 1 and d-1 pair entries with
     coefficient 1/2.
 
-    The system is factored block by block. Factor j's rows touch only its
-    own w_j columns (main block j and every pair block holding j); that
+    The system is kept factored block by block. Factor j's rows touch only
+    its own w_j columns (main block j and every pair block holding j); that
     n x w_j block has the thin QR ``q_blocks[j] @ R_j``, and the R_j,
     stacked in the full columns, have the QR ``q_stack @ r``. So up to a row
     permutation the matrix is diag(q_blocks) @ q_stack @ r, and the p x p
-    factor ``r`` carries its singular values. ``sigma_min`` is structurally
-    0 when the stack has fewer than p rows.
+    factor ``r`` carries its singular values; ``sigma_min`` is structurally
+    0 when the stack has fewer than p rows. ``matrix`` is built when read.
     """
 
     space: FactorSpace
     reference: ReferenceDistribution
     eval_set: tuple[Config, ...]
-    matrix: np.ndarray
     blocks: list[tuple[str, tuple[int, ...], slice]]
     sigma_min: float
     q_blocks: list[np.ndarray]
@@ -341,7 +355,18 @@ class EffectDesignMatrix:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
+        return len(self.eval_set) * self.space.num_factors, self.r.shape[1]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Row i*d + j is factor j's attribution at point i: its own main
+        block, and half of every pair block it belongs to."""
+        X = np.array(self.eval_set, dtype=np.intp)
+        A3 = np.zeros((*X.shape, self.shape[1]))
+        for (idx, coeff), (_, _, sl) in zip(_design_terms(X, self.space, self.reference),
+                                            self.blocks):
+            A3[:, list(idx), sl] = coeff[:, None]
+        return A3.reshape(self.shape)
 
     def block_names(self) -> list[str]:
         return ["|".join(self.space.names[j] for j in idx) for _, idx, _ in self.blocks]
@@ -350,7 +375,7 @@ class EffectDesignMatrix:
         """Names of parameter blocks with weight in the near-null space."""
         # A tall design only needs the thin factors; a wide one needs the full
         # vt, whose extra rows span the structural null space.
-        rows, params = self.matrix.shape
+        rows, params = self.shape
         _, s, vt = np.linalg.svd(self.matrix, full_matrices=rows < params)
         rank = int((s >= tol).sum())
         null_rows = vt[rank:]
@@ -360,16 +385,16 @@ class EffectDesignMatrix:
                 if np.abs(null_rows[:, sl]).max() > 1e-6]
 
     def diagnostics(self) -> dict:
-        rows, params = self.matrix.shape
+        rows, params = self.shape
         return {"sigma_min": self.sigma_min, "rows": int(rows), "params": int(params)}
 
 
 def build_design_matrix(eval_set: Sequence[Sequence[int]], space: FactorSpace,
                         reference: ReferenceDistribution | None = None) -> EffectDesignMatrix:
     """The design of ``eval_set`` under a product reference, factored once:
-    one thin QR per factor's n x w_j row block, one QR of the stacked
-    triangular factors, and ``sigma_min`` from the SVD of the p x p result.
-    The (n d) x p matrix itself is only filled in, never factored."""
+    one thin QR per factor's n x w_j block of coefficients, one QR of the
+    stacked triangular factors, and ``sigma_min`` from the SVD of the p x p
+    result. The (n d) x p matrix itself is never built here."""
     if not eval_set:
         raise ValueError("evaluation set is empty")
     reference = reference or ReferenceDistribution.uniform(space)
@@ -377,39 +402,26 @@ def build_design_matrix(eval_set: Sequence[Sequence[int]], space: FactorSpace,
         raise ValueError("design matrix needs a product-form reference")
     X = space.validate_configs(eval_set)
     configs = tuple(map(tuple, X.tolist()))
-    d = space.num_factors
 
-    # Row i*d + j is factor j's attribution at point i: its own main block,
-    # and half of every pair block it belongs to.
-    n = len(configs)
-    U = [_centered_basis(reference.marginal(j))[X[:, j]] for j in range(d)]
-    terms = [((j,), U[j]) for j in range(d)] + [
-        ((j, k), 0.5 * (U[j][:, :, None] * U[k][:, None, :]).reshape(n, -1))
-        for j, k in space.pairs()]
-    p = sum(coeff.shape[1] for _, coeff in terms)
-    A3 = np.zeros((n, d, p))
     blocks: list[tuple[str, tuple[int, ...], slice]] = []
-    own: list[list[slice]] = [[] for _ in range(d)]  # the column blocks factor j touches
-    col = 0
-    for idx, coeff in terms:
-        sl = slice(col, col + coeff.shape[1])
+    own: list[list[tuple[slice, np.ndarray]]] = [[] for _ in range(space.num_factors)]
+    p = 0
+    for idx, coeff in _design_terms(X, space, reference):
+        sl = slice(p, p + coeff.shape[1])
         blocks.append(("main" if len(idx) == 1 else "pair", idx, sl))
         for j in idx:
-            A3[:, j, sl] = coeff
-            own[j].append(sl)
-        col = sl.stop
+            own[j].append((sl, coeff))
+        p = sl.stop
     q_blocks, stack = [], []
-    for j in range(d):
-        cols = np.r_[tuple(own[j])]
-        q_j, r_j = np.linalg.qr(A3[:, j, cols])
+    for mine in own:
+        q_j, r_j = np.linalg.qr(np.hstack([coeff for _, coeff in mine]))
         q_blocks.append(q_j)
         stack.append(np.zeros((len(r_j), p)))
-        stack[-1][:, cols] = r_j
+        stack[-1][:, np.r_[tuple(sl for sl, _ in mine)]] = r_j
     q_stack, r = np.linalg.qr(np.vstack(stack))
     # Fewer stacked rows than parameters: the null space is structural.
     sigma_min = float(np.linalg.svd(r, compute_uv=False)[-1]) if len(r) == p else 0.0
-    return EffectDesignMatrix(space, reference, configs, A3.reshape(n * d, p), blocks,
-                              sigma_min, q_blocks, q_stack, r)
+    return EffectDesignMatrix(space, reference, configs, blocks, sigma_min, q_blocks, q_stack, r)
 
 
 def fit_effects_sf(estimates: Sequence[ShapleyEstimate], space: FactorSpace,
@@ -420,7 +432,7 @@ def fit_effects_sf(estimates: Sequence[ShapleyEstimate], space: FactorSpace,
     """Least squares in the sum-to-zero basis, mapped back to full tables,
     re-centered, then shrunk the same way as the cell-mean path. The solve
     reuses the design's factors, theta = r^-1 q_stack^T [q_blocks[j]^T phi_j],
-    and factors nothing sized by the evaluation set.
+    and so does the residual; it never builds the dense design.
 
     ``support`` supplies the shrinkage counts (defaults to counting the
     evaluation points); ``mu`` is the baseline to attach, typically the
@@ -448,23 +460,19 @@ def fit_effects_sf(estimates: Sequence[ShapleyEstimate], space: FactorSpace,
             blocks,
         )
 
-    phi = np.concatenate([est.phi for est in estimates])
-    z = np.concatenate([q.T @ phi[j::d] for j, q in enumerate(design.q_blocks)])
+    phi = np.array([est.phi for est in estimates])  # (n, d): column j is factor j's rows
+    z = np.concatenate([q.T @ phi[:, j] for j, q in enumerate(design.q_blocks)])
     theta = np.linalg.solve(design.r, design.q_stack.T @ z)
-    residual = float(np.linalg.norm(design.matrix @ theta - phi))
+    # Factor j's fitted rows are q_blocks[j] @ R_j theta; q_stack @ r stacks the R_j.
+    r_theta = np.split(design.q_stack @ (design.r @ theta),
+                       np.cumsum([q.shape[1] for q in design.q_blocks])[:-1])
+    fitted = np.column_stack([q @ rt for q, rt in zip(design.q_blocks, r_theta)])
+    residual = float(np.linalg.norm(fitted - phi))
 
     bases = [_centered_basis(reference.marginal(j)) for j in range(d)]
-    mains = []
-    pairs = {}
-    for kind, idx, sl in design.blocks:
-        if kind == "main":
-            (j,) = idx
-            mains.append(bases[j] @ theta[sl])
-        else:
-            j, k = idx
-            Lj, Lk = space.level_counts[j], space.level_counts[k]
-            theta_mat = theta[sl].reshape(Lj - 1, Lk - 1)
-            pairs[(j, k)] = bases[j] @ theta_mat @ bases[k].T
+    mains = [bases[j] @ theta[sl] for _, (j,), sl in design.blocks[:d]]
+    pairs = {(j, k): bases[j] @ theta[sl].reshape(bases[j].shape[1], -1) @ bases[k].T
+             for _, (j, k), sl in design.blocks[d:]}
 
     if support is None:
         support = support_counts(log_from_arrays(space, eval_set, np.zeros(len(eval_set))))
@@ -474,8 +482,6 @@ def fit_effects_sf(estimates: Sequence[ShapleyEstimate], space: FactorSpace,
                              shrinkage, counts, pair_counts, [n == 0 for n in counts],
                              {jk: n == 0 for jk, n in pair_counts.items()})
 
-    diag = design.diagnostics()
-    diag["residual_norm"] = residual
     return EffectTable(
         space=space,
         reference=reference,
@@ -484,7 +490,7 @@ def fit_effects_sf(estimates: Sequence[ShapleyEstimate], space: FactorSpace,
         pairs=pairs,
         support=support,
         provenance="SF",
-        diagnostics=diag,
+        diagnostics={**design.diagnostics(), "residual_norm": residual},
         attributions=tuple(estimates),
     )
 
@@ -521,15 +527,31 @@ def stability_bound(design: EffectDesignMatrix, observation_error_norm: float) -
 
 def write_shapley_csv(estimates: Sequence[ShapleyEstimate], space: FactorSpace,
                       path: str | Path, header_note: str | None = None) -> None:
-    """Long-form dump: one row per (evaluation point, factor)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Long-form dump: one row per (evaluation point, factor), the bytes a
+    csv.writer row loop writes. Labels and names are quoted once, each
+    point's label prefix is joined once, and rows go out ``WRITE_POINTS``
+    points at a time to a file that replaces ``path`` once it is complete."""
+    def quoted(text: str) -> str:
+        # As csv.writer writes a field within a row of several: a row of one
+        # empty field would be quoted.
+        buf = io.StringIO()
+        csv.writer(buf).writerow([text, ""])
+        return buf.getvalue()[:-len(",\r\n")]
+
+    labels = [[quoted(label) + "," for label in f.levels] for f in space.factors]
+    names = [quoted(name) for name in space.names]
+    phi = np.array([est.phi for est in estimates], dtype=float)
+    variance = np.array([est.variance for est in estimates], dtype=float)
+    with open_atomic(path) as fh:
         if header_note:
             fh.write(f"# {header_note}\n")
-        writer = csv.writer(fh)
-        writer.writerow(list(space.names) + ["factor", "phi_hat", "variance", "M"])
-        for est in estimates:
-            labels = list(space.labels_for(est.x))
-            for j, name in enumerate(space.names):
-                writer.writerow(
-                    labels + [name, repr(float(est.phi[j])), repr(float(est.variance[j])), est.M]
-                )
+        csv.writer(fh).writerow(list(space.names) + ["factor", "phi_hat", "variance", "M"])
+        for start in range(0, len(estimates), WRITE_POINTS):
+            block = slice(start, start + WRITE_POINTS)
+            lines = []
+            for est, phis, variances in zip(estimates[block], phi[block].tolist(),
+                                            variance[block].tolist()):
+                prefix = "".join([labels[j][level] for j, level in enumerate(est.x)])
+                lines += [f"{prefix}{name},{value!r},{var!r},{est.M}\r\n"
+                          for name, value, var in zip(names, phis, variances)]
+            fh.write("".join(lines))

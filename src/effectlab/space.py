@@ -9,14 +9,16 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -469,15 +471,41 @@ def ingest_log(path: str | Path, space: FactorSpace) -> RunLog:
     return RunLog(space, levels, responses, weights, seeds)
 
 
+@contextlib.contextmanager
+def open_atomic(path: str | Path):
+    """A text handle on a new file beside ``path`` that replaces it once the
+    block ends; if the block raises, ``path`` is left as it was. The file is
+    created as open() creates one, so its mode is 0o666 less the umask."""
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def write_csv(path: str | Path, header_note: str | None, columns: Sequence[str],
+              rows: Iterable[Sequence]) -> None:
+    """A CSV file written through ``open_atomic``: a ``# note`` line when
+    there is a note, the column names, then the rows."""
+    with open_atomic(path) as fh:
+        if header_note:
+            fh.write(f"# {header_note}\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
 def write_log(log: RunLog, path: str | Path) -> None:
     """Write a run log as CSV; floats round-trip exactly through repr."""
     labels = [np.array(f.levels, dtype=object)[log.configs_array[:, j]]
               for j, f in enumerate(log.space.factors)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(log.space.names) + ["response", "weight", "seed"])
-        writer.writerows(zip(*labels, map(repr, log.responses.tolist()),
-                             map(repr, log.weights.tolist()), map(str, log.seeds.tolist())))
+    write_csv(path, None, list(log.space.names) + ["response", "weight", "seed"],
+              zip(*labels, map(repr, log.responses.tolist()),
+                  map(repr, log.weights.tolist()), map(str, log.seeds.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +192,26 @@ def test_estimate_reproducible_byte_identical(workspace):
     assert m1["inputs"] == m2["inputs"] and m1["outputs"] == m2["outputs"]
     assert m1["diagnostics"] == m2["diagnostics"] == {
         "bootstrap": {"replicates": 120, "fallback_draws": 0}}
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002], ids=["022", "002"])
+def test_outputs_get_the_umask_default_mode(workspace, umask):
+    # Every output has the mode open() gives a new file, 0o666 less the umask,
+    # though it is written to a temp file first and moved in place.
+    tmp, space, log = workspace
+    io = ["--space", str(space), "--log", str(log)]
+    old = os.umask(umask)
+    try:
+        for name, argv in [("sf", ["estimate", "--path", "sf", *io]),
+                           ("opt", ["optimize", *io])]:
+            out = tmp / f"{name}{umask:o}"
+            assert main(argv + ["--out", str(out)]) == 0
+            modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+            assert set(json.loads((out / "manifest.json").read_text())["outputs"]) | {
+                "manifest.json"} == set(modes)
+            assert modes == dict.fromkeys(modes, 0o666 & ~umask)
+    finally:
+        os.umask(old)
 
 
 def test_estimate_error_json_and_exit_code(workspace, tmp_path):

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from effectlab import (
@@ -25,6 +25,7 @@ from effectlab import (
     mc_shapley,
     stability_bound,
     TeacherSpec,
+    write_shapley_csv,
 )
 from effectlab.shapley import GATHER_VALUES, RANK_TOLERANCE, ShapleyEstimate, mc_sample_bound
 from conftest import full_grid_log, random_space
@@ -35,6 +36,7 @@ from oracles import (
     exact_shapley_loop,
     sf_fit_lstsq,
     shapley_by_definition,
+    write_shapley_csv_loop,
 )
 
 TINY_TAU = ShrinkageSpec(tau_main=1e-12, tau_pair=1e-12)
@@ -374,12 +376,18 @@ def recording(name, calls):
     return wrapper
 
 
+# kappa = 3.3e4: the routes' theta differ by 3.1e-11, beyond 1e-12 * (1 + max|theta|).
+@example(problem=([4, 3, 4, 3], 2044, 25, 17))
 @settings(max_examples=120, deadline=None)
 @given(sf_problems)
 def test_blockwise_sf_fit_matches_dense_lstsq_route(problem):
     # Non-uniform product references, repeated points, n < w_j and designs
     # with fewer rows than parameters. Tolerances are norm-wise: 1e-12 times
-    # one plus the largest magnitude of the compared quantity.
+    # one plus the largest magnitude of the compared quantity, plus, for
+    # theta and the tables, the forward-error scale of a backward-stable
+    # least-squares solve, eps * kappa * (max|theta| + |r| / sigma_min)
+    # (Higham, Accuracy and Stability of Numerical Algorithms, Thm 20.1),
+    # which either route may reach on an ill-conditioned design.
     levels, seed, distinct, n = problem
     space, ref, values, pool = product_problem(levels, seed, distinct)
     points = [pool[i] for i in np.random.default_rng(seed).integers(0, distinct, size=n)]
@@ -405,8 +413,12 @@ def test_blockwise_sf_fit_matches_dense_lstsq_route(problem):
     p = dm.shape[1]
     assert [(name, shape) for name, shape, _ in calls] == [("svd", (p, p)), ("solve", (p, p))]
     got = calls[-1][2]
-    assert np.abs(got - theta).max() <= 1e-12 * (1.0 + np.abs(theta).max())
-    assert abs(fit.diagnostics["residual_norm"] - residual) <= 1e-12 * (1.0 + np.abs(phi).max())
+    solve_error = (np.finfo(float).eps * sigma_max / sigma_min
+                   * (np.abs(theta).max() + residual / sigma_min))
+    assert np.abs(got - theta).max() <= 1e-12 * (1.0 + np.abs(theta).max()) + solve_error
+    # The residuals of two parameter vectors differ by at most |A (got - theta)|.
+    assert (abs(fit.diagnostics["residual_norm"] - residual)
+            <= 1e-12 * (1.0 + np.abs(phi).max()) + sigma_max * np.linalg.norm(got - theta))
 
     # The dense route's tables: its theta through the same mapping and finalize.
     with pytest.MonkeyPatch.context() as mp:
@@ -414,7 +426,27 @@ def test_blockwise_sf_fit_matches_dense_lstsq_route(problem):
         dense = fit_effects_sf(estimates, space, ref, design=dm)
     for new, old in zip(fit.mains + tuple(fit.pairs.values()),
                         dense.mains + tuple(dense.pairs.values())):
-        assert np.abs(new - old).max() <= 1e-12 * (1.0 + np.abs(old).max())
+        assert np.abs(new - old).max() <= 1e-12 * (1.0 + np.abs(old).max()) + solve_error
+
+
+@settings(max_examples=60, deadline=None)
+@given(sf_problems)
+def test_sf_fit_sums_residual_by_block_without_the_dense_design(problem):
+    levels, seed, distinct, n = problem
+    space, ref, values, pool = product_problem(levels, seed, distinct)
+    points = [pool[i] for i in np.random.default_rng(seed).integers(0, distinct, size=n)]
+    dm = build_design_matrix(points, space, ref)
+    assume(dm.sigma_min > RANK_TOLERANCE)
+    estimates = exact_shapley(ValueOracle(space, ref, values), points)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "solve", recording("solve", calls))
+        fit = fit_effects_sf(estimates, space, ref, design=dm)
+    assert "matrix" not in vars(dm)  # the cached dense design was never filled
+    theta = calls[-1][2]
+    phi = np.concatenate([est.phi for est in estimates])
+    dense = float(np.linalg.norm(dm.matrix @ theta - phi))
+    assert abs(fit.diagnostics["residual_norm"] - dense) <= 1e-12 * (1.0 + np.abs(phi).max())
 
 
 def test_batched_exact_across_chunk_boundary(monkeypatch):
@@ -579,6 +611,62 @@ def test_stability_bound_monte_carlo():
         theta, *_ = np.linalg.lstsq(dm.matrix, clean + noise, rcond=None)
         err = float(np.linalg.norm(theta - theta_clean))
         assert err <= stability_bound(dm, float(np.linalg.norm(noise))) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# shapley.csv
+# ---------------------------------------------------------------------------
+
+# Labels and names that need quoting: delimiter, quote, line breaks, padding
+# and non-ASCII text, or nothing at all.
+csv_text = st.text(alphabet=st.sampled_from(list('a,"\r\n \u00e9\u4e2d')), max_size=4)
+
+
+@st.composite
+def shapley_dumps(draw):
+    """A space of one to three factors and up to seven estimates whose phi
+    and variance may be non-finite."""
+    d = draw(st.integers(1, 3))
+    names = draw(st.lists(csv_text, min_size=d, max_size=d, unique=True))
+    space = build_space([(name, draw(st.lists(csv_text, min_size=2, max_size=3, unique=True)))
+                         for name in names])
+    row = st.lists(st.floats(), min_size=d, max_size=d).map(np.array)
+    estimates = [
+        ShapleyEstimate(tuple(draw(st.integers(0, L - 1)) for L in space.level_counts),
+                        draw(row), draw(row), M=draw(st.integers(1, 1 << 12)))
+        for _ in range(draw(st.integers(0, 7)))]
+    note = draw(st.sampled_from([None, "", "units: response; estimator: sf", 'a, "b" \u00e9']))
+    return space, estimates, note
+
+
+@example(dump=(build_space([('"', ["", " a,", "é\n"])]),
+                [ShapleyEstimate((x,), np.array([v]), np.array([-v]), M=x + 1)
+                 for x, v in enumerate([math.nan, math.inf, -0.0])], "a, b"), block=2)
+@settings(max_examples=200, deadline=None)
+@given(dump=shapley_dumps(), block=st.sampled_from([1, 2, 3, 1024]))
+def test_shapley_csv_bytes_match_row_loop(dump, block, tmp_path_factory):
+    space, estimates, note = dump
+    tmp = tmp_path_factory.mktemp("shapley")
+    write_shapley_csv_loop(estimates, space, tmp / "loop.csv", header_note=note)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("effectlab.shapley.WRITE_POINTS", block)
+        write_shapley_csv(estimates, space, tmp / "blocks.csv", header_note=note)
+    assert (tmp / "blocks.csv").read_bytes() == (tmp / "loop.csv").read_bytes()
+
+
+def test_shapley_csv_failed_write_leaves_the_old_file(tmp_path, monkeypatch):
+    monkeypatch.setattr("effectlab.shapley.WRITE_POINTS", 1)
+    space = build_space([("a", ["0", "1"])])
+    path = tmp_path / "shapley.csv"
+    write_shapley_csv([ShapleyEstimate((0,), np.zeros(1), np.zeros(1), M=1)], space, path)
+    before = path.read_bytes()
+    # The second point's level does not exist, so the writer fails after the
+    # first block has gone out.
+    bad = [ShapleyEstimate((x,), np.ones(1), np.zeros(1), M=1) for x in (1, 2)]
+    with pytest.raises(IndexError):
+        write_shapley_csv(bad, space, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["shapley.csv"]
 
 
 # ---------------------------------------------------------------------------
