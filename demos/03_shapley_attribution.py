@@ -1,5 +1,5 @@
-"""Coalition values, Monte Carlo attribution, and least-squares recovery of
-effect tables from attributions.
+"""Coalition values, sampled and exact attribution, and least-squares
+recovery of effect tables from attributions.
 
 Run: python demos/03_shapley_attribution.py
 """
@@ -36,10 +36,10 @@ print(f"v(empty) = background mean = {oracle.v_empty:+.4f}")
 print(f"v(all)   = response at x    = {oracle.v(x, [0, 1, 2]):+.4f}")
 
 # Permutation sampling vs the closed form for a second-order function.
-est = mc_shapley(oracle, x, M=4000, seed=0)
+est = mc_shapley(oracle, x, M=4000, seed=0)  # a batch of one point
 closed = exact_shapley_second_order(teacher.truth, x)
 for j, name in enumerate(space.names):
-    print(f"  phi[{name:13s}] sampled {est.phi[j]:+.4f} closed-form {closed[j]:+.4f}")
+    print(f"  phi[{name:13s}] sampled {est.phi[0, j]:+.4f} closed-form {closed[j]:+.4f}")
 print(f"efficiency: sum(phi) = {est.phi.sum():+.4f} = f(x) - mu = "
       f"{teacher.response(x) - oracle.v_empty:+.4f}")
 
@@ -51,7 +51,7 @@ print(f"sample-size rule: B={B:.2f}, eps=0.05, delta=0.05 -> M={M}")
 # Attributions over the whole grid pin down the effect tables by least
 # squares; with exact attributions the source table comes back exactly.
 grid = enumerate_grid(space)
-estimates = exact_shapley(oracle, grid)  # all points in one batched call
+estimates = exact_shapley(oracle, grid)  # one ShapleyEstimate: (n, d) arrays of phi
 fitted = fit_effects_sf(estimates, space, ref, ShrinkageSpec(1e-12, 1e-12),
                         mu=oracle.v_empty)
 err = max(

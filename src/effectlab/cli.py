@@ -131,10 +131,11 @@ def _estimate_table(args):
     log = ingest_log(args.log, space)
     reference = _reference_for(args, space, log)
     shrinkage = _shrinkage_for(args)
-    if args.bootstrap and args.path != "cm":
+    B = getattr(args, "bootstrap", 0)
+    if B and args.path != "cm":
         raise CommandError(f"--bootstrap needs --path cm; got --path {args.path}")
-    if args.bootstrap:
-        return space, bootstrap_cis(log, reference, shrinkage, B=args.bootstrap,
+    if B:
+        return space, bootstrap_cis(log, reference, shrinkage, B=B,
                                     level=args.ci_level, seed=args.seed)
     return space, estimate_from_log(log, args.path, reference, shrinkage)
 
@@ -373,10 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, needs_log=True):
+    def add_io(p, bootstrap=True):
         p.add_argument("--space", required=True, help="factor-space JSON document")
-        if needs_log:
-            p.add_argument("--log", required=True, help="run-log CSV")
+        p.add_argument("--log", required=True, help="run-log CSV")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--path", choices=["cm", "sf"], default="cm",
@@ -384,9 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--background", choices=["uniform", "empirical"],
                        default="uniform")
         p.add_argument("--tau", type=float, default=1.0, help="shrinkage strength")
-        p.add_argument("--bootstrap", type=int, default=0,
-                       help="bootstrap replicates for intervals (cm path)")
-        p.add_argument("--ci-level", type=float, default=0.95)
+        if bootstrap:
+            p.add_argument("--bootstrap", type=int, default=0,
+                           help="bootstrap replicates for intervals (cm path)")
+            p.add_argument("--ci-level", type=float, default=0.95)
 
     p = sub.add_parser("estimate", help="effect tables and plot data from a log")
     add_io(p)
@@ -405,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("pci", help="standardized interaction heatmap data")
-    add_io(p)
+    add_io(p, bootstrap=False)
     p.add_argument("--mode", choices=["uniform", "weighted"], default="uniform")
     p.set_defaults(func=cmd_pci)
 
@@ -422,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=None,
                    help="also report the variance-adaptive half-width")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("simulate", help="synthetic-teacher comparison suite")

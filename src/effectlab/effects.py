@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -26,6 +26,9 @@ from .space import (
     pair_cell_labels,
     support_counts,
 )
+
+if TYPE_CHECKING:
+    from .shapley import ShapleyEstimate
 
 
 class EmptyCellError(LookupError):
@@ -72,7 +75,7 @@ class EffectTable:
     effects were derived from (NaN where unsupported). A cell is unsupported
     where its summed weight in ``support`` is zero. ``replicates`` holds
     the bootstrap estimates behind the intervals, when there are any;
-    ``attributions`` holds the Shapley estimates an SF table was fit to.
+    ``attributions`` holds the ShapleyEstimate batch an SF table was fit to.
     """
 
     space: FactorSpace
@@ -89,7 +92,7 @@ class EffectTable:
     level_means_ci: tuple[np.ndarray, ...] | None = None
     diagnostics: dict | None = None
     replicates: BootstrapReplicates | None = None
-    attributions: tuple | None = None
+    attributions: ShapleyEstimate | None = None
 
     def main(self, j: int) -> np.ndarray:
         return self.mains[j]

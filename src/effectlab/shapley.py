@@ -5,7 +5,9 @@ expectation of the response with the T coordinates pinned to x and the rest
 drawn from a product-form background. For enumerable grids all coalition
 values sit in one tensor, filled by one contraction per factor, so
 attribution is exact at every factor count: each point's 2^d values are one
-gather. Permutation sampling (``mc_shapley``) reads the same values.
+gather. Permutation sampling (``mc_shapley``) reads the same values. Both
+return one ``ShapleyEstimate`` holding (n, d) arrays for all their points,
+and the fit and the ``shapley.csv`` writer read those arrays as they are.
 """
 
 from __future__ import annotations
@@ -172,70 +174,60 @@ def coalition_value(oracle: ValueOracle, x: Sequence[int], subset: Iterable[int]
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo attribution
+# Attribution
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class ShapleyEstimate:
-    x: Config
+    """Attributions at n evaluation points: row i of ``phi`` and
+    ``variance`` holds the per-factor values at the level indices ``x[i]``,
+    each from ``M`` marginal contributions (orderings sampled, or the
+    2^(d-1) weighted subsets of exact attribution)."""
+
+    x: np.ndarray
     phi: np.ndarray
     variance: np.ndarray
     M: int
     method: str = "permutation"
 
+    def __post_init__(self):
+        arrays = (np.asarray(self.x, dtype=np.intp), np.asarray(self.phi, dtype=float),
+                  np.asarray(self.variance, dtype=float))
+        if arrays[0].ndim != 2 or any(a.shape != arrays[0].shape for a in arrays):
+            raise ValueError("x, phi and variance must share one (n, d) shape; got "
+                             + ", ".join(str(a.shape) for a in arrays))
+        for name, a in zip(("x", "phi", "variance"), arrays):
+            object.__setattr__(self, name, a)
+
 
 def mc_shapley(oracle: ValueOracle, x: Sequence[int], M: int = 1000, seed: int = 0,
-               method: str = "permutation", return_contributions: bool = False):
-    """Per-factor attribution of f(x) - v(empty) from marginal contributions.
-
-    ``permutation`` averages M uniformly random orderings; ``subset`` draws
-    M prefix sets per factor (size uniform, then a uniform subset of that
-    size); ``exact`` enumerates all subsets with their ordering weights and
-    has no sampling error. Deterministic for a given seed.
-    """
+               return_contributions: bool = False):
+    """Per-factor attribution of f(x) - v(empty), averaged over M uniformly
+    random orderings: a batch of one point. Deterministic for a given seed;
+    ``exact_shapley`` has no sampling error."""
     x = oracle.space.validate_config(x)
-    if method == "exact":
-        (est,) = exact_shapley(oracle, [x])
-        return (est, None) if return_contributions else est
     d = len(x)
     if M < 1:
         raise ValueError("M must be at least 1")
     vx = oracle.v_rows(np.asarray([x]))[0]  # indexed by subset bitmask
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    if method == "permutation":
-        perms = np.argsort(rng.random((M, d)), axis=1)
-        delta = np.empty((M, d))
-        pre = np.zeros(M, dtype=np.int64)
-        rows = np.arange(M)
-        for t in range(d):
-            j = perms[:, t]
-            new = pre | (1 << j)
-            delta[rows, j] = vx[new] - vx[pre]
-            pre = new
-    elif method == "subset":
-        delta = np.empty((M, d))
-        for j in range(d):
-            others = [k for k in range(d) if k != j]
-            sizes = rng.integers(0, d, size=M)
-            scores = rng.random((M, d - 1)) if d > 1 else np.zeros((M, 0))
-            order = np.argsort(scores, axis=1)
-            pre = np.zeros(M, dtype=np.int64)
-            for pos in range(d - 1):
-                take = sizes > pos
-                member = np.array(others, dtype=np.int64)[order[:, pos]]
-                pre = np.where(take, pre | (1 << member), pre)
-            bit = 1 << j
-            delta[:, j] = vx[pre | bit] - vx[pre]
-    else:
-        raise ValueError(f"unknown sampling method {method!r}")
+    perms = np.argsort(rng.random((M, d)), axis=1)
+    delta = np.empty((M, d))
+    pre = np.zeros(M, dtype=np.int64)
+    rows = np.arange(M)
+    for t in range(d):
+        j = perms[:, t]
+        new = pre | (1 << j)
+        delta[rows, j] = vx[new] - vx[pre]
+        pre = new
 
     phi = delta.mean(axis=0)
     variance = delta.var(axis=0, ddof=1) if M > 1 else np.zeros(d)
-    est = ShapleyEstimate(x, phi, variance, M=M, method=method)
+    est = ShapleyEstimate([x], [phi], [variance], M=M)
     return (est, delta) if return_contributions else est
 
 
-def exact_shapley(oracle: ValueOracle, points: Sequence[Sequence[int]]) -> list[ShapleyEstimate]:
+def exact_shapley(oracle: ValueOracle, points: Sequence[Sequence[int]]) -> ShapleyEstimate:
     """Exact attribution at every point: all subsets with their ordering
     weights, no sampling error. Coalition values are gathered for a chunk of
     points at a time, at most ``GATHER_VALUES`` values, then each factor's
@@ -262,9 +254,7 @@ def exact_shapley(oracle: ValueOracle, points: Sequence[Sequence[int]]) -> list[
             delta = (halves[:, :, 1] - halves[:, :, 0]).reshape(len(vx), -1)
             phi[rows, j] = delta @ w
             variance[rows, j] = (delta - phi[rows, j, None]) ** 2 @ w
-    M = 1 << (d - 1)
-    return [ShapleyEstimate(tuple(x), phi[i], variance[i], M=M, method="exact")
-            for i, x in enumerate(X.tolist())]
+    return ShapleyEstimate(X, phi, variance, M=1 << (d - 1), method="exact")
 
 
 def exact_shapley_second_order(table: EffectTable, x: Sequence[int]) -> np.ndarray:
@@ -341,12 +331,13 @@ class EffectDesignMatrix:
     stacked in the full columns, have the QR ``q_stack @ r``. So up to a row
     permutation the matrix is diag(q_blocks) @ q_stack @ r, and the p x p
     factor ``r`` carries its singular values; ``sigma_min`` is structurally
-    0 when the stack has fewer than p rows. ``matrix`` is built when read.
+    0 when the stack has fewer than p rows. ``matrix`` is built when read;
+    nothing in the fit or the rank diagnosis reads it.
     """
 
     space: FactorSpace
     reference: ReferenceDistribution
-    eval_set: tuple[Config, ...]
+    eval_set: np.ndarray  # (n, d) level indices
     blocks: list[tuple[str, tuple[int, ...], slice]]
     sigma_min: float
     q_blocks: list[np.ndarray]
@@ -361,9 +352,9 @@ class EffectDesignMatrix:
     def matrix(self) -> np.ndarray:
         """Row i*d + j is factor j's attribution at point i: its own main
         block, and half of every pair block it belongs to."""
-        X = np.array(self.eval_set, dtype=np.intp)
-        A3 = np.zeros((*X.shape, self.shape[1]))
-        for (idx, coeff), (_, _, sl) in zip(_design_terms(X, self.space, self.reference),
+        A3 = np.zeros((*self.eval_set.shape, self.shape[1]))
+        for (idx, coeff), (_, _, sl) in zip(_design_terms(self.eval_set, self.space,
+                                                          self.reference),
                                             self.blocks):
             A3[:, list(idx), sl] = coeff[:, None]
         return A3.reshape(self.shape)
@@ -372,11 +363,12 @@ class EffectDesignMatrix:
         return ["|".join(self.space.names[j] for j in idx) for _, idx, _ in self.blocks]
 
     def deficient_blocks(self, tol: float = RANK_TOLERANCE) -> list[str]:
-        """Names of parameter blocks with weight in the near-null space."""
-        # A tall design only needs the thin factors; a wide one needs the full
-        # vt, whose extra rows span the structural null space.
-        rows, params = self.shape
-        _, s, vt = np.linalg.svd(self.matrix, full_matrices=rows < params)
+        """Names of parameter blocks with weight in the near-null space. The
+        design is r times factors with orthonormal columns, so r has its
+        singular values and right singular vectors; with fewer rows than
+        parameters, the extra rows of r's full vt span the structural null
+        space."""
+        _, s, vt = np.linalg.svd(self.r)
         rank = int((s >= tol).sum())
         null_rows = vt[rank:]
         if null_rows.size == 0:
@@ -395,13 +387,12 @@ def build_design_matrix(eval_set: Sequence[Sequence[int]], space: FactorSpace,
     one thin QR per factor's n x w_j block of coefficients, one QR of the
     stacked triangular factors, and ``sigma_min`` from the SVD of the p x p
     result. The (n d) x p matrix itself is never built here."""
-    if not eval_set:
+    if len(eval_set) == 0:
         raise ValueError("evaluation set is empty")
     reference = reference or ReferenceDistribution.uniform(space)
     if not reference.is_product:
         raise ValueError("design matrix needs a product-form reference")
     X = space.validate_configs(eval_set)
-    configs = tuple(map(tuple, X.tolist()))
 
     blocks: list[tuple[str, tuple[int, ...], slice]] = []
     own: list[list[tuple[slice, np.ndarray]]] = [[] for _ in range(space.num_factors)]
@@ -421,10 +412,10 @@ def build_design_matrix(eval_set: Sequence[Sequence[int]], space: FactorSpace,
     q_stack, r = np.linalg.qr(np.vstack(stack))
     # Fewer stacked rows than parameters: the null space is structural.
     sigma_min = float(np.linalg.svd(r, compute_uv=False)[-1]) if len(r) == p else 0.0
-    return EffectDesignMatrix(space, reference, configs, blocks, sigma_min, q_blocks, q_stack, r)
+    return EffectDesignMatrix(space, reference, X, blocks, sigma_min, q_blocks, q_stack, r)
 
 
-def fit_effects_sf(estimates: Sequence[ShapleyEstimate], space: FactorSpace,
+def fit_effects_sf(estimates: ShapleyEstimate, space: FactorSpace,
                    reference: ReferenceDistribution | None = None,
                    shrinkage: ShrinkageSpec | None = None, *,
                    support: SupportCounts | None = None, mu: float = 0.0,
@@ -438,19 +429,18 @@ def fit_effects_sf(estimates: Sequence[ShapleyEstimate], space: FactorSpace,
     evaluation points); ``mu`` is the baseline to attach, typically the
     oracle's empty-coalition value.
     """
-    if not estimates:
+    X, phi = estimates.x, estimates.phi  # column j of phi is factor j's rows
+    if not len(X):
         raise ValueError("no attribution estimates to fit")
     reference = reference or ReferenceDistribution.uniform(space)
     shrinkage = shrinkage or ShrinkageSpec()
     d = space.num_factors
-    for est in estimates:
-        if len(est.x) != d:
-            raise ValueError("estimate evaluated on an inconsistent space")
+    if X.shape[1] != d:
+        raise ValueError("estimate evaluated on an inconsistent space")
 
-    eval_set = tuple(est.x for est in estimates)
     if design is None:
-        design = build_design_matrix(eval_set, space, reference)
-    elif design.eval_set != eval_set:
+        design = build_design_matrix(X, space, reference)
+    elif not np.array_equal(design.eval_set, X):
         raise ValueError("design matrix was built for a different evaluation set")
     if design.sigma_min <= RANK_TOLERANCE:
         blocks = design.deficient_blocks()
@@ -460,7 +450,6 @@ def fit_effects_sf(estimates: Sequence[ShapleyEstimate], space: FactorSpace,
             blocks,
         )
 
-    phi = np.array([est.phi for est in estimates])  # (n, d): column j is factor j's rows
     z = np.concatenate([q.T @ phi[:, j] for j, q in enumerate(design.q_blocks)])
     theta = np.linalg.solve(design.r, design.q_stack.T @ z)
     # Factor j's fitted rows are q_blocks[j] @ R_j theta; q_stack @ r stacks the R_j.
@@ -475,7 +464,7 @@ def fit_effects_sf(estimates: Sequence[ShapleyEstimate], space: FactorSpace,
              for _, (j, k), sl in design.blocks[d:]}
 
     if support is None:
-        support = support_counts(log_from_arrays(space, eval_set, np.zeros(len(eval_set))))
+        support = support_counts(log_from_arrays(space, X, np.zeros(len(X))))
     # An unsupported entry is already shrunk to zero; its mask changes nothing.
     counts, pair_counts = support.level_counts, support.pair_counts
     mains, pairs = _finalize(space, mains, pairs, *_centering(space, reference),
@@ -491,7 +480,7 @@ def fit_effects_sf(estimates: Sequence[ShapleyEstimate], space: FactorSpace,
         support=support,
         provenance="SF",
         diagnostics={**design.diagnostics(), "residual_norm": residual},
-        attributions=tuple(estimates),
+        attributions=estimates,
     )
 
 
@@ -525,10 +514,11 @@ def stability_bound(design: EffectDesignMatrix, observation_error_norm: float) -
     return float(observation_error_norm) / design.sigma_min
 
 
-def write_shapley_csv(estimates: Sequence[ShapleyEstimate], space: FactorSpace,
+def write_shapley_csv(estimates: ShapleyEstimate, space: FactorSpace,
                       path: str | Path, header_note: str | None = None) -> None:
     """Long-form dump: one row per (evaluation point, factor), the bytes a
-    csv.writer row loop writes. Labels and names are quoted once, each
+    csv.writer row loop writes. The points' levels are checked against the
+    space before the file is opened. Labels and names are quoted once, each
     point's label prefix is joined once, and rows go out ``WRITE_POINTS``
     points at a time to a file that replaces ``path`` once it is complete."""
     def quoted(text: str) -> str:
@@ -540,18 +530,18 @@ def write_shapley_csv(estimates: Sequence[ShapleyEstimate], space: FactorSpace,
 
     labels = [[quoted(label) + "," for label in f.levels] for f in space.factors]
     names = [quoted(name) for name in space.names]
-    phi = np.array([est.phi for est in estimates], dtype=float)
-    variance = np.array([est.variance for est in estimates], dtype=float)
+    X = space.validate_configs(estimates.x).tolist()
+    M = estimates.M
     with open_atomic(path) as fh:
         if header_note:
             fh.write(f"# {header_note}\n")
         csv.writer(fh).writerow(list(space.names) + ["factor", "phi_hat", "variance", "M"])
-        for start in range(0, len(estimates), WRITE_POINTS):
+        for start in range(0, len(X), WRITE_POINTS):
             block = slice(start, start + WRITE_POINTS)
             lines = []
-            for est, phis, variances in zip(estimates[block], phi[block].tolist(),
-                                            variance[block].tolist()):
-                prefix = "".join([labels[j][level] for j, level in enumerate(est.x)])
-                lines += [f"{prefix}{name},{value!r},{var!r},{est.M}\r\n"
+            for x, phis, variances in zip(X[block], estimates.phi[block].tolist(),
+                                          estimates.variance[block].tolist()):
+                prefix = "".join([labels[j][level] for j, level in enumerate(x)])
+                lines += [f"{prefix}{name},{value!r},{var!r},{M}\r\n"
                           for name, value, var in zip(names, phis, variances)]
             fh.write("".join(lines))

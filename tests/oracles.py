@@ -224,18 +224,19 @@ def sf_fit_lstsq(configs, phi, level_counts, marginals, tol=1e-8):
 
 
 def write_shapley_csv_loop(estimates, space, path, header_note=None):
-    """The shapley.csv writer as a csv.writer row loop: one row per
-    (evaluation point, factor), each float formatted by repr on its own."""
+    """The shapley.csv writer as a csv.writer row loop over a batch of
+    estimates: one row per (evaluation point, factor), each float formatted
+    by repr on its own."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if header_note:
             fh.write(f"# {header_note}\n")
         writer = csv.writer(fh)
         writer.writerow([f.name for f in space.factors] + ["factor", "phi_hat", "variance", "M"])
-        for est in estimates:
-            labels = [f.levels[level] for f, level in zip(space.factors, est.x)]
+        for x, phi, variance in zip(estimates.x, estimates.phi, estimates.variance):
+            labels = [f.levels[level] for f, level in zip(space.factors, x)]
             for j, f in enumerate(space.factors):
                 writer.writerow(
-                    labels + [f.name, repr(float(est.phi[j])), repr(float(est.variance[j])), est.M]
+                    labels + [f.name, repr(float(phi[j])), repr(float(variance[j])), estimates.M]
                 )
 
 

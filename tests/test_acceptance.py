@@ -27,6 +27,7 @@ from effectlab import (
     build_space,
     enumerate_grid,
     estimate_effects_cm,
+    exact_shapley,
     exact_shapley_second_order,
     fit_effects_sf,
     gen_teacher,
@@ -93,7 +94,7 @@ def test_criterion_01_exact_recovery():
         ref = ReferenceDistribution.uniform(space)
         oracle = ValueOracle.from_log(log, ref)
         grid = enumerate_grid(space)
-        estimates = [mc_shapley(oracle, x, method="exact") for x in grid]
+        estimates = exact_shapley(oracle, grid)
         sf = fit_effects_sf(estimates, space, ref, TINY, mu=oracle.v_empty)
         for j in range(space.num_factors):
             worst_sf = max(worst_sf, float(np.abs(sf.mains[j] - teacher.truth.mains[j]).max()))
@@ -153,7 +154,7 @@ def test_criterion_03_mc_concentration():
     ref = ReferenceDistribution.uniform(space)
     oracle = ValueOracle(space, ref, values, bound=1.0)
     x = (0, 1, 0)
-    phi_true = mc_shapley(oracle, x, method="exact").phi
+    phi_true = exact_shapley(oracle, [x]).phi
 
     M = mc_sample_size(1.0, 0.1, 0.05)
     assert M == 2952

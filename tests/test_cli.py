@@ -165,6 +165,23 @@ def test_mc_samples_option_is_gone(workspace):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("pci", ["--bootstrap", "200"]),
+    ("pci", ["--ci-level", "0.9"]),
+    ("plan", ["--seed", "3"]),
+])
+def test_dead_flags_are_gone(workspace, command, flag):
+    # pci computed bootstrap replicates and wrote none of them; plan never
+    # read its seed.
+    tmp, space, log = workspace
+    args = {"pci": ["--space", str(space), "--log", str(log), "--out", str(tmp / "dead")],
+            "plan": ["--B", "1", "--eps", "0.1", "--delta", "0.05"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, *flag])
+    assert exc.value.code == 2
+    assert not (tmp / "dead").exists()
+
+
 def test_bootstrap_rejected_on_sf_path(workspace):
     tmp, space, log = workspace
     out = tmp / "sfboot"

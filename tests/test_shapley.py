@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 
@@ -27,7 +28,14 @@ from effectlab import (
     TeacherSpec,
     write_shapley_csv,
 )
-from effectlab.shapley import GATHER_VALUES, RANK_TOLERANCE, ShapleyEstimate, mc_sample_bound
+from effectlab.shapley import (
+    GATHER_VALUES,
+    RANK_TOLERANCE,
+    EffectDesignMatrix,
+    ShapleyEstimate,
+    mc_sample_bound,
+)
+from effectlab.space import open_atomic
 from conftest import full_grid_log, random_space
 from effectlab.sim import estimate_from_log
 from oracles import (
@@ -153,7 +161,8 @@ def test_mc_shapley_constant_function(space_2x2):
     ref = ReferenceDistribution.uniform(space_2x2)
     oracle = ValueOracle.from_function(space_2x2, ref, lambda x: 2.0)
     est = mc_shapley(oracle, (0, 0), M=17, seed=0)
-    assert est.phi == pytest.approx([0.0, 0.0], abs=1e-15)
+    assert est.x.tolist() == [[0, 0]] and est.method == "permutation"
+    assert est.phi[0] == pytest.approx([0.0, 0.0], abs=1e-15)
 
 
 def test_mc_shapley_matches_closed_form():
@@ -199,28 +208,23 @@ def test_mc_shapley_bounded_contributions():
     assert np.max(np.abs(est.phi)) <= 2 * oracle.bound + 1e-12
 
 
-def test_mc_shapley_exact_mode_matches_definition():
+def test_exact_shapley_matches_definition():
     rng = np.random.default_rng(6)
     space = random_space(rng, d=3)
     teacher = random_table(rng, space)
     ref = ReferenceDistribution.uniform(space)
     oracle = ValueOracle(space, ref, teacher.values)
     x = enumerate_grid(space)[2]
-    est = mc_shapley(oracle, x, method="exact")
+    est = exact_shapley(oracle, [x])
     phi_def = shapley_by_definition(lambda S: oracle.v(x, S), space.num_factors)
-    assert np.max(np.abs(est.phi - phi_def)) < 1e-12
+    assert np.max(np.abs(est.phi[0] - phi_def)) < 1e-12
 
 
-def test_mc_shapley_subset_mode_consistent():
-    rng = np.random.default_rng(7)
-    space = random_space(rng, d=3)
-    teacher = random_table(rng, space)
-    ref = ReferenceDistribution.uniform(space)
-    oracle = ValueOracle(space, ref, teacher.values)
-    x = enumerate_grid(space)[0]
-    exact = mc_shapley(oracle, x, method="exact").phi
-    est = mc_shapley(oracle, x, M=20000, seed=3, method="subset")
-    assert np.max(np.abs(est.phi - exact)) < 0.1
+def test_mc_shapley_method_option_is_gone(space_2x2):
+    oracle = xor_oracle(space_2x2)
+    for method in ("exact", "subset", "permutation"):
+        with pytest.raises(TypeError, match="method"):
+            mc_shapley(oracle, (0, 0), M=4, method=method)
 
 
 def test_mc_shapley_deterministic(space_2x2):
@@ -307,16 +311,20 @@ def product_problem(levels, seed, n):
     return space, ref, values, points
 
 
-def assert_matches_loop(oracle, values, points, estimates):
+def assert_matches_loop(oracle, values, points, estimates, picks=None):
+    """The batch ``estimates`` of all ``points`` against the per-point loop,
+    at the rows ``picks`` (every row by default)."""
     d = values.ndim
     marginals = [oracle.reference.marginal(j) for j in range(d)]
-    assert [est.x for est in estimates] == points
-    for x, est in zip(points, estimates):
+    assert estimates.x.shape == estimates.phi.shape == estimates.variance.shape == (len(points), d)
+    assert estimates.x.tolist() == [list(x) for x in points]
+    assert estimates.M == 1 << (d - 1) and estimates.method == "exact"
+    for i in range(len(points)) if picks is None else picks:
+        x = points[i]
         phi, variance = exact_shapley_loop(coalition_values_by_contraction(values, marginals, x), d)
-        assert np.max(np.abs(est.phi - phi)) < 1e-12
-        assert np.max(np.abs(est.variance - variance)) < 1e-12
-        assert est.phi.sum() == pytest.approx(values[x] - oracle.v_empty, abs=1e-12)
-        assert est.M == 1 << (d - 1) and est.method == "exact"
+        assert np.max(np.abs(estimates.phi[i] - phi)) < 1e-12
+        assert np.max(np.abs(estimates.variance[i] - variance)) < 1e-12
+        assert estimates.phi[i].sum() == pytest.approx(values[x] - oracle.v_empty, abs=1e-12)
 
 
 small_problems = st.tuples(
@@ -333,8 +341,8 @@ def test_batched_exact_matches_per_point_loop(problem):
     oracle = ValueOracle(space, ref, values)
     estimates = exact_shapley(oracle, points)
     assert_matches_loop(oracle, values, points, estimates)
-    single = mc_shapley(oracle, points[0], method="exact")
-    assert np.max(np.abs(single.phi - estimates[0].phi)) < 1e-12
+    single = exact_shapley(oracle, points[:1])
+    assert np.max(np.abs(single.phi - estimates.phi[:1])) < 1e-12
     d = space.num_factors
     marginals = [ref.marginal(j) for j in range(d)]
     expected = [coalition_values_by_contraction(values, marginals, x) for x in points]
@@ -393,7 +401,7 @@ def test_blockwise_sf_fit_matches_dense_lstsq_route(problem):
     points = [pool[i] for i in np.random.default_rng(seed).integers(0, distinct, size=n)]
     marginals = [ref.marginal(j) for j in range(space.num_factors)]
     estimates = exact_shapley(ValueOracle(space, ref, values), points)
-    phi = np.concatenate([est.phi for est in estimates])
+    phi = estimates.phi.ravel()
     sigma_min, sigma_max, theta, blocks, residual = sf_fit_lstsq(
         points, phi, space.level_counts, marginals, RANK_TOLERANCE)
 
@@ -444,7 +452,7 @@ def test_sf_fit_sums_residual_by_block_without_the_dense_design(problem):
         fit = fit_effects_sf(estimates, space, ref, design=dm)
     assert "matrix" not in vars(dm)  # the cached dense design was never filled
     theta = calls[-1][2]
-    phi = np.concatenate([est.phi for est in estimates])
+    phi = estimates.phi.ravel()
     dense = float(np.linalg.norm(dm.matrix @ theta - phi))
     assert abs(fit.diagnostics["residual_norm"] - dense) <= 1e-12 * (1.0 + np.abs(phi).max())
 
@@ -455,7 +463,7 @@ def test_batched_exact_across_chunk_boundary(monkeypatch):
     space, ref, values, points = product_problem([2, 3, 4], 21, 17)
     oracle = ValueOracle(space, ref, values)
     estimates = exact_shapley(oracle, points)
-    assert len(estimates) == 17
+    assert len(estimates.x) == 17
     assert_matches_loop(oracle, values, points, estimates)
 
 
@@ -468,9 +476,7 @@ def test_exact_attribution_beyond_ten_factors_matches_per_point_loop():
         space, ref, values, points = product_problem([2] * d, d, chunk + 1)
         oracle = ValueOracle(space, ref, values)
         estimates = exact_shapley(oracle, points)
-        picks = [0, chunk - 1, chunk]
-        assert_matches_loop(oracle, values, [points[i] for i in picks],
-                            [estimates[i] for i in picks])
+        assert_matches_loop(oracle, values, points, estimates, picks=[0, chunk - 1, chunk])
 
 
 def test_batched_exact_rejects_out_of_range_points(space_2x2):
@@ -512,32 +518,38 @@ def test_design_matrix_single_config_deficient(space_2x2):
     dm = build_design_matrix([(0, 0)], space_2x2)
     assert dm.sigma_min < 1e-8
     assert dm.deficient_blocks()  # names the unidentified blocks
-    est = ShapleyEstimate((0, 0), np.zeros(2), np.zeros(2), M=1)
+    est = ShapleyEstimate([(0, 0)], np.zeros((1, 2)), np.zeros((1, 2)), M=1)
     with pytest.raises(RankDeficiencyError):
-        fit_effects_sf([est], space_2x2, design=dm)
+        fit_effects_sf(est, space_2x2, design=dm)
 
 
-def test_deficient_blocks_tall_design_uses_thin_svd(monkeypatch):
-    space = build_space([("a", ["0", "1"]), ("b", ["0", "1", "2"]), ("c", ["0", "1"])])
-    dm = build_design_matrix([(1, 2, 0)] * 10, space)
-    assert dm.shape[0] >= dm.shape[1] and dm.sigma_min < RANK_TOLERANCE
-    # What the full SVD names: blocks with weight in the numerical null space.
+def dense_deficient_blocks(dm):
+    """What the full SVD of the dense design names: blocks with weight in
+    its numerical null space."""
     _, s, vt = np.linalg.svd(dm.matrix, full_matrices=True)
     null = vt[int((s >= RANK_TOLERANCE).sum()):]
-    expected = [name for (_, _, sl), name in zip(dm.blocks, dm.block_names())
-                if np.abs(null[:, sl]).max() > 1e-6]
-    assert expected == ["a", "b", "c", "a|b", "a|c", "b|c"]
+    return [name for (_, _, sl), name in zip(dm.blocks, dm.block_names())
+            if null.size and np.abs(null[:, sl]).max() > 1e-6]
 
-    calls = []
-    svd = np.linalg.svd
 
-    def recording_svd(a, full_matrices=True, **kwargs):
-        calls.append(full_matrices)
-        return svd(a, full_matrices=full_matrices, **kwargs)
+def no_dense_design(self):
+    raise AssertionError("the dense design was read")
 
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+
+@pytest.mark.parametrize("points", [[(1, 2, 0)] * 10, [(1, 2, 0)], [(0, 0, 0), (1, 2, 1)]],
+                         ids=["tall", "one-point", "two-points"])
+def test_deficient_blocks_reads_r_not_the_dense_design(points, monkeypatch):
+    # A tall design of one repeated point, and two designs with fewer rows
+    # than parameters, whose null space is partly structural.
+    space = build_space([("a", ["0", "1"]), ("b", ["0", "1", "2"]), ("c", ["0", "1"])])
+    dm = build_design_matrix(points, space)
+    assert dm.sigma_min < RANK_TOLERANCE
+    expected = dense_deficient_blocks(build_design_matrix(points, space))
+    if len(points) == 10:
+        assert dm.shape[0] >= dm.shape[1]
+        assert expected == ["a", "b", "c", "a|b", "a|c", "b|c"]
+    monkeypatch.setattr(EffectDesignMatrix, "matrix", property(no_dense_design))
     assert dm.deficient_blocks() == expected
-    assert calls == [False]
 
 
 def test_fit_roundtrip_from_exact_attributions():
@@ -546,10 +558,8 @@ def test_fit_roundtrip_from_exact_attributions():
     teacher = random_table(rng, space)
     table = teacher.truth
     grid = enumerate_grid(space)
-    estimates = [
-        ShapleyEstimate(x, exact_shapley_second_order(table, x), np.zeros(3), M=1)
-        for x in grid
-    ]
+    phi = np.array([exact_shapley_second_order(table, x) for x in grid])
+    estimates = ShapleyEstimate(grid, phi, np.zeros_like(phi), M=1)
     fitted = fit_effects_sf(estimates, space, shrinkage=TINY_TAU, mu=table.mu)
     for j in range(space.num_factors):
         assert np.max(np.abs(fitted.mains[j] - table.mains[j])) < 1e-8
@@ -559,11 +569,37 @@ def test_fit_roundtrip_from_exact_attributions():
 
 def test_fit_zero_attributions_zero_table(space_2x2):
     grid = enumerate_grid(space_2x2)
-    estimates = [ShapleyEstimate(x, np.zeros(2), np.zeros(2), M=1) for x in grid]
+    estimates = ShapleyEstimate(grid, np.zeros((4, 2)), np.zeros((4, 2)), M=1)
     fitted = fit_effects_sf(estimates, space_2x2, shrinkage=TINY_TAU)
     for j in range(2):
         assert np.max(np.abs(fitted.mains[j])) < 1e-12
     assert np.max(np.abs(fitted.pairs[(0, 1)])) < 1e-12
+
+
+@pytest.mark.parametrize("x, phi, variance", [
+    ([0, 1], np.zeros(2), np.zeros(2)),  # one point, but not as an (n, d) array
+    ([(0, 1)], np.zeros((1, 3)), np.zeros((1, 3))),
+    ([(0, 1)], np.zeros((1, 2)), np.zeros((2, 2))),
+    ([(0, 1), (1, 0)], np.zeros((1, 2)), np.zeros((1, 2))),
+])
+def test_shapley_estimate_rejects_mismatched_shapes(x, phi, variance):
+    with pytest.raises(ValueError, match=r"one \(n, d\) shape"):
+        ShapleyEstimate(x, phi, variance, M=1)
+
+
+def test_fit_rejects_empty_and_mismatched_batches(space_2x2):
+    grid = enumerate_grid(space_2x2)
+    empty = ShapleyEstimate(np.empty((0, 2)), np.empty((0, 2)), np.empty((0, 2)), M=1)
+    with pytest.raises(ValueError, match="no attribution estimates"):
+        fit_effects_sf(empty, space_2x2)
+    wide = ShapleyEstimate([(0, 1, 0)], np.zeros((1, 3)), np.zeros((1, 3)), M=1)
+    with pytest.raises(ValueError, match="inconsistent space"):
+        fit_effects_sf(wide, space_2x2)
+    estimates = ShapleyEstimate(grid, np.zeros((4, 2)), np.zeros((4, 2)), M=1)
+    for other in (grid[::-1], grid[:3], grid + grid[:1]):
+        with pytest.raises(ValueError, match="different evaluation set"):
+            fit_effects_sf(estimates, space_2x2, design=build_design_matrix(other, space_2x2))
+    fit_effects_sf(estimates, space_2x2, design=build_design_matrix(grid, space_2x2))
 
 
 def test_fit_perturbation_stability_bound():
@@ -624,24 +660,25 @@ csv_text = st.text(alphabet=st.sampled_from(list('a,"\r\n \u00e9\u4e2d')), max_s
 
 @st.composite
 def shapley_dumps(draw):
-    """A space of one to three factors and up to seven estimates whose phi
-    and variance may be non-finite."""
+    """A space of one to three factors and a batch of up to seven points
+    whose phi and variance may be non-finite."""
     d = draw(st.integers(1, 3))
     names = draw(st.lists(csv_text, min_size=d, max_size=d, unique=True))
     space = build_space([(name, draw(st.lists(csv_text, min_size=2, max_size=3, unique=True)))
                          for name in names])
-    row = st.lists(st.floats(), min_size=d, max_size=d).map(np.array)
-    estimates = [
-        ShapleyEstimate(tuple(draw(st.integers(0, L - 1)) for L in space.level_counts),
-                        draw(row), draw(row), M=draw(st.integers(1, 1 << 12)))
-        for _ in range(draw(st.integers(0, 7)))]
+    n = draw(st.integers(0, 7))
+    x = [[draw(st.integers(0, L - 1)) for L in space.level_counts] for _ in range(n)]
+    values = st.lists(st.floats(), min_size=n * d, max_size=n * d).map(
+        lambda v: np.reshape(v, (n, d)))
+    estimates = ShapleyEstimate(np.reshape(x, (n, d)), draw(values), draw(values),
+                                M=draw(st.integers(1, 1 << 12)))
     note = draw(st.sampled_from([None, "", "units: response; estimator: sf", 'a, "b" \u00e9']))
     return space, estimates, note
 
 
 @example(dump=(build_space([('"', ["", " a,", "é\n"])]),
-                [ShapleyEstimate((x,), np.array([v]), np.array([-v]), M=x + 1)
-                 for x, v in enumerate([math.nan, math.inf, -0.0])], "a, b"), block=2)
+                ShapleyEstimate([(0,), (1,), (2,)], [[math.nan], [math.inf], [-0.0]],
+                                [[-math.nan], [-math.inf], [0.0]], M=3), "a, b"), block=2)
 @settings(max_examples=200, deadline=None)
 @given(dump=shapley_dumps(), block=st.sampled_from([1, 2, 3, 1024]))
 def test_shapley_csv_bytes_match_row_loop(dump, block, tmp_path_factory):
@@ -654,19 +691,54 @@ def test_shapley_csv_bytes_match_row_loop(dump, block, tmp_path_factory):
     assert (tmp / "blocks.csv").read_bytes() == (tmp / "loop.csv").read_bytes()
 
 
+class FullDisk:
+    """A text handle whose third write fails, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh, self.written = fh, []
+
+    def write(self, text):
+        if len(self.written) == 2:
+            raise OSError("No space left on device")
+        self.written.append(text)
+        return self.fh.write(text)
+
+
 def test_shapley_csv_failed_write_leaves_the_old_file(tmp_path, monkeypatch):
     monkeypatch.setattr("effectlab.shapley.WRITE_POINTS", 1)
     space = build_space([("a", ["0", "1"])])
     path = tmp_path / "shapley.csv"
-    write_shapley_csv([ShapleyEstimate((0,), np.zeros(1), np.zeros(1), M=1)], space, path)
+    write_shapley_csv(ShapleyEstimate([(0,)], np.zeros((1, 1)), np.zeros((1, 1)), M=1),
+                      space, path)
     before = path.read_bytes()
-    # The second point's level does not exist, so the writer fails after the
-    # first block has gone out.
-    bad = [ShapleyEstimate((x,), np.ones(1), np.zeros(1), M=1) for x in (1, 2)]
-    with pytest.raises(IndexError):
-        write_shapley_csv(bad, space, path)
+    handles = []
+
+    @contextlib.contextmanager
+    def failing(target):
+        with open_atomic(target) as fh:
+            handles.append(FullDisk(fh))
+            yield handles[-1]
+
+    # The header row and the first point's block go out, then the second
+    # point's block fails.
+    monkeypatch.setattr("effectlab.shapley.open_atomic", failing)
+    with pytest.raises(OSError, match="No space left"):
+        write_shapley_csv(ShapleyEstimate([(1,), (0,)], np.ones((2, 1)), np.zeros((2, 1)), M=1),
+                          space, path)
+    assert handles[0].written[1] == "1,a,1.0,0.0,1\r\n"
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["shapley.csv"]
+
+
+@pytest.mark.parametrize("level", [-1, 2])
+def test_shapley_csv_rejects_levels_outside_the_space(level, tmp_path):
+    # A level of -1 was written as the last label, and a level past the last
+    # one raised a bare IndexError after the header had gone out.
+    space = build_space([("a", ["lo", "hi"])])
+    bad = ShapleyEstimate([(0,), (level,)], np.ones((2, 1)), np.zeros((2, 1)), M=1)
+    with pytest.raises(ValueError, match=f"level index {level} out of range for factor 'a'"):
+        write_shapley_csv(bad, space, tmp_path / "shapley.csv")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +755,7 @@ def test_cm_sf_agree_on_full_grid():
     ref = ReferenceDistribution.uniform(space)
     oracle = ValueOracle.from_log(log, ref)
     grid = enumerate_grid(space)
-    estimates = [mc_shapley(oracle, x, method="exact") for x in grid]
+    estimates = exact_shapley(oracle, grid)
     sf = fit_effects_sf(estimates, space, ref, TINY_TAU, mu=oracle.v_empty)
     assert sf.mu == pytest.approx(cm.mu, abs=1e-9)
     for j in range(space.num_factors):
