@@ -1,5 +1,7 @@
 """Scoring configurations with the risk- and cost-adjusted objective and
-searching the feasible set with coordinate ascent.
+searching the feasible set with coordinate ascent. The objective is built
+once as a PairwiseObjective; the search, the 1-swap check, the dominance
+certificate and the gap bound all read that one model.
 
 Run: python demos/04_objective_and_search.py
 """
@@ -10,6 +12,7 @@ from effectlab import (
     CostModel,
     DesignPlan,
     ObjectiveSpec,
+    PairwiseObjective,
     SearchSpec,
     ShrinkageSpec,
     build_space,
@@ -56,21 +59,21 @@ spec = ObjectiveSpec(
     ),
 )
 
-best, traces = multistart(table, support, spec, cost,
-                          SearchSpec(restarts=4, beam=2, seed=0))
+model = PairwiseObjective.build(table, support, spec, cost)
+best, traces = multistart(model, table.mains, SearchSpec(restarts=4, beam=2, seed=0))
 print(f"chosen configuration: {dict(zip(space.names, space.labels_for(best)))}")
-print(f"objective at the optimum: {objective(table, best, support, spec, cost):+.4f}")
-ok, _ = verify_1swap(table, support, spec, cost, best)
+print(f"objective at the optimum: {objective(model, best):+.4f}")
+ok, _ = verify_1swap(model, best)
 print(f"1-swap optimal: {ok}")
 for t_idx, trace in enumerate(traces):
     path = " -> ".join(f"{v:+.4f}" for _, _, v in trace.steps)
     print(f"  restart {t_idx}: {path} ({trace.termination})")
 
-report = diag_dominance_check(table, support, spec, cost)
+report = diag_dominance_check(model)
 print(f"dominance certificate holds: {report.holds} "
       f"(margins {np.array_str(report.margins, precision=3)})")
 
-gap_bound = two_swap_bound(table, support, spec, cost, best)
+gap_bound = two_swap_bound(model, best)
 print(f"gap to the feasible optimum is at most {gap_bound:.4f} "
       f"(each unary and pair term's best allowed improvement, summed)")
 print(f"near-optimality under a uniform objective error of 0.01: "

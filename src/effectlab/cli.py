@@ -205,12 +205,12 @@ def cmd_optimize(args) -> tuple[list[str], dict]:
     out = _prepare_out(args)
     space, table = _estimate_table(args)
     spec, cost = _objective_for(args, space)
-    support = table.support
+    model = PairwiseObjective.build(table, table.support, spec, cost)
     search = SearchSpec(restarts=args.restarts, beam=args.beam,
                         max_sweeps=args.max_sweeps, seed=args.seed)
 
-    best, traces = multistart(table, support, spec, cost, search)
-    report = diag_dominance_check(table, support, spec, cost)
+    best, traces = multistart(model, table.mains, search)
+    report = diag_dominance_check(model)
 
     outputs = []
     chosen = {
@@ -219,7 +219,7 @@ def cmd_optimize(args) -> tuple[list[str], dict]:
         # the search's own model.
         "objective": max(t.steps[-1][2] for t in traces),
         "one_swap_optimal": (any(t.verified_1swap for t in traces if t.final == best)
-                             or verify_1swap(table, support, spec, cost, best)[0]),
+                             or verify_1swap(model, best)[0]),
         "restarts": len(traces),
     }
     _write_json(out / "chosen.json", chosen)
@@ -244,13 +244,13 @@ def cmd_optimize(args) -> tuple[list[str], dict]:
         **_bootstrap_diagnostics(table),
     }
     if space.grid_size <= TOPK_GRID_CAP:
-        J, feasible = objective_grid(table, support, spec, cost)
+        J, feasible = objective_grid(model)
         diagnostics["objective_grid_cells"] = int(J.size)
         top = _top_configs(J, feasible, args.topk)
         ci_by_config = {}
         if table.replicates is not None:
             ci_by_config = _topk_bootstrap_cis(
-                table.replicates, support, spec, cost, [x for _, x in top], args.ci_level
+                table.replicates, table.support, spec, cost, [x for _, x in top], args.ci_level
             )
         rows = []
         for rank, (value, x) in enumerate(top, start=1):
@@ -337,8 +337,6 @@ def cmd_simulate(args) -> tuple[list[str], dict]:
     from .sim import SuiteConfig, comparison_suite
 
     out = _prepare_out(args)
-    if args.suite not in ("cm-vs-sf", "table2"):
-        raise CommandError(f"unknown suite {args.suite!r}")
     cfg = SuiteConfig(trials=args.trials, seed=args.seed,
                       design_n=args.design_n, seeds_per_point=args.seeds_per_point)
     return _write_suite(out, "results.csv", comparison_suite(cfg), cfg)
@@ -378,13 +376,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--space", required=True, help="factor-space JSON document")
         p.add_argument("--log", required=True, help="run-log CSV")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--path", choices=["cm", "sf"], default="cm",
                        help="estimation path")
         p.add_argument("--background", choices=["uniform", "empirical"],
                        default="uniform")
         p.add_argument("--tau", type=float, default=1.0, help="shrinkage strength")
         if bootstrap:
+            p.add_argument("--seed", type=int, default=0)
             p.add_argument("--bootstrap", type=int, default=0,
                            help="bootstrap replicates for intervals (cm path)")
             p.add_argument("--ci-level", type=float, default=0.95)
@@ -426,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("simulate", help="synthetic-teacher comparison suite")
-    p.add_argument("--suite", default="cm-vs-sf")
+    p.add_argument("--suite", choices=["cm-vs-sf"], default="cm-vs-sf")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--design-n", type=int, default=432)
     p.add_argument("--seeds-per-point", type=int, default=2)

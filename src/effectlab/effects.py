@@ -371,7 +371,7 @@ def estimate_from_log(log: RunLog, estimator: str,
 
     reference = reference.product_marginals()
     oracle = ValueOracle.from_log(log, reference, warn=False)
-    return fit_from_oracle(oracle, log, reference, shrinkage)
+    return fit_from_oracle(oracle, log, shrinkage)
 
 
 @dataclass(frozen=True, eq=False)

@@ -162,10 +162,6 @@ class ObjectiveSpec:
     def level_allowed(self, j: int, level: int) -> bool:
         return level not in self.banned_levels.get(j, frozenset())
 
-    def allowed_levels(self, space: FactorSpace, j: int) -> list[int]:
-        banned = self.banned_levels.get(j, frozenset())
-        return [l for l in range(space.level_counts[j]) if l not in banned]
-
     def feasible(self, x: Sequence[int]) -> bool:
         xt = tuple(int(v) for v in x)
         if xt in self.banned_configs:
@@ -240,6 +236,18 @@ def _check_bans(space: FactorSpace, spec: ObjectiveSpec) -> None:
             raise ValueError(f"banned config {cfg} has a level out of range")
 
 
+def _check_finite(space: FactorSpace, effects: EffectTable | BootstrapReplicates) -> None:
+    """Reject a non-finite baseline, main entry or pair entry, naming the
+    first factor or pair that holds one: -inf is how J marks a banned level."""
+    bad = [] if np.isfinite(effects.mu).all() else ["mu"]
+    bad += [f"main effect of factor {space.names[j]!r}"
+            for j, g in enumerate(effects.mains) if not np.isfinite(g).all()]
+    bad += [f"interaction of pair {space.names[j]!r}|{space.names[k]!r}"
+            for (j, k), h in sorted(effects.pairs.items()) if not np.isfinite(h).all()]
+    if bad:
+        raise ValueError(f"effects must be finite; {bad[0]} is not")
+
+
 @dataclass(frozen=True, eq=False)
 class PairwiseObjective:
     """J as one pairwise model: ``const + sum_j unary[j][x_j] + sum_{j<k}
@@ -266,6 +274,7 @@ class PairwiseObjective:
               spec: ObjectiveSpec, cost: CostModel | None = None) -> "PairwiseObjective":
         space = support.space
         _check_bans(space, spec)
+        _check_finite(space, effects)
         cost = cost or CostModel.zero(space)
         unary = []
         for j, (g, c) in enumerate(zip(effects.mains, cost.level_costs)):
@@ -276,6 +285,15 @@ class PairwiseObjective:
                  for jk, r in pair_risk(support, spec).items()}
         const = np.asarray(effects.mu - spec.lambda_cost * cost.offset)
         return cls(space, const, tuple(unary), pairs, spec.banned_configs)
+
+    def allowed_levels(self) -> list[list[int]]:
+        """Per factor, the levels that are not banned: those where
+        ``unary[j]`` is above -inf."""
+        allowed = [np.flatnonzero(u > -np.inf).tolist() for u in self.unary]
+        for name, levels in zip(self.space.names, allowed):
+            if not levels:
+                raise InfeasibleConfigError(f"factor {name!r} has no allowed levels")
+        return allowed
 
     def at(self, X: np.ndarray) -> np.ndarray:
         """J at each row of the (R, d) level array X, shape (..., R)."""
@@ -319,18 +337,16 @@ class PairwiseObjective:
         return J
 
 
-def objective(table: EffectTable, x: Sequence[int], support: SupportCounts,
-              spec: ObjectiveSpec, cost: CostModel | None = None) -> float:
+def objective(model: PairwiseObjective, x: Sequence[int]) -> float:
     """Risk- and cost-adjusted score of a feasible configuration."""
-    x = table.space.validate_config(x)
-    value = float(PairwiseObjective.build(table, support, spec, cost).at([x])[0])
+    x = model.space.validate_config(x)
+    value = float(model.at([x])[0])
     if value == -np.inf:
         raise InfeasibleConfigError(f"configuration {x} is outside the feasible set")
     return value
 
 
-def objective_grid(table: EffectTable, support: SupportCounts, spec: ObjectiveSpec,
-                   cost: CostModel | None = None) -> tuple[np.ndarray, np.ndarray]:
+def objective_grid(model: PairwiseObjective) -> tuple[np.ndarray, np.ndarray]:
     """J over the whole grid (-inf where infeasible) plus the feasibility mask."""
-    J = PairwiseObjective.build(table, support, spec, cost).grid()
+    J = model.grid()
     return J, J > -np.inf

@@ -5,9 +5,12 @@ largest local gain, accepting only strict improvements and breaking ties by
 lowest level index. The endpoint of a converged run is 1-swap optimal; a
 diagonal-dominance certificate upgrades that to global optimality.
 
-A search call builds one ``PairwiseObjective`` and advances every restart
-together as one level array; each score adds its terms in the same order
-whatever the restart count, so a restart's trace equals its one-start ascent.
+Every function here reads one built ``PairwiseObjective`` (the model):
+allowed levels, feasibility and bans come from it, so a command builds J once
+and passes it to the search, the certificate and the bounds. A search
+advances every restart together as one level array; each score adds its
+terms in the same order whatever the restart count, so a restart's trace
+equals its one-start ascent.
 """
 
 from __future__ import annotations
@@ -18,15 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .effects import EffectTable
-from .objective import (
-    CostModel,
-    InfeasibleConfigError,
-    ObjectiveSpec,
-    PairwiseObjective,
-    broadcast_sum,
-)
-from .space import Config, FactorSpace, SupportCounts
+from .objective import InfeasibleConfigError, PairwiseObjective, broadcast_sum
+from .space import Config, FactorSpace
 
 DOMINANCE_CONTEXT_CAP = 100_000
 
@@ -86,15 +82,14 @@ class DominanceReport:
 # Local objective
 # ---------------------------------------------------------------------------
 
-def local_gain(table: EffectTable, support: SupportCounts, spec: ObjectiveSpec,
-               cost: CostModel | None, j: int, level: int, x: Sequence[int]) -> float:
+def local_gain(model: PairwiseObjective, j: int, level: int, x: Sequence[int]) -> float:
     """Local objective of setting factor j to ``level`` in context x: the
     terms of J that depend on factor j. Only its differences across levels
     are promised; they equal the corresponding differences of J."""
-    x = table.space.validate_config(x)
-    scores = PairwiseObjective.build(table, support, spec, cost).level_scores(j, [x])[0]
+    x = model.space.validate_config(x)
+    scores = model.level_scores(j, [x])[0]
     if not 0 <= level < len(scores):
-        raise ValueError(f"level {level} of factor {table.space.names[j]!r} is out of range "
+        raise ValueError(f"level {level} of factor {model.space.names[j]!r} is out of range "
                          f"0..{len(scores) - 1}")
     if scores[level] == -np.inf:
         raise InfeasibleConfigError(f"configuration {x[:j] + (level,) + x[j + 1:]} is infeasible")
@@ -134,8 +129,7 @@ def _ascend(model: PairwiseObjective, starts: list[Config], max_sweeps: int
             for s, done in zip(steps, converged.tolist())]
 
 
-def coordinate_ascent(table: EffectTable, support: SupportCounts, spec: ObjectiveSpec,
-                      cost: CostModel | None, start: Sequence[int],
+def coordinate_ascent(model: PairwiseObjective, start: Sequence[int],
                       search: SearchSpec | None = None) -> tuple[Config, SearchTrace]:
     """Sweep factors in declaration order until no strict improvement.
 
@@ -144,55 +138,42 @@ def coordinate_ascent(table: EffectTable, support: SupportCounts, spec: Objectiv
     equal-value cycles. A converged endpoint is 1-swap optimal.
     """
     search = search or SearchSpec()
-    model = PairwiseObjective.build(table, support, spec, cost)
-    x = table.space.validate_config(start)
-    if not spec.feasible(x):
+    x = model.space.validate_config(start)
+    if model.at([x])[0] == -np.inf:
         raise InfeasibleConfigError(f"start configuration {x} is infeasible")
     (trace,) = _ascend(model, [x], search.max_sweeps)
     return trace.final, trace
 
 
-def _greedy_start(table: EffectTable, spec: ObjectiveSpec) -> Config:
-    """Per-factor argmax of the main effects over allowed levels."""
-    space = table.space
-    start = []
-    for j in range(space.num_factors):
-        allowed = spec.allowed_levels(space, j)
-        if not allowed:
-            raise InfeasibleConfigError(f"factor {space.names[j]!r} has no allowed levels")
-        g = table.mains[j]
-        start.append(max(allowed, key=lambda l: (g[l], -l)))
-    return tuple(start)
-
-
-def multistart(table: EffectTable, support: SupportCounts, spec: ObjectiveSpec,
-               cost: CostModel | None, search: SearchSpec | None = None
-               ) -> tuple[Config, list[SearchTrace]]:
+def multistart(model: PairwiseObjective, mains: Sequence[np.ndarray],
+               search: SearchSpec | None = None) -> tuple[Config, list[SearchTrace]]:
     """Greedy start plus random restarts drawn from per-factor top levels.
 
-    Restart r derives its RNG from (seed, r), so results do not depend on
-    scheduling. A restart whose 100 draws find no feasible start, like an
-    infeasible greedy start, is dropped. All restarts then ascend together.
+    Levels rank by ``mains``, the table's main effects, ties going to the
+    lowest index: the greedy start takes each factor's best allowed level,
+    and the restarts draw from its ``search.beam`` best. Restart r derives
+    its RNG from (seed, r), so results do not depend on scheduling. A
+    restart whose 100 draws find no feasible start, like an infeasible
+    greedy start, is dropped. All restarts then ascend together.
     The winner is the endpoint with the best objective; exact ties go to the
     lexicographically smallest configuration.
     """
     search = search or SearchSpec()
-    space = table.space
-    model = PairwiseObjective.build(table, support, spec, cost)
-
-    starts = [_greedy_start(table, spec)]
-    tops = [sorted(spec.allowed_levels(space, j), key=lambda l: (-table.mains[j][l], l))
-            [: search.beam] for j in range(space.num_factors)]
+    ranked = [sorted(levels, key=lambda l: (-g[l], l))
+              for g, levels in zip(mains, model.allowed_levels())]
+    starts = [tuple(top[0] for top in ranked)]
+    tops = [top[: search.beam] for top in ranked]
     children = np.random.SeedSequence(search.seed).spawn(max(search.restarts - 1, 0))
     for child in children:
         rng = np.random.default_rng(child)
         for _ in range(100):
             cand = tuple(int(top[rng.integers(0, len(top))]) for top in tops)
-            if spec.feasible(cand):
+            if cand not in model.banned_configs:
                 starts.append(cand)
                 break
 
-    starts = [x for x in starts if spec.feasible(x)]
+    # Every start takes allowed levels only, so a ban can only be a config.
+    starts = [x for x in starts if x not in model.banned_configs]
     if not starts:
         raise InfeasibleConfigError("no feasible start configuration found")
     traces = _ascend(model, starts, search.max_sweeps)
@@ -200,8 +181,7 @@ def multistart(table: EffectTable, support: SupportCounts, spec: ObjectiveSpec,
     return best.final, traces
 
 
-def verify_1swap(table: EffectTable, support: SupportCounts, spec: ObjectiveSpec,
-                 cost: CostModel | None, x: Sequence[int]
+def verify_1swap(model: PairwiseObjective, x: Sequence[int]
                  ) -> tuple[bool, tuple[int, int, float] | None]:
     """Exhaustive scan of all single-factor substitutions.
 
@@ -209,13 +189,7 @@ def verify_1swap(table: EffectTable, support: SupportCounts, spec: ObjectiveSpec
     objective, else (False, (factor, level, gain)) for the best violation,
     ties going to the first factor and then the lowest level.
     """
-    model = PairwiseObjective.build(table, support, spec, cost)
-    return _best_swap(model, table.space.validate_config(x))
-
-
-def _best_swap(model: PairwiseObjective, x: Config
-               ) -> tuple[bool, tuple[int, int, float] | None]:
-    """``verify_1swap`` of a validated x on a built model."""
+    x = model.space.validate_config(x)
     if model.at([x])[0] == -np.inf:
         raise InfeasibleConfigError(f"configuration {x} is infeasible")
     best: tuple[int, int, float] | None = None
@@ -232,9 +206,7 @@ def _best_swap(model: PairwiseObjective, x: Config
 # Dominance certificate
 # ---------------------------------------------------------------------------
 
-def diag_dominance_check(table: EffectTable, support: SupportCounts,
-                         spec: ObjectiveSpec, cost: CostModel | None = None,
-                         context_cap: int = DOMINANCE_CONTEXT_CAP,
+def diag_dominance_check(model: PairwiseObjective, context_cap: int = DOMINANCE_CONTEXT_CAP,
                          sample_contexts: int = 2048, seed: int = 0) -> DominanceReport:
     """Certificate that every 1-swap optimum is the global optimum.
 
@@ -246,15 +218,9 @@ def diag_dominance_check(table: EffectTable, support: SupportCounts,
     approximate and marked non-exact). Banned configs break the product
     structure of contexts, so their presence voids the certificate.
     """
-    space = table.space
-    model = PairwiseObjective.build(table, support, spec, cost)
-    d = space.num_factors
+    d = model.space.num_factors
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-
-    allowed = [spec.allowed_levels(space, j) for j in range(d)]
-    for j in range(d):
-        if not allowed[j]:
-            raise InfeasibleConfigError(f"factor {space.names[j]!r} has no allowed levels")
+    allowed = model.allowed_levels()
 
     # Pair term of factor k on factor j's allowed levels, per ordered pair,
     # shared by the influence bounds and the margins.
@@ -268,7 +234,7 @@ def diag_dominance_check(table: EffectTable, support: SupportCounts,
 
     margins = np.full(d, math.inf)
     contexts_checked = []
-    exact = not spec.banned_configs
+    exact = not model.banned_configs
     for j in range(d):
         if len(allowed[j]) < 2:
             contexts_checked.append(0)
@@ -297,7 +263,7 @@ def diag_dominance_check(table: EffectTable, support: SupportCounts,
         top2 = np.sort(flat, axis=0)[-2:, :]
         margins[j] = float((top2[1] - top2[0]).min())
 
-    holds = bool(np.all(influence.sum(axis=1) < margins)) and not spec.banned_configs
+    holds = bool(np.all(influence.sum(axis=1) < margins)) and not model.banned_configs
     return DominanceReport(margins, influence, holds, exact, tuple(contexts_checked))
 
 
@@ -312,19 +278,16 @@ def near_opt_bound(epsilon: float) -> float:
     return 2.0 * epsilon
 
 
-def two_swap_bound(table: EffectTable, support: SupportCounts, spec: ObjectiveSpec,
-                   cost: CostModel | None, x_hat: Sequence[int]) -> float:
+def two_swap_bound(model: PairwiseObjective, x_hat: Sequence[int]) -> float:
     """Upper bound on J(y) - J(x_hat) over the feasible set for a 1-swap
     optimal x_hat: the positive part of each unary and pair term's best
     allowed improvement over its value at x_hat, summed."""
-    space = table.space
-    model = PairwiseObjective.build(table, support, spec, cost)
-    x = space.validate_config(x_hat)
-    ok, violation = _best_swap(model, x)
+    x = model.space.validate_config(x_hat)
+    ok, violation = verify_1swap(model, x)
     if not ok:
         raise ValueError(f"x_hat is not 1-swap optimal; improving swap {violation}")
 
-    allowed = [spec.allowed_levels(space, j) for j in range(space.num_factors)]
+    allowed = model.allowed_levels()
     total = 0.0
     for j, u in enumerate(model.unary):
         total += max(float(u.max() - u[x[j]]), 0.0)

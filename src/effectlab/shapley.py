@@ -485,11 +485,10 @@ def fit_effects_sf(estimates: ShapleyEstimate, space: FactorSpace,
 
 
 def fit_from_oracle(oracle: ValueOracle, log: RunLog,
-                    reference: ReferenceDistribution | None = None,
                     shrinkage: ShrinkageSpec | None = None) -> EffectTable:
     """Attribution path: exact Shapley values of the oracle at each
-    evaluation point, then least-squares table recovery shrunk by the log's
-    support.
+    evaluation point, then least-squares table recovery under the oracle's
+    reference, shrunk by the log's support.
 
     The evaluation points are the full grid when it has at most
     ``EVAL_GRID_CAP`` cells (always identifiable), otherwise the log's
@@ -501,8 +500,7 @@ def fit_from_oracle(oracle: ValueOracle, log: RunLog,
         eval_set = enumerate_grid(space)
     else:
         eval_set = list(dict.fromkeys(tuple(c) for c in log.configs_array.tolist()))
-    return fit_effects_sf(exact_shapley(oracle, eval_set), space,
-                          reference or oracle.reference, shrinkage,
+    return fit_effects_sf(exact_shapley(oracle, eval_set), space, oracle.reference, shrinkage,
                           support=support_counts(log), mu=oracle.v_empty)
 
 

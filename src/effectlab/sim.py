@@ -19,7 +19,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .effects import EffectTable, ShrinkageSpec, estimate_from_log
-from .objective import CostModel, ObjectiveSpec, broadcast_sum, predict_grid
+from .objective import CostModel, ObjectiveSpec, PairwiseObjective, broadcast_sum, predict_grid
 from .optimize import SearchSpec, multistart
 from .shapley import ValueOracle, fit_from_oracle
 from .space import (
@@ -258,7 +258,7 @@ def run_trial(teacher: Teacher, plan: DesignPlan, seeds_per_point: int,
             values = values + rng.normal(
                 0.0, teacher.spec.noise / math.sqrt(seeds_per_point), size=values.shape
             )
-        table = fit_from_oracle(ValueOracle(space, ref, values), log, ref, shrinkage)
+        table = fit_from_oracle(ValueOracle(space, ref, values), log, shrinkage)
     elif estimator == "SF" and oracle_source != "log":
         raise ValueError(f"unknown oracle source {oracle_source!r}")
     else:
@@ -266,9 +266,8 @@ def run_trial(teacher: Teacher, plan: DesignPlan, seeds_per_point: int,
     if mains_only:
         table = table.with_zero_pairs()
 
-    objective_spec = objective_spec or ObjectiveSpec()
-    search = search or SearchSpec(seed=search_seed)
-    chosen, _ = multistart(table, table.support, objective_spec, cost, search)
+    model = PairwiseObjective.build(table, table.support, objective_spec or ObjectiveSpec(), cost)
+    chosen, _ = multistart(model, table.mains, search or SearchSpec(seed=search_seed))
 
     truth_values = teacher.values
     best = np.unravel_index(int(np.argmax(truth_values)), truth_values.shape)

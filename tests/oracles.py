@@ -360,6 +360,12 @@ def topk_intervals_loop(mu, mains, pairs, risk, cost, configs, lo_q):
     return out
 
 
+def allowed_levels_loop(spec, space, j):
+    """Factor j's levels that ``spec`` does not ban, in index order."""
+    return [l for l in range(space.level_counts[j])
+            if l not in spec.banned_levels.get(j, frozenset())]
+
+
 def dominance_loop(table, support, spec, cost, context_cap, sample_contexts, seed):
     """Dominance certificate one context at a time: every context when a
     factor has at most ``context_cap`` of them, else ``sample_contexts``
@@ -368,7 +374,7 @@ def dominance_loop(table, support, spec, cost, context_cap, sample_contexts, see
     space = table.space
     d = space.num_factors
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    allowed = [spec.allowed_levels(space, j) for j in range(d)]
+    allowed = [allowed_levels_loop(spec, space, j) for j in range(d)]
 
     def score(j, k):
         return np.array([[pair_term_loop(table, support, spec, j, k, a, b) for b in allowed[k]]
@@ -713,7 +719,7 @@ def two_swap_bound_loop(table, support, spec, cost, x):
     """Positive part of each folded unary and pair term's best allowed
     improvement over its value at x, summed factors first, then pairs."""
     space = table.space
-    allowed = [spec.allowed_levels(space, j) for j in range(space.num_factors)]
+    allowed = [allowed_levels_loop(spec, space, j) for j in range(space.num_factors)]
     total = 0.0
     for j in range(space.num_factors):
         best = max(unary_loop(table, spec, cost, j, a) for a in allowed[j])
@@ -732,14 +738,14 @@ def split_two_swap_bound_loop(table, support, spec, cost, x):
     space = table.space
     total = 0.0
     for j in range(space.num_factors):
-        allowed = spec.allowed_levels(space, j)
+        allowed = allowed_levels_loop(spec, space, j)
         g = table.mains[j]
         total += max(max(float(g[l] - g[x[j]]) for l in allowed), 0.0)
         if spec.lambda_cost:
             c = cost.level_costs[j]
             total += spec.lambda_cost * max(max(float(c[x[j]] - c[l]) for l in allowed), 0.0)
     for j, k in space.pairs():
-        cells = np.ix_(spec.allowed_levels(space, j), spec.allowed_levels(space, k))
+        cells = np.ix_(allowed_levels_loop(spec, space, j), allowed_levels_loop(spec, space, k))
         mat = table.pairs[(j, k)]
         total += max(float(mat[cells].max() - mat[x[j], x[k]]), 0.0)
         if spec.lambda_risk:

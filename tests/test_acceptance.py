@@ -17,6 +17,7 @@ import numpy as np
 from effectlab import (
     DesignPlan,
     ObjectiveSpec,
+    PairwiseObjective,
     ReferenceDistribution,
     SearchSpec,
     ShrinkageSpec,
@@ -289,18 +290,19 @@ def test_criterion_08_optimizer_guarantees():
     checked = dominant_hits = 0
     for _ in range(200):
         table, sc, spec = _random_instance(rng)
-        best, traces = multistart(table, sc, spec, None,
+        model = PairwiseObjective.build(table, sc, spec)
+        best, traces = multistart(model, table.mains,
                                   SearchSpec(restarts=3, beam=2, seed=int(rng.integers(1 << 30))))
-        ok1, violation = verify_1swap(table, sc, spec, None, best)
+        ok1, violation = verify_1swap(model, best)
         assert ok1, f"solver output fails the 1-swap scan: {violation}"
         for trace in traces:
             vals = trace.values
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:])), "trace not monotone"
             assert trace.termination == "converged"
-        dom = diag_dominance_check(table, sc, spec)
+        dom = diag_dominance_check(model)
         if dom.holds:
             dominant_hits += 1
-            J, feas = objective_grid(table, sc, spec)
+            J, feas = objective_grid(model)
             x_star = np.unravel_index(int(np.argmax(np.where(feas, J, -np.inf))), J.shape)
             assert best == tuple(int(v) for v in x_star), "dominant instance not at global optimum"
         checked += 1
@@ -329,8 +331,8 @@ def test_criterion_09_near_optimality():
             mains=tuple(g + rng.normal(0, 0.1, g.shape) for g in table.mains),
             pairs={jk: m + rng.normal(0, 0.1, m.shape) for jk, m in table.pairs.items()},
         )
-        J_true, _ = objective_grid(table, sc, spec)
-        J_hat, _ = objective_grid(noisy, sc, spec)
+        J_true, _ = objective_grid(PairwiseObjective.build(table, sc, spec))
+        J_hat, _ = objective_grid(PairwiseObjective.build(noisy, sc, spec))
         eps = float(np.max(np.abs(J_hat - J_true)))
         x_hat = np.unravel_index(int(np.argmax(J_hat)), J_hat.shape)
         x_star = np.unravel_index(int(np.argmax(J_true)), J_true.shape)

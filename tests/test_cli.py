@@ -13,8 +13,8 @@ from effectlab.cli import main
 from effectlab.effects import ShrinkageSpec, bootstrap_replicates
 from effectlab.objective import ObjectiveSpec, PairwiseObjective, objective
 from effectlab.optimize import verify_1swap
-from effectlab.sim import estimate_from_log
-from effectlab.space import ReferenceDistribution, ingest_log, load_space
+from effectlab.sim import TeacherSpec, default_space, estimate_from_log, gen_teacher, run_trial
+from effectlab.space import DesignPlan, ReferenceDistribution, ingest_log, load_space
 
 
 @pytest.fixture
@@ -169,10 +169,11 @@ def test_mc_samples_option_is_gone(workspace):
     ("pci", ["--bootstrap", "200"]),
     ("pci", ["--ci-level", "0.9"]),
     ("plan", ["--seed", "3"]),
+    ("pci", ["--seed", "1"]),
 ])
 def test_dead_flags_are_gone(workspace, command, flag):
-    # pci computed bootstrap replicates and wrote none of them; plan never
-    # read its seed.
+    # pci computed bootstrap replicates and wrote none of them; pci and plan
+    # never read their seed.
     tmp, space, log = workspace
     args = {"pci": ["--space", str(space), "--log", str(log), "--out", str(tmp / "dead")],
             "plan": ["--B", "1", "--eps", "0.1", "--delta", "0.05"]}[command]
@@ -347,14 +348,17 @@ def test_optimize_above_topk_cap_builds_no_grid(workspace, monkeypatch):
                               ShrinkageSpec(tau_main=1.0, tau_pair=1.0))
     best = tuple(loaded.level_index(j, chosen["config"][name])
                  for j, name in enumerate(loaded.names))
-    assert chosen["objective"] == objective(table, best, table.support, ObjectiveSpec())
+    model = PairwiseObjective.build(table, table.support, ObjectiveSpec())
+    assert chosen["objective"] == objective(model, best)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["diagnostics"]["objective_grid_cells"] == 0
 
 
 def test_optimize_builds_objective_model_once_per_use(workspace, monkeypatch):
-    # One model each for the search, the dominance certificate and the
-    # top-k grid; chosen.json reads its objective from the winning trace.
+    # optimize builds one model, which the search, the dominance certificate,
+    # the 1-swap check and the top-k grid all read; --bootstrap adds one
+    # more from the replicates for the top-k intervals. A simulation trial
+    # builds one model for its search.
     tmp, space, log = workspace
     calls = []
     build = PairwiseObjective.build.__func__
@@ -364,9 +368,20 @@ def test_optimize_builds_objective_model_once_per_use(workspace, monkeypatch):
         return build(klass, *args, **kwargs)
 
     monkeypatch.setattr(PairwiseObjective, "build", classmethod(counting))
+    assert load_space(space).grid_size <= cli.TOPK_GRID_CAP
     assert main(["optimize", "--space", str(space), "--log", str(log),
                  "--out", str(tmp / "opt")]) == 0
-    assert len(calls) == 3
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["optimize", "--space", str(space), "--log", str(log),
+                 "--out", str(tmp / "optb"), "--bootstrap", "100"]) == 0
+    assert (tmp / "optb" / "topk.csv").exists()
+    assert len(calls) == 2
+    teacher = gen_teacher(TeacherSpec(default_space(3), seed=1))
+    for estimator in ("CM", "SF"):
+        calls.clear()
+        run_trial(teacher, DesignPlan.balanced(24), 1, estimator, trial_seed=2)
+        assert len(calls) == 1
 
 
 def test_top_configs_break_ties_lexicographically():
@@ -498,6 +513,13 @@ def test_simulate_smoke(tmp_path):
     assert by[("SF", "recon")] <= by[("CM", "recon")]
 
 
+def test_simulate_table2_alias_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--suite", "table2", "--trials", "1", "--out", str(tmp_path / "sim")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "sim").exists()
+
+
 def test_ablate_smoke(tmp_path):
     out = tmp_path / "abl"
     rc = main(["ablate", "--axis", "seed-budget", "--trials", "2",
@@ -547,7 +569,8 @@ def test_optimize_one_swap_flag_describes_the_chosen_config(tmp_path):
                               ShrinkageSpec(tau_main=1.0, tau_pair=1.0))
     best = tuple(loaded.level_index(j, chosen["config"][name])
                  for j, name in enumerate(loaded.names))
-    ok, _ = verify_1swap(table, table.support, ObjectiveSpec(lambda_risk=0.0), None, best)
+    ok, _ = verify_1swap(PairwiseObjective.build(table, table.support,
+                                                 ObjectiveSpec(lambda_risk=0.0)), best)
     assert chosen["one_swap_optimal"] is ok
     assert not ok
 

@@ -20,6 +20,7 @@ from effectlab import (
     predict_grid,
     risk_penalty,
     support_counts,
+    table_from_dict,
     two_factor_predict,
     TeacherSpec,
 )
@@ -93,7 +94,8 @@ def test_objective_reduces_to_prediction(xor_setup):
     table, sc = xor_setup
     spec = ObjectiveSpec(lambda_risk=0.0, lambda_cost=0.0)
     for x in enumerate_grid(table.space):
-        assert objective(table, x, sc, spec) == pytest.approx(two_factor_predict(table, x))
+        assert objective(PairwiseObjective.build(table, sc, spec), x) == pytest.approx(
+            two_factor_predict(table, x))
 
 
 def test_objective_cost_linearity(xor_setup):
@@ -105,18 +107,19 @@ def test_objective_cost_linearity(xor_setup):
     base = ObjectiveSpec(lambda_risk=0.0, lambda_cost=0.0)
     with_cost = ObjectiveSpec(lambda_risk=0.0, lambda_cost=1.0)
     x = (1, 0)
-    drop = objective(table, x, sc, base, cost) - objective(table, x, sc, with_cost, cost)
+    drop = (objective(PairwiseObjective.build(table, sc, base, cost), x)
+            - objective(PairwiseObjective.build(table, sc, with_cost, cost), x))
     assert drop == pytest.approx(0.3)
 
 
 def test_objective_infeasible_is_error(xor_setup):
     table, sc = xor_setup
-    spec = ObjectiveSpec(banned_levels={0: frozenset({1})})
+    model = PairwiseObjective.build(table, sc, ObjectiveSpec(banned_levels={0: frozenset({1})}))
     with pytest.raises(InfeasibleConfigError):
-        objective(table, (1, 0), sc, spec)
-    spec2 = ObjectiveSpec(banned_configs=frozenset({(0, 1)}))
+        objective(model, (1, 0))
+    model2 = PairwiseObjective.build(table, sc, ObjectiveSpec(banned_configs=frozenset({(0, 1)})))
     with pytest.raises(InfeasibleConfigError):
-        objective(table, (0, 1), sc, spec2)
+        objective(model2, (0, 1))
 
 
 def test_penalty_changes_argmax(space_2x2):
@@ -131,8 +134,8 @@ def test_penalty_changes_argmax(space_2x2):
     free = ObjectiveSpec(lambda_risk=0.0)
     priced = ObjectiveSpec(lambda_risk=2.0, gamma=1.0)
     grid = enumerate_grid(space_2x2)
-    J_free, _ = objective_grid(table, sc, free)
-    J_priced, _ = objective_grid(table, sc, priced)
+    J_free, _ = objective_grid(PairwiseObjective.build(table, sc, free))
+    J_priced, _ = objective_grid(PairwiseObjective.build(table, sc, priced))
     argmax_free = grid[int(np.argmax([J_free[x] for x in grid]))]
     argmax_priced = grid[int(np.argmax([J_priced[x] for x in grid]))]
     assert argmax_free == (1, 1)  # extrapolated, never observed
@@ -147,8 +150,8 @@ def test_baseline_shift_preserves_argmax(space_2x2):
     spec = ObjectiveSpec(lambda_risk=1.0)
     t1, t2 = (estimate_effects_cm(l, shrinkage=TINY_TAU) for l in (log, shifted))
     s1, s2 = support_counts(log), support_counts(shifted)
-    J1, _ = objective_grid(t1, s1, spec)
-    J2, _ = objective_grid(t2, s2, spec)
+    J1, _ = objective_grid(PairwiseObjective.build(t1, s1, spec))
+    J2, _ = objective_grid(PairwiseObjective.build(t2, s2, spec))
     assert np.max(np.abs((J2 - J1) - 5.0)) < 1e-9
     assert np.unravel_index(np.argmax(J1), J1.shape) == np.unravel_index(np.argmax(J2), J2.shape)
 
@@ -157,8 +160,9 @@ def test_objective_decomposes_into_terms(xor_setup):
     table, sc = xor_setup
     cost = CostModel(table.space, (np.array([0.0, 0.5]), np.array([0.1, 0.0])), offset=1.0)
     spec = ObjectiveSpec(lambda_risk=0.7, lambda_cost=0.3)
+    model = PairwiseObjective.build(table, sc, spec, cost)
     for x in enumerate_grid(table.space):
-        direct = objective(table, x, sc, spec, cost)
+        direct = objective(model, x)
         term_sum = table.mu
         term_sum += sum(table.mains[j][x[j]] for j in range(2))
         term_sum += table.pairs[(0, 1)][x[0], x[1]]
@@ -289,18 +293,36 @@ def test_objective_document_accepts_every_known_key(space_2x2):
 def test_bans_outside_the_space_are_rejected(spec, entry):
     # A ban that names no cell of the 3x2 space used to be read modulo the
     # level count by the grid and ignored by the search, so the two
-    # disagreed on the optimum.
-    from effectlab import multistart
-
+    # disagreed on the optimum. The grid, the objective and the search all
+    # read the built model, so building it is where the ban is rejected.
     space = build_space([("a", ["a0", "a1", "a2"]), ("b", ["b0", "b1"])])
     grid = enumerate_grid(space)
     log = log_from_arrays(space, grid, [0.0, 1.0, 0.5, 0.2, 2.0, 0.0])
     table = estimate_effects_cm(log, shrinkage=TINY_TAU)
-    for call in (lambda: objective_grid(table, table.support, spec),
-                 lambda: objective(table, (0, 0), table.support, spec),
-                 lambda: multistart(table, table.support, spec, None)):
-        with pytest.raises(ValueError, match=re.escape(entry)):
-            call()
+    with pytest.raises(ValueError, match=re.escape(entry)):
+        PairwiseObjective.build(table, table.support, spec)
+
+
+@pytest.mark.parametrize("where, entry", [
+    ("mu", "finite; mu is not"),
+    ("main", "finite; main effect of factor 'b' is not"),
+    ("pair", "finite; interaction of pair 'a'|'b' is not"),
+])
+@pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan])
+def test_build_rejects_non_finite_effects(xor_setup, where, entry, bad):
+    # table_from_dict reads -Infinity from JSON; the model marks a banned
+    # level with -inf, so a non-finite main would act as a silent ban.
+    table, sc = xor_setup
+    data = table.to_dict()
+    if where == "mu":
+        data["mu"] = bad
+    elif where == "main":
+        data["mains"]["b"]["b1"] = bad
+    else:
+        data["pairs"]["a|b"]["a1|b0"] = bad
+    broken = table_from_dict(data, table.space)
+    with pytest.raises(ValueError, match=re.escape(entry)):
+        PairwiseObjective.build(broken, sc, ObjectiveSpec())
 
 
 def test_model_evaluators_reject_levels_outside_the_space(xor_setup):

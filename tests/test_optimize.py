@@ -93,12 +93,13 @@ def dominant_instance(rng, d=3):
 
 
 def exhaustive_argmax(table, sc, spec, cost=None):
+    model = PairwiseObjective.build(table, sc, spec, cost)
     grid = enumerate_grid(table.space)
     best = None
     for x in grid:
         if not spec.feasible(x):
             continue
-        val = objective(table, x, sc, spec, cost)
+        val = objective(model, x)
         if best is None or val > best[0] + 1e-15:
             best = (val, x)
     return best
@@ -117,14 +118,15 @@ def test_local_gain_matches_objective_difference(seed):
         table.space,
         tuple(rng.uniform(0, 1, size=L) for L in table.space.level_counts),
     )
+    model = PairwiseObjective.build(table, sc, spec, cost)
     grid = enumerate_grid(table.space)
     x = grid[int(rng.integers(0, len(grid)))]
     for j in range(table.space.num_factors):
-        base = local_gain(table, sc, spec, cost, j, x[j], x)
+        base = local_gain(model, j, x[j], x)
         for lvl in range(table.space.level_counts[j]):
             swapped = x[:j] + (lvl,) + x[j + 1:]
-            direct = objective(table, swapped, sc, spec, cost) - objective(table, x, sc, spec, cost)
-            via_gain = local_gain(table, sc, spec, cost, j, lvl, x) - base
+            direct = objective(model, swapped) - objective(model, x)
+            via_gain = local_gain(model, j, lvl, x) - base
             assert direct == pytest.approx(via_gain, abs=1e-10)
 
 
@@ -138,10 +140,11 @@ def test_local_gain_additive_depends_on_mains_and_cost_only():
     sc = support_counts(log)
     spec = ObjectiveSpec(lambda_risk=0.0, lambda_cost=1.0)
     cost = CostModel(space, tuple(np.arange(L) * 0.1 for L in space.level_counts))
+    model = PairwiseObjective.build(table, sc, spec, cost)
     grid = enumerate_grid(space)
     for lvl in range(space.level_counts[0]):
         gains = {
-            x: local_gain(table, sc, spec, cost, 0, lvl, x) for x in grid[:4]
+            x: local_gain(model, 0, lvl, x) for x in grid[:4]
         }
         values = list(gains.values())
         assert max(values) - min(values) < 1e-9  # context-free for additive tables
@@ -150,12 +153,12 @@ def test_local_gain_additive_depends_on_mains_and_cost_only():
 def test_local_gain_same_level_is_reference(space_2x2, xor_log):
     table = estimate_effects_cm(xor_log, shrinkage=TINY_TAU)
     sc = support_counts(xor_log)
-    spec = ObjectiveSpec(lambda_risk=0.0)
+    model = PairwiseObjective.build(table, sc, ObjectiveSpec(lambda_risk=0.0))
     x = (0, 1)
-    g = local_gain(table, sc, spec, None, 0, x[0], x)
-    assert g == pytest.approx(local_gain(table, sc, spec, None, 0, x[0], x))
+    g = local_gain(model, 0, x[0], x)
+    assert g == pytest.approx(local_gain(model, 0, x[0], x))
     # replacing a level by itself never changes the objective
-    assert objective(table, x, sc, spec) - objective(table, x, sc, spec) == 0.0
+    assert objective(model, x) - objective(model, x) == 0.0
 
 
 @pytest.mark.parametrize("j, level, entry", [
@@ -167,8 +170,9 @@ def test_local_gain_same_level_is_reference(space_2x2, xor_log):
 ])
 def test_local_gain_rejects_indices_outside_the_space(space_2x2, xor_log, j, level, entry):
     table = estimate_effects_cm(xor_log, shrinkage=TINY_TAU)
+    model = PairwiseObjective.build(table, table.support, ObjectiveSpec())
     with pytest.raises(ValueError, match=re.escape(entry)):
-        local_gain(table, table.support, ObjectiveSpec(), None, j, level, (0, 1))
+        local_gain(model, j, level, (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +189,7 @@ def test_ascent_additive_one_sweep():
     sc = support_counts(log)
     spec = ObjectiveSpec(lambda_risk=0.0)
     start = tuple(0 for _ in range(space.num_factors))
-    x, trace = coordinate_ascent(table, sc, spec, None, start)
+    x, trace = coordinate_ascent(PairwiseObjective.build(table, sc, spec), start)
     expected = tuple(int(np.argmax(g)) for g in table.mains)
     assert x == expected
     assert trace.steps[1][1] == expected  # reached after the first sweep
@@ -198,10 +202,11 @@ def test_ascent_reaches_1swap_optimum(seed):
     spec = ObjectiveSpec(lambda_risk=float(rng.uniform(0, 1)))
     grid = enumerate_grid(table.space)
     start = grid[int(rng.integers(0, len(grid)))]
-    x, trace = coordinate_ascent(table, sc, spec, None, start)
+    model = PairwiseObjective.build(table, sc, spec)
+    x, trace = coordinate_ascent(model, start)
     assert trace.termination == "converged"
     assert trace.verified_1swap is True
-    ok, violation = verify_1swap(table, sc, spec, None, x)
+    ok, violation = verify_1swap(model, x)
     assert ok, violation
     values = trace.values
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
@@ -212,7 +217,7 @@ def test_ascent_trace_strictly_increases_between_updates():
     table, sc = make_instance(rng, d=3)
     spec = ObjectiveSpec(lambda_risk=0.3)
     start = tuple(0 for _ in table.space.level_counts)
-    _, trace = coordinate_ascent(table, sc, spec, None, start)
+    _, trace = coordinate_ascent(PairwiseObjective.build(table, sc, spec), start)
     vals = trace.values
     for a, b in zip(vals, vals[1:-1]):
         assert b > a - 1e-12
@@ -222,9 +227,9 @@ def test_ascent_trace_strictly_increases_between_updates():
 def test_ascent_infeasible_start(space_2x2, xor_log):
     table = estimate_effects_cm(xor_log, shrinkage=TINY_TAU)
     sc = support_counts(xor_log)
-    spec = ObjectiveSpec(banned_levels={0: frozenset({0})})
+    model = PairwiseObjective.build(table, sc, ObjectiveSpec(banned_levels={0: frozenset({0})}))
     with pytest.raises(InfeasibleConfigError):
-        coordinate_ascent(table, sc, spec, None, (0, 0))
+        coordinate_ascent(model, (0, 0))
 
 
 def test_two_basin_instance_and_multistart(space_2x2):
@@ -238,18 +243,18 @@ def test_two_basin_instance_and_multistart(space_2x2):
     pair = np.array([[0.5, -0.5], [-0.5, 0.5]])
     table = dataclasses.replace(base, mains=mains, pairs={(0, 1): pair})
     sc = support_counts(log)
-    spec = ObjectiveSpec(lambda_risk=0.0)
+    model = PairwiseObjective.build(table, sc, ObjectiveSpec(lambda_risk=0.0))
 
-    values = {x: objective(table, x, sc, spec) for x in enumerate_grid(space_2x2)}
-    optima = [x for x in values if verify_1swap(table, sc, spec, None, x)[0]]
+    values = {x: objective(model, x) for x in enumerate_grid(space_2x2)}
+    optima = [x for x in values if verify_1swap(model, x)[0]]
     assert sorted(optima) == [(0, 0), (1, 1)]
     assert values[(0, 0)] > values[(1, 1)]
 
-    x_a, _ = coordinate_ascent(table, sc, spec, None, (0, 0))
-    x_b, _ = coordinate_ascent(table, sc, spec, None, (1, 1))
+    x_a, _ = coordinate_ascent(model, (0, 0))
+    x_b, _ = coordinate_ascent(model, (1, 1))
     assert {x_a, x_b} == {(0, 0), (1, 1)}
 
-    best, traces = multistart(table, sc, spec, None, SearchSpec(restarts=8, beam=2, seed=0))
+    best, traces = multistart(model, table.mains, SearchSpec(restarts=8, beam=2, seed=0))
     assert best == (0, 0)
     assert len(traces) >= 1
 
@@ -267,9 +272,10 @@ def test_multistart_single_restart_equals_greedy():
     table = estimate_effects_cm(log, shrinkage=TINY_TAU)
     sc = support_counts(log)
     spec = ObjectiveSpec(lambda_risk=0.0)
+    model = PairwiseObjective.build(table, sc, spec)
     greedy_start = tuple(int(np.argmax(g)) for g in table.mains)
-    x_greedy, _ = coordinate_ascent(table, sc, spec, None, greedy_start)
-    x_multi, traces = multistart(table, sc, spec, None, SearchSpec(restarts=1))
+    x_greedy, _ = coordinate_ascent(model, greedy_start)
+    x_multi, traces = multistart(model, table.mains, SearchSpec(restarts=1))
     assert x_multi == x_greedy
     assert len(traces) == 1
 
@@ -278,7 +284,8 @@ def test_multistart_beam_one_repeats_greedy_start():
     rng = np.random.default_rng(52)
     table, sc = make_instance(rng, d=3)
     spec = ObjectiveSpec(lambda_risk=0.0)
-    _, traces = multistart(table, sc, spec, None, SearchSpec(restarts=5, beam=1, seed=1))
+    _, traces = multistart(PairwiseObjective.build(table, sc, spec), table.mains,
+                           SearchSpec(restarts=5, beam=1, seed=1))
     starts = {t.steps[0][1] for t in traces}
     assert len(starts) == 1
 
@@ -287,8 +294,9 @@ def test_multistart_deterministic():
     rng = np.random.default_rng(53)
     table, sc = make_instance(rng)
     spec = ObjectiveSpec(lambda_risk=0.5)
-    r1 = multistart(table, sc, spec, None, SearchSpec(restarts=6, beam=3, seed=11))
-    r2 = multistart(table, sc, spec, None, SearchSpec(restarts=6, beam=3, seed=11))
+    model = PairwiseObjective.build(table, sc, spec)
+    r1 = multistart(model, table.mains, SearchSpec(restarts=6, beam=3, seed=11))
+    r2 = multistart(model, table.mains, SearchSpec(restarts=6, beam=3, seed=11))
     assert r1[0] == r2[0]
     assert [t.final for t in r1[1]] == [t.final for t in r2[1]]
 
@@ -296,10 +304,10 @@ def test_multistart_deterministic():
 def test_multistart_dominant_converges_everywhere():
     rng = np.random.default_rng(54)
     table, sc = dominant_instance(rng, d=3)
-    spec = ObjectiveSpec(lambda_risk=0.0)
-    report = diag_dominance_check(table, sc, spec)
+    model = PairwiseObjective.build(table, sc, ObjectiveSpec(lambda_risk=0.0))
+    report = diag_dominance_check(model)
     assert report.holds
-    _, traces = multistart(table, sc, spec, None, SearchSpec(restarts=6, beam=3, seed=2))
+    _, traces = multistart(model, table.mains, SearchSpec(restarts=6, beam=3, seed=2))
     endpoints = {t.final for t in traces}
     assert len(endpoints) == 1
 
@@ -340,30 +348,29 @@ def test_lockstep_restarts_match_single_ascents(problem):
                          banned_levels=banned, banned_configs=banned_configs)
     cost = CostModel(space, tuple(rng.uniform(0, 1, size=L) for L in levels))
     search = SearchSpec(restarts=restarts, beam=3, max_sweeps=max_sweeps, seed=seed % 1000)
+    model = PairwiseObjective.build(table, support, spec, cost)
     try:
-        best, traces = multistart(table, support, spec, cost, search)
+        best, traces = multistart(model, table.mains, search)
     except InfeasibleConfigError:
         return  # no restart found a feasible start
     for trace in traces:
         start = trace.steps[0][1]
         replay = ascent_loop(table, support, spec, cost, start, max_sweeps)
         assert (trace.steps, trace.final, trace.termination) == replay
-        _, alone = coordinate_ascent(table, support, spec, cost, start, search)
+        _, alone = coordinate_ascent(model, start, search)
         assert (alone.steps, alone.final, alone.termination, alone.verified_1swap) == (
             trace.steps, trace.final, trace.termination, trace.verified_1swap)
         if trace.termination == "converged":
-            assert trace.verified_1swap is verify_1swap(table, support, spec, cost,
-                                                        trace.final)[0]
+            assert trace.verified_1swap is verify_1swap(model, trace.final)[0]
         else:
             assert trace.verified_1swap is None
     assert best == max((t.final for t in traces),
-                       key=lambda x: (objective(table, x, support, spec, cost),
-                                      tuple(-c for c in x)))
+                       key=lambda x: (objective(model, x), tuple(-c for c in x)))
 
 
 def test_multistart_builds_pair_risk_a_fixed_number_of_times(monkeypatch):
-    """One objective model, and so one pair-risk table, per call, not one
-    per restart."""
+    """The caller builds one objective model, and so one pair-risk table;
+    multistart builds neither, whatever the restart count."""
     import importlib
 
     # The package attribute ``effectlab.objective`` is the function, not the module.
@@ -384,14 +391,15 @@ def test_multistart_builds_pair_risk_a_fixed_number_of_times(monkeypatch):
     monkeypatch.setattr(PairwiseObjective, "build", classmethod(counting_build))
     rng = np.random.default_rng(55)
     table, sc = make_instance(rng, d=4)
-    spec = ObjectiveSpec(lambda_risk=0.5)
+    model = PairwiseObjective.build(table, sc, ObjectiveSpec(lambda_risk=0.5))
+    assert sorted(calls) == ["build", "pair_risk"]
     counts = {}
     for restarts in (1, 4, 20):
         calls.clear()
-        _, traces = multistart(table, sc, spec, None, SearchSpec(restarts=restarts, seed=5))
+        _, traces = multistart(model, table.mains, SearchSpec(restarts=restarts, seed=5))
         assert len(traces) == restarts
         counts[restarts] = sorted(calls)
-    assert counts == {r: ["build", "pair_risk"] for r in (1, 4, 20)}
+    assert counts == {r: [] for r in (1, 4, 20)}
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +411,7 @@ def test_verify_global_optimum_is_1swap():
     table, sc = make_instance(rng, d=3)
     spec = ObjectiveSpec(lambda_risk=0.4)
     _, x_star = exhaustive_argmax(table, sc, spec)
-    ok, _ = verify_1swap(table, sc, spec, None, x_star)
+    ok, _ = verify_1swap(PairwiseObjective.build(table, sc, spec), x_star)
     assert ok
 
 
@@ -420,7 +428,7 @@ def test_verify_detects_repairing_swap():
     # push one coordinate off the additive optimum
     wrong_level = (optimum[0] + 1) % space.level_counts[0]
     perturbed = (wrong_level,) + optimum[1:]
-    ok, violation = verify_1swap(table, sc, spec, None, perturbed)
+    ok, violation = verify_1swap(PairwiseObjective.build(table, sc, spec), perturbed)
     assert not ok
     j, lvl, gain = violation
     assert (j, lvl) == (0, optimum[0])
@@ -440,7 +448,7 @@ def test_dominance_zero_interactions():
     table = estimate_effects_cm(log, shrinkage=TINY_TAU)
     sc = support_counts(log)
     spec = ObjectiveSpec(lambda_risk=0.0)
-    report = diag_dominance_check(table, sc, spec)
+    report = diag_dominance_check(PairwiseObjective.build(table, sc, spec))
     assert np.max(report.influence) < 1e-9
     assert report.holds
 
@@ -449,7 +457,7 @@ def test_dominance_fails_for_pure_interaction(xor_log):
     table = estimate_effects_cm(xor_log, shrinkage=TINY_TAU)
     sc = support_counts(xor_log)
     spec = ObjectiveSpec(lambda_risk=0.0)
-    report = diag_dominance_check(table, sc, spec)
+    report = diag_dominance_check(PairwiseObjective.build(table, sc, spec))
     assert not report.holds
 
 
@@ -458,9 +466,10 @@ def test_dominance_implies_global_optimum(seed):
     rng = np.random.default_rng(800 + seed)
     table, sc = dominant_instance(rng, d=int(rng.integers(2, 4)))
     spec = ObjectiveSpec(lambda_risk=0.0)
-    report = diag_dominance_check(table, sc, spec)
+    model = PairwiseObjective.build(table, sc, spec)
+    report = diag_dominance_check(model)
     assert report.holds
-    best, _ = multistart(table, sc, spec, None, SearchSpec(restarts=4, beam=3, seed=seed))
+    best, _ = multistart(model, table.mains, SearchSpec(restarts=4, beam=3, seed=seed))
     _, x_star = exhaustive_argmax(table, sc, spec)
     assert best == x_star
 
@@ -496,8 +505,9 @@ def test_dominance_matches_context_loop(problem):
                          gamma=float(rng.uniform(0.5, 2)), banned_levels=banned,
                          banned_configs=banned_configs)
     cost = CostModel(space, tuple(np.round(rng.uniform(0, 1, size=L), 2) for L in levels))
-    report = diag_dominance_check(table, table.support, spec, cost, context_cap=context_cap,
-                                  sample_contexts=sample_contexts, seed=cert_seed)
+    report = diag_dominance_check(PairwiseObjective.build(table, table.support, spec, cost),
+                                  context_cap=context_cap, sample_contexts=sample_contexts,
+                                  seed=cert_seed)
     margins, influence, holds, exact, checked = dominance_loop(
         table, table.support, spec, cost, context_cap, sample_contexts, cert_seed)
     assert np.array_equal(report.margins, margins)
@@ -534,25 +544,24 @@ def test_shared_tables_match_pair_loops(problem):
                      offset=float(rng.uniform(-1, 1)))
 
     assert np.array_equal(predict_grid(table), predict_grid_loop(table))
-    J, feasible = objective_grid(table, support, spec, cost)
+    model = PairwiseObjective.build(table, support, spec, cost)
+    J, feasible = objective_grid(model)
     assert np.array_equal(J, objective_grid_loop(table, support, spec, cost))
     assert all(feasible[x] == spec.feasible(x) for x in np.ndindex(*levels))
-    model = PairwiseObjective.build(table, support, spec, cost)
     for x in map(tuple, configs.tolist()):
         assert risk_penalty(support, x, spec) == risk_penalty_loop(support, x, spec)
         if spec.feasible(x):
-            assert objective(table, x, support, spec, cost) == objective_loop(
-                table, support, spec, cost, x)
+            assert objective(model, x) == objective_loop(table, support, spec, cost, x)
         for j in range(space.num_factors):
             scores = model.level_scores(j, [x])[0]
             assert np.array_equal(scores, local_scores_loop(table, support, spec, cost, j, x))
             for lvl in np.flatnonzero(scores > -np.inf).tolist():
-                assert (local_gain(table, support, spec, cost, j, lvl, x)
+                assert (local_gain(model, j, lvl, x)
                         == local_gain_loop(table, support, spec, cost, j, lvl, x))
 
     search = SearchSpec(restarts=restarts % 6 + 1, beam=2, seed=search_seed)
     try:
-        best, traces = multistart(table, support, spec, cost, search)
+        best, traces = multistart(model, table.mains, search)
     except InfeasibleConfigError:
         return  # every start hit the banned config
     for trace in traces:
@@ -561,11 +570,10 @@ def test_shared_tables_match_pair_loops(problem):
         assert (trace.steps, trace.final, trace.termination) == (steps, final, termination)
         if termination == "converged":
             assert trace.verified_1swap
-            assert (two_swap_bound(table, support, spec, cost, final)
+            assert (two_swap_bound(model, final)
                     == two_swap_bound_loop(table, support, spec, cost, final))
     assert best == max((t.final for t in traces),
-                       key=lambda x: (objective(table, x, support, spec, cost),
-                                      tuple(-c for c in x)))
+                       key=lambda x: (objective(model, x), tuple(-c for c in x)))
 
 
 folded_problems = st.tuples(
@@ -607,7 +615,8 @@ def test_folded_objective_equals_three_term_objective(problem):
     configuration, to rounding."""
     table, spec, cost = folded_instance(problem)
     support = table.support
-    J, feasible = objective_grid(table, support, spec, cost)
+    model = PairwiseObjective.build(table, support, spec, cost)
+    J, feasible = objective_grid(model)
     for x in map(tuple, np.argwhere(feasible).tolist()):
         terms = [table.mu, *(table.mains[j][x[j]] for j in range(len(x))),
                  *(table.pairs[(j, k)][x[j], x[k]] for j, k in table.space.pairs()),
@@ -616,7 +625,7 @@ def test_folded_objective_equals_three_term_objective(problem):
                  *(spec.lambda_cost * cost.level_costs[j][x[j]] for j in range(len(x)))]
         three_term = (two_factor_predict(table, x) - spec.lambda_risk * risk_penalty(support, x, spec)
                       - spec.lambda_cost * cost.total(x))
-        folded = objective(table, x, support, spec, cost)
+        folded = objective(model, x)
         assert folded == J[x]
         assert abs(folded - three_term) <= 1e-12 * (1 + sum(abs(t) for t in terms))
 
@@ -630,16 +639,17 @@ def test_two_swap_bound_between_true_gap_and_split_bound(problem):
     hold exactly in real arithmetic; the slack is rounding."""
     table, spec, cost = folded_instance(problem)
     support = table.support
+    model = PairwiseObjective.build(table, support, spec, cost)
     try:
-        _, traces = multistart(table, support, spec, cost, SearchSpec(restarts=4, seed=1))
+        _, traces = multistart(model, table.mains, SearchSpec(restarts=4, seed=1))
     except InfeasibleConfigError:
         return  # no restart found a feasible start
-    J, _ = objective_grid(table, support, spec, cost)
+    J, _ = objective_grid(model)
     scale = 1 + abs(table.mu) + sum(np.abs(g).max() for g in table.mains)
     scale += sum(np.abs(m).max() for m in table.pairs.values()) + spec.lambda_risk * len(table.pairs)
     scale += spec.lambda_cost * (abs(cost.offset) + sum(np.abs(c).max() for c in cost.level_costs))
     for x in {t.final for t in traces if t.termination == "converged"}:
-        bound = two_swap_bound(table, support, spec, cost, x)
+        bound = two_swap_bound(model, x)
         assert J.max() - J[x] <= bound + 1e-12 * scale
         assert bound <= split_two_swap_bound_loop(table, support, spec, cost, x) + 1e-12 * scale
 
@@ -667,8 +677,8 @@ def test_near_opt_bound_empirical(seed):
         mains=tuple(g + rng.normal(0, 0.05, g.shape) for g in table.mains),
         pairs={jk: m + rng.normal(0, 0.05, m.shape) for jk, m in table.pairs.items()},
     )
-    J_true, _ = objective_grid(table, sc, spec)
-    J_hat, _ = objective_grid(noisy, sc, spec)
+    J_true, _ = objective_grid(PairwiseObjective.build(table, sc, spec))
+    J_hat, _ = objective_grid(PairwiseObjective.build(noisy, sc, spec))
     eps = float(np.max(np.abs(J_hat - J_true)))
     x_hat = np.unravel_index(int(np.argmax(J_hat)), J_hat.shape)
     x_star = np.unravel_index(int(np.argmax(J_true)), J_true.shape)
@@ -685,7 +695,7 @@ def test_two_swap_bound_additive_zero_gap():
     sc = support_counts(log)
     spec = ObjectiveSpec(lambda_risk=0.0)
     _, x_star = exhaustive_argmax(table, sc, spec)
-    bound = two_swap_bound(table, sc, spec, None, x_star)
+    bound = two_swap_bound(PairwiseObjective.build(table, sc, spec), x_star)
     assert bound >= -1e-12
     # actual gap is zero at a global optimum
     assert 0.0 <= bound + 1e-12
@@ -700,13 +710,13 @@ def test_two_swap_bound_covers_actual_gap(space_2x2):
     pair = np.array([[0.5, -0.5], [-0.5, 0.5]])
     table = dataclasses.replace(base, mains=mains, pairs={(0, 1): pair})
     sc = support_counts(log)
-    spec = ObjectiveSpec(lambda_risk=0.0)
+    model = PairwiseObjective.build(table, sc, ObjectiveSpec(lambda_risk=0.0))
     # (1, 1) is the worse 1-swap optimum; the bound covers its gap
     x_local = (1, 1)
-    ok, _ = verify_1swap(table, sc, spec, None, x_local)
+    ok, _ = verify_1swap(model, x_local)
     assert ok
-    gap = objective(table, (0, 0), sc, spec) - objective(table, x_local, sc, spec)
-    bound = two_swap_bound(table, sc, spec, None, x_local)
+    gap = objective(model, (0, 0)) - objective(model, x_local)
+    bound = two_swap_bound(model, x_local)
     assert gap <= bound + 1e-12
 
 
@@ -714,8 +724,8 @@ def test_two_swap_bound_zero_table(space_2x2):
     log = full_grid_log(space_2x2, np.zeros((2, 2)))
     table = estimate_effects_cm(log, shrinkage=TINY_TAU)
     sc = support_counts(log)
-    spec = ObjectiveSpec(lambda_risk=0.0)
-    assert two_swap_bound(table, sc, spec, None, (0, 0)) == pytest.approx(0.0, abs=1e-12)
+    model = PairwiseObjective.build(table, sc, ObjectiveSpec(lambda_risk=0.0))
+    assert two_swap_bound(model, (0, 0)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_two_swap_bound_requires_local_optimum(space_2x2):
@@ -725,6 +735,6 @@ def test_two_swap_bound_requires_local_optimum(space_2x2):
     base = estimate_effects_cm(log, shrinkage=TINY_TAU)
     table = dataclasses.replace(base, mains=(np.array([-1.0, 1.0]), np.array([0.0, 0.0])))
     sc = support_counts(log)
-    spec = ObjectiveSpec(lambda_risk=0.0)
+    model = PairwiseObjective.build(table, sc, ObjectiveSpec(lambda_risk=0.0))
     with pytest.raises(ValueError, match="1-swap"):
-        two_swap_bound(table, sc, spec, None, (0, 0))
+        two_swap_bound(model, (0, 0))
