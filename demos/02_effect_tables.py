@@ -55,10 +55,11 @@ print(np.array_str(table.pairs[jk], precision=4, suppress_small=True))
 for j in range(space.num_factors):
     assert abs(float(table.mains[j].mean())) < 1e-9
 
-# Bootstrap resamples whole records; intervals are percentile-based.
+# Bootstrap resamples whole records. The table keeps the replicates and
+# reads percentile intervals at its ci_level from them when asked.
 with_ci = bootstrap_cis(log, B=200, level=0.95, seed=2)
 j = space.index_of("learning_rate")
 print("learning-rate effects with 95% intervals:")
-for l, lbl in enumerate(space.factors[j].levels):
-    lo, hi = with_ci.mains_ci[j][l]
+for l, (lo, hi) in enumerate(with_ci.interval(with_ci.replicates.mains[j])):
+    lbl = space.factors[j].levels[l]
     print(f"  {lbl:5s} {with_ci.mains[j][l]:+.4f}  [{lo:+.4f}, {hi:+.4f}]")

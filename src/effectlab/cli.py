@@ -157,9 +157,11 @@ def cmd_estimate(args) -> tuple[list[str], dict]:
     _write_json(out / "effects.json", table.to_dict())
 
     note = f"units: response; estimator: {args.path}"
+    reps = table.replicates
     rows = []
     for j, f in enumerate(space.factors):
         means = table.level_means[j] if table.level_means is not None else None
+        ci = table.interval(reps.level_means[j]) if reps is not None else None
         for l, label in enumerate(f.levels):
             if means is not None and not math.isnan(means[l]):
                 mean = float(means[l])
@@ -167,17 +169,14 @@ def cmd_estimate(args) -> tuple[list[str], dict]:
                 # attribution path has no raw cell means; report the aligned
                 # per-level score instead
                 mean = float(table.mu + table.mains[j][l])
-            if table.level_means_ci is not None:
-                lo, hi = (float(v) for v in table.level_means_ci[j][l])
-            else:
-                lo = hi = mean
+            lo, hi = (float(v) for v in ci[l]) if ci is not None else (mean, mean)
             rows.append([f.name, label, _fmt(mean), _fmt(lo), _fmt(hi)])
     write_csv(out / "main_effects.csv", note, ["factor", "level", "mean", "ci_lo", "ci_hi"], rows)
 
     rows = []
     for (j, k), mat in sorted(table.pairs.items()):
         fj, fk = space.factors[j], space.factors[k]
-        ci = table.pairs_ci.get((j, k)) if table.pairs_ci else None
+        ci = table.interval(reps.pairs[(j, k)]) if reps is not None else None
         for a, la in enumerate(fj.levels):
             for b, lb in enumerate(fk.levels):
                 lo, hi = (ci[a, b] if ci is not None else (mat[a, b], mat[a, b]))
@@ -202,6 +201,8 @@ def cmd_estimate(args) -> tuple[list[str], dict]:
 def cmd_optimize(args) -> tuple[list[str], dict]:
     from .optimize import SearchSpec, diag_dominance_check, multistart, verify_1swap
 
+    if args.topk < 1:
+        raise CommandError(f"--topk must be at least 1, got {args.topk}")
     out = _prepare_out(args)
     space, table = _estimate_table(args)
     spec, cost = _objective_for(args, space)
@@ -247,14 +248,14 @@ def cmd_optimize(args) -> tuple[list[str], dict]:
         J, feasible = objective_grid(model)
         diagnostics["objective_grid_cells"] = int(J.size)
         top = _top_configs(J, feasible, args.topk)
-        ci_by_config = {}
+        bounds = [(value, value) for value, _ in top]
         if table.replicates is not None:
-            ci_by_config = _topk_bootstrap_cis(
-                table.replicates, table.support, spec, cost, [x for _, x in top], args.ci_level
-            )
+            # J of each top configuration on every replicate of the table.
+            X = np.array([x for _, x in top], dtype=np.intp).reshape(-1, space.num_factors)
+            reps_model = PairwiseObjective.build(table.replicates, table.support, spec, cost)
+            bounds = table.interval(reps_model.at(X)).tolist()
         rows = []
-        for rank, (value, x) in enumerate(top, start=1):
-            lo, hi = ci_by_config.get(x, (value, value))
+        for rank, ((value, x), (lo, hi)) in enumerate(zip(top, bounds), start=1):
             rows.append([rank, *space.labels_for(x), _fmt(value), _fmt(lo), _fmt(hi)])
         write_csv(out / "topk.csv", note,
                    ["rank", *space.names, "objective", "ci_lo", "ci_hi"], rows)
@@ -271,16 +272,6 @@ def _top_configs(J, feasible, k):
     top = idx[np.argsort(-values, kind="stable")[:k]]
     configs = np.stack(np.unravel_index(top, J.shape), axis=1)
     return [(float(J.flat[i]), tuple(int(c) for c in x)) for i, x in zip(top, configs)]
-
-
-def _topk_bootstrap_cis(reps, support, spec, cost, configs, level):
-    """Percentile interval of the objective at each configuration, evaluated
-    on the bootstrap replicates of the effect table."""
-    X = np.array(configs, dtype=np.intp).reshape(-1, support.space.num_factors)
-    values = PairwiseObjective.build(reps, support, spec, cost).at(X)
-    lo_q = 100.0 * (1.0 - level) / 2.0
-    lo, hi = np.percentile(values, [lo_q, 100.0 - lo_q], axis=0)
-    return {x: (float(a), float(b)) for x, a, b in zip(configs, lo, hi)}
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,15 @@ conditional means per level and per level pair, differencing to raw effects,
 exact re-centering under the reference distribution, multiplicative
 shrinkage of weakly supported entries, and a final re-centering so the
 table invariants hold exactly. Uncertainty comes from resampling whole
-records with replacement.
+records with replacement; a table keeps the replicates and reads
+percentile intervals from them when asked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Real
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -37,32 +39,18 @@ class EmptyCellError(LookupError):
 
 @dataclass(frozen=True)
 class ShrinkageSpec:
-    """Pseudo-count shrinkage strengths: eta = n / (n + tau).
+    """Pseudo-count shrinkage strengths: eta = n / (n + tau), one tau for
+    every main-effect entry and one for every pair entry."""
 
-    Scalars apply to every factor / pair; mappings override per factor name
-    or per ``"name_j|name_k"`` pair key.
-    """
-
-    tau_main: float | Mapping[str, float] = 1.0
-    tau_pair: float | Mapping[str, float] = 1.0
+    tau_main: float = 1.0
+    tau_pair: float = 1.0
 
     def __post_init__(self):
         for name in ("tau_main", "tau_pair"):
             tau = getattr(self, name)
-            values = tau.values() if isinstance(tau, Mapping) else [tau]
-            for v in values:
-                if not (math.isfinite(v) and v > 0):
-                    raise ValueError(f"{name} must be finite and strictly positive, got {v!r}")
-
-    def main(self, space: FactorSpace, j: int) -> float:
-        if isinstance(self.tau_main, Mapping):
-            return float(self.tau_main[space.names[j]])
-        return float(self.tau_main)
-
-    def pair(self, space: FactorSpace, j: int, k: int) -> float:
-        if isinstance(self.tau_pair, Mapping):
-            return float(self.tau_pair[f"{space.names[j]}|{space.names[k]}"])
-        return float(self.tau_pair)
+            if not (isinstance(tau, Real) and math.isfinite(tau) and tau > 0):
+                raise ValueError(f"{name} must be a finite, strictly positive number, got {tau!r}")
+            object.__setattr__(self, name, float(tau))
 
 
 @dataclass(eq=False)
@@ -74,8 +62,9 @@ class EffectTable:
     ``level_means[j]`` keeps the raw weighted conditional means that the
     effects were derived from (NaN where unsupported). A cell is unsupported
     where its summed weight in ``support`` is zero. ``replicates`` holds
-    the bootstrap estimates behind the intervals, when there are any;
-    ``attributions`` holds the ShapleyEstimate batch an SF table was fit to.
+    bootstrap estimates, when there are any; ``interval`` reads percentile
+    intervals at ``ci_level`` from them. ``attributions`` holds the
+    ShapleyEstimate batch an SF table was fit to.
     """
 
     space: FactorSpace
@@ -86,12 +75,9 @@ class EffectTable:
     support: SupportCounts | None = None
     provenance: str = "CM"
     level_means: tuple[np.ndarray, ...] | None = None
-    mu_ci: np.ndarray | None = None
-    mains_ci: tuple[np.ndarray, ...] | None = None
-    pairs_ci: dict[tuple[int, int], np.ndarray] | None = None
-    level_means_ci: tuple[np.ndarray, ...] | None = None
     diagnostics: dict | None = None
     replicates: BootstrapReplicates | None = None
+    ci_level: float = 0.95
     attributions: ShapleyEstimate | None = None
 
     def main(self, j: int) -> np.ndarray:
@@ -101,6 +87,22 @@ class EffectTable:
         if j < k:
             return self.pairs[(j, k)]
         return self.pairs[(k, j)].T
+
+    def interval(self, samples: np.ndarray) -> np.ndarray:
+        """Efron's percentile interval at ``ci_level`` over the leading
+        replicate axis of ``samples``, as a trailing (lo, hi) axis. NaN
+        replicates are skipped; where no replicate has a value the interval
+        is NaN."""
+        lo_q = 100.0 * (1.0 - self.ci_level) / 2.0
+        q = [lo_q, 100.0 - lo_q]
+        if not np.isnan(samples).any():  # same bits as nanpercentile, many times faster
+            return np.moveaxis(np.percentile(samples, q, axis=0), 0, -1)
+        flat = samples.reshape(len(samples), -1)
+        seen = ~np.isnan(flat).all(axis=0)
+        out = np.full((flat.shape[1], 2), np.nan)
+        if seen.any():
+            out[seen] = np.nanpercentile(flat[:, seen], q, axis=0).T
+        return out.reshape(samples.shape[1:] + (2,))
 
     def with_zero_pairs(self) -> "EffectTable":
         zeros = {jk: np.zeros_like(mat) for jk, mat in self.pairs.items()}
@@ -125,21 +127,17 @@ class EffectTable:
             "reference": self.reference.describe(),
             "support": self.support.to_dict() if self.support is not None else None,
         }
-        ci = {}
-        if self.mu_ci is not None:
-            ci["mu"] = [float(self.mu_ci[0]), float(self.mu_ci[1])]
-        if self.mains_ci is not None:
-            ci["mains"] = {
-                f.name: {lbl: [float(lo), float(hi)] for lbl, (lo, hi) in zip(f.levels, arr)}
-                for f, arr in zip(space.factors, self.mains_ci)
-            }
-        if self.pairs_ci is not None:
-            ci["pairs"] = {
-                f"{space.names[j]}|{space.names[k]}":
-                    dict(zip(pair_cell_labels(space, j, k), mat.reshape(-1, 2).tolist()))
-                for (j, k), mat in self.pairs_ci.items()
-            }
-        out["ci"] = ci or None
+        reps = self.replicates
+        out["ci"] = None if reps is None else {
+            "mu": self.interval(reps.mu).tolist(),
+            "mains": {f.name: dict(zip(f.levels, self.interval(g).tolist()))
+                      for f, g in zip(space.factors, reps.mains)},
+            "pairs": {
+                f"{space.names[j]}|{space.names[k]}": dict(zip(
+                    pair_cell_labels(space, j, k), self.interval(g).reshape(-1, 2).tolist()))
+                for (j, k), g in reps.pairs.items()
+            },
+        }
         if self.diagnostics is not None:
             out["diagnostics"] = self.diagnostics
         return out
@@ -269,33 +267,30 @@ def _estimate_batch(level_sums, pair_sums, mu: np.ndarray, space: FactorSpace,
 
     level_means = tuple(means_of(s) for s in level_sums)
     pair_means = {jk: means_of(s) for jk, s in pair_sums.items()}
-    mains_missing = tuple(np.isnan(m) for m in level_means)
-    pairs_missing = {jk: np.isnan(m) for jk, m in pair_means.items()}
 
     # Raw differenced effects; empty cells contribute zero.
-    mains = [np.where(miss, 0.0, m - mu[:, None]) for m, miss in zip(level_means, mains_missing)]
-    filled = [np.where(miss, mu[:, None], m) for m, miss in zip(level_means, mains_missing)]
+    mains = [np.where(np.isnan(m), 0.0, m - mu[:, None]) for m in level_means]
+    filled = [np.where(np.isnan(m), mu[:, None], m) for m in level_means]
     pairs = {}
     for (j, k), means in pair_means.items():
         g = means - filled[j][:, :, None] - filled[k][:, None, :] + mu[:, None, None]
-        pairs[(j, k)] = np.where(pairs_missing[(j, k)], 0.0, g)
+        pairs[(j, k)] = np.where(np.isnan(means), 0.0, g)
 
     mains, pairs = _finalize(
         space, mains, pairs, marginals, centerers, shrinkage,
         [s[2] for s in level_sums], {jk: s[2] for jk, s in pair_sums.items()},
-        mains_missing, pairs_missing,
     )
     return mains, pairs, level_means
 
 
 def _finalize(space: FactorSpace, mains, pairs, marginals, centerers, shrinkage: ShrinkageSpec,
-              main_counts, pair_counts, mains_missing, pairs_missing):
+              main_counts, pair_counts):
     """Re-center, shrink every entry by eta = n / (n + tau), re-center.
 
     ``mains`` and ``pairs`` are raw effect tables with or without a leading
-    batch axis; the counts and the masks broadcast against them. Entries
-    flagged in the missing masks are zeroed after shrinking. Returns the
-    mains as a tuple and the pairs as a new dict.
+    batch axis; the record counts n broadcast against them. Entries with
+    n == 0 are zeroed after shrinking. Returns the mains as a tuple and the
+    pairs as a new dict.
     """
     mains, pairs = list(mains), dict(pairs)
 
@@ -307,11 +302,11 @@ def _finalize(space: FactorSpace, mains, pairs, marginals, centerers, shrinkage:
 
     recenter()
     for j, n in enumerate(main_counts):
-        mains[j] = n / (n + shrinkage.main(space, j)) * mains[j]
-        mains[j][mains_missing[j]] = 0.0
-    for (j, k), n in pair_counts.items():
-        pairs[(j, k)] = n / (n + shrinkage.pair(space, j, k)) * pairs[(j, k)]
-        pairs[(j, k)][pairs_missing[(j, k)]] = 0.0
+        mains[j] = n / (n + shrinkage.tau_main) * mains[j]
+        mains[j][n == 0] = 0.0
+    for jk, n in pair_counts.items():
+        pairs[jk] = n / (n + shrinkage.tau_pair) * pairs[jk]
+        pairs[jk][n == 0] = 0.0
     recenter()
     return tuple(mains), pairs
 
@@ -448,42 +443,17 @@ def bootstrap_replicates(log: RunLog, reference: ReferenceDistribution | None = 
 def bootstrap_cis(log: RunLog, reference: ReferenceDistribution | None = None,
                   shrinkage: ShrinkageSpec | None = None, B: int = 200,
                   level: float = 0.95, seed: int = 0) -> EffectTable:
-    """Percentile intervals from ``bootstrap_replicates``.
-
-    The returned table keeps the replicates, so intervals of other functions
-    of the estimates (the objective at a configuration, say) can reuse them.
-    """
+    """The CM table with B ``bootstrap_replicates`` attached and
+    ``ci_level`` set to ``level``; ``EffectTable.interval`` reads the
+    percentile intervals of the effects, or of any function of them (the
+    objective at a configuration, say), from the replicates."""
     if B < 100:
         raise ValueError("bootstrap needs at least 100 replicates")
     if not 0 < level < 1:
         raise ValueError("coverage level must be in (0, 1)")
-    space = log.space
-    reference = reference or ReferenceDistribution.uniform(space)
-    shrinkage = shrinkage or ShrinkageSpec()
-    base = estimate_effects_cm(log, reference, shrinkage)
-    reps = bootstrap_replicates(log, reference, shrinkage, B, seed)
-
-    lo_q = 100.0 * (1.0 - level) / 2.0
-    q = [lo_q, 100.0 - lo_q]
-
-    def pct(arr):
-        return np.moveaxis(np.percentile(arr, q, axis=0), 0, -1)
-
-    def nan_pct(arr):
-        # A level no replicate observes keeps a NaN interval.
-        out = np.full(arr.shape[1:] + (2,), np.nan)
-        seen = ~np.isnan(arr).all(axis=0)
-        out[seen] = np.moveaxis(np.nanpercentile(arr[:, seen], q, axis=0), 0, -1)
-        return out
-
-    return replace(
-        base,
-        mu_ci=np.percentile(reps.mu, q),
-        mains_ci=tuple(pct(g) for g in reps.mains),
-        pairs_ci={jk: pct(g) for jk, g in reps.pairs.items()},
-        level_means_ci=tuple(nan_pct(m) for m in reps.level_means),
-        replicates=reps,
-    )
+    return replace(estimate_effects_cm(log, reference, shrinkage),
+                   replicates=bootstrap_replicates(log, reference, shrinkage, B, seed),
+                   ci_level=level)
 
 
 def shrinkage_risk(eta: float, variance_estimate: float, effect_value: float) -> float:

@@ -94,15 +94,6 @@ class CostModel:
     def total(self, x: Sequence[int]) -> float:
         return self.offset + sum(float(self.level_costs[j][x[j]]) for j in range(len(x)))
 
-    def to_dict(self) -> dict:
-        return {
-            "costs": {
-                f.name: {lbl: float(c) for lbl, c in zip(f.levels, vec)}
-                for f, vec in zip(self.space.factors, self.level_costs)
-            },
-            "cost_offset": self.offset,
-        }
-
 
 def delta_cost(cost: CostModel, j: int, level: int, x: Sequence[int]) -> float:
     """Cost change from switching factor j to the given level."""
@@ -158,15 +149,6 @@ class ObjectiveSpec:
             a, b = sorted((j, k))
             return float(self.gamma[f"{space.names[a]}|{space.names[b]}"])
         return float(self.gamma)
-
-    def level_allowed(self, j: int, level: int) -> bool:
-        return level not in self.banned_levels.get(j, frozenset())
-
-    def feasible(self, x: Sequence[int]) -> bool:
-        xt = tuple(int(v) for v in x)
-        if xt in self.banned_configs:
-            return False
-        return all(self.level_allowed(j, lvl) for j, lvl in enumerate(xt))
 
 
 def two_factor_predict(table: EffectTable, x: Sequence[int]) -> float:

@@ -465,11 +465,8 @@ def fit_effects_sf(estimates: ShapleyEstimate, space: FactorSpace,
 
     if support is None:
         support = support_counts(log_from_arrays(space, X, np.zeros(len(X))))
-    # An unsupported entry is already shrunk to zero; its mask changes nothing.
-    counts, pair_counts = support.level_counts, support.pair_counts
-    mains, pairs = _finalize(space, mains, pairs, *_centering(space, reference),
-                             shrinkage, counts, pair_counts, [n == 0 for n in counts],
-                             {jk: n == 0 for jk, n in pair_counts.items()})
+    mains, pairs = _finalize(space, mains, pairs, *_centering(space, reference), shrinkage,
+                             support.level_counts, support.pair_counts)
 
     return EffectTable(
         space=space,

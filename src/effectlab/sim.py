@@ -152,18 +152,10 @@ class TrialResult:
 # ---------------------------------------------------------------------------
 
 def _rankdata(values: np.ndarray) -> np.ndarray:
-    """Average ranks; ties share the mean of their positions."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=float)
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """Average ranks; ties share the mean of their positions. A tie group
+    at sorted positions i..j has j + 1 - (j - i) / 2 = (i + j) / 2 + 1."""
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[group]
 
 
 def spearman(scores_a: Sequence[float], scores_b: Sequence[float]) -> float:
@@ -306,6 +298,13 @@ class SuiteConfig:
     # Recorded only: attribution is exact and samples no permutations. The
     # field stays because suite_config.json and config_hash include it.
     mc_permutations: int = 2000
+
+    def __post_init__(self):
+        for name in ("trials", "design_n", "seeds_per_point", "robustness_n", "robustness_seeds"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        if min(self.seed_budgets, default=1) < 1:
+            raise ValueError(f"seed_budgets entries must be at least 1, got {self.seed_budgets!r}")
 
     def describe(self) -> dict:
         out = dict(self.__dict__)

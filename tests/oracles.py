@@ -309,12 +309,12 @@ def estimate_arrays_loop(configs, resp, w, space, reference, shrinkage):
     weighted = configs[w > 0]
     for j, L in enumerate(counts):
         n = np.bincount(weighted[:, j], minlength=L)
-        mains[j] = n / (n + shrinkage.main(space, j)) * mains[j]
+        mains[j] = n / (n + shrinkage.tau_main) * mains[j]
         mains[j][np.isnan(level_means[j])] = 0.0
     for (j, k), cell in pair_cells.items():
         n = np.bincount(cell[w > 0], minlength=counts[j] * counts[k])
         n = n.reshape(counts[j], counts[k])
-        pairs[(j, k)] = n / (n + shrinkage.pair(space, j, k)) * pairs[(j, k)]
+        pairs[(j, k)] = n / (n + shrinkage.tau_pair) * pairs[(j, k)]
         pairs[(j, k)][np.isnan(pair_means[(j, k)])] = 0.0
     recenter()
     return mu, mains, pairs, level_means
@@ -343,6 +343,42 @@ def bootstrap_replicates_loop(configs, resp, w, space, reference, shrinkage, B, 
     return mu, mains, pairs, level_means, fallbacks
 
 
+def percentile_interval_eager(samples, level):
+    """The rule that once filled every stored bootstrap interval: the
+    percentiles at (1 - level) / 2 and its mirror over the leading replicate
+    axis, as a trailing (lo, hi) axis."""
+    lo_q = 100.0 * (1.0 - level) / 2.0
+    return np.moveaxis(np.percentile(samples, [lo_q, 100.0 - lo_q], axis=0), 0, -1)
+
+
+def nan_percentile_interval_eager(samples, level):
+    """The stored level-mean interval rule: ``np.nanpercentile`` on the
+    columns some replicate observes, NaN on the others. Needs at least two
+    axes and one observed column."""
+    lo_q = 100.0 * (1.0 - level) / 2.0
+    out = np.full(samples.shape[1:] + (2,), np.nan)
+    seen = ~np.isnan(samples).all(axis=0)
+    out[seen] = np.moveaxis(np.nanpercentile(samples[:, seen], [lo_q, 100.0 - lo_q], axis=0),
+                            0, -1)
+    return out
+
+
+def rankdata_loop(values):
+    """Average ranks by a walk over the sorted values: a tie group at sorted
+    positions i..j gets (i + j) / 2 + 1."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=float)
+    sorted_vals = values[order]
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 def topk_intervals_loop(mu, mains, pairs, risk, cost, configs, lo_q):
     """Percentile interval of the objective at each configuration, one
     configuration and one replicate at a time. ``risk`` and ``cost`` map a
@@ -364,6 +400,15 @@ def allowed_levels_loop(spec, space, j):
     """Factor j's levels that ``spec`` does not ban, in index order."""
     return [l for l in range(space.level_counts[j])
             if l not in spec.banned_levels.get(j, frozenset())]
+
+
+def feasible_loop(spec, x):
+    """Whether configuration x is outside ``spec``'s banned configurations
+    and uses no banned level."""
+    xt = tuple(int(v) for v in x)
+    if xt in spec.banned_configs:
+        return False
+    return all(lvl not in spec.banned_levels.get(j, frozenset()) for j, lvl in enumerate(xt))
 
 
 def dominance_loop(table, support, spec, cost, context_cap, sample_contexts, seed):

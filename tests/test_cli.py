@@ -11,10 +11,12 @@ import pytest
 from effectlab import cli
 from effectlab.cli import main
 from effectlab.effects import ShrinkageSpec, bootstrap_replicates
-from effectlab.objective import ObjectiveSpec, PairwiseObjective, objective
+from effectlab.objective import CostModel, ObjectiveSpec, PairwiseObjective, objective
 from effectlab.optimize import verify_1swap
 from effectlab.sim import TeacherSpec, default_space, estimate_from_log, gen_teacher, run_trial
-from effectlab.space import DesignPlan, ReferenceDistribution, ingest_log, load_space
+from effectlab.space import (DesignPlan, ReferenceDistribution, ingest_log, load_space,
+                             support_counts)
+from oracles import percentile_interval_eager
 
 
 @pytest.fixture
@@ -319,6 +321,54 @@ def test_optimize_topk_with_bootstrap(workspace):
     for row in top:
         assert float(row["ci_lo"]) <= float(row["objective"]) + 1e-9
         assert float(row["objective"]) <= float(row["ci_hi"]) + 1e-9
+
+
+def test_optimize_bootstrap_topk_intervals_are_the_percentiles_of_replicate_j(tmp_path):
+    """Each top-k row's ci_lo and ci_hi are the percentile interval of J at
+    that configuration over the bootstrap replicates, digit for digit."""
+    rng = np.random.default_rng(6)
+    X = rng.integers(0, 3, size=(150, 3))
+    y = X @ rng.normal(size=3) + (X[:, 0] == X[:, 2]) + rng.normal(size=150)
+    space, log = write_inputs(tmp_path, (3, 3, 3), X.tolist(), y, rng.uniform(0.5, 2, 150))
+    out = tmp_path / "opt"
+    assert main(["optimize", "--space", str(space), "--log", str(log), "--out", str(out),
+                 "--bootstrap", "100", "--ci-level", "0.9", "--seed", "5", "--topk", "7"]) == 0
+    top = read_csv(out / "topk.csv")
+    assert len(top) == 7
+    loaded = ingest_log(log, load_space(space))
+    spec, cost = ObjectiveSpec.from_dict(loaded.space, {}), CostModel.from_dict(loaded.space, {})
+    model = PairwiseObjective.build(bootstrap_replicates(loaded, B=100, seed=5),
+                                   support_counts(loaded), spec, cost)
+    configs = [[loaded.space.level_index(j, row[f"f{j}"]) for j in range(3)] for row in top]
+    want = percentile_interval_eager(model.at(configs), 0.9)
+    assert [[row["ci_lo"], row["ci_hi"]] for row in top] == [[repr(lo), repr(hi)]
+                                                              for lo, hi in want.tolist()]
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_optimize_rejects_topk_below_one(workspace, k):
+    tmp, space, log = workspace
+    out = tmp / "optk"
+    rc = main(["optimize", "--space", str(space), "--log", str(log), "--out", str(out),
+               "--topk", k])
+    assert rc == 1
+    assert "--topk" in json.loads((out / "error.json").read_text())["message"]
+    assert not (out / "topk.csv").exists() and not (out / "chosen.json").exists()
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["simulate", "--trials", "0"], "trials"),
+    (["ablate", "--axis", "seed-budget", "--trials", "-2"], "trials"),
+    (["simulate", "--seeds-per-point", "0"], "seeds_per_point"),
+    (["simulate", "--seeds-per-point", "-1"], "seeds_per_point"),
+    (["simulate", "--design-n", "0"], "design_n"),
+])
+def test_suites_reject_counts_below_one(tmp_path, argv, field):
+    out = tmp_path / "suite"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ValueError" and field in err["message"]
+    assert not (out / "suite_config.json").exists()
 
 
 def test_optimize_above_topk_cap_builds_no_grid(workspace, monkeypatch):

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from effectlab import (
     DesignPlan,
     EmptyCellError,
     ObjectiveSpec,
+    PairwiseObjective,
     ReferenceDistribution,
     ShrinkageSpec,
     bootstrap_cis,
@@ -25,10 +27,10 @@ from effectlab import (
     table_from_dict,
     weighted_baseline,
 )
-from effectlab.cli import _topk_bootstrap_cis
 from effectlab.effects import BOOTSTRAP_CHUNK, bootstrap_replicates, double_centerer
 from conftest import full_grid_log, random_space
 from oracles import (bootstrap_replicates_loop, double_center_loop, estimate_arrays_loop,
+                     nan_percentile_interval_eager, percentile_interval_eager,
                      projection_decomposition, topk_intervals_loop)
 
 TINY_TAU = ShrinkageSpec(tau_main=1e-12, tau_pair=1e-12)
@@ -264,9 +266,10 @@ def test_bootstrap_constant_response_zero_width(space_2x2):
     log = full_grid_log(space_2x2, np.full((2, 2), 3.0), replicates=5)
     table = bootstrap_cis(log, B=120, seed=0)
     for j in range(2):
-        ci = table.mains_ci[j]
+        ci = table.interval(table.replicates.mains[j])
         assert np.max(np.abs(ci[:, 1] - ci[:, 0])) == 0.0
-    assert float(table.mu_ci[1] - table.mu_ci[0]) == 0.0
+    mu_ci = table.interval(table.replicates.mu)
+    assert float(mu_ci[1] - mu_ci[0]) == 0.0
 
 
 def test_bootstrap_deterministic(space_2x2):
@@ -275,8 +278,9 @@ def test_bootstrap_deterministic(space_2x2):
     t1 = bootstrap_cis(log, B=110, seed=42)
     t2 = bootstrap_cis(log, B=110, seed=42)
     for j in range(2):
-        assert np.array_equal(t1.mains_ci[j], t2.mains_ci[j])
-    assert np.array_equal(t1.mu_ci, t2.mu_ci)
+        assert np.array_equal(t1.interval(t1.replicates.mains[j]),
+                              t2.interval(t2.replicates.mains[j]))
+    assert np.array_equal(t1.interval(t1.replicates.mu), t2.interval(t2.replicates.mu))
 
 
 def test_bootstrap_requires_replicates(space_2x2):
@@ -303,8 +307,10 @@ def test_bootstrap_width_scaling(space_2x2):
 
         small = bootstrap_cis(make_log(200), B=120, seed=rep)
         large = bootstrap_cis(make_log(800), B=120, seed=rep)
-        w_small = float(np.mean(small.mains_ci[0][:, 1] - small.mains_ci[0][:, 0]))
-        w_large = float(np.mean(large.mains_ci[0][:, 1] - large.mains_ci[0][:, 0]))
+        ci_small = small.interval(small.replicates.mains[0])
+        ci_large = large.interval(large.replicates.mains[0])
+        w_small = float(np.mean(ci_small[:, 1] - ci_small[:, 0]))
+        w_large = float(np.mean(ci_large[:, 1] - ci_large[:, 0]))
         ratios.append(w_large / w_small)
     assert 0.4 <= float(np.mean(ratios)) <= 0.6
 
@@ -521,7 +527,8 @@ def test_topk_intervals_match_per_config_loop(problem):
     configs = sorted({tuple(int(v) for v in rng.integers(0, levels)) for _ in range(6)})
     B = 100
     table = bootstrap_cis(log, ref, B=B, level=0.9, seed=seed % 1000)
-    got = _topk_bootstrap_cis(table.replicates, support, spec, cost, configs, 0.9)
+    values = PairwiseObjective.build(table.replicates, support, spec, cost).at(configs)
+    got = dict(zip(configs, table.interval(values)))
     mu, mains, pairs, _, _ = bootstrap_replicates_loop(
         log.configs_array, log.responses, log.weights, space, ref, ShrinkageSpec(), B,
         seed % 1000)
@@ -565,10 +572,51 @@ def test_bootstrap_unobserved_level_interval_is_nan_without_warning(space_2x2):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         table = bootstrap_cis(log, B=100, seed=0)
+        level_ci = table.interval(table.replicates.level_means[0])
+        mu_ci = table.interval(table.replicates.mu)
     assert table.replicates.fallback_draws > 0
-    assert np.all(np.isnan(table.level_means_ci[0][1]))
-    assert np.all(np.isfinite(table.level_means_ci[0][0]))
-    assert np.all(np.isfinite(table.mu_ci))
+    assert np.all(np.isnan(level_ci[1]))
+    assert np.all(np.isfinite(level_ci[0]))
+    assert np.all(np.isfinite(mu_ci))
+
+
+@st.composite
+def replicate_samples(draw):
+    """(samples, level): a replicate axis of 1 to 30 draws over 0 to 2
+    trailing axes, values with ties, and, on two or more axes, a NaN pattern
+    from none through partly NaN columns to all-NaN columns."""
+    B = draw(st.integers(1, 30))
+    shape = (B, *draw(st.lists(st.integers(1, 4), max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = rng.choice(rng.normal(size=draw(st.integers(1, 8))), size=shape)
+    if len(shape) > 1:
+        samples[rng.uniform(size=shape) < draw(st.sampled_from([0.0, 0.3, 0.8]))] = np.nan
+        columns = rng.uniform(size=shape[1:]) < draw(st.sampled_from([0.0, 0.4, 1.0]))
+        samples[:, columns] = np.nan
+    level = draw(st.floats(0.01, 0.99) | st.sampled_from([0.5, 0.8, 0.9, 0.95]))
+    return samples, level
+
+
+@settings(max_examples=200, deadline=None)
+@given(replicate_samples())
+@example((np.array([[1.0, np.nan], [2.0, np.nan]]), 0.95))
+@example((np.full((5, 2, 3), np.nan), 0.9))
+def test_interval_matches_eager_percentile_rule(problem):
+    samples, level = problem
+    space = build_space([("a", ["a0", "a1"]), ("b", ["b0", "b1"])])
+    table = replace(estimate_effects_cm(full_grid_log(space, np.zeros((2, 2)))), ci_level=level)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = table.interval(samples)
+    assert got.shape == samples.shape[1:] + (2,)
+    nan = np.isnan(samples)
+    if not nan.any():
+        assert got.tobytes() == percentile_interval_eager(samples, level).tobytes()
+    if samples.ndim > 1 and not nan.all():
+        want = nan_percentile_interval_eager(samples, level)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert got.tobytes() == want.tobytes()
+    assert np.isnan(got).all(axis=-1).tolist() == nan.all(axis=0).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +652,8 @@ def test_pair_cell_labels_name_their_cells():
     log = log_from_arrays(space, configs, [10.0 * a + b for a, b in configs])
     table = bootstrap_cis(log, B=100, seed=1)
     data = table.to_dict()
-    mat, ci, counts = table.pairs[(0, 1)], table.pairs_ci[(0, 1)], table.support.pair_counts[(0, 1)]
+    mat, counts = table.pairs[(0, 1)], table.support.pair_counts[(0, 1)]
+    ci = table.interval(table.replicates.pairs[(0, 1)])
     for a, b in np.ndindex(2, 3):
         label = f"a{a}|b{b}"
         assert data["pairs"]["a|b"][label] == mat[a, b]
@@ -626,6 +675,7 @@ def test_tau_must_be_positive():
     ({"tau_pair": float("inf")}, "tau_pair"),
     ({"tau_main": {"a": float("nan")}}, "tau_main"),
     ({"tau_pair": {"a|b": float("inf")}}, "tau_pair"),
+    ({"tau_main": {"a": 1.0}}, "tau_main"),
 ])
 def test_tau_must_be_finite(kwargs, field):
     with pytest.raises(ValueError, match=f"{field}.*finite"):

@@ -36,6 +36,7 @@ from conftest import full_grid_log, random_space
 from oracles import (
     ascent_loop,
     dominance_loop,
+    feasible_loop,
     local_gain_loop,
     local_scores_loop,
     objective_grid_loop,
@@ -97,7 +98,7 @@ def exhaustive_argmax(table, sc, spec, cost=None):
     grid = enumerate_grid(table.space)
     best = None
     for x in grid:
-        if not spec.feasible(x):
+        if not feasible_loop(spec, x):
             continue
         val = objective(model, x)
         if best is None or val > best[0] + 1e-15:
@@ -547,10 +548,10 @@ def test_shared_tables_match_pair_loops(problem):
     model = PairwiseObjective.build(table, support, spec, cost)
     J, feasible = objective_grid(model)
     assert np.array_equal(J, objective_grid_loop(table, support, spec, cost))
-    assert all(feasible[x] == spec.feasible(x) for x in np.ndindex(*levels))
+    assert all(feasible[x] == feasible_loop(spec, x) for x in np.ndindex(*levels))
     for x in map(tuple, configs.tolist()):
         assert risk_penalty(support, x, spec) == risk_penalty_loop(support, x, spec)
-        if spec.feasible(x):
+        if feasible_loop(spec, x):
             assert objective(model, x) == objective_loop(table, support, spec, cost, x)
         for j in range(space.num_factors):
             scores = model.level_scores(j, [x])[0]

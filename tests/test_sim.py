@@ -16,10 +16,10 @@ from effectlab import (
     sample_design,
     spearman,
 )
-from effectlab.sim import error_decomposition, estimate_from_log, make_log
+from effectlab.sim import SuiteConfig, _rankdata, error_decomposition, estimate_from_log, make_log
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import make_log_loop, rank_formula_spearman
+from oracles import make_log_loop, rank_formula_spearman, rankdata_loop
 
 
 def small_teacher(seed=0, **kw):
@@ -88,6 +88,23 @@ def test_spearman_matches_rank_formula_oracle():
         x = rng.integers(0, 5, size=12).astype(float)
         y = rng.normal(size=12)
         assert spearman(x, y) == pytest.approx(rank_formula_spearman(x, y), abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, -3.0, 7.0]) | st.floats(-5, 5),
+                max_size=40))
+def test_rankdata_matches_sorted_walk(values):
+    values = np.array(values, dtype=float)
+    assert _rankdata(values).tobytes() == rankdata_loop(values).tobytes()
+
+
+@pytest.mark.parametrize("field", ["trials", "design_n", "seeds_per_point", "robustness_n",
+                                   "robustness_seeds", "seed_budgets"])
+@pytest.mark.parametrize("value", [0, -2])
+def test_suite_config_rejects_counts_below_one(field, value):
+    bad = (4, value) if field == "seed_budgets" else value
+    with pytest.raises(ValueError, match=field):
+        SuiteConfig(**{field: bad})
 
 
 def test_spearman_errors():
