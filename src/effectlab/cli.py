@@ -201,8 +201,10 @@ def cmd_estimate(args) -> tuple[list[str], dict]:
 def cmd_optimize(args) -> tuple[list[str], dict]:
     from .optimize import SearchSpec, diag_dominance_check, multistart, verify_1swap
 
-    if args.topk < 1:
-        raise CommandError(f"--topk must be at least 1, got {args.topk}")
+    for flag in ("topk", "restarts", "beam", "max_sweeps"):
+        if getattr(args, flag) < 1:
+            raise CommandError(f"--{flag.replace('_', '-')} must be at least 1, "
+                               f"got {getattr(args, flag)}")
     out = _prepare_out(args)
     space, table = _estimate_table(args)
     spec, cost = _objective_for(args, space)

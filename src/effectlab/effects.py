@@ -24,6 +24,7 @@ from .space import (
     RunLog,
     SupportCounts,
     cell_sums,
+    center_main,
     distinct_configs,
     pair_cell_labels,
     support_counts,
@@ -90,13 +91,13 @@ class EffectTable:
 
     def interval(self, samples: np.ndarray) -> np.ndarray:
         """Efron's percentile interval at ``ci_level`` over the leading
-        replicate axis of ``samples``, as a trailing (lo, hi) axis. NaN
-        replicates are skipped; where no replicate has a value the interval
-        is NaN."""
+        replicate axis of ``samples``, as a trailing (lo, hi) axis, by
+        ``percentile``. NaN replicates are skipped by ``np.nanpercentile``;
+        where no replicate has a value the interval is NaN."""
         lo_q = 100.0 * (1.0 - self.ci_level) / 2.0
         q = [lo_q, 100.0 - lo_q]
         if not np.isnan(samples).any():  # same bits as nanpercentile, many times faster
-            return np.moveaxis(np.percentile(samples, q, axis=0), 0, -1)
+            return np.moveaxis(percentile(samples, q), 0, -1)
         flat = samples.reshape(len(samples), -1)
         seen = ~np.isnan(flat).all(axis=0)
         out = np.full((flat.shape[1], 2), np.nan)
@@ -141,6 +142,21 @@ class EffectTable:
         if self.diagnostics is not None:
             out["diagnostics"] = self.diagnostics
         return out
+
+
+def percentile(samples: np.ndarray, q) -> np.ndarray:
+    """``np.percentile(samples, q, axis=0)`` of NaN-free samples, bit for bit:
+    Hyndman and Fan's method 7, numpy's ``linear``, with numpy's partition
+    indices (so equal zeros of either sign land where numpy puts them) and its
+    ``_lerp``, but without its ``np.unique`` of those indices, which loads numpy.ma."""
+    a = np.array(samples, dtype=float)
+    pos = (len(a) - 1) * (np.asarray(q, dtype=float) / 100)
+    lo = np.where(pos >= len(a) - 1, -1, np.floor(pos)).astype(np.intp)
+    hi = np.where(lo < 0, -1, lo + 1)
+    a.partition(sorted({0, -1, *lo.ravel().tolist(), *hi.ravel().tolist()}), axis=0)
+    g = (pos - lo).reshape(pos.shape + (1,) * (a.ndim - 1))
+    d = a[hi] - a[lo]
+    return np.where(g >= 0.5, a[hi] - d * (1 - g), a[lo] + d * g)
 
 
 def table_from_dict(data: Mapping, space: FactorSpace,
@@ -196,60 +212,13 @@ def conditional_pair_mean(log: RunLog, j: int, lj: int, k: int, lk: int) -> floa
 
 
 # ---------------------------------------------------------------------------
-# Centering
-# ---------------------------------------------------------------------------
-
-def center_main(g: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Shift so the pi-weighted mean is exactly zero (along the last axis)."""
-    return g - np.expand_dims(np.dot(g, pi), -1)
-
-
-def double_centerer(joint: np.ndarray):
-    """Removal of row and column effects under the joint weights, exactly.
-
-    Returns a function of ``mat``, one matrix or a stack along leading axes,
-    that gives each matrix's joint-weighted least-squares residual on row
-    plus column effects. A row pass, one solve with the normalized column
-    Laplacian (spectrum in [0, 1], a null vector per connected block of the
-    support) and a row pass give the limit of alternating passes: zero-mass
-    rows and columns get no effect of their own, and per block the column
-    effects have zero mass-weighted mean. The solve depends only on the
-    joint, so it is built once here.
-    """
-    row_mass = joint.sum(axis=1)
-    col_mass = joint.sum(axis=0)
-    cols = col_mass > 0
-    # A zero-mass row sums to zero, so any nonzero divisor leaves it as it is.
-    row_div = np.where(row_mass > 0, row_mass, 1.0)
-    c = col_mass[cols]
-    root = np.sqrt(c)
-    p = joint[:, cols] / root
-    w = (p.T / row_div) @ p
-    block = np.linalg.matrix_power((w > 0) | np.eye(len(c), dtype=bool), len(c))
-    null = block * (root[:, None] * root) / (block @ c)[:, None]
-    solve = (np.linalg.inv(np.eye(len(c)) - w + null) - null) / (root[:, None] * root)
-
-    def center(mat: np.ndarray) -> np.ndarray:
-        out = np.array(mat, dtype=float)
-        out -= ((joint * out).sum(axis=-1) / row_div)[..., None]
-        col_sums = (joint * out).sum(axis=-2)[..., cols]
-        # An elementwise product keeps each matrix's result independent of the batch.
-        out[..., cols] -= (solve * col_sums[..., None, :]).sum(axis=-1)[..., None, :]
-        out -= ((joint * out).sum(axis=-1) / row_div)[..., None]
-        return out
-
-    return center
-
-
-# ---------------------------------------------------------------------------
 # Estimation
 # ---------------------------------------------------------------------------
 
 BOOTSTRAP_CHUNK = 16  # replicates per batch; bounds the per-configuration sums held at once
 
 
-def _estimate_batch(level_sums, pair_sums, mu: np.ndarray, space: FactorSpace,
-                    marginals: list[np.ndarray], centerers: dict,
+def _estimate_batch(level_sums, pair_sums, mu: np.ndarray, reference: ReferenceDistribution,
                     shrinkage: ShrinkageSpec):
     """The CM estimator on C samples at once.
 
@@ -257,8 +226,7 @@ def _estimate_batch(level_sums, pair_sums, mu: np.ndarray, space: FactorSpace,
     (S, C, L_j, L_k) array per pair) start with each cell's summed weight,
     weight x response and positive-weight record count, which sets the
     shrinkage. ``mu`` (C,) is each sample's weighted mean response; the
-    reference's ``marginals`` and pair ``centerers`` (see ``_centering``)
-    center exactly. Returns mains
+    reference's marginals and pair ``centerers`` center exactly. Returns mains
     (C, L_j), pairs (C, L_j, L_k) and level means (C, L_j) with NaN where a
     level has no weight.
     """
@@ -277,13 +245,13 @@ def _estimate_batch(level_sums, pair_sums, mu: np.ndarray, space: FactorSpace,
         pairs[(j, k)] = np.where(np.isnan(means), 0.0, g)
 
     mains, pairs = _finalize(
-        space, mains, pairs, marginals, centerers, shrinkage,
+        reference, mains, pairs, shrinkage,
         [s[2] for s in level_sums], {jk: s[2] for jk, s in pair_sums.items()},
     )
     return mains, pairs, level_means
 
 
-def _finalize(space: FactorSpace, mains, pairs, marginals, centerers, shrinkage: ShrinkageSpec,
+def _finalize(reference: ReferenceDistribution, mains, pairs, shrinkage: ShrinkageSpec,
               main_counts, pair_counts):
     """Re-center, shrink every entry by eta = n / (n + tau), re-center.
 
@@ -295,10 +263,10 @@ def _finalize(space: FactorSpace, mains, pairs, marginals, centerers, shrinkage:
     mains, pairs = list(mains), dict(pairs)
 
     def recenter():
-        for j in range(space.num_factors):
-            mains[j] = center_main(mains[j], marginals[j])
+        for j in range(len(mains)):
+            mains[j] = center_main(mains[j], reference.marginal(j))
         for jk in pairs:
-            pairs[jk] = centerers[jk](pairs[jk])
+            pairs[jk] = reference.centerers[jk](pairs[jk])
 
     recenter()
     for j, n in enumerate(main_counts):
@@ -309,13 +277,6 @@ def _finalize(space: FactorSpace, mains, pairs, marginals, centerers, shrinkage:
         pairs[jk][n == 0] = 0.0
     recenter()
     return tuple(mains), pairs
-
-
-def _centering(space: FactorSpace, reference: ReferenceDistribution):
-    """The reference's marginals and one ``double_centerer`` per pair."""
-    marginals = [reference.marginal(j) for j in range(space.num_factors)]
-    centerers = {jk: double_centerer(reference.pair(*jk)) for jk in space.pairs()}
-    return marginals, centerers
 
 
 def estimate_effects_cm(log: RunLog, reference: ReferenceDistribution | None = None,
@@ -332,7 +293,7 @@ def estimate_effects_cm(log: RunLog, reference: ReferenceDistribution | None = N
     mains, pairs, level_means = _estimate_batch(
         tuple(s[:, None] for s in support.level_sums),
         {jk: s[:, None] for jk, s in support.pair_sums.items()},
-        np.array([mu]), space, *_centering(space, reference), shrinkage,
+        np.array([mu]), reference, shrinkage,
     )
     return EffectTable(
         space=space,
@@ -399,7 +360,6 @@ def bootstrap_replicates(log: RunLog, reference: ReferenceDistribution | None = 
     space = log.space
     reference = reference or ReferenceDistribution.uniform(space)
     shrinkage = shrinkage or ShrinkageSpec()
-    centering = _centering(space, reference)
     w = log.weights
     wy = w * log.responses
     n = len(log)
@@ -430,7 +390,7 @@ def bootstrap_replicates(log: RunLog, reference: ReferenceDistribution | None = 
         rows = slice(start, start + len(chunk))
         mu[rows] = totals[1] / totals[0]
         mains_c, pairs_c, means_c = _estimate_batch(
-            *cell_sums(units, stats, space), mu[rows], space, *centering, shrinkage
+            *cell_sums(units, stats, space), mu[rows], reference, shrinkage
         )
         for j in range(space.num_factors):
             mains[j][rows] = mains_c[j]
@@ -451,6 +411,7 @@ def bootstrap_cis(log: RunLog, reference: ReferenceDistribution | None = None,
         raise ValueError("bootstrap needs at least 100 replicates")
     if not 0 < level < 1:
         raise ValueError("coverage level must be in (0, 1)")
+    reference = reference or ReferenceDistribution.uniform(log.space)
     return replace(estimate_effects_cm(log, reference, shrinkage),
                    replicates=bootstrap_replicates(log, reference, shrinkage, B, seed),
                    ci_level=level)

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .effects import EffectTable, ShrinkageSpec, _centering, _finalize
+from .effects import EffectTable, ShrinkageSpec, _finalize
 from .space import (
     Config,
     FactorSpace,
@@ -465,7 +465,7 @@ def fit_effects_sf(estimates: ShapleyEstimate, space: FactorSpace,
 
     if support is None:
         support = support_counts(log_from_arrays(space, X, np.zeros(len(X))))
-    mains, pairs = _finalize(space, mains, pairs, *_centering(space, reference), shrinkage,
+    mains, pairs = _finalize(reference, mains, pairs, shrinkage,
                              support.level_counts, support.pair_counts)
 
     return EffectTable(
@@ -481,24 +481,30 @@ def fit_effects_sf(estimates: ShapleyEstimate, space: FactorSpace,
     )
 
 
+def grid_design(space: FactorSpace, reference: ReferenceDistribution) -> EffectDesignMatrix | None:
+    """The full grid's design, up to ``EVAL_GRID_CAP`` cells; None above."""
+    return (build_design_matrix(enumerate_grid(space), space, reference)
+            if space.grid_size <= EVAL_GRID_CAP else None)
+
+
 def fit_from_oracle(oracle: ValueOracle, log: RunLog,
-                    shrinkage: ShrinkageSpec | None = None) -> EffectTable:
+                    shrinkage: ShrinkageSpec | None = None, *,
+                    design: EffectDesignMatrix | None = None) -> EffectTable:
     """Attribution path: exact Shapley values of the oracle at each
     evaluation point, then least-squares table recovery under the oracle's
     reference, shrunk by the log's support.
 
     The evaluation points are the full grid when it has at most
     ``EVAL_GRID_CAP`` cells (always identifiable), otherwise the log's
-    distinct configurations. Nothing is sampled, so the table does not
-    depend on a seed.
+    distinct configurations; a caller may pass the ``grid_design`` of the
+    oracle's reference. Nothing is sampled, so the table is seed-free.
     """
     space = oracle.space
-    if space.grid_size <= EVAL_GRID_CAP:
-        eval_set = enumerate_grid(space)
-    else:
-        eval_set = list(dict.fromkeys(tuple(c) for c in log.configs_array.tolist()))
+    design = grid_design(space, oracle.reference) if design is None else design
+    eval_set = (design.eval_set if design is not None
+                else list(dict.fromkeys(tuple(c) for c in log.configs_array.tolist())))
     return fit_effects_sf(exact_shapley(oracle, eval_set), space, oracle.reference, shrinkage,
-                          support=support_counts(log), mu=oracle.v_empty)
+                          support=support_counts(log), mu=oracle.v_empty, design=design)
 
 
 def stability_bound(design: EffectDesignMatrix, observation_error_norm: float) -> float:

@@ -18,10 +18,10 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .effects import EffectTable, ShrinkageSpec, estimate_from_log
+from .effects import EffectTable, ShrinkageSpec, estimate_from_log, percentile
 from .objective import CostModel, ObjectiveSpec, PairwiseObjective, broadcast_sum, predict_grid
 from .optimize import SearchSpec, multistart
-from .shapley import ValueOracle, fit_from_oracle
+from .shapley import EffectDesignMatrix, ValueOracle, fit_from_oracle, grid_design
 from .space import (
     Config,
     DesignPlan,
@@ -55,16 +55,6 @@ class TeacherSpec:
     def __post_init__(self):
         if self.residual_scale < 0 or self.noise < 0:
             raise ValueError("scales must be nonnegative")
-
-    def describe(self) -> dict:
-        return {
-            "levels": list(self.space.level_counts),
-            "main_scale": self.main_scale,
-            "pair_scale": self.pair_scale,
-            "residual_scale": self.residual_scale,
-            "noise": self.noise,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,19 +218,21 @@ def run_trial(teacher: Teacher, plan: DesignPlan, seeds_per_point: int,
               reference: ReferenceDistribution | None = None,
               shrinkage: ShrinkageSpec | None = None, mains_only: bool = False,
               cost: CostModel | None = None,
-              oracle_source: str = "teacher") -> TrialResult:
+              oracle_source: str = "teacher",
+              design: EffectDesignMatrix | None = None) -> TrialResult:
     """Design -> log -> estimate -> search -> score against ground truth.
 
     The attribution path's coalition values come from the simulation teacher
     under fresh observation noise (``oracle_source="teacher"``, the
     simulation protocol: the teacher is queryable at mixed configurations)
     or from the observed cell means only (``"log"``, the budget-matched mode
-    used for ingested logs).
+    used for ingested logs). Trials given one ``reference`` share its pair
+    centerers, and with its ``grid_design`` as ``design`` its SF design too.
     """
     space = teacher.space
     design_seed, noise_seed, _, search_seed, oracle_seed = _trial_seeds(trial_seed)
-    design = sample_design(space, plan, design_seed)
-    log = make_log(teacher, design, seeds_per_point, seed=noise_seed)
+    points = sample_design(space, plan, design_seed)
+    log = make_log(teacher, points, seeds_per_point, seed=noise_seed)
     estimator = estimator.upper()
     if estimator == "SF" and oracle_source == "teacher":
         ref = reference or ReferenceDistribution.uniform(space)
@@ -250,7 +242,7 @@ def run_trial(teacher: Teacher, plan: DesignPlan, seeds_per_point: int,
             values = values + rng.normal(
                 0.0, teacher.spec.noise / math.sqrt(seeds_per_point), size=values.shape
             )
-        table = fit_from_oracle(ValueOracle(space, ref, values), log, shrinkage)
+        table = fit_from_oracle(ValueOracle(space, ref, values), log, shrinkage, design=design)
     elif estimator == "SF" and oracle_source != "log":
         raise ValueError(f"unknown oracle source {oracle_source!r}")
     else:
@@ -316,10 +308,10 @@ class SuiteConfig:
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _teacher_for_trial(config: SuiteConfig, trial: int) -> Teacher:
+def _teacher_for_trial(config: SuiteConfig, trial: int, space: FactorSpace) -> Teacher:
     seed = int(np.random.SeedSequence((config.seed, trial)).generate_state(1)[0])
     spec = TeacherSpec(
-        default_space(config.num_factors),
+        space,
         main_scale=config.main_scale,
         pair_scale=config.pair_scale,
         residual_scale=config.residual_scale,
@@ -341,34 +333,40 @@ def _suite_rows(axis: str, cells: list[tuple], config: SuiteConfig,
                 metrics: Sequence[str]) -> list[dict]:
     """Run ``config.trials`` trials per estimator of every (cell, estimators,
     plan, seeds per point, background, mains only) cell, one teacher per
-    trial index; each named metric gets its mean and 95% percentile interval."""
+    trial index; each named metric gets its mean and 95% percentile interval.
+    Uniform-background trials share one reference and its SF grid design."""
     digest = config.digest()
-    teachers = [_teacher_for_trial(config, t) for t in range(config.trials)]
+    space = default_space(config.num_factors)
+    teachers = [_teacher_for_trial(config, t, space) for t in range(config.trials)]
+    uniform = ReferenceDistribution.uniform(space)
+    uniform_design = grid_design(space, uniform)
     rows: list[dict] = []
     for cell, estimators, plan, seeds_per_point, background, mains_only in cells:
         for est in estimators:
             results = []
             for t, teacher in enumerate(teachers):
                 seed = _trial_seed(config, t)
-                reference = None
+                reference = uniform
                 if background == "empirical":
                     # Product of the log's per-factor marginals; built from
                     # the same design the trial will draw.
-                    design = sample_design(teacher.space, plan, _trial_seeds(seed)[0])
-                    probe = log_from_arrays(teacher.space, design, np.zeros(len(design)))
+                    points = sample_design(space, plan, _trial_seeds(seed)[0])
+                    probe = log_from_arrays(space, points, np.zeros(len(points)))
                     reference = ReferenceDistribution.empirical(probe).product_marginals()
                 results.append(run_trial(teacher, plan, seeds_per_point, est, trial_seed=seed,
-                                         reference=reference, mains_only=mains_only))
+                                         reference=reference, mains_only=mains_only,
+                                         design=uniform_design if reference is uniform else None))
             for metric in metrics:
                 values = np.array([getattr(r, _TRIAL_METRICS[metric]) for r in results])
+                ci_lo, ci_hi = percentile(values, [2.5, 97.5]).tolist()
                 rows.append({
                     "axis": axis,
                     "cell": cell,
                     "estimator": est,
                     "metric": metric,
                     "mean": float(values.mean()),
-                    "ci_lo": float(np.percentile(values, 2.5)),
-                    "ci_hi": float(np.percentile(values, 97.5)),
+                    "ci_lo": ci_lo,
+                    "ci_hi": ci_hi,
                     "n_trials": config.trials,
                     "config_hash": digest,
                 })

@@ -1,4 +1,4 @@
-"""Factor spaces, reference distributions, designs, and run-log ingestion.
+"""Factor spaces, reference distributions and their centering, designs, and run logs.
 
 A factor space is an ordered set of named factors, each with at least two
 ordered discrete levels. Levels are opaque text labels externally and dense
@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -240,6 +240,11 @@ class ReferenceDistribution:
             return np.outer(self.marginals[j], self.marginals[k])
         return self._pair_mass[(j, k)] if j < k else self._pair_mass[(k, j)].T
 
+    @cached_property
+    def centerers(self) -> dict[tuple[int, int], Callable[[np.ndarray], np.ndarray]]:
+        """One ``double_centerer`` per pair, built on first use and kept."""
+        return {jk: double_centerer(self.pair(*jk)) for jk in self.space.pairs()}
+
     def product_marginals(self) -> "ReferenceDistribution":
         """Product-form reference built from this distribution's marginals."""
         if self.is_product:
@@ -255,6 +260,48 @@ class ReferenceDistribution:
                 for f, pi in zip(self.space.factors, self.marginals)
             }
         return out
+
+
+def center_main(g: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """Shift so the pi-weighted mean is exactly zero (along the last axis)."""
+    return g - np.expand_dims(np.dot(g, pi), -1)
+
+
+def double_centerer(joint: np.ndarray):
+    """Removal of row and column effects under the joint weights, exactly.
+
+    Returns a function of ``mat``, one matrix or a stack along leading axes,
+    that gives each matrix's joint-weighted least-squares residual on row
+    plus column effects. A row pass, one solve with the normalized column
+    Laplacian (spectrum in [0, 1], a null vector per connected block of the
+    support) and a row pass give the limit of alternating passes: zero-mass
+    rows and columns get no effect of their own, and per block the column
+    effects have zero mass-weighted mean. The solve depends only on the
+    joint, so it is built once here.
+    """
+    row_mass = joint.sum(axis=1)
+    col_mass = joint.sum(axis=0)
+    cols = col_mass > 0
+    # A zero-mass row sums to zero, so any nonzero divisor leaves it as it is.
+    row_div = np.where(row_mass > 0, row_mass, 1.0)
+    c = col_mass[cols]
+    root = np.sqrt(c)
+    p = joint[:, cols] / root
+    w = (p.T / row_div) @ p
+    block = np.linalg.matrix_power((w > 0) | np.eye(len(c), dtype=bool), len(c))
+    null = block * (root[:, None] * root) / (block @ c)[:, None]
+    solve = (np.linalg.inv(np.eye(len(c)) - w + null) - null) / (root[:, None] * root)
+
+    def center(mat: np.ndarray) -> np.ndarray:
+        out = np.array(mat, dtype=float)
+        out -= ((joint * out).sum(axis=-1) / row_div)[..., None]
+        col_sums = (joint * out).sum(axis=-2)[..., cols]
+        # An elementwise product keeps each matrix's result independent of the batch.
+        out[..., cols] -= (solve * col_sums[..., None, :]).sum(axis=-1)[..., None, :]
+        out -= ((joint * out).sum(axis=-1) / row_div)[..., None]
+        return out
+
+    return center
 
 
 # ---------------------------------------------------------------------------
@@ -530,14 +577,6 @@ class DesignPlan:
     def skewed(cls, n: int, bias: float = 3.0) -> "DesignPlan":
         return cls("skewed", n=n, bias=bias)
 
-    def describe(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind != "full":
-            out["n"] = self.n
-        if self.kind == "skewed":
-            out["bias"] = self.bias
-        return out
-
 
 def sample_design(space: FactorSpace, plan: DesignPlan, seed: int = 0) -> np.ndarray:
     """Draw a design per the plan as an ``(n, d)`` level-index matrix,
@@ -702,11 +741,15 @@ class SupportCounts:
 
 def distinct_configs(configs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of ``configs`` in lexicographic order and, per row,
-    the index of its own."""
-    code = np.zeros(len(configs), dtype=np.intp)
-    for col in configs.T:  # codes stay below the row count, so never overflow
-        _, first, code = np.unique(code * (int(col.max()) + 1) + col,
-                                   return_index=True, return_inverse=True)
+    the index of its own. The columns fold into one mixed-radix key; before
+    it would pass 2^63 the key is renumbered by rank, below the row count."""
+    key, span = np.zeros(len(configs), dtype=np.int64), 1
+    for col in configs.T:
+        radix = int(col.max()) + 1
+        if span * radix > 1 << 63:
+            key, span = np.unique(key, return_inverse=True)[1], len(configs)
+        key, span = key * radix + col, span * radix
+    _, first, code = np.unique(key, return_index=True, return_inverse=True)
     return configs[first], code
 
 

@@ -356,6 +356,39 @@ def test_optimize_rejects_topk_below_one(workspace, k):
     assert not (out / "topk.csv").exists() and not (out / "chosen.json").exists()
 
 
+@pytest.mark.parametrize("flag", ["--restarts", "--beam", "--max-sweeps"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_optimize_rejects_search_counts_below_one_before_estimating(workspace, monkeypatch,
+                                                                     flag, value):
+    tmp, space, log = workspace
+    out = tmp / "opt-search"
+    estimated = []
+    monkeypatch.setattr(cli, "_estimate_table", lambda args: estimated.append(args))
+    rc = main(["optimize", "--space", str(space), "--log", str(log), "--out", str(out),
+               "--bootstrap", "100", flag, value])
+    assert rc == 1
+    message = json.loads((out / "error.json").read_text())["message"]
+    assert message == f"{flag} must be at least 1, got {value}"
+    assert estimated == []
+    assert not (out / "chosen.json").exists()
+
+
+def test_optimize_bootstrap_builds_each_pair_centerer_once(tmp_path, monkeypatch):
+    from effectlab import space as space_module
+
+    rng = np.random.default_rng(2)
+    X = rng.integers(0, 3, size=(60, 4))
+    space, log = write_inputs(tmp_path, (3, 2, 3, 2), X % [3, 2, 3, 2], rng.normal(size=60),
+                              np.ones(60))
+    built = []
+    original = space_module.double_centerer
+    monkeypatch.setattr(space_module, "double_centerer",
+                        lambda joint: built.append(joint) or original(joint))
+    assert main(["optimize", "--space", str(space), "--log", str(log),
+                 "--out", str(tmp_path / "opt"), "--bootstrap", "100"]) == 0
+    assert len(built) == 6  # one per pair of the four factors
+
+
 @pytest.mark.parametrize("argv, field", [
     (["simulate", "--trials", "0"], "trials"),
     (["ablate", "--axis", "seed-budget", "--trials", "-2"], "trials"),

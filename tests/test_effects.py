@@ -27,7 +27,8 @@ from effectlab import (
     table_from_dict,
     weighted_baseline,
 )
-from effectlab.effects import BOOTSTRAP_CHUNK, bootstrap_replicates, double_centerer
+from effectlab.effects import BOOTSTRAP_CHUNK, bootstrap_replicates, percentile
+from effectlab.space import double_centerer
 from conftest import full_grid_log, random_space
 from oracles import (bootstrap_replicates_loop, double_center_loop, estimate_arrays_loop,
                      nan_percentile_interval_eager, percentile_interval_eager,
@@ -617,6 +618,34 @@ def test_interval_matches_eager_percentile_rule(problem):
         assert np.array_equal(got, want, equal_nan=True)
         assert got.tobytes() == want.tobytes()
     assert np.isnan(got).all(axis=-1).tolist() == nan.all(axis=0).tolist()
+
+
+@st.composite
+def percentile_samples(draw):
+    """(samples, q, level): 1 to 12 draws over 0 to 2 trailing axes, from a
+    pool with ties and both signs of zero; q is one of the rule's
+    percentiles or a list of them, and level a coverage level."""
+    shape = (draw(st.integers(1, 12)), *draw(st.lists(st.integers(1, 3), max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.concatenate([[0.0, -0.0], rng.normal(size=draw(st.integers(0, 6)))])
+    samples = rng.choice(pool[:draw(st.integers(1, len(pool)))], size=shape)
+    rule = st.sampled_from([0.0, 2.5, 50.0, 97.5, 100.0])
+    q = draw(rule | st.lists(rule, min_size=1, max_size=5))
+    return samples, q, draw(st.floats(0.01, 0.99) | st.sampled_from([0.5, 0.9, 0.95]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(percentile_samples())
+@example((np.array([-0.0, -0.0, 0.0]), [0.0, 2.5, 50.0, 97.5, 100.0], 0.95))
+@example((np.array([[-0.0], [0.0]]), 100.0, 0.5))
+def test_percentile_matches_numpy_bit_for_bit(problem):
+    samples, q, level = problem
+    got = percentile(samples, q)
+    want = np.asarray(np.percentile(samples, q, axis=0))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    lo_q = 100.0 * (1.0 - level) / 2.0
+    interval = np.moveaxis(percentile(samples, [lo_q, 100.0 - lo_q]), 0, -1)
+    assert interval.tobytes() == percentile_interval_eager(samples, level).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -140,3 +140,26 @@ def test_objective_stays_the_function_whatever_loads_first(first):
         "print(objective is sys.modules['effectlab.objective'].objective)"
     )
     assert got == "True"
+
+
+# Runs the CLI in this interpreter, then prints whether numpy.ma was loaded.
+MA_PROBE = """
+import sys
+from effectlab import cli
+assert cli.main(sys.argv[1:]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--trials", "2", "--design-n", "24"],
+    ["ablate", "--axis", "seed-budget", "--trials", "2"],
+    ["optimize", "--path", "cm", "--bootstrap", "100"],
+])
+def test_suites_and_bootstrap_never_load_numpy_ma(inputs, argv):
+    """Their percentile intervals are exact without np.percentile, whose
+    np.unique call imports numpy.ma."""
+    tmp, io = inputs
+    io = io if argv[0] == "optimize" else []
+    out = tmp / f"ma-{argv[0]}"
+    assert fresh_python(MA_PROBE, *argv, *io, "--out", str(out)) == "False"

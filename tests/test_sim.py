@@ -16,6 +16,7 @@ from effectlab import (
     sample_design,
     spearman,
 )
+from effectlab.shapley import grid_design
 from effectlab.sim import SuiteConfig, _rankdata, error_decomposition, estimate_from_log, make_log
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -244,6 +245,45 @@ def test_seed_budget_axis_runs():
     cfg = SuiteConfig(trials=2, seed=8, num_factors=4, seed_budgets=(2, 4))
     rows = ablation_suite("seed-budget", cfg)
     assert {r["cell"] for r in rows} == {"2", "4"}
+
+
+@pytest.mark.parametrize("axis, references", [("comparison", 1), ("shap-background", 3)])
+def test_suites_build_centerers_and_grid_design_once_per_reference(monkeypatch, axis,
+                                                                    references):
+    """Uniform-background trials share one reference, so its pair centerers
+    and its SF grid design are built once per suite; each of the two
+    empirical-background trials builds its own."""
+    from effectlab import SuiteConfig, ablation_suite, comparison_suite
+    from effectlab import shapley
+    from effectlab import space as space_module
+
+    centerers, designed = [], []
+    build_centerer, build_design = space_module.double_centerer, shapley.build_design_matrix
+    monkeypatch.setattr(space_module, "double_centerer",
+                        lambda joint: centerers.append(joint) or build_centerer(joint))
+    monkeypatch.setattr(shapley, "build_design_matrix",
+                        lambda X, space, ref=None: designed.append(ref) or build_design(
+                            X, space, ref))
+    cfg = SuiteConfig(trials=2, seed=3, num_factors=4, design_n=24, robustness_n=16,
+                      robustness_seeds=2)
+    rows = comparison_suite(cfg) if axis == "comparison" else ablation_suite(axis, cfg)
+    assert rows
+    assert len(centerers) == 6 * references  # six pairs of four factors
+    assert len(designed) == references
+    assert len({id(ref) for ref in designed}) == references
+
+
+def test_shared_reference_and_grid_design_leave_trials_unchanged():
+    space = default_space(4)
+    teacher = gen_teacher(TeacherSpec(space, seed=4))
+    reference = ReferenceDistribution.uniform(space)
+    design = grid_design(space, reference)
+    for est in ("CM", "SF"):
+        alone = run_trial(teacher, DesignPlan.balanced(24), 2, est, trial_seed=9)
+        for _ in range(2):
+            shared = run_trial(teacher, DesignPlan.balanced(24), 2, est, trial_seed=9,
+                               reference=reference, design=design)
+            assert shared == alone
 
 
 def test_comparison_suite_rows():

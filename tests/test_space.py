@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from effectlab import space as space_module
@@ -21,7 +21,7 @@ from effectlab import (
     support_counts,
     write_log,
 )
-from effectlab.space import cell_sums
+from effectlab.space import cell_sums, distinct_configs
 from oracles import (
     empirical_joint_loop,
     ingest_log_loop,
@@ -616,6 +616,30 @@ def test_support_sums_match_per_cell_loops(log, C, seed, block):
                 assert np.abs(g - x).max() <= 1e-12 * (1.0 + np.abs(x).max())
             assert np.array_equal(got[2], want[2])
             assert np.all(got[:, want[0] == 0] == 0)
+
+
+@st.composite
+def config_matrices(draw):
+    """(n, d) level matrices with repeated rows; the radices (column max + 1)
+    run from 1 to 2^40, so the product of all of them may pass 2^63."""
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 80))
+    radices = draw(st.lists(st.sampled_from([1, 2, 3, 7, 2**20, 2**40]), min_size=d,
+                            max_size=d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(0, radices, size=(draw(st.integers(1, n)), d))
+    return rows[rng.integers(0, len(rows), size=n)].astype(np.intp)
+
+
+@given(config_matrices())
+@settings(max_examples=150, deadline=None)
+@example(np.array([[1] * 70, [0] * 69 + [1], [1] * 70, [0] * 70], dtype=np.intp))
+@example(np.array([[2**40 - 1] * 4, [2**40 - 1] * 3 + [0], [0] * 4], dtype=np.intp))
+def test_distinct_configs_match_unique_rows(configs):
+    units, unit_of = distinct_configs(configs)
+    want, inverse = np.unique(configs, axis=0, return_inverse=True)
+    assert np.array_equal(units, want) and units.dtype == configs.dtype
+    assert np.array_equal(unit_of, inverse.ravel())
+    assert np.array_equal(units[unit_of], configs)
 
 
 def test_effective_sample_size_values():
