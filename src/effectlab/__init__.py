@@ -27,33 +27,30 @@ _EXPORTS = {
         "Config", "DesignPlan", "Factor", "FactorSpace", "LogSchemaError",
         "ReferenceDistribution", "RunLog", "SupportCounts", "build_space",
         "effective_sample_size", "enumerate_grid", "ingest_log", "load_space",
-        "log_from_arrays", "sample_design", "save_space", "support_counts", "write_log",
+        "log_from_arrays", "sample_design", "support_counts", "write_log",
     ),
     "effects": (
-        "EffectTable", "EmptyCellError", "ShrinkageSpec", "bootstrap_cis",
-        "conditional_mean", "conditional_pair_mean", "estimate_effects_cm",
-        "estimate_from_log", "shrinkage_risk", "table_from_dict", "weighted_baseline",
+        "EffectTable", "ShrinkageSpec", "bootstrap_cis", "estimate_effects_cm",
+        "estimate_from_log", "table_from_dict",
     ),
     "shapley": (
         "EffectDesignMatrix", "RankDeficiencyError", "ShapleyEstimate", "ValueOracle",
-        "build_design_matrix", "coalition_value", "exact_shapley",
-        "exact_shapley_second_order", "fit_effects_sf", "mc_sample_size", "mc_shapley",
-        "stability_bound", "write_shapley_csv",
+        "build_design_matrix", "exact_shapley", "exact_shapley_second_order",
+        "fit_effects_sf", "mc_shapley", "write_shapley_csv",
     ),
     "objective": (
         "CostModel", "InfeasibleConfigError", "ObjectiveSpec", "PairwiseObjective",
-        "delta_cost", "objective", "objective_grid", "predict_grid", "risk_penalty",
-        "two_factor_predict",
+        "objective", "objective_grid", "predict_grid",
     ),
     "optimize": (
         "DominanceReport", "SearchSpec", "SearchTrace", "coordinate_ascent",
-        "diag_dominance_check", "local_gain", "multistart", "near_opt_bound",
-        "two_swap_bound", "verify_1swap",
+        "diag_dominance_check", "multistart", "near_opt_bound", "two_swap_bound",
+        "verify_1swap",
     ),
     "pci": ("PciMatrix", "interaction_strength", "pci_matrix", "pci_rank_pairs",
             "write_pci_csv"),
     "planning": ("bernstein_halfwidth", "effect_error_budget", "hoeffding_cell_n",
-                 "infer_bound", "uniform_cells_n"),
+                 "mc_sample_size", "uniform_cells_n"),
     "sim": (
         "SuiteConfig", "Teacher", "TeacherSpec", "TrialResult", "ablation_suite",
         "comparison_suite", "default_space", "gen_teacher", "make_log",

@@ -31,7 +31,7 @@ from . import __version__
 # commands that run them, so no other command pays for compiling them.
 from .effects import ShrinkageSpec, bootstrap_cis, estimate_from_log
 from .objective import CostModel, ObjectiveSpec, PairwiseObjective, objective_grid
-from .shapley import mc_sample_size, write_shapley_csv
+from .shapley import write_shapley_csv
 from .space import ReferenceDistribution, ingest_log, load_space, open_atomic, write_csv
 
 
@@ -291,7 +291,7 @@ def cmd_pci(args) -> tuple[list[str], dict]:
 
 
 def cmd_plan(args) -> tuple[list[str], dict]:
-    from .planning import bernstein_halfwidth, hoeffding_cell_n, uniform_cells_n
+    from .planning import bernstein_halfwidth, hoeffding_cell_n, mc_sample_size, uniform_cells_n
 
     if args.mc:
         union = None
@@ -302,8 +302,12 @@ def cmd_plan(args) -> tuple[list[str], dict]:
         n = mc_sample_size(args.B, args.eps, args.delta, union_items=union)
         formula = f"ceil(8 * B^2 / eps^2 * log(2{'*' + str(union) if union else ''}/delta))"
         label = "attribution samples"
-    elif args.levels:
-        Lj, Lk = (int(v) for v in args.levels.split(","))
+    elif args.levels is not None:
+        try:
+            Lj, Lk = map(int, args.levels.split(","))
+        except ValueError:
+            raise CommandError(f"--levels takes two level counts as 'Lj,Lk', "
+                               f"got {args.levels!r}") from None
         n = uniform_cells_n(args.B, args.eps, args.delta, Lj, Lk)
         formula = f"ceil(2 * B^2 / eps^2 * log(2*{Lj}*{Lk}/delta))"
         label = "records per cell (uniform over cells)"

@@ -34,10 +34,6 @@ if TYPE_CHECKING:
     from .shapley import ShapleyEstimate
 
 
-class EmptyCellError(LookupError):
-    """A conditional mean was requested for a cell with no support."""
-
-
 @dataclass(frozen=True)
 class ShrinkageSpec:
     """Pseudo-count shrinkage strengths: eta = n / (n + tau), one tau for
@@ -182,36 +178,6 @@ def table_from_dict(data: Mapping, space: FactorSpace,
 
 
 # ---------------------------------------------------------------------------
-# Baseline and conditional means
-# ---------------------------------------------------------------------------
-
-def weighted_baseline(log: RunLog) -> float:
-    total = float(log.weights.sum())
-    if total <= 0:
-        raise ValueError("total weight is zero")
-    return float(np.dot(log.weights, log.responses) / total)
-
-
-def conditional_mean(log: RunLog, j: int, level: int) -> float:
-    mask = log.configs_array[:, j] == level
-    wsum = float(log.weights[mask].sum())
-    if wsum <= 0:
-        raise EmptyCellError(f"no support for factor {log.space.names[j]!r} level {level}")
-    return float(np.dot(log.weights[mask], log.responses[mask]) / wsum)
-
-
-def conditional_pair_mean(log: RunLog, j: int, lj: int, k: int, lk: int) -> float:
-    cfg = log.configs_array
-    mask = (cfg[:, j] == lj) & (cfg[:, k] == lk)
-    wsum = float(log.weights[mask].sum())
-    if wsum <= 0:
-        raise EmptyCellError(
-            f"no support for pair ({log.space.names[j]!r}={lj}, {log.space.names[k]!r}={lk})"
-        )
-    return float(np.dot(log.weights[mask], log.responses[mask]) / wsum)
-
-
-# ---------------------------------------------------------------------------
 # Estimation
 # ---------------------------------------------------------------------------
 
@@ -326,7 +292,7 @@ def estimate_from_log(log: RunLog, estimator: str,
     from .shapley import ValueOracle, fit_from_oracle
 
     reference = reference.product_marginals()
-    oracle = ValueOracle.from_log(log, reference, warn=False)
+    oracle = ValueOracle.from_log(log, reference)
     return fit_from_oracle(oracle, log, shrinkage)
 
 
@@ -415,10 +381,3 @@ def bootstrap_cis(log: RunLog, reference: ReferenceDistribution | None = None,
     return replace(estimate_effects_cm(log, reference, shrinkage),
                    replicates=bootstrap_replicates(log, reference, shrinkage, B, seed),
                    ci_level=level)
-
-
-def shrinkage_risk(eta: float, variance_estimate: float, effect_value: float) -> float:
-    """Mean squared risk of multiplicative shrinkage at strength eta."""
-    if not 0 < eta <= 1:
-        raise ValueError("eta must be in (0, 1]")
-    return eta * eta * variance_estimate + (1.0 - eta) ** 2 * effect_value * effect_value

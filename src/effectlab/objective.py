@@ -91,14 +91,6 @@ class CostModel:
             costs.append(np.array([float(row.get(lbl, 0.0)) for lbl in f.levels]))
         return cls(space, tuple(costs), offset=float(data.get("cost_offset", 0.0)))
 
-    def total(self, x: Sequence[int]) -> float:
-        return self.offset + sum(float(self.level_costs[j][x[j]]) for j in range(len(x)))
-
-
-def delta_cost(cost: CostModel, j: int, level: int, x: Sequence[int]) -> float:
-    """Cost change from switching factor j to the given level."""
-    return float(cost.level_costs[j][level] - cost.level_costs[j][x[j]])
-
 
 @dataclass(frozen=True, eq=False)
 class ObjectiveSpec:
@@ -151,17 +143,6 @@ class ObjectiveSpec:
         return float(self.gamma)
 
 
-def two_factor_predict(table: EffectTable, x: Sequence[int]) -> float:
-    """Baseline plus main effects plus pairwise interactions at x."""
-    x = table.space.validate_config(x)
-    total = table.mu
-    for j, g in enumerate(table.mains):
-        total += float(g[x[j]])
-    for (j, k), mat in table.pairs.items():
-        total += float(mat[x[j], x[k]])
-    return total
-
-
 def broadcast_sum(out: np.ndarray, terms) -> np.ndarray:
     """``out`` plus each ``(axes, term)`` in order, the term spanning those
     axes of ``out`` and broadcast along the rest."""
@@ -190,13 +171,6 @@ def pair_risk(support: SupportCounts, spec: ObjectiveSpec) -> dict[tuple[int, in
         g = spec.gamma_for(space, j, k)
         risk[(j, k)] = g / (support.pair_counts[(j, k)] + g)
     return risk
-
-
-def risk_penalty(support: SupportCounts, x: Sequence[int],
-                 gamma: float | ObjectiveSpec = 1.0) -> float:
-    """Sum over factor pairs of gamma / (n_jk + gamma); each term in (0, 1]."""
-    spec = gamma if isinstance(gamma, ObjectiveSpec) else ObjectiveSpec(gamma=gamma)
-    return sum((r[x[j], x[k]] for (j, k), r in pair_risk(support, spec).items()), 0.0)
 
 
 def _check_bans(space: FactorSpace, spec: ObjectiveSpec) -> None:

@@ -24,7 +24,10 @@ import numpy as np
 from .objective import InfeasibleConfigError, PairwiseObjective, broadcast_sum
 from .space import Config, FactorSpace
 
+# The dominance certificate enumerates a factor's contexts up to this many;
+# above it, it samples this many from a fixed SeedSequence(0).
 DOMINANCE_CONTEXT_CAP = 100_000
+DOMINANCE_SAMPLE_CONTEXTS = 2048
 
 
 @dataclass(frozen=True)
@@ -79,22 +82,8 @@ class DominanceReport:
 
 
 # ---------------------------------------------------------------------------
-# Local objective
+# Search
 # ---------------------------------------------------------------------------
-
-def local_gain(model: PairwiseObjective, j: int, level: int, x: Sequence[int]) -> float:
-    """Local objective of setting factor j to ``level`` in context x: the
-    terms of J that depend on factor j. Only its differences across levels
-    are promised; they equal the corresponding differences of J."""
-    x = model.space.validate_config(x)
-    scores = model.level_scores(j, [x])[0]
-    if not 0 <= level < len(scores):
-        raise ValueError(f"level {level} of factor {model.space.names[j]!r} is out of range "
-                         f"0..{len(scores) - 1}")
-    if scores[level] == -np.inf:
-        raise InfeasibleConfigError(f"configuration {x[:j] + (level,) + x[j + 1:]} is infeasible")
-    return float(scores[level])
-
 
 def _ascend(model: PairwiseObjective, starts: list[Config], max_sweeps: int
             ) -> list[SearchTrace]:
@@ -206,20 +195,20 @@ def verify_1swap(model: PairwiseObjective, x: Sequence[int]
 # Dominance certificate
 # ---------------------------------------------------------------------------
 
-def diag_dominance_check(model: PairwiseObjective, context_cap: int = DOMINANCE_CONTEXT_CAP,
-                         sample_contexts: int = 2048, seed: int = 0) -> DominanceReport:
+def diag_dominance_check(model: PairwiseObjective) -> DominanceReport:
     """Certificate that every 1-swap optimum is the global optimum.
 
     ``influence[j, k]`` bounds how much a change in factor k can move factor
     j's local objective at any level. ``margins[j]`` is the smallest gap
     between the best and second-best local objective of factor j over
     feasible contexts, enumerated exactly when the context count is within
-    ``context_cap`` and otherwise sampled (then the certificate is
+    ``DOMINANCE_CONTEXT_CAP`` and otherwise sampled,
+    ``DOMINANCE_SAMPLE_CONTEXTS`` of them (then the certificate is
     approximate and marked non-exact). Banned configs break the product
     structure of contexts, so their presence voids the certificate.
     """
     d = model.space.num_factors
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(np.random.SeedSequence(0))
     allowed = model.allowed_levels()
 
     # Pair term of factor k on factor j's allowed levels, per ordered pair,
@@ -243,7 +232,7 @@ def diag_dominance_check(model: PairwiseObjective, context_cap: int = DOMINANCE_
         sizes = [len(allowed[k]) for k in others]
         n_contexts = math.prod(sizes)
         base = model.unary[j][allowed[j]]
-        if n_contexts <= context_cap:
+        if n_contexts <= DOMINANCE_CONTEXT_CAP:
             # Tensor of local objectives: level axis first, one axis per context factor.
             terms = [((0,), base)] + [((0, 1 + pos), pair_scores[j, k])
                                       for pos, k in enumerate(others)]
@@ -254,12 +243,12 @@ def diag_dominance_check(model: PairwiseObjective, context_cap: int = DOMINANCE_
             # All contexts in one call, context-major: the same stream as one
             # scalar draw per context factor per context.
             exact = False
-            idx = rng.integers(0, np.tile(sizes, sample_contexts))
-            idx = idx.reshape(sample_contexts, len(others))
+            samples = DOMINANCE_SAMPLE_CONTEXTS
+            idx = rng.integers(0, np.tile(sizes, samples)).reshape(samples, len(others))
             flat = base[:, None]
             for pos, k in enumerate(others):
                 flat = flat + pair_scores[j, k][:, idx[:, pos]]
-            contexts_checked.append(sample_contexts)
+            contexts_checked.append(samples)
         top2 = np.sort(flat, axis=0)[-2:, :]
         margins[j] = float((top2[1] - top2[0]).min())
 

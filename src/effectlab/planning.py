@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 
-from .space import RunLog
-
 
 def _check_budget(B: float, eps: float, delta: float) -> None:
     if B <= 0:
@@ -21,27 +19,30 @@ def _check_budget(B: float, eps: float, delta: float) -> None:
         raise ValueError("delta must be in (0, 1)")
 
 
-def hoeffding_cell_bound(B: float, eps: float, delta: float) -> float:
-    _check_budget(B, eps, delta)
-    return 2.0 * B * B / (eps * eps) * math.log(2.0 / delta)
-
-
 def hoeffding_cell_n(B: float, eps: float, delta: float) -> int:
     """Cell size sufficient for a cell-mean error of at most eps."""
-    return math.ceil(hoeffding_cell_bound(B, eps, delta))
-
-
-def uniform_cells_bound(B: float, eps: float, delta: float, L_j: int, L_k: int) -> float:
     _check_budget(B, eps, delta)
-    if L_j < 1 or L_k < 1:
-        raise ValueError("level counts must be at least 1")
-    return 2.0 * B * B / (eps * eps) * math.log(2.0 * L_j * L_k / delta)
+    return math.ceil(2.0 * B * B / (eps * eps) * math.log(2.0 / delta))
 
 
 def uniform_cells_n(B: float, eps: float, delta: float, L_j: int, L_k: int) -> int:
     """Minimum cell size making every cell of an L_j x L_k pair accurate at
     once (union bound over cells)."""
-    return math.ceil(uniform_cells_bound(B, eps, delta, L_j, L_k))
+    _check_budget(B, eps, delta)
+    if L_j < 1 or L_k < 1:
+        raise ValueError("level counts must be at least 1")
+    return math.ceil(2.0 * B * B / (eps * eps) * math.log(2.0 * L_j * L_k / delta))
+
+
+def mc_sample_size(B: float, eps: float, delta: float,
+                   union_items: int | None = None) -> int:
+    """Permutation count sufficient for |phi_hat - phi| <= eps with
+    probability 1 - delta; union mode covers ``union_items`` estimates."""
+    _check_budget(B, eps, delta)
+    items = 1 if union_items is None else int(union_items)
+    if items < 1:
+        raise ValueError("union_items must be at least 1")
+    return math.ceil(8.0 * B * B / (eps * eps) * math.log(2.0 * items / delta))
 
 
 def bernstein_halfwidth(sigma_hat: float, B: float, n: int, delta: float) -> float:
@@ -63,10 +64,3 @@ def effect_error_budget(eps0: float, eps1: float) -> tuple[float, float]:
         raise ValueError("error targets must be nonnegative")
     return (eps1 + eps0, 3.0 * eps1 + eps0)
 
-
-def infer_bound(log: RunLog, inflation: float = 1.1) -> float:
-    """Response bound from a log: max |response| inflated for safety."""
-    peak = float(abs(log.responses).max())
-    if peak == 0.0:
-        return 1.0
-    return inflation * peak

@@ -15,17 +15,15 @@ from __future__ import annotations
 import csv
 import io
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .effects import EffectTable, ShrinkageSpec, _finalize
 from .space import (
-    Config,
     FactorSpace,
     ReferenceDistribution,
     RunLog,
@@ -62,9 +60,8 @@ class RankDeficiencyError(ValueError):
 class ValueOracle:
     """Evaluates v(T) = E[f(x_T, X_rest)] under a product background.
 
-    Backed either by a callable response function or by the cell means of a
-    run log; unobserved cells of a log-backed oracle fall back to the
-    weighted baseline. Every coalition value sits in one (L_1+1) x ... x
+    Built from response values over the grid, or from the cell means of a
+    run log (``from_log``). Every coalition value sits in one (L_1+1) x ... x
     (L_d+1) tensor: index L_j on axis j means factor j averaged out under
     its background marginal, so v(T) at x reads x_j on the axes in T and L_j
     on the rest. The tensor is filled by one contraction per axis, last axis
@@ -107,16 +104,9 @@ class ValueOracle:
             )
 
     @classmethod
-    def from_function(cls, space: FactorSpace, reference: ReferenceDistribution,
-                      fn: Callable[[Config], float], bound: float | None = None) -> "ValueOracle":
-        cls._check(space, reference)  # before the grid is enumerated and fn called on it
-        grid = enumerate_grid(space, cap=EXACT_CELL_CAP)
-        values = np.array([fn(x) for x in grid], dtype=float)
-        return cls(space, reference, values, bound=bound)
-
-    @classmethod
-    def from_log(cls, log: RunLog, reference: ReferenceDistribution,
-                 warn: bool = True) -> "ValueOracle":
+    def from_log(cls, log: RunLog, reference: ReferenceDistribution) -> "ValueOracle":
+        """The log's cell means; ``padded_cells`` counts the unobserved cells,
+        which take the weighted baseline."""
         space = log.space
         cls._check(space, reference)  # before any grid-sized array
         size = space.grid_size
@@ -129,15 +119,7 @@ class ValueOracle:
         values = np.full(size, mu)
         mask = sw > 0
         values[mask] = swf[mask] / sw[mask]
-        padded = int(size - mask.sum())
-        oracle = cls(space, reference, values, padded_cells=padded)
-        if padded and warn:
-            warnings.warn(
-                f"{padded} of {size} grid cells unobserved; coalition values "
-                "fall back to the weighted baseline there",
-                stacklevel=2,
-            )
-        return oracle
+        return cls(space, reference, values, padded_cells=int(size - mask.sum()))
 
     @property
     def v_empty(self) -> float:
@@ -167,10 +149,6 @@ class ValueOracle:
             step = strides[j] * (X[:, j] - levels[j])
             flat = np.concatenate([flat, flat + step[:, None]], axis=1)
         return self._tensor.take(flat)
-
-
-def coalition_value(oracle: ValueOracle, x: Sequence[int], subset: Iterable[int]) -> float:
-    return oracle.v(x, subset)
 
 
 # ---------------------------------------------------------------------------
@@ -268,25 +246,6 @@ def exact_shapley_second_order(table: EffectTable, x: Sequence[int]) -> np.ndarr
         phi[j] += half
         phi[k] += half
     return phi
-
-
-def mc_sample_bound(B: float, eps: float, delta: float,
-                    union_items: int | None = None) -> float:
-    if B <= 0:
-        raise ValueError("B must be positive")
-    if not 0 < eps < 1 or not 0 < delta < 1:
-        raise ValueError("eps and delta must be in (0, 1)")
-    items = 1 if union_items is None else int(union_items)
-    if items < 1:
-        raise ValueError("union_items must be at least 1")
-    return 8.0 * B * B / (eps * eps) * math.log(2.0 * items / delta)
-
-
-def mc_sample_size(B: float, eps: float, delta: float,
-                   union_items: int | None = None) -> int:
-    """Permutation count sufficient for |phi_hat - phi| <= eps with
-    probability 1 - delta; union mode covers ``union_items`` estimates."""
-    return math.ceil(mc_sample_bound(B, eps, delta, union_items))
 
 
 # ---------------------------------------------------------------------------
@@ -505,14 +464,6 @@ def fit_from_oracle(oracle: ValueOracle, log: RunLog,
                 else list(dict.fromkeys(tuple(c) for c in log.configs_array.tolist())))
     return fit_effects_sf(exact_shapley(oracle, eval_set), space, oracle.reference, shrinkage,
                           support=support_counts(log), mu=oracle.v_empty, design=design)
-
-
-def stability_bound(design: EffectDesignMatrix, observation_error_norm: float) -> float:
-    """Worst-case parameter error given an attribution error of the stated
-    Euclidean norm."""
-    if design.sigma_min <= 0:
-        raise ValueError("stability bound undefined for a singular design matrix")
-    return float(observation_error_norm) / design.sigma_min
 
 
 def write_shapley_csv(estimates: ShapleyEstimate, space: FactorSpace,

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .effects import EffectTable, ShrinkageSpec, estimate_from_log, percentile
-from .objective import CostModel, ObjectiveSpec, PairwiseObjective, broadcast_sum, predict_grid
+from .objective import ObjectiveSpec, PairwiseObjective, broadcast_sum, predict_grid
 from .optimize import SearchSpec, multistart
 from .shapley import EffectDesignMatrix, ValueOracle, fit_from_oracle, grid_design
 from .space import (
@@ -174,17 +174,6 @@ def reconstruction_error(estimate: EffectTable, truth: EffectTable) -> float:
     return float(np.sqrt(np.mean(stacked * stacked)))
 
 
-def error_decomposition(estimate: EffectTable, truth: EffectTable,
-                        teacher: Teacher) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-config (prediction - truth), effect-estimation error, and the
-    baseline deviation; prediction - truth = baseline_dev + eps - residual."""
-    pred = predict_grid(estimate)
-    lhs = pred - teacher.values
-    eps = pred - predict_grid(truth) - (estimate.mu - truth.mu)
-    baseline = np.full(teacher.values.shape, estimate.mu - truth.mu)
-    return lhs, eps, baseline
-
-
 # ---------------------------------------------------------------------------
 # Trials
 # ---------------------------------------------------------------------------
@@ -213,11 +202,9 @@ def _trial_seeds(trial_seed: int) -> tuple[int, int, int, int, int]:
 
 
 def run_trial(teacher: Teacher, plan: DesignPlan, seeds_per_point: int,
-              estimator: str, objective_spec: ObjectiveSpec | None = None,
-              search: SearchSpec | None = None, *, trial_seed: int = 0,
+              estimator: str, *, trial_seed: int = 0,
               reference: ReferenceDistribution | None = None,
               shrinkage: ShrinkageSpec | None = None, mains_only: bool = False,
-              cost: CostModel | None = None,
               oracle_source: str = "teacher",
               design: EffectDesignMatrix | None = None) -> TrialResult:
     """Design -> log -> estimate -> search -> score against ground truth.
@@ -250,8 +237,8 @@ def run_trial(teacher: Teacher, plan: DesignPlan, seeds_per_point: int,
     if mains_only:
         table = table.with_zero_pairs()
 
-    model = PairwiseObjective.build(table, table.support, objective_spec or ObjectiveSpec(), cost)
-    chosen, _ = multistart(model, table.mains, search or SearchSpec(seed=search_seed))
+    model = PairwiseObjective.build(table, table.support, ObjectiveSpec())
+    chosen, _ = multistart(model, table.mains, SearchSpec(seed=search_seed))
 
     truth_values = teacher.values
     best = np.unravel_index(int(np.argmax(truth_values)), truth_values.shape)

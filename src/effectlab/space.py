@@ -26,6 +26,8 @@ from numpy.typing import ArrayLike
 Config = tuple[int, ...]
 
 GRID_ENUMERATION_CAP = 10_000_000
+# Run-log columns besides the factors.
+LOG_COLUMNS = ("response", "weight", "seed")
 
 
 class LogSchemaError(ValueError):
@@ -57,6 +59,17 @@ class FactorSpace:
                 raise ValueError(f"factor {f.name!r} has {f.num_levels} level(s); need at least 2")
             if len(set(f.levels)) != f.num_levels:
                 raise ValueError(f"duplicate level labels in factor {f.name!r}")
+            # ingest_log must read back what write_log writes; it strips every
+            # cell and skips a byte-order mark at the start of the file.
+            if f.name in LOG_COLUMNS:
+                raise ValueError(f"factor name {f.name!r} is a run-log column name")
+            if f.name != f.name.strip() or f.name.startswith("\ufeff"):
+                raise ValueError(f"factor name {f.name!r} has leading or trailing whitespace "
+                                 "or a leading byte-order mark")
+            for label in f.levels:
+                if label != label.strip():
+                    raise ValueError(f"level label {label!r} of factor {f.name!r} has "
+                                     "leading or trailing whitespace")
 
     @property
     def num_factors(self) -> int:
@@ -134,20 +147,17 @@ def build_space(spec: Mapping | Sequence[tuple[str, Sequence[str]]]) -> FactorSp
 
 
 def load_space(path: str | Path) -> FactorSpace:
-    with open(path, "r", encoding="utf-8") as fh:
+    """A space from its JSON document; a leading byte-order mark is skipped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return build_space(json.load(fh))
 
 
-def save_space(space: FactorSpace, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(space.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def enumerate_grid(space: FactorSpace, cap: int = GRID_ENUMERATION_CAP) -> list[Config]:
-    """All configurations in lexicographic order (first factor slowest)."""
-    if space.grid_size > cap:
-        raise ValueError(f"grid size {space.grid_size} exceeds enumeration cap {cap}")
+def enumerate_grid(space: FactorSpace) -> list[Config]:
+    """All configurations in lexicographic order (first factor slowest), up
+    to ``GRID_ENUMERATION_CAP`` of them."""
+    if space.grid_size > GRID_ENUMERATION_CAP:
+        raise ValueError(f"grid size {space.grid_size} exceeds enumeration cap "
+                         f"{GRID_ENUMERATION_CAP}")
     return list(itertools.product(*[range(n) for n in space.level_counts]))
 
 
@@ -381,8 +391,8 @@ def _parse(cells: list[str], convert, blank: str = "") -> tuple[list, int | None
     ``ValueError``, and that cell's index, or None if it rejects none.
 
     A column of unpadded cells converts in one call: ``float`` and ``int``
-    ignore the whitespace that ``str.strip`` removes, and a label lookup must
-    hold only labels without it. Any other column goes cell by cell.
+    ignore the whitespace that ``str.strip`` removes, and no level label has
+    it (``FactorSpace`` rejects one). Any other column goes cell by cell.
     """
     try:
         return list(map(convert, cells)), None
@@ -420,7 +430,7 @@ def _log_columns(space: FactorSpace, header: list[str], rows: list[list[str]],
 
     levels = np.empty((n, space.num_factors), dtype=np.intp)
     for j, f in enumerate(space.factors):
-        lookup = {label: lvl for lvl, label in enumerate(f.levels) if label == label.strip()}
+        lookup = {label: lvl for lvl, label in enumerate(f.levels)}
         values, bad = _parse(columns[f.name], lookup.__getitem__)
         if bad is None:
             levels[:, j] = values
@@ -471,20 +481,21 @@ def ingest_log(path: str | Path, space: FactorSpace) -> RunLog:
     The header must contain one column per factor name plus ``response``;
     ``weight`` (default 1) and ``seed`` (default 0) columns are optional and
     may be left blank. Blank lines are skipped. A bad row is rejected with a
-    ``LogSchemaError`` naming its CSV row (the header is row 1).
+    ``LogSchemaError`` naming its CSV row (the header is row 1). A leading
+    byte-order mark, as Excel writes one, is skipped.
 
     One ``csv.reader`` pass hands over ``INGEST_BLOCK`` rows at a time, and
     each block is converted a column at a time. A file with several bad rows
     is rejected for the earliest; within a row the checks run in the order:
     row length, factors (in space order), response, weight, seed.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise LogSchemaError(f"{path}: empty file")
         header = [h.strip() for h in header]
-        known = set(space.names) | {"response", "weight", "seed"}
+        known = set(space.names) | set(LOG_COLUMNS)
         for col in header:
             if col not in known:
                 raise LogSchemaError(f"{path}: unknown column {col!r}")
@@ -550,7 +561,7 @@ def write_log(log: RunLog, path: str | Path) -> None:
     """Write a run log as CSV; floats round-trip exactly through repr."""
     labels = [np.array(f.levels, dtype=object)[log.configs_array[:, j]]
               for j, f in enumerate(log.space.factors)]
-    write_csv(path, None, list(log.space.names) + ["response", "weight", "seed"],
+    write_csv(path, None, list(log.space.names) + list(LOG_COLUMNS),
               zip(*labels, map(repr, log.responses.tolist()),
                   map(repr, log.weights.tolist()), map(str, log.seeds.tolist())))
 

@@ -484,7 +484,7 @@ def ingest_log_loop(path, space):
     next is read: the reader ``space.ingest_log`` replaced. Returns the
     library's RunLog of the columns, or raises the ``LogSchemaError`` of the
     first bad row."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -584,6 +584,36 @@ def test_plan_variants(capsys, tmp_path):
     assert capsys.readouterr().out.splitlines()[0] == str(expected)
 
 
+@pytest.mark.parametrize("levels", ["3", "3,3,3", "a,b", ""])
+def test_plan_levels_parse_error_names_the_flag(capsys, levels):
+    rc = main(["plan", "--B", "1", "--eps", "0.1", "--delta", "0.05", "--levels", levels])
+    assert rc == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "CommandError"
+    assert "--levels" in error["message"] and "Lj,Lk" in error["message"]
+    assert repr(levels) in error["message"]
+
+
+@pytest.mark.parametrize("path", ["cm", "sf"])
+def test_byte_order_mark_leaves_the_data_files_unchanged(workspace, path):
+    # Excel starts a UTF-8 CSV with a byte-order mark; editors may do the same to JSON.
+    tmp, space, log = workspace
+    marked = []
+    for src in (space, log):
+        copy = tmp / f"bom-{src.name}"
+        copy.write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
+        marked.append(copy)
+    outs = []
+    for s, l, name in ((space, log, "plain"), (*marked, "bom")):
+        outs.append(tmp / f"{name}-{path}")
+        assert main(["estimate", "--path", path, "--space", str(s), "--log", str(l),
+                     "--out", str(outs[-1])]) == 0
+    files = sorted(p.name for p in outs[0].iterdir() if p.name != "manifest.json")
+    assert files == sorted(p.name for p in outs[1].iterdir() if p.name != "manifest.json")
+    for name in files:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_simulate_smoke(tmp_path):
     out = tmp_path / "sim"
     rc = main(["simulate", "--suite", "cm-vs-sf", "--trials", "3",

@@ -9,23 +9,18 @@ from hypothesis import strategies as st
 from effectlab import (
     CostModel,
     DesignPlan,
-    EmptyCellError,
     ObjectiveSpec,
     PairwiseObjective,
     ReferenceDistribution,
     ShrinkageSpec,
     bootstrap_cis,
     build_space,
-    conditional_mean,
-    conditional_pair_mean,
     enumerate_grid,
     estimate_effects_cm,
     log_from_arrays,
     sample_design,
-    shrinkage_risk,
     support_counts,
     table_from_dict,
-    weighted_baseline,
 )
 from effectlab.effects import BOOTSTRAP_CHUNK, bootstrap_replicates, percentile
 from effectlab.space import double_centerer
@@ -59,38 +54,44 @@ def assert_centered(table, tol=1e-9):
 # Baseline and conditional means
 # ---------------------------------------------------------------------------
 
+def cell_means(sums):
+    """Weighted mean response of each cell of a ``support_counts`` sum
+    array; NaN where the cell has no weight."""
+    return np.divide(sums[1], sums[0], out=np.full(sums[0].shape, np.nan), where=sums[0] > 0)
+
+
 def test_weighted_baseline(space_2x2):
     log = log_from_arrays(space_2x2, enumerate_grid(space_2x2), [0, 1, 1, 0])
-    assert weighted_baseline(log) == pytest.approx(0.5)
+    assert estimate_effects_cm(log).mu == pytest.approx(0.5)
     single = log_from_arrays(space_2x2, [(0, 0)], [3.0], weights=[2.0])
-    assert weighted_baseline(single) == pytest.approx(3.0)
+    assert estimate_effects_cm(single).mu == pytest.approx(3.0)
     two = log_from_arrays(space_2x2, [(0, 0), (1, 1)], [0.0, 4.0], weights=[1.0, 3.0])
     # hand-weighted mean: (1*0 + 3*4) / 4 = 3
-    assert weighted_baseline(two) == pytest.approx(3.0)
+    assert estimate_effects_cm(two).mu == pytest.approx(3.0)
 
 
 def test_conditional_mean_xor(xor_log):
-    assert conditional_mean(xor_log, 0, 0) == pytest.approx(0.5)
-    assert conditional_mean(xor_log, 1, 1) == pytest.approx(0.5)
+    level_sums = support_counts(xor_log).level_sums
+    assert cell_means(level_sums[0])[0] == pytest.approx(0.5)
+    assert cell_means(level_sums[1])[1] == pytest.approx(0.5)
 
 
 def test_conditional_mean_constant(space_2x2):
     log = log_from_arrays(space_2x2, enumerate_grid(space_2x2), [7.0] * 4)
-    for j in range(2):
-        for l in range(2):
-            assert conditional_mean(log, j, l) == pytest.approx(7.0)
-    assert conditional_pair_mean(log, 0, 1, 1, 0) == pytest.approx(7.0)
+    support = support_counts(log)
+    for sums in support.level_sums:
+        assert cell_means(sums) == pytest.approx([7.0, 7.0])
+    assert cell_means(support.pair_sums[(0, 1)])[1, 0] == pytest.approx(7.0)
 
 
 def test_conditional_mean_single_record_cell(space_2x2):
+    # A cell without weight has no mean: NaN in the table's level means.
     log = log_from_arrays(space_2x2, [(0, 0), (1, 1)], [2.5, -1.0])
-    assert conditional_pair_mean(log, 0, 0, 1, 0) == pytest.approx(2.5)
-    with pytest.raises(EmptyCellError):
-        conditional_pair_mean(log, 0, 0, 1, 1)
-    with pytest.raises(EmptyCellError):
-        conditional_mean(
-            log_from_arrays(space_2x2, [(0, 0)], [1.0]), 0, 1
-        )
+    pair_means = cell_means(support_counts(log).pair_sums[(0, 1)])
+    assert pair_means[0, 0] == pytest.approx(2.5)
+    assert np.isnan(pair_means[0, 1])
+    table = estimate_effects_cm(log_from_arrays(space_2x2, [(0, 0)], [1.0]))
+    assert table.level_means[0][0] == 1.0 and np.isnan(table.level_means[0][1])
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +537,9 @@ def test_topk_intervals_match_per_config_loop(problem):
     risk = {x: spec.lambda_risk * sum(spec.gamma / (support.pair_counts[jk][x[jk[0]], x[jk[1]]]
                                                    + spec.gamma) for jk in space.pairs())
             for x in configs}
-    costs = {x: spec.lambda_cost * cost.total(x) for x in configs}
+    costs = {x: spec.lambda_cost * (cost.offset + sum(float(cost.level_costs[j][x[j]])
+                                                      for j in range(len(x))))
+             for x in configs}
     want = topk_intervals_loop(mu, mains, pairs, risk, costs, configs, 5.0)
     assert got.keys() == want.keys()
     for x in configs:
@@ -649,19 +652,8 @@ def test_percentile_matches_numpy_bit_for_bit(problem):
 
 
 # ---------------------------------------------------------------------------
-# Shrinkage risk and serialization
+# Serialization
 # ---------------------------------------------------------------------------
-
-def test_shrinkage_risk_values():
-    assert shrinkage_risk(1.0, 0.25, 3.0) == pytest.approx(0.25)
-    assert shrinkage_risk(0.5, 0.04, 0.2) == pytest.approx(0.02)
-    # zero effect: risk reduces to eta^2 * var, decreasing toward eta -> 0
-    assert shrinkage_risk(0.9, 1.0, 0.0) > shrinkage_risk(0.1, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        shrinkage_risk(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        shrinkage_risk(1.5, 1.0, 1.0)
-
 
 def test_table_json_roundtrip(xor_log):
     table = estimate_effects_cm(xor_log, shrinkage=TINY_TAU)

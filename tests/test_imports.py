@@ -4,6 +4,7 @@ A command imports only the library layers it runs, so a later eager
 module-level import shows up here as a module that should not be loaded.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -15,26 +16,29 @@ import pytest
 
 import effectlab
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
-# The names ``effectlab`` exported before they were resolved on first use.
+# The names ``effectlab`` exports, each resolved on first use.
 PUBLIC_NAMES = (
-    "Config CostModel DesignPlan DominanceReport EffectDesignMatrix EffectTable "
-    "EmptyCellError Factor FactorSpace InfeasibleConfigError LogSchemaError ObjectiveSpec "
-    "PairwiseObjective PciMatrix RankDeficiencyError ReferenceDistribution RunLog SearchSpec "
-    "SearchTrace ShapleyEstimate ShrinkageSpec SuiteConfig SupportCounts Teacher TeacherSpec "
+    "Config CostModel DesignPlan DominanceReport EffectDesignMatrix EffectTable Factor "
+    "FactorSpace InfeasibleConfigError LogSchemaError ObjectiveSpec PairwiseObjective "
+    "PciMatrix RankDeficiencyError ReferenceDistribution RunLog SearchSpec SearchTrace "
+    "ShapleyEstimate ShrinkageSpec SuiteConfig SupportCounts Teacher TeacherSpec "
     "TrialResult ValueOracle ablation_suite bernstein_halfwidth bootstrap_cis "
-    "build_design_matrix build_space coalition_value comparison_suite conditional_mean "
-    "conditional_pair_mean coordinate_ascent default_space delta_cost diag_dominance_check "
-    "effect_error_budget effective_sample_size enumerate_grid estimate_effects_cm "
-    "estimate_from_log exact_shapley exact_shapley_second_order fit_effects_sf gen_teacher "
-    "hoeffding_cell_n infer_bound ingest_log interaction_strength load_space local_gain "
+    "build_design_matrix build_space comparison_suite coordinate_ascent default_space "
+    "diag_dominance_check effect_error_budget effective_sample_size enumerate_grid "
+    "estimate_effects_cm estimate_from_log exact_shapley exact_shapley_second_order "
+    "fit_effects_sf gen_teacher hoeffding_cell_n ingest_log interaction_strength load_space "
     "log_from_arrays make_log mc_sample_size mc_shapley multistart near_opt_bound objective "
-    "objective_grid pci_matrix pci_rank_pairs predict_grid reconstruction_error risk_penalty "
-    "run_trial sample_design save_space shrinkage_risk spearman stability_bound "
-    "support_counts table_from_dict two_factor_predict two_swap_bound uniform_cells_n "
-    "verify_1swap weighted_baseline write_log write_pci_csv write_shapley_csv"
+    "objective_grid pci_matrix pci_rank_pairs predict_grid reconstruction_error run_trial "
+    "sample_design spearman support_counts table_from_dict two_swap_bound uniform_cells_n "
+    "verify_1swap write_log write_pci_csv write_shapley_csv"
 ).split()
+
+# Public entry points for a user's own code that no command, demo or
+# criterion calls.
+ENTRY_POINTS = {"coordinate_ascent", "table_from_dict"}
 
 # ``import effectlab`` binds the function ``objective``, which loads its
 # module and the layers that module imports.
@@ -115,8 +119,34 @@ def test_pci_and_plan_load_only_their_layers(inputs):
 
 def test_package_lists_every_public_name():
     assert sorted(effectlab.__all__) == sorted(PUBLIC_NAMES)
-    assert len(set(PUBLIC_NAMES)) == 84
+    assert len(set(PUBLIC_NAMES)) == 71
     assert set(PUBLIC_NAMES) <= set(dir(effectlab))
+
+
+def names_used(paths) -> set[str]:
+    """Identifiers the code in ``paths`` reads or imports: loaded names,
+    attributes and imported names, not the names a def, class or
+    assignment binds."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(Path(path).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return used
+
+
+def test_every_public_name_is_used_by_the_program_a_demo_or_a_criterion():
+    """A public name that only unit tests call is surface kept for tests; its
+    code belongs with the test oracles. ``__init__`` only lists the names."""
+    used = names_used(p for p in (SRC / "effectlab").glob("*.py") if p.name != "__init__.py")
+    used |= names_used((ROOT / "demos").glob("*.py"))
+    used |= names_used([ROOT / "tests" / "test_acceptance.py"])
+    assert ENTRY_POINTS <= set(effectlab.__all__)
+    assert sorted(set(effectlab.__all__) - used - ENTRY_POINTS) == []
 
 
 def test_public_names_are_their_submodule_attributes():

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -10,7 +11,6 @@ from effectlab import (
     PairwiseObjective,
     ShrinkageSpec,
     build_space,
-    delta_cost,
     enumerate_grid,
     estimate_effects_cm,
     gen_teacher,
@@ -18,14 +18,13 @@ from effectlab import (
     objective,
     objective_grid,
     predict_grid,
-    risk_penalty,
     support_counts,
     table_from_dict,
-    two_factor_predict,
     TeacherSpec,
 )
+from effectlab.objective import pair_risk
 from conftest import full_grid_log
-from oracles import feasible_loop
+from oracles import feasible_loop, predict_from_tables, risk_penalty_loop
 
 TINY_TAU = ShrinkageSpec(tau_main=1e-12, tau_pair=1e-12)
 
@@ -38,21 +37,18 @@ def xor_setup(xor_log):
 
 def test_predict_zero_table(xor_setup):
     table, _ = xor_setup
-    import dataclasses
-
     zeroed = dataclasses.replace(
         table,
         mains=tuple(np.zeros_like(g) for g in table.mains),
         pairs={jk: np.zeros_like(m) for jk, m in table.pairs.items()},
     )
-    for x in enumerate_grid(table.space):
-        assert two_factor_predict(zeroed, x) == pytest.approx(table.mu)
+    assert predict_grid(zeroed) == pytest.approx(np.full((2, 2), table.mu))
 
 
 def test_predict_xor_exact(xor_setup):
     table, _ = xor_setup
-    assert two_factor_predict(table, (0, 1)) == pytest.approx(1.0)
-    assert two_factor_predict(table, (0, 0)) == pytest.approx(0.0)
+    assert predict_grid(table)[0, 1] == pytest.approx(1.0)
+    assert predict_grid(table)[0, 0] == pytest.approx(0.0)
 
 
 def test_predict_recovers_second_order_teacher():
@@ -62,15 +58,20 @@ def test_predict_recovers_second_order_teacher():
     table = estimate_effects_cm(log, shrinkage=TINY_TAU)
     grid_pred = predict_grid(table)
     for x in enumerate_grid(space):
-        assert two_factor_predict(table, x) == pytest.approx(teacher.response(x), abs=1e-10)
         assert grid_pred[x] == pytest.approx(teacher.response(x), abs=1e-10)
+
+
+def risk_at(support, x, gamma):
+    """The risk term at x: each pair's ``pair_risk`` cell, summed."""
+    risk = pair_risk(support, ObjectiveSpec(gamma=gamma))
+    return sum(r[x[j], x[k]] for (j, k), r in risk.items())
 
 
 def test_risk_penalty_values(space_2x2):
     log = log_from_arrays(space_2x2, [(0, 0)] * 9, [0.0] * 9)
     sc = support_counts(log)
-    assert risk_penalty(sc, (0, 0), gamma=1.0) == pytest.approx(0.1)  # n=9
-    assert risk_penalty(sc, (1, 1), gamma=1.0) == pytest.approx(1.0)  # unseen
+    assert risk_at(sc, (0, 0), gamma=1.0) == pytest.approx(0.1)  # n=9
+    assert risk_at(sc, (1, 1), gamma=1.0) == pytest.approx(1.0)  # unseen
 
 
 def test_risk_penalty_three_factor_sum():
@@ -78,14 +79,14 @@ def test_risk_penalty_three_factor_sum():
     log = log_from_arrays(space, enumerate_grid(space)[:1] * 1, [0.0])
     # one record puts n=1 in exactly the (0,0) cell of each of the 3 pairs
     sc = support_counts(log)
-    assert risk_penalty(sc, (0, 0, 0), gamma=1.0) == pytest.approx(3 * 0.5)
+    assert risk_at(sc, (0, 0, 0), gamma=1.0) == pytest.approx(3 * 0.5)
 
 
 def test_risk_penalty_monotone_and_range(space_2x2):
     lo = log_from_arrays(space_2x2, [(0, 0)], [0.0])
     hi = log_from_arrays(space_2x2, [(0, 0)] * 50, [0.0] * 50)
-    r_lo = risk_penalty(support_counts(lo), (0, 0), gamma=1.0)
-    r_hi = risk_penalty(support_counts(hi), (0, 0), gamma=1.0)
+    r_lo = risk_at(support_counts(lo), (0, 0), gamma=1.0)
+    r_hi = risk_at(support_counts(hi), (0, 0), gamma=1.0)
     assert r_hi < r_lo
     d = 2
     assert 0 < r_hi <= d * (d - 1) / 2
@@ -96,7 +97,7 @@ def test_objective_reduces_to_prediction(xor_setup):
     spec = ObjectiveSpec(lambda_risk=0.0, lambda_cost=0.0)
     for x in enumerate_grid(table.space):
         assert objective(PairwiseObjective.build(table, sc, spec), x) == pytest.approx(
-            two_factor_predict(table, x))
+            predict_from_tables(table.mu, table.mains, table.pairs, x))
 
 
 def test_objective_cost_linearity(xor_setup):
@@ -167,16 +168,23 @@ def test_objective_decomposes_into_terms(xor_setup):
         term_sum = table.mu
         term_sum += sum(table.mains[j][x[j]] for j in range(2))
         term_sum += table.pairs[(0, 1)][x[0], x[1]]
-        term_sum -= 0.7 * risk_penalty(sc, x, 1.0)
-        term_sum -= 0.3 * cost.total(x)
+        term_sum -= 0.7 * risk_penalty_loop(sc, x, spec)
+        term_sum -= 0.3 * (cost.offset + sum(cost.level_costs[j][x[j]] for j in range(2)))
         assert direct == pytest.approx(term_sum, abs=1e-12)
 
 
-def test_delta_cost(space_2x2):
-    cost = CostModel(space_2x2, (np.array([0.0, 0.5]), np.array([0.0, 0.0])))
-    assert delta_cost(cost, 0, 0, (0, 0)) == 0.0
-    assert delta_cost(cost, 0, 1, (0, 0)) == pytest.approx(0.5)
-    assert delta_cost(cost, 0, 0, (1, 0)) == pytest.approx(-0.5)
+def test_delta_cost(xor_setup):
+    # Switching factor a from a0 to a1 costs 0.5, so with zero effects and
+    # no risk J drops by 0.5 across a row of a's local scores.
+    table, sc = xor_setup
+    zeroed = dataclasses.replace(table.with_zero_pairs(),
+                                 mains=tuple(np.zeros_like(g) for g in table.mains))
+    cost = CostModel(table.space, (np.array([0.0, 0.5]), np.array([0.0, 0.0])))
+    model = PairwiseObjective.build(zeroed, sc, ObjectiveSpec(lambda_risk=0.0, lambda_cost=1.0),
+                                    cost)
+    for x in enumerate_grid(table.space):
+        scores = model.level_scores(0, [x])[0]
+        assert scores[1] - scores[0] == pytest.approx(-0.5)
 
 
 def test_spec_validation():
@@ -200,7 +208,7 @@ def test_spec_from_dict(space_2x2):
     assert not feasible_loop(spec, (1, 0))
     assert not feasible_loop(spec, (0, 1))
     assert feasible_loop(spec, (0, 0))
-    assert cost.total((1, 1)) == pytest.approx(1.0)
+    assert [c.tolist() for c in cost.level_costs] == [[0.0, 1.0], [0.0, 0.0]]
 
 
 @pytest.mark.parametrize("gamma, key", [
@@ -266,7 +274,7 @@ def test_zero_weight_record_adds_no_support(space_2x2):
     dropped = log_from_arrays(space_2x2, grid[:3], [1.0, 2.0, 4.0])
     support, kept = support_counts(log), support_counts(dropped)
     assert support.pair_counts[(0, 1)][1, 1] == 0
-    assert risk_penalty(support, (1, 1), gamma=2.0) == 1.0
+    assert risk_at(support, (1, 1), gamma=2.0) == 1.0
     assert all(np.array_equal(a, b) for a, b in zip(support.level_sums, kept.level_sums))
     assert np.array_equal(support.pair_sums[(0, 1)], kept.pair_sums[(0, 1)])
     table, want = estimate_effects_cm(log), estimate_effects_cm(dropped)
@@ -279,7 +287,8 @@ def test_objective_document_accepts_every_known_key(space_2x2):
             "banned_levels": {}, "banned_configs": [], "costs": {"b": {"b1": 1.0}},
             "cost_offset": 0.5}
     assert ObjectiveSpec.from_dict(space_2x2, data).lambda_risk == 0.5
-    assert CostModel.from_dict(space_2x2, data).total((0, 1)) == 1.5
+    cost = CostModel.from_dict(space_2x2, data)
+    assert (cost.offset, [c.tolist() for c in cost.level_costs]) == (0.5, [[0.0, 0.0], [0.0, 1.0]])
 
 
 @pytest.mark.parametrize("spec, entry", [

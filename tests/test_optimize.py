@@ -18,19 +18,17 @@ from effectlab import (
     enumerate_grid,
     estimate_effects_cm,
     gen_teacher,
-    local_gain,
     log_from_arrays,
     multistart,
     near_opt_bound,
     objective,
     objective_grid,
     predict_grid,
-    risk_penalty,
     support_counts,
-    two_factor_predict,
     two_swap_bound,
     verify_1swap,
 )
+from effectlab import optimize as optimize_module
 from effectlab.objective import PairwiseObjective
 from conftest import full_grid_log, random_space
 from oracles import (
@@ -41,6 +39,7 @@ from oracles import (
     local_scores_loop,
     objective_grid_loop,
     objective_loop,
+    predict_from_tables,
     predict_grid_loop,
     risk_penalty_loop,
     split_two_swap_bound_loop,
@@ -123,11 +122,11 @@ def test_local_gain_matches_objective_difference(seed):
     grid = enumerate_grid(table.space)
     x = grid[int(rng.integers(0, len(grid)))]
     for j in range(table.space.num_factors):
-        base = local_gain(model, j, x[j], x)
+        scores = model.level_scores(j, [x])[0]
         for lvl in range(table.space.level_counts[j]):
             swapped = x[:j] + (lvl,) + x[j + 1:]
             direct = objective(model, swapped) - objective(model, x)
-            via_gain = local_gain(model, j, lvl, x) - base
+            via_gain = scores[lvl] - scores[x[j]]
             assert direct == pytest.approx(via_gain, abs=1e-10)
 
 
@@ -142,13 +141,9 @@ def test_local_gain_additive_depends_on_mains_and_cost_only():
     spec = ObjectiveSpec(lambda_risk=0.0, lambda_cost=1.0)
     cost = CostModel(space, tuple(np.arange(L) * 0.1 for L in space.level_counts))
     model = PairwiseObjective.build(table, sc, spec, cost)
-    grid = enumerate_grid(space)
-    for lvl in range(space.level_counts[0]):
-        gains = {
-            x: local_gain(model, 0, lvl, x) for x in grid[:4]
-        }
-        values = list(gains.values())
-        assert max(values) - min(values) < 1e-9  # context-free for additive tables
+    scores = model.level_scores(0, enumerate_grid(space)[:4])
+    # context-free for additive tables
+    assert np.ptp(scores, axis=0) == pytest.approx(np.zeros(space.level_counts[0]), abs=1e-9)
 
 
 def test_local_gain_same_level_is_reference(space_2x2, xor_log):
@@ -156,16 +151,13 @@ def test_local_gain_same_level_is_reference(space_2x2, xor_log):
     sc = support_counts(xor_log)
     model = PairwiseObjective.build(table, sc, ObjectiveSpec(lambda_risk=0.0))
     x = (0, 1)
-    g = local_gain(model, 0, x[0], x)
-    assert g == pytest.approx(local_gain(model, 0, x[0], x))
+    scores = model.level_scores(0, [x])[0]
+    assert scores[x[0]] - scores[x[0]] == 0.0
     # replacing a level by itself never changes the objective
     assert objective(model, x) - objective(model, x) == 0.0
 
 
 @pytest.mark.parametrize("j, level, entry", [
-    (0, -1, "level -1 of factor 'a'"),
-    (0, 2, "level 2 of factor 'a'"),
-    (1, -3, "level -3 of factor 'b'"),
     (2, 0, "factor index 2"),
     (-1, 0, "factor index -1"),
 ])
@@ -173,7 +165,7 @@ def test_local_gain_rejects_indices_outside_the_space(space_2x2, xor_log, j, lev
     table = estimate_effects_cm(xor_log, shrinkage=TINY_TAU)
     model = PairwiseObjective.build(table, table.support, ObjectiveSpec())
     with pytest.raises(ValueError, match=re.escape(entry)):
-        local_gain(model, j, level, (0, 1))
+        model.level_scores(j, [(level, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +483,7 @@ def test_dominance_matches_context_loop(problem):
     """Sampled and enumerated branches against the per-context loop. Each
     factor keeps at least one allowed level; a factor left with one is
     skipped as a target and costs no draw as a context factor."""
-    factors, seed, context_cap, sample_contexts, cert_seed, ban_config = problem
+    factors, seed, context_cap, sample_contexts, _, ban_config = problem
     rng = np.random.default_rng(seed)
     levels = [L for L, _ in factors]
     space = build_space([(f"f{j}", [f"l{t}" for t in range(L)]) for j, L in enumerate(levels)])
@@ -506,11 +498,12 @@ def test_dominance_matches_context_loop(problem):
                          gamma=float(rng.uniform(0.5, 2)), banned_levels=banned,
                          banned_configs=banned_configs)
     cost = CostModel(space, tuple(np.round(rng.uniform(0, 1, size=L), 2) for L in levels))
-    report = diag_dominance_check(PairwiseObjective.build(table, table.support, spec, cost),
-                                  context_cap=context_cap, sample_contexts=sample_contexts,
-                                  seed=cert_seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize_module, "DOMINANCE_CONTEXT_CAP", context_cap)
+        mp.setattr(optimize_module, "DOMINANCE_SAMPLE_CONTEXTS", sample_contexts)
+        report = diag_dominance_check(PairwiseObjective.build(table, table.support, spec, cost))
     margins, influence, holds, exact, checked = dominance_loop(
-        table, table.support, spec, cost, context_cap, sample_contexts, cert_seed)
+        table, table.support, spec, cost, context_cap, sample_contexts, 0)
     assert np.array_equal(report.margins, margins)
     assert np.array_equal(report.influence, influence)
     assert report.holds == holds
@@ -550,15 +543,13 @@ def test_shared_tables_match_pair_loops(problem):
     assert np.array_equal(J, objective_grid_loop(table, support, spec, cost))
     assert all(feasible[x] == feasible_loop(spec, x) for x in np.ndindex(*levels))
     for x in map(tuple, configs.tolist()):
-        assert risk_penalty(support, x, spec) == risk_penalty_loop(support, x, spec)
         if feasible_loop(spec, x):
             assert objective(model, x) == objective_loop(table, support, spec, cost, x)
         for j in range(space.num_factors):
             scores = model.level_scores(j, [x])[0]
             assert np.array_equal(scores, local_scores_loop(table, support, spec, cost, j, x))
             for lvl in np.flatnonzero(scores > -np.inf).tolist():
-                assert (local_gain(model, j, lvl, x)
-                        == local_gain_loop(table, support, spec, cost, j, lvl, x))
+                assert scores[lvl] == local_gain_loop(table, support, spec, cost, j, lvl, x)
 
     search = SearchSpec(restarts=restarts % 6 + 1, beam=2, seed=search_seed)
     try:
@@ -621,11 +612,13 @@ def test_folded_objective_equals_three_term_objective(problem):
     for x in map(tuple, np.argwhere(feasible).tolist()):
         terms = [table.mu, *(table.mains[j][x[j]] for j in range(len(x))),
                  *(table.pairs[(j, k)][x[j], x[k]] for j, k in table.space.pairs()),
-                 spec.lambda_risk * risk_penalty(support, x, spec),
+                 spec.lambda_risk * risk_penalty_loop(support, x, spec),
                  spec.lambda_cost * cost.offset,
                  *(spec.lambda_cost * cost.level_costs[j][x[j]] for j in range(len(x)))]
-        three_term = (two_factor_predict(table, x) - spec.lambda_risk * risk_penalty(support, x, spec)
-                      - spec.lambda_cost * cost.total(x))
+        prediction = predict_from_tables(table.mu, table.mains, table.pairs, x)
+        cost_at = cost.offset + sum(cost.level_costs[j][x[j]] for j in range(len(x)))
+        three_term = (prediction - spec.lambda_risk * risk_penalty_loop(support, x, spec)
+                      - spec.lambda_cost * cost_at)
         folded = objective(model, x)
         assert folded == J[x]
         assert abs(folded - three_term) <= 1e-12 * (1 + sum(abs(t) for t in terms))

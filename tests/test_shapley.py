@@ -14,7 +14,6 @@ from effectlab import (
     ValueOracle,
     build_space,
     build_design_matrix,
-    coalition_value,
     enumerate_grid,
     estimate_effects_cm,
     exact_shapley,
@@ -24,7 +23,6 @@ from effectlab import (
     log_from_arrays,
     mc_sample_size,
     mc_shapley,
-    stability_bound,
     TeacherSpec,
     write_shapley_csv,
 )
@@ -33,7 +31,6 @@ from effectlab.shapley import (
     RANK_TOLERANCE,
     EffectDesignMatrix,
     ShapleyEstimate,
-    mc_sample_bound,
 )
 from effectlab.space import open_atomic
 from conftest import full_grid_log, random_space
@@ -59,9 +56,7 @@ def random_table(rng, space, pair_scale=0.5):
 
 def xor_oracle(space_2x2):
     ref = ReferenceDistribution.uniform(space_2x2)
-    return ValueOracle.from_function(
-        space_2x2, ref, lambda x: float(x[0] ^ x[1])
-    )
+    return ValueOracle(space_2x2, ref, [[0.0, 1.0], [1.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -70,10 +65,10 @@ def xor_oracle(space_2x2):
 
 def test_coalition_value_trivials(space_2x2):
     oracle = xor_oracle(space_2x2)
-    assert coalition_value(oracle, (0, 1), [0, 1]) == pytest.approx(1.0)
-    assert coalition_value(oracle, (0, 1), []) == pytest.approx(0.5)
+    assert oracle.v((0, 1), [0, 1]) == pytest.approx(1.0)
+    assert oracle.v((0, 1), []) == pytest.approx(0.5)
     # fixing the first factor at 0 and averaging the second gives 0.5
-    assert coalition_value(oracle, (0, 0), [0]) == pytest.approx(0.5)
+    assert oracle.v((0, 0), [0]) == pytest.approx(0.5)
 
 
 def test_coalition_value_rejects_empirical_background(space_2x2):
@@ -82,14 +77,13 @@ def test_coalition_value_rejects_empirical_background(space_2x2):
     with pytest.raises(ValueError, match="product-form"):
         ValueOracle.from_log(log, ref)
     # converting to product marginals makes it acceptable
-    ValueOracle.from_log(log, ref.product_marginals(), warn=False)
+    ValueOracle.from_log(log, ref.product_marginals())
 
 
 def test_log_backed_oracle_pads_unobserved(space_2x2):
     log = log_from_arrays(space_2x2, [(0, 0), (1, 1)], [1.0, 3.0])
     ref = ReferenceDistribution.uniform(space_2x2)
-    with pytest.warns(UserWarning, match="unobserved"):
-        oracle = ValueOracle.from_log(log, ref)
+    oracle = ValueOracle.from_log(log, ref)
     assert oracle.padded_cells == 2
     assert oracle.values[0, 1] == pytest.approx(2.0)  # weighted baseline
 
@@ -123,7 +117,7 @@ def test_oracle_checks_tensor_cap_before_grid_sized_work(d):
         with pytest.raises(ValueError, match=f"tensor of {3 ** d} cells"):
             ValueOracle.from_log(log, ref)
         with pytest.raises(ValueError, match=f"tensor of {3 ** d} cells"):
-            ValueOracle.from_function(space, ref, lambda x: 0.0)
+            ValueOracle(space, ref, 0.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -139,13 +133,11 @@ def test_tensor_cap_admits_largest_spaces(levels):
 
 def test_oracle_lookups_reject_out_of_range_indices():
     space = build_space([("a", ["0", "1", "2"]), ("b", ["0", "1"])])
-    oracle = ValueOracle.from_function(space, ReferenceDistribution.uniform(space),
-                                       lambda x: float(3 * x[0] + x[1]))
+    oracle = ValueOracle(space, ReferenceDistribution.uniform(space),
+                         np.add.outer(3.0 * np.arange(3), np.arange(2)))
     for x in [(-1, 0), (3, 0), (0, -1), (0, 2)]:
         with pytest.raises(ValueError, match="level index -?[0-9] out of range"):
             oracle.v(x, [0, 1])
-        with pytest.raises(ValueError, match="level index -?[0-9] out of range"):
-            coalition_value(oracle, x, [0])
         with pytest.raises(ValueError, match="level index -?[0-9] out of range"):
             oracle.v_rows(np.array([(0, 0), x]))
     for subset in ([2], [0, -1]):
@@ -159,7 +151,7 @@ def test_oracle_lookups_reject_out_of_range_indices():
 
 def test_mc_shapley_constant_function(space_2x2):
     ref = ReferenceDistribution.uniform(space_2x2)
-    oracle = ValueOracle.from_function(space_2x2, ref, lambda x: 2.0)
+    oracle = ValueOracle(space_2x2, ref, np.full((2, 2), 2.0))
     est = mc_shapley(oracle, (0, 0), M=17, seed=0)
     assert est.x.tolist() == [[0, 0]] and est.method == "permutation"
     assert est.phi[0] == pytest.approx([0.0, 0.0], abs=1e-15)
@@ -278,8 +270,9 @@ def test_mc_sample_size_closed_form():
 
 
 def test_mc_sample_size_quartic_scaling():
-    a = mc_sample_bound(1.0, 0.1, 0.05)
-    b = mc_sample_bound(1.0, 0.05, 0.05)
+    # B = 100 puts the counts near 3e7, where the ceiling moves the ratio by < 1e-7.
+    a = mc_sample_size(100.0, 0.1, 0.05)
+    b = mc_sample_size(100.0, 0.05, 0.05)
     assert b / a == pytest.approx(4.0)
 
 
@@ -619,19 +612,6 @@ def test_fit_perturbation_stability_bound():
     assert err <= math.sqrt(n_rows) * eta / dm.sigma_min + 1e-12
 
 
-def test_stability_bound_values(space_2x2):
-    dm = build_design_matrix(enumerate_grid(space_2x2), space_2x2)
-    assert stability_bound(dm, 0.0) == 0.0
-    fake = build_design_matrix(enumerate_grid(space_2x2), space_2x2)
-    fake.sigma_min = 0.5
-    assert stability_bound(fake, 0.1) == pytest.approx(0.2)
-    fake.sigma_min = 1.0
-    assert stability_bound(fake, 0.37) == pytest.approx(0.37)
-    fake.sigma_min = 0.0
-    with pytest.raises(ValueError):
-        stability_bound(fake, 0.1)
-
-
 def test_stability_bound_monte_carlo():
     rng = np.random.default_rng(11)
     space = build_space([("a", ["0", "1"]), ("b", ["0", "1"]), ("c", ["0", "1", "2"])])
@@ -646,16 +626,18 @@ def test_stability_bound_monte_carlo():
         noise = rng.normal(0, 0.05, size=clean.shape)
         theta, *_ = np.linalg.lstsq(dm.matrix, clean + noise, rcond=None)
         err = float(np.linalg.norm(theta - theta_clean))
-        assert err <= stability_bound(dm, float(np.linalg.norm(noise))) + 1e-12
+        assert err <= float(np.linalg.norm(noise)) / dm.sigma_min + 1e-12
 
 
 # ---------------------------------------------------------------------------
 # shapley.csv
 # ---------------------------------------------------------------------------
 
-# Labels and names that need quoting: delimiter, quote, line breaks, padding
-# and non-ASCII text, or nothing at all.
-csv_text = st.text(alphabet=st.sampled_from(list('a,"\r\n \u00e9\u4e2d')), max_size=4)
+# Labels and names that need quoting: delimiter, quote, line breaks, inner
+# spaces and non-ASCII text, or nothing at all. A space holds no label or
+# name with surrounding whitespace.
+csv_text = st.text(alphabet=st.sampled_from(list('a,"\r\n \u00e9\u4e2d')),
+                   max_size=4).map(str.strip)
 
 
 @st.composite
@@ -676,7 +658,7 @@ def shapley_dumps(draw):
     return space, estimates, note
 
 
-@example(dump=(build_space([('"', ["", " a,", "é\n"])]),
+@example(dump=(build_space([('"', ["", "a ,", "é\n中"])]),
                 ShapleyEstimate([(0,), (1,), (2,)], [[math.nan], [math.inf], [-0.0]],
                                 [[-math.nan], [-math.inf], [0.0]], M=3), "a, b"), block=2)
 @settings(max_examples=200, deadline=None)

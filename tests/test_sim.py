@@ -17,7 +17,7 @@ from effectlab import (
     spearman,
 )
 from effectlab.shapley import grid_design
-from effectlab.sim import SuiteConfig, _rankdata, error_decomposition, estimate_from_log, make_log
+from effectlab.sim import SuiteConfig, _rankdata, estimate_from_log, make_log
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import make_log_loop, rank_formula_spearman, rankdata_loop
@@ -161,8 +161,10 @@ def test_error_accounting_identity():
     teacher = small_teacher(seed=12, residual_scale=0.15)
     log = make_log(teacher, enumerate_grid(teacher.space), 3, seed=5)
     est = estimate_from_log(log, "CM")
-    lhs, eps, baseline = error_decomposition(est, teacher.truth, teacher)
-    assert np.max(np.abs(lhs - (baseline + eps - teacher.residual))) < 1e-9
+    pred = predict_grid(est)
+    baseline = est.mu - teacher.truth.mu
+    eps = pred - predict_grid(teacher.truth) - baseline
+    assert np.max(np.abs((pred - teacher.values) - (baseline + eps - teacher.residual))) < 1e-9
 
 
 def test_estimate_from_log_rejects_unknown():

@@ -1,5 +1,6 @@
 import collections
 import csv
+import re
 from unittest import mock
 
 import numpy as np
@@ -93,10 +94,11 @@ def test_enumerate_grid_is_bijection():
     assert len(set(grid)) == 72  # no duplicates, full coverage by counting
 
 
-def test_enumerate_grid_cap():
+def test_enumerate_grid_cap(monkeypatch):
     space = build_space([(f"f{i}", ["0", "1"]) for i in range(6)])
-    with pytest.raises(ValueError):
-        enumerate_grid(space, cap=10)
+    monkeypatch.setattr(space_module, "GRID_ENUMERATION_CAP", 10)
+    with pytest.raises(ValueError, match="grid size 64 exceeds enumeration cap 10"):
+        enumerate_grid(space)
 
 
 def test_balanced_design_exact_split():
@@ -274,6 +276,45 @@ def test_log_roundtrip(tmp_path, space_2x2):
         a, b = getattr(log, name), getattr(back, name)
         # exact float round-trip through repr
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+# Factor names and level labels drawn to hit the log's own column names,
+# surrounding whitespace, a leading byte-order mark and CSV quoting.
+LOG_NAMES = st.one_of(st.sampled_from(["response", "weight", "seed"]),
+                      st.text(alphabet="ab \t,\"\ufeff", min_size=1, max_size=4))
+LOG_LABELS = st.text(alphabet="01 \t,\"", max_size=3)
+
+
+@given(st.lists(st.tuples(LOG_NAMES, st.lists(LOG_LABELS, min_size=2, max_size=3, unique=True)),
+                min_size=1, max_size=3, unique_by=lambda entry: entry[0]))
+@settings(max_examples=100, deadline=None)
+@example([("response", ["0", "1"])])
+@example([("a", [" x", "y"])])
+def test_every_accepted_space_reads_back_its_own_log(tmp_path_factory, entries):
+    try:
+        space = build_space(entries)
+    except ValueError:
+        return
+    grid = enumerate_grid(space)
+    log = log_from_arrays(space, grid, np.arange(len(grid), dtype=float))
+    path = tmp_path_factory.mktemp("roundtrip") / "runs.csv"
+    write_log(log, path)
+    back = ingest_log(path, space)
+    assert_columns(back, [getattr(log, name) for name in COLUMNS])
+
+
+@pytest.mark.parametrize("entries, entry", [
+    ([("response", ["0", "1"]), ("b", ["0", "1"])], "response"),
+    ([("a", ["0", "1"]), ("weight", ["0", "1"])], "weight"),
+    ([("seed", ["0", "1"])], "seed"),
+    ([(" a", ["0", "1"])], " a"),
+    ([("\ufeffa", ["0", "1"])], "\ufeffa"),
+    ([("a", ["0", "1\t"])], "1\t"),
+    ([("a", ["0", "1"]), ("b", [" x", "y"])], " x"),
+])
+def test_space_rejects_names_and_labels_its_log_cannot_hold(entries, entry):
+    with pytest.raises(ValueError, match=re.escape(repr(entry))):
+        build_space(entries)
 
 
 def test_log_validation(space_2x2):
@@ -476,7 +517,7 @@ def test_ingest_matches_row_loop_on_generated_csv(tmp_path_factory, log, block):
 
 @pytest.mark.parametrize("block", [1, 1024])
 @pytest.mark.parametrize("text", [
-    # A padded cell never matches a padded label.
+    # A padded cell matches the label it strips to.
     "a,b,response\n a0,b0,1\n",
     "a,b,response\na0, a0 ,1\n",
     "a,b,response\nb0,b0,1\n",
@@ -493,7 +534,7 @@ def test_ingest_matches_row_loop_on_generated_csv(tmp_path_factory, log, block):
     "a,b,response,weight,seed\na0,b0,1,inf,x\n",
 ])
 def test_ingest_examples_match_row_loop(tmp_path, monkeypatch, text, block):
-    space = build_space([("a", ["a0", " a0", "a1"]), ("b", ["b0", " a0 "])])
+    space = build_space([("a", ["a0", "a1"]), ("b", ["b0", "a0"])])
     path = tmp_path / "runs.csv"
     path.write_text(text)
     monkeypatch.setattr(space_module, "INGEST_BLOCK", block)
