@@ -293,12 +293,23 @@ def cmd_pci(args) -> tuple[list[str], dict]:
 def cmd_plan(args) -> tuple[list[str], dict]:
     from .planning import bernstein_halfwidth, hoeffding_cell_n, mc_sample_size, uniform_cells_n
 
+    # Each mode reads only its own flags; one it would ignore is an error.
+    if args.union and not args.mc:
+        raise CommandError("--union applies only with --mc")
+    if args.mc and args.levels is not None:
+        raise CommandError("--levels applies only without --mc")
+    for flag in ("factors", "eval_points"):
+        value = getattr(args, flag)
+        if value is not None and not args.union:
+            raise CommandError(f"--{flag.replace('_', '-')} applies only with --mc --union")
+        if value is not None and value < 1:
+            raise CommandError(f"--{flag.replace('_', '-')} must be at least 1, got {value}")
     if args.mc:
         union = None
         if args.union:
-            if not args.eval_points:
+            if args.eval_points is None:
                 raise CommandError("--union needs --eval-points for the item count")
-            union = args.factors * args.eval_points
+            union = (args.factors or 1) * args.eval_points
         n = mc_sample_size(args.B, args.eps, args.delta, union_items=union)
         formula = f"ceil(8 * B^2 / eps^2 * log(2{'*' + str(union) if union else ''}/delta))"
         label = "attribution samples"
@@ -308,6 +319,8 @@ def cmd_plan(args) -> tuple[list[str], dict]:
         except ValueError:
             raise CommandError(f"--levels takes two level counts as 'Lj,Lk', "
                                f"got {args.levels!r}") from None
+        if min(Lj, Lk) < 1:
+            raise CommandError(f"--levels counts must be at least 1, got {args.levels!r}")
         n = uniform_cells_n(args.B, args.eps, args.delta, Lj, Lk)
         formula = f"ceil(2 * B^2 / eps^2 * log(2*{Lj}*{Lk}/delta))"
         label = "records per cell (uniform over cells)"
@@ -413,8 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--union", action="store_true",
                    help="union bound over factors x evaluation points (with --mc)")
     p.add_argument("--mc", action="store_true", help="plan attribution samples instead")
-    p.add_argument("--factors", type=int, default=1)
-    p.add_argument("--eval-points", type=int, default=0)
+    p.add_argument("--factors", type=int, default=None,
+                   help="factor count of the union bound (default 1)")
+    p.add_argument("--eval-points", type=int, default=None,
+                   help="evaluation point count of the union bound")
     p.add_argument("--sigma", type=float, default=None,
                    help="also report the variance-adaptive half-width")
     p.add_argument("--out", default=None)

@@ -23,7 +23,7 @@ from .space import (
     ReferenceDistribution,
     RunLog,
     SupportCounts,
-    cell_sums,
+    cell_reducer,
     center_main,
     distinct_configs,
     pair_cell_labels,
@@ -181,7 +181,7 @@ def table_from_dict(data: Mapping, space: FactorSpace,
 # Estimation
 # ---------------------------------------------------------------------------
 
-BOOTSTRAP_CHUNK = 16  # replicates per batch; bounds the per-configuration sums held at once
+BOOTSTRAP_CHUNK = 16  # draws per cell reduction; bounds the per-configuration sums held at once
 
 
 def _estimate_batch(level_sums, pair_sums, mu: np.ndarray, reference: ReferenceDistribution,
@@ -320,8 +320,9 @@ def bootstrap_replicates(log: RunLog, reference: ReferenceDistribution | None = 
     seed sequence, so results do not depend on evaluation order; a draw with
     no positive weight falls back to the original sample. Each draw is
     reduced to weight, weight x response and positive-weight record count
-    per distinct configuration, and ``BOOTSTRAP_CHUNK`` draws at a time are
-    summed into cells and estimated in one batch.
+    per distinct configuration; chunks of at most ``BOOTSTRAP_CHUNK`` draws,
+    of sizes that differ by at most one, are summed into cells by one
+    ``cell_reducer``, and all B are estimated in one batch.
     """
     space = log.space
     reference = reference or ReferenceDistribution.uniform(space)
@@ -329,20 +330,22 @@ def bootstrap_replicates(log: RunLog, reference: ReferenceDistribution | None = 
     w = log.weights
     wy = w * log.responses
     n = len(log)
+    positive = bool((w > 0).all())  # then every draw is weighted and n counts every record
     units, unit_of = distinct_configs(log.configs_array)
     U = len(units)
+    reduce = cell_reducer(units, space)
 
     mu = np.empty(B)
-    mains = tuple(np.empty((B, L)) for L in space.level_counts)
-    pairs = {(j, k): np.empty((B, space.level_counts[j], space.level_counts[k]))
-             for j, k in space.pairs()}
-    level_means = tuple(np.empty((B, L)) for L in space.level_counts)
+    level_sums = tuple(np.empty((3, B, L)) for L in space.level_counts)
+    pair_sums = {(j, k): np.empty((3, B, space.level_counts[j], space.level_counts[k]))
+                 for j, k in space.pairs()}
     fallback = 0
     children = np.random.SeedSequence(seed).spawn(B)
-    for start in range(0, B, BOOTSTRAP_CHUNK):
-        chunk = children[start:start + BOOTSTRAP_CHUNK]
-        stats = np.empty((3, len(chunk), U))
-        for c, child in enumerate(chunk):
+    chunks = -(-B // BOOTSTRAP_CHUNK) or 1
+    bounds = [B * i // chunks for i in range(chunks + 1)]
+    for start, stop in zip(bounds, bounds[1:]):
+        stats = np.empty((3, stop - start, U))
+        for c, child in enumerate(children[start:stop]):
             idx = np.random.default_rng(child).integers(0, n, size=n)
             wb = w[idx]
             if not wb.any():  # pathological draw under zero-heavy weights
@@ -351,18 +354,13 @@ def bootstrap_replicates(log: RunLog, reference: ReferenceDistribution | None = 
             key = unit_of[idx]
             stats[0, c] = np.bincount(key, weights=wb, minlength=U)
             stats[1, c] = np.bincount(key, weights=wy[idx], minlength=U)
-            stats[2, c] = np.bincount(key[wb > 0], minlength=U)
+            stats[2, c] = np.bincount(key if positive else key[wb > 0], minlength=U)
         totals = stats[:2].sum(axis=-1)
-        rows = slice(start, start + len(chunk))
-        mu[rows] = totals[1] / totals[0]
-        mains_c, pairs_c, means_c = _estimate_batch(
-            *cell_sums(units, stats, space), mu[rows], reference, shrinkage
-        )
-        for j in range(space.num_factors):
-            mains[j][rows] = mains_c[j]
-            level_means[j][rows] = means_c[j]
-        for jk in pairs:
-            pairs[jk][rows] = pairs_c[jk]
+        mu[start:stop] = totals[1] / totals[0]
+        levels, pairs = reduce(stats)
+        for out, got in zip((*level_sums, *pair_sums.values()), (*levels, *pairs.values())):
+            out[:, start:stop] = got
+    mains, pairs, level_means = _estimate_batch(level_sums, pair_sums, mu, reference, shrinkage)
     return BootstrapReplicates(mu, mains, pairs, level_means, fallback)
 
 

@@ -13,8 +13,8 @@ import math
 def _check_budget(B: float, eps: float, delta: float) -> None:
     if B <= 0:
         raise ValueError("B must be positive")
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0, 1)")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError("eps must be finite and positive (response units)")
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
 

@@ -206,11 +206,11 @@ class ReferenceDistribution:
                 raise ValueError(f"joint histogram sums to {total}, not 1")
             # marginal and pair read the probability mass of every level and
             # pair cell, summed in dict order; read-only, as they are shared.
-            levels, pairs = cell_sums(configs, probs[None, None], self.space)
+            levels, pairs = cell_sums(configs, probs[None], self.space)
             for mass in (*levels, *pairs.values()):
                 mass.flags.writeable = False
-            object.__setattr__(self, "_level_mass", tuple(m[0, 0] for m in levels))
-            object.__setattr__(self, "_pair_mass", {jk: m[0, 0] for jk, m in pairs.items()})
+            object.__setattr__(self, "_level_mass", tuple(m[0] for m in levels))
+            object.__setattr__(self, "_pair_mass", {jk: m[0] for jk, m in pairs.items()})
         else:
             raise ValueError(f"unknown reference kind {self.kind!r}")
 
@@ -630,69 +630,73 @@ def sample_design(space: FactorSpace, plan: DesignPlan, seed: int = 0) -> np.nda
 # Support statistics
 # ---------------------------------------------------------------------------
 
-# Rows per block of the batched cell reduction; bounds its one-hot matrix and
-# the block's sorted copy of the statistics.
-CELL_BLOCK = 512
+CELL_BLOCK = 512  # rows per block of cell_reducer's products, which bounds their copies
 
 
 def cell_sums(configs: np.ndarray, stats: np.ndarray, space: FactorSpace
               ) -> tuple[tuple[np.ndarray, ...], dict[tuple[int, int], np.ndarray]]:
-    """Sum additive row statistics into every level and pair cell.
+    """Sum additive row statistics into every level and pair cell, with one
+    ``bincount`` per statistic and cell key, in row order.
 
-    ``configs`` (U, d) holds each row's configuration, where a row is one
-    record or one distinct configuration, and ``stats`` (S, C, U) holds S
-    statistics of C samples per row. Returns one (S, C, L_j) array per
-    factor and a dict of one (S, C, L_j, L_k) array per pair, keyed in
-    ``space.pairs()`` order.
-
-    One sample (C == 1) is summed with one ``bincount`` per statistic and
-    cell key, in row order. A batch (C > 1) is summed with matrix products
-    over blocks of ``CELL_BLOCK`` rows: the statistics times the block's
-    one-hot level matrix give the level sums, and for each factor j and
-    level a, the statistics of the rows at a times their one-hot columns of
-    the factors after j give pair row (j, a). The batch's sums differ from
-    the one-sample sums by rounding only, within 1e-12 x (1 + the largest
-    sum); sums of integers, such as counts, and empty cells are exact.
+    ``configs`` (U, d) holds each row's configuration and ``stats`` (S, U) S
+    statistics per row. Returns one (S, L_j) array per factor and a dict of
+    one (S, L_j, L_k) array per pair, keyed in ``space.pairs()`` order.
     """
-    S, C, U = stats.shape
     L = space.level_counts
-    d = len(L)
-    if C > 1:
-        offsets = np.cumsum((0,) + L)
+
+    def reduce(cell, size):
+        return np.stack([np.bincount(cell, weights=s, minlength=size) for s in stats])
+
+    return (tuple(reduce(configs[:, j], L[j]) for j in range(len(L))),
+            {(j, k): reduce(configs[:, j] * L[k] + configs[:, k], L[j] * L[k])
+             .reshape(-1, L[j], L[k]) for j, k in space.pairs()})
+
+
+def cell_reducer(configs: np.ndarray, space: FactorSpace):
+    """``reduce(stats)``: ``cell_sums`` of C samples at once over the rows
+    ``configs`` (U, d), with ``stats`` (S, C, U) and a C axis after S in each
+    returned array.
+
+    It sums with matrix products over blocks of ``CELL_BLOCK`` rows: the
+    statistics times the block's one-hot level matrix give the level sums,
+    and for each factor j and level a, the statistics of the rows at a times
+    their one-hot columns of the factors after j give pair row (j, a). Each
+    block's stable order and level bounds per factor are found once, here;
+    ``reduce`` rebuilds only the one-hot. Its sums are ``cell_sums``' within
+    1e-12 x (1 + the largest sum); counts and empty cells exactly.
+    """
+    L, d = space.level_counts, space.num_factors
+    offsets = np.cumsum((0,) + L)
+    blocks = []
+    for start in range(0, len(configs), CELL_BLOCK):
+        cfg = configs[start:start + CELL_BLOCK]
+        orders = [np.argsort(cfg[:, j], kind="stable") for j in range(d - 1)]
+        bounds = [np.searchsorted(cfg[o, j], range(L[j] + 1)).tolist()
+                  for j, o in enumerate(orders)]
+        blocks.append((slice(start, start + len(cfg)), cfg + offsets[:-1], orders, bounds))
+
+    def reduce(stats: np.ndarray):
+        S, C, U = stats.shape
         M = stats.reshape(S * C, U)
         mains = np.zeros((S * C, offsets[-1]))
         # tails[j][a] is pair row (j, a): its sums over the levels of every k > j.
         tails = [np.zeros((L[j], S * C, offsets[-1] - offsets[j + 1])) for j in range(d - 1)]
-        for start in range(0, U, CELL_BLOCK):
-            cfg = configs[start:start + CELL_BLOCK]
-            m = M[:, start:start + CELL_BLOCK]
-            onehot = np.zeros((len(cfg), offsets[-1]))
-            onehot[np.arange(len(cfg))[:, None], cfg + offsets[:-1]] = 1.0
+        for rows, cols, orders, bounds in blocks:
+            m = M[:, rows]
+            onehot = np.zeros((len(cols), offsets[-1]))
+            onehot[np.arange(len(cols))[:, None], cols] = 1.0
             mains += m @ onehot
-            for j in range(d - 1):
-                order = np.argsort(cfg[:, j], kind="stable")
+            for j, (order, at) in enumerate(zip(orders, bounds)):
                 m_j, rest = m[:, order], onehot[order, offsets[j + 1]:]
-                bounds = np.searchsorted(cfg[order, j], range(L[j] + 1)).tolist()
                 for a in range(L[j]):
-                    at = slice(bounds[a], bounds[a + 1])
-                    tails[j][a] += m_j[:, at] @ rest[at]
-        levels = tuple(mains[:, offsets[j]:offsets[j + 1]].reshape(S, C, L[j])
-                       for j in range(d))
+                    tails[j][a] += m_j[:, at[a]:at[a + 1]] @ rest[at[a]:at[a + 1]]
+        levels = tuple(mains[:, offsets[j]:offsets[j + 1]].reshape(S, C, -1) for j in range(d))
         pairs = {(j, k): np.moveaxis(tails[j][..., offsets[k] - offsets[j + 1]:
                                               offsets[k + 1] - offsets[j + 1]], 0, 1)
                  .reshape(S, C, L[j], L[k]) for j, k in space.pairs()}
         return levels, pairs
 
-    flat = stats.reshape(S, U)
-
-    def reduce(cell, size):
-        return np.stack([np.bincount(cell, weights=s, minlength=size) for s in flat])
-
-    levels = tuple(reduce(configs[:, j], L[j]).reshape(S, 1, L[j]) for j in range(d))
-    pairs = {(j, k): reduce(configs[:, j] * L[k] + configs[:, k], L[j] * L[k]
-                            ).reshape(S, 1, L[j], L[k])
-             for j, k in space.pairs()}
-    return levels, pairs
+    return reduce
 
 
 def pair_cell_labels(space: FactorSpace, j: int, k: int) -> list[str]:
@@ -779,7 +783,5 @@ def effective_sample_size(weights: Sequence[float]) -> float:
 def support_counts(log: RunLog) -> SupportCounts:
     """One pass over the log's records into its per-level and per-pair-cell sums."""
     w = log.weights
-    stats = np.stack([w, w * log.responses, (w > 0).astype(float), w * w])[:, None]
-    levels, pairs = cell_sums(log.configs_array, stats, log.space)
-    return SupportCounts(log.space, tuple(s[:, 0] for s in levels),
-                         {jk: s[:, 0] for jk, s in pairs.items()})
+    stats = np.stack([w, w * log.responses, (w > 0).astype(float), w * w])
+    return SupportCounts(log.space, *cell_sums(log.configs_array, stats, log.space))

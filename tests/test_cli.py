@@ -594,6 +594,34 @@ def test_plan_levels_parse_error_names_the_flag(capsys, levels):
     assert repr(levels) in error["message"]
 
 
+def test_plan_takes_eps_in_response_units(capsys):
+    rc = main(["plan", "--B", "100", "--eps", "5", "--delta", "0.05"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[0] == "2952"
+
+
+@pytest.mark.parametrize("extra, flag", [
+    (["--union", "--factors", "5", "--eval-points", "20"], "--union"),
+    (["--factors", "5"], "--factors"),
+    (["--mc", "--eval-points", "20"], "--eval-points"),
+    (["--mc", "--levels", "3,3"], "--levels"),
+    (["--levels", "3,0"], "--levels"),
+    (["--mc", "--union", "--factors", "0", "--eval-points", "20"], "--factors"),
+    (["--mc", "--union", "--factors", "5"], "--eval-points"),
+])
+def test_plan_rejects_flags_its_mode_ignores(capsys, tmp_path, extra, flag):
+    out = tmp_path / "plan"
+    rc = main(["plan", "--B", "1", "--eps", "0.1", "--delta", "0.05", *extra,
+               "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["error"] == "CommandError"
+    assert flag in error["message"]
+    assert not (out / "plan.json").exists()
+
+
 @pytest.mark.parametrize("path", ["cm", "sf"])
 def test_byte_order_mark_leaves_the_data_files_unchanged(workspace, path):
     # Excel starts a UTF-8 CSV with a byte-order mark; editors may do the same to JSON.

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -22,6 +23,7 @@ from effectlab import (
     support_counts,
     table_from_dict,
 )
+import effectlab.effects as effects_module
 from effectlab.effects import BOOTSTRAP_CHUNK, bootstrap_replicates, percentile
 from effectlab.space import double_centerer
 from conftest import full_grid_log, random_space
@@ -558,14 +560,57 @@ def test_replicates_reproducible_byte_identical():
         assert a.tobytes() == b.tobytes()
 
 
-def test_replicate_same_in_full_chunk_and_in_one_replicate_tail():
-    # Replicate BOOTSTRAP_CHUNK is summed with BOOTSTRAP_CHUNK - 1 others in
-    # the second call and alone, by the one-sample route, in the first.
+def test_replicate_same_in_any_chunk():
+    # Replicate b is the same draw in both calls, summed into cells in a
+    # chunk of 8 or 9 draws in the first and in one of 16 in the second.
     log, _ = random_log([3, 5, 2, 4], 8, 90, 0.3)
-    tail = bootstrap_replicates(log, B=BOOTSTRAP_CHUNK + 1, seed=11)
+    short = bootstrap_replicates(log, B=BOOTSTRAP_CHUNK + 1, seed=11)
     full = bootstrap_replicates(log, B=BOOTSTRAP_CHUNK * 2, seed=11)
-    for a, b in zip(replicate_arrays(tail), replicate_arrays(full)):
-        assert_close(a[BOOTSTRAP_CHUNK], b[BOOTSTRAP_CHUNK])
+    for a, b in zip(replicate_arrays(short), replicate_arrays(full)):
+        assert_close(a, b[:BOOTSTRAP_CHUNK + 1])
+
+
+@pytest.mark.parametrize("B", [BOOTSTRAP_CHUNK - 3, 2 * BOOTSTRAP_CHUNK + 1,
+                               2 * BOOTSTRAP_CHUNK + 2, 6 * BOOTSTRAP_CHUNK + 4])
+def test_replicates_match_record_loop_in_balanced_chunks(B, monkeypatch):
+    # However B divides, the draws are summed in chunks of at most
+    # BOOTSTRAP_CHUNK whose sizes differ by at most one: no short tail.
+    log, rng = random_log([3, 4, 2], 21, 70, 0.3)
+    ref = reference_for("product", log, rng)
+    sizes, build = [], effects_module.cell_reducer
+
+    def spy(configs, space):
+        reduce = build(configs, space)
+        return lambda stats: sizes.append(stats.shape[1]) or reduce(stats)
+
+    monkeypatch.setattr(effects_module, "cell_reducer", spy)
+    reps = bootstrap_replicates(log, ref, B=B, seed=4)
+    assert sum(sizes) == B and len(sizes) == -(-B // BOOTSTRAP_CHUNK)
+    assert max(sizes) <= BOOTSTRAP_CHUNK and max(sizes) - min(sizes) <= 1
+    mu, mains, pairs, means, fallbacks = bootstrap_replicates_loop(
+        log.configs_array, log.responses, log.weights, log.space, ref, ShrinkageSpec(), B, 4)
+    assert reps.fallback_draws == fallbacks
+    for got, want in zip(replicate_arrays(reps), [mu, *mains, *pairs.values(), *means]):
+        assert_close(got, want)
+
+
+def test_bootstrap_memory_stays_bounded():
+    # 12 three-level factors, 5,000 records, B = 200: the estimator holds
+    # every replicate's cell sums (about 3 MB) and its batch temporaries at
+    # once. The peak measured 9.2-9.7 MiB; the bound leaves room for
+    # allocator and numpy version differences.
+    rng = np.random.default_rng(5)
+    space = build_space([(f"f{j}", ["a", "b", "c"]) for j in range(12)])
+    log = log_from_arrays(space, rng.integers(0, 3, size=(5000, 12)),
+                          rng.normal(size=5000), weights=rng.uniform(0.5, 2.0, size=5000))
+    tracemalloc.start()
+    try:
+        reps = bootstrap_replicates(log, B=200, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reps.mu.shape == (200,)
+    assert peak < 12 * 2**20
 
 
 def test_bootstrap_unobserved_level_interval_is_nan_without_warning(space_2x2):

@@ -9,6 +9,7 @@ from effectlab import (
     effect_error_budget,
     hoeffding_cell_n,
     log_from_arrays,
+    mc_sample_size,
     uniform_cells_n,
 )
 
@@ -57,10 +58,20 @@ def test_planner_monotonicity():
 
 
 def test_planner_rejects_degenerate():
-    for bad in [(0.0, 0.1, 0.05), (1.0, 0.0, 0.05), (1.0, 0.1, 0.0), (1.0, 1.5, 0.05),
-                (1.0, 0.1, 1.0)]:
-        with pytest.raises(ValueError):
-            hoeffding_cell_n(*bad)
+    for bad in [(0.0, 0.1, 0.05), (1.0, 0.0, 0.05), (1.0, 0.1, 0.0), (1.0, 0.1, 1.0),
+                (1.0, math.inf, 0.05), (1.0, -math.inf, 0.05), (1.0, math.nan, 0.05)]:
+        for planner in (hoeffding_cell_n, lambda *a: uniform_cells_n(*a, 3, 3),
+                        mc_sample_size):
+            with pytest.raises(ValueError):
+                planner(*bad)
+
+
+def test_planner_accepts_eps_of_a_response_unit_or_more():
+    # eps is in response units, so only its ratio to B matters.
+    assert hoeffding_cell_n(1.0, 1.5, 0.05) == math.ceil(2 / 1.5 ** 2 * math.log(40)) == 4
+    assert hoeffding_cell_n(100.0, 5.0, 0.05) == hoeffding_cell_n(1.0, 0.05, 0.05)
+    assert mc_sample_size(100.0, 5.0, 0.05) == math.ceil(3200 * math.log(40)) == 11805
+    assert uniform_cells_n(10.0, 1.0, 0.05, 3, 3) == uniform_cells_n(1.0, 0.1, 0.05, 3, 3)
 
 
 def test_bernstein_halfwidth_value():

@@ -22,7 +22,7 @@ from effectlab import (
     support_counts,
     write_log,
 )
-from effectlab.space import cell_sums, distinct_configs
+from effectlab.space import cell_reducer, cell_sums, distinct_configs
 from oracles import (
     empirical_joint_loop,
     ingest_log_loop,
@@ -613,10 +613,9 @@ def record_order_sum(values):
     return total
 
 
-@given(weighted_logs(), st.integers(2, 6), st.integers(0, 2**32 - 1),
-       st.sampled_from([3, 16, space_module.CELL_BLOCK]))
+@given(weighted_logs())
 @settings(max_examples=60, deadline=None)
-def test_support_sums_match_per_cell_loops(log, C, seed, block):
+def test_support_sums_match_per_cell_loops(log):
     space, configs, w = log.space, log.configs_array, log.weights
     wy = w * log.responses
     sc = support_counts(log)
@@ -639,24 +638,36 @@ def test_support_sums_match_per_cell_loops(log, C, seed, block):
             mask = (configs[:, j] == a) & (configs[:, k] == b)
             assert sums[0, a, b] == record_order_sum(w[mask])
             assert sums[1, a, b] == record_order_sum(wy[mask])
-    # C samples at once, each record repeated 0-2 times per sample as in a
-    # bootstrap draw, in blocks of ``block`` records: each sample's sums are
-    # its one-sample sums up to rounding, and counts and empty cells exactly.
-    repeats = np.random.default_rng(seed).integers(0, 3, size=(C, len(w)))
-    stats = np.stack([w, wy, (w > 0).astype(float), w * w])[:, None] * repeats
+
+
+@given(weighted_logs(), st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       st.integers(0, 2**32 - 1), st.sampled_from([3, 16, space_module.CELL_BLOCK]))
+@settings(max_examples=60, deadline=None)
+def test_cell_reducer_matches_cell_sums_per_sample(log, batches, seed, block):
+    # One reducer sums several batches of C samples, each record repeated
+    # 0-2 times per sample as in a bootstrap draw, in blocks of ``block``
+    # records: each sample's sums are its one-sample sums up to rounding,
+    # and counts and empty cells exactly.
+    space, configs, w = log.space, log.configs_array, log.weights
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(space_module, "CELL_BLOCK", block)
-        levels, pairs = cell_sums(configs, stats, space)
-    for c in range(C):
-        one_levels, one_pairs = cell_sums(configs, stats[:, c:c + 1], space)
-        assert list(pairs) == list(one_pairs)
-        for got, want in zip((*levels, *pairs.values()), (*one_levels, *one_pairs.values())):
-            got, want = got[:, c], want[:, 0]
-            assert got.shape == want.shape
-            for g, x in zip(got, want):
-                assert np.abs(g - x).max() <= 1e-12 * (1.0 + np.abs(x).max())
-            assert np.array_equal(got[2], want[2])
-            assert np.all(got[:, want[0] == 0] == 0)
+        reduce = cell_reducer(configs, space)
+    rng = np.random.default_rng(seed)
+    for C in batches:
+        repeats = rng.integers(0, 3, size=(C, len(w)))
+        stats = np.stack([w, w * log.responses, (w > 0).astype(float), w * w])[:, None] * repeats
+        levels, pairs = reduce(stats)
+        for c in range(C):
+            one_levels, one_pairs = cell_sums(configs, stats[:, c], space)
+            assert list(pairs) == list(one_pairs)
+            for got, want in zip((*levels, *pairs.values()),
+                                 (*one_levels, *one_pairs.values())):
+                got = got[:, c]
+                assert got.shape == want.shape
+                for g, x in zip(got, want):
+                    assert np.abs(g - x).max() <= 1e-12 * (1.0 + np.abs(x).max())
+                assert np.array_equal(got[2], want[2])
+                assert np.all(got[:, want[0] == 0] == 0)
 
 
 @st.composite
