@@ -125,9 +125,9 @@ def _objective_for(args, space) -> tuple[ObjectiveSpec, CostModel]:
 # estimate
 # ---------------------------------------------------------------------------
 
-def _estimate_table(args):
-    """The space and the effect table that --path and --bootstrap ask for."""
-    space = load_space(args.space)
+def _estimate_table(args, space):
+    """The effect table of the log over ``space`` that --path and
+    --bootstrap ask for."""
     log = ingest_log(args.log, space)
     reference = _reference_for(args, space, log)
     shrinkage = _shrinkage_for(args)
@@ -135,9 +135,8 @@ def _estimate_table(args):
     if B and args.path != "cm":
         raise CommandError(f"--bootstrap needs --path cm; got --path {args.path}")
     if B:
-        return space, bootstrap_cis(log, reference, shrinkage, B=B,
-                                    level=args.ci_level, seed=args.seed)
-    return space, estimate_from_log(log, args.path, reference, shrinkage)
+        return bootstrap_cis(log, reference, shrinkage, B=B, level=args.ci_level, seed=args.seed)
+    return estimate_from_log(log, args.path, reference, shrinkage)
 
 
 def _bootstrap_diagnostics(table) -> dict:
@@ -151,7 +150,8 @@ def _bootstrap_diagnostics(table) -> dict:
 
 def cmd_estimate(args) -> tuple[list[str], dict]:
     out = _prepare_out(args)
-    space, table = _estimate_table(args)
+    space = load_space(args.space)
+    table = _estimate_table(args, space)
 
     outputs = ["effects.json", "main_effects.csv", "interactions.csv"]
     _write_json(out / "effects.json", table.to_dict())
@@ -206,7 +206,12 @@ def cmd_optimize(args) -> tuple[list[str], dict]:
             raise CommandError(f"--{flag.replace('_', '-')} must be at least 1, "
                                f"got {getattr(args, flag)}")
     out = _prepare_out(args)
-    space, table = _estimate_table(args)
+    space = load_space(args.space)
+    if args.bootstrap and space.grid_size > TOPK_GRID_CAP:
+        # Only topk.csv reads the replicates, and it is not written here.
+        raise CommandError(f"--bootstrap applies only to grids of at most {TOPK_GRID_CAP} "
+                           f"cells, where topk.csv is written; this one has {space.grid_size}")
+    table = _estimate_table(args, space)
     spec, cost = _objective_for(args, space)
     model = PairwiseObjective.build(table, table.support, spec, cost)
     search = SearchSpec(restarts=args.restarts, beam=args.beam,
@@ -284,7 +289,7 @@ def cmd_pci(args) -> tuple[list[str], dict]:
     from .pci import write_pci_csv
 
     out = _prepare_out(args)
-    _, table = _estimate_table(args)
+    table = _estimate_table(args, load_space(args.space))
     note = f"dimensionless; estimator: {args.path}; mode: {args.mode}"
     write_pci_csv(table, out / "pci.csv", mode=args.mode, header_note=note)
     return ["pci.csv"], {}
@@ -349,7 +354,8 @@ def cmd_simulate(args) -> tuple[list[str], dict]:
     out = _prepare_out(args)
     cfg = SuiteConfig(trials=args.trials, seed=args.seed,
                       design_n=args.design_n, seeds_per_point=args.seeds_per_point)
-    return _write_suite(out, "results.csv", comparison_suite(cfg), cfg)
+    batch_sizes: list[int] = []
+    return _write_suite(out, "results.csv", comparison_suite(cfg, batch_sizes), cfg, batch_sizes)
 
 
 def cmd_ablate(args) -> tuple[list[str], dict]:
@@ -357,17 +363,22 @@ def cmd_ablate(args) -> tuple[list[str], dict]:
 
     out = _prepare_out(args)
     cfg = SuiteConfig(trials=args.trials, seed=args.seed)
-    return _write_suite(out, "ablation.csv", ablation_suite(args.axis, cfg), cfg)
+    batch_sizes: list[int] = []
+    return _write_suite(out, "ablation.csv", ablation_suite(args.axis, cfg, batch_sizes), cfg,
+                        batch_sizes)
 
 
-def _write_suite(out: Path, name: str, rows: list[dict], cfg) -> tuple[list[str], dict]:
-    """The suite's result rows as ``name``, and its configuration."""
+def _write_suite(out: Path, name: str, rows: list[dict], cfg,
+                 batch_sizes: list[int]) -> tuple[list[str], dict]:
+    """The suite's result rows as ``name``, and its configuration; the
+    manifest records how many trial batches ran and the largest."""
     cols = ["axis", "cell", "estimator", "metric", "mean", "ci_lo", "ci_hi",
             "n_trials", "config_hash"]
     data = [[_fmt(r[c]) if isinstance(r[c], float) else r[c] for c in cols] for r in rows]
     write_csv(out / name, "units: metric-dependent (response units for gap/recon)", cols, data)
     _write_json(out / "suite_config.json", cfg.describe())
-    return [name, "suite_config.json"], {}
+    return [name, "suite_config.json"], {
+        "trial_batches": {"count": len(batch_sizes), "largest": max(batch_sizes)}}
 
 
 # ---------------------------------------------------------------------------

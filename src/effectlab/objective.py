@@ -213,10 +213,11 @@ class PairwiseObjective:
     - ``pairs[j, k] = pair_jk - lambda_risk * pair_risk_jk``;
     - ``const = mu - lambda_cost * cost offset``.
 
-    Built from an ``EffectTable`` the terms are plain arrays; built from
-    ``BootstrapReplicates`` each carries a leading replicate axis. Every
-    evaluator adds the terms in that order and reads -inf where the
-    configuration is infeasible.
+    Built from an ``EffectTable`` the terms are plain arrays; built from a
+    stack of tables (``BootstrapReplicates``, or a batch of simulation
+    trials with a support stacked alike) each carries a leading axis, and
+    ``entry(t)`` is one table's model. Every evaluator adds the terms in that
+    order and reads -inf where the configuration is infeasible.
     """
 
     space: FactorSpace
@@ -251,32 +252,44 @@ class PairwiseObjective:
                 raise InfeasibleConfigError(f"factor {name!r} has no allowed levels")
         return allowed
 
-    def at(self, X: np.ndarray) -> np.ndarray:
-        """J at each row of the (R, d) level array X, shape (..., R)."""
+    def entry(self, t: int) -> "PairwiseObjective":
+        """Entry t of the leading axis of a stacked model, as a model."""
+        return PairwiseObjective(self.space, self.const[t], tuple(u[t] for u in self.unary),
+                                 {jk: h[t] for jk, h in self.pairs.items()}, self.banned_configs)
+
+    def at(self, X: np.ndarray, which: np.ndarray | None = None) -> np.ndarray:
+        """J at each row of the (R, d) level array X, shape (..., R). With
+        ``which``, row r is scored by entry ``which[r]`` of a stacked model
+        alone, shape (R,)."""
         X = self.space.validate_configs(X)
-        value = np.add.outer(self.const, np.zeros(len(X)))
+        lead = (...,) if which is None else (which,)
+        value = (np.add.outer(self.const, np.zeros(len(X))) if which is None
+                 else self.const[which] + np.zeros(len(X)))
         for j, u in enumerate(self.unary):
-            value += u[..., X[:, j]]
+            value += u[lead + (X[:, j],)]
         for (j, k), h in self.pairs.items():
-            value += h[..., X[:, j], X[:, k]]
+            value += h[lead + (X[:, j], X[:, k])]
         for cfg in self.banned_configs:
             value[..., (X == cfg).all(axis=1)] = -np.inf
         return value
 
-    def level_scores(self, j: int, X: np.ndarray) -> np.ndarray:
+    def level_scores(self, j: int, X: np.ndarray, which: np.ndarray | None = None) -> np.ndarray:
         """The terms of J that depend on factor j, over all its levels, one
         row per context in the (R, d) level array X: ``unary[j]`` plus each
         other factor's pair term in declaration order. Differences across a
-        row equal differences of J."""
+        row equal differences of J. With ``which``, row r reads entry
+        ``which[r]`` of a stacked model."""
         if not 0 <= j < self.space.num_factors:
             raise ValueError(f"factor index {j} is out of range 0..{self.space.num_factors - 1}")
         X = self.space.validate_configs(X)
-        scores = np.tile(self.unary[j], (len(X), 1))
+        lead = () if which is None else (which,)
+        scores = np.tile(self.unary[j], (len(X), 1)) if which is None else self.unary[j][which]
         for k in range(self.space.num_factors):
             if k < j:
-                scores += self.pairs[(k, j)][X[:, k], :]
+                scores += self.pairs[(k, j)][lead + (X[:, k],)]
             elif k > j:
-                scores += self.pairs[(j, k)][:, X[:, k]].T
+                h = self.pairs[(j, k)]
+                scores += h[:, X[:, k]].T if which is None else h[which, :, X[:, k]]
         if self.banned_configs:
             others = np.delete(X, j, axis=1)
             for cfg in self.banned_configs:

@@ -10,13 +10,15 @@ allowed levels, feasibility and bans come from it, so a command builds J once
 and passes it to the search, the certificate and the bounds. A search
 advances every restart together as one level array; each score adds its
 terms in the same order whatever the restart count, so a restart's trace
-equals its one-start ascent.
+equals its one-start ascent. ``multistart_each`` runs the restarts of every
+entry of a stacked model (a batch of simulation trials) the same way, each
+row scored against its own entry.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -85,30 +87,32 @@ class DominanceReport:
 # Search
 # ---------------------------------------------------------------------------
 
-def _ascend(model: PairwiseObjective, starts: list[Config], max_sweeps: int
-            ) -> list[SearchTrace]:
+def _ascend(model: PairwiseObjective, starts: list[Config], max_sweeps: int,
+            which: np.ndarray | None = None) -> list[SearchTrace]:
     """Coordinate ascent from every feasible start at once, the starts
-    advancing together as the rows of one level array.
+    advancing together as the rows of one level array; with ``which``, row r
+    ascends entry ``which[r]`` of a stacked model.
 
     A row leaves the batch after a sweep with no move; that sweep scored
     every single-factor swap at its endpoint and found no strict gain, so
     the endpoint is 1-swap optimal.
     """
     X = np.array(starts, dtype=np.intp)
-    steps = [[(0, x, v)] for x, v in zip(starts, model.at(X).tolist())]
+    steps = [[(0, x, v)] for x, v in zip(starts, model.at(X, which).tolist())]
     converged = np.zeros(len(X), dtype=bool)
     live = np.arange(len(X))
     for sweep in range(1, max_sweeps + 1):
         rows, moved = X[live], np.zeros(len(live), dtype=bool)
+        entries = None if which is None else which[live]
         for j in range(model.space.num_factors):
-            scores = model.level_scores(j, rows)
+            scores = model.level_scores(j, rows, entries)
             best = np.argmax(scores, axis=1)
             at = np.arange(len(rows))
             move = (best != rows[:, j]) & (scores[at, best] - scores[at, rows[:, j]] > 0)
             rows[move, j] = best[move]
             moved |= move
         X[live] = rows
-        for r, x, v in zip(live, rows.tolist(), model.at(rows).tolist()):
+        for r, x, v in zip(live, rows.tolist(), model.at(rows, entries).tolist()):
             steps[r].append((sweep, tuple(x), v))
         converged[live[~moved]] = True
         live = live[moved]
@@ -148,6 +152,28 @@ def multistart(model: PairwiseObjective, mains: Sequence[np.ndarray],
     lexicographically smallest configuration.
     """
     search = search or SearchSpec()
+    traces = _ascend(model, _starts(model, mains, search), search.max_sweeps)
+    return _winner(traces), traces
+
+
+def multistart_each(model: PairwiseObjective, mains: Sequence[np.ndarray], search: SearchSpec,
+                    seeds: Sequence[int]) -> list[tuple[Config, list[SearchTrace]]]:
+    """``multistart`` of every entry t of a stacked model (``model.entry(t)``)
+    at once: entry t ranks levels by ``[g[t] for g in mains]`` and draws its
+    restarts with ``seeds[t]`` in place of ``search.seed``, then every
+    (entry, restart) row ascends in one lockstep batch, each scored against
+    its own entry. Entry t's winner and traces are its own ``multistart``'s."""
+    starts = [_starts(model.entry(t), [g[t] for g in mains], replace(search, seed=seed))
+              for t, seed in enumerate(seeds)]
+    which = np.repeat(np.arange(len(starts)), [len(s) for s in starts])
+    traces = _ascend(model, [x for s in starts for x in s], search.max_sweeps, which)
+    bounds = np.cumsum([0] + [len(s) for s in starts]).tolist()
+    return [(_winner(traces[a:b]), traces[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _starts(model: PairwiseObjective, mains: Sequence[np.ndarray],
+            search: SearchSpec) -> list[Config]:
+    """``multistart``'s feasible starts: the greedy one, then one per restart."""
     ranked = [sorted(levels, key=lambda l: (-g[l], l))
               for g, levels in zip(mains, model.allowed_levels())]
     starts = [tuple(top[0] for top in ranked)]
@@ -165,9 +191,13 @@ def multistart(model: PairwiseObjective, mains: Sequence[np.ndarray],
     starts = [x for x in starts if x not in model.banned_configs]
     if not starts:
         raise InfeasibleConfigError("no feasible start configuration found")
-    traces = _ascend(model, starts, search.max_sweeps)
-    best = max(traces, key=lambda t: (t.steps[-1][2], tuple(-c for c in t.final)))
-    return best.final, traces
+    return starts
+
+
+def _winner(traces: list[SearchTrace]) -> Config:
+    """The endpoint with the best objective, exact ties going to the
+    lexicographically smallest configuration."""
+    return max(traces, key=lambda t: (t.steps[-1][2], tuple(-c for c in t.final))).final
 
 
 def verify_1swap(model: PairwiseObjective, x: Sequence[int]

@@ -374,15 +374,50 @@ def build_design_matrix(eval_set: Sequence[Sequence[int]], space: FactorSpace,
     return EffectDesignMatrix(space, reference, X, blocks, sigma_min, q_blocks, q_stack, r)
 
 
+def _fit_tables(phi: np.ndarray, design: EffectDesignMatrix, reference: ReferenceDistribution,
+                shrinkage: ShrinkageSpec, main_counts, pair_counts):
+    """Least-squares tables of the attributions phi at the design's points,
+    (n, d) for one set or (n, d, C) for C sets at once, mapped back to full
+    tables under ``reference``, re-centered and shrunk by the record counts,
+    which broadcast against the tables. The solve reuses the design's
+    factors, theta = r^-1 q_stack^T [q_blocks[j]^T phi_j], one right-hand
+    side per set, and so does the residual; it never builds the dense
+    design. Returns mains and pairs, with a leading set axis for C sets, and
+    a list of each set's residual norm."""
+    if design.sigma_min <= RANK_TOLERANCE:
+        blocks = design.deficient_blocks()
+        raise RankDeficiencyError(
+            f"design matrix is rank deficient (sigma_min={design.sigma_min:.3e}); "
+            f"unidentified blocks: {blocks}",
+            blocks,
+        )
+    sets, d = phi.shape[2:], design.space.num_factors
+    z = np.concatenate([q.T @ phi[:, j] for j, q in enumerate(design.q_blocks)])
+    theta = np.linalg.solve(design.r, design.q_stack.T @ z)
+    # Factor j's fitted rows are q_blocks[j] @ R_j theta; q_stack @ r stacks the R_j.
+    r_theta = np.split(design.q_stack @ (design.r @ theta),
+                       np.cumsum([q.shape[1] for q in design.q_blocks])[:-1])
+    misfit = np.stack([q @ rt for q, rt in zip(design.q_blocks, r_theta)], axis=1) - phi
+    # One norm per set; np.ndindex(()) yields the one empty index of a single set.
+    residuals = [float(np.linalg.norm(misfit[(..., *c)])) for c in np.ndindex(sets)]
+
+    bases = [_centered_basis(reference.marginal(j)) for j in range(d)]
+    # .T moves the set axis, if any, to the front.
+    mains = [(bases[j] @ theta[sl]).T for _, (j,), sl in design.blocks[:d]]
+    pairs = {(j, k): bases[j] @ theta[sl].T.reshape(*sets, bases[j].shape[1], -1) @ bases[k].T
+             for _, (j, k), sl in design.blocks[d:]}
+    mains, pairs = _finalize(reference, mains, pairs, shrinkage, main_counts, pair_counts)
+    return mains, pairs, residuals
+
+
 def fit_effects_sf(estimates: ShapleyEstimate, space: FactorSpace,
                    reference: ReferenceDistribution | None = None,
                    shrinkage: ShrinkageSpec | None = None, *,
                    support: SupportCounts | None = None, mu: float = 0.0,
                    design: EffectDesignMatrix | None = None) -> EffectTable:
     """Least squares in the sum-to-zero basis, mapped back to full tables,
-    re-centered, then shrunk the same way as the cell-mean path. The solve
-    reuses the design's factors, theta = r^-1 q_stack^T [q_blocks[j]^T phi_j],
-    and so does the residual; it never builds the dense design.
+    re-centered, then shrunk the same way as the cell-mean path; the fit of
+    one attribution set by ``_fit_tables``.
 
     ``support`` supplies the shrinkage counts (defaults to counting the
     evaluation points); ``mu`` is the baseline to attach, typically the
@@ -392,46 +427,22 @@ def fit_effects_sf(estimates: ShapleyEstimate, space: FactorSpace,
     if not len(X):
         raise ValueError("no attribution estimates to fit")
     reference = reference or ReferenceDistribution.uniform(space)
-    shrinkage = shrinkage or ShrinkageSpec()
-    d = space.num_factors
-    if X.shape[1] != d:
+    if X.shape[1] != space.num_factors:
         raise ValueError("estimate evaluated on an inconsistent space")
 
     if design is None:
         design = build_design_matrix(X, space, reference)
     elif not np.array_equal(design.eval_set, X):
         raise ValueError("design matrix was built for a different evaluation set")
-    if design.sigma_min <= RANK_TOLERANCE:
-        blocks = design.deficient_blocks()
-        raise RankDeficiencyError(
-            f"design matrix is rank deficient (sigma_min={design.sigma_min:.3e}); "
-            f"unidentified blocks: {blocks}",
-            blocks,
-        )
-
-    z = np.concatenate([q.T @ phi[:, j] for j, q in enumerate(design.q_blocks)])
-    theta = np.linalg.solve(design.r, design.q_stack.T @ z)
-    # Factor j's fitted rows are q_blocks[j] @ R_j theta; q_stack @ r stacks the R_j.
-    r_theta = np.split(design.q_stack @ (design.r @ theta),
-                       np.cumsum([q.shape[1] for q in design.q_blocks])[:-1])
-    fitted = np.column_stack([q @ rt for q, rt in zip(design.q_blocks, r_theta)])
-    residual = float(np.linalg.norm(fitted - phi))
-
-    bases = [_centered_basis(reference.marginal(j)) for j in range(d)]
-    mains = [bases[j] @ theta[sl] for _, (j,), sl in design.blocks[:d]]
-    pairs = {(j, k): bases[j] @ theta[sl].reshape(bases[j].shape[1], -1) @ bases[k].T
-             for _, (j, k), sl in design.blocks[d:]}
-
     if support is None:
         support = support_counts(log_from_arrays(space, X, np.zeros(len(X))))
-    mains, pairs = _finalize(reference, mains, pairs, shrinkage,
-                             support.level_counts, support.pair_counts)
-
+    mains, pairs, (residual,) = _fit_tables(phi, design, reference, shrinkage or ShrinkageSpec(),
+                                            support.level_counts, support.pair_counts)
     return EffectTable(
         space=space,
         reference=reference,
         mu=float(mu),
-        mains=tuple(mains),
+        mains=mains,
         pairs=pairs,
         support=support,
         provenance="SF",
@@ -446,24 +457,29 @@ def grid_design(space: FactorSpace, reference: ReferenceDistribution) -> EffectD
             if space.grid_size <= EVAL_GRID_CAP else None)
 
 
-def fit_from_oracle(oracle: ValueOracle, log: RunLog,
-                    shrinkage: ShrinkageSpec | None = None, *,
-                    design: EffectDesignMatrix | None = None) -> EffectTable:
-    """Attribution path: exact Shapley values of the oracle at each
-    evaluation point, then least-squares table recovery under the oracle's
-    reference, shrunk by the log's support.
+def log_points(log: RunLog) -> list:
+    """The attribution path's evaluation points for a log: the full grid when
+    it has at most ``EVAL_GRID_CAP`` cells (always identifiable), otherwise
+    the log's distinct configurations in order of first appearance."""
+    if log.space.grid_size <= EVAL_GRID_CAP:
+        return enumerate_grid(log.space)
+    return list(dict.fromkeys(tuple(c) for c in log.configs_array.tolist()))
 
-    The evaluation points are the full grid when it has at most
-    ``EVAL_GRID_CAP`` cells (always identifiable), otherwise the log's
-    distinct configurations; a caller may pass the ``grid_design`` of the
-    oracle's reference. Nothing is sampled, so the table is seed-free.
+
+def log_design(log: RunLog, reference: ReferenceDistribution) -> EffectDesignMatrix:
+    """The design at the log's ``log_points`` under ``reference``."""
+    return build_design_matrix(log_points(log), log.space, reference)
+
+
+def fit_from_oracle(oracle: ValueOracle, log: RunLog,
+                    shrinkage: ShrinkageSpec | None = None) -> EffectTable:
+    """Attribution path: exact Shapley values of the oracle at each of the
+    log's ``log_points``, then least-squares table recovery under the
+    oracle's reference, shrunk by the log's support. Nothing is sampled, so
+    the table is seed-free.
     """
-    space = oracle.space
-    design = grid_design(space, oracle.reference) if design is None else design
-    eval_set = (design.eval_set if design is not None
-                else list(dict.fromkeys(tuple(c) for c in log.configs_array.tolist())))
-    return fit_effects_sf(exact_shapley(oracle, eval_set), space, oracle.reference, shrinkage,
-                          support=support_counts(log), mu=oracle.v_empty, design=design)
+    return fit_effects_sf(exact_shapley(oracle, log_points(log)), oracle.space, oracle.reference,
+                          shrinkage, support=support_counts(log), mu=oracle.v_empty)
 
 
 def write_shapley_csv(estimates: ShapleyEstimate, space: FactorSpace,

@@ -13,24 +13,34 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from types import SimpleNamespace
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .effects import EffectTable, ShrinkageSpec, estimate_from_log, percentile
+from .effects import EffectTable, ShrinkageSpec, _estimate_batch, percentile
 from .objective import ObjectiveSpec, PairwiseObjective, broadcast_sum, predict_grid
-from .optimize import SearchSpec, multistart
-from .shapley import EffectDesignMatrix, ValueOracle, fit_from_oracle, grid_design
+from .optimize import SearchSpec, multistart_each
+from .shapley import (
+    EffectDesignMatrix,
+    ValueOracle,
+    _fit_tables,
+    exact_shapley,
+    grid_design,
+    log_design,
+)
 from .space import (
     Config,
     DesignPlan,
     FactorSpace,
     ReferenceDistribution,
     RunLog,
+    SupportCounts,
     build_space,
     log_from_arrays,
     sample_design,
+    support_counts,
 )
 
 
@@ -201,13 +211,115 @@ def _trial_seeds(trial_seed: int) -> tuple[int, int, int, int, int]:
     return tuple(int(child.generate_state(1)[0]) for child in children)
 
 
+class _Trial(NamedTuple):
+    """One trial of a batch: its teacher, design plan, noise draws per
+    design point, seed, and whether its table keeps only main effects."""
+    teacher: Teacher
+    plan: DesignPlan
+    seeds_per_point: int
+    seed: int
+    mains_only: bool
+
+
+def _run_trials(trials: Sequence[_Trial], estimator: str,
+                reference: ReferenceDistribution | None = None,
+                shrinkage: ShrinkageSpec | None = None, oracle_source: str = "teacher",
+                design: EffectDesignMatrix | None = None) -> list[TrialResult]:
+    """``run_trial`` of every trial at once, all on one space, estimator and
+    reference. Each trial in turn samples its design and log and reduces
+    them to cell sums (CM) or to attributions at the design's points (SF),
+    so one log is held at a time. Then one ``_estimate_batch`` or one
+    ``_fit_tables`` estimates every table, and one ``multistart_each``
+    searches all (trial, restart) rows. Each trial's result is its own
+    within rounding, with the same chosen configuration. SF trials on a
+    grid above ``EVAL_GRID_CAP`` evaluate on their own log's configurations,
+    so they run alone."""
+    space = trials[0].teacher.space
+    estimator = estimator.upper()
+    if estimator not in ("CM", "SF"):
+        raise ValueError(f"unknown estimator {estimator!r}; expected CM or SF")
+    if estimator == "SF" and oracle_source not in ("teacher", "log"):
+        raise ValueError(f"unknown oracle source {oracle_source!r}")
+    reference = reference or ReferenceDistribution.uniform(space)
+    if estimator == "SF" and oracle_source == "log":
+        reference = reference.product_marginals()
+    seeds = [_trial_seeds(trial.seed) for trial in trials]
+    supports, mu, phi = [], [], []
+    for trial, (design_seed, noise_seed, _, _, oracle_seed) in zip(trials, seeds):
+        log = make_log(trial.teacher, sample_design(space, trial.plan, design_seed),
+                       trial.seeds_per_point, seed=noise_seed)
+        supports.append(support_counts(log))
+        if estimator == "CM":
+            mu.append((log.weights * log.responses).sum() / log.weights.sum())
+            continue
+        # The simulation protocol queries the teacher at mixed configurations
+        # under fresh noise; "log" reads the observed cell means only.
+        oracle = (ValueOracle(space, reference, _noisy_values(trial, oracle_seed))
+                  if oracle_source == "teacher" else ValueOracle.from_log(log, reference))
+        if design is None:
+            design = log_design(log, reference)
+        phi.append(exact_shapley(oracle, design.eval_set).phi)
+        mu.append(oracle.v_empty)
+    # One SupportCounts for the batch, each array with a trial axis after the first.
+    support = SupportCounts(
+        space, tuple(np.stack(s, axis=1) for s in zip(*(sc.level_sums for sc in supports))),
+        {jk: np.stack([sc.pair_sums[jk] for sc in supports], axis=1) for jk in space.pairs()})
+    mu = np.array(mu)
+    shrinkage = shrinkage or ShrinkageSpec()
+    if estimator == "CM":
+        mains, pairs, _ = _estimate_batch(support.level_sums, support.pair_sums, mu, reference,
+                                          shrinkage)
+        diagnostics = [None] * len(trials)
+    else:
+        mains, pairs, residuals = _fit_tables(np.stack(phi, axis=-1), design, reference,
+                                              shrinkage, support.level_counts,
+                                              support.pair_counts)
+        diagnostics = [{**design.diagnostics(), "residual_norm": r} for r in residuals]
+    mains_only = np.array([trial.mains_only for trial in trials])
+    if mains_only.any():
+        for h in pairs.values():
+            h[mains_only] = 0.0
+
+    # The batch's tables, each array with a leading trial axis.
+    tables = SimpleNamespace(mu=mu, mains=mains, pairs=pairs)
+    model = PairwiseObjective.build(tables, support, ObjectiveSpec())
+    searched = multistart_each(model, mains, SearchSpec(), [s[3] for s in seeds])
+    results = []
+    for t, (trial, (chosen, _)) in enumerate(zip(trials, searched)):
+        table = EffectTable(space, reference, float(mu[t]), tuple(g[t] for g in mains),
+                            {jk: h[t] for jk, h in pairs.items()}, provenance=estimator)
+        truth = trial.teacher.values
+        results.append(TrialResult(
+            estimator=estimator,
+            recon_error=reconstruction_error(table, trial.teacher.truth),
+            gap=float(truth.max() - truth[chosen]),
+            rho=spearman(predict_grid(table).ravel(), truth.ravel()),
+            chosen=chosen,
+            diagnostics=diagnostics[t],
+        ))
+    return results
+
+
+def _noisy_values(trial: _Trial, oracle_seed: int) -> np.ndarray:
+    """The teacher's grid values under one fresh draw of observation noise,
+    averaged over the trial's seeds per point."""
+    values = trial.teacher.values
+    noise = trial.teacher.spec.noise
+    if noise > 0:
+        rng = np.random.default_rng(np.random.SeedSequence(oracle_seed))
+        values = values + rng.normal(0.0, noise / math.sqrt(trial.seeds_per_point),
+                                     size=values.shape)
+    return values
+
+
 def run_trial(teacher: Teacher, plan: DesignPlan, seeds_per_point: int,
               estimator: str, *, trial_seed: int = 0,
               reference: ReferenceDistribution | None = None,
               shrinkage: ShrinkageSpec | None = None, mains_only: bool = False,
               oracle_source: str = "teacher",
               design: EffectDesignMatrix | None = None) -> TrialResult:
-    """Design -> log -> estimate -> search -> score against ground truth.
+    """Design -> log -> estimate -> search -> score against ground truth:
+    the suites' batch code on a batch of one.
 
     The attribution path's coalition values come from the simulation teacher
     under fresh observation noise (``oracle_source="teacher"``, the
@@ -216,43 +328,9 @@ def run_trial(teacher: Teacher, plan: DesignPlan, seeds_per_point: int,
     used for ingested logs). Trials given one ``reference`` share its pair
     centerers, and with its ``grid_design`` as ``design`` its SF design too.
     """
-    space = teacher.space
-    design_seed, noise_seed, _, search_seed, oracle_seed = _trial_seeds(trial_seed)
-    points = sample_design(space, plan, design_seed)
-    log = make_log(teacher, points, seeds_per_point, seed=noise_seed)
-    estimator = estimator.upper()
-    if estimator == "SF" and oracle_source == "teacher":
-        ref = reference or ReferenceDistribution.uniform(space)
-        rng = np.random.default_rng(np.random.SeedSequence(oracle_seed))
-        values = teacher.values
-        if teacher.spec.noise > 0:
-            values = values + rng.normal(
-                0.0, teacher.spec.noise / math.sqrt(seeds_per_point), size=values.shape
-            )
-        table = fit_from_oracle(ValueOracle(space, ref, values), log, shrinkage, design=design)
-    elif estimator == "SF" and oracle_source != "log":
-        raise ValueError(f"unknown oracle source {oracle_source!r}")
-    else:
-        table = estimate_from_log(log, estimator, reference, shrinkage)
-    if mains_only:
-        table = table.with_zero_pairs()
-
-    model = PairwiseObjective.build(table, table.support, ObjectiveSpec())
-    chosen, _ = multistart(model, table.mains, SearchSpec(seed=search_seed))
-
-    truth_values = teacher.values
-    best = np.unravel_index(int(np.argmax(truth_values)), truth_values.shape)
-    gap = float(truth_values[best] - truth_values[chosen])
-    rho = spearman(predict_grid(table).ravel(), truth_values.ravel())
-    recon = reconstruction_error(table, teacher.truth)
-    return TrialResult(
-        estimator=estimator.upper(),
-        recon_error=recon,
-        gap=gap,
-        rho=rho,
-        chosen=tuple(int(v) for v in chosen),
-        diagnostics=table.diagnostics,
-    )
+    (result,) = _run_trials([_Trial(teacher, plan, seeds_per_point, trial_seed, mains_only)],
+                            estimator, reference, shrinkage, oracle_source, design)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -315,63 +393,98 @@ def _trial_seed(config: SuiteConfig, trial: int, salt: int = 0) -> int:
 # Metric name in the suite rows -> TrialResult field.
 _TRIAL_METRICS = {"recon": "recon_error", "gap": "gap", "rho": "rho"}
 
+# Trial indices per suite batch. A batch holds these trials of every
+# uniform-background cell of one estimator, so no array grows with the
+# trial count.
+TRIAL_CHUNK = 16
 
-def _suite_rows(axis: str, cells: list[tuple], config: SuiteConfig,
-                metrics: Sequence[str]) -> list[dict]:
+
+def _suite_rows(axis: str, cells: list[tuple], config: SuiteConfig, metrics: Sequence[str],
+                batch_sizes: list[int] | None = None) -> list[dict]:
     """Run ``config.trials`` trials per estimator of every (cell, estimators,
     plan, seeds per point, background, mains only) cell, one teacher per
     trial index; each named metric gets its mean and 95% percentile interval.
-    Uniform-background trials share one reference and its SF grid design."""
+
+    Trial indices go in chunks of ``TRIAL_CHUNK``. Per chunk and estimator,
+    the uniform-background trials of every cell run as one batch on one
+    reference and its SF grid design (alone when the grid has none); an
+    empirical-background trial runs alone on its own reference. Each batch's
+    size is appended to ``batch_sizes`` when given.
+    """
     digest = config.digest()
     space = default_space(config.num_factors)
-    teachers = [_teacher_for_trial(config, t, space) for t in range(config.trials)]
     uniform = ReferenceDistribution.uniform(space)
     uniform_design = grid_design(space, uniform)
+    results: dict[tuple[str, str], list[TrialResult]] = {
+        (cell[0], est): [] for cell in cells for est in cell[1]}
+    for first in range(0, config.trials, TRIAL_CHUNK):
+        chunk = range(first, min(first + TRIAL_CHUNK, config.trials))
+        teachers = [_teacher_for_trial(config, t, space) for t in chunk]
+        for est in dict.fromkeys(est for cell in cells for est in cell[1]):
+            shared, batches = [], []
+            for cell, estimators, plan, seeds_per_point, background, mains_only in cells:
+                if est not in estimators:
+                    continue
+                for t, teacher in zip(chunk, teachers):
+                    job = (cell, _Trial(teacher, plan, seeds_per_point, _trial_seed(config, t),
+                                        mains_only))
+                    if background == "empirical":
+                        batches.append((_empirical_reference(space, job[1]), None, [job]))
+                    elif est == "SF" and uniform_design is None:
+                        batches.append((uniform, None, [job]))
+                    else:
+                        shared.append(job)
+            if shared:
+                batches.append((uniform, uniform_design, shared))
+            for reference, design, jobs in batches:
+                done = _run_trials([trial for _, trial in jobs], est, reference, design=design)
+                for (cell, _), result in zip(jobs, done):
+                    results[(cell, est)].append(result)
+                if batch_sizes is not None:
+                    batch_sizes.append(len(jobs))
     rows: list[dict] = []
-    for cell, estimators, plan, seeds_per_point, background, mains_only in cells:
-        for est in estimators:
-            results = []
-            for t, teacher in enumerate(teachers):
-                seed = _trial_seed(config, t)
-                reference = uniform
-                if background == "empirical":
-                    # Product of the log's per-factor marginals; built from
-                    # the same design the trial will draw.
-                    points = sample_design(space, plan, _trial_seeds(seed)[0])
-                    probe = log_from_arrays(space, points, np.zeros(len(points)))
-                    reference = ReferenceDistribution.empirical(probe).product_marginals()
-                results.append(run_trial(teacher, plan, seeds_per_point, est, trial_seed=seed,
-                                         reference=reference, mains_only=mains_only,
-                                         design=uniform_design if reference is uniform else None))
-            for metric in metrics:
-                values = np.array([getattr(r, _TRIAL_METRICS[metric]) for r in results])
-                ci_lo, ci_hi = percentile(values, [2.5, 97.5]).tolist()
-                rows.append({
-                    "axis": axis,
-                    "cell": cell,
-                    "estimator": est,
-                    "metric": metric,
-                    "mean": float(values.mean()),
-                    "ci_lo": ci_lo,
-                    "ci_hi": ci_hi,
-                    "n_trials": config.trials,
-                    "config_hash": digest,
-                })
+    for (cell, est), got in results.items():
+        for metric in metrics:
+            values = np.array([getattr(r, _TRIAL_METRICS[metric]) for r in got])
+            ci_lo, ci_hi = percentile(values, [2.5, 97.5]).tolist()
+            rows.append({
+                "axis": axis,
+                "cell": cell,
+                "estimator": est,
+                "metric": metric,
+                "mean": float(values.mean()),
+                "ci_lo": ci_lo,
+                "ci_hi": ci_hi,
+                "n_trials": config.trials,
+                "config_hash": digest,
+            })
     return rows
 
 
-def comparison_suite(config: SuiteConfig | None = None) -> list[dict]:
+def _empirical_reference(space: FactorSpace, trial: _Trial) -> ReferenceDistribution:
+    """Product of the per-factor marginals of the design the trial will draw."""
+    points = sample_design(space, trial.plan, _trial_seeds(trial.seed)[0])
+    probe = log_from_arrays(space, points, np.zeros(len(points)))
+    return ReferenceDistribution.empirical(probe).product_marginals()
+
+
+def comparison_suite(config: SuiteConfig | None = None,
+                     batch_sizes: list[int] | None = None) -> list[dict]:
     """Head-to-head CM vs SF on balanced designs: reconstruction error,
-    optimality gap, and rank correlation, paired across trials."""
+    optimality gap, and rank correlation, paired across trials. The size of
+    every trial batch run is appended to ``batch_sizes`` when given."""
     config = config or SuiteConfig()
     cell = ("balanced", ("CM", "SF"), DesignPlan.balanced(config.design_n),
             config.seeds_per_point, "uniform", False)
-    return _suite_rows("comparison", [cell], config, ("recon", "gap", "rho"))
+    return _suite_rows("comparison", [cell], config, ("recon", "gap", "rho"), batch_sizes)
 
 
-def ablation_suite(axis: str, config: SuiteConfig | None = None) -> list[dict]:
+def ablation_suite(axis: str, config: SuiteConfig | None = None,
+                   batch_sizes: list[int] | None = None) -> list[dict]:
     """One ablation axis: effects order, design robustness, attribution
-    background, or seed budget. Emits per-cell means with percentile CIs."""
+    background, or seed budget. Emits per-cell means with percentile CIs,
+    and appends the size of every trial batch run to ``batch_sizes`` when
+    given."""
     config = config or SuiteConfig()
     both = ("CM", "SF")
     wide = DesignPlan.balanced(config.design_n)
@@ -401,4 +514,4 @@ def ablation_suite(axis: str, config: SuiteConfig | None = None) -> list[dict]:
     }
     if axis not in axes:
         raise ValueError(f"unknown ablation axis {axis!r}; expected {', '.join(axes)}")
-    return _suite_rows(axis, axes[axis], config, ("gap", "rho"))
+    return _suite_rows(axis, axes[axis], config, ("gap", "rho"), batch_sizes)

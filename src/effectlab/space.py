@@ -301,6 +301,8 @@ def double_centerer(joint: np.ndarray):
     block = np.linalg.matrix_power((w > 0) | np.eye(len(c), dtype=bool), len(c))
     null = block * (root[:, None] * root) / (block @ c)[:, None]
     solve = (np.linalg.inv(np.eye(len(c)) - w + null) - null) / (root[:, None] * root)
+    if cols.all():  # a view in place of a gather, for a stack of matrices too
+        cols = slice(None)
 
     def center(mat: np.ndarray) -> np.ndarray:
         out = np.array(mat, dtype=float)
@@ -712,7 +714,8 @@ class SupportCounts:
     ``level_sums[j]`` (4, L_j) and ``pair_sums[(j, k)]`` (4, L_j, L_k), j < k,
     hold each cell's summed weight w, weight x response, positive-weight
     record count n and squared weight. The CM estimate, its shrinkage, the
-    risk term and the effective sizes all read them.
+    risk term and the effective sizes all read them. Stacked over logs (a
+    batch of simulation trials), each array has a log axis after the first.
     """
 
     space: FactorSpace

@@ -1,7 +1,10 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Everything here is computed from first principles on full tensors or by
-explicit enumeration and deliberately shares no code path with the library.
+explicit enumeration and deliberately shares no code path with the library,
+except ``suite_rows_loop``: it runs the simulation suites one trial at a
+time through the library's single-log entry points, as the suites did
+before they batched their trials.
 """
 
 from __future__ import annotations
@@ -798,3 +801,73 @@ def split_two_swap_bound_loop(table, support, spec, cost, x):
             r = gam / (support.pair_counts[(j, k)] + gam)
             total += spec.lambda_risk * max(float(r[x[j], x[k]] - r[cells].min()), 0.0)
     return total
+
+
+def run_trial_loop(teacher, plan, seeds_per_point, estimator, trial_seed, reference,
+                   mains_only):
+    """One simulation trial alone: its design and log, its table from
+    ``estimate_from_log`` (CM) or ``fit_from_oracle`` on the teacher's
+    values under fresh noise (SF), its own ``multistart``, and its metrics.
+    Returns (recon, gap, rho)."""
+    from effectlab.effects import estimate_from_log
+    from effectlab.objective import ObjectiveSpec, PairwiseObjective, predict_grid
+    from effectlab.optimize import SearchSpec, multistart
+    from effectlab.shapley import ValueOracle, fit_from_oracle
+    from effectlab.sim import _trial_seeds, make_log, reconstruction_error, spearman
+    from effectlab.space import sample_design
+
+    space = teacher.space
+    design_seed, noise_seed, _, search_seed, oracle_seed = _trial_seeds(trial_seed)
+    log = make_log(teacher, sample_design(space, plan, design_seed), seeds_per_point,
+                   seed=noise_seed)
+    if estimator == "SF":
+        rng = np.random.default_rng(np.random.SeedSequence(oracle_seed))
+        values = teacher.values
+        if teacher.spec.noise > 0:
+            values = values + rng.normal(0.0, teacher.spec.noise / math.sqrt(seeds_per_point),
+                                         size=values.shape)
+        table = fit_from_oracle(ValueOracle(space, reference, values), log)
+    else:
+        table = estimate_from_log(log, estimator, reference)
+    if mains_only:
+        table = table.with_zero_pairs()
+    model = PairwiseObjective.build(table, table.support, ObjectiveSpec())
+    chosen, _ = multistart(model, table.mains, SearchSpec(seed=search_seed))
+    truth = teacher.values
+    best = np.unravel_index(int(np.argmax(truth)), truth.shape)
+    return (reconstruction_error(table, teacher.truth), float(truth[best] - truth[chosen]),
+            spearman(predict_grid(table).ravel(), truth.ravel()))
+
+
+def suite_rows_loop(axis, cells, config, metrics):
+    """The suite rows of ``sim._suite_rows``' arguments, one trial at a time
+    with ``run_trial_loop``: uniform-background trials share one reference;
+    an empirical-background trial takes the product of the marginals of the
+    design it will draw."""
+    from effectlab.sim import _teacher_for_trial, _trial_seed, _trial_seeds, default_space
+    from effectlab.space import ReferenceDistribution, log_from_arrays, sample_design
+
+    space = default_space(config.num_factors)
+    teachers = [_teacher_for_trial(config, t, space) for t in range(config.trials)]
+    uniform = ReferenceDistribution.uniform(space)
+    index = {"recon": 0, "gap": 1, "rho": 2}
+    rows = []
+    for cell, estimators, plan, seeds_per_point, background, mains_only in cells:
+        for est in estimators:
+            results = []
+            for t, teacher in enumerate(teachers):
+                seed = _trial_seed(config, t)
+                reference = uniform
+                if background == "empirical":
+                    points = sample_design(space, plan, _trial_seeds(seed)[0])
+                    probe = log_from_arrays(space, points, np.zeros(len(points)))
+                    reference = ReferenceDistribution.empirical(probe).product_marginals()
+                results.append(run_trial_loop(teacher, plan, seeds_per_point, est, seed,
+                                              reference, mains_only))
+            for metric in metrics:
+                values = np.array([r[index[metric]] for r in results])
+                ci_lo, ci_hi = np.percentile(values, [2.5, 97.5]).tolist()
+                rows.append({"axis": axis, "cell": cell, "estimator": est, "metric": metric,
+                             "mean": float(values.mean()), "ci_lo": ci_lo, "ci_hi": ci_hi,
+                             "n_trials": config.trials, "config_hash": config.digest()})
+    return rows

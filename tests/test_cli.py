@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -10,10 +11,10 @@ import pytest
 
 from effectlab import cli
 from effectlab.cli import main
-from effectlab.effects import ShrinkageSpec, bootstrap_replicates
+from effectlab.effects import ShrinkageSpec, bootstrap_replicates, estimate_from_log
 from effectlab.objective import CostModel, ObjectiveSpec, PairwiseObjective, objective
 from effectlab.optimize import verify_1swap
-from effectlab.sim import TeacherSpec, default_space, estimate_from_log, gen_teacher, run_trial
+from effectlab.sim import TeacherSpec, default_space, gen_teacher, run_trial
 from effectlab.space import (DesignPlan, ReferenceDistribution, ingest_log, load_space,
                              support_counts)
 from oracles import percentile_interval_eager
@@ -363,7 +364,7 @@ def test_optimize_rejects_search_counts_below_one_before_estimating(workspace, m
     tmp, space, log = workspace
     out = tmp / "opt-search"
     estimated = []
-    monkeypatch.setattr(cli, "_estimate_table", lambda args: estimated.append(args))
+    monkeypatch.setattr(cli, "_estimate_table", lambda *args: estimated.append(args))
     rc = main(["optimize", "--space", str(space), "--log", str(log), "--out", str(out),
                "--bootstrap", "100", flag, value])
     assert rc == 1
@@ -435,6 +436,26 @@ def test_optimize_above_topk_cap_builds_no_grid(workspace, monkeypatch):
     assert chosen["objective"] == objective(model, best)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["diagnostics"]["objective_grid_cells"] == 0
+
+
+def test_optimize_refuses_bootstrap_above_topk_cap_before_reading_the_log(tmp_path,
+                                                                            monkeypatch):
+    # 17 binary factors: 131,072 cells, above the top-k cap. Only topk.csv
+    # reads the bootstrap replicates, and it is not written there.
+    rng = np.random.default_rng(8)
+    X = rng.integers(0, 2, size=(30, 17))
+    space, log = write_inputs(tmp_path, (2,) * 17, X.tolist(), X @ rng.normal(size=17),
+                              np.ones(len(X)))
+    read = []
+    monkeypatch.setattr(cli, "ingest_log", lambda *args: read.append(args))
+    out = tmp_path / "opt"
+    assert main(["optimize", "--space", str(space), "--log", str(log), "--out", str(out),
+                 "--bootstrap", "100"]) == 1
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "CommandError"
+    assert "--bootstrap" in error["message"] and f"{cli.TOPK_GRID_CAP} cells" in error["message"]
+    assert read == []
+    assert not (out / "chosen.json").exists()
 
 
 def test_optimize_builds_objective_model_once_per_use(workspace, monkeypatch):
@@ -652,6 +673,32 @@ def test_simulate_smoke(tmp_path):
     assert ("CM", "recon") in metrics and ("SF", "rho") in metrics
     by = {(r["estimator"], r["metric"]): float(r["mean"]) for r in rows}
     assert by[("SF", "recon")] <= by[("CM", "recon")]
+
+
+def _perfbench_check():
+    """perfbench/check.py, the benchmark's output checks, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "check.py"
+    spec = importlib.util.spec_from_file_location("perfbench_check", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_suite_commands_match_the_benchmark_references(tmp_path, seed):
+    """The sim-suite workload's commands, checked against its stored
+    references as the benchmark checks them; the manifest counts the trial
+    batches: per estimator, one per chunk holding every cell's trials."""
+    check = _perfbench_check()
+    reference = check.load_reference("sim-suite", seed)
+    for command, argv, largest in (
+            ("simulate_s", ["simulate", "--suite", "cm-vs-sf", "--trials", "6"], 6),
+            ("ablate_s", ["ablate", "--axis", "seed-budget", "--trials", "2"], 8)):
+        out = tmp_path / command
+        assert main([*argv, "--seed", str(seed), "--out", str(out)]) == 0
+        assert check.compare_reference(command, out, reference) == []
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["diagnostics"] == {"trial_batches": {"count": 2, "largest": largest}}
 
 
 def test_simulate_table2_alias_is_gone(tmp_path):

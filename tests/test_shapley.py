@@ -34,7 +34,7 @@ from effectlab.shapley import (
 )
 from effectlab.space import open_atomic
 from conftest import full_grid_log, random_space
-from effectlab.sim import estimate_from_log
+from effectlab.effects import estimate_from_log
 from oracles import (
     coalition_values_by_contraction,
     design_matrix_loop,

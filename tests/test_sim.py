@@ -17,10 +17,11 @@ from effectlab import (
     spearman,
 )
 from effectlab.shapley import grid_design
-from effectlab.sim import SuiteConfig, _rankdata, estimate_from_log, make_log
+from effectlab.effects import estimate_from_log
+from effectlab.sim import TRIAL_CHUNK, SuiteConfig, _rankdata, make_log
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import make_log_loop, rank_formula_spearman, rankdata_loop
+from oracles import make_log_loop, rank_formula_spearman, rankdata_loop, suite_rows_loop
 
 
 def small_teacher(seed=0, **kw):
@@ -311,3 +312,94 @@ def test_make_log_matches_point_loop(teacher_seed, noise, kind, n, seeds_per_poi
     assert log.responses.tobytes() == np.array(responses).tobytes()
     assert log.seeds.tolist() == seeds
     assert log.weights.tolist() == [1.0] * len(configs)
+
+
+# ---------------------------------------------------------------------------
+# Batched trials
+# ---------------------------------------------------------------------------
+
+def _assert_rows_match(got, want):
+    """Same cells, estimators and metrics in the same order, identical gap
+    floats, other floats within 1e-12 x (1 + |v|)."""
+    assert [{k: v for k, v in r.items() if not isinstance(v, float)} for r in got] == \
+        [{k: v for k, v in r.items() if not isinstance(v, float)} for r in want]
+    for g, w in zip(got, want):
+        for key in ("mean", "ci_lo", "ci_hi"):
+            if g["metric"] == "gap":
+                assert g[key] == w[key]
+            else:
+                assert abs(g[key] - w[key]) <= 1e-12 * (1 + abs(w[key]))
+
+
+@pytest.mark.parametrize("axis", ["comparison", "effects-order", "design-robustness",
+                                  "shap-background", "seed-budget"])
+@pytest.mark.parametrize("trials", [1, TRIAL_CHUNK, TRIAL_CHUNK + 1])
+def test_suites_match_the_per_trial_loop(monkeypatch, axis, trials):
+    """At 1 trial, at the chunk size and one past it, every suite's rows are
+    the per-trial loop's: batches across cells and chunks change rounding
+    only, never a chosen configuration."""
+    from effectlab import sim
+
+    calls = []
+    batched = sim._suite_rows
+    monkeypatch.setattr(sim, "_suite_rows", lambda *args: calls.append(args) or batched(*args))
+    cfg = SuiteConfig(trials=trials, seed=3, num_factors=4, design_n=48,
+                      robustness_n=16, robustness_seeds=2, seed_budgets=(2, 4))
+    rows = (sim.comparison_suite(cfg) if axis == "comparison"
+            else sim.ablation_suite(axis, cfg))
+    (_, cells, config, metrics, _), = calls
+    _assert_rows_match(rows, suite_rows_loop(axis, cells, config, metrics))
+
+
+def test_suite_batches_span_cells_and_stay_within_the_chunk():
+    """Per chunk of trial indices and estimator, one batch holds every
+    uniform-background cell; an empirical-background trial runs alone."""
+    from effectlab import ablation_suite
+
+    cfg = SuiteConfig(trials=TRIAL_CHUNK + 2, seed=1, num_factors=4, robustness_n=16,
+                      robustness_seeds=2, seed_budgets=(2, 4))
+    sizes = []
+    ablation_suite("seed-budget", cfg, batch_sizes=sizes)
+    assert sizes == [2 * TRIAL_CHUNK, 2 * TRIAL_CHUNK, 4, 4]
+    sizes.clear()
+    ablation_suite("shap-background", SuiteConfig(trials=3, seed=1, num_factors=4,
+                                                  robustness_n=16, robustness_seeds=2),
+                   batch_sizes=sizes)
+    assert sizes == [1, 1, 1, 3, 3]
+
+
+def test_batched_search_matches_each_trials_multistart():
+    """One lockstep search over every (trial, restart) row of a stacked
+    model picks, for each trial, the configuration and traces of that
+    trial's own multistart, bans and costs included."""
+    from types import SimpleNamespace
+
+    from effectlab.objective import CostModel, ObjectiveSpec, PairwiseObjective
+    from effectlab.optimize import SearchSpec, multistart, multistart_each
+    from effectlab.space import SupportCounts
+
+    space = default_space(5)
+    logs = [make_log(gen_teacher(TeacherSpec(space, pair_scale=1.5, seed=s)),
+                     sample_design(space, DesignPlan.balanced(40), seed=s), 1, seed=s)
+            for s in range(6)]
+    tables = [estimate_from_log(log, "CM") for log in logs]
+    spec = ObjectiveSpec(lambda_cost=0.3, banned_levels={1: frozenset({0})},
+                         banned_configs=frozenset({(0, 1, 0, 1, 0), (1, 2, 1, 2, 1)}))
+    cost = CostModel(space, tuple(np.linspace(0, 1, L) for L in space.level_counts))
+    stacked = SimpleNamespace(mu=np.array([t.mu for t in tables]),
+                              mains=tuple(np.stack(g) for g in zip(*(t.mains for t in tables))),
+                              pairs={jk: np.stack([t.pairs[jk] for t in tables])
+                                     for jk in space.pairs()})
+    support = SupportCounts(
+        space, tuple(np.stack(s, axis=1) for s in zip(*(t.support.level_sums for t in tables))),
+        {jk: np.stack([t.support.pair_sums[jk] for t in tables], axis=1) for jk in space.pairs()})
+    model = PairwiseObjective.build(stacked, support, spec, cost)
+    search = SearchSpec(restarts=5, beam=2)
+    seeds = [11, 12, 13, 14, 15, 16]
+    got = multistart_each(model, stacked.mains, search, seeds)
+    for table, seed, (chosen, traces) in zip(tables, seeds, got):
+        own = PairwiseObjective.build(table, table.support, spec, cost)
+        want_chosen, want_traces = multistart(own, table.mains, SearchSpec(5, 2, seed=seed))
+        assert chosen == want_chosen
+        assert [(t.steps, t.final, t.termination, t.verified_1swap) for t in traces] == \
+            [(t.steps, t.final, t.termination, t.verified_1swap) for t in want_traces]
