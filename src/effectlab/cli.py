@@ -6,12 +6,19 @@ input digests, seed, and tool version; re-running with an identical manifest
 reproduces byte-identical data files. All randomness flows from --seed,
 except the sampled dominance certificate of large spaces, which draws its
 contexts from a fixed SeedSequence(0).
+
+``run()`` is the process entry (``python -m effectlab.cli`` and the
+``effectlab`` script): ``main()``, with the heap frozen at exit so the
+interpreter's final collections skip it. ``main()`` is the in-process entry
+and leaves the garbage collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -489,5 +496,13 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> int:
+    """``main()`` in a process that exits when it returns. ``gc.freeze``
+    runs at exit, so the exit-time collections skip the heap about to be
+    torn down; atexit handlers registered before this call run after it."""
+    atexit.register(gc.freeze)
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,15 +1,20 @@
+import ast
+import atexit
 import csv
+import gc
 import importlib.util
 import json
 import math
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from effectlab import cli
+from effectlab import __version__, cli
 from effectlab.cli import main
 from effectlab.effects import ShrinkageSpec, bootstrap_replicates, estimate_from_log
 from effectlab.objective import CostModel, ObjectiveSpec, PairwiseObjective, objective
@@ -18,6 +23,8 @@ from effectlab.sim import TeacherSpec, default_space, gen_teacher, run_trial
 from effectlab.space import (DesignPlan, ReferenceDistribution, ingest_log, load_space,
                              support_counts)
 from oracles import percentile_interval_eager
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -677,7 +684,7 @@ def test_simulate_smoke(tmp_path):
 
 def _perfbench_check():
     """perfbench/check.py, the benchmark's output checks, loaded by path."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "check.py"
+    path = ROOT / "perfbench" / "check.py"
     spec = importlib.util.spec_from_file_location("perfbench_check", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -781,3 +788,103 @@ def test_optimize_manifest_counts_dropped_restarts(tmp_path):
     diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
     assert diagnostics["restarts_dropped"] == 20 - chosen["restarts"]
     assert 0 < diagnostics["restarts_dropped"] < 20
+
+
+# ---------------------------------------------------------------------------
+# Process entry: cli.run, the target of ``python -m`` and the console script
+# ---------------------------------------------------------------------------
+
+def run_process(*argv: str, code: str | None = None) -> subprocess.CompletedProcess:
+    """``python -m effectlab.cli argv``, or ``python -c code argv``, in a new
+    interpreter on ``src/``."""
+    head = ["-m", "effectlab.cli"] if code is None else ["-c", code]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *head, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_process_prints_the_version():
+    done = run_process("--version")
+    assert (done.returncode, done.stdout, done.stderr) == (0, __version__ + "\n", "")
+
+
+def test_process_usage_error_exits_2(workspace):
+    tmp, space, _ = workspace
+    done = run_process("estimate", "--space", str(space), "--out", str(tmp / "usage"))
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("usage: ") and "--log" in done.stderr
+    assert not (tmp / "usage").exists()
+
+
+def test_process_failing_command_exits_1_with_error_json(workspace):
+    tmp, space, _ = workspace
+    bad_log = tmp / "bad.csv"
+    bad_log.write_text("a,b,response\na9,b0,1.0\n")
+    out = tmp / "err"
+    done = run_process("estimate", "--space", str(space), "--log", str(bad_log),
+                       "--out", str(out))
+    assert done.returncode == 1 and done.stdout == ""
+    error = json.loads(done.stderr.splitlines()[-1])
+    assert error["error"] == "LogSchemaError" and "a9" in error["message"]
+    assert json.loads((out / "error.json").read_text()) == error
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+def test_process_estimate_writes_the_in_process_data_files(workspace):
+    tmp, space, log = workspace
+    argv = ["estimate", "--space", str(space), "--log", str(log),
+            "--bootstrap", "120", "--seed", "7"]
+    done = run_process(*argv, "--out", str(tmp / "process"))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert main(argv + ["--out", str(tmp / "inline")]) == 0
+    names = sorted(p.name for p in (tmp / "process").iterdir() if p.name != "manifest.json")
+    assert names == ["effects.json", "interactions.csv", "main_effects.csv"]
+    assert names == sorted(p.name for p in (tmp / "inline").iterdir()
+                           if p.name != "manifest.json")
+    for name in names:
+        assert (tmp / "process" / name).read_bytes() == (tmp / "inline" / name).read_bytes()
+
+
+# Registers an exit hook, then runs the process entry on the arguments; the
+# hook runs after the entry's own (atexit is last in, first out).
+FREEZE_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+from effectlab import cli
+sys.exit(cli.run())
+"""
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["plan", "--B", "1", "--eps", "0.1",
+                                                   "--delta", "0.05"]],
+                         ids=["system-exit", "return"])
+def test_process_entry_freezes_the_heap_at_exit(argv):
+    done = run_process(*argv, code=FREEZE_PROBE)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) >= 2 and lines[-1] == "frozen at exit: True"
+
+
+def test_main_leaves_the_collector_alone(workspace, monkeypatch):
+    tmp, space, log = workspace
+    registered = []
+    monkeypatch.setattr(atexit, "register", lambda func, *a, **k: registered.append(func))
+    assert main(["estimate", "--space", str(space), "--log", str(log),
+                 "--out", str(tmp / "est")]) == 0
+    assert gc.get_freeze_count() == 0 and gc.isenabled()
+    assert gc.freeze not in registered
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_console_script_and_module_run_the_same_entry():
+    import tomllib
+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    module, _, name = project["project"]["scripts"]["effectlab"].partition(":")
+    assert module == "effectlab.cli" and getattr(cli, name) is cli.run
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    (block,) = [node for node in tree.body if isinstance(node, ast.If)
+                and ast.unparse(node.test) == "__name__ == '__main__'"]
+    called = {node.func.id for node in ast.walk(block)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert called == {name}
