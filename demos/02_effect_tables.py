@@ -41,7 +41,7 @@ for x in design:
         responses.append(score(x) + rng.normal(0, 0.01))
 log = log_from_arrays(space, configs, responses)
 
-table = estimate_effects_cm(log, shrinkage=ShrinkageSpec(1.0, 1.0))
+table = estimate_effects_cm(log, shrinkage=ShrinkageSpec(1.0))
 print(f"baseline: {table.mu:.4f}")
 for j, factor in enumerate(space.factors):
     pretty = ", ".join(f"{lbl}={v:+.4f}" for lbl, v in zip(factor.levels, table.mains[j]))

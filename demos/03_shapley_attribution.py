@@ -52,7 +52,7 @@ print(f"sample-size rule: B={B:.2f}, eps=0.05, delta=0.05 -> M={M}")
 # squares; with exact attributions the source table comes back exactly.
 grid = enumerate_grid(space)
 estimates = exact_shapley(oracle, grid)  # one ShapleyEstimate: (n, d) arrays of phi
-fitted = fit_effects_sf(estimates, space, ref, ShrinkageSpec(1e-12, 1e-12),
+fitted = fit_effects_sf(estimates, space, ref, ShrinkageSpec(1e-12),
                         mu=oracle.v_empty)
 err = max(
     float(np.abs(fitted.mains[j] - teacher.truth.mains[j]).max())

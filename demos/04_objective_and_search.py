@@ -45,7 +45,7 @@ design = sample_design(space, DesignPlan.balanced(60), seed=3)
 log = log_from_arrays(
     space, design, [score(x) + rng.normal(0, 0.01) for x in design]
 )
-table = estimate_effects_cm(log, shrinkage=ShrinkageSpec(1.0, 1.0))
+table = estimate_effects_cm(log, shrinkage=ShrinkageSpec(1.0))
 support = support_counts(log)
 
 # Longer training and bigger batches cost more; sgd at high lr is banned.

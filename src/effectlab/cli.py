@@ -98,15 +98,13 @@ def _prepare_out(args) -> Path:
 
 
 def _reference_for(args, space, log):
-    if args.background == "uniform":
-        return ReferenceDistribution.uniform(space)
     if args.background == "empirical":
         return ReferenceDistribution.empirical(log)
-    raise CommandError(f"unknown background {args.background!r}")
+    return ReferenceDistribution.uniform(space)
 
 
 def _shrinkage_for(args) -> ShrinkageSpec:
-    return ShrinkageSpec(tau_main=args.tau, tau_pair=args.tau)
+    return ShrinkageSpec(args.tau)
 
 
 def _objective_for(args, space) -> tuple[ObjectiveSpec, CostModel]:

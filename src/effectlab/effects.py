@@ -36,18 +36,15 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class ShrinkageSpec:
-    """Pseudo-count shrinkage strengths: eta = n / (n + tau), one tau for
-    every main-effect entry and one for every pair entry."""
+    """Pseudo-count shrinkage strength: eta = n / (n + tau), one tau for
+    every main-effect and pair entry."""
 
-    tau_main: float = 1.0
-    tau_pair: float = 1.0
+    tau: float = 1.0
 
     def __post_init__(self):
-        for name in ("tau_main", "tau_pair"):
-            tau = getattr(self, name)
-            if not (isinstance(tau, Real) and math.isfinite(tau) and tau > 0):
-                raise ValueError(f"{name} must be a finite, strictly positive number, got {tau!r}")
-            object.__setattr__(self, name, float(tau))
+        if not (isinstance(self.tau, Real) and math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be a finite, strictly positive number, got {self.tau!r}")
+        object.__setattr__(self, "tau", float(self.tau))
 
 
 @dataclass(eq=False)
@@ -77,9 +74,6 @@ class EffectTable:
     ci_level: float = 0.95
     attributions: ShapleyEstimate | None = None
 
-    def main(self, j: int) -> np.ndarray:
-        return self.mains[j]
-
     def pair(self, j: int, k: int) -> np.ndarray:
         if j < k:
             return self.pairs[(j, k)]
@@ -100,10 +94,6 @@ class EffectTable:
         if seen.any():
             out[seen] = np.nanpercentile(flat[:, seen], q, axis=0).T
         return out.reshape(samples.shape[1:] + (2,))
-
-    def with_zero_pairs(self) -> "EffectTable":
-        zeros = {jk: np.zeros_like(mat) for jk, mat in self.pairs.items()}
-        return replace(self, pairs=zeros)
 
     def to_dict(self) -> dict:
         space = self.space
@@ -236,10 +226,10 @@ def _finalize(reference: ReferenceDistribution, mains, pairs, shrinkage: Shrinka
 
     recenter()
     for j, n in enumerate(main_counts):
-        mains[j] = n / (n + shrinkage.tau_main) * mains[j]
+        mains[j] = n / (n + shrinkage.tau) * mains[j]
         mains[j][n == 0] = 0.0
     for jk, n in pair_counts.items():
-        pairs[jk] = n / (n + shrinkage.tau_pair) * pairs[jk]
+        pairs[jk] = n / (n + shrinkage.tau) * pairs[jk]
         pairs[jk][n == 0] = 0.0
     recenter()
     return tuple(mains), pairs

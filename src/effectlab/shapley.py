@@ -166,7 +166,6 @@ class ShapleyEstimate:
     phi: np.ndarray
     variance: np.ndarray
     M: int
-    method: str = "permutation"
 
     def __post_init__(self):
         arrays = (np.asarray(self.x, dtype=np.intp), np.asarray(self.phi, dtype=float),
@@ -232,7 +231,7 @@ def exact_shapley(oracle: ValueOracle, points: Sequence[Sequence[int]]) -> Shapl
             delta = (halves[:, :, 1] - halves[:, :, 0]).reshape(len(vx), -1)
             phi[rows, j] = delta @ w
             variance[rows, j] = (delta - phi[rows, j, None]) ** 2 @ w
-    return ShapleyEstimate(X, phi, variance, M=1 << (d - 1), method="exact")
+    return ShapleyEstimate(X, phi, variance, M=1 << (d - 1))
 
 
 def exact_shapley_second_order(table: EffectTable, x: Sequence[int]) -> np.ndarray:
@@ -253,15 +252,15 @@ def exact_shapley_second_order(table: EffectTable, x: Sequence[int]) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 def _centered_basis(pi: np.ndarray) -> np.ndarray:
-    """L x (L-1) basis of the pi-mean-zero subspace: level l >= 1 is free,
-    level 0 absorbs -pi_l/pi_0 of it."""
+    """L x (L-1) basis of the pi-mean-zero subspace: the first level with
+    positive mass, the pivot p, absorbs -pi_l/pi_p of each other level l,
+    which is free; the columns follow the free levels in order."""
     L = len(pi)
-    if pi[0] <= 0:
-        raise ValueError("reference marginal must give level 0 positive mass")
+    p = int(np.argmax(pi > 0))
+    free = [l for l in range(L) if l != p]
     U = np.zeros((L, L - 1))
-    for l in range(1, L):
-        U[l, l - 1] = 1.0
-        U[0, l - 1] = -pi[l] / pi[0]
+    U[free, range(L - 1)] = 1.0
+    U[p] = -pi[free] / pi[p]
     return U
 
 
@@ -321,14 +320,14 @@ class EffectDesignMatrix:
     def block_names(self) -> list[str]:
         return ["|".join(self.space.names[j] for j in idx) for _, idx, _ in self.blocks]
 
-    def deficient_blocks(self, tol: float = RANK_TOLERANCE) -> list[str]:
+    def deficient_blocks(self) -> list[str]:
         """Names of parameter blocks with weight in the near-null space. The
         design is r times factors with orthonormal columns, so r has its
         singular values and right singular vectors; with fewer rows than
         parameters, the extra rows of r's full vt span the structural null
         space."""
         _, s, vt = np.linalg.svd(self.r)
-        rank = int((s >= tol).sum())
+        rank = int((s >= RANK_TOLERANCE).sum())
         null_rows = vt[rank:]
         if null_rows.size == 0:
             return []

@@ -462,10 +462,11 @@ def _suite_rows(axis: str, cells: list[tuple], config: SuiteConfig, metrics: Seq
 
 
 def _empirical_reference(space: FactorSpace, trial: _Trial) -> ReferenceDistribution:
-    """Product of the per-factor marginals of the design the trial will draw."""
+    """Product of the per-factor level shares of the design the trial will draw."""
     points = sample_design(space, trial.plan, _trial_seeds(trial.seed)[0])
-    probe = log_from_arrays(space, points, np.zeros(len(points)))
-    return ReferenceDistribution.empirical(probe).product_marginals()
+    return ReferenceDistribution.from_marginals(space, [
+        np.bincount(points[:, j], minlength=L) / len(points)
+        for j, L in enumerate(space.level_counts)])
 
 
 def comparison_suite(config: SuiteConfig | None = None,

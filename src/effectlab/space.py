@@ -18,6 +18,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -168,51 +169,33 @@ def enumerate_grid(space: FactorSpace) -> list[Config]:
 @dataclass(frozen=True, eq=False)
 class ReferenceDistribution:
     """Distribution over configurations under which expectations and
-    centering are defined.
+    centering are defined, held as its level and pair masses.
 
-    ``uniform`` and ``product`` kinds factorize across factors
-    (pi_jk(l,m) = pi_j(l) * pi_k(m)); the ``empirical`` kind stores a
-    normalized joint histogram over observed configurations.
+    Every kind stores one marginal per factor. ``uniform`` and ``product``
+    kinds factorize across factors (pi_jk(l,m) = pi_j(l) * pi_k(m)); the
+    ``empirical`` kind, a run log's weight shares, also stores ``pair_mass``,
+    the read-only (L_j, L_k) mass of every pair j < k.
     """
 
     space: FactorSpace
     kind: str  # "uniform" | "product" | "empirical"
-    marginals: tuple[np.ndarray, ...] | None = None
-    joint: Mapping[Config, float] | None = None
+    marginals: tuple[np.ndarray, ...]
+    pair_mass: Mapping[tuple[int, int], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.kind in ("uniform", "product"):
-            if self.marginals is None or len(self.marginals) != self.space.num_factors:
-                raise ValueError("product-form reference needs one marginal per factor")
-            for j, pi in enumerate(self.marginals):
-                if len(pi) != self.space.level_counts[j]:
-                    raise ValueError(f"marginal {j} has wrong length")
-                if np.any(pi < 0):
-                    raise ValueError("marginal probabilities must be nonnegative")
-                if abs(float(pi.sum()) - 1.0) > 1e-12:
-                    raise ValueError(f"marginal {j} sums to {pi.sum()}, not 1")
-        elif self.kind == "empirical":
-            if self.joint is None or not self.joint:
-                raise ValueError("empirical reference needs a nonempty joint histogram")
-            configs = np.array(list(self.joint), dtype=np.intp)
-            probs = np.array(list(self.joint.values()), dtype=float)
-            if configs.shape[1:] != (self.space.num_factors,) or (configs < 0).any() \
-                    or (configs >= np.array(self.space.level_counts)).any():
-                raise ValueError("joint histogram has a configuration outside the space")
-            if (probs < 0).any():
-                raise ValueError("joint probabilities must be nonnegative")
-            total = probs.sum()
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError(f"joint histogram sums to {total}, not 1")
-            # marginal and pair read the probability mass of every level and
-            # pair cell, summed in dict order; read-only, as they are shared.
-            levels, pairs = cell_sums(configs, probs[None], self.space)
-            for mass in (*levels, *pairs.values()):
-                mass.flags.writeable = False
-            object.__setattr__(self, "_level_mass", tuple(m[0] for m in levels))
-            object.__setattr__(self, "_pair_mass", {jk: m[0] for jk, m in pairs.items()})
-        else:
+        if self.kind not in ("uniform", "product", "empirical"):
             raise ValueError(f"unknown reference kind {self.kind!r}")
+        if (self.pair_mass is None) != self.is_product:
+            raise ValueError("an empirical reference needs pair masses; a product one has none")
+        if len(self.marginals) != self.space.num_factors:
+            raise ValueError("reference needs one marginal per factor")
+        for j, pi in enumerate(self.marginals):
+            if len(pi) != self.space.level_counts[j]:
+                raise ValueError(f"marginal {j} has wrong length")
+            if np.any(pi < 0):
+                raise ValueError("marginal probabilities must be nonnegative")
+            if abs(float(pi.sum()) - 1.0) > 1e-12:
+                raise ValueError(f"marginal {j} sums to {pi.sum()}, not 1")
 
     @property
     def is_product(self) -> bool:
@@ -229,26 +212,23 @@ class ReferenceDistribution:
 
     @classmethod
     def empirical(cls, log: "RunLog") -> "ReferenceDistribution":
-        """Normalized weight histogram of a run log, keyed in order of first
-        appearance."""
-        units, unit_of = distinct_configs(log.configs_array)
-        hist = np.bincount(unit_of, weights=log.weights, minlength=len(units))
-        total = np.add.accumulate(log.weights)[-1]  # record order, like the histogram
-        first_seen = np.argsort(np.unique(unit_of, return_index=True)[1])
-        keep = first_seen[hist[first_seen] > 0]
-        joint = dict(zip(map(tuple, units[keep].tolist()), (hist[keep] / total).tolist()))
-        return cls(log.space, "empirical", joint=joint)
+        """The log's weight shares: ``support_counts``' summed weight of
+        every level and pair cell over the log's total weight."""
+        support, total = support_counts(log), log.weights.sum()
+        margs = tuple(s[0] / total for s in support.level_sums)
+        pair_mass = {jk: s[0] / total for jk, s in support.pair_sums.items()}
+        for mass in (*margs, *pair_mass.values()):  # shared, so read-only
+            mass.flags.writeable = False
+        return cls(log.space, "empirical", margs, MappingProxyType(pair_mass))
 
     def marginal(self, j: int) -> np.ndarray:
-        if self.is_product:
-            return self.marginals[j]
-        return self._level_mass[j]
+        return self.marginals[j]
 
     def pair(self, j: int, k: int) -> np.ndarray:
         """Joint pi_jk(l, m) as an (L_j, L_k) matrix."""
         if self.is_product:
             return np.outer(self.marginals[j], self.marginals[k])
-        return self._pair_mass[(j, k)] if j < k else self._pair_mass[(k, j)].T
+        return self.pair_mass[(j, k)] if j < k else self.pair_mass[(k, j)].T
 
     @cached_property
     def centerers(self) -> dict[tuple[int, int], Callable[[np.ndarray], np.ndarray]]:
@@ -259,8 +239,7 @@ class ReferenceDistribution:
         """Product-form reference built from this distribution's marginals."""
         if self.is_product:
             return self
-        margs = tuple(self.marginal(j) for j in range(self.space.num_factors))
-        return ReferenceDistribution.from_marginals(self.space, margs)
+        return ReferenceDistribution.from_marginals(self.space, self.marginals)
 
     def describe(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -635,37 +614,21 @@ def sample_design(space: FactorSpace, plan: DesignPlan, seed: int = 0) -> np.nda
 CELL_BLOCK = 512  # rows per block of cell_reducer's products, which bounds their copies
 
 
-def cell_sums(configs: np.ndarray, stats: np.ndarray, space: FactorSpace
-              ) -> tuple[tuple[np.ndarray, ...], dict[tuple[int, int], np.ndarray]]:
-    """Sum additive row statistics into every level and pair cell, with one
-    ``bincount`` per statistic and cell key, in row order.
-
-    ``configs`` (U, d) holds each row's configuration and ``stats`` (S, U) S
-    statistics per row. Returns one (S, L_j) array per factor and a dict of
-    one (S, L_j, L_k) array per pair, keyed in ``space.pairs()`` order.
-    """
-    L = space.level_counts
-
-    def reduce(cell, size):
-        return np.stack([np.bincount(cell, weights=s, minlength=size) for s in stats])
-
-    return (tuple(reduce(configs[:, j], L[j]) for j in range(len(L))),
-            {(j, k): reduce(configs[:, j] * L[k] + configs[:, k], L[j] * L[k])
-             .reshape(-1, L[j], L[k]) for j, k in space.pairs()})
-
-
 def cell_reducer(configs: np.ndarray, space: FactorSpace):
-    """``reduce(stats)``: ``cell_sums`` of C samples at once over the rows
-    ``configs`` (U, d), with ``stats`` (S, C, U) and a C axis after S in each
-    returned array.
+    """``reduce(stats)``: the level and pair cell sums of S additive row
+    statistics, as ``support_counts`` takes them for one log, for C samples at
+    once over the rows ``configs`` (U, d). ``stats`` is (S, C, U); it returns
+    one (S, C, L_j) array per factor and a dict of one (S, C, L_j, L_k) array
+    per pair, keyed in ``space.pairs()`` order.
 
     It sums with matrix products over blocks of ``CELL_BLOCK`` rows: the
     statistics times the block's one-hot level matrix give the level sums,
     and for each factor j and level a, the statistics of the rows at a times
     their one-hot columns of the factors after j give pair row (j, a). Each
     block's stable order and level bounds per factor are found once, here;
-    ``reduce`` rebuilds only the one-hot. Its sums are ``cell_sums``' within
-    1e-12 x (1 + the largest sum); counts and empty cells exactly.
+    ``reduce`` rebuilds only the one-hot. Its sums are one ``bincount`` per
+    sample's within 1e-12 x (1 + the largest sum); counts and empty cells
+    exactly.
     """
     L, d = space.level_counts, space.num_factors
     offsets = np.cumsum((0,) + L)
@@ -736,11 +699,6 @@ class SupportCounts:
         return {jk: np.divide(w * w, w2, out=np.zeros(w.shape), where=w2 > 0)
                 for jk, (w, _, _, w2) in self.pair_sums.items()}
 
-    def pair(self, j: int, k: int) -> np.ndarray:
-        if j < k:
-            return self.pair_counts[(j, k)]
-        return self.pair_counts[(k, j)].T
-
     def to_dict(self) -> dict:
         space = self.space
         levels = {
@@ -784,7 +742,15 @@ def effective_sample_size(weights: Sequence[float]) -> float:
 
 
 def support_counts(log: RunLog) -> SupportCounts:
-    """One pass over the log's records into its per-level and per-pair-cell sums."""
-    w = log.weights
-    stats = np.stack([w, w * log.responses, (w > 0).astype(float), w * w])
-    return SupportCounts(log.space, *cell_sums(log.configs_array, stats, log.space))
+    """One pass over the log's records into its per-level and per-pair-cell
+    sums, with one ``bincount`` per statistic and cell key, in record order."""
+    configs, w, L = log.configs_array, log.weights, log.space.level_counts
+    stats = (w, w * log.responses, (w > 0).astype(float), w * w)
+
+    def reduce(cell, size):
+        return np.stack([np.bincount(cell, weights=s, minlength=size) for s in stats])
+
+    return SupportCounts(
+        log.space, tuple(reduce(configs[:, j], L[j]) for j in range(len(L))),
+        {(j, k): reduce(configs[:, j] * L[k] + configs[:, k], L[j] * L[k]).reshape(-1, L[j], L[k])
+         for j, k in log.space.pairs()})

@@ -10,6 +10,7 @@ before they batched their trials.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import itertools
 import math
 from array import array
@@ -312,12 +313,12 @@ def estimate_arrays_loop(configs, resp, w, space, reference, shrinkage):
     weighted = configs[w > 0]
     for j, L in enumerate(counts):
         n = np.bincount(weighted[:, j], minlength=L)
-        mains[j] = n / (n + shrinkage.tau_main) * mains[j]
+        mains[j] = n / (n + shrinkage.tau) * mains[j]
         mains[j][np.isnan(level_means[j])] = 0.0
     for (j, k), cell in pair_cells.items():
         n = np.bincount(cell[w > 0], minlength=counts[j] * counts[k])
         n = n.reshape(counts[j], counts[k])
-        pairs[(j, k)] = n / (n + shrinkage.tau_pair) * pairs[(j, k)]
+        pairs[(j, k)] = n / (n + shrinkage.tau) * pairs[(j, k)]
         pairs[(j, k)][np.isnan(pair_means[(j, k)])] = 0.0
     recenter()
     return mu, mains, pairs, level_means
@@ -626,6 +627,25 @@ def reference_pair_loop(joint, level_counts, j, k):
     return out
 
 
+def cell_sums(configs: np.ndarray, stats: np.ndarray, space
+              ) -> tuple[tuple[np.ndarray, ...], dict[tuple[int, int], np.ndarray]]:
+    """Sum additive row statistics into every level and pair cell, with one
+    ``bincount`` per statistic and cell key, in row order.
+
+    ``configs`` (U, d) holds each row's configuration and ``stats`` (S, U) S
+    statistics per row. Returns one (S, L_j) array per factor and a dict of
+    one (S, L_j, L_k) array per pair, keyed in ``space.pairs()`` order.
+    """
+    L = space.level_counts
+
+    def reduce(cell, size):
+        return np.stack([np.bincount(cell, weights=s, minlength=size) for s in stats])
+
+    return (tuple(reduce(configs[:, j], L[j]) for j in range(len(L))),
+            {(j, k): reduce(configs[:, j] * L[k] + configs[:, k], L[j] * L[k])
+             .reshape(-1, L[j], L[k]) for j, k in space.pairs()})
+
+
 def support_counts_loop(configs, weights, level_counts):
     """Positive-weight record counts per level and per pair cell plus the
     pair cells' Kish sizes, one bincount per statistic and cell key.
@@ -692,7 +712,7 @@ def pair_term_loop(table, support, spec, j, k, a, b):
     """The folded pair term of the ordered pair (j, k) at levels (a, b):
     interaction minus the scaled risk of the cell, gamma looked up afresh."""
     g = spec.gamma_for(table.space, j, k)
-    n = support.pair(j, k)[a, b]
+    n = support.pair_counts[(j, k)][a, b] if j < k else support.pair_counts[(k, j)][b, a]
     return float(table.pair(j, k)[a, b]) - spec.lambda_risk * (g / (n + g))
 
 
@@ -830,7 +850,8 @@ def run_trial_loop(teacher, plan, seeds_per_point, estimator, trial_seed, refere
     else:
         table = estimate_from_log(log, estimator, reference)
     if mains_only:
-        table = table.with_zero_pairs()
+        table = dataclasses.replace(
+            table, pairs={jk: np.zeros_like(mat) for jk, mat in table.pairs.items()})
     model = PairwiseObjective.build(table, table.support, ObjectiveSpec())
     chosen, _ = multistart(model, table.mains, SearchSpec(seed=search_seed))
     truth = teacher.values

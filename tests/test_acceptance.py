@@ -49,7 +49,7 @@ from effectlab.shapley import grid_design
 from conftest import full_grid_log
 from oracles import projection_decomposition
 
-TINY = ShrinkageSpec(1e-12, 1e-12)
+TINY = ShrinkageSpec(1e-12)
 
 
 def report(num, ok, detail=""):

@@ -142,6 +142,36 @@ def test_estimate_sf_matches_library_entry_point(tmp_path, background):
     assert json.loads((out / "diagnostics.json").read_text()) == as_json(table.diagnostics)
 
 
+def test_estimate_sf_empirical_background_without_a_first_level(tmp_path):
+    # The log never sets f1's first level, so the empirical background gives
+    # it no mass. The tables equal those of the same log with f1's levels
+    # declared in reverse order, where the massless level comes last.
+    rng = np.random.default_rng(7)
+    X = np.stack([rng.integers(0, 2, size=30), rng.integers(1, 3, size=30)], axis=1)
+    y = X @ np.array([1.0, -0.5]) + 0.3 * (X[:, 0] == X[:, 1] - 1) + rng.normal(0, 0.1, 30)
+    w = rng.choice([0.5, 1.0, 2.0], size=30)
+    tables = []
+    for name in ("declared", "reversed"):
+        (tmp_path / name).mkdir()
+        space, log = write_inputs(tmp_path / name, (2, 3), X.tolist(), y, w)
+        if name == "reversed":
+            doc = json.loads(space.read_text())
+            doc["factors"][1]["levels"].reverse()
+            space.write_text(json.dumps(doc))
+        out = tmp_path / name / "sf"
+        assert main(["estimate", "--path", "sf", "--background", "empirical",
+                     "--space", str(space), "--log", str(log), "--out", str(out)]) == 0
+        tables.append(json.loads((out / "effects.json").read_text()))
+    declared, reversed_order = tables
+    assert declared["mu"] == reversed_order["mu"]
+    for key in ("mains", "pairs"):
+        assert declared[key].keys() == reversed_order[key].keys()
+        for block, cells in declared[key].items():
+            assert cells.keys() == reversed_order[key][block].keys()
+            for label, value in cells.items():
+                assert abs(value - reversed_order[key][block][label]) <= 1e-12
+
+
 def test_estimate_sf_wide_space_is_exact_and_seed_free(tmp_path):
     # Thirteen binary factors, and the 8,192-cell grid exceeds EVAL_GRID_CAP,
     # so the evaluation points are the logged configurations. Attribution is
@@ -436,7 +466,7 @@ def test_optimize_above_topk_cap_builds_no_grid(workspace, monkeypatch):
     chosen = json.loads((out / "chosen.json").read_text())
     loaded = load_space(space)
     table = estimate_from_log(ingest_log(log, loaded), "cm", ReferenceDistribution.uniform(loaded),
-                              ShrinkageSpec(tau_main=1.0, tau_pair=1.0))
+                              ShrinkageSpec(1.0))
     best = tuple(loaded.level_index(j, chosen["config"][name])
                  for j, name in enumerate(loaded.names))
     model = PairwiseObjective.build(table, table.support, ObjectiveSpec())
@@ -730,7 +760,7 @@ def test_ablate_smoke(tmp_path):
     ("optimize", ["--lambda-risk", "nan"], "lambda_risk"),
     ("optimize", ["--lambda-cost", "inf"], "lambda_cost"),
     ("optimize", ["--objective", "{objective}"], "offset"),
-    ("estimate", ["--tau", "nan"], "tau_main"),
+    ("estimate", ["--tau", "nan"], "tau"),
 ])
 def test_non_finite_parameters_rejected(workspace, command, extra, field):
     tmp, space, log = workspace
@@ -761,7 +791,7 @@ def test_optimize_one_swap_flag_describes_the_chosen_config(tmp_path):
     assert all(r["termination"] == "max_sweeps" for r in restarts)
     loaded = load_space(space)
     table = estimate_from_log(ingest_log(log, loaded), "cm", ReferenceDistribution.uniform(loaded),
-                              ShrinkageSpec(tau_main=1.0, tau_pair=1.0))
+                              ShrinkageSpec(1.0))
     best = tuple(loaded.level_index(j, chosen["config"][name])
                  for j, name in enumerate(loaded.names))
     ok, _ = verify_1swap(PairwiseObjective.build(table, table.support,

@@ -31,7 +31,7 @@ from oracles import (bootstrap_replicates_loop, double_center_loop, estimate_arr
                      nan_percentile_interval_eager, percentile_interval_eager,
                      projection_decomposition, topk_intervals_loop)
 
-TINY_TAU = ShrinkageSpec(tau_main=1e-12, tau_pair=1e-12)
+TINY_TAU = ShrinkageSpec(1e-12)
 
 
 def uniform_marginals(space):
@@ -222,7 +222,7 @@ def test_shrinkage_monotone_on_balanced_support(space_2x2):
     values = rng.normal(size=(2, 2))
     log = full_grid_log(space_2x2, values, replicates=4)
     raw = estimate_effects_cm(log, shrinkage=TINY_TAU)
-    shrunk = estimate_effects_cm(log, shrinkage=ShrinkageSpec(2.0, 2.0))
+    shrunk = estimate_effects_cm(log, shrinkage=ShrinkageSpec(2.0))
     for j in range(2):
         assert np.all(np.abs(shrunk.mains[j]) <= np.abs(raw.mains[j]) + 1e-12)
     assert np.all(np.abs(shrunk.pairs[(0, 1)]) <= np.abs(raw.pairs[(0, 1)]) + 1e-12)
@@ -231,7 +231,7 @@ def test_shrinkage_monotone_on_balanced_support(space_2x2):
 def test_shrinkage_approaches_identity(space_2x2):
     rng = np.random.default_rng(14)
     values = rng.normal(size=(2, 2))
-    spec = ShrinkageSpec(1.0, 1.0)
+    spec = ShrinkageSpec(1.0)
     prev_gap = None
     for reps in (1, 4, 16, 64):
         log = full_grid_log(space_2x2, values, replicates=reps)
@@ -367,7 +367,7 @@ def test_batched_replicates_match_record_loop(problem):
     levels, seed, n, zero_share, kind = problem
     log, rng = random_log(levels, seed, n, zero_share)
     ref = reference_for(kind, log, rng)
-    shrink = ShrinkageSpec(tau_main=0.7, tau_pair=1.3)
+    shrink = ShrinkageSpec(0.7)
     B = BOOTSTRAP_CHUNK + 1
     reps = bootstrap_replicates(log, ref, shrink, B=B, seed=seed % 1000)
     mu, mains, pairs, means, fallbacks = bootstrap_replicates_loop(
@@ -731,18 +731,14 @@ def test_pair_cell_labels_name_their_cells():
 
 def test_tau_must_be_positive():
     with pytest.raises(ValueError):
-        ShrinkageSpec(tau_main=0.0)
+        ShrinkageSpec(tau=0.0)
     with pytest.raises(ValueError):
-        ShrinkageSpec(tau_pair=-1.0)
+        ShrinkageSpec(tau=-1.0)
 
 
-@pytest.mark.parametrize("kwargs, field", [
-    ({"tau_main": float("nan")}, "tau_main"),
-    ({"tau_pair": float("inf")}, "tau_pair"),
-    ({"tau_main": {"a": float("nan")}}, "tau_main"),
-    ({"tau_pair": {"a|b": float("inf")}}, "tau_pair"),
-    ({"tau_main": {"a": 1.0}}, "tau_main"),
-])
-def test_tau_must_be_finite(kwargs, field):
-    with pytest.raises(ValueError, match=f"{field}.*finite"):
-        ShrinkageSpec(**kwargs)
+@pytest.mark.parametrize("tau", [
+    float("nan"), float("inf"), {"a": float("nan")}, {"a|b": float("inf")}, {"a": 1.0},
+], ids=["nan", "inf", "mapping-nan", "mapping-inf", "mapping"])
+def test_tau_must_be_finite(tau):
+    with pytest.raises(ValueError, match="tau.*finite"):
+        ShrinkageSpec(tau)

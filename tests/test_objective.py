@@ -26,7 +26,7 @@ from effectlab.objective import pair_risk
 from conftest import full_grid_log
 from oracles import feasible_loop, predict_from_tables, risk_penalty_loop
 
-TINY_TAU = ShrinkageSpec(tau_main=1e-12, tau_pair=1e-12)
+TINY_TAU = ShrinkageSpec(1e-12)
 
 
 @pytest.fixture
@@ -177,8 +177,8 @@ def test_delta_cost(xor_setup):
     # Switching factor a from a0 to a1 costs 0.5, so with zero effects and
     # no risk J drops by 0.5 across a row of a's local scores.
     table, sc = xor_setup
-    zeroed = dataclasses.replace(table.with_zero_pairs(),
-                                 mains=tuple(np.zeros_like(g) for g in table.mains))
+    zeroed = dataclasses.replace(table, mains=tuple(np.zeros_like(g) for g in table.mains),
+                                 pairs={jk: np.zeros_like(m) for jk, m in table.pairs.items()})
     cost = CostModel(table.space, (np.array([0.0, 0.5]), np.array([0.0, 0.0])))
     model = PairwiseObjective.build(zeroed, sc, ObjectiveSpec(lambda_risk=0.0, lambda_cost=1.0),
                                     cost)

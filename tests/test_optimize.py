@@ -46,7 +46,7 @@ from oracles import (
     two_swap_bound_loop,
 )
 
-TINY_TAU = ShrinkageSpec(tau_main=1e-12, tau_pair=1e-12)
+TINY_TAU = ShrinkageSpec(1e-12)
 
 
 def make_instance(rng, d=None, pair_scale=0.5, n_records=None):
@@ -330,7 +330,7 @@ def test_lockstep_restarts_match_single_ascents(problem):
     n = int(rng.integers(3, 40))
     configs = np.stack([rng.integers(0, L, size=n) for L in levels], axis=1)
     log = log_from_arrays(space, configs, rng.normal(0.0, 2.0, size=n))
-    table = estimate_effects_cm(log, shrinkage=ShrinkageSpec(tau_main=0.2, tau_pair=0.2))
+    table = estimate_effects_cm(log, shrinkage=ShrinkageSpec(0.2))
     support = table.support
     banned = {j: frozenset(rng.permutation(L)[: min(b, L - 1)].tolist())
               for j, (L, b) in enumerate(factors) if b}
@@ -490,7 +490,7 @@ def test_dominance_matches_context_loop(problem):
     n = int(rng.integers(3, 40))
     configs = np.stack([rng.integers(0, L, size=n) for L in levels], axis=1)
     log = log_from_arrays(space, configs, rng.normal(0.0, 2.0, size=n))
-    table = estimate_effects_cm(log, shrinkage=ShrinkageSpec(tau_main=0.5, tau_pair=0.5))
+    table = estimate_effects_cm(log, shrinkage=ShrinkageSpec(0.5))
     banned = {j: frozenset(rng.permutation(L)[: min(b, L - 1)].tolist())
               for j, (L, b) in enumerate(factors) if b}
     banned_configs = frozenset({tuple(int(c) for c in configs[0])}) if ban_config else frozenset()
@@ -525,7 +525,7 @@ def test_shared_tables_match_pair_loops(problem):
     n = int(rng.integers(3, 40))
     configs = np.stack([rng.integers(0, L, size=n) for L in levels], axis=1)
     log = log_from_arrays(space, configs, rng.normal(0.0, 2.0, size=n))
-    table = estimate_effects_cm(log, shrinkage=ShrinkageSpec(tau_main=0.5, tau_pair=0.5))
+    table = estimate_effects_cm(log, shrinkage=ShrinkageSpec(0.5))
     support = table.support
     banned = {j: frozenset(rng.permutation(L)[: min(b, L - 1)].tolist())
               for j, (L, b) in enumerate(factors) if b}
@@ -586,7 +586,7 @@ def folded_instance(problem):
     n = int(rng.integers(3, 40))
     configs = np.stack([rng.integers(0, L, size=n) for L in levels], axis=1)
     log = log_from_arrays(space, configs, rng.normal(0.0, 2.0, size=n))
-    table = estimate_effects_cm(log, shrinkage=ShrinkageSpec(tau_main=0.3, tau_pair=0.3))
+    table = estimate_effects_cm(log, shrinkage=ShrinkageSpec(0.3))
     spec = ObjectiveSpec(
         lambda_risk=float(rng.uniform(0, 2)), lambda_cost=float(rng.uniform(0, 1)),
         gamma={f"f{j}|f{k}": float(rng.uniform(0.5, 3.0)) for j, k in space.pairs()},

@@ -16,7 +16,7 @@ from effectlab import (
 )
 from conftest import full_grid_log, random_space
 
-TINY_TAU = ShrinkageSpec(tau_main=1e-12, tau_pair=1e-12)
+TINY_TAU = ShrinkageSpec(1e-12)
 
 
 def random_truth(seed, d=None, pair_scale=0.5):

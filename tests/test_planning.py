@@ -113,7 +113,7 @@ def test_effect_error_budget_empirical():
     from oracles import projection_decomposition
 
     grid = enumerate_grid(space)
-    tiny = ShrinkageSpec(1e-12, 1e-12)
+    tiny = ShrinkageSpec(1e-12)
     marginals = [np.full(L, 1.0 / L) for L in space.level_counts]
     for _ in range(20):
         noisy = truth + rng.uniform(-0.05, 0.05, size=truth.shape)

@@ -130,7 +130,7 @@ def test_reconstruction_error_zero_for_identical():
 @pytest.mark.parametrize("estimator", ["CM", "SF"])
 def test_trial_exact_recovery_regime(estimator):
     teacher = small_teacher(seed=9, residual_scale=0.0, noise=0.0)
-    tiny = ShrinkageSpec(1e-12, 1e-12)
+    tiny = ShrinkageSpec(1e-12)
     result = run_trial(teacher, DesignPlan.full(), 1, estimator, trial_seed=1,
                        shrinkage=tiny)
     assert result.recon_error <= 1e-8

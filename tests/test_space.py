@@ -22,8 +22,9 @@ from effectlab import (
     support_counts,
     write_log,
 )
-from effectlab.space import cell_reducer, cell_sums, distinct_configs
+from effectlab.space import cell_reducer, distinct_configs
 from oracles import (
+    cell_sums,
     empirical_joint_loop,
     ingest_log_loop,
     log_columns_loop,
@@ -619,6 +620,11 @@ def test_support_sums_match_per_cell_loops(log):
     space, configs, w = log.space, log.configs_array, log.weights
     wy = w * log.responses
     sc = support_counts(log)
+    stats = np.stack([w, wy, (w > 0).astype(float), w * w])
+    levels, pairs = cell_sums(configs, stats, space)
+    assert all(np.array_equal(a, b) for a, b in zip(sc.level_sums, levels))
+    assert list(sc.pair_sums) == list(pairs)
+    assert all(np.array_equal(sc.pair_sums[jk], pairs[jk]) for jk in pairs)
     counts, pair_counts, pair_eff = support_counts_loop(configs, w, space.level_counts)
     assert all(np.array_equal(a, b) and a.dtype == b.dtype
                for a, b in zip(sc.level_counts, counts))
@@ -737,7 +743,7 @@ def test_empirical_reference(space_2x2):
     log = log_from_arrays(space_2x2, [(0, 0), (0, 0), (1, 1)], [0.0] * 3)
     ref = ReferenceDistribution.empirical(log)
     assert not ref.is_product
-    assert ref.joint[(0, 0)] == pytest.approx(2 / 3)
+    assert ref.pair(0, 1)[0, 0] == pytest.approx(2 / 3)
     marg = ref.marginal(0)
     assert marg[0] == pytest.approx(2 / 3)
     prod = ref.product_marginals()
@@ -748,23 +754,48 @@ def test_empirical_reference(space_2x2):
 @given(records())
 @settings(max_examples=60, deadline=None)
 def test_empirical_joint_matches_record_loop(recs):
+    # Each level's and pair cell's weight, summed record by record, over the
+    # log's total weight: the same floats.
     space, configs, responses, weights, seeds = recs
-    ref = ReferenceDistribution.empirical(log_from_arrays(space, configs, responses, weights))
-    want = empirical_joint_loop(configs, weights)
-    # Same keys in the same order and the same floats: the marginals sum
-    # the joint in key order.
-    assert list(ref.joint.items()) == list(want.items())
+    log = log_from_arrays(space, configs, responses, weights)
+    ref = ReferenceDistribution.empirical(log)
+    total = log.weights.sum()
+    d, counts = space.num_factors, space.level_counts
+    for j in range(d):
+        want = [record_order_sum(w for x, w in zip(configs, weights) if x[j] == a) / total
+                for a in range(counts[j])]
+        assert np.array_equal(ref.marginal(j), want)
+        for k in range(d):
+            if k != j:
+                want = [[record_order_sum(w for x, w in zip(configs, weights)
+                                          if x[j] == a and x[k] == b) / total
+                         for b in range(counts[k])] for a in range(counts[j])]
+                assert np.array_equal(ref.pair(j, k), want)
 
 
 @given(records())
 @settings(max_examples=60, deadline=None)
 def test_empirical_marginal_and_pair_match_dict_loop(recs):
+    # The marginals and pair joints of the normalized joint histogram, up to
+    # the rounding of its shares and of their sums.
     space, configs, responses, weights, seeds = recs
     ref = ReferenceDistribution.empirical(log_from_arrays(space, configs, responses, weights))
+    joint = empirical_joint_loop(configs, weights)
     d, counts = space.num_factors, space.level_counts
     for j in range(d):
-        assert np.array_equal(ref.marginal(j), reference_marginal_loop(ref.joint, counts[j], j))
+        assert np.abs(ref.marginal(j) - reference_marginal_loop(joint, counts[j], j)).max() \
+            <= 1e-15
         for k in range(d):
             if k != j:
-                assert np.array_equal(ref.pair(j, k),
-                                      reference_pair_loop(ref.joint, counts, j, k))
+                assert np.abs(ref.pair(j, k) - reference_pair_loop(joint, counts, j, k)).max() \
+                    <= 1e-15
+
+
+def test_reference_masses_match_their_kind(space_2x2):
+    # The empirical kind reads its pair masses; a product kind has none.
+    ref = ReferenceDistribution.empirical(log_from_arrays(space_2x2, [(0, 1), (1, 1)], [0.0] * 2))
+    assert ref.pair_mass.keys() == {(0, 1)} and not ref.pair_mass[(0, 1)].flags.writeable
+    with pytest.raises(ValueError, match="pair masses"):
+        ReferenceDistribution(space_2x2, "empirical", ref.marginals)
+    with pytest.raises(ValueError, match="pair masses"):
+        ReferenceDistribution(space_2x2, "product", ref.marginals, ref.pair_mass)
