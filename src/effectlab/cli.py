@@ -54,9 +54,32 @@ class CommandError(RuntimeError):
 # Output helpers
 # ---------------------------------------------------------------------------
 
+def _non_finite(value, keys=()) -> tuple[tuple, float] | None:
+    """The key path to the first non-finite float in a JSON payload, and
+    that float, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else (keys, value)
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, (list, tuple)) else ())
+    for key, item in items:
+        found = _non_finite(item, keys + (key,))
+        if found:
+            return found
+    return None
+
+
 def _write_json(path: Path, payload) -> None:
+    """``payload`` as JSON, written through ``open_atomic``. JSON has no
+    NaN or infinity, so a non-finite value is a ``CommandError`` that names
+    the file and the value's key path, and nothing is written."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        keys, value = _non_finite(payload)
+        raise CommandError(f"{path}: the value at {'/'.join(map(str, keys))} ({value}) "
+                           "is not finite, and JSON cannot hold it") from None
     with open_atomic(path) as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        fh.write(text + "\n")
 
 
 def _digest(path: str | Path) -> str:

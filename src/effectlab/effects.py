@@ -27,7 +27,6 @@ from .space import (
     center_main,
     distinct_configs,
     pair_cell_labels,
-    support_counts,
 )
 
 if TYPE_CHECKING:
@@ -243,7 +242,7 @@ def estimate_effects_cm(log: RunLog, reference: ReferenceDistribution | None = N
     space = log.space
     reference = reference or ReferenceDistribution.uniform(space)
     shrinkage = shrinkage or ShrinkageSpec()
-    support = support_counts(log)
+    support = log.support
     w = log.weights
     mu = (w * log.responses).sum() / w.sum()
     mains, pairs, level_means = _estimate_batch(

@@ -72,7 +72,10 @@ class DominanceReport:
         return {
             "holds": bool(self.holds),
             "exact": bool(self.exact),
-            "margins": {name: float(m) for name, m in zip(space.names, self.margins)},
+            # A factor with one allowed level has no second best: its margin
+            # is infinite, and JSON has no infinity, so it is written as null.
+            "margins": {name: float(m) if m < math.inf else None
+                        for name, m in zip(space.names, self.margins)},
             "influence": {
                 f"{space.names[j]}|{space.names[k]}": float(self.influence[j, k])
                 for j in range(len(space.names))

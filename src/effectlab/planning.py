@@ -11,8 +11,8 @@ import math
 
 
 def _check_budget(B: float, eps: float, delta: float) -> None:
-    if B <= 0:
-        raise ValueError("B must be positive")
+    if not (math.isfinite(B) and B > 0):
+        raise ValueError("B must be finite and positive")
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be finite and positive (response units)")
     if not 0 < delta < 1:
@@ -49,8 +49,8 @@ def bernstein_halfwidth(sigma_hat: float, B: float, n: int, delta: float) -> flo
     """Variance-adaptive half-width for a cell mean from n samples."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if sigma_hat < 0 or B <= 0:
-        raise ValueError("sigma_hat must be nonnegative and B positive")
+    if not (math.isfinite(sigma_hat) and sigma_hat >= 0 and math.isfinite(B) and B > 0):
+        raise ValueError("sigma_hat must be finite and nonnegative, and B finite and positive")
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
     log_term = math.log(3.0 / delta)

@@ -478,7 +478,7 @@ def fit_from_oracle(oracle: ValueOracle, log: RunLog,
     the table is seed-free.
     """
     return fit_effects_sf(exact_shapley(oracle, log_points(log)), oracle.space, oracle.reference,
-                          shrinkage, support=support_counts(log), mu=oracle.v_empty)
+                          shrinkage, support=log.support, mu=oracle.v_empty)
 
 
 def write_shapley_csv(estimates: ShapleyEstimate, space: FactorSpace,

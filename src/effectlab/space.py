@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -214,7 +215,7 @@ class ReferenceDistribution:
     def empirical(cls, log: "RunLog") -> "ReferenceDistribution":
         """The log's weight shares: ``support_counts``' summed weight of
         every level and pair cell over the log's total weight."""
-        support, total = support_counts(log), log.weights.sum()
+        support, total = log.support, log.weights.sum()
         margs = tuple(s[0] / total for s in support.level_sums)
         pair_mass = {jk: s[0] / total for jk, s in support.pair_sums.items()}
         for mass in (*margs, *pair_mass.values()):  # shared, so read-only
@@ -305,7 +306,9 @@ class RunLog:
 
     Record i is row i of the ``(n, d)`` level-index matrix ``configs_array``
     with ``responses[i]``, ``weights[i]`` and ``seeds[i]``. The columns are
-    copied on construction and read-only afterwards.
+    copied on construction and read-only afterwards. ``support`` holds the
+    log's ``support_counts``, reduced on first use: the empirical reference
+    and every estimator read that one pass.
     """
 
     space: FactorSpace
@@ -349,6 +352,10 @@ class RunLog:
     def __len__(self) -> int:
         return len(self.responses)
 
+    @cached_property
+    def support(self) -> "SupportCounts":
+        return support_counts(self)
+
 
 def log_from_arrays(space: FactorSpace, configs: ArrayLike, responses: ArrayLike,
                     weights: ArrayLike | None = None,
@@ -361,7 +368,8 @@ def log_from_arrays(space: FactorSpace, configs: ArrayLike, responses: ArrayLike
                   np.zeros(n, dtype=np.int64) if seeds is None else np.asarray(seeds))
 
 
-# CSV rows that ingest_log converts at a time; bounds the cell strings held.
+# Lines (rows, on the csv path) that ingest_log reads at a time; bounds the
+# cell strings held.
 INGEST_BLOCK = 1024
 
 
@@ -456,6 +464,43 @@ def _log_columns(space: FactorSpace, header: list[str], rows: list[list[str]],
     return [(rownums[i], problem) for i, problem in faults], (levels, responses, weights, seeds)
 
 
+def _clean_columns(lines: list[str], header: list[str], dtype: np.dtype,
+                   labels: dict[str, tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, ...] | None:
+    """The level, response, weight and seed columns of CSV lines, read by one
+    ``np.loadtxt`` call, or None when the ``csv`` row path must read them:
+    when numpy could read a cell otherwise (a quote; a NUL, which it drops
+    when trailing; a non-ASCII character, some of which it takes for
+    digits; a seed such as 1.5, which older numpy releases truncate with
+    only a ``DeprecationWarning``), cannot convert one or finds no data
+    line, and when the row path would strip, default or reject a cell (a
+    padded or unknown label, a blank cell, a line over the csv field size
+    limit, a non-finite response or weight, a negative weight). ``labels``
+    maps a factor to its sorted labels and their levels."""
+    text = "".join(lines)
+    limit = csv.field_size_limit()
+    if ('"' in text or "\0" in text or "," not in text or not text.isascii()
+            or len(text) > limit and max(map(len, lines)) > limit):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            cells = dict(zip(header, np.loadtxt(lines, dtype, delimiter=",", comments=None,
+                                                 unpack=True, ndmin=1)))
+    except (ValueError, DeprecationWarning):
+        return None
+    y = cells["response"]
+    w = cells.get("weight", np.ones(len(y)))
+    if not (np.isfinite(y).all() and np.isfinite(w).all() and (w >= 0).all()):
+        return None
+    levels = np.empty((len(y), len(labels)), dtype=np.intp)
+    for j, (name, (sorted_labels, level_of)) in enumerate(labels.items()):
+        at = np.searchsorted(sorted_labels, cells[name]).clip(max=len(sorted_labels) - 1)
+        if not (sorted_labels[at] == cells[name]).all():
+            return None
+        levels[:, j] = level_of[at]
+    return levels, y, w, cells.get("seed", np.zeros(len(y), dtype=np.int64))
+
+
 def ingest_log(path: str | Path, space: FactorSpace) -> RunLog:
     """Read a run-log CSV into columns.
 
@@ -465,10 +510,13 @@ def ingest_log(path: str | Path, space: FactorSpace) -> RunLog:
     ``LogSchemaError`` naming its CSV row (the header is row 1). A leading
     byte-order mark, as Excel writes one, is skipped.
 
-    One ``csv.reader`` pass hands over ``INGEST_BLOCK`` rows at a time, and
-    each block is converted a column at a time. A file with several bad rows
-    is rejected for the earliest; within a row the checks run in the order:
-    row length, factors (in space order), response, weight, seed.
+    Blocks of ``INGEST_BLOCK`` lines go to ``_clean_columns``, one
+    ``np.loadtxt`` call each. From the first block it declines, a
+    ``csv.reader`` pass reads the rest and ``_log_columns`` converts it a
+    column at a time; only this path reports errors, and the values are the
+    same either way. A file with several bad rows is rejected for the
+    earliest; within a row the checks run in the order: row length, factors
+    (in space order), response, weight, seed.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
@@ -487,13 +535,28 @@ def ingest_log(path: str | Path, space: FactorSpace) -> RunLog:
                 raise LogSchemaError(f"{path}: missing factor column {name!r}")
         if "response" not in header:
             raise LogSchemaError(f"{path}: missing 'response' column")
-        blocks, first = [], 2
+        blocks, first, lines = [], 2, []
+        # numpy would drop a label's trailing NULs, so only the csv path reads such labels.
+        if not any("\0" in label for f in space.factors for label in f.levels):
+            factors = dict(zip(space.names, space.factors))
+            dtype = np.dtype([("", f"U{max(map(len, factors[name].levels)) + 1}") if name in factors
+                              else ("", np.int64 if name == "seed" else float) for name in header])
+            labels = {f.name: (np.sort(f.levels), np.argsort(f.levels)) for f in space.factors}
+            while lines := list(itertools.islice(fh, INGEST_BLOCK)):
+                columns = _clean_columns(lines, header, dtype, labels)
+                if columns is None:
+                    break
+                blocks.append(columns)
+                first += len(lines)
+        reader = csv.reader(itertools.chain(lines, fh))
         while True:
             rows, unreadable = [], None
             try:
                 rows.extend(itertools.islice(reader, INGEST_BLOCK))
             except csv.Error as exc:  # rows keeps the rows before the unreadable one
                 unreadable = exc
+            if not rows and unreadable is None:
+                break
             faults, columns = _log_columns(space, header, rows, first)
             if faults:
                 rownum, problem = min(faults, key=lambda fault: fault[0])
@@ -501,13 +564,11 @@ def ingest_log(path: str | Path, space: FactorSpace) -> RunLog:
             if unreadable is not None:
                 raise unreadable
             blocks.append(columns)
-            if len(rows) < INGEST_BLOCK:
-                break
             first += len(rows)
-    levels, responses, weights, seeds = map(np.concatenate, zip(*blocks))
-    if not len(responses):
+    columns = [np.concatenate(column) for column in zip(*blocks)]
+    if not columns or not len(columns[1]):
         raise LogSchemaError(f"{path}: no data rows")
-    return RunLog(space, levels, responses, weights, seeds)
+    return RunLog(space, *columns)
 
 
 @contextlib.contextmanager
@@ -679,11 +740,15 @@ class SupportCounts:
     record count n and squared weight. The CM estimate, its shrinkage, the
     risk term and the effective sizes all read them. Stacked over logs (a
     batch of simulation trials), each array has a log axis after the first.
+    ``scaled_pair_w2``, when not None, is (e, {(j, k): (L_j, L_k) array}):
+    each pair cell's squared weights summed in units of 4^e, which
+    ``pair_eff`` reads in place of Σw² where that may overflow.
     """
 
     space: FactorSpace
     level_sums: tuple[np.ndarray, ...]
     pair_sums: dict[tuple[int, int], np.ndarray]
+    scaled_pair_w2: tuple[int, dict[tuple[int, int], np.ndarray]] | None = None
 
     @cached_property
     def level_counts(self) -> tuple[np.ndarray, ...]:
@@ -696,8 +761,10 @@ class SupportCounts:
     @cached_property
     def pair_eff(self) -> dict[tuple[int, int], np.ndarray]:
         """Kish effective size (sum w)^2 / sum w^2 per pair cell; 0 where empty."""
-        return {jk: np.divide(w * w, w2, out=np.zeros(w.shape), where=w2 > 0)
-                for jk, (w, _, _, w2) in self.pair_sums.items()}
+        e, w2 = self.scaled_pair_w2 or (0, {jk: s[3] for jk, s in self.pair_sums.items()})
+        return {jk: np.divide(np.ldexp(s[0], -e) ** 2, w2[jk], out=np.zeros(w2[jk].shape),
+                              where=w2[jk] > 0)
+                for jk, s in self.pair_sums.items()}
 
     def to_dict(self) -> dict:
         space = self.space
@@ -743,14 +810,23 @@ def effective_sample_size(weights: Sequence[float]) -> float:
 
 def support_counts(log: RunLog) -> SupportCounts:
     """One pass over the log's records into its per-level and per-pair-cell
-    sums, with one ``bincount`` per statistic and cell key, in record order."""
+    sums, with one ``bincount`` per statistic and cell key, in record order.
+
+    When the largest weight passes 2^256, squared weights may overflow, so
+    each pair cell's are summed once more in units of 4^e, 2^e that weight's
+    binary magnitude, for ``pair_eff``; a power of two scales exactly."""
     configs, w, L = log.configs_array, log.weights, log.space.level_counts
     stats = (w, w * log.responses, (w > 0).astype(float), w * w)
 
-    def reduce(cell, size):
+    def reduce(cell, size, stats=stats):
         return np.stack([np.bincount(cell, weights=s, minlength=size) for s in stats])
 
-    return SupportCounts(
-        log.space, tuple(reduce(configs[:, j], L[j]) for j in range(len(L))),
-        {(j, k): reduce(configs[:, j] * L[k] + configs[:, k], L[j] * L[k]).reshape(-1, L[j], L[k])
-         for j, k in log.space.pairs()})
+    def pair_sums(stats=stats):
+        return {(j, k): reduce(configs[:, j] * L[k] + configs[:, k], L[j] * L[k],
+                               stats).reshape(-1, L[j], L[k]) for j, k in log.space.pairs()}
+
+    e, scaled = math.frexp(w.max())[1], None
+    if e > 256:
+        scaled = e, {jk: s[0] for jk, s in pair_sums([np.ldexp(w, -e) ** 2]).items()}
+    return SupportCounts(log.space, tuple(reduce(configs[:, j], L[j]) for j in range(len(L))),
+                         pair_sums(), scaled)

@@ -286,6 +286,49 @@ def test_estimate_error_json_and_exit_code(workspace, tmp_path):
     assert not (out / "manifest.json").exists()
 
 
+def test_estimate_refuses_to_write_non_finite_json(workspace):
+    # Sums of 1e308 overflow: mu is inf, which JSON (RFC 8259) cannot hold.
+    tmp, space, _ = workspace
+    log = tmp / "huge.csv"
+    log.write_text("a,b,response,weight\n" + "".join(
+        f"a{xa},b{xb},{1e308 if xa else 0.0!r},2\n" for xa in (0, 1) for xb in (0, 1)))
+    out = tmp / "err"
+    rc = main(["estimate", "--space", str(space), "--log", str(log), "--out", str(out)])
+    assert rc == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "CommandError"
+    assert "effects.json" in err["message"] and "not finite" in err["message"]
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+def test_write_json_names_the_non_finite_key(tmp_path):
+    path = tmp_path / "x.json"
+    with pytest.raises(cli.CommandError, match=r"x\.json: the value at a/b/1 \(nan\) is not finite"):
+        cli._write_json(path, {"a": {"b": [1.0, float("nan")]}, "c": 1.0})
+    with pytest.raises(cli.CommandError, match=r"x\.json: the value at mu \(-inf\)"):
+        cli._write_json(path, {"mu": -np.inf})
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("background", ["uniform", "empirical"])
+@pytest.mark.parametrize("flags", [["--path", "cm"], ["--path", "cm", "--bootstrap", "100"],
+                                   ["--path", "sf"]])
+def test_estimate_reduces_the_log_once(workspace, monkeypatch, flags, background):
+    # The empirical reference and the estimator read one support_counts pass.
+    from effectlab import effects, shapley
+    from effectlab import space as space_module
+    tmp, space, log = workspace
+    calls = []
+    count = space_module.support_counts
+    for module in (space_module, effects, shapley):
+        if hasattr(module, "support_counts"):
+            monkeypatch.setattr(module, "support_counts",
+                                lambda log: calls.append(log) or count(log))
+    rc = main(["estimate", "--space", str(space), "--log", str(log), "--out", str(tmp / "est"),
+               "--background", background, *flags])
+    assert rc == 0 and len(calls) == 1
+
+
 def test_optimize_xor_lexicographic(workspace):
     tmp, space, log = workspace
     out = tmp / "opt"
@@ -347,6 +390,21 @@ def test_optimize_rejects_unknown_objective_keys(workspace, document, key):
     assert err["error"] == "ValueError"
     assert repr(key) in err["message"]
     assert not (out / "chosen.json").exists()
+
+
+def test_optimize_writes_a_null_margin_for_a_single_allowed_level(workspace):
+    # With a0 banned, factor a has one allowed level and no second best: its
+    # margin is infinite, which dominance.json writes as null.
+    tmp, space, log = workspace
+    objective_file = tmp / "objective.json"
+    objective_file.write_text(json.dumps({"banned_levels": {"a": ["a0"]}}))
+    out = tmp / "opt1"
+    rc = main(["optimize", "--space", str(space), "--log", str(log),
+               "--out", str(out), "--objective", str(objective_file)])
+    assert rc == 0
+    dom = json.loads((out / "dominance.json").read_text())
+    assert dom["margins"]["a"] is None and math.isfinite(dom["margins"]["b"])
+    assert json.loads((out / "chosen.json").read_text())["config"]["a"] == "a1"
 
 
 def test_optimize_topk_with_bootstrap(workspace):

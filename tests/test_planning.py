@@ -59,7 +59,8 @@ def test_planner_monotonicity():
 
 def test_planner_rejects_degenerate():
     for bad in [(0.0, 0.1, 0.05), (1.0, 0.0, 0.05), (1.0, 0.1, 0.0), (1.0, 0.1, 1.0),
-                (1.0, math.inf, 0.05), (1.0, -math.inf, 0.05), (1.0, math.nan, 0.05)]:
+                (1.0, math.inf, 0.05), (1.0, -math.inf, 0.05), (1.0, math.nan, 0.05),
+                (math.inf, 0.1, 0.05), (math.nan, 0.1, 0.05)]:
         for planner in (hoeffding_cell_n, lambda *a: uniform_cells_n(*a, 3, 3),
                         mc_sample_size):
             with pytest.raises(ValueError):
@@ -79,6 +80,14 @@ def test_bernstein_halfwidth_value():
     expected = math.sqrt(2 * 0.2 ** 2 * math.log(60) / 1000) + 3 * 1.0 * math.log(60) / 1000
     assert bernstein_halfwidth(0.2, 1.0, 1000, 0.05) == pytest.approx(expected)
     assert expected == pytest.approx(0.0304, abs=5e-4)
+
+
+@pytest.mark.parametrize("sigma, B", [(math.inf, 1.0), (math.nan, 1.0), (-0.1, 1.0),
+                                      (0.2, math.inf), (0.2, math.nan), (0.2, 0.0)])
+def test_bernstein_rejects_non_finite_or_negative(sigma, B):
+    # An infinite or NaN half-width would also be unwritable as JSON.
+    with pytest.raises(ValueError, match="sigma_hat must be finite"):
+        bernstein_halfwidth(sigma, B, 100, 0.05)
 
 
 def test_bernstein_zero_variance():
