@@ -8,6 +8,7 @@ attribution is exact at every factor count: each point's 2^d values are one
 gather. Permutation sampling (``mc_shapley``) reads the same values. Both
 return one ``ShapleyEstimate`` holding (n, d) arrays for all their points,
 and the fit and the ``shapley.csv`` writer read those arrays as they are.
+``reference_projection`` takes tables from value tensors with no attribution.
 """
 
 from __future__ import annotations
@@ -450,12 +451,6 @@ def fit_effects_sf(estimates: ShapleyEstimate, space: FactorSpace,
     )
 
 
-def grid_design(space: FactorSpace, reference: ReferenceDistribution) -> EffectDesignMatrix | None:
-    """The full grid's design, up to ``EVAL_GRID_CAP`` cells; None above."""
-    return (build_design_matrix(enumerate_grid(space), space, reference)
-            if space.grid_size <= EVAL_GRID_CAP else None)
-
-
 def log_points(log: RunLog) -> list:
     """The attribution path's evaluation points for a log: the full grid when
     it has at most ``EVAL_GRID_CAP`` cells (always identifiable), otherwise
@@ -463,11 +458,6 @@ def log_points(log: RunLog) -> list:
     if log.space.grid_size <= EVAL_GRID_CAP:
         return enumerate_grid(log.space)
     return list(dict.fromkeys(tuple(c) for c in log.configs_array.tolist()))
-
-
-def log_design(log: RunLog, reference: ReferenceDistribution) -> EffectDesignMatrix:
-    """The design at the log's ``log_points`` under ``reference``."""
-    return build_design_matrix(log_points(log), log.space, reference)
 
 
 def fit_from_oracle(oracle: ValueOracle, log: RunLog,
@@ -479,6 +469,31 @@ def fit_from_oracle(oracle: ValueOracle, log: RunLog,
     """
     return fit_effects_sf(exact_shapley(oracle, log_points(log)), oracle.space, oracle.reference,
                           shrinkage, support=log.support, mu=oracle.v_empty)
+
+
+def reference_projection(values: np.ndarray, reference: ReferenceDistribution):
+    """Order-2 functional-ANOVA tables of C value tensors F, stacked as
+    (C, L_1, ..., L_d), under a product reference, raw, before ``_finalize``:
+    mu = E[F], mains_j = E[F | x_j] - mu and pairs_jk = E[F | x_j, x_k] -
+    mains_j - mains_k - mu. Under the uniform reference, least squares on
+    exact Shapley values at every grid point recovers the same (Owen, 2014).
+    Factors are averaged out last to first; ``means`` maps each set K of at
+    most two factors passed so far to E[F | x_K], indexed by the rest, then K."""
+    d = reference.space.num_factors
+    means = {(): values}
+    for j in reversed(range(d)):
+        averaged = {}
+        for keep, t in means.items():
+            axes = list(range(t.ndim))
+            averaged[keep] = np.einsum(t, axes, reference.marginal(j), [j + 1],
+                                       axes[:j + 1] + axes[j + 2:])
+            if len(keep) < 2:
+                averaged[(j, *keep)] = t
+        means = averaged
+    mu = means[()]
+    pairs = {(j, k): means[(j, k)] - means[(j,)][:, :, None] - means[(k,)][:, None, :]
+             + mu[:, None, None] for j, k in reference.space.pairs()}
+    return mu, [means[(j,)] - mu[:, None] for j in range(d)], pairs
 
 
 def write_shapley_csv(estimates: ShapleyEstimate, space: FactorSpace,

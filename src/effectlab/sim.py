@@ -4,7 +4,9 @@ A teacher is an exactly centered second-order function plus an optional
 centered three-factor residual; observations add Gaussian noise. A trial
 samples a design, builds a log, estimates effects through one of the two
 paths, searches for the best configuration, and scores the outcome against
-the ground truth.
+the ground truth. An SF trial's tables are the reference projection of its
+value tensor over the grid; under a uniform reference that is what least
+squares recovers from exact Shapley values on the full grid.
 """
 
 from __future__ import annotations
@@ -19,17 +21,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .effects import EffectTable, ShrinkageSpec, _estimate_batch, percentile
+from .effects import EffectTable, ShrinkageSpec, _estimate_batch, _finalize, percentile
 from .objective import ObjectiveSpec, PairwiseObjective, broadcast_sum, predict_grid
 from .optimize import SearchSpec, multistart_each
-from .shapley import (
-    EffectDesignMatrix,
-    ValueOracle,
-    _fit_tables,
-    exact_shapley,
-    grid_design,
-    log_design,
-)
+from .shapley import ValueOracle, reference_projection
 from .space import (
     Config,
     DesignPlan,
@@ -140,7 +135,6 @@ class TrialResult:
     gap: float
     rho: float
     chosen: Config
-    diagnostics: dict | None = None
 
     def __post_init__(self):
         if self.gap < -1e-12:
@@ -205,8 +199,8 @@ def make_log(teacher: Teacher, design: ArrayLike, seeds_per_point: int,
 
 def _trial_seeds(trial_seed: int) -> tuple[int, int, int, int, int]:
     """Design, noise, attribution, search and oracle seeds of one trial.
-    Attribution is exact and leaves its seed unused; it is still spawned so
-    that the other four keep their values."""
+    SF samples no attributions and leaves its seed unused; it is still
+    spawned so that the other four keep their values."""
     children = np.random.SeedSequence(trial_seed).spawn(5)
     return tuple(int(child.generate_state(1)[0]) for child in children)
 
@@ -223,17 +217,16 @@ class _Trial(NamedTuple):
 
 def _run_trials(trials: Sequence[_Trial], estimator: str,
                 reference: ReferenceDistribution | None = None,
-                shrinkage: ShrinkageSpec | None = None, oracle_source: str = "teacher",
-                design: EffectDesignMatrix | None = None) -> list[TrialResult]:
+                shrinkage: ShrinkageSpec | None = None,
+                oracle_source: str = "teacher") -> list[TrialResult]:
     """``run_trial`` of every trial at once, all on one space, estimator and
     reference. Each trial in turn samples its design and log and reduces
-    them to cell sums (CM) or to attributions at the design's points (SF),
-    so one log is held at a time. Then one ``_estimate_batch`` or one
-    ``_fit_tables`` estimates every table, and one ``multistart_each``
-    searches all (trial, restart) rows. Each trial's result is its own
-    within rounding, with the same chosen configuration. SF trials on a
-    grid above ``EVAL_GRID_CAP`` evaluate on their own log's configurations,
-    so they run alone."""
+    them to cell sums, and for SF to its value tensor over the grid, so one
+    log is held at a time. Then one ``_estimate_batch`` (CM) or one
+    ``reference_projection`` of the stacked tensors (SF) estimates every
+    table, and one ``multistart_each`` searches all (trial, restart) rows.
+    Each trial's result is its own within rounding, with the same chosen
+    configuration."""
     space = trials[0].teacher.space
     estimator = estimator.upper()
     if estimator not in ("CM", "SF"):
@@ -244,37 +237,32 @@ def _run_trials(trials: Sequence[_Trial], estimator: str,
     if estimator == "SF" and oracle_source == "log":
         reference = reference.product_marginals()
     seeds = [_trial_seeds(trial.seed) for trial in trials]
-    supports, mu, phi = [], [], []
+    supports, mu, values = [], [], []
     for trial, (design_seed, noise_seed, _, _, oracle_seed) in zip(trials, seeds):
         log = make_log(trial.teacher, sample_design(space, trial.plan, design_seed),
                        trial.seeds_per_point, seed=noise_seed)
         supports.append(support_counts(log))
         if estimator == "CM":
             mu.append((log.weights * log.responses).sum() / log.weights.sum())
-            continue
-        # The simulation protocol queries the teacher at mixed configurations
-        # under fresh noise; "log" reads the observed cell means only.
-        oracle = (ValueOracle(space, reference, _noisy_values(trial, oracle_seed))
-                  if oracle_source == "teacher" else ValueOracle.from_log(log, reference))
-        if design is None:
-            design = log_design(log, reference)
-        phi.append(exact_shapley(oracle, design.eval_set).phi)
-        mu.append(oracle.v_empty)
+        elif oracle_source == "teacher":
+            # The simulation protocol queries the teacher at every
+            # configuration under fresh noise.
+            values.append(_noisy_values(trial, oracle_seed))
+        else:  # the observed cell means only
+            values.append(ValueOracle.from_log(log, reference).values)
     # One SupportCounts for the batch, each array with a trial axis after the first.
     support = SupportCounts(
         space, tuple(np.stack(s, axis=1) for s in zip(*(sc.level_sums for sc in supports))),
         {jk: np.stack([sc.pair_sums[jk] for sc in supports], axis=1) for jk in space.pairs()})
-    mu = np.array(mu)
     shrinkage = shrinkage or ShrinkageSpec()
     if estimator == "CM":
+        mu = np.array(mu)
         mains, pairs, _ = _estimate_batch(support.level_sums, support.pair_sums, mu, reference,
                                           shrinkage)
-        diagnostics = [None] * len(trials)
     else:
-        mains, pairs, residuals = _fit_tables(np.stack(phi, axis=-1), design, reference,
-                                              shrinkage, support.level_counts,
-                                              support.pair_counts)
-        diagnostics = [{**design.diagnostics(), "residual_norm": r} for r in residuals]
+        mu, mains, pairs = reference_projection(np.stack(values), reference)
+        mains, pairs = _finalize(reference, mains, pairs, shrinkage, support.level_counts,
+                                 support.pair_counts)
     mains_only = np.array([trial.mains_only for trial in trials])
     if mains_only.any():
         for h in pairs.values():
@@ -295,7 +283,6 @@ def _run_trials(trials: Sequence[_Trial], estimator: str,
             gap=float(truth.max() - truth[chosen]),
             rho=spearman(predict_grid(table).ravel(), truth.ravel()),
             chosen=chosen,
-            diagnostics=diagnostics[t],
         ))
     return results
 
@@ -316,20 +303,20 @@ def run_trial(teacher: Teacher, plan: DesignPlan, seeds_per_point: int,
               estimator: str, *, trial_seed: int = 0,
               reference: ReferenceDistribution | None = None,
               shrinkage: ShrinkageSpec | None = None, mains_only: bool = False,
-              oracle_source: str = "teacher",
-              design: EffectDesignMatrix | None = None) -> TrialResult:
+              oracle_source: str = "teacher") -> TrialResult:
     """Design -> log -> estimate -> search -> score against ground truth:
     the suites' batch code on a batch of one.
 
-    The attribution path's coalition values come from the simulation teacher
-    under fresh observation noise (``oracle_source="teacher"``, the
-    simulation protocol: the teacher is queryable at mixed configurations)
-    or from the observed cell means only (``"log"``, the budget-matched mode
-    used for ingested logs). Trials given one ``reference`` share its pair
-    centerers, and with its ``grid_design`` as ``design`` its SF design too.
+    The SF path's tables are the reference projection of a value tensor
+    over the grid: the simulation teacher's values under fresh observation
+    noise (``oracle_source="teacher"``, the simulation protocol: the teacher
+    is queryable at every configuration) or the observed cell means, the
+    unobserved cells padded with the log's mean response (``"log"``, the
+    budget-matched mode). Trials given one ``reference`` share its pair
+    centerers.
     """
     (result,) = _run_trials([_Trial(teacher, plan, seeds_per_point, trial_seed, mains_only)],
-                            estimator, reference, shrinkage, oracle_source, design)
+                            estimator, reference, shrinkage, oracle_source)
     return result
 
 
@@ -407,14 +394,12 @@ def _suite_rows(axis: str, cells: list[tuple], config: SuiteConfig, metrics: Seq
 
     Trial indices go in chunks of ``TRIAL_CHUNK``. Per chunk and estimator,
     the uniform-background trials of every cell run as one batch on one
-    reference and its SF grid design (alone when the grid has none); an
-    empirical-background trial runs alone on its own reference. Each batch's
-    size is appended to ``batch_sizes`` when given.
+    reference; an empirical-background trial runs alone on its own
+    reference. Each batch's size is appended to ``batch_sizes`` when given.
     """
     digest = config.digest()
     space = default_space(config.num_factors)
     uniform = ReferenceDistribution.uniform(space)
-    uniform_design = grid_design(space, uniform)
     results: dict[tuple[str, str], list[TrialResult]] = {
         (cell[0], est): [] for cell in cells for est in cell[1]}
     for first in range(0, config.trials, TRIAL_CHUNK):
@@ -429,15 +414,13 @@ def _suite_rows(axis: str, cells: list[tuple], config: SuiteConfig, metrics: Seq
                     job = (cell, _Trial(teacher, plan, seeds_per_point, _trial_seed(config, t),
                                         mains_only))
                     if background == "empirical":
-                        batches.append((_empirical_reference(space, job[1]), None, [job]))
-                    elif est == "SF" and uniform_design is None:
-                        batches.append((uniform, None, [job]))
+                        batches.append((_empirical_reference(space, job[1]), [job]))
                     else:
                         shared.append(job)
             if shared:
-                batches.append((uniform, uniform_design, shared))
-            for reference, design, jobs in batches:
-                done = _run_trials([trial for _, trial in jobs], est, reference, design=design)
+                batches.append((uniform, shared))
+            for reference, jobs in batches:
+                done = _run_trials([trial for _, trial in jobs], est, reference)
                 for (cell, _), result in zip(jobs, done):
                     results[(cell, est)].append(result)
                 if batch_sizes is not None:

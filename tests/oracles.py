@@ -826,10 +826,12 @@ def split_two_swap_bound_loop(table, support, spec, cost, x):
 def run_trial_loop(teacher, plan, seeds_per_point, estimator, trial_seed, reference,
                    mains_only):
     """One simulation trial alone: its design and log, its table from
-    ``estimate_from_log`` (CM) or ``fit_from_oracle`` on the teacher's
-    values under fresh noise (SF), its own ``multistart``, and its metrics.
-    Returns (recon, gap, rho)."""
-    from effectlab.effects import estimate_from_log
+    ``estimate_from_log`` (CM) or from the teacher's values under fresh noise
+    (SF), its own ``multistart``, and its metrics. The SF table is
+    ``fit_from_oracle``'s under the uniform reference, where the attribution
+    route is the reference projection, and ``projection_decomposition``
+    finalized by the log's counts under any other. Returns (recon, gap, rho)."""
+    from effectlab.effects import EffectTable, ShrinkageSpec, _finalize, estimate_from_log
     from effectlab.objective import ObjectiveSpec, PairwiseObjective, predict_grid
     from effectlab.optimize import SearchSpec, multistart
     from effectlab.shapley import ValueOracle, fit_from_oracle
@@ -846,7 +848,15 @@ def run_trial_loop(teacher, plan, seeds_per_point, estimator, trial_seed, refere
         if teacher.spec.noise > 0:
             values = values + rng.normal(0.0, teacher.spec.noise / math.sqrt(seeds_per_point),
                                          size=values.shape)
-        table = fit_from_oracle(ValueOracle(space, reference, values), log)
+        if reference.kind == "uniform":
+            table = fit_from_oracle(ValueOracle(space, reference, values), log)
+        else:
+            mu, mains, pairs = projection_decomposition(
+                values, [reference.marginal(j) for j in range(space.num_factors)])
+            mains, pairs = _finalize(reference, mains, pairs, ShrinkageSpec(),
+                                     log.support.level_counts, log.support.pair_counts)
+            table = EffectTable(space, reference, mu, mains, pairs, support=log.support,
+                                provenance="SF")
     else:
         table = estimate_from_log(log, estimator, reference)
     if mains_only:

@@ -45,7 +45,6 @@ from effectlab import (
     verify_1swap,
 )
 from effectlab.cli import main as cli_main
-from effectlab.shapley import grid_design
 from conftest import full_grid_log
 from oracles import projection_decomposition
 
@@ -178,19 +177,18 @@ def test_criterion_03_mc_concentration():
 # ---------------------------------------------------------------------------
 
 def _paired_trials(cfg, plan, seeds_per_point, estimators, trials, **kw):
-    # One space, uniform reference (with its pair centerers) and SF grid
-    # design serve every trial, as in the suites.
+    # One space and uniform reference (with its pair centerers) serve every
+    # trial, as in the suites.
     space = build_space([(f"f{i}", [f"l{v}" for v in range(2 if i % 2 == 0 else 3)])
                          for i in range(cfg.num_factors)])
     reference = ReferenceDistribution.uniform(space)
-    designs = {"CM": None, "SF": grid_design(space, reference)}
     out = {est: {"recon": [], "rho": [], "gap": []} for est in estimators}
     for t in range(trials):
         seed = int(np.random.SeedSequence((cfg.seed, t)).generate_state(1)[0])
         teacher = gen_teacher(TeacherSpec(space, seed=seed))
         for est in estimators:
             r = run_trial(teacher, plan, seeds_per_point, est, trial_seed=seed,
-                          reference=reference, design=designs[est], **kw)
+                          reference=reference, **kw)
             out[est]["recon"].append(r.recon_error)
             out[est]["rho"].append(r.rho)
             out[est]["gap"].append(r.gap)

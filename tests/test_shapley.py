@@ -31,14 +31,16 @@ from effectlab.shapley import (
     RANK_TOLERANCE,
     EffectDesignMatrix,
     ShapleyEstimate,
+    reference_projection,
 )
 from effectlab.space import open_atomic
 from conftest import full_grid_log, random_space
-from effectlab.effects import estimate_from_log
+from effectlab.effects import _finalize, estimate_from_log
 from oracles import (
     coalition_values_by_contraction,
     design_matrix_loop,
     exact_shapley_loop,
+    projection_decomposition,
     sf_fit_lstsq,
     shapley_by_definition,
     write_shapley_csv_loop,
@@ -764,6 +766,74 @@ def test_cm_equals_sf_on_balanced_full_grids(levels, replicates, seed):
     sf_values = [np.array([sf.mu])] + list(sf.mains) + list(sf.pairs.values())
     scale = 1.0 + max(np.abs(v).max() for v in cm_values)
     assert max(np.abs(a - b).max() for a, b in zip(cm_values, sf_values)) <= 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
+# Reference projection
+# ---------------------------------------------------------------------------
+
+projection_problems = st.tuples(
+    st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=5),
+    st.integers(1, 3),  # value tensors in the batch
+    st.integers(0, 2**32 - 1),
+)
+
+
+def value_batch(levels, sets, seed):
+    """A space with the given level counts and ``sets`` random value
+    tensors over its grid, stacked, with magnitudes from 1e-2 to 1e2."""
+    rng = np.random.default_rng(seed)
+    space = build_space([(f"f{i}", [str(t) for t in range(L)]) for i, L in enumerate(levels)])
+    return space, rng, rng.normal(size=(sets, *levels)) * 10.0 ** rng.integers(-2, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(projection_problems)
+def test_projection_is_the_sf_fit_on_the_uniform_full_grid(problem):
+    """Under the uniform reference, least squares on exact Shapley values at
+    every grid point recovers the tensor's order-2 ANOVA projection: each
+    set's finalized projection is its attribution-route table."""
+    space, _, values = value_batch(*problem)
+    ref = ReferenceDistribution.uniform(space)
+    grid = enumerate_grid(space)
+    support = log_from_arrays(space, grid, np.zeros(len(grid))).support
+    mu, raw_mains, raw_pairs = reference_projection(values, ref)
+    for c, tensor in enumerate(values):
+        mains, pairs = _finalize(ref, [g[c] for g in raw_mains],
+                                 {jk: h[c] for jk, h in raw_pairs.items()}, TINY_TAU,
+                                 support.level_counts, support.pair_counts)
+        oracle = ValueOracle(space, ref, tensor)
+        fit = fit_effects_sf(exact_shapley(oracle, grid), space, ref, TINY_TAU,
+                             mu=oracle.v_empty)
+        tol = 1e-12 * (1.0 + np.abs(tensor).max())
+        assert abs(mu[c] - fit.mu) <= tol
+        for j in range(space.num_factors):
+            assert np.abs(mains[j] - fit.mains[j]).max() <= tol
+        for jk in space.pairs():
+            assert np.abs(pairs[jk] - fit.pairs[jk]).max() <= tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(projection_problems, st.booleans())
+def test_projection_matches_the_brute_force_decomposition(problem, zero_mass):
+    """Under random product references, a level of zero mass included, the
+    batch projection is each tensor's conditional-mean decomposition."""
+    space, rng, values = value_batch(*problem)
+    marginals = [rng.dirichlet(np.ones(L)) for L in space.level_counts]
+    if zero_mass:
+        j = int(rng.integers(space.num_factors))
+        marginals[j][int(rng.integers(len(marginals[j])))] = 0.0
+        marginals[j] /= marginals[j].sum()
+    ref = ReferenceDistribution.from_marginals(space, marginals)
+    mu, mains, pairs = reference_projection(values, ref)
+    for c, tensor in enumerate(values):
+        want_mu, want_mains, want_pairs = projection_decomposition(tensor, marginals)
+        tol = 1e-12 * (1.0 + np.abs(tensor).max())
+        assert abs(mu[c] - want_mu) <= tol
+        for j in range(space.num_factors):
+            assert np.abs(mains[j][c] - want_mains[j]).max() <= tol
+        for jk in space.pairs():
+            assert np.abs(pairs[jk][c] - want_pairs[jk]).max() <= tol
 
 
 def test_objective_deviation_bounded_by_table_errors():

@@ -3,6 +3,7 @@ import pytest
 
 from effectlab import (
     DesignPlan,
+    EffectTable,
     ReferenceDistribution,
     ShrinkageSpec,
     TeacherSpec,
@@ -16,12 +17,12 @@ from effectlab import (
     sample_design,
     spearman,
 )
-from effectlab.shapley import grid_design
-from effectlab.effects import estimate_from_log
-from effectlab.sim import TRIAL_CHUNK, SuiteConfig, _rankdata, make_log
+from effectlab.effects import _finalize, estimate_from_log
+from effectlab.sim import TRIAL_CHUNK, SuiteConfig, _rankdata, _trial_seeds, make_log
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import make_log_loop, rank_formula_spearman, rankdata_loop, suite_rows_loop
+from oracles import (make_log_loop, projection_decomposition, rank_formula_spearman,
+                     rankdata_loop, suite_rows_loop)
 
 
 def small_teacher(seed=0, **kw):
@@ -147,11 +148,29 @@ def test_trial_gap_nonnegative_and_deterministic():
 
 
 def test_trial_log_oracle_mode():
+    """The log-oracle SF table is the projection of the trial's cell means,
+    each unobserved cell padded with the log's mean response."""
     teacher = small_teacher(seed=11)
-    r = run_trial(teacher, DesignPlan.balanced(36), 2, "SF", trial_seed=4,
-                  oracle_source="log")
-    assert r.diagnostics is not None
-    assert r.diagnostics["sigma_min"] > 1e-8
+    space = teacher.space
+    plan = DesignPlan.balanced(8)
+    r = run_trial(teacher, plan, 2, "SF", trial_seed=4, oracle_source="log")
+    design_seed, noise_seed, _, _, _ = _trial_seeds(4)
+    log = make_log(teacher, sample_design(space, plan, design_seed), 2, seed=noise_seed)
+    cells = {tuple(x) for x in log.configs_array.tolist()}
+    assert 0 < len(cells) < space.grid_size  # some cells are padded
+    values = np.full(space.level_counts, log.responses.mean())
+    for x in cells:
+        values[x] = log.responses[(log.configs_array == x).all(axis=1)].mean()
+    reference = ReferenceDistribution.uniform(space)
+    mu, mains, pairs = projection_decomposition(
+        values, [reference.marginal(j) for j in range(space.num_factors)])
+    mains, pairs = _finalize(reference, mains, pairs, ShrinkageSpec(),
+                             log.support.level_counts, log.support.pair_counts)
+    table = EffectTable(space, reference, mu, mains, pairs, provenance="SF")
+    assert r.recon_error == pytest.approx(reconstruction_error(table, teacher.truth),
+                                          rel=1e-12, abs=1e-12)
+    assert r.rho == pytest.approx(spearman(predict_grid(table).ravel(), teacher.values.ravel()),
+                                  rel=1e-12)
     with pytest.raises(ValueError):
         run_trial(teacher, DesignPlan.balanced(12), 1, "SF", oracle_source="nope")
 
@@ -251,41 +270,55 @@ def test_seed_budget_axis_runs():
 
 
 @pytest.mark.parametrize("axis, references", [("comparison", 1), ("shap-background", 3)])
-def test_suites_build_centerers_and_grid_design_once_per_reference(monkeypatch, axis,
-                                                                    references):
+def test_suites_build_centerers_once_per_reference(monkeypatch, axis, references):
     """Uniform-background trials share one reference, so its pair centerers
-    and its SF grid design are built once per suite; each of the two
-    empirical-background trials builds its own."""
+    are built once per suite; each of the two empirical-background trials
+    builds its own."""
     from effectlab import SuiteConfig, ablation_suite, comparison_suite
-    from effectlab import shapley
     from effectlab import space as space_module
 
-    centerers, designed = [], []
-    build_centerer, build_design = space_module.double_centerer, shapley.build_design_matrix
+    centerers = []
+    build_centerer = space_module.double_centerer
     monkeypatch.setattr(space_module, "double_centerer",
                         lambda joint: centerers.append(joint) or build_centerer(joint))
-    monkeypatch.setattr(shapley, "build_design_matrix",
-                        lambda X, space, ref=None: designed.append(ref) or build_design(
-                            X, space, ref))
     cfg = SuiteConfig(trials=2, seed=3, num_factors=4, design_n=24, robustness_n=16,
                       robustness_seeds=2)
     rows = comparison_suite(cfg) if axis == "comparison" else ablation_suite(axis, cfg)
     assert rows
     assert len(centerers) == 6 * references  # six pairs of four factors
-    assert len(designed) == references
-    assert len({id(ref) for ref in designed}) == references
 
 
-def test_shared_reference_and_grid_design_leave_trials_unchanged():
+def test_suites_run_no_attribution_design_or_factorization(monkeypatch):
+    """SF trials take the reference projection of their value tensors: no
+    suite computes an attribution, builds a design or calls QR or SVD."""
+    from effectlab import SuiteConfig, ablation_suite, comparison_suite
+    from effectlab import shapley, sim
+
+    def forbidden(name):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return fail
+
+    # The simulator's own bindings too, should it import either by name.
+    for module, name in [(shapley, "exact_shapley"), (shapley, "build_design_matrix"),
+                         (sim, "exact_shapley"), (sim, "build_design_matrix"),
+                         (np.linalg, "qr"), (np.linalg, "svd")]:
+        monkeypatch.setattr(module, name, forbidden(name), raising=False)
+    cfg = SuiteConfig(trials=2, seed=3, num_factors=4, design_n=24, robustness_n=16,
+                      robustness_seeds=2)
+    assert comparison_suite(cfg)
+    assert ablation_suite("shap-background", cfg)
+
+
+def test_shared_reference_leaves_trials_unchanged():
     space = default_space(4)
     teacher = gen_teacher(TeacherSpec(space, seed=4))
     reference = ReferenceDistribution.uniform(space)
-    design = grid_design(space, reference)
     for est in ("CM", "SF"):
         alone = run_trial(teacher, DesignPlan.balanced(24), 2, est, trial_seed=9)
         for _ in range(2):
             shared = run_trial(teacher, DesignPlan.balanced(24), 2, est, trial_seed=9,
-                               reference=reference, design=design)
+                               reference=reference)
             assert shared == alone
 
 
