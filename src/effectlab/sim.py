@@ -221,8 +221,8 @@ def _run_trials(trials: Sequence[_Trial], estimator: str,
                 oracle_source: str = "teacher") -> list[TrialResult]:
     """``run_trial`` of every trial at once, all on one space, estimator and
     reference. Each trial in turn samples its design and log and reduces
-    them to cell sums, and for SF to its value tensor over the grid, so one
-    log is held at a time. Then one ``_estimate_batch`` (CM) or one
+    them to cell sums, an SF trial also taking its value tensor over the
+    grid, so one log is held at a time. Then one ``_estimate_batch`` (CM) or one
     ``reference_projection`` of the stacked tensors (SF) estimates every
     table, and one ``multistart_each`` searches all (trial, restart) rows.
     Each trial's result is its own within rounding, with the same chosen
