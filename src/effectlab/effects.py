@@ -225,11 +225,9 @@ def _finalize(reference: ReferenceDistribution, mains, pairs, shrinkage: Shrinka
 
     recenter()
     for j, n in enumerate(main_counts):
-        mains[j] = n / (n + shrinkage.tau) * mains[j]
-        mains[j][n == 0] = 0.0
+        mains[j] = np.where(n == 0, 0.0, n / (n + shrinkage.tau) * mains[j])
     for jk, n in pair_counts.items():
-        pairs[jk] = n / (n + shrinkage.tau) * pairs[jk]
-        pairs[jk][n == 0] = 0.0
+        pairs[jk] = np.where(n == 0, 0.0, n / (n + shrinkage.tau) * pairs[jk])
     recenter()
     return tuple(mains), pairs
 

@@ -335,10 +335,6 @@ class EffectDesignMatrix:
         return [name for (_, _, sl), name in zip(self.blocks, self.block_names())
                 if np.abs(null_rows[:, sl]).max() > 1e-6]
 
-    def diagnostics(self) -> dict:
-        rows, params = self.shape
-        return {"sigma_min": self.sigma_min, "rows": int(rows), "params": int(params)}
-
 
 def build_design_matrix(eval_set: Sequence[Sequence[int]], space: FactorSpace,
                         reference: ReferenceDistribution | None = None) -> EffectDesignMatrix:
@@ -374,54 +370,18 @@ def build_design_matrix(eval_set: Sequence[Sequence[int]], space: FactorSpace,
     return EffectDesignMatrix(space, reference, X, blocks, sigma_min, q_blocks, q_stack, r)
 
 
-def _fit_tables(phi: np.ndarray, design: EffectDesignMatrix, reference: ReferenceDistribution,
-                shrinkage: ShrinkageSpec, main_counts, pair_counts):
-    """Least-squares tables of the attributions phi at the design's points,
-    (n, d) for one set or (n, d, C) for C sets at once, mapped back to full
-    tables under ``reference``, re-centered and shrunk by the record counts,
-    which broadcast against the tables. The solve reuses the design's
-    factors, theta = r^-1 q_stack^T [q_blocks[j]^T phi_j], one right-hand
-    side per set, and so does the residual; it never builds the dense
-    design. Returns mains and pairs, with a leading set axis for C sets, and
-    a list of each set's residual norm."""
-    if design.sigma_min <= RANK_TOLERANCE:
-        blocks = design.deficient_blocks()
-        raise RankDeficiencyError(
-            f"design matrix is rank deficient (sigma_min={design.sigma_min:.3e}); "
-            f"unidentified blocks: {blocks}",
-            blocks,
-        )
-    sets, d = phi.shape[2:], design.space.num_factors
-    z = np.concatenate([q.T @ phi[:, j] for j, q in enumerate(design.q_blocks)])
-    theta = np.linalg.solve(design.r, design.q_stack.T @ z)
-    # Factor j's fitted rows are q_blocks[j] @ R_j theta; q_stack @ r stacks the R_j.
-    r_theta = np.split(design.q_stack @ (design.r @ theta),
-                       np.cumsum([q.shape[1] for q in design.q_blocks])[:-1])
-    misfit = np.stack([q @ rt for q, rt in zip(design.q_blocks, r_theta)], axis=1) - phi
-    # One norm per set; np.ndindex(()) yields the one empty index of a single set.
-    residuals = [float(np.linalg.norm(misfit[(..., *c)])) for c in np.ndindex(sets)]
-
-    bases = [_centered_basis(reference.marginal(j)) for j in range(d)]
-    # .T moves the set axis, if any, to the front.
-    mains = [(bases[j] @ theta[sl]).T for _, (j,), sl in design.blocks[:d]]
-    pairs = {(j, k): bases[j] @ theta[sl].T.reshape(*sets, bases[j].shape[1], -1) @ bases[k].T
-             for _, (j, k), sl in design.blocks[d:]}
-    mains, pairs = _finalize(reference, mains, pairs, shrinkage, main_counts, pair_counts)
-    return mains, pairs, residuals
-
-
 def fit_effects_sf(estimates: ShapleyEstimate, space: FactorSpace,
                    reference: ReferenceDistribution | None = None,
                    shrinkage: ShrinkageSpec | None = None, *,
-                   support: SupportCounts | None = None, mu: float = 0.0,
-                   design: EffectDesignMatrix | None = None) -> EffectTable:
+                   support: SupportCounts | None = None, mu: float = 0.0) -> EffectTable:
     """Least squares in the sum-to-zero basis, mapped back to full tables,
-    re-centered, then shrunk the same way as the cell-mean path; the fit of
-    one attribution set by ``_fit_tables``.
+    re-centered, then shrunk the same way as the cell-mean path.
 
-    ``support`` supplies the shrinkage counts (defaults to counting the
-    evaluation points); ``mu`` is the baseline to attach, typically the
-    oracle's empty-coalition value.
+    The solve reuses the design's factors, theta = r^-1 q_stack^T
+    [q_blocks[j]^T phi_j], and so does the residual; it never builds the
+    dense design. ``support`` supplies the shrinkage counts (defaults to
+    counting the evaluation points); ``mu`` is the baseline to attach,
+    typically the oracle's empty-coalition value.
     """
     X, phi = estimates.x, estimates.phi  # column j of phi is factor j's rows
     if not len(X):
@@ -430,14 +390,31 @@ def fit_effects_sf(estimates: ShapleyEstimate, space: FactorSpace,
     if X.shape[1] != space.num_factors:
         raise ValueError("estimate evaluated on an inconsistent space")
 
-    if design is None:
-        design = build_design_matrix(X, space, reference)
-    elif not np.array_equal(design.eval_set, X):
-        raise ValueError("design matrix was built for a different evaluation set")
+    design = build_design_matrix(X, space, reference)
+    if design.sigma_min <= RANK_TOLERANCE:
+        blocks = design.deficient_blocks()
+        raise RankDeficiencyError(
+            f"design matrix is rank deficient (sigma_min={design.sigma_min:.3e}); "
+            f"unidentified blocks: {blocks}",
+            blocks,
+        )
+    d = space.num_factors
+    z = np.concatenate([q.T @ phi[:, j] for j, q in enumerate(design.q_blocks)])
+    theta = np.linalg.solve(design.r, design.q_stack.T @ z)
+    # Factor j's fitted rows are q_blocks[j] @ R_j theta; q_stack @ r stacks the R_j.
+    r_theta = np.split(design.q_stack @ (design.r @ theta),
+                       np.cumsum([q.shape[1] for q in design.q_blocks])[:-1])
+    misfit = np.stack([q @ rt for q, rt in zip(design.q_blocks, r_theta)], axis=1) - phi
+
+    bases = [_centered_basis(reference.marginal(j)) for j in range(d)]
+    mains = [bases[j] @ theta[sl] for _, (j,), sl in design.blocks[:d]]
+    pairs = {(j, k): bases[j] @ theta[sl].reshape(bases[j].shape[1], -1) @ bases[k].T
+             for _, (j, k), sl in design.blocks[d:]}
     if support is None:
         support = support_counts(log_from_arrays(space, X, np.zeros(len(X))))
-    mains, pairs, (residual,) = _fit_tables(phi, design, reference, shrinkage or ShrinkageSpec(),
-                                            support.level_counts, support.pair_counts)
+    mains, pairs = _finalize(reference, mains, pairs, shrinkage or ShrinkageSpec(),
+                             support.level_counts, support.pair_counts)
+    rows, params = design.shape
     return EffectTable(
         space=space,
         reference=reference,
@@ -446,28 +423,27 @@ def fit_effects_sf(estimates: ShapleyEstimate, space: FactorSpace,
         pairs=pairs,
         support=support,
         provenance="SF",
-        diagnostics={**design.diagnostics(), "residual_norm": residual},
+        diagnostics={"sigma_min": design.sigma_min, "rows": rows, "params": params,
+                     "residual_norm": float(np.linalg.norm(misfit))},
         attributions=estimates,
     )
 
 
-def log_points(log: RunLog) -> list:
-    """The attribution path's evaluation points for a log: the full grid when
-    it has at most ``EVAL_GRID_CAP`` cells (always identifiable), otherwise
-    the log's distinct configurations in order of first appearance."""
-    if log.space.grid_size <= EVAL_GRID_CAP:
-        return enumerate_grid(log.space)
-    return list(dict.fromkeys(tuple(c) for c in log.configs_array.tolist()))
-
-
 def fit_from_oracle(oracle: ValueOracle, log: RunLog,
                     shrinkage: ShrinkageSpec | None = None) -> EffectTable:
-    """Attribution path: exact Shapley values of the oracle at each of the
-    log's ``log_points``, then least-squares table recovery under the
-    oracle's reference, shrunk by the log's support. Nothing is sampled, so
-    the table is seed-free.
+    """Attribution path: exact Shapley values of the oracle, then
+    least-squares table recovery under the oracle's reference, shrunk by the
+    log's support. The evaluation points are the full grid in lexicographic
+    order when it has at most ``EVAL_GRID_CAP`` cells (always identifiable),
+    otherwise the log's distinct configurations in order of first
+    appearance. Nothing is sampled, so the table is seed-free.
     """
-    return fit_effects_sf(exact_shapley(oracle, log_points(log)), oracle.space, oracle.reference,
+    space = log.space
+    if space.grid_size <= EVAL_GRID_CAP:
+        points = enumerate_grid(space)
+    else:
+        points = list(dict.fromkeys(tuple(c) for c in log.configs_array.tolist()))
+    return fit_effects_sf(exact_shapley(oracle, points), oracle.space, oracle.reference,
                           shrinkage, support=log.support, mu=oracle.v_empty)
 
 

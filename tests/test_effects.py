@@ -228,6 +228,32 @@ def test_shrinkage_monotone_on_balanced_support(space_2x2):
     assert np.all(np.abs(shrunk.pairs[(0, 1)]) <= np.abs(raw.pairs[(0, 1)]) + 1e-12)
 
 
+@pytest.mark.parametrize("sets", [1, 2, 3])
+@pytest.mark.parametrize("levels", [[2, 2], [2, 3]])
+def test_finalize_batched_tables_with_unbatched_counts(levels, sets):
+    # Per-level counts broadcast against (C, L_j) tables: a zero count
+    # zeroes that level in every set, as finalizing each set alone does,
+    # also when C equals a factor's level count.
+    rng = np.random.default_rng(31)
+    space = build_space([(f"f{j}", [f"l{t}" for t in range(L)]) for j, L in enumerate(levels)])
+    ref = ReferenceDistribution.from_marginals(space, [rng.dirichlet(np.ones(L)) for L in levels])
+    mains = [rng.normal(size=(sets, L)) for L in levels]
+    pairs = {(0, 1): rng.normal(size=(sets, *levels))}
+    main_counts = [np.array([3.0, 0.0]), np.arange(levels[1], dtype=float)]
+    pair_counts = {(0, 1): np.outer(main_counts[0], main_counts[1])}
+    spec = ShrinkageSpec(0.5)
+    got_mains, got_pairs = effects_module._finalize(ref, mains, pairs, spec,
+                                                    main_counts, pair_counts)
+    for c in range(sets):
+        want_mains, want_pairs = effects_module._finalize(
+            ref, [m[c] for m in mains], {jk: p[c] for jk, p in pairs.items()}, spec,
+            main_counts, pair_counts)
+        for got, want in zip(got_mains, want_mains):
+            np.testing.assert_allclose(got[c], want, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(got_pairs[(0, 1)][c], want_pairs[(0, 1)],
+                                   rtol=1e-12, atol=1e-15)
+
+
 def test_shrinkage_approaches_identity(space_2x2):
     rng = np.random.default_rng(14)
     values = rng.normal(size=(2, 2))

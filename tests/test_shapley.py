@@ -31,6 +31,7 @@ from effectlab.shapley import (
     RANK_TOLERANCE,
     EffectDesignMatrix,
     ShapleyEstimate,
+    fit_from_oracle,
     reference_projection,
 )
 from effectlab.space import open_atomic
@@ -400,18 +401,18 @@ def test_blockwise_sf_fit_matches_dense_lstsq_route(problem):
     sigma_min, sigma_max, theta, blocks, residual = sf_fit_lstsq(
         points, phi, space.level_counts, marginals, RANK_TOLERANCE)
 
+    dm = build_design_matrix(points, space, ref)
+    assert abs(dm.sigma_min - sigma_min) <= 1e-12 * (1.0 + sigma_max)
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         for name in ("svd", "lstsq", "solve"):
             mp.setattr(np.linalg, name, recording(name, calls))
-        dm = build_design_matrix(points, space, ref)
-        assert abs(dm.sigma_min - sigma_min) <= 1e-12 * (1.0 + sigma_max)
         if theta is None:
             with pytest.raises(RankDeficiencyError) as err:
-                fit_effects_sf(estimates, space, ref, design=dm)
+                fit_effects_sf(estimates, space, ref)
             assert err.value.blocks == [dm.block_names()[b] for b in blocks]
             return
-        fit = fit_effects_sf(estimates, space, ref, design=dm)
+        fit = fit_effects_sf(estimates, space, ref)
     # Only p x p matrices are factored on the success path.
     p = dm.shape[1]
     assert [(name, shape) for name, shape, _ in calls] == [("svd", (p, p)), ("solve", (p, p))]
@@ -426,7 +427,7 @@ def test_blockwise_sf_fit_matches_dense_lstsq_route(problem):
     # The dense route's tables: its theta through the same mapping and finalize.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "solve", lambda *args, **kwargs: theta)
-        dense = fit_effects_sf(estimates, space, ref, design=dm)
+        dense = fit_effects_sf(estimates, space, ref)
     for new, old in zip(fit.mains + tuple(fit.pairs.values()),
                         dense.mains + tuple(dense.pairs.values())):
         assert np.abs(new - old).max() <= 1e-12 * (1.0 + np.abs(old).max()) + solve_error
@@ -444,8 +445,8 @@ def test_sf_fit_sums_residual_by_block_without_the_dense_design(problem):
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "solve", recording("solve", calls))
-        fit = fit_effects_sf(estimates, space, ref, design=dm)
-    assert "matrix" not in vars(dm)  # the cached dense design was never filled
+        mp.setattr(EffectDesignMatrix, "matrix", property(no_dense_design))
+        fit = fit_effects_sf(estimates, space, ref)
     theta = calls[-1][2]
     phi = estimates.phi.ravel()
     dense = float(np.linalg.norm(dm.matrix @ theta - phi))
@@ -515,7 +516,7 @@ def test_design_matrix_single_config_deficient(space_2x2):
     assert dm.deficient_blocks()  # names the unidentified blocks
     est = ShapleyEstimate([(0, 0)], np.zeros((1, 2)), np.zeros((1, 2)), M=1)
     with pytest.raises(RankDeficiencyError):
-        fit_effects_sf(est, space_2x2, design=dm)
+        fit_effects_sf(est, space_2x2)
 
 
 def dense_deficient_blocks(dm):
@@ -583,18 +584,29 @@ def test_shapley_estimate_rejects_mismatched_shapes(x, phi, variance):
 
 
 def test_fit_rejects_empty_and_mismatched_batches(space_2x2):
-    grid = enumerate_grid(space_2x2)
     empty = ShapleyEstimate(np.empty((0, 2)), np.empty((0, 2)), np.empty((0, 2)), M=1)
     with pytest.raises(ValueError, match="no attribution estimates"):
         fit_effects_sf(empty, space_2x2)
     wide = ShapleyEstimate([(0, 1, 0)], np.zeros((1, 3)), np.zeros((1, 3)), M=1)
     with pytest.raises(ValueError, match="inconsistent space"):
         fit_effects_sf(wide, space_2x2)
-    estimates = ShapleyEstimate(grid, np.zeros((4, 2)), np.zeros((4, 2)), M=1)
-    for other in (grid[::-1], grid[:3], grid + grid[:1]):
-        with pytest.raises(ValueError, match="different evaluation set"):
-            fit_effects_sf(estimates, space_2x2, design=build_design_matrix(other, space_2x2))
-    fit_effects_sf(estimates, space_2x2, design=build_design_matrix(grid, space_2x2))
+
+
+def test_fit_from_oracle_evaluation_points(monkeypatch):
+    # Within EVAL_GRID_CAP the points are the grid in lexicographic order;
+    # above it, the log's distinct configurations in first-appearance order,
+    # which this log does not write sorted.
+    space = build_space([("a", ["0", "1"]), ("b", ["0", "1", "2"]), ("c", ["0", "1"])])
+    grid = enumerate_grid(space)
+    order = np.random.default_rng(5).permutation(len(grid))
+    assert (np.diff(order) < 0).any()
+    configs = [grid[i] for i in np.concatenate([order, order[::-1]])]
+    log = log_from_arrays(space, configs, np.arange(len(configs), dtype=float))
+    oracle = ValueOracle.from_log(log, ReferenceDistribution.uniform(space))
+    assert fit_from_oracle(oracle, log).attributions.x.tolist() == [list(x) for x in grid]
+    monkeypatch.setattr("effectlab.shapley.EVAL_GRID_CAP", len(grid) - 1)
+    assert (fit_from_oracle(oracle, log).attributions.x.tolist()
+            == [list(grid[i]) for i in order])
 
 
 def test_fit_perturbation_stability_bound():

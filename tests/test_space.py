@@ -559,6 +559,13 @@ def test_ingest_matches_row_loop_on_generated_csv(tmp_path_factory, log, block):
     "a,b,response,weight\na0,b0,\u0661,\u0663\n",
     "a,b,response,seed\na0,b0,1,\u30e7\n",
     "a,b,response,seed\na0,b0,1,-9223372036854775808\n",
+    # A non-ASCII label beside a non-ASCII numeric cell, or padded with a
+    # non-ASCII space that the csv path strips.
+    "a,b,response,weight\na0,b\u00e9,\u0661,1\n",
+    "a,b,response,seed\na0,b\u00e9,1,\u30e7\n",
+    "a,b,response,seed\na0,b0,1,1\na1,b\u00e9,2,\u0661\n",
+    "a,b,response\na0,\u00a0b\u00e9,1\n",
+    "a,b,response\na0,b\u00e9,1\na1,b0,2\n",
     # Lone carriage returns end lines; labels that are prefixes of others,
     # and a cell longer than any label.
     "a,b,response\ra0,b,1\ra1,b00,2\r",
@@ -569,9 +576,9 @@ def test_ingest_matches_row_loop_on_generated_csv(tmp_path_factory, log, block):
     "a,b,response\n" + "a0,b0,1\na1,b,2\n" * 2,
 ])
 def test_ingest_examples_match_row_loop(tmp_path, monkeypatch, text, block):
-    space = build_space([("a", ["a0", "a1"]), ("b", ["b0", "a0", "b", "b00"])])
+    space = build_space([("a", ["a0", "a1"]), ("b", ["b0", "a0", "b", "b00", "b\u00e9"])])
     path = tmp_path / "runs.csv"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     monkeypatch.setattr(space_module, "INGEST_BLOCK", block)
     assert read_outcome(ingest_log, path, space) == read_outcome(ingest_log_loop, path, space)
 
