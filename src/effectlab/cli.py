@@ -156,6 +156,8 @@ def _objective_for(args, space) -> tuple[ObjectiveSpec, CostModel]:
 def _estimate_table(args, space):
     """The effect table of the log over ``space`` that --path and
     --bootstrap ask for."""
+    if "ci_level" in args and not 0 < args.ci_level < 1:
+        raise CommandError(f"--ci-level must be in (0, 1), got {args.ci_level}")
     log = ingest_log(args.log, space)
     reference = _reference_for(args, space, log)
     shrinkage = _shrinkage_for(args)

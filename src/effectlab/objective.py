@@ -22,19 +22,51 @@ class InfeasibleConfigError(ValueError):
     """The configuration is outside the feasible set."""
 
 
-# Top-level keys of an objective document, read by ObjectiveSpec and CostModel.
-OBJECTIVE_KEYS = ("lambda_risk", "lambda_cost", "gamma", "banned_levels", "banned_configs",
-                  "costs", "cost_offset")
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(value) -> bool:
+    return isinstance(value, Mapping) and all(map(_number, value.values()))
+
+
+def _labels(value) -> bool:
+    return isinstance(value, list) and all(isinstance(label, str) for label in value)
+
+
+# Top-level keys of an objective document, read by ObjectiveSpec and CostModel:
+# the JSON type each holds, and a test for it.
+OBJECTIVE_KEYS = {
+    "lambda_risk": ("a number", _number),
+    "lambda_cost": ("a number", _number),
+    "gamma": ("a number or an object of numbers", lambda v: _number(v) or _numbers(v)),
+    "banned_levels": ("an object of label lists",
+                      lambda v: isinstance(v, Mapping) and all(map(_labels, v.values()))),
+    "banned_configs": ("a list of label lists", lambda v: isinstance(v, list) and all(map(_labels, v))),
+    "costs": ("an object of objects of numbers",
+              lambda v: isinstance(v, Mapping) and all(map(_numbers, v.values()))),
+    "cost_offset": ("a number", _number),
+}
 
 
 def _check_document(space: FactorSpace, data: Mapping) -> None:
-    """Reject an unknown top-level key, an unknown factor or level label
-    under ``costs`` or ``banned_levels``, a banned config that does not give
-    one known label per factor, and a per-pair ``gamma`` mapping without
-    exactly one ``"a|b"`` key per factor pair (``a`` declared before ``b``),
-    naming the first one."""
-    bad = [f"unknown key {key!r}; the top-level keys are {', '.join(OBJECTIVE_KEYS)}"
-           for key in data if key not in OBJECTIVE_KEYS]
+    """Reject a document that is not an object, an unknown top-level key or
+    one of the wrong JSON type (named in document order), an unknown factor
+    or level label under ``costs`` or ``banned_levels``, a banned config that
+    does not give one known label per factor, and a per-pair ``gamma``
+    mapping without exactly one ``"a|b"`` key per factor pair (``a`` declared
+    before ``b``), naming the first one."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"objective document: the top level must be an object, "
+                         f"got {type(data).__name__}")
+    for key, value in data.items():
+        if key not in OBJECTIVE_KEYS:
+            raise ValueError(f"objective document: unknown key {key!r}; the top-level keys "
+                             f"are {', '.join(OBJECTIVE_KEYS)}")
+        kind, fits = OBJECTIVE_KEYS[key]
+        if not fits(value):
+            raise ValueError(f"objective document: {key} must be {kind}")
+    bad = []
     for section in ("costs", "banned_levels"):
         for name, labels in data.get(section, {}).items():
             if name not in space.names:

@@ -368,100 +368,67 @@ def log_from_arrays(space: FactorSpace, configs: ArrayLike, responses: ArrayLike
                   np.zeros(n, dtype=np.int64) if seeds is None else np.asarray(seeds))
 
 
-# Lines (rows, on the csv path) that ingest_log reads at a time; bounds the
-# cell strings held.
+# Lines that ingest_log hands numpy's reader at a time; bounds the text held.
 INGEST_BLOCK = 1024
 
 
-def _parse(cells: list[str], convert, blank: str = "") -> tuple[list, int | None]:
-    """``convert`` applied to the cells of one column, each stripped of
-    surrounding whitespace and, when blank, read as ``blank``. Returns the
-    values up to the first cell that ``convert`` rejects with ``KeyError`` or
-    ``ValueError``, and that cell's index, or None if it rejects none.
+def _row_columns(rows: Iterable[list[str]], space: FactorSpace, header: list[str],
+                 first: int, path: str | Path) -> tuple[np.ndarray, ...]:
+    """The level, response, weight and seed columns of CSV rows, read one row
+    at a time; ``first`` is the CSV row number of the first row. Every cell is
+    stripped, blank rows are skipped, and a blank weight reads as 1 and a
+    blank seed as 0. The first bad row raises a ``LogSchemaError``; within a
+    row the checks run in the order: row length, factors (in space order),
+    response, weight, seed."""
+    # Imported here: a clean log never needs it, and loading its shared
+    # library adds about 0.15 MB to every CLI process's peak RSS.
+    from array import array
 
-    A column of unpadded cells converts in one call: ``float`` and ``int``
-    ignore the whitespace that ``str.strip`` removes, and no level label has
-    it (``FactorSpace`` rejects one). Any other column goes cell by cell.
-    """
-    try:
-        return list(map(convert, cells)), None
-    except (KeyError, ValueError):
-        pass
-    values = []
-    for i, cell in enumerate(cells):
+    at = {name: c for c, name in enumerate(header)}
+    factors = [(at[f.name], f.name, {label: lvl for lvl, label in enumerate(f.levels)})
+               for f in space.factors]
+    y_at, w_at, s_at = at["response"], at.get("weight"), at.get("seed")
+    levels, responses, weights, seeds = array("q"), array("d"), array("d"), array("q")
+
+    def bad(problem: str) -> LogSchemaError:
+        return LogSchemaError(f"{path}: row {rownum}: {problem}")
+
+    for rownum, row in enumerate(rows, first):
+        cells = [cell.strip() for cell in row]
+        if not any(cells):
+            continue
+        if len(cells) < len(header):
+            raise bad(f"missing value in column {header[len(cells)]!r}")
+        for c, name, lookup in factors:
+            if cells[c] not in lookup:
+                raise bad(f"unknown level {cells[c]!r} in column {name!r}")
+            levels.append(lookup[cells[c]])
         try:
-            values.append(convert(cell.strip() or blank))
-        except (KeyError, ValueError):
-            return values, i
-    return values, None
-
-
-def _log_columns(space: FactorSpace, header: list[str], rows: list[list[str]],
-                 first: int) -> tuple[list[tuple[int, str]], tuple[np.ndarray, ...]]:
-    """Convert CSV rows a column at a time. ``first`` is the CSV row number
-    of ``rows[0]``. Returns the faults, as (CSV row, problem) of the first bad
-    cell of each check in check order, and the level, response, weight and
-    seed columns of the rows, blank ones skipped."""
-    nonblank = list(map(str.strip, map("".join, rows)))
-    rownums = list(itertools.compress(range(first, first + len(rows)), nonblank))
-    rows = list(itertools.compress(rows, nonblank))
-    faults = []
-    width, n = len(header), len(rows)
-    lengths = list(map(len, rows))
-    if min(lengths, default=width) < width:
-        n = next(i for i, k in enumerate(lengths) if k < width)
-        faults.append((n, f"missing value in column {header[lengths[n]]!r}"))
-    rows = rows[:n]
-    if max(lengths[:n], default=width) > width:
-        rows = [row[:width] for row in rows]
-    flat = list(itertools.chain.from_iterable(rows))
-    columns = {name: flat[c::width] for c, name in enumerate(header)}
-
-    levels = np.empty((n, space.num_factors), dtype=np.intp)
-    for j, f in enumerate(space.factors):
-        lookup = {label: lvl for lvl, label in enumerate(f.levels)}
-        values, bad = _parse(columns[f.name], lookup.__getitem__)
-        if bad is None:
-            levels[:, j] = values
-        else:
-            label = columns[f.name][bad].strip()
-            faults.append((bad, f"unknown level {label!r} in column {f.name!r}"))
-
-    raw = columns["response"]
-    values, bad = _parse(raw, float)
-    responses = np.array(values, dtype=float)
-    wrong = np.flatnonzero(~np.isfinite(responses))
-    if wrong.size:
-        faults.append((wrong[0], f"non-finite response {raw[wrong[0]].strip()!r}"))
-    elif bad is not None:
-        faults.append((bad, f"non-numeric response {raw[bad].strip()!r}"))
-
-    weights = np.ones(n)
-    if "weight" in columns:
-        raw = columns["weight"]
-        values, bad = _parse(raw, float, blank="1")
-        weights = np.array(values, dtype=float)
-        wrong = np.flatnonzero(~np.isfinite(weights) | (weights < 0))
-        if wrong.size:
-            i = wrong[0]
-            faults.append((i, "non-finite weight" if not math.isfinite(weights[i])
-                           else f"negative weight {raw[i].strip()!r}"))
-        elif bad is not None:
-            faults.append((bad, "non-numeric weight"))
-
-    seeds = np.zeros(n, dtype=np.int64)
-    if "seed" in columns:
-        raw = columns["seed"]
-        values, bad = _parse(raw, int, blank="0")
+            y = float(cells[y_at])
+        except ValueError:
+            raise bad(f"non-numeric response {cells[y_at]!r}") from None
+        if not math.isfinite(y):
+            raise bad(f"non-finite response {cells[y_at]!r}")
+        raw = cells[w_at] if w_at is not None else ""
         try:
-            seeds = np.array(values, dtype=np.int64)
+            w = float(raw) if raw else 1.0
+        except ValueError:
+            raise bad("non-numeric weight") from None
+        if not math.isfinite(w):
+            raise bad("non-finite weight")
+        if w < 0:
+            raise bad(f"negative weight {raw!r}")
+        raw = cells[s_at] if s_at is not None else ""
+        try:
+            seeds.append(int(raw) if raw else 0)
+        except ValueError:
+            raise bad("non-integer seed") from None
         except OverflowError:
-            i = next(i for i, v in enumerate(values) if not -2**63 <= v < 2**63)
-            faults.append((i, f"seed {raw[i].strip()} outside the 64-bit range"))
-        else:
-            if bad is not None:
-                faults.append((bad, "non-integer seed"))
-    return [(rownums[i], problem) for i, problem in faults], (levels, responses, weights, seeds)
+            raise bad(f"seed {raw} outside the 64-bit range") from None
+        responses.append(y)
+        weights.append(w)
+    return (np.array(levels, dtype=np.intp).reshape(-1, space.num_factors),
+            np.array(responses), np.array(weights), np.array(seeds, dtype=np.int64))
 
 
 def _clean_columns(lines: list[str], header: list[str], dtype: np.dtype,
@@ -512,8 +479,8 @@ def ingest_log(path: str | Path, space: FactorSpace) -> RunLog:
 
     Blocks of ``INGEST_BLOCK`` lines go to ``_clean_columns``, one
     ``np.loadtxt`` call each. From the first block it declines, a
-    ``csv.reader`` pass reads the rest and ``_log_columns`` converts it a
-    column at a time; only this path reports errors, and the values are the
+    ``csv.reader`` pass reads the rest and ``_row_columns`` converts it one
+    row at a time; only this path reports errors, and the values are the
     same either way. A file with several bad rows is rejected for the
     earliest; within a row the checks run in the order: row length, factors
     (in space order), response, weight, seed.
@@ -536,8 +503,9 @@ def ingest_log(path: str | Path, space: FactorSpace) -> RunLog:
         if "response" not in header:
             raise LogSchemaError(f"{path}: missing 'response' column")
         blocks, first, lines = [], 2, []
-        # numpy would drop a label's trailing NULs, so only the csv path reads such labels.
-        if not any("\0" in label for f in space.factors for label in f.levels):
+        # numpy would drop a label's trailing NULs, so only the row path reads such labels.
+        nul = any("\0" in label for f in space.factors for label in f.levels)
+        if not nul:
             factors = dict(zip(space.names, space.factors))
             dtype = np.dtype([("", f"U{max(map(len, factors[name].levels)) + 1}") if name in factors
                               else ("", np.int64 if name == "seed" else float) for name in header])
@@ -548,23 +516,9 @@ def ingest_log(path: str | Path, space: FactorSpace) -> RunLog:
                     break
                 blocks.append(columns)
                 first += len(lines)
-        reader = csv.reader(itertools.chain(lines, fh))
-        while True:
-            rows, unreadable = [], None
-            try:
-                rows.extend(itertools.islice(reader, INGEST_BLOCK))
-            except csv.Error as exc:  # rows keeps the rows before the unreadable one
-                unreadable = exc
-            if not rows and unreadable is None:
-                break
-            faults, columns = _log_columns(space, header, rows, first)
-            if faults:
-                rownum, problem = min(faults, key=lambda fault: fault[0])
-                raise LogSchemaError(f"{path}: row {rownum}: {problem}")
-            if unreadable is not None:
-                raise unreadable
-            blocks.append(columns)
-            first += len(rows)
+        if lines or nul:
+            rows = csv.reader(itertools.chain(lines, fh))
+            blocks.append(_row_columns(rows, space, header, first, path))
     columns = [np.concatenate(column) for column in zip(*blocks)]
     if not columns or not len(columns[1]):
         raise LogSchemaError(f"{path}: no data rows")

@@ -392,6 +392,37 @@ def test_optimize_rejects_unknown_objective_keys(workspace, document, key):
     assert not (out / "chosen.json").exists()
 
 
+@pytest.mark.parametrize("document", [[], {"gamma": "1"}, {"costs": []}, {"cost_offset": None},
+                                      {"lambda_risk": "0.5"}])
+def test_optimize_rejects_objective_documents_of_the_wrong_type(workspace, document):
+    tmp, space, log = workspace
+    objective_file = tmp / "objective.json"
+    objective_file.write_text(json.dumps(document))
+    out = tmp / "optt"
+    rc = main(["optimize", "--space", str(space), "--log", str(log),
+               "--out", str(out), "--objective", str(objective_file)])
+    assert rc == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith("objective document: ")
+    assert not (out / "chosen.json").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "optimize"])
+@pytest.mark.parametrize("level", ["2", "-1", "0", "1", "nan"])
+@pytest.mark.parametrize("bootstrap", ["0", "20"])
+def test_ci_level_outside_the_unit_interval_is_rejected(workspace, command, level, bootstrap):
+    tmp, space, log = workspace
+    out = tmp / "ci"
+    rc = main([command, "--space", str(space), "--log", str(log), "--out", str(out),
+               "--bootstrap", bootstrap, "--ci-level", level])
+    assert rc == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "CommandError"
+    assert err["message"] == f"--ci-level must be in (0, 1), got {float(level)}"
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
 def test_optimize_writes_a_null_margin_for_a_single_allowed_level(workspace):
     # With a0 banned, factor a has one allowed level and no second best: its
     # margin is infinite, which dominance.json writes as null.

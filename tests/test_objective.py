@@ -266,6 +266,44 @@ def test_objective_document_rejects_unknown_keys(space_2x2, loader, data, key):
         loader(space_2x2, data)
 
 
+@pytest.mark.parametrize("data, key", [
+    ({"lambda_risk": "1"}, "lambda_risk"),
+    ({"lambda_cost": True}, "lambda_cost"),
+    ({"cost_offset": None}, "cost_offset"),
+    ({"gamma": "1"}, "gamma"),
+    ({"gamma": False}, "gamma"),
+    ({"gamma": {"a|b": "2"}}, "gamma"),
+    ({"costs": []}, "costs"),
+    ({"costs": {"a": 1.0}}, "costs"),
+    ({"costs": {"a": {"a0": None}}}, "costs"),
+    ({"banned_levels": ["a"]}, "banned_levels"),
+    ({"banned_levels": {"a": "a0"}}, "banned_levels"),
+    ({"banned_levels": {"a": [0]}}, "banned_levels"),
+    ({"banned_configs": {"a": "a0"}}, "banned_configs"),
+    ({"banned_configs": ["a0b0"]}, "banned_configs"),
+    ({"lambda_risk": 0.5, "costs": {}, "gamma": [2.0], "cost_offset": "1"}, "gamma"),
+])
+@pytest.mark.parametrize("loader", [ObjectiveSpec.from_dict, CostModel.from_dict])
+def test_objective_document_rejects_wrong_types(space_2x2, loader, data, key):
+    # The first key in document order that holds the wrong JSON type is named.
+    with pytest.raises(ValueError, match=f"^objective document: {key} must be "):
+        loader(space_2x2, data)
+
+
+@pytest.mark.parametrize("loader", [ObjectiveSpec.from_dict, CostModel.from_dict])
+def test_objective_document_must_be_an_object(space_2x2, loader):
+    with pytest.raises(ValueError, match="^objective document: .* must be an object"):
+        loader(space_2x2, [])
+
+
+def test_banned_levels_string_is_not_read_letter_by_letter():
+    space = build_space([("f", ["x", "y", "xy"]), ("g", ["0", "1"])])
+    with pytest.raises(ValueError, match="banned_levels"):
+        ObjectiveSpec.from_dict(space, {"banned_levels": {"f": "xy"}})
+    spec = ObjectiveSpec.from_dict(space, {"banned_levels": {"f": ["xy"]}})
+    assert spec.banned_levels == {0: frozenset({2})}
+
+
 def test_zero_weight_record_adds_no_support(space_2x2):
     # Pair cell (a1, b1) holds only a zero-weight record, so the log
     # estimates as if the record were not there.

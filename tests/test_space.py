@@ -574,9 +574,16 @@ def test_ingest_matches_row_loop_on_generated_csv(tmp_path_factory, log, block):
     # A bad row after clean blocks; a row count that blocks of 1 and 2 divide.
     "a,b,response\n" + "a0,b0,1\n" * 4 + "a1,b0,oops\n",
     "a,b,response\n" + "a0,b0,1\na1,b,2\n" * 2,
+    # A quoted line break: one CSV row over two lines, between clean rows
+    # and a bad row, which is row 5, not line 6.
+    'a,b,response\na0,b0,1\na1,b0,2\na0,"b\n0",3\na1,b0,oops\n',
+    'a,b,response\na0,b0,1\na1,b0,2\na0,"b\n0",3\na1\n',
+    'a,b,response,seed\na0,b0,1,1\na1,b0,2,2\na1," b\n0 ",3,\na0,zz,4,4\n',
+    'a,b,response\na0,b0,1\na1,b0,2\na0,"b\n0",3\na1,b0,4\n',
 ])
 def test_ingest_examples_match_row_loop(tmp_path, monkeypatch, text, block):
-    space = build_space([("a", ["a0", "a1"]), ("b", ["b0", "a0", "b", "b00", "b\u00e9"])])
+    space = build_space([("a", ["a0", "a1"]),
+                         ("b", ["b0", "a0", "b", "b00", "b\u00e9", "b\n0"])])
     path = tmp_path / "runs.csv"
     path.write_text(text, encoding="utf-8")
     monkeypatch.setattr(space_module, "INGEST_BLOCK", block)
@@ -585,10 +592,10 @@ def test_ingest_examples_match_row_loop(tmp_path, monkeypatch, text, block):
 
 def test_clean_blocks_skip_the_row_path(tmp_path, monkeypatch, space_2x2):
     # numpy's reader takes every block of a log that write_log wrote; from
-    # the first block it declines (a padded label), the csv path reads on.
+    # the first block it declines (a padded label), one row path call reads on.
     firsts = []
-    row_path = space_module._log_columns
-    monkeypatch.setattr(space_module, "_log_columns",
+    row_path = space_module._row_columns
+    monkeypatch.setattr(space_module, "_row_columns",
                         lambda *args: firsts.append(args[3]) or row_path(*args))
     monkeypatch.setattr(space_module, "INGEST_BLOCK", 4)
     rng = np.random.default_rng(0)
@@ -602,7 +609,7 @@ def test_clean_blocks_skip_the_row_path(tmp_path, monkeypatch, space_2x2):
     lines[6] = " " + lines[6]  # row 7, in the block of rows 6-9
     path.write_text("".join(lines))
     assert_columns(ingest_log(path, space_2x2), [getattr(log, name) for name in COLUMNS])
-    assert firsts == [6, 10]
+    assert firsts == [6]
 
 
 def test_a_reader_warning_declines_the_block(tmp_path, monkeypatch, space_2x2):
