@@ -181,7 +181,8 @@ def _estimate_batch(level_sums, pair_sums, mu: np.ndarray, reference: ReferenceD
     (S, C, L_j, L_k) array per pair) start with each cell's summed weight,
     weight x response and positive-weight record count, which sets the
     shrinkage. ``mu`` (C,) is each sample's weighted mean response; the
-    reference's marginals and pair ``centerers`` center exactly. Returns mains
+    reference's marginals and pair ``centerers`` (closed form, or a Laplacian
+    solve for an empirical reference) center exactly. Returns mains
     (C, L_j), pairs (C, L_j, L_k) and level means (C, L_j) with NaN where a
     level has no weight.
     """

@@ -9,6 +9,7 @@ certificate, bound and grid reads. Infeasible configurations score -inf.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -23,7 +24,10 @@ class InfeasibleConfigError(ValueError):
 
 
 def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # NaN and infinities pass, for the finiteness checks to name; an integer
+    # beyond float range does not, since float() of it overflows.
+    return isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)
+                                        and abs(value) <= sys.float_info.max)
 
 
 def _numbers(value) -> bool:

@@ -193,8 +193,9 @@ class ReferenceDistribution:
         for j, pi in enumerate(self.marginals):
             if len(pi) != self.space.level_counts[j]:
                 raise ValueError(f"marginal {j} has wrong length")
-            if np.any(pi < 0):
-                raise ValueError("marginal probabilities must be nonnegative")
+            if not (np.isfinite(pi) & (pi >= 0)).all():
+                raise ValueError(f"marginal {j} ({self.space.names[j]!r}) must be finite and "
+                                 "nonnegative")
             if abs(float(pi.sum()) - 1.0) > 1e-12:
                 raise ValueError(f"marginal {j} sums to {pi.sum()}, not 1")
 
@@ -233,7 +234,11 @@ class ReferenceDistribution:
 
     @cached_property
     def centerers(self) -> dict[tuple[int, int], Callable[[np.ndarray], np.ndarray]]:
-        """One ``double_centerer`` per pair, built on first use and kept."""
+        """One centerer per pair, built on first use and kept: the closed-form
+        ``product_centerer`` for a product reference, else ``double_centerer``."""
+        if self.is_product:
+            m = self.marginals
+            return {(j, k): product_centerer(m[j], m[k]) for j, k in self.space.pairs()}
         return {jk: double_centerer(self.pair(*jk)) for jk in self.space.pairs()}
 
     def product_marginals(self) -> "ReferenceDistribution":
@@ -257,6 +262,22 @@ def center_main(g: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return g - np.expand_dims(np.dot(g, pi), -1)
 
 
+def product_centerer(pi_j: np.ndarray, pi_k: np.ndarray):
+    """``double_centerer(np.outer(pi_j, pi_k))`` in closed form: each row with
+    mass loses its pi_k-weighted mean, then each column with mass its
+    pi_j-weighted mean, by elementwise products and axis sums (batch-free)."""
+    row_weights = np.outer(pi_j > 0, pi_k / pi_k.sum())
+    col_weights = np.outer(pi_j / pi_j.sum(), pi_k > 0)
+
+    def center(mat: np.ndarray) -> np.ndarray:
+        out = np.array(mat, dtype=float)
+        out -= (row_weights * out).sum(axis=-1)[..., None]
+        out -= (col_weights * out).sum(axis=-2)[..., None, :]
+        return out
+
+    return center
+
+
 def double_centerer(joint: np.ndarray):
     """Removal of row and column effects under the joint weights, exactly.
 
@@ -267,7 +288,8 @@ def double_centerer(joint: np.ndarray):
     support) and a row pass give the limit of alternating passes: zero-mass
     rows and columns get no effect of their own, and per block the column
     effects have zero mass-weighted mean. The solve depends only on the
-    joint, so it is built once here.
+    joint, so it is built once here; references build it for empirical
+    joints only, as ``product_centerer`` needs no solve.
     """
     row_mass = joint.sum(axis=1)
     col_mass = joint.sum(axis=0)

@@ -47,3 +47,16 @@ def full_grid_log(space: FactorSpace, values: np.ndarray, replicates: int = 1):
             responses.append(float(values[x]))
             seeds.append(s)
     return log_from_arrays(space, configs, responses, seeds=seeds)
+
+
+def count_centerer_builds(monkeypatch) -> list:
+    """Record the marginals or joint of every pair centerer built from now on,
+    closed-form (product references) or by Laplacian solve (empirical)."""
+    from effectlab import space as space_module
+
+    built = []
+    for name in ("product_centerer", "double_centerer"):
+        build = getattr(space_module, name)
+        monkeypatch.setattr(space_module, name,
+                            lambda *args, _build=build: built.append(args) or _build(*args))
+    return built

@@ -22,6 +22,7 @@ from effectlab.optimize import verify_1swap
 from effectlab.sim import TeacherSpec, default_space, gen_teacher, run_trial
 from effectlab.space import (DesignPlan, ReferenceDistribution, ingest_log, load_space,
                              support_counts)
+from conftest import count_centerer_builds
 from oracles import percentile_interval_eager
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -393,7 +394,8 @@ def test_optimize_rejects_unknown_objective_keys(workspace, document, key):
 
 
 @pytest.mark.parametrize("document", [[], {"gamma": "1"}, {"costs": []}, {"cost_offset": None},
-                                      {"lambda_risk": "0.5"}])
+                                      {"lambda_risk": "0.5"}, {"lambda_risk": 10**400},
+                                      {"costs": {"a": {"a0": 10**400}}}])
 def test_optimize_rejects_objective_documents_of_the_wrong_type(workspace, document):
     tmp, space, log = workspace
     objective_file = tmp / "objective.json"
@@ -501,19 +503,49 @@ def test_optimize_rejects_search_counts_below_one_before_estimating(workspace, m
 
 
 def test_optimize_bootstrap_builds_each_pair_centerer_once(tmp_path, monkeypatch):
-    from effectlab import space as space_module
-
     rng = np.random.default_rng(2)
     X = rng.integers(0, 3, size=(60, 4))
     space, log = write_inputs(tmp_path, (3, 2, 3, 2), X % [3, 2, 3, 2], rng.normal(size=60),
                               np.ones(60))
-    built = []
-    original = space_module.double_centerer
-    monkeypatch.setattr(space_module, "double_centerer",
-                        lambda joint: built.append(joint) or original(joint))
+    built = count_centerer_builds(monkeypatch)
     assert main(["optimize", "--space", str(space), "--log", str(log),
                  "--out", str(tmp_path / "opt"), "--bootstrap", "100"]) == 0
     assert len(built) == 6  # one per pair of the four factors
+
+
+def test_product_references_center_without_linalg(tmp_path, monkeypatch):
+    """Uniform references center in closed form: the CM estimate, the
+    bootstrap and a suite make no np.linalg call. An empirical background
+    still builds one double_centerer, with its solve, per pair."""
+    from effectlab import space as space_module
+
+    calls = []
+
+    def spy(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):  # not LinAlgError
+            monkeypatch.setattr(np.linalg, name, spy(name, fn))
+    rng = np.random.default_rng(5)
+    X = rng.integers(0, 3, size=(60, 4))
+    space, log = write_inputs(tmp_path, (3, 2, 3, 2), X % [3, 2, 3, 2], rng.normal(size=60),
+                              np.ones(60))
+    io = ["--space", str(space), "--log", str(log)]
+    assert main(["estimate", *io, "--out", str(tmp_path / "est"), "--path", "cm"]) == 0
+    assert main(["optimize", *io, "--out", str(tmp_path / "opt"), "--bootstrap", "100"]) == 0
+    assert main(["ablate", "--axis", "seed-budget", "--trials", "2",
+                 "--out", str(tmp_path / "abl")]) == 0
+    assert calls == []
+
+    joints = []
+    build = space_module.double_centerer
+    monkeypatch.setattr(space_module, "double_centerer",
+                        lambda joint: joints.append(joint) or build(joint))
+    assert main(["estimate", *io, "--out", str(tmp_path / "emp"), "--path", "cm",
+                 "--background", "empirical"]) == 0
+    assert len(joints) == 6 and calls  # one per pair of the four factors
 
 
 @pytest.mark.parametrize("argv, field", [

@@ -25,7 +25,7 @@ from effectlab import (
 )
 import effectlab.effects as effects_module
 from effectlab.effects import BOOTSTRAP_CHUNK, bootstrap_replicates, percentile
-from effectlab.space import double_centerer
+from effectlab.space import double_centerer, product_centerer
 from conftest import full_grid_log, random_space
 from oracles import (bootstrap_replicates_loop, double_center_loop, estimate_arrays_loop,
                      nan_percentile_interval_eager, percentile_interval_eager,
@@ -441,6 +441,38 @@ def test_batched_double_center_matches_per_matrix(product):
     for idx in np.ndindex(5, 2):
         assert np.array_equal(batched[idx], double_centerer(joint)(stack[idx]))
         assert_close(batched[idx], double_center_loop(stack[idx], joint))
+
+
+@st.composite
+def product_centering_problems(draw):
+    """Two marginals, either possibly with zero-mass levels, and a (2, 3)
+    stack of matrices to center, of mixed magnitudes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def marginal(L):
+        pi = rng.dirichlet(np.ones(L)) * (rng.random(L) < draw(st.sampled_from([0.5, 1.0])))
+        pi[rng.integers(L)] += 0.5  # at least one level with mass
+        return pi / pi.sum()
+
+    pi_j, pi_k = marginal(draw(st.integers(1, 6))), marginal(draw(st.integers(1, 6)))
+    stack = rng.normal(size=(2, 3, len(pi_j), len(pi_k)))
+    return pi_j, pi_k, stack * 10.0 ** rng.integers(-3, 4, size=(2, 3, 1, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_centering_problems())
+def test_product_centerer_is_the_double_centering_in_closed_form(problem):
+    pi_j, pi_k, stack = problem
+    joint = np.outer(pi_j, pi_k)
+    center = product_centerer(pi_j, pi_k)
+    batched = center(stack)
+    general = double_centerer(joint)(stack)
+    assert batched.shape == stack.shape
+    for idx in np.ndindex(stack.shape[:2]):
+        tol = 1e-12 * (1.0 + np.abs(stack[idx]).max())
+        assert np.array_equal(batched[idx], center(stack[idx]))
+        assert np.abs(batched[idx] - double_center_loop(stack[idx], joint)).max() <= tol
+        assert np.abs(batched[idx] - general[idx]).max() <= tol
 
 
 def centering_residual(mat, joint):

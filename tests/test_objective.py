@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -282,12 +283,24 @@ def test_objective_document_rejects_unknown_keys(space_2x2, loader, data, key):
     ({"banned_configs": {"a": "a0"}}, "banned_configs"),
     ({"banned_configs": ["a0b0"]}, "banned_configs"),
     ({"lambda_risk": 0.5, "costs": {}, "gamma": [2.0], "cost_offset": "1"}, "gamma"),
+    # Integers beyond float range, which float() cannot convert.
+    ({"lambda_risk": 10**400}, "lambda_risk"),
+    ({"lambda_cost": -10**400}, "lambda_cost"),
+    ({"gamma": {"a|b": 10**400}}, "gamma"),
+    ({"costs": {"a": {"a0": 10**400}}}, "costs"),
+    ({"cost_offset": 10**400}, "cost_offset"),
 ])
 @pytest.mark.parametrize("loader", [ObjectiveSpec.from_dict, CostModel.from_dict])
 def test_objective_document_rejects_wrong_types(space_2x2, loader, data, key):
     # The first key in document order that holds the wrong JSON type is named.
     with pytest.raises(ValueError, match=f"^objective document: {key} must be "):
         loader(space_2x2, data)
+
+
+def test_objective_document_reads_the_largest_float_as_an_integer(space_2x2):
+    top = int(sys.float_info.max)
+    assert ObjectiveSpec.from_dict(space_2x2, {"lambda_risk": top}).lambda_risk == sys.float_info.max
+    assert CostModel.from_dict(space_2x2, {"cost_offset": -top}).offset == -sys.float_info.max
 
 
 @pytest.mark.parametrize("loader", [ObjectiveSpec.from_dict, CostModel.from_dict])

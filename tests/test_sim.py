@@ -21,6 +21,7 @@ from effectlab.effects import _finalize, estimate_from_log
 from effectlab.sim import TRIAL_CHUNK, SuiteConfig, _rankdata, _trial_seeds, make_log
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import count_centerer_builds
 from oracles import (make_log_loop, projection_decomposition, rank_formula_spearman,
                      rankdata_loop, suite_rows_loop)
 
@@ -275,12 +276,8 @@ def test_suites_build_centerers_once_per_reference(monkeypatch, axis, references
     are built once per suite; each of the two empirical-background trials
     builds its own."""
     from effectlab import SuiteConfig, ablation_suite, comparison_suite
-    from effectlab import space as space_module
 
-    centerers = []
-    build_centerer = space_module.double_centerer
-    monkeypatch.setattr(space_module, "double_centerer",
-                        lambda joint: centerers.append(joint) or build_centerer(joint))
+    centerers = count_centerer_builds(monkeypatch)
     cfg = SuiteConfig(trials=2, seed=3, num_factors=4, design_n=24, robustness_n=16,
                       robustness_seeds=2)
     rows = comparison_suite(cfg) if axis == "comparison" else ablation_suite(axis, cfg)

@@ -842,6 +842,16 @@ def test_reference_distribution_validation(space_2x2):
     assert np.allclose(ref.pair(0, 1), 0.25)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_reference_rejects_non_finite_marginals(space_2x2, bad):
+    # NaN passes both the sign and the sum check, and would make every table
+    # centered under the reference NaN.
+    with pytest.raises(ValueError, match="marginal 1 \\('b'\\) must be finite"):
+        ReferenceDistribution.from_marginals(
+            space_2x2, [np.array([0.5, 0.5]), np.array([bad, bad])]
+        )
+
+
 def test_empirical_reference(space_2x2):
     log = log_from_arrays(space_2x2, [(0, 0), (0, 0), (1, 1)], [0.0] * 3)
     ref = ReferenceDistribution.empirical(log)
