@@ -156,16 +156,18 @@ def _objective_for(args, space) -> tuple[ObjectiveSpec, CostModel]:
 def _estimate_table(args, space):
     """The effect table of the log over ``space`` that --path and
     --bootstrap ask for."""
-    if "ci_level" in args and not 0 < args.ci_level < 1:
-        raise CommandError(f"--ci-level must be in (0, 1), got {args.ci_level}")
+    B, level = getattr(args, "bootstrap", 0), getattr(args, "ci_level", None)
+    if level is not None and not 0 < level < 1:
+        raise CommandError(f"--ci-level must be in (0, 1), got {level}")
+    if level is not None and not B:
+        raise CommandError("--ci-level applies only with --bootstrap")
     log = ingest_log(args.log, space)
     reference = _reference_for(args, space, log)
     shrinkage = _shrinkage_for(args)
-    B = getattr(args, "bootstrap", 0)
     if B and args.path != "cm":
         raise CommandError(f"--bootstrap needs --path cm; got --path {args.path}")
     if B:
-        return bootstrap_cis(log, reference, shrinkage, B=B, level=args.ci_level, seed=args.seed)
+        return bootstrap_cis(log, reference, shrinkage, B=B, level=level or 0.95, seed=args.seed)
     return estimate_from_log(log, args.path, reference, shrinkage)
 
 
@@ -436,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--bootstrap", type=int, default=0,
                            help="bootstrap replicates for intervals (cm path)")
-            p.add_argument("--ci-level", type=float, default=0.95)
+            p.add_argument("--ci-level", type=float, default=None,
+                           help="interval coverage with --bootstrap (default 0.95)")
 
     p = sub.add_parser("estimate", help="effect tables and plot data from a log")
     add_io(p)

@@ -17,7 +17,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -265,65 +264,43 @@ def _centered_basis(pi: np.ndarray) -> np.ndarray:
     return U
 
 
-def _design_terms(X: np.ndarray, space: FactorSpace, reference: ReferenceDistribution):
-    """(factor indices, n x w coefficient block) of every parameter block of
-    the design at the (n, d) points X, in column order: U_j for main j, then
-    1/2 U_j (x) U_k for each pair j < k, U_j being the basis rows at X[:, j]."""
-    U = [_centered_basis(reference.marginal(j))[X[:, j]] for j in range(space.num_factors)]
-    return [((j,), u) for j, u in enumerate(U)] + [
-        ((j, k), 0.5 * (U[j][:, :, None] * U[k][:, None, :]).reshape(len(X), -1))
-        for j, k in space.pairs()]
-
-
 @dataclass(eq=False)
 class EffectDesignMatrix:
-    """Linear system mapping free effect parameters to attributions.
+    """Linear system mapping free effect parameters to attributions, kept
+    as its triangular factor.
 
     Rows are (evaluation point, factor) pairs; columns are the sum-to-zero
-    reparametrized main and pair parameters. Pre-reparametrization each row
-    touches one main entry with coefficient 1 and d-1 pair entries with
-    coefficient 1/2.
+    reparametrized main and pair parameters, in the level bases ``bases``.
+    Pre-reparametrization each row touches one main entry with coefficient
+    1 and d-1 pair entries with coefficient 1/2.
 
-    The system is kept factored block by block. Factor j's rows touch only
-    its own w_j columns (main block j and every pair block holding j); that
-    n x w_j block has the thin QR ``q_blocks[j] @ R_j``, and the R_j,
-    stacked in the full columns, have the QR ``q_stack @ r``. So up to a row
-    permutation the matrix is diag(q_blocks) @ q_stack @ r, and the p x p
-    factor ``r`` carries its singular values; ``sigma_min`` is structurally
-    0 when the stack has fewer than p rows. ``matrix`` is built when read;
-    nothing in the fit or the rank diagnosis reads it.
+    The (n d) x p design A is Q r for a Q with orthonormal columns that is
+    never formed, so ``r`` carries A's singular values; ``sigma_min`` is
+    structurally 0 when r has fewer than p rows. Reduced with attributions
+    phi beside A, ``t`` is Q^T phi, and theta = r^-1 t minimizes
+    |A theta - phi|, to ``residual_norm``; without them t has no column.
     """
 
     space: FactorSpace
     reference: ReferenceDistribution
     eval_set: np.ndarray  # (n, d) level indices
     blocks: list[tuple[str, tuple[int, ...], slice]]
+    bases: list[np.ndarray]
     sigma_min: float
-    q_blocks: list[np.ndarray]
-    q_stack: np.ndarray
     r: np.ndarray
+    t: np.ndarray
+    residual_norm: float
 
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.eval_set) * self.space.num_factors, self.r.shape[1]
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Row i*d + j is factor j's attribution at point i: its own main
-        block, and half of every pair block it belongs to."""
-        A3 = np.zeros((*self.eval_set.shape, self.shape[1]))
-        for (idx, coeff), (_, _, sl) in zip(_design_terms(self.eval_set, self.space,
-                                                          self.reference),
-                                            self.blocks):
-            A3[:, list(idx), sl] = coeff[:, None]
-        return A3.reshape(self.shape)
 
     def block_names(self) -> list[str]:
         return ["|".join(self.space.names[j] for j in idx) for _, idx, _ in self.blocks]
 
     def deficient_blocks(self) -> list[str]:
         """Names of parameter blocks with weight in the near-null space. The
-        design is r times factors with orthonormal columns, so r has its
+        design is a factor with orthonormal columns times r, so r has its
         singular values and right singular vectors; with fewer rows than
         parameters, the extra rows of r's full vt span the structural null
         space."""
@@ -337,37 +314,51 @@ class EffectDesignMatrix:
 
 
 def build_design_matrix(eval_set: Sequence[Sequence[int]], space: FactorSpace,
-                        reference: ReferenceDistribution | None = None) -> EffectDesignMatrix:
-    """The design of ``eval_set`` under a product reference, factored once:
-    one thin QR per factor's n x w_j block of coefficients, one QR of the
-    stacked triangular factors, and ``sigma_min`` from the SVD of the p x p
-    result. The (n d) x p matrix itself is never built here."""
+                        reference: ReferenceDistribution | None = None,
+                        attributions: np.ndarray | None = None) -> EffectDesignMatrix:
+    """The design of ``eval_set`` under a product reference, reduced to r
+    without forming Q (least squares by QR, Golub & Van Loan 5.3). Factor
+    j's rows touch only its w_j columns: main block j, U_j (the basis rows
+    at X[:, j]), and 1/2 U_a (x) U_b for each pair block (a, b) holding j.
+    That n x w_j block, with column j of the (n, d) ``attributions`` beside
+    it, is built, reduced by an R-only QR and dropped. One more R-only QR
+    of the reduced blocks, stacked in the full columns, gives r, t and the
+    residual (TSQR, Demmel et al. 2012); ``sigma_min`` is r's smallest
+    singular value."""
     if len(eval_set) == 0:
         raise ValueError("evaluation set is empty")
     reference = reference or ReferenceDistribution.uniform(space)
     if not reference.is_product:
         raise ValueError("design matrix needs a product-form reference")
     X = space.validate_configs(eval_set)
+    if attributions is not None and np.shape(attributions) != X.shape:
+        raise ValueError(f"attributions must have the evaluation set's shape {X.shape}")
+    d = space.num_factors
+    rhs = (np.empty((len(X), d, 0)) if attributions is None
+           else np.asarray(attributions, dtype=float)[:, :, None])
 
-    blocks: list[tuple[str, tuple[int, ...], slice]] = []
-    own: list[list[tuple[slice, np.ndarray]]] = [[] for _ in range(space.num_factors)]
-    p = 0
-    for idx, coeff in _design_terms(X, space, reference):
-        sl = slice(p, p + coeff.shape[1])
-        blocks.append(("main" if len(idx) == 1 else "pair", idx, sl))
-        for j in idx:
-            own[j].append((sl, coeff))
-        p = sl.stop
-    q_blocks, stack = [], []
-    for mine in own:
-        q_j, r_j = np.linalg.qr(np.hstack([coeff for _, coeff in mine]))
-        q_blocks.append(q_j)
-        stack.append(np.zeros((len(r_j), p)))
-        stack[-1][:, np.r_[tuple(sl for sl, _ in mine)]] = r_j
-    q_stack, r = np.linalg.qr(np.vstack(stack))
+    bases = [_centered_basis(reference.marginal(j)) for j in range(d)]
+    U = [basis[X[:, j]] for j, basis in enumerate(bases)]
+    blocks, p = [], 0
+    for idx in [(j,) for j in range(d)] + list(space.pairs()):
+        w = math.prod(U[j].shape[1] for j in idx)
+        blocks.append(("main" if len(idx) == 1 else "pair", idx, slice(p, p + w)))
+        p += w
+    k = rhs.shape[2]
+    stack = []
+    for j in range(d):
+        mine = [(idx, sl) for _, idx, sl in blocks if j in idx]  # main j first
+        r_j = np.linalg.qr(np.hstack(
+            [U[j]] + [0.5 * (U[a][:, :, None] * U[b][:, None, :]).reshape(len(X), -1)
+                      for (a, b), _ in mine[1:]] + [rhs[:, j]]), mode="r")
+        stack.append(np.zeros((len(r_j), p + k)))
+        stack[-1][:, np.r_[tuple(sl for _, sl in mine) + (slice(p, p + k),)]] = r_j
+    rt = np.linalg.qr(np.vstack(stack), mode="r")
+    r = rt[:p, :p]
     # Fewer stacked rows than parameters: the null space is structural.
     sigma_min = float(np.linalg.svd(r, compute_uv=False)[-1]) if len(r) == p else 0.0
-    return EffectDesignMatrix(space, reference, X, blocks, sigma_min, q_blocks, q_stack, r)
+    return EffectDesignMatrix(space, reference, X, blocks, bases, sigma_min, r, rt[:p, p:],
+                              float(np.linalg.norm(rt[p:, p:])))
 
 
 def fit_effects_sf(estimates: ShapleyEstimate, space: FactorSpace,
@@ -377,20 +368,15 @@ def fit_effects_sf(estimates: ShapleyEstimate, space: FactorSpace,
     """Least squares in the sum-to-zero basis, mapped back to full tables,
     re-centered, then shrunk the same way as the cell-mean path.
 
-    The solve reuses the design's factors, theta = r^-1 q_stack^T
-    [q_blocks[j]^T phi_j], and so does the residual; it never builds the
-    dense design. ``support`` supplies the shrinkage counts (defaults to
-    counting the evaluation points); ``mu`` is the baseline to attach,
-    typically the oracle's empty-coalition value.
+    The design is reduced with the attributions beside it, so theta =
+    r^-1 t and the residual norm come from its triangular factor alone; no
+    orthogonal factor or dense design is formed, and the design's checks
+    reject an empty or wrong-width estimate. ``support`` supplies the
+    shrinkage counts (defaults to counting the evaluation points); ``mu``
+    is the baseline to attach, typically the oracle's empty-coalition value.
     """
-    X, phi = estimates.x, estimates.phi  # column j of phi is factor j's rows
-    if not len(X):
-        raise ValueError("no attribution estimates to fit")
-    reference = reference or ReferenceDistribution.uniform(space)
-    if X.shape[1] != space.num_factors:
-        raise ValueError("estimate evaluated on an inconsistent space")
-
-    design = build_design_matrix(X, space, reference)
+    design = build_design_matrix(estimates.x, space, reference, estimates.phi)
+    X, reference = design.eval_set, design.reference
     if design.sigma_min <= RANK_TOLERANCE:
         blocks = design.deficient_blocks()
         raise RankDeficiencyError(
@@ -398,15 +384,8 @@ def fit_effects_sf(estimates: ShapleyEstimate, space: FactorSpace,
             f"unidentified blocks: {blocks}",
             blocks,
         )
-    d = space.num_factors
-    z = np.concatenate([q.T @ phi[:, j] for j, q in enumerate(design.q_blocks)])
-    theta = np.linalg.solve(design.r, design.q_stack.T @ z)
-    # Factor j's fitted rows are q_blocks[j] @ R_j theta; q_stack @ r stacks the R_j.
-    r_theta = np.split(design.q_stack @ (design.r @ theta),
-                       np.cumsum([q.shape[1] for q in design.q_blocks])[:-1])
-    misfit = np.stack([q @ rt for q, rt in zip(design.q_blocks, r_theta)], axis=1) - phi
-
-    bases = [_centered_basis(reference.marginal(j)) for j in range(d)]
+    d, bases = space.num_factors, design.bases
+    theta = np.linalg.solve(design.r, design.t[:, 0])
     mains = [bases[j] @ theta[sl] for _, (j,), sl in design.blocks[:d]]
     pairs = {(j, k): bases[j] @ theta[sl].reshape(bases[j].shape[1], -1) @ bases[k].T
              for _, (j, k), sl in design.blocks[d:]}
@@ -424,7 +403,7 @@ def fit_effects_sf(estimates: ShapleyEstimate, space: FactorSpace,
         support=support,
         provenance="SF",
         diagnostics={"sigma_min": design.sigma_min, "rows": rows, "params": params,
-                     "residual_norm": float(np.linalg.norm(misfit))},
+                     "residual_norm": design.residual_norm},
         attributions=estimates,
     )
 

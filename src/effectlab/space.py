@@ -30,6 +30,11 @@ Config = tuple[int, ...]
 GRID_ENUMERATION_CAP = 10_000_000
 # Run-log columns besides the factors.
 LOG_COLUMNS = ("response", "weight", "seed")
+# Responses within RESPONSE_BOUND and, in a log of n records, weights and
+# |weight x response| within SUM_BOUND / n keep any sum of n records (a
+# log's, a cell's, a bootstrap resample's) within SUM_BOUND, every mean within
+# RESPONSE_BOUND, and the differences, centerings and squares of effects finite.
+RESPONSE_BOUND, SUM_BOUND = 2.0 ** 500, 2.0 ** 1020
 
 
 class LogSchemaError(ValueError):
@@ -328,9 +333,10 @@ class RunLog:
 
     Record i is row i of the ``(n, d)`` level-index matrix ``configs_array``
     with ``responses[i]``, ``weights[i]`` and ``seeds[i]``. The columns are
-    copied on construction and read-only afterwards. ``support`` holds the
-    log's ``support_counts``, reduced on first use: the empirical reference
-    and every estimator read that one pass.
+    copied on construction and read-only afterwards, and kept within
+    ``RESPONSE_BOUND`` and ``SUM_BOUND``. ``support`` holds the log's
+    ``support_counts``, reduced on first use: the empirical reference and
+    every estimator read that one pass.
     """
 
     space: FactorSpace
@@ -354,7 +360,10 @@ class RunLog:
             raise ValueError(f"columns do not line up: configs {configs.shape}, responses "
                              f"{y.shape}, weights {w.shape}, seeds {self.seeds.shape}")
         out_of_range = (configs < 0) | (configs >= np.array(self.space.level_counts))
-        bad = out_of_range.any(axis=1) | ~np.isfinite(y) | ~np.isfinite(w) | (w < 0)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the check
+            wy = w * y
+            heavy = (np.abs(y) > RESPONSE_BOUND) | (np.maximum(w, np.abs(wy)) > SUM_BOUND / n)
+        bad = out_of_range.any(axis=1) | ~np.isfinite(y) | ~np.isfinite(w) | (w < 0) | heavy
         if bad.any():
             i = int(np.argmax(bad))
             if out_of_range[i].any():
@@ -365,8 +374,13 @@ class RunLog:
                 problem = f"non-finite response {float(y[i])!r}"
             elif not math.isfinite(w[i]):
                 problem = f"non-finite weight {float(w[i])!r}"
-            else:
+            elif w[i] < 0:
                 problem = f"negative weight {float(w[i])!r}"
+            elif abs(y[i]) > RESPONSE_BOUND:
+                problem = f"response {float(y[i])!r} exceeds 2^500"
+            else:
+                problem = (f"weight {float(w[i])!r} or weighted response {float(wy[i])!r} "
+                           f"exceeds 2^1020 / {n}, so a sum of the {n} records could overflow")
             raise ValueError(f"record {i}: {problem}")
         if not (w > 0).any():
             raise ValueError("run log needs at least one record with positive weight")
@@ -792,7 +806,10 @@ def support_counts(log: RunLog) -> SupportCounts:
     each pair cell's are summed once more in units of 4^e, 2^e that weight's
     binary magnitude, for ``pair_eff``; a power of two scales exactly."""
     configs, w, L = log.configs_array, log.weights, log.space.level_counts
-    stats = (w, w * log.responses, (w > 0).astype(float), w * w)
+    # A weight past 2^512 squares to inf. Only pair_eff reads the squared
+    # weights, and past 2^256 it reads the scaled sums below instead.
+    with np.errstate(over="ignore"):
+        stats = (w, w * log.responses, (w > 0).astype(float), w * w)
 
     def reduce(cell, size, stats=stats):
         return np.stack([np.bincount(cell, weights=s, minlength=size) for s in stats])

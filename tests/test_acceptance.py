@@ -46,7 +46,7 @@ from effectlab import (
 )
 from effectlab.cli import main as cli_main
 from conftest import full_grid_log
-from oracles import projection_decomposition
+from oracles import design_matrix_loop, projection_decomposition
 
 TINY = ShrinkageSpec(1e-12)
 
@@ -493,11 +493,13 @@ def test_criterion_13_ls_stability():
         table = second_order_teacher(space, 7000 + inst).truth
         grid = enumerate_grid(space)
         dm = build_design_matrix(grid, space)
+        A = design_matrix_loop(grid, space.level_counts,
+                               [dm.reference.marginal(j) for j in range(d)])
         clean = np.concatenate([exact_shapley_second_order(table, x) for x in grid])
-        theta_clean, *_ = np.linalg.lstsq(dm.matrix, clean, rcond=None)
+        theta_clean, *_ = np.linalg.lstsq(A, clean, rcond=None)
         for _ in range(100):
             noise = rng.normal(0, 0.05, size=clean.shape)
-            theta, *_ = np.linalg.lstsq(dm.matrix, clean + noise, rcond=None)
+            theta, *_ = np.linalg.lstsq(A, clean + noise, rcond=None)
             err = float(np.linalg.norm(theta - theta_clean))
             bound = float(np.linalg.norm(noise)) / dm.sigma_min
             assert err <= bound + 1e-12

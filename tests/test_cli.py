@@ -287,19 +287,61 @@ def test_estimate_error_json_and_exit_code(workspace, tmp_path):
     assert not (out / "manifest.json").exists()
 
 
-def test_estimate_refuses_to_write_non_finite_json(workspace):
-    # Sums of 1e308 overflow: mu is inf, which JSON (RFC 8259) cannot hold.
-    tmp, space, _ = workspace
+def huge_log(tmp):
+    """Weight 2 and response 1e308 where a = a1: sums of them overflow."""
     log = tmp / "huge.csv"
     log.write_text("a,b,response,weight\n" + "".join(
         f"a{xa},b{xb},{1e308 if xa else 0.0!r},2\n" for xa in (0, 1) for xb in (0, 1)))
+    return log
+
+
+def test_estimate_refuses_to_write_non_finite_json(workspace):
+    # Sums of 1e308 overflowed to an inf mu, which JSON (RFC 8259) cannot
+    # hold; the log is now rejected before any sum is taken.
+    tmp, space, _ = workspace
     out = tmp / "err"
-    rc = main(["estimate", "--space", str(space), "--log", str(log), "--out", str(out)])
+    rc = main(["estimate", "--space", str(space), "--log", str(huge_log(tmp)), "--out", str(out)])
     assert rc == 1
     err = json.loads((out / "error.json").read_text())
-    assert err["error"] == "CommandError"
-    assert "effects.json" in err["message"] and "not finite" in err["message"]
+    assert err == {"error": "ValueError", "message": "record 2: response 1e+308 exceeds 2^500"}
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["estimate", "optimize", "pci"])
+def test_every_command_rejects_huge_responses_at_ingest(workspace, command):
+    # pci wrote NaN in every cell, estimate failed in the JSON writer and
+    # optimize on a non-finite mu; all three now stop at the same record.
+    tmp, space, _ = workspace
+    out = tmp / command
+    rc = main([command, "--space", str(space), "--log", str(huge_log(tmp)), "--out", str(out)])
+    assert rc == 1
+    assert json.loads((out / "error.json").read_text())["message"] == (
+        "record 2: response 1e+308 exceeds 2^500")
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+@pytest.mark.parametrize("command", ["estimate", "optimize"])
+@pytest.mark.parametrize("bootstrap", [[], ["--bootstrap", "0"]])
+def test_ci_level_without_bootstrap_is_rejected(workspace, command, bootstrap):
+    # It set the coverage of intervals that were never computed.
+    tmp, space, log = workspace
+    out = tmp / "ci"
+    rc = main([command, "--space", str(space), "--log", str(log), "--out", str(out),
+               *bootstrap, "--ci-level", "0.5"])
+    assert rc == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err == {"error": "CommandError", "message": "--ci-level applies only with --bootstrap"}
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+def test_bootstrap_alone_keeps_the_default_ci_level(workspace):
+    tmp, space, log = workspace
+    for name, level in (("default", []), ("given", ["--ci-level", "0.95"])):
+        assert main(["estimate", "--space", str(space), "--log", str(log),
+                     "--out", str(tmp / name), "--bootstrap", "100", *level]) == 0
+    for name in ("main_effects.csv", "interactions.csv", "effects.json"):
+        assert (tmp / "default" / name).read_bytes() == (tmp / "given" / name).read_bytes()
 
 
 def test_write_json_names_the_non_finite_key(tmp_path):
@@ -833,10 +875,11 @@ def test_simulate_smoke(tmp_path):
     assert by[("SF", "recon")] <= by[("CM", "recon")]
 
 
-def _perfbench_check():
-    """perfbench/check.py, the benchmark's output checks, loaded by path."""
-    path = ROOT / "perfbench" / "check.py"
-    spec = importlib.util.spec_from_file_location("perfbench_check", path)
+def _perfbench(name):
+    """perfbench/<name>.py, loaded by path: ``check`` holds the benchmark's
+    output checks, ``gen`` its input generator."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -847,7 +890,7 @@ def test_suite_commands_match_the_benchmark_references(tmp_path, seed):
     """The sim-suite workload's commands, checked against its stored
     references as the benchmark checks them; the manifest counts the trial
     batches: per estimator, one per chunk holding every cell's trials."""
-    check = _perfbench_check()
+    check = _perfbench("check")
     reference = check.load_reference("sim-suite", seed)
     for command, argv, largest in (
             ("simulate_s", ["simulate", "--suite", "cm-vs-sf", "--trials", "6"], 6),
@@ -857,6 +900,19 @@ def test_suite_commands_match_the_benchmark_references(tmp_path, seed):
         assert check.compare_reference(command, out, reference) == []
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["diagnostics"] == {"trial_batches": {"count": 2, "largest": largest}}
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_sf_estimate_matches_the_benchmark_references(tmp_path, seed):
+    """The log-sf workload's command on its generated inputs, checked against
+    its stored references as the benchmark checks them: the exact Shapley
+    values, the least-squares fit and every file written from them."""
+    gen, check = _perfbench("gen"), _perfbench("check")
+    inp, out = tmp_path / "in", tmp_path / "out"
+    gen.write_inputs(gen.make_inputs("log-sf", seed), inp)
+    assert main(["estimate", "--path", "sf", "--space", str(inp / "space.json"),
+                 "--log", str(inp / "log.csv"), "--seed", str(seed), "--out", str(out)]) == 0
+    assert check.compare_reference("estimate_sf_s", out, check.load_reference("log-sf", seed)) == []
 
 
 def test_simulate_table2_alias_is_gone(tmp_path):

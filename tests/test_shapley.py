@@ -29,7 +29,6 @@ from effectlab import (
 from effectlab.shapley import (
     GATHER_VALUES,
     RANK_TOLERANCE,
-    EffectDesignMatrix,
     ShapleyEstimate,
     fit_from_oracle,
     reference_projection,
@@ -350,14 +349,30 @@ def test_batched_exact_matches_per_point_loop(problem):
     assert abs(oracle.v_empty - expected[0][0]) < 1e-12
 
 
+def dense_design(dm):
+    """The (n d) x p design of ``dm``, filled row by row."""
+    return design_matrix_loop(dm.eval_set, dm.space.level_counts,
+                              [dm.reference.marginal(j) for j in range(dm.space.num_factors)])
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_problems)
 def test_vectorized_design_matches_row_loop(problem):
-    space, ref, _, points = product_problem(*problem)
-    dm = build_design_matrix(points, space, ref)
-    looped = design_matrix_loop(points, space.level_counts,
-                                [ref.marginal(j) for j in range(space.num_factors)])
-    assert np.array_equal(dm.matrix, looped)
+    # The reduction keeps the normal equations of the row-by-row design with
+    # the attributions beside it: [r t; 0 residual] has the Gram matrix of
+    # [A phi], so r^T r = A^T A, r^T t = A^T phi and |t|^2 + residual^2 = |phi|^2.
+    space, ref, values, points = product_problem(*problem)
+    phi = exact_shapley(ValueOracle(space, ref, values), points).phi
+    dm = build_design_matrix(points, space, ref, phi)
+    dense = np.hstack([dense_design(dm), phi.reshape(-1, 1)])
+    gram = dense.T @ dense
+    rt = np.hstack([dm.r, dm.t])
+    reduced = rt.T @ rt
+    reduced[-1, -1] += dm.residual_norm ** 2
+    assert np.abs(reduced - gram).max() <= 1e-12 * (1.0 + np.abs(gram).max())
+    alone = build_design_matrix(points, space, ref)
+    assert alone.t.shape == (len(alone.r), 0) and alone.residual_norm == 0.0
+    assert np.abs(alone.r.T @ alone.r - gram[:-1, :-1]).max() <= 1e-12 * (1.0 + np.abs(gram).max())
 
 
 sf_problems = st.tuples(
@@ -435,7 +450,7 @@ def test_blockwise_sf_fit_matches_dense_lstsq_route(problem):
 
 @settings(max_examples=60, deadline=None)
 @given(sf_problems)
-def test_sf_fit_sums_residual_by_block_without_the_dense_design(problem):
+def test_sf_fit_residual_matches_the_dense_design(problem):
     levels, seed, distinct, n = problem
     space, ref, values, pool = product_problem(levels, seed, distinct)
     points = [pool[i] for i in np.random.default_rng(seed).integers(0, distinct, size=n)]
@@ -445,11 +460,10 @@ def test_sf_fit_sums_residual_by_block_without_the_dense_design(problem):
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "solve", recording("solve", calls))
-        mp.setattr(EffectDesignMatrix, "matrix", property(no_dense_design))
         fit = fit_effects_sf(estimates, space, ref)
     theta = calls[-1][2]
     phi = estimates.phi.ravel()
-    dense = float(np.linalg.norm(dm.matrix @ theta - phi))
+    dense = float(np.linalg.norm(dense_design(dm) @ theta - phi))
     assert abs(fit.diagnostics["residual_norm"] - dense) <= 1e-12 * (1.0 + np.abs(phi).max())
 
 
@@ -507,7 +521,35 @@ def test_design_matrix_full_grid_identifiable(space_2x2):
     dm = build_design_matrix(enumerate_grid(space_2x2), space_2x2)
     assert dm.sigma_min > 1e-8
     # cross-check with a rank oracle
-    assert np.linalg.matrix_rank(dm.matrix) == dm.matrix.shape[1]
+    assert np.linalg.matrix_rank(dense_design(dm)) == dm.shape[1]
+
+
+def test_sf_fit_memory_holds_one_factor_block():
+    # 10 three-level factors at 17,000 distinct points: a 170,000 x 200
+    # design, 259 MiB dense. Factor j's block with its attribution column,
+    # 17,000 x 39, is 5.1 MiB; the fit reduces one such block at a time and
+    # keeps no orthogonal factor. Keeping every factor's Q peaked at 85.6 MiB.
+    space = build_space([(f"f{j}", ["a", "b", "c"]) for j in range(10)])
+    rng = np.random.default_rng(0)
+    X = np.stack(np.unravel_index(rng.choice(3 ** 10, size=17_000, replace=False),
+                                  space.level_counts), axis=1)
+    phi = rng.normal(size=X.shape)
+    estimates = ShapleyEstimate(X, phi, np.zeros_like(phi), M=1)
+    tracemalloc.start()
+    try:
+        fit = fit_effects_sf(estimates, space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (fit.diagnostics["rows"], fit.diagnostics["params"]) == (170_000, 200)
+    assert peak < 85.6 * 2**20 / 3
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (4, 3), (4,)])
+def test_design_rejects_attributions_of_another_shape(space_2x2, shape):
+    # A (4, 3) set would otherwise be read as its first two columns.
+    with pytest.raises(ValueError, match=r"attributions must have the evaluation set's shape"):
+        build_design_matrix(enumerate_grid(space_2x2), space_2x2, attributions=np.zeros(shape))
 
 
 def test_design_matrix_single_config_deficient(space_2x2):
@@ -522,19 +564,15 @@ def test_design_matrix_single_config_deficient(space_2x2):
 def dense_deficient_blocks(dm):
     """What the full SVD of the dense design names: blocks with weight in
     its numerical null space."""
-    _, s, vt = np.linalg.svd(dm.matrix, full_matrices=True)
+    _, s, vt = np.linalg.svd(dense_design(dm), full_matrices=True)
     null = vt[int((s >= RANK_TOLERANCE).sum()):]
     return [name for (_, _, sl), name in zip(dm.blocks, dm.block_names())
             if null.size and np.abs(null[:, sl]).max() > 1e-6]
 
 
-def no_dense_design(self):
-    raise AssertionError("the dense design was read")
-
-
 @pytest.mark.parametrize("points", [[(1, 2, 0)] * 10, [(1, 2, 0)], [(0, 0, 0), (1, 2, 1)]],
                          ids=["tall", "one-point", "two-points"])
-def test_deficient_blocks_reads_r_not_the_dense_design(points, monkeypatch):
+def test_deficient_blocks_reads_r_not_the_dense_design(points):
     # A tall design of one repeated point, and two designs with fewer rows
     # than parameters, whose null space is partly structural.
     space = build_space([("a", ["0", "1"]), ("b", ["0", "1", "2"]), ("c", ["0", "1"])])
@@ -544,7 +582,6 @@ def test_deficient_blocks_reads_r_not_the_dense_design(points, monkeypatch):
     if len(points) == 10:
         assert dm.shape[0] >= dm.shape[1]
         assert expected == ["a", "b", "c", "a|b", "a|c", "b|c"]
-    monkeypatch.setattr(EffectDesignMatrix, "matrix", property(no_dense_design))
     assert dm.deficient_blocks() == expected
 
 
@@ -585,10 +622,10 @@ def test_shapley_estimate_rejects_mismatched_shapes(x, phi, variance):
 
 def test_fit_rejects_empty_and_mismatched_batches(space_2x2):
     empty = ShapleyEstimate(np.empty((0, 2)), np.empty((0, 2)), np.empty((0, 2)), M=1)
-    with pytest.raises(ValueError, match="no attribution estimates"):
+    with pytest.raises(ValueError, match="evaluation set is empty"):
         fit_effects_sf(empty, space_2x2)
     wide = ShapleyEstimate([(0, 1, 0)], np.zeros((1, 3)), np.zeros((1, 3)), M=1)
-    with pytest.raises(ValueError, match="inconsistent space"):
+    with pytest.raises(ValueError, match=r"configs have shape \(1, 3\), expected \(n, 2\)"):
         fit_effects_sf(wide, space_2x2)
 
 
@@ -616,13 +653,14 @@ def test_fit_perturbation_stability_bound():
     table = teacher.truth
     grid = enumerate_grid(space)
     dm = build_design_matrix(grid, space)
+    A = dense_design(dm)
     eta = 0.01
     clean = np.concatenate([exact_shapley_second_order(table, x) for x in grid])
     noise = rng.uniform(-eta, eta, size=clean.shape)
-    theta_clean, *_ = np.linalg.lstsq(dm.matrix, clean, rcond=None)
-    theta_noisy, *_ = np.linalg.lstsq(dm.matrix, clean + noise, rcond=None)
+    theta_clean, *_ = np.linalg.lstsq(A, clean, rcond=None)
+    theta_noisy, *_ = np.linalg.lstsq(A, clean + noise, rcond=None)
     err = float(np.linalg.norm(theta_noisy - theta_clean))
-    n_rows = dm.matrix.shape[0]
+    n_rows = A.shape[0]
     assert err <= math.sqrt(n_rows) * eta / dm.sigma_min + 1e-12
 
 
@@ -632,13 +670,14 @@ def test_stability_bound_monte_carlo():
     teacher = random_table(rng, space)
     grid = enumerate_grid(space)
     dm = build_design_matrix(grid, space)
+    A = dense_design(dm)
     clean = np.concatenate(
         [exact_shapley_second_order(teacher.truth, x) for x in grid]
     )
-    theta_clean, *_ = np.linalg.lstsq(dm.matrix, clean, rcond=None)
+    theta_clean, *_ = np.linalg.lstsq(A, clean, rcond=None)
     for _ in range(100):
         noise = rng.normal(0, 0.05, size=clean.shape)
-        theta, *_ = np.linalg.lstsq(dm.matrix, clean + noise, rcond=None)
+        theta, *_ = np.linalg.lstsq(A, clean + noise, rcond=None)
         err = float(np.linalg.norm(theta - theta_clean))
         assert err <= float(np.linalg.norm(noise)) / dm.sigma_min + 1e-12
 

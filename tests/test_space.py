@@ -338,6 +338,51 @@ def test_log_validation(space_2x2):
         log_from_arrays(space_2x2, [(0, 0), (1, 1)], [1.0, 2.0], weights=[1.0])
 
 
+XOR_CONFIGS = [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("responses, weights, match", [
+    # Weight 2 and response 1e308 at a = a1: the sums overflowed on every path.
+    ([0.0, 0.0, 1e308, 1e308], [2.0] * 4, r"record 2: response 1e\+308 exceeds 2\^500"),
+    ([0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 2.0 ** 1019, 2.0 ** 1019],
+     r"record 2: weight 5\.6\d*e\+306 or weighted response 0\.0 exceeds 2\^1020 / 4, "
+     r"so a sum of the 4 records could overflow"),
+    ([0.0, 2.0 ** 500, 0.0, 0.0], [1.0, 2.0 ** 600, 1.0, 1.0],
+     r"record 1: weight 4\.1\d*e\+180 or weighted response inf exceeds 2\^1020 / 4"),
+    ([0.0, 2.0 ** 500, 0.0, 0.0], [1.0, 2.0 ** 518 + 2.0 ** 466, 1.0, 1.0],
+     r"record 1: weight 8\.5\d*e\+155 or weighted response 2\.8\d*e\+306 exceeds"),
+    # A tiny weight keeps the weighted response small, not the cell mean.
+    ([0.0, 0.0, 0.0, -1e200], [1.0, 1.0, 1.0, 1e-300], r"record 3: response -1e\+200"),
+], ids=["huge-response", "heavy-weight", "overflowing-product", "heavy-product", "tiny-weight"])
+def test_log_rejects_records_past_the_sum_bounds(space_2x2, responses, weights, match):
+    with pytest.raises(ValueError, match=match):
+        log_from_arrays(space_2x2, XOR_CONFIGS, responses, weights)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_records_at_the_sum_bounds_keep_both_paths_finite(space_2x2):
+    from effectlab import estimate_from_log, pci_matrix
+    from effectlab.effects import bootstrap_replicates
+
+    # Responses of +-2^500 at weights 2^518 = 2^1020 / 4 / 2^500, beside a
+    # tiny weight: sums reach 2^1020, every mean 2^500, and the squares of
+    # the interactions, as pci takes them, stay finite.
+    y = 2.0 ** 500
+    log = log_from_arrays(space_2x2, XOR_CONFIGS, [y, -y, -y, y],
+                          [2.0 ** 518, 2.0 ** 518, 1e-300, 2.0 ** 518])
+    for background in (ReferenceDistribution.uniform(space_2x2),
+                       ReferenceDistribution.empirical(log)):
+        for path in ("CM", "SF"):
+            table = estimate_from_log(log, path, background)
+            assert np.isfinite([table.mu, *np.concatenate(table.mains),
+                                *table.pairs[(0, 1)].ravel()]).all()
+            assert abs(table.pairs[(0, 1)]).max() > 2.0 ** 498
+            assert np.isfinite(pci_matrix(table, 0, 1).s)
+        reps = bootstrap_replicates(log, background, B=100)
+        assert np.isfinite(reps.mu).all() and np.isfinite(reps.pairs[(0, 1)]).all()
+
+
 def test_log_columns_are_copied_and_read_only(space_2x2):
     weights = np.array([1.0, 2.0])
     log = log_from_arrays(space_2x2, [(0, 0), (1, 1)], [1.0, 2.0], weights)
@@ -365,8 +410,7 @@ def records(draw):
     n = draw(st.integers(1, 20))
     configs = draw(st.lists(st.tuples(*[st.integers(0, L - 1) for L in level_counts]),
                             min_size=n, max_size=n))
-    responses = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                              min_size=n, max_size=n))
+    responses = draw(st.lists(st.floats(-2.0 ** 500, 2.0 ** 500), min_size=n, max_size=n))
     weights = draw(st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n))
     assume(any(w > 0 for w in weights))
     seeds = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n))
@@ -818,6 +862,7 @@ def test_eff_size_matches_cells(space_2x2):
     assert eff[0, 1] == sc.pair_counts[(0, 1)][0, 1]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e200, 2.0**1000])
 def test_pair_eff_is_free_of_the_weight_scale(space_2x2, scale):
     # Kish sizes do not change with a common weight scale: squared weights
