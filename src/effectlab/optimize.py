@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .objective import InfeasibleConfigError, PairwiseObjective, broadcast_sum
+from .objective import InfeasibleConfigError, PairwiseObjective
 from .space import Config, FactorSpace
 
 # The dominance certificate enumerates a factor's contexts up to this many;
@@ -264,24 +264,23 @@ def diag_dominance_check(model: PairwiseObjective) -> DominanceReport:
         others = [k for k in range(d) if k != j]
         sizes = [len(allowed[k]) for k in others]
         n_contexts = math.prod(sizes)
-        base = model.unary[j][allowed[j]]
         if n_contexts <= DOMINANCE_CONTEXT_CAP:
-            # Tensor of local objectives: level axis first, one axis per context factor.
-            terms = [((0,), base)] + [((0, 1 + pos), pair_scores[j, k])
-                                      for pos, k in enumerate(others)]
-            scores = broadcast_sum(np.zeros([len(allowed[j])] + sizes), terms)
-            flat = scores.reshape(len(allowed[j]), -1)
-            contexts_checked.append(int(flat.shape[1]))
+            # Every context as a row of level positions, in C order.
+            idx = np.indices(sizes, np.min_scalar_type(max(sizes, default=0)))
+            idx = idx.reshape(-1, n_contexts).T
         else:
             # All contexts in one call, context-major: the same stream as one
             # scalar draw per context factor per context.
             exact = False
             samples = DOMINANCE_SAMPLE_CONTEXTS
             idx = rng.integers(0, np.tile(sizes, samples)).reshape(samples, len(others))
-            flat = base[:, None]
-            for pos, k in enumerate(others):
-                flat = flat + pair_scores[j, k][:, idx[:, pos]]
-            contexts_checked.append(samples)
+        # Local objectives: one row per allowed level of j, one column per context;
+        # in mode "clip", take writes into `gathered` unbuffered (idx is in range).
+        flat = np.repeat(model.unary[j][allowed[j]][:, None], len(idx), axis=1)
+        gathered = np.empty_like(flat)
+        for pos, k in enumerate(others):
+            flat += np.take(pair_scores[j, k], idx[:, pos], axis=1, out=gathered, mode="clip")
+        contexts_checked.append(len(idx))
         top2 = np.sort(flat, axis=0)[-2:, :]
         margins[j] = float((top2[1] - top2[0]).min())
 

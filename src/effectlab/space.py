@@ -77,6 +77,10 @@ class FactorSpace:
                 if label != label.strip():
                     raise ValueError(f"level label {label!r} of factor {f.name!r} has "
                                      "leading or trailing whitespace")
+            # "|" joins the names of a pair, and the labels of a pair cell, in their keys.
+            if bad := [text for text in (f.name, *f.levels) if "|" in text]:
+                raise ValueError(f"factor {f.name!r}: name or label {bad[0]!r} contains '|', "
+                                 "which joins the keys of pairs and pair cells")
 
     @property
     def num_factors(self) -> int:
@@ -144,11 +148,16 @@ def build_space(spec: Mapping | Sequence[tuple[str, Sequence[str]]]) -> FactorSp
 
     Accepts either the JSON-document shape ``{"factors": [{"name":..,
     "levels": [...]}, ...]}`` or a sequence of ``(name, levels)`` pairs.
+    Names and labels are read through ``str``; a string of levels is refused.
     """
     if isinstance(spec, Mapping):
         entries = [(e["name"], e["levels"]) for e in spec["factors"]]
     else:
         entries = [(name, levels) for name, levels in spec]
+    for name, levels in entries:
+        if isinstance(levels, str):
+            raise ValueError(f"factor {str(name)!r}: levels must be a list of labels, "
+                             f"not the string {levels!r}")
     factors = tuple(Factor(str(name), tuple(str(l) for l in levels)) for name, levels in entries)
     return FactorSpace(factors)
 
@@ -412,10 +421,11 @@ def _row_columns(rows: Iterable[list[str]], space: FactorSpace, header: list[str
                  first: int, path: str | Path) -> tuple[np.ndarray, ...]:
     """The level, response, weight and seed columns of CSV rows, read one row
     at a time; ``first`` is the CSV row number of the first row. Every cell is
-    stripped, blank rows are skipped, and a blank weight reads as 1 and a
-    blank seed as 0. The first bad row raises a ``LogSchemaError``; within a
-    row the checks run in the order: row length, factors (in space order),
-    response, weight, seed."""
+    stripped, blank rows are skipped, blank cells past the header are
+    ignored, and a blank weight reads as 1 and a blank seed as 0. The first
+    bad row raises a ``LogSchemaError``; within a row the checks run in the
+    order: row length (a missing cell, then a value past the header),
+    factors (in space order), response, weight, seed."""
     # Imported here: a clean log never needs it, and loading its shared
     # library adds about 0.15 MB to every CLI process's peak RSS.
     from array import array
@@ -435,6 +445,8 @@ def _row_columns(rows: Iterable[list[str]], space: FactorSpace, header: list[str
             continue
         if len(cells) < len(header):
             raise bad(f"missing value in column {header[len(cells)]!r}")
+        if extra := next(filter(None, cells[len(header):]), None):
+            raise bad(f"value {extra!r} past the last column {header[-1]!r}")
         for c, name, lookup in factors:
             if cells[c] not in lookup:
                 raise bad(f"unknown level {cells[c]!r} in column {name!r}")
@@ -662,7 +674,7 @@ def sample_design(space: FactorSpace, plan: DesignPlan, seed: int = 0) -> np.nda
 # Support statistics
 # ---------------------------------------------------------------------------
 
-CELL_BLOCK = 512  # rows per block of cell_reducer's products, which bounds their copies
+CELL_BLOCK = 256  # rows per block of cell_reducer's one-hot, which bounds its size
 
 
 def cell_reducer(configs: np.ndarray, space: FactorSpace):
@@ -672,45 +684,32 @@ def cell_reducer(configs: np.ndarray, space: FactorSpace):
     one (S, C, L_j) array per factor and a dict of one (S, C, L_j, L_k) array
     per pair, keyed in ``space.pairs()`` order.
 
-    It sums with matrix products over blocks of ``CELL_BLOCK`` rows: the
-    statistics times the block's one-hot level matrix give the level sums,
-    and for each factor j and level a, the statistics of the rows at a times
-    their one-hot columns of the factors after j give pair row (j, a). Each
-    block's stable order and level bounds per factor are found once, here;
-    ``reduce`` rebuilds only the one-hot. Its sums are one ``bincount`` per
-    sample's within 1e-12 x (1 + the largest sum); counts and empty cells
-    exactly.
+    Each row's cells are keyed once, here, as ``support_counts`` keys them
+    (level x_j, pair cell x_j * L_k + x_k), each table offset along one flat
+    cell axis. ``reduce`` adds the statistics times the one-hot cell matrix
+    of each block of ``CELL_BLOCK`` rows and splits the flat sums into the
+    tables. Its sums are one ``bincount`` per sample's within 1e-12 x (1 +
+    the largest sum); counts and empty cells exactly.
     """
-    L, d = space.level_counts, space.num_factors
-    offsets = np.cumsum((0,) + L)
-    blocks = []
-    for start in range(0, len(configs), CELL_BLOCK):
-        cfg = configs[start:start + CELL_BLOCK]
-        orders = [np.argsort(cfg[:, j], kind="stable") for j in range(d - 1)]
-        bounds = [np.searchsorted(cfg[o, j], range(L[j] + 1)).tolist()
-                  for j, o in enumerate(orders)]
-        blocks.append((slice(start, start + len(cfg)), cfg + offsets[:-1], orders, bounds))
+    L, pairs = space.level_counts, space.pairs()
+    shapes = [(n,) for n in L] + [(L[j], L[k]) for j, k in pairs]
+    offsets = np.cumsum([0] + [math.prod(shape) for shape in shapes])
+    keys = np.column_stack([configs] + [configs[:, j] * L[k] + configs[:, k] for j, k in pairs])
+    keys = (keys + offsets[:-1]).astype(np.min_scalar_type(offsets[-1]))
+    block = CELL_BLOCK
 
     def reduce(stats: np.ndarray):
         S, C, U = stats.shape
         M = stats.reshape(S * C, U)
-        mains = np.zeros((S * C, offsets[-1]))
-        # tails[j][a] is pair row (j, a): its sums over the levels of every k > j.
-        tails = [np.zeros((L[j], S * C, offsets[-1] - offsets[j + 1])) for j in range(d - 1)]
-        for rows, cols, orders, bounds in blocks:
-            m = M[:, rows]
-            onehot = np.zeros((len(cols), offsets[-1]))
-            onehot[np.arange(len(cols))[:, None], cols] = 1.0
-            mains += m @ onehot
-            for j, (order, at) in enumerate(zip(orders, bounds)):
-                m_j, rest = m[:, order], onehot[order, offsets[j + 1]:]
-                for a in range(L[j]):
-                    tails[j][a] += m_j[:, at[a]:at[a + 1]] @ rest[at[a]:at[a + 1]]
-        levels = tuple(mains[:, offsets[j]:offsets[j + 1]].reshape(S, C, -1) for j in range(d))
-        pairs = {(j, k): np.moveaxis(tails[j][..., offsets[k] - offsets[j + 1]:
-                                              offsets[k + 1] - offsets[j + 1]], 0, 1)
-                 .reshape(S, C, L[j], L[k]) for j, k in space.pairs()}
-        return levels, pairs
+        sums = np.zeros((S * C, offsets[-1]))
+        for start in range(0, U, block):
+            cells = keys[start:start + block]
+            onehot = np.zeros((len(cells), offsets[-1]))
+            onehot[np.arange(len(cells))[:, None], cells] = 1.0
+            sums += M[:, start:start + block] @ onehot
+        tables = [sums[:, a:b].reshape(S, C, *shape)
+                  for a, b, shape in zip(offsets, offsets[1:], shapes)]
+        return tuple(tables[:len(L)]), dict(zip(pairs, tables[len(L):]))
 
     return reduce
 

@@ -519,6 +519,9 @@ def ingest_log_loop(path, space):
                 continue
             if len(row) < len(header):
                 raise bad(f"missing value in column {header[len(row)]!r}")
+            for cell in row[len(header):]:
+                if cell.strip():
+                    raise bad(f"value {cell.strip()!r} past the last column {header[-1]!r}")
             try:
                 levels.extend([lookup[row[c].strip()] for c, lookup in factor_cols])
             except KeyError:

@@ -287,6 +287,24 @@ def test_estimate_error_json_and_exit_code(workspace, tmp_path):
     assert not (out / "manifest.json").exists()
 
 
+def test_estimate_rejects_a_bar_in_level_labels(tmp_path):
+    # Cells (x|y, z) and (x, y|z) share the key "x|y|z": effects.json's a|b
+    # table and support.pairs held 3 cells of 4, and estimate exited 0.
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"factors": [{"name": "a", "levels": ["x|y", "x"]},
+                                             {"name": "b", "levels": ["z", "y|z"]}]}))
+    log = tmp_path / "runs.csv"
+    log.write_text("a,b,response\n" + "".join(f"{a},{b},1\n" for a in ("x|y", "x")
+                                              for b in ("z", "y|z")))
+    out = tmp_path / "est"
+    rc = main(["estimate", "--space", str(space), "--log", str(log), "--out", str(out)])
+    assert rc == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err == {"error": "ValueError",
+                   "message": "factor 'a': name or label 'x|y' contains '|', "
+                              "which joins the keys of pairs and pair cells"}
+
+
 def huge_log(tmp):
     """Weight 2 and response 1e308 where a = a1: sums of them overflow."""
     log = tmp / "huge.csv"

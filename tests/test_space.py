@@ -77,6 +77,36 @@ def test_build_space_rejects_degenerate():
         build_space([])
 
 
+@pytest.mark.parametrize("entries, message", [
+    ([("a|b", ["0", "1"]), ("c", ["0", "1"])],
+     r"factor 'a\|b': name or label 'a\|b' contains '\|'"),
+    ([("a", ["x|y", "x"]), ("b", ["z", "y|z"])],
+     r"factor 'a': name or label 'x\|y' contains '\|'"),
+], ids=["name", "label"])
+def test_build_space_rejects_the_pair_key_separator(entries, message):
+    # Pair keys join names and labels with "|": cells (x|y, z) and (x, y|z)
+    # would both be "x|y|z", and one would overwrite the other.
+    with pytest.raises(ValueError, match=message):
+        build_space(entries)
+
+
+@pytest.mark.parametrize("spec", [
+    {"factors": [{"name": "a", "levels": "xy"}, {"name": "b", "levels": ["0", "1"]}]},
+    [("a", "xy"), ("b", ["0", "1"])],
+], ids=["document", "pairs"])
+def test_build_space_rejects_a_string_of_levels(spec):
+    # A string was read letter by letter, as levels x and y.
+    with pytest.raises(ValueError, match=r"factor 'a'.*levels.*'xy'"):
+        build_space(spec)
+
+
+def test_build_space_reads_numbers_as_labels():
+    space = build_space({"factors": [{"name": "a", "levels": [1, 2.5]},
+                                     {"name": 7, "levels": [0, 1]}]})
+    assert space.to_dict() == {"factors": [{"name": "a", "levels": ["1", "2.5"]},
+                                           {"name": "7", "levels": ["0", "1"]}]}
+
+
 def test_enumerate_grid_order():
     space = build_space([("a", ["0", "1"]), ("b", ["0", "1"])])
     assert enumerate_grid(space) == [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -245,6 +275,25 @@ def test_ingest_short_row_names_row_and_column(tmp_path, space_2x2, short, colum
     path.write_text(f"a,b,response,weight\na0,b0,1.0,1\n{short}\n")
     with pytest.raises(LogSchemaError, match=rf"row 3: missing value in column '{column}'"):
         ingest_log(path, space_2x2)
+
+
+def test_ingest_long_row_names_row_and_cell(tmp_path, space_2x2):
+    # The extra cell was dropped, so the row read as weight 1.
+    path = tmp_path / "runs.csv"
+    path.write_text("a,b,response\na0,b0,1.0\na1,b0,2.0,99\n")
+    message = r"runs\.csv: row 3: value '99' past the last column 'response'"
+    with pytest.raises(LogSchemaError, match=message):
+        ingest_log(path, space_2x2)
+    with pytest.raises(LogSchemaError, match=message):
+        ingest_log_loop(path, space_2x2)
+
+
+def test_ingest_long_row_with_blank_cells_is_accepted(tmp_path, space_2x2):
+    path = tmp_path / "runs.csv"
+    path.write_text("a,b,response\na0,b0,1.0,\na1,b0,2.0, ,\t\n")
+    for read in (ingest_log, ingest_log_loop):
+        log = read(path, space_2x2)
+        assert log.responses.tolist() == [1.0, 2.0] and log.weights.tolist() == [1.0, 1.0]
 
 
 def test_ingest_negative_weight_names_row(tmp_path, space_2x2):
@@ -507,6 +556,7 @@ FAULTS = {
     "weight": ["heavy", "inf", "nan", "-0.5", "-1e-300", "1_0", "\u0663"],
     "seed": ["1.5", "x", str(2**63), str(-2**63 - 1), "9" * 30, "1_0", "\u0661", "\u30e7"],
 }
+PAST_HEADER = ["x", "1", "l0", "\0"]
 # Level labels per index: plain, each a prefix of the next, with a "#",
 # non-ASCII.
 LABEL_STYLES = [lambda t: f"l{t}", lambda t: "l" * (t + 1), lambda t: f"#{t}",
@@ -526,10 +576,11 @@ def render(cell, pad, style):
 def generated_log(draw):
     """(space, CSV text) of a run log: shuffled columns, labels of several
     styles, padded and quoted cells, blank and whitespace-only lines, rows
-    longer than the header, blank weight and seed cells, line endings of
-    every kind, and a bad cell or a short row in each of up to two rows, in
-    the same column or in different ones. A tidy log has no padding, quotes,
-    blank lines or extra cells, so numpy's reader takes its clean blocks."""
+    longer than the header by blank cells, blank weight and seed cells, line
+    endings of every kind, and a bad cell, a short row or a value past the
+    header in each of up to two rows, in the same column or in different
+    ones. A tidy log has no padding, quotes, blank lines or blank extra
+    cells, so numpy's reader takes its clean blocks."""
     space, configs, responses, weights, seeds = draw(records())
     style = draw(st.sampled_from(LABEL_STYLES))
     space = build_space([(f.name, [style(t) for t in range(f.num_levels)])
@@ -547,8 +598,12 @@ def generated_log(draw):
         rows.append([cells[c] for c in columns])
     for r in draw(st.lists(st.integers(0, len(rows) - 1), unique=True, max_size=2)):
         c = draw(st.integers(0, len(columns) - 1))
-        if draw(st.integers(0, 2)) == 0:
+        fault = draw(st.integers(0, 3))
+        if fault == 0:
             rows[r] = rows[r][:c]  # short row, its first missing cell at c
+        elif fault == 1:
+            # A value past the header, after c blank cells.
+            rows[r] = rows[r] + [""] * c + [draw(st.sampled_from(PAST_HEADER))]
         else:
             rows[r][c] = draw(st.sampled_from(FAULTS[kinds[c]]))
     tidy = draw(st.booleans())
@@ -558,7 +613,7 @@ def generated_log(draw):
     for row in rows:
         if not tidy:
             lines += draw(st.lists(st.sampled_from(BLANK_OR_SPACE_LINES), max_size=2))
-            row = row + draw(st.lists(st.sampled_from(["x", "", " 1 "]), max_size=2))
+            row = row + draw(st.lists(st.sampled_from(PADS), max_size=2))
         lines.append(",".join(render(cell, draw(st.sampled_from(pads)),
                                      draw(st.sampled_from(styles))) for cell in row))
     end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
